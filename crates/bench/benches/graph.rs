@@ -18,7 +18,8 @@ use conv_exec::{FusedDwPw, Tensor4};
 use conv_spec::{ConvShape, MachineModel};
 use mopt_core::{MOptOptimizer, OptimizerOptions};
 use mopt_graph::{builders, GraphPlanner};
-use mopt_service::{CacheKey, ScheduleCache};
+use mopt_service::batch::NamedLayer;
+use mopt_service::{NetworkPlanner, ScheduleCache, Tier};
 
 fn fast_options() -> OptimizerOptions {
     OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }
@@ -42,26 +43,20 @@ fn bench_graph_planning(c: &mut Criterion) {
         })
     });
 
-    // Warm: every per-op schedule already cached; only the DP itself runs.
+    // Warm: every per-op schedule already cached; only the cache reads and
+    // the DP itself run.
     let cache = ScheduleCache::new(64);
+    let schedules = NetworkPlanner::new(&cache, machine.clone(), fast_options());
+    let layers = NamedLayer::of_graph(&graph).unwrap();
     let planner = GraphPlanner::new(machine.clone());
-    let warm_plan = planner
-        .plan(&graph, |spec| {
-            cache.get_or_compute(CacheKey::new(*spec, &machine, &fast_options()), || {
-                MOptOptimizer::optimize_spec(spec, machine.clone(), fast_options())
-            })
-        })
-        .unwrap();
+    let resolved = schedules.resolve(&layers);
+    let warm_plan = planner.plan(&graph, |spec| resolved[spec].1.clone()).unwrap();
     assert!(warm_plan.fusions_taken >= 1);
     group.bench_function("plan_block_warm", |b| {
         b.iter(|| {
-            let plan = planner
-                .plan(&graph, |spec| {
-                    cache.get_or_compute(CacheKey::new(*spec, &machine, &fast_options()), || {
-                        unreachable!("warm plan must not solve")
-                    })
-                })
-                .unwrap();
+            let resolved = schedules.resolve(&layers);
+            assert!(resolved.values().all(|(tier, _)| *tier == Tier::Cache), "warm plan solved");
+            let plan = planner.plan(&graph, |spec| resolved[spec].1.clone()).unwrap();
             black_box(plan.fused_volume)
         })
     });

@@ -305,6 +305,38 @@ pub fn is_deprecated_alias(name: &str) -> bool {
     deprecated_aliases().iter().any(|op| op.name.trim_end_matches('*').eq_ignore_ascii_case(&norm))
 }
 
+/// A suite's accepted names (the first is the one catalogs list) and its
+/// operators — the one table `PlanNetwork`, the `Suites` reply and
+/// `mopt-plan-world` resolve suite names through.
+type SuiteRow = (&'static [&'static str], fn() -> Vec<BenchmarkOp>);
+const SUITE_TABLE: [SuiteRow; 7] = [
+    (&["yolo9000", "yolo"], yolo9000),
+    (&["resnet18", "resnet"], resnet18),
+    (&["mobilenet"], mobilenet),
+    (&["mobilenetv2", "mobilenetv2dw"], mobilenet_v2),
+    (&["dilated", "deeplab", "deeplabdilated"], dilated_deeplab),
+    (&["table1", "all"], all_operators),
+    (&["extended"], extended_operators),
+];
+
+/// The suite names catalogs list, in table order.
+pub fn suite_names() -> impl Iterator<Item = &'static str> {
+    SUITE_TABLE.iter().map(|(names, _)| names[0])
+}
+
+/// The operators of a suite by name (folded by [`crate::normalized_name`];
+/// `"table1"` is all 32 Table-1 operators, `"extended"` every suite).
+pub fn suite_by_name(name: &str) -> Option<Vec<BenchmarkOp>> {
+    let key = crate::normalized_name(name);
+    SUITE_TABLE.iter().find(|(names, _)| names.contains(&key.as_str())).map(|(_, ops)| ops())
+}
+
+/// The error text for a suite name that is not one of `accepted`.
+pub fn unknown_suite(name: &str, accepted: impl IntoIterator<Item = &'static str>) -> String {
+    let accepted: Vec<String> = accepted.into_iter().map(|n| format!("\"{n}\"")).collect();
+    format!("unknown suite `{name}` (try {})", accepted.join(", "))
+}
+
 /// The operators for one suite.
 pub fn suite(s: BenchmarkSuite) -> Vec<BenchmarkOp> {
     match s {

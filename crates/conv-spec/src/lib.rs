@@ -81,6 +81,13 @@ pub use shape::{ConvShape, LoopIndex, Permutation, ALL_INDICES};
 pub use spec::{DType, EwOp, PoolKind, Spec};
 pub use tiling::{ParallelAxis, TileConfig, TileSizes, TilingLevel, NUM_TILING_LEVELS};
 
+/// Fold a user-supplied machine-preset or suite name for table lookup:
+/// ASCII-lowercased, with `-`, `_` and spaces removed (`"i7-9700K"` and
+/// `"i7_9700k"` are one name).
+pub fn normalized_name(name: &str) -> String {
+    name.to_ascii_lowercase().replace(['-', '_', ' '], "")
+}
+
 /// Crate-wide error type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {

@@ -251,6 +251,17 @@ impl MachineModel {
         }
     }
 
+    /// A machine preset by name — `"i7-9700k"`, `"i9-10980xe"`, `"tiny"` or
+    /// one of their short forms, folded by [`crate::normalized_name`].
+    pub fn preset(name: &str) -> Option<Self> {
+        match crate::normalized_name(name).as_str() {
+            "i79700k" | "i7" | "coffeelake" => Some(Self::i7_9700k()),
+            "i910980xe" | "i9" | "cascadelake" => Some(Self::i9_10980xe()),
+            "tiny" | "tinytest" | "test" => Some(Self::tiny_test_machine()),
+            _ => None,
+        }
+    }
+
     /// The cache description for a memory level, if it is a cache level.
     pub fn cache(&self, level: MemoryLevel) -> Option<&CacheLevel> {
         self.caches.iter().find(|c| c.level == level)

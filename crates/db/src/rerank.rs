@@ -7,15 +7,15 @@
 //!
 //! 1. rewritten to the raw shape ([`conv_spec::SpecTransform`]),
 //! 2. combined with each parallel decomposition the optimizer itself would
-//!    search ([`mopt_core::MOptOptimizer::parallel_candidates`]), with the
+//!    search ([`mopt_core::pricing::parallel_candidates`]), with the
 //!    L3 tile clamped into one thread's slice and greedily shrunk until it
 //!    fits the per-thread L3 share — the same envelope the direct solver
 //!    certifies against,
-//! 3. re-priced with the analytical model exactly as
+//! 3. re-priced and ranked by the very functions
 //!    [`MOptOptimizer::optimize`](mopt_core::MOptOptimizer::optimize)
-//!    prices its own candidates,
+//!    prices and ranks its own candidates with ([`mopt_core::pricing`]).
 //!
-//! and ranked. The served schedule is therefore one the direct optimizer
+//! The served schedule is therefore one the direct optimizer
 //! would certify: valid for the raw shape, parallelism equal to the
 //! requested thread count, inside every capacity envelope, with a cost that
 //! is bit-identical to the direct model's prediction for that schedule.
@@ -24,8 +24,7 @@ use conv_spec::{
     canonicalize, canonicalize_spec, CanonicalSpec, ConvShape, LoopIndex, MachineModel, Spec,
     SpecTransform, TileConfig, TileSizes, TilingLevel,
 };
-use mopt_core::{LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizedConfig, OptimizerOptions};
-use mopt_model::cost::CostOptions;
+use mopt_core::{pricing, OptimizeResult, OptimizedConfig, OptimizerOptions};
 use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 
 use crate::store::ScheduleEntry;
@@ -167,8 +166,7 @@ pub fn rerank(
     options: &OptimizerOptions,
 ) -> Option<OptimizeResult> {
     let start = std::time::Instant::now();
-    let optimizer = MOptOptimizer::new(*raw, machine.clone(), options.clone());
-    let parallel_candidates = optimizer.parallel_candidates();
+    let parallel_candidates = pricing::parallel_candidates(raw, options.threads);
     let mut candidates: Vec<OptimizedConfig> = Vec::new();
     for entry in entries {
         let base = transform.denormalize_config(&entry.config);
@@ -176,63 +174,40 @@ pub fn rerank(
             let Some(fitted) = fit_to_envelope(&base, raw, machine, spec) else {
                 continue;
             };
-            let mut factors = TileSizes::ones();
-            for &idx in &conv_spec::ALL_INDICES {
-                factors = factors.with(idx, spec.factor(idx));
-            }
+            let factors = TileSizes::from_array(spec.factors);
             let config = TileConfig::new(fitted.permutation.clone(), fitted.tiles, factors);
             if config.validate(raw).is_err() {
                 continue;
             }
-            let model = MultiLevelModel::new(*raw, machine.clone(), config.permutation.clone())
-                .with_options(CostOptions { line_elems: options.line_elems })
-                .with_parallel(*spec);
-            // Entries are stored layout-stripped; a `Search`-policy query
-            // re-prices each candidate under every layout the direct
-            // optimizer would consider (bottleneck + one-time moves) and
-            // serves the cheapest — the fixed/unset path is bit-identical
-            // to the pre-layout rerank.
-            if matches!(options.layout_policy, Some(LayoutPolicy::Search)) {
-                let mut best: Option<OptimizedConfig> = None;
-                for layout in optimizer.layout_candidates() {
-                    let candidate = config.clone().with_layout(layout);
-                    let laid = model.clone().with_layout(layout);
-                    let prediction = laid.predict_config(&candidate);
-                    let total = prediction.bottleneck_cost + laid.move_total();
-                    if best.as_ref().is_none_or(|b| total < b.predicted_cost) {
-                        best = Some(OptimizedConfig {
-                            config: candidate,
-                            class_id: entry.class_id,
-                            predicted_cost: total,
-                            prediction,
-                        });
-                    }
-                }
-                candidates.extend(best);
-            } else {
-                let prediction = model.predict_config(&config);
-                candidates.push(OptimizedConfig {
-                    config,
-                    class_id: entry.class_id,
-                    predicted_cost: prediction.bottleneck_cost,
-                    prediction,
-                });
-            }
+            // Entries are stored layout-stripped; each is re-priced under
+            // every layout the direct optimizer would consider for the
+            // query's policy, and the cheapest is served.
+            let model =
+                pricing::pricing_model(raw, machine, options, config.permutation.clone(), *spec);
+            let (config, price) =
+                pricing::price_cheapest_layout(&model, config, options.layout_policy);
+            candidates.push(OptimizedConfig {
+                config,
+                class_id: entry.class_id,
+                predicted_cost: price.total,
+                prediction: price.prediction,
+            });
         }
     }
     if candidates.is_empty() {
         return None;
     }
-    candidates.sort_by(|a, b| {
-        a.predicted_cost.partial_cmp(&b.predicted_cost).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    candidates.truncate(options.keep_top.max(1));
-    Some(OptimizeResult { ranked: candidates, optimize_seconds: start.elapsed().as_secs_f64() })
+    Some(OptimizeResult {
+        ranked: pricing::rank(candidates, options.keep_top.max(1)),
+        optimize_seconds: start.elapsed().as_secs_f64(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mopt_core::MOptOptimizer;
+    use mopt_model::cost::CostOptions;
 
     fn fast_options(threads: usize) -> OptimizerOptions {
         OptimizerOptions { threads, max_classes: 1, keep_top: 8, ..OptimizerOptions::fast() }

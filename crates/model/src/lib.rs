@@ -84,6 +84,6 @@ pub use move_cost::{
     layout_move_costs, layout_move_total, stream_traffic, traffic_factor, transform_level,
     MoveCost, NONCONTIG_PENALTY, PREFETCH_DISCOUNT,
 };
-pub use multilevel::{CostBreakdown, LevelCost, MultiLevelModel, ParallelSpec};
+pub use multilevel::{CostBreakdown, LevelCost, MultiLevelModel, ParallelSpec, Price};
 pub use prune::{pruned_classes, PermutationClass};
 pub use spec_footprint::{elementwise_footprint, matmul_footprint, pool_footprint, spec_footprint};

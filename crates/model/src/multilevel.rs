@@ -33,6 +33,7 @@ use conv_spec::{
     TileConfig, TilingLevel, ALL_INDICES,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 use crate::cost::{
     input_footprint, kernel_footprint, output_footprint, single_level_volume_general,
@@ -207,6 +208,15 @@ impl ModelPrediction {
         }
         self.flops / (cycles / (machine.clock_ghz * 1e9)) / 1e9
     }
+}
+
+/// A configuration's price, from [`MultiLevelModel::price`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Price {
+    /// The model's full per-level prediction.
+    pub prediction: ModelPrediction,
+    /// The certified total (cycles): what schedules are ranked by.
+    pub total: f64,
 }
 
 /// One memory level's row in a [`CostBreakdown`].
@@ -550,26 +560,52 @@ impl MultiLevelModel {
         }
     }
 
+    /// This model re-targeted at `config`'s own permutation and layout —
+    /// borrowed (no clone) when they already match, which is how search,
+    /// re-ranking and `Explain` build their models.
+    fn for_config(&self, config: &TileConfig) -> Cow<'_, MultiLevelModel> {
+        if self.permutation == config.permutation && self.layout == config.layout {
+            return Cow::Borrowed(self);
+        }
+        let mut model = self.clone();
+        model.permutation = config.permutation.clone();
+        model.layout = config.layout;
+        Cow::Owned(model)
+    }
+
     /// Evaluate the prediction for an integer tiling configuration. The
     /// configuration's own permutation is used (overriding the model's) so
     /// that arbitrary sampled configurations can be ranked.
     pub fn predict_config(&self, config: &TileConfig) -> ModelPrediction {
-        let mut model = self.clone();
-        model.permutation = config.permutation.clone();
-        model.layout = config.layout;
-        model.predict_tiles(&MultiLevelTiles::from_config(config))
+        self.for_config(config).predict_tiles(&MultiLevelTiles::from_config(config))
     }
 
-    /// Decompose a configuration's prediction into per-level footprints,
-    /// capacities, slacks, traffic, and scaled costs (the `Explain` verb's
-    /// payload). Uses the configuration's own permutation, exactly like
-    /// [`MultiLevelModel::predict_config`].
+    /// Price a configuration: its prediction plus the certified total — the
+    /// bandwidth-scaled bottleneck, plus the one-time layout-transform total
+    /// under the configuration's own layout. At the default layouts the
+    /// total is the bottleneck cost, bit for bit.
+    ///
+    /// This is the one place a schedule's price is formed: the optimizer's
+    /// search, the database re-rank and [`cost_breakdown`](Self::cost_breakdown)
+    /// (behind `Explain`) all take it from here.
+    pub fn price(&self, config: &TileConfig) -> Price {
+        let model = self.for_config(config);
+        let prediction = model.predict_tiles(&MultiLevelTiles::from_config(config));
+        let total = if model.layout.is_default() {
+            prediction.bottleneck_cost
+        } else {
+            prediction.bottleneck_cost + model.move_total()
+        };
+        Price { prediction, total }
+    }
+
+    /// Decompose a configuration's [`price`](Self::price) into per-level
+    /// footprints, capacities, slacks, traffic, and scaled costs plus the
+    /// layout-transform rows (the `Explain` verb's payload).
     pub fn cost_breakdown(&self, config: &TileConfig) -> CostBreakdown {
-        let mut model = self.clone();
-        model.permutation = config.permutation.clone();
-        model.layout = config.layout;
+        let model = self.for_config(config);
+        let Price { prediction, total: total_cost } = model.price(config);
         let tiles = MultiLevelTiles::from_config(config);
-        let prediction = model.predict_tiles(&tiles);
         let moves = model.move_rows();
         // An empty f64 sum is `-0.0`; keep the default-layout value a literal
         // positive zero so serialized breakdowns stay byte-identical.
@@ -596,14 +632,6 @@ impl MultiLevelModel {
                 }
             })
             .collect();
-        // At the default layouts `moves` is empty and the certified price is
-        // the bottleneck cost, bit for bit; with transforms it is the
-        // bottleneck plus the one-time move total.
-        let total_cost = if moves.is_empty() {
-            prediction.bottleneck_cost
-        } else {
-            prediction.bottleneck_cost + move_total
-        };
         CostBreakdown {
             levels,
             bottleneck: prediction.bottleneck,

@@ -46,6 +46,7 @@
 //! ```
 
 pub mod optimizer;
+pub mod pricing;
 pub mod validation;
 
 pub use optimizer::{

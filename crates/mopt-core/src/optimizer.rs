@@ -12,16 +12,18 @@
 //! and load-balanced across threads.
 
 use conv_spec::{
-    ConvShape, LayoutConfig, LoopIndex, MachineModel, ParallelAxis, Permutation, Spec, TileConfig,
-    TileSizes, TilingLevel, ALL_INDICES, NUM_TILING_LEVELS,
+    ConvShape, LayoutConfig, LoopIndex, MachineModel, Permutation, Spec, TileConfig, TileSizes,
+    TilingLevel, ALL_INDICES, NUM_TILING_LEVELS,
 };
-use mopt_model::cost::{CostOptions, RealTiles};
+use mopt_model::cost::RealTiles;
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, ParallelSpec};
 use mopt_model::prune::pruned_classes;
 use mopt_solver::{floor_refine, IntegerRefineOptions, MultiStart, NlpSolver, Problem};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::pricing;
 
 /// Options controlling the optimizer.
 ///
@@ -264,22 +266,9 @@ impl MOptOptimizer {
     }
 
     /// The parallel specifications the optimizer searches jointly with the
-    /// tile sizes: sequential runs have exactly one (no parallelism); runs
-    /// with `threads > 1` try each [`ParallelAxis`] whose factor
-    /// decomposition is distinct (on shapes where both axes collapse to the
-    /// same factors only one candidate survives).
+    /// tile sizes (see [`pricing::parallel_candidates`]).
     pub fn parallel_candidates(&self) -> Vec<ParallelSpec> {
-        if self.options.threads <= 1 {
-            return vec![ParallelSpec::sequential()];
-        }
-        let mut specs: Vec<ParallelSpec> = Vec::new();
-        for axis in ParallelAxis::ALL {
-            let spec = ParallelSpec::along_axis(&self.shape, self.options.threads, axis);
-            if !specs.iter().any(|s| s.factors == spec.factors) {
-                specs.push(spec);
-            }
-        }
-        specs
+        pricing::parallel_candidates(&self.shape, self.options.threads)
     }
 
     /// Run the full design-space exploration (Algorithm 1) and return the
@@ -331,19 +320,19 @@ impl MOptOptimizer {
                 trace.classes_searched += 1;
             }
             for parallel in self.parallel_candidates() {
-                let model = MultiLevelModel::new(
-                    self.shape,
-                    self.machine.clone(),
+                let model = pricing::pricing_model(
+                    &self.shape,
+                    &self.machine,
+                    &self.options,
                     class.representative.clone(),
-                )
-                .with_options(CostOptions { line_elems: self.options.line_elems })
-                .with_parallel(parallel);
+                    parallel,
+                );
                 let mut recorder = trace.as_deref_mut().map(|_| CandidateSearch {
                     class_id: class.id,
                     permutation: class.representative.to_string(),
                     member_count: class.member_count,
                     threads: model.parallel.threads,
-                    parallel_factors: Self::parallel_factors(&model.parallel).as_array().to_vec(),
+                    parallel_factors: model.parallel.factors.to_vec(),
                     rounds: Vec::new(),
                     enumerated: 0,
                     capacity_pruned: 0,
@@ -352,7 +341,9 @@ impl MOptOptimizer {
                 });
                 let tiles = self.solve_class(&model, recorder.as_mut());
                 let config = self.to_integer_config(&model, &tiles, &class.representative);
-                let (config, prediction, predicted_cost) = self.choose_layout(&model, config);
+                let (config, price) =
+                    pricing::price_cheapest_layout(&model, config, self.options.layout_policy);
+                let predicted_cost = price.total;
                 if let (Some(trace), Some(mut rec)) = (trace.as_deref_mut(), recorder) {
                     rec.predicted_cost = predicted_cost;
                     trace.enumerated += rec.enumerated;
@@ -364,14 +355,11 @@ impl MOptOptimizer {
                     config,
                     class_id: class.id,
                     predicted_cost,
-                    prediction,
+                    prediction: price.prediction,
                 });
             }
         }
-        candidates.sort_by(|a, b| {
-            a.predicted_cost.partial_cmp(&b.predicted_cost).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        candidates.truncate(self.options.keep_top);
+        let candidates = pricing::rank(candidates, self.options.keep_top);
         if let Some(trace) = trace {
             trace.permutations_pruned =
                 trace.permutations_total.saturating_sub(trace.classes_searched);
@@ -383,55 +371,10 @@ impl MOptOptimizer {
         OptimizeResult { ranked: candidates, optimize_seconds: start.elapsed().as_secs_f64() }
     }
 
-    /// The layout assignments priced when layout search is on: the paper
-    /// default, a packed kernel at the machine's SIMD width, and fully
-    /// channel-blocked feature maps with the packed kernel. With the policy
-    /// unset or [`LayoutPolicy::Fixed`], only the default.
+    /// The layout assignments priced under this optimizer's policy (see
+    /// [`pricing::layout_candidates`]).
     pub fn layout_candidates(&self) -> Vec<LayoutConfig> {
-        match self.options.layout_policy {
-            None | Some(LayoutPolicy::Fixed) => vec![LayoutConfig::default()],
-            Some(LayoutPolicy::Search) => {
-                let v = self.machine.simd_width.max(1);
-                vec![
-                    LayoutConfig::default(),
-                    LayoutConfig::packed_kernel(v),
-                    LayoutConfig::blocked(v),
-                ]
-            }
-        }
-    }
-
-    /// Joint layout selection: re-price one solved tiling under every
-    /// candidate layout (layout-aware loop traffic plus the one-time
-    /// transform cost, amortized across the nest) and keep the cheapest.
-    ///
-    /// With the policy unset or fixed, this is exactly the pre-layout
-    /// `predict_config` call — the fixed path stays bit-identical.
-    fn choose_layout(
-        &self,
-        model: &MultiLevelModel,
-        config: TileConfig,
-    ) -> (TileConfig, ModelPrediction, f64) {
-        if !matches!(self.options.layout_policy, Some(LayoutPolicy::Search)) {
-            let prediction = model.predict_config(&config);
-            let cost = prediction.bottleneck_cost;
-            return (config, prediction, cost);
-        }
-        let mut best: Option<(TileConfig, ModelPrediction, f64)> = None;
-        for layout in self.layout_candidates() {
-            let candidate = config.clone().with_layout(layout);
-            let laid = model.clone().with_layout(layout);
-            let prediction = laid.predict_config(&candidate);
-            let total = prediction.bottleneck_cost + laid.move_total();
-            let better = match &best {
-                None => true,
-                Some((_, _, c)) => total < *c,
-            };
-            if better {
-                best = Some((candidate, prediction, total));
-            }
-        }
-        best.expect("at least the default layout was priced")
+        pricing::layout_candidates(&self.machine, self.options.layout_policy).collect()
     }
 
     /// Multi-level tile-size selection for one permutation class
@@ -671,27 +614,11 @@ impl MOptOptimizer {
             int_levels[level.ordinal()] = t;
         }
 
-        let parallel = Self::parallel_factors(&model.parallel);
+        // Load balancing (Algorithm 1, line 24): record the solved parallel
+        // specification's per-dimension factors (non-reduction dimensions
+        // only, product equal to the thread count) in the configuration.
+        let parallel = TileSizes::from_array(model.parallel.factors);
         TileConfig::new(permutation.clone(), int_levels, parallel).normalized(&self.shape)
-    }
-
-    /// Load balancing (Algorithm 1, line 24): record the solved parallel
-    /// specification's per-dimension factors (non-reduction dimensions only,
-    /// product equal to the thread count) in the integer configuration.
-    fn parallel_factors(spec: &ParallelSpec) -> TileSizes {
-        let mut t = TileSizes::ones();
-        for &idx in &ALL_INDICES {
-            t.set(idx, spec.factor(idx));
-        }
-        t
-    }
-
-    /// Convenience: build the multi-level model for an arbitrary permutation
-    /// with this optimizer's options (used by validation and experiments).
-    pub fn model_for(&self, permutation: Permutation) -> MultiLevelModel {
-        MultiLevelModel::new(self.shape, self.machine.clone(), permutation)
-            .with_options(CostOptions { line_elems: self.options.line_elems })
-            .with_parallel(self.parallel_spec())
     }
 
     /// The operator shape.
@@ -761,6 +688,16 @@ mod tests {
         MOptOptimizer::new(shape, MachineModel::i7_9700k(), opts)
     }
 
+    fn model_for(opt: &MOptOptimizer, permutation: Permutation) -> MultiLevelModel {
+        pricing::pricing_model(
+            opt.shape(),
+            opt.machine(),
+            opt.options(),
+            permutation,
+            opt.parallel_spec(),
+        )
+    }
+
     #[test]
     fn optimize_produces_valid_ranked_configs() {
         let shape = small_shape();
@@ -827,7 +764,7 @@ mod tests {
             *degenerate.level_mut(level) = TileSizes::ones();
         }
         let degenerate = degenerate.normalized(&shape);
-        let model = opt.model_for(degenerate.permutation.clone());
+        let model = model_for(&opt, degenerate.permutation.clone());
         let bad = model.predict_config(&degenerate);
         assert!(
             result.best().predicted_cost < bad.bottleneck_cost,
@@ -874,7 +811,7 @@ mod tests {
         let opt = optimizer(shape);
         let result = opt.optimize();
         let heuristic = heuristic_config(&shape, opt.machine());
-        let model = opt.model_for(heuristic.permutation.clone());
+        let model = model_for(&opt, heuristic.permutation.clone());
         let heuristic_cost = model.predict_config(&heuristic).bottleneck_cost;
         assert!(
             result.best().predicted_cost <= heuristic_cost * 1.05,

@@ -9,16 +9,21 @@
 //! The result is a [`NetworkPlan`] with one best configuration per layer
 //! plus aggregate cost and timing statistics.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use conv_spec::{benchmarks, BenchmarkOp, BenchmarkSuite, ConvShape, MachineModel, Spec};
-use mopt_core::{MOptOptimizer, OptimizeResult, OptimizedConfig, OptimizerOptions};
+use mopt_core::{OptimizeResult, OptimizedConfig, OptimizerOptions};
+use mopt_graph::{Graph, GraphError};
+use mopt_trace::TraceContext;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, ScheduleCache};
 use crate::dbtier::DbTier;
+use crate::server::Tier;
+use crate::tiers::resolve_cold;
 
 /// One layer to plan: a display name plus its problem spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +38,20 @@ impl NamedLayer {
     /// A conv layer (the pre-spec constructor shape).
     pub fn conv(name: impl Into<String>, shape: ConvShape) -> Self {
         NamedLayer { name: name.into(), spec: Spec::Conv(shape) }
+    }
+
+    /// One layer per schedulable node (conv, matmul, pool) of `graph`, in
+    /// node order.
+    pub fn of_graph(graph: &Graph) -> Result<Vec<NamedLayer>, GraphError> {
+        let dims = graph.node_output_dims()?;
+        Ok(graph
+            .schedulable_nodes()
+            .into_iter()
+            .filter_map(|id| {
+                let spec = graph.node_spec(id, &dims)?;
+                Some(NamedLayer { name: graph.nodes[id].name.clone(), spec })
+            })
+            .collect())
     }
 }
 
@@ -141,6 +160,7 @@ pub struct NetworkPlanner<'a> {
     machine: MachineModel,
     options: OptimizerOptions,
     workers: usize,
+    ctx: TraceContext,
 }
 
 impl<'a> NetworkPlanner<'a> {
@@ -148,7 +168,7 @@ impl<'a> NetworkPlanner<'a> {
     /// as the host exposes (capped at 8).
     pub fn new(cache: &'a ScheduleCache, machine: MachineModel, options: OptimizerOptions) -> Self {
         let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(8);
-        NetworkPlanner { cache, db: None, machine, options, workers }
+        NetworkPlanner { cache, db: None, machine, options, workers, ctx: TraceContext::disabled() }
     }
 
     /// Attach (or detach) the persistent schedule database: cold layers
@@ -156,6 +176,13 @@ impl<'a> NetworkPlanner<'a> {
     /// and fresh solves are written through.
     pub fn with_db(mut self, db: Option<&'a DbTier>) -> Self {
         self.db = db;
+        self
+    }
+
+    /// Record the cold solves' stages (`db_lookup`, `solve`, ...) into a
+    /// request's trace.
+    pub fn with_trace(mut self, ctx: &TraceContext) -> Self {
+        self.ctx = ctx.clone();
         self
     }
 
@@ -181,133 +208,93 @@ impl<'a> NetworkPlanner<'a> {
         self.plan(&layers)
     }
 
+    /// Worker threads used for `cold` cache-missing problems.
+    fn pool_size(&self, cold: usize) -> usize {
+        self.workers.min(cold).max(1)
+    }
+
+    /// Resolve every unique problem among `layers` through the tier stack:
+    /// what the [`ScheduleCache`] holds is served from it, and the rest walk
+    /// the cold tiers (schedule database, then a fresh solve, written
+    /// through) fanned across the worker pool — the per-layer problems share
+    /// nothing, so this is embarrassingly parallel. Returns each problem's
+    /// full ranked result with the tier that answered it.
+    pub fn resolve(&self, layers: &[NamedLayer]) -> HashMap<Spec, (Tier, OptimizeResult)> {
+        let mut resolved: HashMap<Spec, (Tier, OptimizeResult)> = HashMap::new();
+        let mut cold: Vec<CacheKey> = Vec::new();
+        let mut seen: HashSet<Spec> = HashSet::new();
+        for layer in layers.iter().filter(|layer| seen.insert(layer.spec)) {
+            let key = CacheKey::new(layer.spec, &self.machine, &self.options);
+            match self.cache.get(&key) {
+                Some(result) => {
+                    resolved.insert(layer.spec, (Tier::Cache, result));
+                }
+                None => cold.push(key),
+            }
+        }
+        if !cold.is_empty() {
+            let solved: Mutex<Vec<(Spec, (Tier, OptimizeResult))>> = Mutex::new(Vec::new());
+            let next_job = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..self.pool_size(cold.len()) {
+                    scope.spawn(|| loop {
+                        let j = next_job.fetch_add(1, Ordering::Relaxed);
+                        let Some(key) = cold.get(j) else { break };
+                        let answer =
+                            resolve_cold(self.cache, self.db, key, &self.machine, &self.ctx);
+                        crate::cache::lock_recover(&solved).push((key.spec, answer));
+                    });
+                }
+            });
+            resolved.extend(solved.into_inner().unwrap_or_else(|e| e.into_inner()));
+        }
+        resolved
+    }
+
     /// Plan an explicit layer list.
     ///
     /// Identical shapes are solved once; every layer gets its plan in
     /// request order. The result is deterministic: it equals what
-    /// sequential per-layer [`MOptOptimizer::optimize`] calls would produce
-    /// (the solver is seeded, and solves are independent).
+    /// sequential per-layer [`mopt_core::MOptOptimizer::optimize`] calls
+    /// would produce (the solver is seeded, and solves are independent).
     pub fn plan(&self, layers: &[NamedLayer]) -> NetworkPlan {
         let started = Instant::now();
+        let resolved = self.resolve(layers);
+        let served_by = |tier: Tier| resolved.values().filter(|(t, _)| *t == tier).count();
+        let cache_hits = served_by(Tier::Cache);
 
-        // Dedupe request order into unique keys; `layer_slots[i]` is the
-        // unique-key index for layer `i`.
-        let mut unique: Vec<CacheKey> = Vec::new();
-        let mut slot_of: std::collections::HashMap<CacheKey, usize> =
-            std::collections::HashMap::new();
-        let layer_slots: Vec<usize> = layers
-            .iter()
-            .map(|l| {
-                let key = CacheKey::new(l.spec, &self.machine, &self.options);
-                *slot_of.entry(key.clone()).or_insert_with(|| {
-                    unique.push(key);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-
-        // Split into warm hits and cold solves.
-        let mut results: Vec<Option<(OptimizeResult, bool)>> = Vec::new();
-        let mut to_solve: Vec<(usize, CacheKey)> = Vec::new();
-        for (i, key) in unique.iter().enumerate() {
-            match self.cache.get(key) {
-                Some(result) => results.push(Some((result, true))),
-                None => {
-                    results.push(None);
-                    to_solve.push((i, key.clone()));
-                }
-            }
-        }
-        let cache_hits = unique.len() - to_solve.len();
-
-        // Fan the cold solves across the worker pool. Each cold key first
-        // tries the schedule database (a stored top-k re-ranked for this
-        // request's thread count — no optimizer run); only a db miss pays
-        // for a fresh solve, which is then written through.
-        let solved: Mutex<Vec<(usize, OptimizeResult)>> = Mutex::new(Vec::new());
-        let next_job = AtomicUsize::new(0);
-        let db_hit_count = AtomicUsize::new(0);
-        let workers = self.workers.min(to_solve.len()).max(1);
-        if !to_solve.is_empty() {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let j = next_job.fetch_add(1, Ordering::Relaxed);
-                        let Some((slot, key)) = to_solve.get(j) else { break };
-                        let served = self
-                            .db
-                            .and_then(|db| db.lookup(&key.spec, &self.machine, &self.options));
-                        let result = match served {
-                            Some(result) => {
-                                db_hit_count.fetch_add(1, Ordering::Relaxed);
-                                result
-                            }
-                            None => {
-                                let result = MOptOptimizer::optimize_spec(
-                                    &key.spec,
-                                    self.machine.clone(),
-                                    self.options.clone(),
-                                );
-                                if let Some(db) = self.db {
-                                    db.record(
-                                        &key.spec,
-                                        &self.machine,
-                                        self.options.threads,
-                                        &result,
-                                    );
-                                }
-                                result
-                            }
-                        };
-                        self.cache.insert(key.clone(), result.clone());
-                        crate::cache::lock_recover(&solved).push((*slot, result));
-                    });
-                }
-            });
-        }
-        let db_hits = db_hit_count.load(Ordering::Relaxed);
-        for (slot, result) in solved.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            results[slot] = Some((result, false));
-        }
-
-        // Assemble per-layer plans in request order.
-        let mut solve_seconds = 0.0;
         let mut total_predicted_cost = 0.0;
         let planned: Vec<PlannedLayer> = layers
             .iter()
-            .zip(&layer_slots)
-            .map(|(layer, &slot)| {
-                let (result, from_cache) =
-                    results[slot].as_ref().expect("every unique key resolved");
+            .map(|layer| {
+                let (tier, result) = &resolved[&layer.spec];
                 let best = result.best().clone();
                 total_predicted_cost += best.predicted_cost;
                 PlannedLayer {
                     name: layer.name.clone(),
                     shape: layer.spec.embedded_conv_shape(),
                     best,
-                    from_cache: *from_cache,
+                    from_cache: *tier == Tier::Cache,
                 }
             })
             .collect();
-        // Count each fresh solve's optimizer time once (not per duplicate).
-        for (slot, _) in &to_solve {
-            if let Some((result, _)) = &results[*slot] {
-                solve_seconds += result.optimize_seconds;
-            }
-        }
-
         NetworkPlan {
             layers: planned,
             stats: PlanStats {
                 layers: layers.len(),
-                unique_shapes: unique.len(),
+                unique_shapes: resolved.len(),
                 cache_hits,
-                db_hits,
-                solves: to_solve.len() - db_hits,
+                db_hits: served_by(Tier::Db),
+                solves: served_by(Tier::Solver),
                 total_predicted_cost,
-                solve_seconds,
+                // Each cold problem's optimizer time once (not per duplicate);
+                // folded from a positive zero — an empty `sum()` is `-0.0`.
+                solve_seconds: resolved
+                    .values()
+                    .filter(|(tier, _)| *tier != Tier::Cache)
+                    .fold(0.0, |sum, (_, result)| sum + result.optimize_seconds),
                 wall_seconds: started.elapsed().as_secs_f64(),
-                workers,
+                workers: self.pool_size(resolved.len() - cache_hits),
             },
         }
     }
@@ -316,6 +303,7 @@ impl<'a> NetworkPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mopt_core::MOptOptimizer;
 
     fn fast_options() -> OptimizerOptions {
         OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() }

@@ -24,20 +24,31 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use conv_spec::{benchmarks, canonicalize_spec, BenchmarkSuite, MachineModel, Spec};
+use conv_spec::{benchmarks, canonicalize_spec, MachineModel, Spec};
 use mopt_core::{MOptOptimizer, OptimizerOptions};
 use mopt_graph::builders;
+use mopt_service::batch::NamedLayer;
 use mopt_service::DbTier;
+
+/// The graph-backed suites this tool adds to the benchmark catalog's: every
+/// conv, pooling, and matmul-head spec of a whole network, so `PlanGraph`
+/// over the full network serves from the db tier without a single cold
+/// solve.
+const NETWORK_SUITES: [&str; 3] = ["resnet50", "mbv2full", "networks"];
+
+/// Every accepted suite name: the catalog's, with the network suites ahead
+/// of `extended` (which here includes them).
+fn suite_names() -> Vec<&'static str> {
+    let catalog: Vec<&str> = benchmarks::suite_names().collect();
+    let (extended, suites) = catalog.split_last().expect("the catalog lists suites");
+    suites.iter().chain(&NETWORK_SUITES).chain([extended]).copied().collect()
+}
 
 /// Every schedulable node of a builder network graph (convolutions,
 /// poolings, and the fully-connected matmul head), as specs to solve.
 fn graph_ops(graph: &mopt_graph::Graph) -> Vec<Spec> {
-    let dims = graph.node_output_dims().expect("builder graphs are valid");
-    graph.schedulable_nodes().into_iter().filter_map(|id| graph.node_spec(id, &dims)).collect()
-}
-
-fn bench_ops(ops: Vec<conv_spec::BenchmarkOp>) -> Vec<Spec> {
-    ops.into_iter().map(|op| Spec::Conv(op.shape)).collect()
+    let layers = NamedLayer::of_graph(graph).expect("builder graphs are valid");
+    layers.into_iter().map(|layer| layer.spec).collect()
 }
 
 struct Args {
@@ -103,11 +114,11 @@ fn parse_args() -> Result<Args, String> {
                     "mopt-plan-world — pre-populate the MOpt schedule database\n\n\
                      USAGE:\n  mopt-plan-world --db DIR [--suite NAME]... [--preset NAME]...\n  \
                      \x20                [--threads N,N,...] [--classes N] [--multistart N] [--keep-top N]\n\n\
-                     Suites: yolo9000, resnet18, mobilenet, mobilenetv2, dilated, table1,\n\
-                     resnet50, mbv2full, networks, extended (extended includes the networks).\n\
+                     Suites: {} (extended includes the networks).\n\
                      Presets: i7, i9, tiny. Defaults: --suite extended --preset i7 --preset i9 \
                      --threads 1,4,8.\n\
-                     Serve the result with: moptd --stdio --db DIR"
+                     Serve the result with: moptd --stdio --db DIR",
+                    suite_names().join(", ")
                 );
                 std::process::exit(0);
             }
@@ -128,50 +139,29 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn suite_ops(name: &str) -> Result<Vec<Spec>, String> {
-    match name.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-        "yolo9000" | "yolo" => Ok(bench_ops(benchmarks::suite(BenchmarkSuite::Yolo9000))),
-        "resnet18" | "resnet" => Ok(bench_ops(benchmarks::suite(BenchmarkSuite::ResNet18))),
-        "mobilenet" => Ok(bench_ops(benchmarks::suite(BenchmarkSuite::MobileNet))),
-        "mobilenetv2" | "mobilenetv2dw" => {
-            Ok(bench_ops(benchmarks::suite(BenchmarkSuite::MobileNetV2)))
-        }
-        "dilated" | "deeplab" | "deeplabdilated" => {
-            Ok(bench_ops(benchmarks::suite(BenchmarkSuite::DilatedDeepLab)))
-        }
-        "table1" | "all" => Ok(bench_ops(benchmarks::all_operators())),
-        // The whole-network graphs: every conv, pooling, and matmul-head
-        // spec, so `PlanGraph` over the full network serves from the db
-        // tier without a single cold solve.
-        "resnet50" => Ok(graph_ops(&builders::resnet50("resnet50"))),
-        "mobilenetv2full" | "mbv2full" => {
-            Ok(graph_ops(&builders::mobilenet_v2_full("mobilenet-v2")))
-        }
-        "networks" => {
-            let mut ops = graph_ops(&builders::resnet50("resnet50"));
-            ops.extend(graph_ops(&builders::mobilenet_v2_full("mobilenet-v2")));
-            Ok(ops)
-        }
-        "extended" => {
-            let mut ops = bench_ops(benchmarks::extended_operators());
-            ops.extend(graph_ops(&builders::resnet50("resnet50")));
-            ops.extend(graph_ops(&builders::mobilenet_v2_full("mobilenet-v2")));
-            Ok(ops)
-        }
-        _ => Err(format!(
-            "unknown suite `{name}` (try \"yolo9000\", \"resnet18\", \"mobilenet\", \
-             \"mobilenetv2\", \"dilated\", \"table1\", \"resnet50\", \"mbv2full\", \
-             \"networks\", \"extended\")"
-        )),
+    let resnet50 = || graph_ops(&builders::resnet50("resnet50"));
+    let mbv2full = || graph_ops(&builders::mobilenet_v2_full("mobilenet-v2"));
+    let key = conv_spec::normalized_name(name);
+    let mut ops: Vec<Spec> = match key.as_str() {
+        "resnet50" => return Ok(resnet50()),
+        "mobilenetv2full" | "mbv2full" => return Ok(mbv2full()),
+        "networks" => Vec::new(),
+        _ => benchmarks::suite_by_name(name)
+            .ok_or_else(|| benchmarks::unknown_suite(name, suite_names()))?
+            .into_iter()
+            .map(|op| Spec::Conv(op.shape))
+            .collect(),
+    };
+    if key == "networks" || key == "extended" {
+        ops.extend(resnet50());
+        ops.extend(mbv2full());
     }
+    Ok(ops)
 }
 
 fn preset(name: &str) -> Result<MachineModel, String> {
-    match name.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-        "i79700k" | "i7" | "coffeelake" => Ok(MachineModel::i7_9700k()),
-        "i910980xe" | "i9" | "cascadelake" => Ok(MachineModel::i9_10980xe()),
-        "tiny" | "tinytest" | "test" => Ok(MachineModel::tiny_test_machine()),
-        _ => Err(format!("unknown machine preset `{name}` (try \"i7\", \"i9\", \"tiny\")")),
-    }
+    MachineModel::preset(name)
+        .ok_or_else(|| format!("unknown machine preset `{name}` (try \"i7\", \"i9\", \"tiny\")"))
 }
 
 fn main() {

@@ -295,25 +295,6 @@ impl ScheduleCache {
         self.dirty[index].store(true, Ordering::Release);
     }
 
-    /// Look up `key`, computing and inserting the result on a miss.
-    ///
-    /// The shard lock is *not* held during `compute` (solves take seconds),
-    /// so two threads racing on the same key may both compute; the second
-    /// insert simply refreshes the entry. That trade favors throughput over
-    /// strict single-flight semantics.
-    pub fn get_or_compute<F: FnOnce() -> OptimizeResult>(
-        &self,
-        key: CacheKey,
-        compute: F,
-    ) -> OptimizeResult {
-        if let Some(result) = self.get(&key) {
-            return result;
-        }
-        let result = compute();
-        self.insert(key, result.clone());
-        result
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recover(s).len()).sum()
@@ -434,12 +415,9 @@ pub(crate) mod tests {
         use mopt_core::optimizer::heuristic_config;
         let machine = MachineModel::tiny_test_machine();
         let config: TileConfig = heuristic_config(shape, &machine);
-        let optimizer = mopt_core::MOptOptimizer::new(
-            *shape,
-            machine,
-            OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() },
-        );
-        let prediction = optimizer.model_for(config.permutation.clone()).predict_config(&config);
+        let prediction =
+            mopt_model::MultiLevelModel::new(*shape, machine, config.permutation.clone())
+                .predict_config(&config);
         OptimizeResult {
             ranked: vec![OptimizedConfig { config, class_id: 1, predicted_cost: cost, prediction }],
             optimize_seconds: 0.0,
@@ -542,23 +520,6 @@ pub(crate) mod tests {
         let stats = cache.stats();
         assert_eq!(stats.shard_evictions.iter().sum::<u64>(), stats.evictions);
         assert!(stats.evictions > 0);
-    }
-
-    #[test]
-    fn get_or_compute_computes_once_per_key() {
-        let cache = ScheduleCache::new(16);
-        let key = key_for(5);
-        let mut computed = 0;
-        let r1 = cache.get_or_compute(key.clone(), || {
-            computed += 1;
-            dummy_result(&key.embedded_shape(), 3.0)
-        });
-        let r2 = cache.get_or_compute(key.clone(), || {
-            computed += 1;
-            dummy_result(&key.embedded_shape(), 4.0)
-        });
-        assert_eq!(computed, 1);
-        assert_eq!(r1, r2);
     }
 
     #[test]

@@ -44,7 +44,8 @@ use std::time::{Duration, Instant};
 use miniepoll::{Interest, Poller, Waker};
 
 use crate::cache::lock_recover;
-use crate::server::{Response, ServiceState, MAX_REQUEST_BYTES};
+use crate::framing::{oversized_reply, Frame, LineFramer, MAX_REQUEST_BYTES};
+use crate::server::ServiceState;
 
 /// Event-loop tunables.
 #[derive(Debug, Clone)]
@@ -105,15 +106,6 @@ struct Job {
     enqueued: Instant,
 }
 
-/// A parsed item waiting in a connection's pipeline.
-enum Pending {
-    /// A complete request line, to be executed by a worker.
-    Line(String),
-    /// Marks where an oversized line sat in the request sequence; yields the
-    /// cap-exceeded `Error` response at its ordered position.
-    Oversized,
-}
-
 /// A write buffer with a flush cursor (compacts when fully flushed).
 #[derive(Default)]
 struct WriteBuf {
@@ -146,16 +138,12 @@ impl WriteBuf {
 
 struct Connection<'m> {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    framer: LineFramer,
     write_buf: WriteBuf,
-    pipeline: VecDeque<Pending>,
-    /// How far into `read_buf` the newline search has already looked, so a
-    /// line arriving in many chunks is scanned once, not once per chunk.
-    scan_from: usize,
+    /// Framed requests not yet executed, in request order.
+    pipeline: VecDeque<Frame>,
     /// A request from this connection is currently on a worker.
     busy: bool,
-    /// Discarding bytes up to the next newline after an oversized line.
-    draining_oversized: bool,
     peer_eof: bool,
     dead: bool,
     interest: Interest,
@@ -194,27 +182,6 @@ impl Connection<'_> {
             writable: self.write_buf.pending() > 0,
         }
     }
-}
-
-fn is_disconnect(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::NotConnected
-            | std::io::ErrorKind::UnexpectedEof
-    )
-}
-
-fn oversized_reply() -> String {
-    serde_json::to_string(&Response::Error {
-        message: format!(
-            "request line exceeds the {} MiB limit",
-            MAX_REQUEST_BYTES / (1024 * 1024)
-        ),
-    })
-    .expect("error response serializes")
 }
 
 /// The event-loop TCP server. Bind, optionally grab a [`ShutdownHandle`],
@@ -359,12 +326,10 @@ impl EventLoopServer {
                                         token,
                                         Connection {
                                             stream,
-                                            read_buf: Vec::new(),
+                                            framer: LineFramer::default(),
                                             write_buf: WriteBuf::default(),
                                             pipeline: VecDeque::new(),
-                                            scan_from: 0,
                                             busy: false,
-                                            draining_oversized: false,
                                             peer_eof: false,
                                             dead: false,
                                             interest: Interest::READABLE,
@@ -413,13 +378,13 @@ impl EventLoopServer {
             for (&token, conn) in conns.iter_mut() {
                 while !conn.dead && !conn.busy {
                     match conn.pipeline.pop_front() {
-                        Some(Pending::Line(line)) => {
+                        Some(Frame::Line(line)) => {
                             conn.busy = true;
                             if job_tx.send(Job { token, line, enqueued: Instant::now() }).is_err() {
                                 conn.dead = true;
                             }
                         }
-                        Some(Pending::Oversized) => {
+                        Some(Frame::Oversized) => {
                             conn.write_buf.push_line(&oversized_reply());
                         }
                         None => break,
@@ -477,8 +442,10 @@ fn read_from(conn: &mut Connection<'_>) {
                 break;
             }
             Ok(n) => {
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-                parse_lines(conn);
+                conn.framer.push(&chunk[..n]);
+                while let Some(frame) = conn.framer.next_frame() {
+                    conn.pipeline.push_back(frame);
+                }
                 // Respect backpressure promptly: leave the rest in the
                 // kernel buffer (level-triggered polling re-delivers it).
                 if conn.paused() {
@@ -487,68 +454,12 @@ fn read_from(conn: &mut Connection<'_>) {
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
+            Err(_) => {
                 // A reset/abort is a client fault, any other error is just
                 // as fatal for this one connection; either way the daemon
                 // keeps serving everyone else.
-                let _ = is_disconnect(&e);
                 conn.dead = true;
                 break;
-            }
-        }
-    }
-}
-
-/// Split the read buffer into pipeline items, handling oversized-line drain
-/// mode in constant memory.
-fn parse_lines(conn: &mut Connection<'_>) {
-    loop {
-        if conn.draining_oversized {
-            match conn.read_buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    conn.read_buf.drain(..=pos);
-                    conn.draining_oversized = false;
-                }
-                None => {
-                    conn.read_buf.clear();
-                    return;
-                }
-            }
-            continue;
-        }
-        let found = conn.read_buf[conn.scan_from..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|p| conn.scan_from + p);
-        match found {
-            // A line that arrived complete but longer than the cap (TCP
-            // coalescing can deliver the newline together with the excess)
-            // is rejected just like a still-growing one; `pos` is the line
-            // length, so exactly-at-cap lines pass.
-            Some(pos) if pos > MAX_REQUEST_BYTES => {
-                conn.read_buf.drain(..=pos);
-                conn.scan_from = 0;
-                conn.pipeline.push_back(Pending::Oversized);
-            }
-            Some(pos) => {
-                let line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                conn.scan_from = 0;
-                let text = String::from_utf8_lossy(&line);
-                let text = text.trim_end_matches(['\r', '\n']);
-                if !text.trim().is_empty() {
-                    conn.pipeline.push_back(Pending::Line(text.to_string()));
-                }
-            }
-            None => {
-                conn.scan_from = conn.read_buf.len();
-                if conn.read_buf.len() > MAX_REQUEST_BYTES {
-                    conn.read_buf.clear();
-                    conn.scan_from = 0;
-                    conn.draining_oversized = true;
-                    conn.pipeline.push_back(Pending::Oversized);
-                    continue;
-                }
-                return;
             }
         }
     }
@@ -576,6 +487,7 @@ fn flush_to(conn: &mut Connection<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Response;
     use std::io::{BufRead, BufReader};
 
     fn start(

@@ -70,12 +70,14 @@ pub mod batch;
 pub mod cache;
 pub mod dbtier;
 pub mod eventloop;
+mod framing;
 pub mod graphs;
 pub mod metrics;
 pub mod persist;
 pub mod prometheus;
 pub mod server;
 pub mod singleflight;
+mod tiers;
 
 pub use batch::{NetworkPlan, NetworkPlanner, PlanStats, PlannedLayer};
 pub use cache::{CacheKey, CacheStats, ScheduleCache};

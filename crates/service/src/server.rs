@@ -29,24 +29,29 @@
 //! winner's per-memory-level cost breakdown; `Trace` returns the slow-request
 //! log (armed with `moptd --slow-ms`).
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use conv_spec::{benchmarks, BenchmarkSuite, ConvShape, MachineModel, Spec};
-use mopt_core::{LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizerOptions, SearchTrace};
+use conv_spec::{benchmarks, ConvShape, MachineModel, Spec};
+use mopt_core::{
+    pricing, LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizerOptions, SearchTrace,
+};
 use mopt_graph::{builders, Graph, GraphPlan, GraphPlanner};
-use mopt_model::{CostBreakdown, CostOptions, MultiLevelModel, ParallelSpec};
+use mopt_model::{CostBreakdown, ParallelSpec};
 use mopt_trace::{SpanNode, TraceContext, TraceRing};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{NamedLayer, NetworkPlan, NetworkPlanner};
 use crate::cache::{CacheKey, CacheStats, ScheduleCache};
 use crate::dbtier::{DbTier, DbTierStats};
+pub use crate::framing::MAX_REQUEST_BYTES;
+use crate::framing::{is_disconnect, oversized_reply, Frame, LineFramer};
 use crate::graphs::{GraphCacheKey, GraphPlanCache, GraphServiceStats};
 use crate::metrics::{ErrorCounts, MetricsReport, ServiceMetrics, Verb};
 use crate::singleflight::{FlightBreakdown, Role, SingleFlight};
+use crate::tiers::resolve_cold;
 
 /// How a request names the target machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,16 +67,11 @@ impl MachineSpec {
     pub fn resolve(&self) -> Result<MachineModel, String> {
         match self {
             MachineSpec::Custom(m) => Ok(m.clone()),
-            MachineSpec::Preset(name) => {
-                match name.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-                    "i79700k" | "i7" | "coffeelake" => Ok(MachineModel::i7_9700k()),
-                    "i910980xe" | "i9" | "cascadelake" => Ok(MachineModel::i9_10980xe()),
-                    "tiny" | "tinytest" | "test" => Ok(MachineModel::tiny_test_machine()),
-                    _ => Err(format!(
-                        "unknown machine preset `{name}` (try \"i7-9700k\", \"i9-10980xe\", \"tiny\")"
-                    )),
-                }
-            }
+            MachineSpec::Preset(name) => MachineModel::preset(name).ok_or_else(|| {
+                format!(
+                    "unknown machine preset `{name}` (try \"i7-9700k\", \"i9-10980xe\", \"tiny\")"
+                )
+            }),
         }
     }
 }
@@ -503,13 +503,45 @@ pub struct SuiteOp {
 /// How many slow-request traces the `Trace` verb retains (newest win).
 pub const SLOW_LOG_CAPACITY: usize = 64;
 
+/// How an `Optimize` or `Explain` request names its problem: a tagged
+/// `spec`, a Table-1 `op` name, or a legacy flat `shape`, in that precedence
+/// order.
+#[derive(Clone, Copy)]
+struct Problem<'a> {
+    spec: Option<&'a Spec>,
+    op: Option<&'a str>,
+    shape: Option<ConvShape>,
+}
+
+impl Problem<'_> {
+    fn resolve(&self, verb: &str) -> Result<Spec, String> {
+        match (self.spec, self.op, self.shape) {
+            (Some(spec), _, _) => {
+                spec.validate().map_err(|e| format!("invalid spec: {e}"))?;
+                Ok(*spec)
+            }
+            (None, Some(name), _) => match benchmarks::by_name(name) {
+                Some(bench) => Ok(Spec::Conv(bench.shape)),
+                None => Err(format!("unknown Table-1 operator `{name}`")),
+            },
+            (None, None, Some(shape)) => Ok(Spec::Conv(shape)),
+            (None, None, None) => Err(format!("{verb} needs a `spec`, an `op`, or a `shape`")),
+        }
+    }
+
+    /// `Some(true)` when the request named a deprecated alias (the field is
+    /// omitted — `null` — for everything else).
+    fn deprecation(&self) -> Option<bool> {
+        self.op.filter(|name| benchmarks::is_deprecated_alias(name)).map(|_| true)
+    }
+}
+
 /// A schedule answer with the request context it resolved to — what
 /// `Optimize` and `Explain` share.
 struct ServedSchedule {
     spec: Spec,
     machine: MachineModel,
     options: OptimizerOptions,
-    cached: bool,
     tier: Tier,
     result: OptimizeResult,
 }
@@ -897,15 +929,7 @@ impl ServiceState {
                 }
             }
             Request::Suites => Response::Suites {
-                suites: vec![
-                    "yolo9000".into(),
-                    "resnet18".into(),
-                    "mobilenet".into(),
-                    "mobilenetv2".into(),
-                    "dilated".into(),
-                    "table1".into(),
-                    "extended".into(),
-                ],
+                suites: benchmarks::suite_names().map(str::to_string).collect(),
                 ops: benchmarks::extended_operators()
                     .iter()
                     .map(|op| SuiteOp {
@@ -917,17 +941,13 @@ impl ServiceState {
             },
             Request::Optimize { spec, op, shape, machine, options, threads, trace: _ } => self
                 .handle_optimize(
-                    spec.as_ref(),
-                    op.as_deref(),
-                    *shape,
+                    Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape },
                     machine,
                     self.effective_options(options, *threads),
                     ctx,
                 ),
             Request::Explain { spec, op, shape, machine, options, threads } => self.handle_explain(
-                spec.as_ref(),
-                op.as_deref(),
-                *shape,
+                Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape },
                 machine,
                 self.effective_options(options, *threads),
                 ctx,
@@ -982,13 +1002,13 @@ impl ServiceState {
         options
     }
 
-    /// Serve one [`Spec`] through the full tier stack — cache probe,
-    /// single-flight (db lookup, then a fresh solve, written through) —
-    /// recording each stage as a span of `ctx` and counting the serving
-    /// tier. This is *the* serving path: `Optimize` and `Explain` (via
-    /// [`serve_spec_request`](Self::serve_spec_request)) and `PlanGraph`'s
-    /// per-operator provider all come through here, so every verb returns
-    /// bit-identical schedules for identical problems.
+    /// Serve one [`Spec`] through the full tier stack — cache probe, then
+    /// [`resolve_cold`] under single-flight — recording each stage in `ctx`
+    /// and counting the serving tier. `Optimize` and `Explain` come through
+    /// here (via [`serve_spec_request`](Self::serve_spec_request)); the
+    /// batch planner behind `PlanNetwork` and `PlanGraph` walks the same
+    /// `resolve_cold`, so every verb returns bit-identical schedules for
+    /// identical problems.
     fn resolve_spec(
         &self,
         spec: &Spec,
@@ -1008,16 +1028,13 @@ impl ServiceState {
             return Ok((Tier::Cache, result));
         }
         // Cold path, under single-flight: concurrent misses on this key
-        // share one leader. The leader consults tier 2 (the schedule
-        // database — stored canonical top-k entries re-priced for this
-        // request's thread count, no optimizer run) and falls back to
-        // tier 3 (a fresh solve, written through to both warmer tiers);
-        // waiters park and receive a clone of the leader's `(tier, result)`,
-        // so all coalesced responses are bit-identical. A panicking solve is
-        // propagated to every waiter as an `Error` response and the key
-        // stays clean for the next request.
+        // share one leader, which walks the colder tiers; waiters park and
+        // receive a clone of the leader's `(tier, result)`, so all coalesced
+        // responses are bit-identical. A panicking solve is propagated to
+        // every waiter as an `Error` response and the key stays clean for
+        // the next request.
         //
-        // The closure runs on the leader's thread, so its child spans
+        // The closure runs on the leader's thread, so its stages
         // (db_lookup / solve / writebacks) land inside the *leader's*
         // `flight` span; a waiter's `flight` span has no solve child — its
         // duration is pure coalesced wait.
@@ -1025,30 +1042,7 @@ impl ServiceState {
             let _flight = ctx.span("flight");
             let (role, outcome) = self.flight.run(key.clone(), || {
                 self.test_solve_delay();
-                if let Some(db) = &self.db {
-                    let hit = {
-                        let _lookup = ctx.span("db_lookup");
-                        db.lookup(spec, machine, options)
-                    };
-                    if let Some(result) = hit {
-                        let _insert = ctx.span("cache_insert");
-                        self.cache.insert(key.clone(), result.clone());
-                        return (Tier::Db, result);
-                    }
-                }
-                let result = {
-                    let _solve = ctx.span("solve");
-                    MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())
-                };
-                {
-                    let _insert = ctx.span("cache_insert");
-                    self.cache.insert(key.clone(), result.clone());
-                }
-                if let Some(db) = &self.db {
-                    let _record = ctx.span("db_record");
-                    db.record(spec, machine, options.threads, &result);
-                }
-                (Tier::Solver, result)
+                resolve_cold(&self.cache, self.db.as_deref(), &key, machine, ctx)
             });
             ctx.tag(
                 "role",
@@ -1069,64 +1063,39 @@ impl ServiceState {
         }
     }
 
-    /// Resolve a request's problem naming — tagged `spec`, Table-1 `op`
-    /// name, or legacy flat `shape`, in that precedence order — and serve
-    /// it through [`resolve_spec`](Self::resolve_spec). Shared by
-    /// `Optimize` and `Explain`, so both verbs return bit-identical
-    /// schedules for identical requests.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolve a request's machine and problem naming and serve it through
+    /// [`resolve_spec`](Self::resolve_spec). Shared by `Optimize` and
+    /// `Explain`, so both verbs return bit-identical schedules for identical
+    /// requests.
     fn serve_spec_request(
         &self,
         verb: &str,
-        spec: Option<&Spec>,
-        op: Option<&str>,
-        shape: Option<ConvShape>,
+        problem: Problem<'_>,
         machine: &MachineSpec,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Result<ServedSchedule, String> {
         let machine = machine.resolve()?;
-        let spec = match (spec, op, shape) {
-            (Some(spec), _, _) => {
-                spec.validate().map_err(|e| format!("invalid spec: {e}"))?;
-                *spec
-            }
-            (None, Some(name), _) => match benchmarks::by_name(name) {
-                Some(bench) => Spec::Conv(bench.shape),
-                None => return Err(format!("unknown Table-1 operator `{name}`")),
-            },
-            (None, None, Some(shape)) => Spec::Conv(shape),
-            (None, None, None) => {
-                return Err(format!("{verb} needs a `spec`, an `op`, or a `shape`"))
-            }
-        };
+        let spec = problem.resolve(verb)?;
         let (tier, result) = self.resolve_spec(&spec, &machine, &options, ctx)?;
-        Ok(ServedSchedule { spec, machine, options, cached: tier == Tier::Cache, tier, result })
-    }
-
-    /// `Some(true)` when the request named a deprecated alias (the field is
-    /// omitted — `null` — for everything else).
-    fn deprecation_of(op: Option<&str>) -> Option<bool> {
-        op.filter(|name| benchmarks::is_deprecated_alias(name)).map(|_| true)
+        Ok(ServedSchedule { spec, machine, options, tier, result })
     }
 
     fn handle_optimize(
         &self,
-        spec: Option<&Spec>,
-        op: Option<&str>,
-        shape: Option<ConvShape>,
+        problem: Problem<'_>,
         machine: &MachineSpec,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Response {
-        match self.serve_spec_request("Optimize", spec, op, shape, machine, options, ctx) {
+        match self.serve_spec_request("Optimize", problem, machine, options, ctx) {
             Ok(served) => Response::Optimized {
-                op: op.map(str::to_string),
+                op: problem.op.map(str::to_string),
                 spec: Some(served.spec),
                 shape: served.spec.embedded_conv_shape(),
-                cached: served.cached,
+                cached: served.tier == Tier::Cache,
                 tier: Some(served.tier),
-                deprecated: Self::deprecation_of(op),
+                deprecated: problem.deprecation(),
                 result: served.result,
                 trace: None,
             },
@@ -1136,18 +1105,15 @@ impl ServiceState {
 
     fn handle_explain(
         &self,
-        spec: Option<&Spec>,
-        op: Option<&str>,
-        shape: Option<ConvShape>,
+        problem: Problem<'_>,
         machine: &MachineSpec,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Response {
-        let served =
-            match self.serve_spec_request("Explain", spec, op, shape, machine, options, ctx) {
-                Ok(served) => served,
-                Err(message) => return Response::Error { message },
-            };
+        let served = match self.serve_spec_request("Explain", problem, machine, options, ctx) {
+            Ok(served) => served,
+            Err(message) => return Response::Error { message },
+        };
         // The search trace is a deterministic re-run of the solver with
         // recording on (the solver is seeded, so the re-run finds the same
         // winner a fresh solve would), on the spec's embedded conv shape —
@@ -1161,26 +1127,31 @@ impl ServiceState {
                 .1
         };
         // Break the served winner's certified price down per memory level,
-        // under the exact parallel split the winning config carries.
+        // under the exact parallel split the winning config carries and the
+        // model search and re-rank priced it with.
         let best = served.result.best();
         let breakdown = {
             let _span = ctx.span("cost_breakdown");
-            let spec = ParallelSpec {
+            let parallel = ParallelSpec {
                 threads: served.options.threads,
                 factors: best.config.parallel.as_array(),
             };
-            MultiLevelModel::new(shape, served.machine.clone(), best.config.permutation.clone())
-                .with_options(CostOptions { line_elems: served.options.line_elems })
-                .with_parallel(spec)
-                .cost_breakdown(&best.config)
+            pricing::pricing_model(
+                &shape,
+                &served.machine,
+                &served.options,
+                best.config.permutation.clone(),
+                parallel,
+            )
+            .cost_breakdown(&best.config)
         };
         Response::Explained {
-            op: op.map(str::to_string),
+            op: problem.op.map(str::to_string),
             spec: Some(served.spec),
             shape,
-            cached: served.cached,
+            cached: served.tier == Tier::Cache,
             tier: Some(served.tier),
-            deprecated: Self::deprecation_of(op),
+            deprecated: problem.deprecation(),
             result: served.result.clone(),
             search,
             breakdown,
@@ -1202,30 +1173,14 @@ impl ServiceState {
             Err(message) => return Response::Error { message },
         };
         let layer_list: Vec<NamedLayer> = match (suite, layers) {
-            (Some(name), _) => {
-                match name.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-                    "yolo9000" | "yolo" => suite_layers(BenchmarkSuite::Yolo9000),
-                    "resnet18" | "resnet" => suite_layers(BenchmarkSuite::ResNet18),
-                    "mobilenet" => suite_layers(BenchmarkSuite::MobileNet),
-                    "mobilenetv2" | "mobilenetv2dw" => suite_layers(BenchmarkSuite::MobileNetV2),
-                    "dilated" | "deeplab" | "deeplabdilated" => {
-                        suite_layers(BenchmarkSuite::DilatedDeepLab)
-                    }
-                    "table1" | "all" => {
-                        benchmarks::all_operators().iter().map(NamedLayer::from).collect()
-                    }
-                    "extended" => {
-                        benchmarks::extended_operators().iter().map(NamedLayer::from).collect()
-                    }
-                    _ => {
-                        return Response::Error {
-                            message: format!(
-                                "unknown suite `{name}` (try \"yolo9000\", \"resnet18\", \"mobilenet\", \"mobilenetv2\", \"dilated\", \"table1\", \"extended\")"
-                            ),
-                        }
+            (Some(name), _) => match benchmarks::suite_by_name(name) {
+                Some(ops) => ops.iter().map(NamedLayer::from).collect(),
+                None => {
+                    return Response::Error {
+                        message: benchmarks::unknown_suite(name, benchmarks::suite_names()),
                     }
                 }
-            }
+            },
             (None, Some(layers)) if !layers.is_empty() => layers.to_vec(),
             _ => {
                 return Response::Error {
@@ -1233,8 +1188,9 @@ impl ServiceState {
                 }
             }
         };
-        let mut planner =
-            NetworkPlanner::new(&self.cache, machine, options).with_db(self.db.as_deref());
+        let mut planner = NetworkPlanner::new(&self.cache, machine, options)
+            .with_db(self.db.as_deref())
+            .with_trace(ctx);
         if let Some(workers) = workers {
             planner = planner.with_workers(workers);
         }
@@ -1270,8 +1226,8 @@ impl ServiceState {
                 }
             }
         };
-        // Gate before the worker-pool warm-up below: an invalid graph must
-        // not cost a single optimizer solve. (GraphPlanner::plan validates
+        // Gate before the worker pool below: an invalid graph must not cost
+        // a single optimizer solve. (GraphPlanner::plan validates
         // again as its own public contract; the graphs are tiny, so the
         // repeat is nanoseconds.)
         if let Err(e) = graph.validate() {
@@ -1295,44 +1251,27 @@ impl ServiceState {
         let _flight = ctx.span("flight");
         let (role, outcome) = self.graph_flight.run(key.clone(), || {
             self.test_solve_delay();
-            // Warm the per-operator schedules through the existing batch
-            // planner (dedupe + worker pool + shared schedule cache) — every
-            // schedulable node (conv, matmul, pool), not just convs — then
-            // run the fusion dynamic program with cache-backed lookups.
-            let dims = graph.node_output_dims().map_err(|e| format!("invalid graph: {e}"))?;
-            let layers: Vec<NamedLayer> = graph
-                .schedulable_nodes()
-                .into_iter()
-                .filter_map(|id| {
-                    graph
-                        .node_spec(id, &dims)
-                        .map(|spec| NamedLayer { name: graph.nodes[id].name.clone(), spec })
-                })
-                .collect();
+            // Resolve every schedulable node (conv, matmul, pool — not just
+            // convs) through the batch planner (dedupe + worker pool + the
+            // shared tier stack), then run the fusion dynamic program over
+            // the resolved schedules.
+            let layers = NamedLayer::of_graph(&graph).map_err(|e| format!("invalid graph: {e}"))?;
             let mut planner = NetworkPlanner::new(&self.cache, machine.clone(), options.clone())
-                .with_db(self.db.as_deref());
+                .with_db(self.db.as_deref())
+                .with_trace(ctx);
             if let Some(workers) = workers {
                 planner = planner.with_workers(workers);
             }
-            {
-                let _warmup = ctx.span("warm_layers");
-                let _ = planner.plan(&layers);
-            }
+            let resolved = {
+                let _resolve = ctx.span("resolve_layers");
+                planner.resolve(&layers)
+            };
             let _fusion = ctx.span("fusion_plan");
-            let result = GraphPlanner::new(machine.clone()).with_threads(options.threads).plan(
-                &graph,
-                |spec| {
-                    // The warm-up above resolved every schedulable node, so
-                    // this is normally a pure cache read; resolve_spec's
-                    // db-then-solver fallback keeps the contract correct
-                    // regardless. A tier failure (a panicked flight leader)
-                    // propagates as this flight's planning error.
-                    match self.resolve_spec(spec, &machine, &options, ctx) {
-                        Ok((_tier, result)) => result,
-                        Err(message) => panic!("{message}"),
-                    }
-                },
-            );
+            let result = GraphPlanner::new(machine.clone())
+                .with_threads(options.threads)
+                // The planner asks for exactly the schedulable nodes' specs,
+                // all resolved above.
+                .plan(&graph, |spec| resolved[spec].1.clone());
             match result {
                 Ok(plan) => {
                     self.graph_cache.insert(key.clone(), &plan);
@@ -1411,87 +1350,37 @@ impl ServiceState {
     /// drive the daemon out of memory. An oversized line is drained (in
     /// constant memory) up to its newline and answered with an `Error`
     /// response; the connection keeps serving.
-    pub fn serve_connection<R: BufRead, W: Write>(
+    pub fn serve_connection<R: Read, W: Write>(
         &self,
         mut reader: R,
         mut writer: W,
     ) -> std::io::Result<()> {
-        let disconnected = |e: &std::io::Error| {
-            matches!(
-                e.kind(),
-                std::io::ErrorKind::BrokenPipe
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-                    | std::io::ErrorKind::UnexpectedEof
-            )
-        };
-        let mut buf = Vec::new();
+        let mut framer = LineFramer::default();
+        let mut chunk = [0u8; 16 * 1024];
         loop {
-            buf.clear();
-            // Read at most one byte past the cap so "exactly at the cap" and
-            // "over the cap" are distinguishable without buffering the rest.
-            match (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {}
-                Err(e) if disconnected(&e) => return Ok(()),
+            let n = match reader.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if is_disconnect(&e) => return Ok(()),
                 Err(e) => return Err(e),
+            };
+            framer.push(&chunk[..n]);
+            if n == 0 {
+                framer.push_eof();
             }
-            let oversized = buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n');
-            if oversized {
-                buf.clear();
-                match drain_to_newline(&mut reader) {
-                    Ok(()) => {}
-                    Err(e) if disconnected(&e) => return Ok(()),
-                    Err(e) => return Err(e),
-                }
-                let reply = serde_json::to_string(&Response::Error {
-                    message: format!(
-                        "request line exceeds the {} MiB limit",
-                        MAX_REQUEST_BYTES / (1024 * 1024)
-                    ),
-                })
-                .expect("error response serializes");
+            while let Some(frame) = framer.next_frame() {
+                let reply = match frame {
+                    Frame::Line(line) => self.handle_line(&line),
+                    Frame::Oversized => oversized_reply(),
+                };
                 match write_line(&mut writer, &reply) {
-                    Ok(()) => continue,
-                    Err(e) if disconnected(&e) => return Ok(()),
+                    Ok(()) => {}
+                    Err(e) if is_disconnect(&e) => return Ok(()),
                     Err(e) => return Err(e),
                 }
             }
-            let line = String::from_utf8_lossy(&buf);
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = self.handle_line(line.trim_end_matches(['\r', '\n']));
-            match write_line(&mut writer, &reply) {
-                Ok(()) => {}
-                Err(e) if disconnected(&e) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Maximum accepted request-line length in bytes (16 MiB). Inline graphs and
-/// explicit layer lists fit comfortably; a line this long that still has no
-/// newline is runaway or malicious input.
-pub const MAX_REQUEST_BYTES: usize = 16 * 1024 * 1024;
-
-/// Discard input up to and including the next newline (or EOF) without
-/// buffering it — constant-memory resynchronization after an oversized line.
-fn drain_to_newline<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(());
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
+            if n == 0 {
                 return Ok(());
-            }
-            None => {
-                let len = available.len();
-                reader.consume(len);
             }
         }
     }
@@ -1506,10 +1395,6 @@ fn write_line<W: Write>(writer: &mut W, reply: &str) -> std::io::Result<()> {
     writer.write_all(reply.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
-}
-
-fn suite_layers(suite: BenchmarkSuite) -> Vec<NamedLayer> {
-    benchmarks::suite(suite).iter().map(NamedLayer::from).collect()
 }
 
 #[cfg(test)]
@@ -2238,5 +2123,107 @@ mod tests {
         let m9 = ops.iter().find(|o| o.name == "M9").expect("M9 listed");
         assert!(!m9.deprecated);
         assert!(!m9.suite.is_empty());
+    }
+
+    #[test]
+    fn search_policy_solver_db_and_explain_agree_bit_for_bit() {
+        // One pricing function behind all three: what the solver tier
+        // serves, what a cold process re-ranks from the flushed database,
+        // and what `Explain` breaks down are the same schedule at the same
+        // price, layout included.
+        let options = OptimizerOptions {
+            max_classes: 1,
+            layout_policy: Some(LayoutPolicy::Search),
+            ..OptimizerOptions::fast()
+        };
+        let options = serde_json::to_string(&options).unwrap();
+        let shapes = [
+            ConvShape::new(1, 16, 8, 3, 3, 12, 12, 1).unwrap(),
+            ConvShape::depthwise(16, 14, 3, 1),
+        ];
+        // A database per thread count, so every first answer is the solver's.
+        for threads in [1, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("moptd-one-price-{threads}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let solver = ServiceState::new(64).with_db(dir.clone()).unwrap();
+            let mut solved = Vec::new();
+            for shape in &shapes {
+                let body = format!(
+                    "{{\"shape\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {options}, \"threads\": {threads}}}",
+                    serde_json::to_string(shape).unwrap(),
+                );
+                let reply = solver.handle_line(&format!("{{\"Optimize\": {body}}}"));
+                match serde_json::from_str(&reply).unwrap() {
+                    Response::Optimized { tier: Some(Tier::Solver), result, .. } => {
+                        solved.push((body, result.best().clone()))
+                    }
+                    other => panic!("expected a solver-tier answer, got {other:?}"),
+                }
+            }
+            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries: 0 });
+            let cold = ServiceState::new(64).with_db(dir.clone()).unwrap();
+            for (body, best) in &solved {
+                let reply = cold.handle_line(&format!("{{\"Optimize\": {body}}}"));
+                match serde_json::from_str(&reply).unwrap() {
+                    Response::Optimized { tier: Some(Tier::Db), result, .. } => {
+                        let (db, solver) = (result.best(), best);
+                        assert_eq!(db.predicted_cost.to_bits(), solver.predicted_cost.to_bits());
+                        assert_eq!(db.prediction, solver.prediction, "{body}");
+                        assert_eq!(db.config.layout, solver.config.layout, "{body}");
+                        assert_eq!(db.config.permutation, solver.config.permutation, "{body}");
+                        assert_eq!(db.config.parallel, solver.config.parallel, "{body}");
+                        // Multi-threaded, the database serves the solver's
+                        // tiles clamped into one thread's slice (which the
+                        // model prices identically); sequentially the
+                        // schedules are the same value.
+                        if threads == 1 {
+                            assert_eq!(db, solver, "{body}");
+                        }
+                    }
+                    other => panic!("expected a db-tier answer, got {other:?}"),
+                }
+                for state in [&solver, &cold] {
+                    let reply = state.handle_line(&format!("{{\"Explain\": {body}}}"));
+                    match serde_json::from_str(&reply).unwrap() {
+                        Response::Explained { result, breakdown, .. } => {
+                            assert_eq!(result.best().config.layout, best.config.layout);
+                            assert_eq!(
+                                breakdown.total_cost.to_bits(),
+                                best.predicted_cost.to_bits(),
+                                "{body}"
+                            );
+                            assert_eq!(breakdown.attributed_total(), breakdown.total_cost);
+                            assert_eq!(breakdown.moves.is_empty(), best.config.layout.is_default());
+                        }
+                        other => panic!("expected Explained, got {other:?}"),
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn cold_plan_graph_walks_the_tiers_once_per_unique_node() {
+        let state = tiny_state();
+        let graph = mopt_graph::builders::mobilenet_v2_block_from(
+            &ConvShape::depthwise(12, 14, 3, 1),
+            "tiny-block",
+        );
+        let unique: std::collections::HashSet<Spec> =
+            NamedLayer::of_graph(&graph).unwrap().into_iter().map(|layer| layer.spec).collect();
+        let line = format!(
+            "{{\"PlanGraph\": {{\"graph\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}, \"workers\": 2}}}}",
+            serde_json::to_string(&graph).unwrap(),
+            fast_options_json(),
+        );
+        let reply: Response = serde_json::from_str(&state.handle_line(&line)).unwrap();
+        assert!(matches!(reply, Response::GraphPlanned { cached: false, .. }), "got {reply:?}");
+        // Each unique node probed the cache once (a miss) and was solved
+        // once; nothing read its schedule back through the cache.
+        let stats = state.cache.stats();
+        assert_eq!((stats.misses, stats.hits), (unique.len() as u64, 0));
+        assert_eq!(stats.insertions, unique.len() as u64);
     }
 }

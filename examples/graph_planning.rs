@@ -9,14 +9,18 @@
 
 use cache_sim::TileTrafficSimulator;
 use conv_spec::{MachineModel, TilingLevel};
-use mopt_core::{MOptOptimizer, OptimizerOptions};
+use mopt_core::OptimizerOptions;
 use mopt_graph::{builders, GraphPlanner};
-use mopt_service::{CacheKey, ScheduleCache};
+use mopt_service::batch::NamedLayer;
+use mopt_service::{NetworkPlanner, ScheduleCache};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineModel::i7_9700k();
     let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() };
     let cache = ScheduleCache::new(64);
+    // Per-operator schedules come through the serving stack's batch planner:
+    // deduplicated, solved on a worker pool, memoized in the schedule cache.
+    let schedules = NetworkPlanner::new(&cache, machine.clone(), options);
 
     println!("machine: {machine}\n");
     println!(
@@ -27,12 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for stage in [1, 3, 5, 7, 9] {
         let graph = builders::mobilenet_v2_block(stage)?;
         graph.validate()?;
+        let resolved = schedules.resolve(&NamedLayer::of_graph(&graph)?);
         let planner = GraphPlanner::new(machine.clone());
-        let plan = planner.plan(&graph, |spec| {
-            cache.get_or_compute(CacheKey::new(*spec, &machine, &options), || {
-                MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())
-            })
-        })?;
+        let plan = planner.plan(&graph, |spec| resolved[spec].1.clone())?;
         let convs: usize = plan.segments.iter().map(|s| s.ops.len()).sum();
         println!(
             "{:<14} {:>6} {:>8} {:>16.0} {:>16.0} {:>7.1}%",
@@ -48,12 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Zoom into one block: the fused depthwise → pointwise segment, with the
     // model's credit cross-checked by the tile-granularity simulator.
     let graph = builders::mobilenet_v2_block(5)?;
+    let resolved = schedules.resolve(&NamedLayer::of_graph(&graph)?);
     let planner = GraphPlanner::new(machine.clone());
-    let plan = planner.plan(&graph, |spec| {
-        cache.get_or_compute(CacheKey::new(*spec, &machine, &options), || {
-            MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())
-        })
-    })?;
+    let plan = planner.plan(&graph, |spec| resolved[spec].1.clone())?;
     let seg = plan.executable_segments().next().expect("a fused dw→pw segment");
     let (dw, pw) = (&seg.ops[0], &seg.ops[1]);
     println!("\nfused segment of {}: {} → {}", plan.graph, dw.name, pw.name);
