@@ -18,13 +18,14 @@
 //!   overridable via `MOPT_FORCE_SCALAR`) that is ULP-bounded against the
 //!   exact scalar reference path,
 //! * [`tiled`] — the multi-level tiled executor driven by a
-//!   [`conv_spec::TileConfig`] with thread-parallel outer loops,
+//!   [`conv_spec::TileConfig`]; with `threads > 1` it partitions the output
+//!   along the schedule's certified parallel factors (or, without factors,
+//!   `k` or the `n·h` output rows) across scoped worker threads, bit-for-bit
+//!   equal to its own one-thread walk ([`partiled`] keeps the `ParTiledConv`
+//!   name as an alias and holds the exactness tests),
 //! * [`nchwc`] — the blocked-NCHWc executor: the same tile walk over
 //!   `[N, C/c_block, H, W, c_block]` storage, bit-for-bit equal to the
-//!   sequential [`tiled`] walk,
-//! * [`partiled`] — the scoped-thread parallel executor partitioning the
-//!   schedule's parallel axis (`k` or the `n·h` output rows) across worker
-//!   threads, bit-for-bit equal to the sequential tile walk,
+//!   sequential [`tiled`] walk (single-threaded),
 //! * [`fused`] — a fused depthwise + pointwise executor that consumes the
 //!   intermediate tensor band-by-band in cache (bit-for-bit equal to the two
 //!   naive convolutions run sequentially),

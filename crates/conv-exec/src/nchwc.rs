@@ -145,6 +145,11 @@ impl NchwcConv {
     /// default (NCHW) tensor layouts still executes, blocked with the kernel
     /// packing width.
     ///
+    /// `threads` does not parallelize: the blocked walk always runs on the
+    /// calling thread (the threaded partition lives in [`TiledConv::run`],
+    /// over NCHW storage). The argument is kept for signature parity with
+    /// `TiledConv::new`.
+    ///
     /// # Errors
     ///
     /// Returns [`ExecError::InvalidConfig`] if the normalized configuration

@@ -1,258 +1,23 @@
-//! Scoped-thread parallel tiled conv2d executor.
+//! The historical name of the threaded tile walk.
 //!
-//! [`ParTiledConv`] partitions the output across worker threads and runs
-//! [`TiledConv`]'s multi-level tile walk over each slice on its own
-//! `std::thread` (scoped, so tensors are borrowed, never copied to the
-//! workers). A configuration carrying certified parallel factors
-//! ([`conv_spec::TileConfig::parallel`]) is executed exactly as the
-//! multicore model priced it — the factors' cross-product grid of output
-//! slices; factor-less configurations split the executor's
-//! [`conv_spec::ParallelAxis`] (the `k` output channels or the `n·h` output
-//! rows) into contiguous per-thread chunks. Threads own disjoint output
-//! regions; the reduction dimensions (`c`, `r`, `s`) are never partitioned.
-//!
-//! Correctness is exact, not approximate: a slice along a non-reduction
-//! dimension leaves every output element's accumulation sequence — the order
-//! in which the `c`/`r`/`s` tile loops and the microkernel's inner reduction
-//! visit its partial products — untouched, so the parallel result is
-//! **bit-for-bit equal** to the sequential [`TiledConv`] run of the same
-//! configuration (`assert_eq!` on the raw `f32` buffers, no tolerance).
-//! Tests here and in `tests/multicore_parallel.rs` enforce this across a
-//! randomized shape × stride × dilation × groups × thread-count grid,
-//! including thread counts exceeding the partitioned extent.
+//! [`TiledConv`] owns the only output partition (see [`crate::tiled`]): with
+//! `threads > 1` it runs the configuration's certified split, bit-for-bit
+//! equal to its own `threads = 1` walk. `ParTiledConv` is that type under the
+//! name the benchmark package and the multicore tests import; the tests below
+//! pin the exactness contract through it.
 
-use conv_spec::{ConvShape, ParallelAxis, TileConfig};
+use crate::tiled::TiledConv;
 
-use crate::microkernel::KernelRegion;
-use crate::packing::PackedKernel;
-use crate::tensor::Tensor4;
-use crate::tiled::{split_range, TiledConv};
-use crate::ExecError;
-
-/// A parallel multi-level tiled convolution executor for one operator.
-#[derive(Debug, Clone)]
-pub struct ParTiledConv {
-    seq: TiledConv,
-    threads: usize,
-    axis: ParallelAxis,
-}
-
-impl ParTiledConv {
-    /// Create an executor for `shape` with a tiling configuration and thread
-    /// count. The parallel axis defaults to the one the configuration's
-    /// per-dimension factors encode ([`TileConfig::parallel_axis`]); the
-    /// configuration is normalized (tile nesting repaired) first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidConfig`] if the normalized configuration
-    /// still fails validation.
-    pub fn new(shape: ConvShape, config: TileConfig, threads: usize) -> Result<Self, ExecError> {
-        let axis = config.parallel_axis();
-        let seq = TiledConv::new(shape, config, 1)?;
-        Ok(ParTiledConv { seq, threads: threads.max(1), axis })
-    }
-
-    /// Override the parallel axis used by the factor-less fallback. A
-    /// configuration carrying certified parallel factors is always executed
-    /// along those factors (see [`Self::run_packed`]); the axis only decides
-    /// how configurations *without* factors are split across `threads`.
-    pub fn with_axis(mut self, axis: ParallelAxis) -> Self {
-        self.axis = axis;
-        self
-    }
-
-    /// Set the SIMD vector length used for kernel packing.
-    pub fn with_vec_len(mut self, vec_len: usize) -> Self {
-        self.seq = self.seq.clone().with_vec_len(vec_len);
-        self
-    }
-
-    /// The problem shape.
-    pub fn shape(&self) -> &ConvShape {
-        self.seq.shape()
-    }
-
-    /// The (normalized) tiling configuration.
-    pub fn config(&self) -> &TileConfig {
-        self.seq.config()
-    }
-
-    /// The partitioned axis.
-    pub fn axis(&self) -> ParallelAxis {
-        self.axis
-    }
-
-    /// The requested thread count (workers are capped at the axis extent).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run the convolution. The kernel is packed once, up front, and shared
-    /// read-only by all workers (packing time is part of the measured
-    /// execution, as in the paper).
-    pub fn run(&self, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
-        crate::naive::check_dims(self.shape(), input, kernel);
-        let packed = PackedKernel::pack(self.shape(), kernel, self.seq.vec_len());
-        self.run_packed(input, &packed)
-    }
-
-    /// Run the convolution with an already packed kernel.
-    pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
-        let shape = *self.shape();
-        let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-        let slices = self.partition();
-        if slices.len() <= 1 {
-            let full = KernelRegion::full(&shape);
-            self.seq.execute_region(input, packed, &mut output, &full);
-            return output;
-        }
-        // Each worker accumulates its regions into a private full-size
-        // scratch tensor (regions address absolute coordinates); the owned
-        // output points are merged afterwards. Regions are disjoint across
-        // workers, so the merge never overlaps. Transient memory is bounded
-        // by `workers × |output|` with workers capped at `threads` (and at
-        // the slice count), and the merge copies each output point once.
-        let partials: Vec<Tensor4> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .map(|regions| {
-                    let seq = &self.seq;
-                    scope.spawn(move || {
-                        let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                        for region in regions {
-                            seq.execute_region(input, packed, &mut scratch, region);
-                        }
-                        scratch
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        for (regions, partial) in slices.iter().zip(&partials) {
-            for region in regions {
-                copy_region_output(partial, &mut output, region);
-            }
-        }
-        output
-    }
-
-    /// Partition the output into per-worker region lists.
-    ///
-    /// A configuration carrying certified parallel factors
-    /// (`TileConfig::parallel`, product > 1) is executed *as certified*: the
-    /// per-dimension factors define a cross-product grid of output slices —
-    /// exactly the decomposition the multicore cost model priced, including
-    /// mixed-axis factor vectors like `K=2 · H=2` — and the grid cells are
-    /// distributed round-robin over at most `threads` workers. Factor-less
-    /// configurations fall back to splitting the executor's [`ParallelAxis`]
-    /// into `threads` contiguous chunks. Either way workers are capped at
-    /// the number of slices, so `threads` larger than the output never
-    /// produces empty regions.
-    fn partition(&self) -> Vec<Vec<KernelRegion>> {
-        let shape = self.shape();
-        let full = KernelRegion::full(shape);
-        if self.threads <= 1 {
-            return vec![vec![full]];
-        }
-        if self.config().total_parallelism() > 1 {
-            let grid = self.factor_grid(&full);
-            let workers = self.threads.min(grid.len()).max(1);
-            let mut slices = vec![Vec::new(); workers];
-            for (i, region) in grid.into_iter().enumerate() {
-                slices[i % workers].push(region);
-            }
-            return slices;
-        }
-        match self.axis {
-            ParallelAxis::OutputChannels => split_range(shape.k, self.threads)
-                .into_iter()
-                .map(|k| vec![KernelRegion { k, ..full }])
-                .collect(),
-            ParallelAxis::OutputRows => {
-                // Flatten the n·h output rows, split them contiguously, and
-                // rebuild each chunk as per-batch rectangles (a chunk may
-                // straddle a batch boundary).
-                let rows = shape.n * shape.h;
-                split_range(rows, self.threads)
-                    .into_iter()
-                    .map(|(start, len)| {
-                        let mut regions = Vec::new();
-                        let mut row = start;
-                        let end = start + len;
-                        while row < end {
-                            let n = row / shape.h;
-                            let h_lo = row % shape.h;
-                            let h_len = (shape.h - h_lo).min(end - row);
-                            regions.push(KernelRegion { n: (n, 1), h: (h_lo, h_len), ..full });
-                            row += h_len;
-                        }
-                        regions
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// The cross-product slice grid of the configuration's parallel factors:
-    /// each non-reduction dimension with factor `f > 1` is split into `f`
-    /// contiguous chunks, and every combination of chunks is one region.
-    /// The regions tile the full output space disjointly.
-    fn factor_grid(&self, full: &KernelRegion) -> Vec<KernelRegion> {
-        use conv_spec::LoopIndex;
-        let shape = self.shape();
-        let parallel = &self.config().parallel;
-        let mut regions = vec![*full];
-        for (idx, extent) in [
-            (LoopIndex::N, shape.n),
-            (LoopIndex::K, shape.k),
-            (LoopIndex::H, shape.h),
-            (LoopIndex::W, shape.w),
-        ] {
-            let f = parallel.get(idx);
-            if f <= 1 {
-                continue;
-            }
-            let chunks = split_range(extent, f);
-            regions = regions
-                .iter()
-                .flat_map(|region| {
-                    chunks.iter().map(move |&chunk| {
-                        let mut r = *region;
-                        match idx {
-                            LoopIndex::N => r.n = chunk,
-                            LoopIndex::K => r.k = chunk,
-                            LoopIndex::H => r.h = chunk,
-                            LoopIndex::W => r.w = chunk,
-                            _ => unreachable!("reduction dims are never parallel factors"),
-                        }
-                        r
-                    })
-                })
-                .collect();
-        }
-        regions
-    }
-}
-
-/// Copy the output points a region owns from `partial` into `output`.
-fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
-    for n in region.n.0..region.n.0 + region.n.1 {
-        for k in region.k.0..region.k.0 + region.k.1 {
-            for h in region.h.0..region.h.0 + region.h.1 {
-                for w in region.w.0..region.w.0 + region.w.1 {
-                    *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
-                }
-            }
-        }
-    }
-}
+/// [`TiledConv`]: one executor runs the sequential and the threaded walk.
+pub type ParTiledConv = TiledConv;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::KernelRegion;
     use crate::naive::conv2d_naive;
-    use conv_spec::{LoopIndex, Permutation, TileSizes};
+    use crate::tensor::Tensor4;
+    use conv_spec::{ConvShape, LoopIndex, ParallelAxis, Permutation, TileConfig, TileSizes};
 
     fn config(shape: &ConvShape) -> TileConfig {
         TileConfig::new(

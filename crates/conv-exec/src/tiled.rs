@@ -3,12 +3,29 @@
 //! `TiledConv` realizes the loop structure the paper's code generator emits:
 //! L3-, L2- and L1-level tile loops (in the configuration's permutation
 //! order) around the register-tiled microkernel, with the kernel tensor
-//! packed up front and the outer loops optionally parallelized across
-//! threads along the output-channel (and batch) dimension so that threads
-//! never write the same output element (Sec. 7 restricts parallelism to
-//! non-reduction dimensions for the same reason).
+//! packed up front.
+//!
+//! With `threads > 1` the output is partitioned across scoped worker threads
+//! (tensors are borrowed, never copied to the workers) and each worker runs
+//! the same tile walk over its slice. A configuration carrying certified
+//! parallel factors ([`conv_spec::TileConfig::parallel`]) is executed exactly
+//! as the multicore model priced it — the factors' cross-product grid of
+//! output slices; factor-less configurations split the executor's
+//! [`conv_spec::ParallelAxis`] (the `k` output channels or the `n·h` output
+//! rows) into contiguous per-thread chunks. Threads own disjoint output
+//! regions; the reduction dimensions (`c`, `r`, `s`) are never partitioned
+//! (Sec. 7 restricts parallelism to non-reduction dimensions).
+//!
+//! Correctness is exact, not approximate: a slice along a non-reduction
+//! dimension leaves every output element's accumulation sequence — the order
+//! in which the `c`/`r`/`s` tile loops and the microkernel's inner reduction
+//! visit its partial products — untouched, so the threaded result is
+//! **bit-for-bit equal** to the `threads = 1` run of the same configuration
+//! (`assert_eq!` on the raw `f32` buffers, no tolerance). Tests here, in
+//! [`crate::partiled`] and in `tests/multicore_parallel.rs` enforce this,
+//! including thread counts exceeding the partitioned extent.
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel};
+use conv_spec::{ConvShape, LoopIndex, ParallelAxis, TileConfig, TileSizes, TilingLevel};
 
 use crate::microkernel::{
     run_microkernel, run_microkernel_with_backend, InputView, KernelRegion, OutputView, SimdBackend,
@@ -23,22 +40,35 @@ pub struct TiledConv {
     shape: ConvShape,
     config: TileConfig,
     threads: usize,
+    axis: ParallelAxis,
     vec_len: usize,
     backend: Option<SimdBackend>,
 }
 
 impl TiledConv {
     /// Create an executor for `shape` with a tiling configuration and thread
-    /// count. The configuration is normalized (tile nesting repaired) first.
+    /// count. The parallel axis defaults to the one the configuration's
+    /// per-dimension factors encode ([`TileConfig::parallel_axis`]); the
+    /// configuration is normalized (tile nesting repaired) first.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::InvalidConfig`] if the normalized configuration
     /// still fails validation.
     pub fn new(shape: ConvShape, config: TileConfig, threads: usize) -> Result<Self, ExecError> {
+        let axis = config.parallel_axis();
         let config = config.normalized(&shape);
         config.validate(&shape).map_err(|e| ExecError::InvalidConfig(e.to_string()))?;
-        Ok(TiledConv { shape, config, threads: threads.max(1), vec_len: 8, backend: None })
+        Ok(TiledConv { shape, config, threads: threads.max(1), axis, vec_len: 8, backend: None })
+    }
+
+    /// Override the parallel axis used by the factor-less fallback. A
+    /// configuration carrying certified parallel factors is always executed
+    /// along those factors (see [`Self::run_packed`]); the axis only decides
+    /// how configurations *without* factors are split across `threads`.
+    pub fn with_axis(mut self, axis: ParallelAxis) -> Self {
+        self.axis = axis;
+        self
     }
 
     /// Set the SIMD vector length used for kernel packing (8 for AVX2-class,
@@ -66,13 +96,19 @@ impl TiledConv {
         &self.config
     }
 
-    /// The SIMD vector length used for kernel packing.
-    pub(crate) fn vec_len(&self) -> usize {
-        self.vec_len
+    /// The axis a factor-less configuration is partitioned along.
+    pub fn axis(&self) -> ParallelAxis {
+        self.axis
     }
 
-    /// Run the convolution. The kernel is packed internally (packing time is
-    /// part of the measured execution, as in the paper).
+    /// The requested thread count (workers are capped at the slice count).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Run the convolution. The kernel is packed once, up front, and shared
+    /// read-only by all workers (packing time is part of the measured
+    /// execution, as in the paper).
     pub fn run(&self, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
         crate::naive::check_dims(&self.shape, input, kernel);
         let packed = PackedKernel::pack(&self.shape, kernel, self.vec_len);
@@ -81,122 +117,131 @@ impl TiledConv {
 
     /// Run the convolution with an already packed kernel.
     pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
-        let mut output = Tensor4::zeros(self.shape.n, self.shape.k, self.shape.h, self.shape.w);
-        let threads = self.effective_threads();
-        if threads <= 1 {
-            let full = KernelRegion::full(&self.shape);
-            self.execute_region(input, packed, &mut output, &full);
+        let shape = self.shape;
+        let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
+        let slices = self.partition();
+        if slices.len() <= 1 {
+            // One worker walks straight into the output: no scratch tensor.
+            self.execute_region(input, packed, &mut output, &KernelRegion::full(&shape));
             return output;
         }
-
-        // Parallelize along the output-channel dimension: each thread owns a
-        // contiguous K range, whose output slice is a contiguous chunk of the
-        // NCHW buffer when N == 1; for N > 1 each thread still owns disjoint
-        // (n, k) slices because we split K only.
-        let k_chunks = split_range(self.shape.k, threads);
-        let plane = self.shape.h * self.shape.w;
-        std::thread::scope(|scope| {
-            let mut rest = output.as_mut_slice();
-            let mut offset = 0usize;
-            // For N == 1 chunks are contiguous; for N > 1 fall back to
-            // per-thread buffers merged afterwards (handled below).
-            if self.shape.n == 1 {
-                for (k_lo, k_len) in &k_chunks {
-                    let chunk_elems = k_len * plane;
-                    let (chunk, tail) = rest.split_at_mut(chunk_elems);
-                    rest = tail;
-                    let k_lo = *k_lo;
-                    let k_len = *k_len;
-                    let shape = self.shape;
-                    let this = &*self;
+        // Each worker accumulates its regions into a private full-size
+        // scratch tensor (regions address absolute coordinates); the owned
+        // output points are merged afterwards. Regions are disjoint across
+        // workers, so the merge never overlaps. Transient memory is bounded
+        // by `workers × |output|` with workers capped at `threads` (and at
+        // the slice count), and the merge copies each output point once.
+        let partials: Vec<Tensor4> = std::thread::scope(|scope| {
+            let handles: Vec<_> = slices
+                .iter()
+                .map(|regions| {
                     scope.spawn(move || {
-                        let mut local =
-                            Tensor4::from_vec((1, k_len, shape.h, shape.w), chunk.to_vec());
-                        let region = KernelRegion {
-                            n: (0, 1),
-                            k: (k_lo, k_len),
-                            c: (0, shape.reduction_c()),
-                            r: (0, shape.r),
-                            s: (0, shape.s),
-                            h: (0, shape.h),
-                            w: (0, shape.w),
-                        };
-                        // Execute into a view-local tensor, then copy back into
-                        // the chunk (the region indexes absolute k, so we use a
-                        // full-size scratch only for the owned K slice).
                         let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                        this.execute_region(input, packed, &mut scratch, &region);
-                        for k in 0..k_len {
-                            for h in 0..shape.h {
-                                for w in 0..shape.w {
-                                    *local.at_mut(0, k, h, w) = scratch.at(0, k_lo + k, h, w);
-                                }
-                            }
+                        for region in regions {
+                            self.execute_region(input, packed, &mut scratch, region);
                         }
-                        chunk.copy_from_slice(local.as_slice());
-                    });
-                    offset += chunk_elems;
-                }
-                let _ = offset;
-            }
-        });
-
-        if self.shape.n > 1 {
-            // Batch > 1: split along N instead (always disjoint, not
-            // necessarily contiguous) using per-thread scratch outputs.
-            let mut output = Tensor4::zeros(self.shape.n, self.shape.k, self.shape.h, self.shape.w);
-            let n_chunks = split_range(self.shape.n, threads);
-            let partials: Vec<Tensor4> = std::thread::scope(|scope| {
-                let handles: Vec<_> = n_chunks
-                    .iter()
-                    .map(|&(n_lo, n_len)| {
-                        let shape = self.shape;
-                        let this = &*self;
-                        scope.spawn(move || {
-                            let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                            let region = KernelRegion {
-                                n: (n_lo, n_len),
-                                k: (0, shape.k),
-                                c: (0, shape.reduction_c()),
-                                r: (0, shape.r),
-                                s: (0, shape.s),
-                                h: (0, shape.h),
-                                w: (0, shape.w),
-                            };
-                            this.execute_region(input, packed, &mut scratch, &region);
-                            scratch
-                        })
+                        scratch
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            });
-            for (chunk, partial) in n_chunks.iter().zip(partials.iter()) {
-                let (n_lo, n_len) = *chunk;
-                for n in n_lo..n_lo + n_len {
-                    for k in 0..self.shape.k {
-                        for h in 0..self.shape.h {
-                            for w in 0..self.shape.w {
-                                *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
-                            }
-                        }
-                    }
-                }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        });
+        for (regions, partial) in slices.iter().zip(&partials) {
+            for region in regions {
+                copy_region_output(partial, &mut output, region);
             }
-            return output;
         }
         output
     }
 
-    fn effective_threads(&self) -> usize {
-        let limit = if self.shape.n > 1 { self.shape.n } else { self.shape.k };
-        self.threads.clamp(1, limit.max(1))
+    /// Partition the output into per-worker region lists.
+    ///
+    /// A configuration carrying certified parallel factors
+    /// (`TileConfig::parallel`, product > 1) is executed *as certified*: the
+    /// per-dimension factors define a cross-product grid of output slices —
+    /// exactly the decomposition the multicore cost model priced, including
+    /// mixed-axis factor vectors like `K=2 · H=2` — and the grid cells are
+    /// distributed round-robin over at most `threads` workers. Factor-less
+    /// configurations fall back to splitting the executor's [`ParallelAxis`]
+    /// into `threads` contiguous chunks. Either way workers are capped at
+    /// the number of slices, so `threads` larger than the output never
+    /// produces empty regions.
+    fn partition(&self) -> Vec<Vec<KernelRegion>> {
+        let shape = &self.shape;
+        let full = KernelRegion::full(shape);
+        if self.threads <= 1 {
+            return vec![vec![full]];
+        }
+        if self.config.total_parallelism() > 1 {
+            let grid = self.factor_grid(&full);
+            let workers = self.threads.min(grid.len()).max(1);
+            let mut slices = vec![Vec::new(); workers];
+            for (i, region) in grid.into_iter().enumerate() {
+                slices[i % workers].push(region);
+            }
+            return slices;
+        }
+        match self.axis {
+            ParallelAxis::OutputChannels => split_range(shape.k, self.threads)
+                .into_iter()
+                .map(|k| vec![KernelRegion { k, ..full }])
+                .collect(),
+            ParallelAxis::OutputRows => {
+                // Flatten the n·h output rows, split them contiguously, and
+                // rebuild each chunk as per-batch rectangles (a chunk may
+                // straddle a batch boundary).
+                let rows = shape.n * shape.h;
+                split_range(rows, self.threads)
+                    .into_iter()
+                    .map(|(start, len)| {
+                        let mut regions = Vec::new();
+                        let mut row = start;
+                        let end = start + len;
+                        while row < end {
+                            let n = row / shape.h;
+                            let h_lo = row % shape.h;
+                            let h_len = (shape.h - h_lo).min(end - row);
+                            regions.push(KernelRegion { n: (n, 1), h: (h_lo, h_len), ..full });
+                            row += h_len;
+                        }
+                        regions
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// The cross-product slice grid of the configuration's parallel factors:
+    /// each non-reduction dimension with factor `f > 1` is split into `f`
+    /// contiguous chunks, and every combination of chunks is one region.
+    /// The regions tile the full output space disjointly.
+    pub(crate) fn factor_grid(&self, full: &KernelRegion) -> Vec<KernelRegion> {
+        let mut regions = vec![*full];
+        for idx in [LoopIndex::N, LoopIndex::K, LoopIndex::H, LoopIndex::W] {
+            let f = self.config.parallel.get(idx);
+            if f <= 1 {
+                continue;
+            }
+            let chunks = split_range(region_field(full, idx).1, f);
+            regions = regions
+                .iter()
+                .flat_map(|region| {
+                    chunks.iter().map(move |&chunk| {
+                        let mut r = *region;
+                        set_region_field(&mut r, idx, chunk);
+                        r
+                    })
+                })
+                .collect();
+        }
+        regions
     }
 
     /// Execute the multi-level tile loops over an arbitrary base region.
-    /// Shared with [`crate::ParTiledConv`], whose worker threads each run it
-    /// over their slice of the output, and with [`crate::NchwcConv`], which
-    /// runs it over blocked NCHWc views — the walk is generic over logical
-    /// views so every storage layout goes through the identical arithmetic.
+    /// Worker threads each run it over their slice of the output, and
+    /// [`crate::NchwcConv`] runs it over blocked NCHWc views — the walk is
+    /// generic over logical views so every storage layout goes through the
+    /// identical arithmetic.
     pub(crate) fn execute_region<I: InputView, O: OutputView>(
         &self,
         input: &I,
@@ -292,6 +337,19 @@ fn set_region_field(r: &mut KernelRegion, idx: LoopIndex, value: (usize, usize))
         LoopIndex::S => r.s = value,
         LoopIndex::H => r.h = value,
         LoopIndex::W => r.w = value,
+    }
+}
+
+/// Copy the output points a region owns from `partial` into `output`.
+fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
+    for n in region.n.0..region.n.0 + region.n.1 {
+        for k in region.k.0..region.k.0 + region.k.1 {
+            for h in region.h.0..region.h.0 + region.h.1 {
+                for w in region.w.0..region.w.0 + region.w.1 {
+                    *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
+                }
+            }
+        }
     }
 }
 
@@ -453,6 +511,49 @@ mod tests {
     }
 
     #[test]
+    fn threaded_run_is_bit_identical_to_one_thread() {
+        let tiles = |shape: &ConvShape| {
+            config(
+                shape,
+                "kcrsnhw",
+                [1, 4, 1, 1, 1, 1, 4],
+                [1, 4, 3, 3, 3, 2, 5],
+                [1, 8, 6, 3, 3, 5, 9],
+                [2, 8, 6, 3, 3, 9, 11],
+            )
+        };
+        let single = ConvShape::new(1, 6, 4, 3, 3, 5, 7, 1).unwrap();
+        let batched = ConvShape::new(3, 6, 4, 3, 3, 5, 7, 1).unwrap();
+        let mut certified = tiles(&single);
+        certified.parallel = TileSizes::ones().with(LoopIndex::K, 2).with(LoopIndex::H, 2);
+        // The axis only steers the factor-less configurations.
+        let cases = [
+            (single, certified, ParallelAxis::OutputChannels),
+            (single, tiles(&single), ParallelAxis::OutputChannels),
+            (single, tiles(&single), ParallelAxis::OutputRows),
+            (batched, tiles(&batched), ParallelAxis::OutputRows),
+        ];
+        for (shape, cfg, axis) in cases {
+            let (input, kernel, _) = reference(&shape, 1200);
+            let run = |threads| {
+                let conv = TiledConv::new(shape, cfg.clone(), threads).unwrap().with_axis(axis);
+                conv.run(&input, &kernel)
+            };
+            let expected = run(1);
+            // 64 exceeds every partitioned extent (k = 6, n·h ≤ 15, grid = 4).
+            for threads in [2, 3, 4, 64] {
+                assert_eq!(
+                    run(threads).as_slice(),
+                    expected.as_slice(),
+                    "n {} axis {axis} parallel {:?} threads {threads}",
+                    shape.n,
+                    cfg.parallel
+                );
+            }
+        }
+    }
+
+    #[test]
     fn depthwise_tiled_matches_naive_across_permutations_and_threads() {
         let shape = ConvShape::depthwise(12, 12, 3, 1);
         let (input, kernel, expected) = reference(&shape, 800);
@@ -568,5 +669,7 @@ mod tests {
         let conv = TiledConv::new(shape, TileConfig::untiled(&shape), 2).unwrap();
         assert_eq!(conv.shape(), &shape);
         assert!(conv.config().validate(&shape).is_ok());
+        assert_eq!(conv.threads(), 2);
+        assert_eq!(conv.axis(), ParallelAxis::OutputChannels);
     }
 }

@@ -104,6 +104,8 @@ pub enum SpecError {
     InvalidPermutation(String),
     /// A shape field was zero.
     InvalidShape(String),
+    /// A machine parameter was zero, negative or not finite.
+    InvalidMachine(String),
 }
 
 impl std::fmt::Display for SpecError {
@@ -114,6 +116,7 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
             SpecError::InvalidShape(msg) => write!(f, "invalid shape: {msg}"),
+            SpecError::InvalidMachine(msg) => write!(f, "invalid machine: {msg}"),
         }
     }
 }

@@ -16,6 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::tiling::TilingLevel;
+use crate::SpecError;
 
 /// A memory level: registers or one of the caches, or main memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -262,6 +263,49 @@ impl MachineModel {
         }
     }
 
+    /// Check that every parameter the cost model divides by or sizes a tile
+    /// against is usable: rates finite and positive, counts and capacities
+    /// non-zero. The presets satisfy this by construction; a machine that
+    /// arrives from outside the program (a request's inline description) must
+    /// be checked before it prices anything — a zero bandwidth prices every
+    /// schedule at infinity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::InvalidMachine`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let rates = [("clock_ghz", self.clock_ghz), ("dram_bandwidth", self.dram_bandwidth)];
+        let counts = [
+            ("cores", self.cores),
+            ("threads", self.threads),
+            ("simd_width", self.simd_width),
+            ("fma_units", self.fma_units),
+            ("register_elems", self.register_elems),
+        ];
+        let of = |c: &CacheLevel, field: &str| format!("{} {field}", c.level);
+        let rates = rates
+            .into_iter()
+            .map(|(field, v)| (field.to_string(), v))
+            .chain(self.caches.iter().map(|c| (of(c, "fill_bandwidth"), c.fill_bandwidth)));
+        let counts = counts.into_iter().map(|(field, v)| (field.to_string(), v)).chain(
+            self.caches.iter().flat_map(|c| {
+                [(of(c, "capacity_elems"), c.capacity_elems), (of(c, "line_elems"), c.line_elems)]
+            }),
+        );
+        for (field, v) in rates {
+            if !(v.is_finite() && v > 0.0) {
+                let message = format!("{field} must be finite and > 0 (got {v})");
+                return Err(SpecError::InvalidMachine(message));
+            }
+        }
+        for (field, v) in counts {
+            if v == 0 {
+                return Err(SpecError::InvalidMachine(format!("{field} must be non-zero")));
+            }
+        }
+        Ok(())
+    }
+
     /// The cache description for a memory level, if it is a cache level.
     pub fn cache(&self, level: MemoryLevel) -> Option<&CacheLevel> {
         self.caches.iter().find(|c| c.level == level)
@@ -424,6 +468,36 @@ mod tests {
         assert_eq!(m.threads, 16);
         assert_eq!(m.capacity(TilingLevel::L2) * 4, 1024 * 1024);
         assert_eq!(m.simd_width, 16);
+    }
+
+    #[test]
+    fn presets_validate_and_each_hostile_field_is_named() {
+        let tiny = MachineModel::tiny_test_machine();
+        for m in [MachineModel::i7_9700k(), MachineModel::i9_10980xe(), tiny.clone()] {
+            assert_eq!(m.validate(), Ok(()), "{}", m.name);
+        }
+        type Break = fn(&mut MachineModel);
+        let hostile: [(&str, Break); 13] = [
+            ("clock_ghz", |m| m.clock_ghz = f64::NAN),
+            ("dram_bandwidth", |m| m.dram_bandwidth = 0.0),
+            ("dram_bandwidth", |m| m.dram_bandwidth = f64::INFINITY),
+            ("dram_bandwidth", |m| m.dram_bandwidth = -1.0),
+            ("cores", |m| m.cores = 0),
+            ("threads", |m| m.threads = 0),
+            ("simd_width", |m| m.simd_width = 0),
+            ("fma_units", |m| m.fma_units = 0),
+            ("register_elems", |m| m.register_elems = 0),
+            ("L2 fill_bandwidth", |m| m.caches[1].fill_bandwidth = 0.0),
+            ("L1 capacity_elems", |m| m.caches[0].capacity_elems = 0),
+            ("L3 line_elems", |m| m.caches[2].line_elems = 0),
+            ("L3 fill_bandwidth", |m| m.caches[2].fill_bandwidth = f64::NEG_INFINITY),
+        ];
+        for (field, break_it) in hostile {
+            let mut m = tiny.clone();
+            break_it(&mut m);
+            let message = m.validate().expect_err(field).to_string();
+            assert!(message.starts_with(&format!("invalid machine: {field} must be")), "{message}");
+        }
     }
 
     #[test]

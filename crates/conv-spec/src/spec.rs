@@ -317,6 +317,40 @@ impl Spec {
     }
 }
 
+/// The one wire rule for a problem embedded as a field of a larger object
+/// (a cache key, a named layer): convolutions keep the legacy flat `"shape"`
+/// field — byte-identical to pre-spec snapshots, db pages and requests —
+/// anything else is a tagged `"spec"` field, and parsing accepts either.
+impl Spec {
+    /// The `(field name, value)` pair this problem serializes as.
+    pub fn to_field(&self) -> (String, serde::Value) {
+        match self {
+            Spec::Conv(shape) => ("shape".to_string(), shape.to_value()),
+            other => ("spec".to_string(), other.to_value()),
+        }
+    }
+
+    /// Parse the problem out of an object's `pairs`: `"spec"` wins, a legacy
+    /// `"shape"` is the fallback. `context` names the enclosing type in
+    /// errors.
+    ///
+    /// # Errors
+    ///
+    /// Fails when neither field is present or the one present does not parse.
+    pub fn from_fields(
+        pairs: &[(String, serde::Value)],
+        context: &str,
+    ) -> Result<Self, serde::DeError> {
+        if let Some(spec) = serde::de_field::<Option<Spec>>(pairs, "spec", context)? {
+            return Ok(spec);
+        }
+        let shape: Option<ConvShape> = serde::de_field(pairs, "shape", context)?;
+        shape.map(Spec::Conv).ok_or_else(|| {
+            serde::DeError::custom(format!("{context} needs a `spec` or legacy `shape` field"))
+        })
+    }
+}
+
 impl From<ConvShape> for Spec {
     fn from(shape: ConvShape) -> Self {
         Spec::Conv(shape)

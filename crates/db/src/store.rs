@@ -351,9 +351,7 @@ impl SpecDb {
                 }
             }
             record.entries.sort_by(|a, b| {
-                a.sequential_cost
-                    .partial_cmp(&b.sequential_cost)
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                mopt_core::pricing::cost_order(a.sequential_cost, b.sequential_cost)
             });
             record.entries.truncate(k);
             (record.entries.len(), true)
@@ -476,6 +474,28 @@ mod tests {
         assert!(db.lookup(fp, 8).unwrap().is_none());
         let stats = db.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nan_cost_entries_never_displace_a_finite_one() {
+        let dir = temp_db("nan-topk");
+        let shape = canon_shape();
+        let db = SpecDb::open_with(&dir, 8, 2).unwrap();
+        // Both NaN signs, placed ahead of the finite costs they must not
+        // shadow: an order that treats NaN as equal to everything leaves
+        // them where they are and truncates the finite entries away.
+        let entries: Vec<ScheduleEntry> = [f64::NAN, 3.0, -f64::NAN, 1.0, 2.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| entry_with_register_k(&shape, i + 1, c))
+            .collect();
+        db.merge(&shape, 7, entries).unwrap();
+        // A later NaN against a full top-k stays out too.
+        db.merge(&shape, 7, vec![entry_with_register_k(&shape, 8, f64::NAN)]).unwrap();
+        let got = db.lookup(shape.fingerprint(), 7).unwrap().unwrap();
+        let costs: Vec<f64> = got.iter().map(|e| e.sequential_cost).collect();
+        assert_eq!(costs, vec![1.0, 2.0]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -77,14 +77,18 @@ pub fn price_cheapest_layout(
     (config, price)
 }
 
-/// Order candidates cheapest first and keep the top `keep_top`. The order is
-/// total: a candidate whose price is NaN sorts after every finite or
-/// infinite one, so it can never displace a real price.
+/// The total order every ranking of prices uses: ascending, with NaN after
+/// every finite or infinite price, so a NaN can never displace a real one
+/// from a cheapest-first top-k. (A bare `total_cmp` would sort the negative
+/// NaN x86 arithmetic produces *first*.)
+pub fn cost_order(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
+/// Order candidates cheapest first ([`cost_order`]) and keep the top
+/// `keep_top`.
 pub fn rank(mut candidates: Vec<OptimizedConfig>, keep_top: usize) -> Vec<OptimizedConfig> {
-    candidates.sort_by(|a, b| {
-        let (a, b) = (a.predicted_cost, b.predicted_cost);
-        a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
-    });
+    candidates.sort_by(|a, b| cost_order(a.predicted_cost, b.predicted_cost));
     candidates.truncate(keep_top);
     candidates
 }

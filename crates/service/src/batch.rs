@@ -61,17 +61,11 @@ impl From<&BenchmarkOp> for NamedLayer {
     }
 }
 
-// The wire form mirrors `CacheKey`'s: conv layers keep the legacy flat
-// `"shape"` field (pre-spec clients and fixtures parse and serialize
-// unchanged), non-conv layers use a tagged `"spec"` field, and parsing
-// accepts either spelling.
+// The problem field follows the one wire rule in `Spec::{to_field,
+// from_fields}`, as `CacheKey` does.
 impl Serialize for NamedLayer {
     fn to_value(&self) -> serde::Value {
-        let problem = match &self.spec {
-            Spec::Conv(shape) => ("shape".to_string(), shape.to_value()),
-            other => ("spec".to_string(), other.to_value()),
-        };
-        serde::Value::Object(vec![("name".to_string(), self.name.to_value()), problem])
+        serde::Value::Object(vec![("name".to_string(), self.name.to_value()), self.spec.to_field()])
     }
 }
 
@@ -79,16 +73,7 @@ impl Deserialize for NamedLayer {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let pairs =
             v.as_object().ok_or_else(|| serde::DeError::expected("an object", "NamedLayer"))?;
-        let spec: Option<Spec> = serde::de_field(pairs, "spec", "NamedLayer")?;
-        let spec = match spec {
-            Some(spec) => spec,
-            None => {
-                let shape: Option<ConvShape> = serde::de_field(pairs, "shape", "NamedLayer")?;
-                Spec::Conv(shape.ok_or_else(|| {
-                    serde::DeError::custom("NamedLayer needs a `spec` or legacy `shape` field")
-                })?)
-            }
-        };
+        let spec = Spec::from_fields(pairs, "NamedLayer")?;
         Ok(NamedLayer { name: serde::de_field(pairs, "name", "NamedLayer")?, spec })
     }
 }
@@ -141,13 +126,13 @@ pub struct NetworkPlan {
 
 impl NetworkPlan {
     /// The planned layer with the largest predicted cost (the network's
-    /// projected bottleneck), if any layers were planned.
+    /// projected bottleneck), if any layers were planned. The order is
+    /// [`mopt_core::pricing::cost_order`], so the answer does not depend on
+    /// layer order even if a price is NaN (which then reads as the
+    /// bottleneck instead of hiding behind a finite one).
     pub fn bottleneck(&self) -> Option<&PlannedLayer> {
         self.layers.iter().max_by(|a, b| {
-            a.best
-                .predicted_cost
-                .partial_cmp(&b.best.predicted_cost)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            mopt_core::pricing::cost_order(a.best.predicted_cost, b.best.predicted_cost)
         })
     }
 }

@@ -9,17 +9,12 @@
 //! `SIGINT`/`SIGTERM` the loop stops accepting, drains in-flight and
 //! pipelined work, flushes every response, persists state, and exits.
 //!
-//! Persistence comes in two flavors:
-//!
-//! * `--snapshot PATH` — a whole-file JSON snapshot, rewritten in full on
-//!   every save,
-//! * `--snapshot-dir DIR` — a sharded snapshot directory where saves are
-//!   incremental: only cache shards dirtied since the last flush are
-//!   rewritten.
-//!
-//! Either is loaded at startup (if present) and saved on every `"Save"`
+//! Persistence: `--snapshot PATH` names a whole-file JSON snapshot of the
+//! cache. It is loaded at startup (if present) and saved on every `"Save"`
 //! request, at shutdown, at stdin EOF in `--stdio` mode, and by a
 //! background autosaver every 30 seconds while the cache is dirty.
+//! Incremental durable state is the schedule database's job (`--db`, whose
+//! flush rewrites only dirty pages).
 //!
 //! With `--db DIR` the persistent schedule database is attached as the warm
 //! tier between the cache and the optimizer: cache misses are answered from
@@ -34,15 +29,16 @@
 //! and wire format bit-for-bit.
 //!
 //! ```text
-//! moptd --stdio [--snapshot cache.json | --snapshot-dir DIR] [--db specs.db]
-//! moptd --listen 127.0.0.1:7077 [--workers N] [--snapshot-dir DIR] [--db specs.db]
+//! moptd --stdio [--snapshot cache.json] [--db specs.db]
+//! moptd --listen 127.0.0.1:7077 [--workers N] [--snapshot cache.json] [--db specs.db]
 //!
 //! echo '{"Optimize": {"op": "Y0", "machine": {"Preset": "i7-9700k"}}}' | moptd --stdio
 //! ```
 //!
 //! Verbs: `Optimize`, `Explain` (schedule plus the optimizer's search trace
 //! and cost breakdown), `PlanNetwork`, `PlanGraph` (fusion-aware graph
-//! planning), `Stats`, `Save`, `Metrics` (per-verb latency histograms,
+//! planning), `Suites` (the benchmark suites and operators the server knows
+//! by name), `Stats`, `Save`, `Metrics` (per-verb latency histograms,
 //! error counters and in-flight gauges; `{"format": "prometheus"}` for
 //! text exposition), `Trace` (the slow-request log armed by `--slow-ms`),
 //! `Ping` (replies with the crate version). Any
@@ -60,7 +56,6 @@ struct Args {
     stdio: bool,
     listen: Option<String>,
     snapshot: Option<std::path::PathBuf>,
-    snapshot_dir: Option<std::path::PathBuf>,
     db: Option<std::path::PathBuf>,
     capacity: usize,
     workers: usize,
@@ -73,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
         stdio: false,
         listen: None,
         snapshot: None,
-        snapshot_dir: None,
         db: None,
         capacity: 4096,
         workers: 0,
@@ -89,10 +83,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--snapshot" => {
                 args.snapshot = Some(it.next().ok_or("--snapshot needs a path")?.into());
-            }
-            "--snapshot-dir" => {
-                args.snapshot_dir =
-                    Some(it.next().ok_or("--snapshot-dir needs a directory path")?.into());
             }
             "--db" => {
                 args.db = Some(it.next().ok_or("--db needs a directory path")?.into());
@@ -139,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
                      moptd --listen ADDR [--workers N] [OPTIONS]\n\n\
                      OPTIONS:\n  \
                      --snapshot PATH      whole-file cache snapshot\n  \
-                     --snapshot-dir DIR   sharded snapshot dir (incremental saves)\n  \
                      --db DIR             persistent schedule database (see mopt-plan-world)\n  \
                      --capacity N         schedule cache capacity (default 4096)\n  \
                      --workers N          TCP request workers (default: CPU count, max 8)\n  \
@@ -149,8 +138,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20                    `search` (optimizer also searches data layouts)\n\n\
                      One JSON request per input line, one JSON response per output line;\n\
                      TCP connections may pipeline requests. SIGINT/SIGTERM drain gracefully.\n\
-                     Requests: Optimize, Explain, PlanNetwork, PlanGraph, Stats, Save,\n\
-                     Metrics, Trace, Ping.\n\
+                     Requests: Optimize, Explain, PlanNetwork, PlanGraph, Suites, Stats,\n\
+                     Save, Metrics, Trace, Ping.\n\
                      See README.md and docs/PROTOCOL.md."
                 );
                 std::process::exit(0);
@@ -160,9 +149,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.stdio == args.listen.is_some() {
         return Err("pass exactly one of --stdio or --listen ADDR".into());
-    }
-    if args.snapshot.is_some() && args.snapshot_dir.is_some() {
-        return Err("pass at most one of --snapshot and --snapshot-dir".into());
     }
     Ok(args)
 }
@@ -189,22 +175,6 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("moptd: cannot load snapshot {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-    }
-    if let Some(dir) = &args.snapshot_dir {
-        state = match state.with_snapshot_dir(dir.clone()) {
-            Ok(state) => {
-                eprintln!(
-                    "moptd: snapshot dir {} loaded ({} entries)",
-                    dir.display(),
-                    state.cache.len()
-                );
-                state
-            }
-            Err(e) => {
-                eprintln!("moptd: cannot load snapshot dir {}: {e}", dir.display());
                 std::process::exit(1);
             }
         };
@@ -267,11 +237,9 @@ fn main() {
     #[cfg(unix)]
     sig::install(server.shutdown_handle());
 
-    if args.snapshot.is_some() || args.snapshot_dir.is_some() {
+    if args.snapshot.is_some() {
         // The autosaver bounds data loss from an abrupt (`SIGKILL`) death;
-        // SIGINT/SIGTERM persist via the post-drain save below. With
-        // --snapshot-dir each pass only rewrites shards dirtied since the
-        // last flush.
+        // SIGINT/SIGTERM persist via the post-drain save below.
         let state = Arc::clone(&state);
         std::thread::spawn(move || {
             let mut saved_insertions = state.cache.stats().insertions;

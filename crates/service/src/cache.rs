@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use conv_spec::{ConvShape, MachineModel, Spec};
@@ -38,11 +38,10 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Since the spec-IR generalization the problem slot holds a [`Spec`] (conv,
 /// matmul, pooling, or elementwise), not just a [`ConvShape`]. The wire/disk
-/// form stays backward compatible in both directions: convolution keys
-/// serialize as the legacy flat `"shape"` field (bit-identical to pre-spec
-/// snapshots), non-conv specs as a tagged `"spec"` field, and deserialization
-/// accepts either — so old snapshots load, and snapshots holding only conv
-/// entries are byte-identical to what the pre-spec format wrote.
+/// form stays backward compatible in both directions through
+/// [`Spec::to_field`] / [`Spec::from_fields`]: old snapshots load, and
+/// snapshots holding only conv entries are byte-identical to what the
+/// pre-spec format wrote.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The optimization problem.
@@ -79,14 +78,8 @@ impl CacheKey {
 
 impl Serialize for CacheKey {
     fn to_value(&self) -> serde::Value {
-        let problem = match &self.spec {
-            // Legacy byte-compatible form: conv problems keep the flat
-            // `"shape"` field pre-spec snapshots used.
-            Spec::Conv(shape) => ("shape".to_string(), shape.to_value()),
-            other => ("spec".to_string(), other.to_value()),
-        };
         serde::Value::Object(vec![
-            problem,
+            self.spec.to_field(),
             ("machine_fingerprint".to_string(), self.machine_fingerprint.to_value()),
             ("options".to_string(), self.options.to_value()),
         ])
@@ -97,18 +90,8 @@ impl Deserialize for CacheKey {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let pairs =
             v.as_object().ok_or_else(|| serde::DeError::expected("an object", "CacheKey"))?;
-        let spec: Option<Spec> = serde::de_field(pairs, "spec", "CacheKey")?;
-        let spec = match spec {
-            Some(spec) => spec,
-            None => {
-                let shape: Option<ConvShape> = serde::de_field(pairs, "shape", "CacheKey")?;
-                Spec::Conv(shape.ok_or_else(|| {
-                    serde::DeError::custom("CacheKey needs a `spec` or legacy `shape` field")
-                })?)
-            }
-        };
         Ok(CacheKey {
-            spec,
+            spec: Spec::from_fields(pairs, "CacheKey")?,
             machine_fingerprint: serde::de_field(pairs, "machine_fingerprint", "CacheKey")?,
             options: serde::de_field(pairs, "options", "CacheKey")?,
         })
@@ -224,11 +207,6 @@ type Shard = LruMap<CacheKey, OptimizeResult>;
 /// to be shared across server threads (e.g. in an `Arc`).
 pub struct ScheduleCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard dirty-since-last-flush flags, set by [`insert`](Self::insert)
-    /// and consumed by [`take_dirty_shards`](Self::take_dirty_shards) — the
-    /// contract that lets incremental persistence rewrite only the shards
-    /// that changed instead of the whole cache.
-    dirty: Vec<AtomicBool>,
     shard_capacity: usize,
     capacity: usize,
     requested_capacity: usize,
@@ -253,7 +231,6 @@ impl ScheduleCache {
         let shard_capacity = capacity.div_ceil(Self::SHARDS).max(1);
         ScheduleCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            dirty: (0..Self::SHARDS).map(|_| AtomicBool::new(false)).collect(),
             shard_capacity,
             capacity: shard_capacity * Self::SHARDS,
             requested_capacity: capacity,
@@ -286,13 +263,11 @@ impl ScheduleCache {
     /// of the target shard if it is full.
     pub fn insert(&self, key: CacheKey, result: OptimizeResult) {
         let tick = self.tick();
-        let index = key.shard_index(Self::SHARDS);
-        let mut shard = lock_recover(&self.shards[index]);
+        let mut shard = self.lock_shard(&key);
         if shard.insert(key, result, tick, self.shard_capacity) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.dirty[index].store(true, Ordering::Release);
     }
 
     /// Number of resident entries.
@@ -315,12 +290,10 @@ impl ScheduleCache {
         self.requested_capacity
     }
 
-    /// Drop every entry (counters are preserved). Every shard is marked
-    /// dirty: an incremental flush after a clear must rewrite them all.
+    /// Drop every entry (counters are preserved).
     pub fn clear(&self) {
-        for (shard, dirty) in self.shards.iter().zip(&self.dirty) {
+        for shard in &self.shards {
             lock_recover(shard).clear();
-            dirty.store(true, Ordering::Release);
         }
     }
 
@@ -353,38 +326,6 @@ impl ScheduleCache {
         }
         all.sort_by_key(|(_, _, used)| *used);
         all.into_iter().map(|(k, r, _)| (k, r)).collect()
-    }
-
-    /// Resident `(key, result)` pairs of one shard, in recency order (least
-    /// recently used first), for per-shard snapshot files.
-    pub fn shard_entries(&self, shard: usize) -> Vec<(CacheKey, OptimizeResult)> {
-        let guard = lock_recover(&self.shards[shard]);
-        let mut entries: Vec<(CacheKey, OptimizeResult, u64)> =
-            guard.iter().map(|(k, v, used)| (k.clone(), v.clone(), used)).collect();
-        entries.sort_by_key(|(_, _, used)| *used);
-        entries.into_iter().map(|(k, r, _)| (k, r)).collect()
-    }
-
-    /// Atomically claim the set of shards modified since the last claim,
-    /// clearing their dirty flags. A flush that subsequently fails must hand
-    /// the claimed shards back via [`mark_shard_dirty`](Self::mark_shard_dirty)
-    /// or their changes would be silently dropped from the next flush.
-    pub fn take_dirty_shards(&self) -> Vec<usize> {
-        (0..Self::SHARDS).filter(|&i| self.dirty[i].swap(false, Ordering::AcqRel)).collect()
-    }
-
-    /// Re-flag a shard as dirty (failed-flush give-back; also used by loads
-    /// that want a full rewrite on the next save).
-    pub fn mark_shard_dirty(&self, shard: usize) {
-        self.dirty[shard].store(true, Ordering::Release);
-    }
-
-    /// Clear every dirty flag — call after a load from disk, when memory and
-    /// disk agree and an immediate incremental flush should write nothing.
-    pub fn mark_all_clean(&self) {
-        for dirty in &self.dirty {
-            dirty.store(false, Ordering::Release);
-        }
     }
 
     fn lock_shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard> {
@@ -598,46 +539,6 @@ pub(crate) mod tests {
         let odd = ScheduleCache::new(ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().requested_capacity, ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().capacity, 2 * ScheduleCache::SHARDS);
-    }
-
-    #[test]
-    fn dirty_flags_track_exactly_the_shards_that_changed() {
-        let cache = ScheduleCache::new(64);
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new(), "a fresh cache is clean");
-        let key = key_for(3);
-        let shard = key.shard_index(ScheduleCache::SHARDS);
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 1.0));
-        assert_eq!(cache.take_dirty_shards(), vec![shard], "only the touched shard is dirty");
-        // Claiming cleared the flags; lookups never dirty anything.
-        let _ = cache.get(&key);
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new());
-        // A failed flush hands the shard back.
-        cache.mark_shard_dirty(shard);
-        assert_eq!(cache.take_dirty_shards(), vec![shard]);
-        // Clearing dirties every shard; mark_all_clean resets.
-        cache.clear();
-        assert_eq!(cache.take_dirty_shards().len(), ScheduleCache::SHARDS);
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 2.0));
-        cache.mark_all_clean();
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn shard_entries_partition_the_cache_in_recency_order() {
-        let cache = ScheduleCache::new(64);
-        let keys: Vec<CacheKey> = (1..=12).map(key_for).collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), dummy_result(&key.embedded_shape(), i as f64));
-        }
-        let mut collected: Vec<(CacheKey, OptimizeResult)> = Vec::new();
-        for shard in 0..ScheduleCache::SHARDS {
-            let entries = cache.shard_entries(shard);
-            for (key, _) in &entries {
-                assert_eq!(key.shard_index(ScheduleCache::SHARDS), shard);
-            }
-            collected.extend(entries);
-        }
-        assert_eq!(collected.len(), 12, "shards partition the entries exactly");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! * [`prometheus`] — text-exposition rendering of those metrics for
 //!   `{"Metrics": {"format": "prometheus"}}`,
 //! * [`server`] — a JSON-lines request/response protocol (`Optimize`,
-//!   `Explain`, `PlanNetwork`, `PlanGraph`, `Stats`, `Save`, `Metrics`,
+//!   `Explain`, `PlanNetwork`, `PlanGraph`, `Suites`, `Stats`, `Save`, `Metrics`,
 //!   `Trace`, `Ping`) served over stdin/stdout by the `moptd` binary, with
 //!   opt-in end-to-end request tracing ([`mopt_trace`]) threaded through
 //!   every tier and a `--slow-ms` slow-request log,
@@ -85,10 +85,7 @@ pub use dbtier::{DbTier, DbTierStats};
 pub use eventloop::{EventLoopServer, ServerConfig, ShutdownHandle};
 pub use graphs::{GraphCacheKey, GraphPlanCache, GraphServiceStats};
 pub use metrics::{MetricsReport, ServiceMetrics};
-pub use persist::{
-    load_sharded, load_snapshot, remove_stale_temps, save_sharded, save_snapshot, FlushReport,
-    PersistError, Snapshot,
-};
+pub use persist::{load_snapshot, save_snapshot, PersistError, Snapshot};
 pub use server::{
     MachineSpec, Request, Response, ServiceState, ServiceStats, SlowTrace, Tier, MAX_REQUEST_BYTES,
     SLOW_LOG_CAPACITY,

@@ -104,8 +104,9 @@ impl From<std::io::Error> for PersistError {
 /// (pid + sequence number) before the atomic rename, so racing saves never
 /// interleave into one file — the last complete snapshot wins. A failed
 /// save never leaks its temp; temps leaked by a *killed* process are reaped
-/// at startup by [`remove_stale_temps`]. I/O errors are annotated with the
-/// snapshot path so clients of the `Save` verb see the cause.
+/// at startup by [`mopt_db::ioutil::remove_stale_temps`]. I/O errors are
+/// annotated with the snapshot path so clients of the `Save` verb see the
+/// cause.
 pub fn save_snapshot(cache: &ScheduleCache, path: &Path) -> Result<usize, PersistError> {
     let snapshot = Snapshot::capture(cache);
     let n = snapshot.entries.len();
@@ -118,20 +119,6 @@ pub fn save_snapshot(cache: &ScheduleCache, path: &Path) -> Result<usize, Persis
 /// file that failed, not just the OS cause.
 fn annotate(e: std::io::Error, path: &Path) -> std::io::Error {
     std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-}
-
-/// Remove temp files (`{stem}.tmp.{pid}.{seq}`) left next to `path` by saves
-/// that never completed — a crashed or killed process cannot run its own
-/// error-path cleanup, and the unique names mean no later save ever reuses
-/// (or removes) them. Returns the number of files removed.
-///
-/// Call this at startup, before the first save: the snapshot path has a
-/// single owning daemon, so anything matching the temp pattern at that point
-/// is garbage from a dead process, never an in-flight save. (Delegates to
-/// [`mopt_db::ioutil::remove_stale_temps`], which the database's page
-/// writer shares.)
-pub fn remove_stale_temps(path: &Path) -> std::io::Result<usize> {
-    mopt_db::ioutil::remove_stale_temps(path)
 }
 
 /// Load a snapshot from `path` into `cache`. Returns the number of entries
@@ -147,139 +134,6 @@ pub fn load_snapshot(cache: &ScheduleCache, path: &Path) -> Result<usize, Persis
         });
     }
     Ok(snapshot.restore(cache))
-}
-
-// ---------------------------------------------------------------------------
-// Sharded incremental snapshots
-// ---------------------------------------------------------------------------
-
-/// Manifest file name of a sharded snapshot directory.
-pub const SHARDED_MANIFEST: &str = "MANIFEST.json";
-
-/// The manifest of a sharded snapshot directory: one `shard-NN.json` per
-/// cache shard, each a [`Snapshot`] document holding only that shard's
-/// entries. A flush rewrites only the shards dirtied since the last flush,
-/// so persistence cost is proportional to *churn*, not to cache size —
-/// the property the whole-file format lacks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedManifest {
-    /// Format version; load refuses mismatches.
-    pub version: u32,
-    /// Number of shard files the directory is laid out for.
-    pub shards: usize,
-}
-
-/// What one incremental flush did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlushReport {
-    /// Shard files rewritten (they were dirty).
-    pub shards_written: usize,
-    /// Shards skipped because nothing in them changed.
-    pub shards_skipped: usize,
-    /// Entries serialized across the written shards.
-    pub entries_written: usize,
-}
-
-fn shard_file(dir: &Path, shard: usize) -> std::path::PathBuf {
-    dir.join(format!("shard-{shard:02}.json"))
-}
-
-/// Incrementally flush `cache` into the sharded snapshot directory `dir`
-/// (created, with its manifest, on first use). Only shards dirtied since
-/// the previous flush are rewritten — each atomically, so a crash mid-flush
-/// leaves every shard file either old or new, never torn. On a write error
-/// the failing shard (and all not-yet-written dirty shards) are re-flagged
-/// dirty so the next flush retries them.
-pub fn save_sharded(cache: &ScheduleCache, dir: &Path) -> Result<FlushReport, PersistError> {
-    std::fs::create_dir_all(dir).map_err(|e| PersistError::Io(annotate(e, dir)))?;
-    let manifest_path = dir.join(SHARDED_MANIFEST);
-    if !manifest_path.exists() {
-        let manifest = ShardedManifest { version: SNAPSHOT_VERSION, shards: ScheduleCache::SHARDS };
-        let text =
-            serde_json::to_string(&manifest).map_err(|e| PersistError::Format(e.to_string()))?;
-        mopt_db::ioutil::atomic_write(&manifest_path, &text)
-            .map_err(|e| PersistError::Io(annotate(e, &manifest_path)))?;
-    }
-    let dirty = cache.take_dirty_shards();
-    let mut report = FlushReport {
-        shards_skipped: ScheduleCache::SHARDS - dirty.len(),
-        ..FlushReport::default()
-    };
-    for (position, &shard) in dirty.iter().enumerate() {
-        let entries: Vec<SnapshotEntry> = cache
-            .shard_entries(shard)
-            .into_iter()
-            .map(|(key, result)| SnapshotEntry { key, result })
-            .collect();
-        let doc = Snapshot { version: SNAPSHOT_VERSION, entries };
-        let written = serde_json::to_string(&doc)
-            .map_err(|e| PersistError::Format(e.to_string()))
-            .and_then(|text| {
-                let path = shard_file(dir, shard);
-                mopt_db::ioutil::atomic_write(&path, &text)
-                    .map_err(|e| PersistError::Io(annotate(e, &path)))
-            });
-        match written {
-            Ok(()) => {
-                report.shards_written += 1;
-                report.entries_written += doc.entries.len();
-            }
-            Err(e) => {
-                // Hand every unflushed dirty shard back for the next attempt.
-                for &pending in &dirty[position..] {
-                    cache.mark_shard_dirty(pending);
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Load a sharded snapshot directory into `cache` (reaping stale temp files
-/// first) and mark the cache clean, so an immediate flush writes nothing. A
-/// missing directory or manifest is a fresh start (`Ok(0)`), matching the
-/// whole-file loader's missing-file behavior; a present-but-unreadable
-/// manifest or shard is an error.
-pub fn load_sharded(cache: &ScheduleCache, dir: &Path) -> Result<usize, PersistError> {
-    let manifest_path = dir.join(SHARDED_MANIFEST);
-    let manifest_text = match std::fs::read_to_string(&manifest_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(PersistError::Io(annotate(e, &manifest_path))),
-    };
-    let manifest: ShardedManifest =
-        serde_json::from_str(&manifest_text).map_err(|e| PersistError::Format(e.to_string()))?;
-    if manifest.version != SNAPSHOT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            found: manifest.version,
-            expected: SNAPSHOT_VERSION,
-        });
-    }
-    mopt_db::ioutil::remove_stale_temps(&manifest_path).ok();
-    let mut restored = 0;
-    for shard in 0..manifest.shards {
-        let path = shard_file(dir, shard);
-        mopt_db::ioutil::remove_stale_temps(&path).ok();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            // A shard that was never dirty was never written; that's a
-            // complete (empty) shard, not corruption.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(PersistError::Io(annotate(e, &path))),
-        };
-        let doc: Snapshot =
-            serde_json::from_str(&text).map_err(|e| PersistError::Format(e.to_string()))?;
-        if doc.version != SNAPSHOT_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found: doc.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        restored += doc.restore(cache);
-    }
-    cache.mark_all_clean();
-    Ok(restored)
 }
 
 #[cfg(test)]
@@ -405,10 +259,10 @@ mod tests {
         let unrelated = parent.join(format!("{stem}-other.json"));
         std::fs::write(&unrelated, "keep").unwrap();
         assert_eq!(stale_temps_next_to(&path).len(), 2);
-        assert_eq!(remove_stale_temps(&path).unwrap(), 2);
+        assert_eq!(mopt_db::ioutil::remove_stale_temps(&path).unwrap(), 2);
         assert_eq!(stale_temps_next_to(&path), Vec::<std::path::PathBuf>::new());
         assert!(unrelated.exists());
-        assert_eq!(remove_stale_temps(&path).unwrap(), 0);
+        assert_eq!(mopt_db::ioutil::remove_stale_temps(&path).unwrap(), 0);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&unrelated).ok();
     }
@@ -427,131 +281,6 @@ mod tests {
         let reloaded = ScheduleCache::new(64);
         assert_eq!(load_snapshot(&reloaded, &path).unwrap(), 8);
         std::fs::remove_file(&path).ok();
-    }
-
-    fn temp_dir_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("mopt-service-sharded-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    #[test]
-    fn sharded_save_then_load_round_trips_exactly() {
-        let dir = temp_dir_path("roundtrip");
-        let cache = populated_cache(8);
-        let report = save_sharded(&cache, &dir).unwrap();
-        assert_eq!(report.entries_written, 8);
-        assert!(report.shards_written >= 1 && report.shards_written <= 8);
-        assert_eq!(
-            report.shards_written + report.shards_skipped,
-            ScheduleCache::SHARDS,
-            "every shard is either written or skipped"
-        );
-        let reloaded = ScheduleCache::new(64);
-        assert_eq!(load_sharded(&reloaded, &dir).unwrap(), 8);
-        for (key, result) in cache.entries() {
-            assert_eq!(reloaded.get(&key), Some(result));
-        }
-        // Loading marked the cache clean: an immediate flush writes nothing.
-        let idle = save_sharded(&reloaded, &dir).unwrap();
-        assert_eq!((idle.shards_written, idle.entries_written), (0, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incremental_flush_cost_tracks_churn_not_cache_size() {
-        let dir = temp_dir_path("churn");
-        let cache = populated_cache(16);
-        let full = save_sharded(&cache, &dir).unwrap();
-        assert_eq!(full.entries_written, 16);
-
-        // Touch exactly one key: the next flush rewrites exactly one shard,
-        // no matter how many entries are resident overall.
-        let (key, _) = cache.entries().pop().unwrap();
-        cache.insert(key.clone(), crate::cache::tests::dummy_result(&key.embedded_shape(), 99.0));
-        let incremental = save_sharded(&cache, &dir).unwrap();
-        assert_eq!(incremental.shards_written, 1, "one dirty key = one shard file rewritten");
-        assert_eq!(incremental.shards_skipped, ScheduleCache::SHARDS - 1);
-
-        // Nothing changed since: the flush is free.
-        let idle = save_sharded(&cache, &dir).unwrap();
-        assert_eq!(idle.shards_written, 0);
-
-        // And the directory still reloads to the full, updated cache.
-        let reloaded = ScheduleCache::new(64);
-        assert_eq!(load_sharded(&reloaded, &dir).unwrap(), 16);
-        assert_eq!(reloaded.get(&key).map(|r| r.best().predicted_cost), Some(99.0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_load_of_missing_directory_is_a_fresh_start() {
-        let dir = temp_dir_path("missing");
-        let cache = ScheduleCache::new(16);
-        assert_eq!(load_sharded(&cache, &dir).unwrap(), 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn sharded_manifest_version_mismatch_is_rejected() {
-        let dir = temp_dir_path("version");
-        let cache = populated_cache(2);
-        save_sharded(&cache, &dir).unwrap();
-        let manifest_path = dir.join(SHARDED_MANIFEST);
-        let text = std::fs::read_to_string(&manifest_path).unwrap();
-        std::fs::write(
-            &manifest_path,
-            text.replacen(
-                &format!("\"version\":{SNAPSHOT_VERSION}"),
-                &format!("\"version\":{}", SNAPSHOT_VERSION + 7),
-                1,
-            ),
-        )
-        .unwrap();
-        match load_sharded(&ScheduleCache::new(16), &dir) {
-            Err(PersistError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, SNAPSHOT_VERSION + 7);
-                assert_eq!(expected, SNAPSHOT_VERSION);
-            }
-            other => panic!("expected version mismatch, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_sharded_flush_hands_dirty_shards_back() {
-        let dir = temp_dir_path("failfl");
-        let cache = populated_cache(4);
-        save_sharded(&cache, &dir).unwrap();
-        // Dirty one shard, then make its shard file unwritable by replacing
-        // it with a non-empty directory (rename onto it fails).
-        let (key, _) = cache.entries().pop().unwrap();
-        cache.insert(key.clone(), crate::cache::tests::dummy_result(&key.embedded_shape(), 5.0));
-        let dirty_shard = {
-            let claimed = cache.take_dirty_shards();
-            assert_eq!(claimed.len(), 1);
-            cache.mark_shard_dirty(claimed[0]);
-            claimed[0]
-        };
-        let path = dir.join(format!("shard-{dirty_shard:02}.json"));
-        std::fs::remove_file(&path).unwrap();
-        std::fs::create_dir_all(path.join("occupied")).unwrap();
-        match save_sharded(&cache, &dir) {
-            Err(PersistError::Io(e)) => {
-                assert!(e.to_string().contains(&format!("shard-{dirty_shard:02}.json")))
-            }
-            other => panic!("expected an I/O error, got {other:?}"),
-        }
-        // The shard is dirty again: clearing the obstruction lets the next
-        // flush succeed and write it.
-        std::fs::remove_dir_all(&path).unwrap();
-        let retry = save_sharded(&cache, &dir).unwrap();
-        assert_eq!(retry.shards_written, 1);
-        let reloaded = ScheduleCache::new(64);
-        assert_eq!(load_sharded(&reloaded, &dir).unwrap(), 4);
-        assert_eq!(reloaded.get(&key).map(|r| r.best().predicted_cost), Some(5.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -63,10 +63,11 @@ pub enum MachineSpec {
 }
 
 impl MachineSpec {
-    /// Resolve to a machine model.
+    /// Resolve to a machine model. An inline description comes from outside
+    /// the program, so it is validated here, before it can price a schedule.
     pub fn resolve(&self) -> Result<MachineModel, String> {
         match self {
-            MachineSpec::Custom(m) => Ok(m.clone()),
+            MachineSpec::Custom(m) => m.validate().map(|()| m.clone()).map_err(|e| e.to_string()),
             MachineSpec::Preset(name) => MachineModel::preset(name).ok_or_else(|| {
                 format!(
                     "unknown machine preset `{name}` (try \"i7-9700k\", \"i9-10980xe\", \"tiny\")"
@@ -555,7 +556,6 @@ pub struct ServiceState {
     pub graph_cache: GraphPlanCache,
     db: Option<Arc<DbTier>>,
     snapshot_path: Option<std::path::PathBuf>,
-    snapshot_dir: Option<std::path::PathBuf>,
     /// Coalesces concurrent cold `Optimize` misses on one cache key into a
     /// single solve. The value is the `(tier, result)` pair the leader
     /// produced, so every waiter's response is bit-identical to the
@@ -598,7 +598,6 @@ impl ServiceState {
             graph_cache: GraphPlanCache::new((capacity / 4).max(16)),
             db: None,
             snapshot_path: None,
-            snapshot_dir: None,
             flight: SingleFlight::new(),
             graph_flight: SingleFlight::new(),
             metrics: ServiceMetrics::default(),
@@ -688,7 +687,7 @@ impl ServiceState {
         mut self,
         path: std::path::PathBuf,
     ) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::remove_stale_temps(&path).ok();
+        mopt_db::ioutil::remove_stale_temps(&path).ok();
         match crate::persist::load_snapshot(&self.cache, &path) {
             Ok(_) => {}
             Err(crate::persist::PersistError::Io(e))
@@ -696,21 +695,6 @@ impl ServiceState {
             Err(e) => return Err(e),
         }
         self.snapshot_path = Some(path);
-        Ok(self)
-    }
-
-    /// Attach a *sharded* snapshot directory (created on first save): loads
-    /// any existing shards, then enables incremental persistence — `Save`
-    /// and the autosaver rewrite only the cache shards dirtied since the
-    /// previous flush, so steady-state persistence cost tracks churn, not
-    /// cache size. Takes precedence over [`with_snapshot`](Self::with_snapshot)
-    /// when both are configured.
-    pub fn with_snapshot_dir(
-        mut self,
-        dir: std::path::PathBuf,
-    ) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::load_sharded(&self.cache, &dir)?;
-        self.snapshot_dir = Some(dir);
         Ok(self)
     }
 
@@ -747,15 +731,9 @@ impl ServiceState {
         }
     }
 
-    /// Persist the cache if a snapshot path or directory is configured.
-    /// Returns the number of entries written (for a sharded directory: the
-    /// entries in the rewritten shards — zero when nothing was dirty), or
-    /// `None` when unconfigured.
+    /// Persist the cache if a snapshot path is configured. Returns the number
+    /// of entries written, or `None` when unconfigured.
     pub fn save(&self) -> Result<Option<usize>, crate::persist::PersistError> {
-        if let Some(dir) = &self.snapshot_dir {
-            return crate::persist::save_sharded(&self.cache, dir)
-                .map(|report| Some(report.entries_written));
-        }
         match &self.snapshot_path {
             Some(path) => crate::persist::save_snapshot(&self.cache, path).map(Some),
             None => Ok(None),
@@ -1728,6 +1706,62 @@ mod tests {
     }
 
     #[test]
+    fn hostile_custom_machines_are_rejected_before_any_tier_is_touched() {
+        let dir = std::env::temp_dir().join(format!("moptd-badmachine-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = ServiceState::new(64).with_db(dir.clone()).unwrap();
+        type Break = fn(&mut MachineModel);
+        let hostile: [Break; 11] = [
+            |m| m.clock_ghz = 0.0,
+            |m| m.dram_bandwidth = 0.0,
+            |m| m.dram_bandwidth = -4.0,
+            |m| m.caches[0].fill_bandwidth = 0.0,
+            |m| m.cores = 0,
+            |m| m.threads = 0,
+            |m| m.simd_width = 0,
+            |m| m.fma_units = 0,
+            |m| m.register_elems = 0,
+            |m| m.caches[1].capacity_elems = 0,
+            |m| m.caches[2].line_elems = 0,
+        ];
+        let shape =
+            serde_json::to_string(&ConvShape::new(1, 4, 4, 3, 3, 8, 8, 1).unwrap()).unwrap();
+        let ask = |verb: &str, problem: &str, machine: MachineModel| -> Response {
+            let machine = serde_json::to_string(&MachineSpec::Custom(machine)).unwrap();
+            let options = fast_options_json();
+            let line = format!(
+                "{{\"{verb}\": {{{problem}, \"machine\": {machine}, \"options\": {options}}}}}"
+            );
+            serde_json::from_str(&state.handle_line(&line)).unwrap()
+        };
+        let by_shape = format!("\"shape\": {shape}");
+        let by_layers = format!("\"layers\": [{{\"name\": \"l\", \"shape\": {shape}}}]");
+        for (i, break_it) in hostile.iter().enumerate() {
+            let mut machine = MachineModel::tiny_test_machine();
+            break_it(&mut machine);
+            for (verb, problem) in
+                [("Optimize", &by_shape), ("Explain", &by_shape), ("PlanNetwork", &by_layers)]
+            {
+                match ask(verb, problem, machine.clone()) {
+                    Response::Error { message } => {
+                        assert!(message.starts_with("invalid machine: "), "case {i}: {message}")
+                    }
+                    other => panic!("case {i}: expected Error, got {other:?}"),
+                }
+            }
+        }
+        let cache = state.cache.stats();
+        assert_eq!((cache.insertions, cache.entries), (0, 0));
+        let db = state.db().unwrap().stats();
+        assert_eq!((db.hits, db.misses, db.inserts, db.errors), (0, 0, 0, 0));
+        // The same machine, unbroken, is served and written through.
+        let served = ask("Optimize", &by_shape, MachineModel::tiny_test_machine());
+        assert!(matches!(served, Response::Optimized { .. }), "{served:?}");
+        assert_eq!(state.db().unwrap().stats().inserts, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn save_failure_reports_the_path_and_cause() {
         // Snapshot path inside a directory that does not exist: startup is
         // a clean NotFound, but the save itself fails — and the failure
@@ -1836,30 +1870,6 @@ mod tests {
             }
             other => panic!("expected Metrics, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_snapshot_dir_round_trips_through_service_state() {
-        let dir = std::env::temp_dir().join(format!("moptd-snapdir-state-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let state = ServiceState::new(16).with_snapshot_dir(dir.clone()).unwrap();
-        let line = format!(
-            "{{\"Optimize\": {{\"shape\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
-            serde_json::to_string(&ConvShape::new(1, 4, 4, 3, 3, 8, 8, 1).unwrap()).unwrap(),
-            fast_options_json(),
-        );
-        state.handle_line(&line);
-        let saved: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(saved, Response::Saved { entries: 1 });
-        // A second Save with no intervening churn flushes nothing.
-        let idle: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(idle, Response::Saved { entries: 0 });
-        // A fresh state on the same directory starts warm.
-        let rewarmed = ServiceState::new(16).with_snapshot_dir(dir.clone()).unwrap();
-        assert_eq!(rewarmed.cache.len(), 1);
-        let warm: Response = serde_json::from_str(&rewarmed.handle_line(&line)).unwrap();
-        assert!(matches!(warm, Response::Optimized { cached: true, .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

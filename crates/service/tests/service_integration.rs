@@ -322,6 +322,20 @@ fn moptd_snapshot_warms_across_processes() {
 }
 
 /// Satellite: serde round trips are exact for the protocol's payload types.
+/// The sharded snapshot mode is gone: its flag is rejected like any other
+/// unknown argument instead of being silently ignored.
+#[test]
+fn moptd_rejects_the_removed_snapshot_dir_flag() {
+    let output = Command::new(env!("CARGO_BIN_EXE_moptd"))
+        .args(["--snapshot-dir", "x"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("moptd runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown argument `--snapshot-dir`"), "stderr: {stderr}");
+}
+
 #[test]
 fn serde_round_trips_are_exact() {
     let machine = MachineModel::tiny_test_machine();
