@@ -61,14 +61,6 @@ impl SearchSpace {
         &self.candidates[idx.canonical_position()]
     }
 
-    /// Approximate size of the space (number of distinct candidate points),
-    /// counting one independent size choice per index per level and the
-    /// permutation choice.
-    pub fn cardinality(&self) -> f64 {
-        let per_level: f64 = self.candidates.iter().map(|c| c.len() as f64).product();
-        per_level.powi(NUM_TILING_LEVELS as i32) * self.permutations.len() as f64
-    }
-
     /// Sample one random configuration.
     pub fn sample(&self, rng: &mut StdRng) -> TileConfig {
         let perm = self.permutations[rng.gen_range(0..self.permutations.len())].clone();
@@ -211,11 +203,5 @@ mod tests {
         assert_eq!(fa.len(), 7 * NUM_TILING_LEVELS + s.permutations().len());
         assert_eq!(fa.len(), fb.len());
         assert_ne!(fa, fb);
-    }
-
-    #[test]
-    fn cardinality_is_large() {
-        // The paper's point: the template space is still huge, hence budgets.
-        assert!(space().cardinality() > 1e12);
     }
 }

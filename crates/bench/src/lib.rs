@@ -16,6 +16,12 @@
 //!   auto-tuner trials (Fig. 7/8; the paper uses 100 and 1000 respectively).
 //!
 //! Run with `--full` (where supported) to use the unscaled Table-1 shapes.
+//!
+//! These binaries reproduce the paper's evidence; they are not the
+//! performance yardstick. Speed is measured in one place, the repo benchmark
+//! in `src/bin/mopt_benchmark/` (a package of its own, declared by
+//! `BENCHMARK.json` at the repository root), whose per-layer rows time the
+//! microkernel, the executors, the model, the solver and the planners.
 
 pub mod experiments;
 pub mod report;

@@ -75,27 +75,6 @@ impl FusedDwPw {
         self
     }
 
-    /// The depthwise (producer) shape.
-    pub fn depthwise_shape(&self) -> &ConvShape {
-        &self.dw
-    }
-
-    /// The pointwise (consumer) shape.
-    pub fn pointwise_shape(&self) -> &ConvShape {
-        &self.pw
-    }
-
-    /// Elements of the intermediate tensor this fusion never materializes in
-    /// full (only `band_rows` rows of it exist at a time).
-    pub fn intermediate_elems(&self) -> usize {
-        self.dw.output_elems()
-    }
-
-    /// Peak scratch-buffer size in elements (`C × band_rows × W`).
-    pub fn band_elems(&self) -> usize {
-        self.dw.k * self.band_rows.min(self.dw.h) * self.dw.w
-    }
-
     /// Run the fused pair. `input` feeds the depthwise stage; the result is
     /// the pointwise stage's output.
     ///
@@ -411,17 +390,5 @@ mod tests {
         // Strided pointwise consumer.
         let strided = ConvShape::new(1, 4, 8, 1, 1, dw.h / 2, dw.w / 2, 2).unwrap();
         assert!(FusedDwPw::new(dw, strided).is_err());
-    }
-
-    #[test]
-    fn band_accounting() {
-        let dw = ConvShape::depthwise(8, 12, 3, 1);
-        let pw = pointwise_consumer(&dw, 4);
-        let fused = FusedDwPw::new(dw, pw).unwrap().with_band_rows(2);
-        assert_eq!(fused.intermediate_elems(), dw.output_elems());
-        assert_eq!(fused.band_elems(), 8 * 2 * dw.w);
-        assert!(fused.band_elems() < fused.intermediate_elems());
-        assert_eq!(fused.depthwise_shape(), &dw);
-        assert_eq!(fused.pointwise_shape(), &pw);
     }
 }

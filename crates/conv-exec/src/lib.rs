@@ -21,8 +21,9 @@
 //!   [`conv_spec::TileConfig`]; with `threads > 1` it partitions the output
 //!   along the schedule's certified parallel factors (or, without factors,
 //!   `k` or the `n·h` output rows) across scoped worker threads, bit-for-bit
-//!   equal to its own one-thread walk ([`partiled`] keeps the `ParTiledConv`
-//!   name as an alias and holds the exactness tests),
+//!   equal to its own one-thread walk ([`ParTiledConv`] is an alias of
+//!   [`TiledConv`], the name the multicore tests and the repo benchmark
+//!   import),
 //! * [`nchwc`] — the blocked-NCHWc executor: the same tile walk over
 //!   `[N, C/c_block, H, W, c_block]` storage, bit-for-bit equal to the
 //!   sequential [`tiled`] walk (single-threaded),
@@ -59,7 +60,6 @@ pub mod microkernel;
 pub mod naive;
 pub mod nchwc;
 pub mod packing;
-pub mod partiled;
 pub mod spec_exec;
 pub mod tensor;
 pub mod tiled;
@@ -72,12 +72,11 @@ pub use microkernel::{
 };
 pub use nchwc::{BlockedTensor, NchwcConv};
 pub use packing::PackedKernel;
-pub use partiled::ParTiledConv;
 pub use spec_exec::{
     elementwise_naive, elementwise_tiled, matmul_naive, matmul_tiled, pool2d_naive, pool2d_tiled,
 };
 pub use tensor::Tensor4;
-pub use tiled::TiledConv;
+pub use tiled::{ParTiledConv, TiledConv};
 
 /// Errors produced by the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,12 +26,6 @@ impl Default for MeasureOptions {
 }
 
 impl MeasureOptions {
-    /// The paper's measurement protocol: 50 repetitions, first run discarded,
-    /// cache flushed between runs.
-    pub fn paper_protocol() -> Self {
-        MeasureOptions { repetitions: 50, warmup: 1, flush_elems: 1 << 24 }
-    }
-
     /// A fast protocol for unit tests.
     pub fn quick() -> Self {
         MeasureOptions { repetitions: 2, warmup: 0, flush_elems: 0 }
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn protocols_differ() {
-        assert!(MeasureOptions::paper_protocol().repetitions > MeasureOptions::quick().repetitions);
+        assert!(MeasureOptions::default().repetitions > MeasureOptions::quick().repetitions);
         assert_eq!(MeasureOptions::default().warmup, 1);
     }
 

@@ -45,15 +45,6 @@ impl BenchmarkSuite {
     pub const ALL: [BenchmarkSuite; 3] =
         [BenchmarkSuite::Yolo9000, BenchmarkSuite::ResNet18, BenchmarkSuite::MobileNet];
 
-    /// Every suite, including the generalized-convolution extensions.
-    pub const EXTENDED: [BenchmarkSuite; 5] = [
-        BenchmarkSuite::Yolo9000,
-        BenchmarkSuite::ResNet18,
-        BenchmarkSuite::MobileNet,
-        BenchmarkSuite::MobileNetV2,
-        BenchmarkSuite::DilatedDeepLab,
-    ];
-
     /// Human-readable suite name.
     pub fn name(self) -> &'static str {
         match self {
@@ -290,9 +281,8 @@ pub fn by_name(name: &str) -> Option<BenchmarkOp> {
 }
 
 /// The deprecated `M1pw` ... `M9pw` dense stand-in aliases, without the
-/// deprecation warning at the call site — for servers that must keep
-/// answering them (tagged as deprecated) and for catalog listings.
-pub fn deprecated_aliases() -> Vec<BenchmarkOp> {
+/// deprecation warning at the call site.
+fn deprecated_aliases() -> Vec<BenchmarkOp> {
     #[allow(deprecated)]
     mobilenet_pointwise_form()
 }
@@ -354,12 +344,6 @@ pub fn suite(s: BenchmarkSuite) -> Vec<BenchmarkOp> {
 /// strided vs not, depthwise vs dense, dilation) is preserved.
 pub fn scaled_operators(max_hw: usize, max_ch: usize) -> Vec<BenchmarkOp> {
     all_operators().into_iter().map(|op| scale_op(op, max_hw, max_ch)).collect()
-}
-
-/// Reduced-size variants of every suite (see [`scaled_operators`]), including
-/// the MobileNetV2 depthwise and dilated suites.
-pub fn scaled_extended_operators(max_hw: usize, max_ch: usize) -> Vec<BenchmarkOp> {
-    extended_operators().into_iter().map(|op| scale_op(op, max_hw, max_ch)).collect()
 }
 
 fn scale_op(mut op: BenchmarkOp, max_hw: usize, max_ch: usize) -> BenchmarkOp {
@@ -513,26 +497,6 @@ mod tests {
             assert_eq!(orig.shape.dilation, small.shape.dilation);
             assert_eq!(orig.shape.is_depthwise(), small.shape.is_depthwise());
             assert!(small.shape.h <= 16 && small.shape.k <= 64);
-        }
-        // Extended scaling keeps every shape valid (groups divide channels).
-        for op in scaled_extended_operators(12, 48) {
-            assert!(
-                ConvShape::new_general(
-                    op.shape.n,
-                    op.shape.k,
-                    op.shape.c,
-                    op.shape.r,
-                    op.shape.s,
-                    op.shape.h,
-                    op.shape.w,
-                    op.shape.stride,
-                    op.shape.dilation,
-                    op.shape.groups,
-                )
-                .is_ok(),
-                "scaled {} is invalid",
-                op.name
-            );
         }
     }
 }

@@ -96,17 +96,6 @@ impl TensorLayout {
     pub fn is_empty(self, dims: (usize, usize, usize, usize)) -> bool {
         self.len(dims) == 0
     }
-
-    /// Number of stride-1 elements a unit step of the channel index stays
-    /// within (1 for NCHW where channels are strided, `c_block` for NCHWc,
-    /// the full channel extent for NHWC).
-    pub fn channel_run(self, dc: usize) -> usize {
-        match self {
-            TensorLayout::Nchw => 1,
-            TensorLayout::Nhwc => dc,
-            TensorLayout::Nchwc { c_block } => c_block,
-        }
-    }
 }
 
 /// Layout of the 4-D kernel tensor.
@@ -175,11 +164,6 @@ impl Default for LayoutConfig {
 }
 
 impl LayoutConfig {
-    /// The paper's fixed layouts: NCHW feature maps, KCRS kernel.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
     /// Kernel packed for a SIMD width, feature maps untouched — the layout
     /// the packed-kernel executor (`TiledConv`) actually runs.
     pub fn packed_kernel(vec_len: usize) -> Self {
@@ -465,13 +449,6 @@ mod tests {
         let v = serde_json::to_string(&LayoutConfig::blocked(16)).unwrap();
         let back: LayoutConfig = serde_json::from_str(&v).unwrap();
         assert_eq!(back, LayoutConfig::blocked(16));
-    }
-
-    #[test]
-    fn channel_run_reflects_contiguity() {
-        assert_eq!(TensorLayout::Nchw.channel_run(64), 1);
-        assert_eq!(TensorLayout::Nhwc.channel_run(64), 64);
-        assert_eq!(TensorLayout::Nchwc { c_block: 8 }.channel_run(64), 8);
     }
 
     #[test]

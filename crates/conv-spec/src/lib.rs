@@ -88,6 +88,52 @@ pub fn normalized_name(name: &str) -> String {
     name.to_ascii_lowercase().replace(['-', '_', ' '], "")
 }
 
+/// The one FNV-1a 64-bit hash behind every stable fingerprint and checksum
+/// of the workspace (shape, spec, machine and graph fingerprints, database
+/// page checksums). Not `std::hash`, whose SipHash keys are randomized per
+/// process: cache keys, snapshots and database pages persist these values.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+/// The FNV-1a 64-bit offset basis: the hash of the empty string.
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv1a {
+    /// A hasher at the FNV offset basis.
+    #[inline]
+    pub fn new() -> Self {
+        Fnv1a(FNV_OFFSET_BASIS)
+    }
+
+    /// Fold `bytes` in, one byte at a time.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Fold the eight little-endian bytes of `v` in.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The hash of everything folded in so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Crate-wide error type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -122,3 +168,24 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+#[cfg(test)]
+mod tests {
+    use super::{Fnv1a, FNV_OFFSET_BASIS};
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        for (input, expected) in
+            [("", FNV_OFFSET_BASIS), ("a", 0xaf63dc4c8601ec8c), ("foobar", 0x85944171f73967e8)]
+        {
+            let mut h = Fnv1a::new();
+            h.bytes(input.as_bytes());
+            assert_eq!(h.finish(), expected, "FNV-1a of {input:?}");
+        }
+        // `u64` is `bytes` of the little-endian encoding.
+        let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
+        a.u64(0x0102_0304_0506_0708);
+        b.bytes(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(a.finish(), b.finish());
+    }
+}

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::tiling::TilingLevel;
-use crate::SpecError;
+use crate::{Fnv1a, SpecError};
 
 /// A memory level: registers or one of the caches, or main memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -34,21 +34,6 @@ pub enum MemoryLevel {
 }
 
 impl MemoryLevel {
-    /// The levels whose capacity constrains a tile, innermost first.
-    pub const CONSTRAINED: [MemoryLevel; 4] =
-        [MemoryLevel::Registers, MemoryLevel::L1, MemoryLevel::L2, MemoryLevel::L3];
-
-    /// The corresponding tiling level (None for DRAM, which is not tiled for).
-    pub fn tiling_level(self) -> Option<TilingLevel> {
-        match self {
-            MemoryLevel::Registers => Some(TilingLevel::Register),
-            MemoryLevel::L1 => Some(TilingLevel::L1),
-            MemoryLevel::L2 => Some(TilingLevel::L2),
-            MemoryLevel::L3 => Some(TilingLevel::L3),
-            MemoryLevel::Dram => None,
-        }
-    }
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -365,25 +350,6 @@ impl MachineModel {
         }
     }
 
-    /// Peak single-precision GFLOP/s of the whole chip
-    /// (`2 × simd_width × fma_units × cores × clock`).
-    pub fn peak_gflops(&self) -> f64 {
-        2.0 * self.simd_width as f64 * self.fma_units as f64 * self.cores as f64 * self.clock_ghz
-    }
-
-    /// Peak single-precision GFLOP/s of one core.
-    pub fn peak_gflops_per_core(&self) -> f64 {
-        self.peak_gflops() / self.cores as f64
-    }
-
-    /// The amount of independent FMA parallelism required to saturate the FMA
-    /// pipelines, by Little's law: `latency × throughput` where throughput is
-    /// `fma_units × simd_width` FMAs per cycle (Sec. 6: 6 × 16 = 96 on AVX2
-    /// with latency rounded up).
-    pub fn required_fma_parallelism(&self) -> usize {
-        self.fma_latency * self.fma_units * self.simd_width
-    }
-
     /// A stable 64-bit fingerprint of every model parameter that influences
     /// optimization results.
     ///
@@ -393,16 +359,8 @@ impl MachineModel {
     /// process), so fingerprints are stable across processes and platforms —
     /// a requirement for persisted schedule caches.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
+        let mut h = Fnv1a::new();
+        h.bytes(self.name.as_bytes());
         for v in [
             self.cores as u64,
             self.threads as u64,
@@ -414,7 +372,7 @@ impl MachineModel {
             self.dram_bandwidth.to_bits(),
             self.caches.len() as u64,
         ] {
-            eat(&v.to_le_bytes());
+            h.u64(v);
         }
         for c in &self.caches {
             for v in [
@@ -425,10 +383,10 @@ impl MachineModel {
                 c.line_elems as u64,
                 c.associativity as u64,
             ] {
-                eat(&v.to_le_bytes());
+                h.u64(v);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -524,23 +482,6 @@ mod tests {
             assert!(m.capacity(TilingLevel::L1) < m.capacity(TilingLevel::L2));
             assert!(m.capacity(TilingLevel::L2) < m.capacity(TilingLevel::L3));
         }
-    }
-
-    #[test]
-    fn littles_law_parallelism() {
-        let m = MachineModel::i7_9700k();
-        // 5 cycles latency × 2 FMA units × 8 lanes = 80 independent FMAs;
-        // the paper quotes 6 × 16 = 96 with a 6-cycle latency estimate.
-        assert_eq!(m.required_fma_parallelism(), 80);
-        assert!(m.required_fma_parallelism() >= 64);
-    }
-
-    #[test]
-    fn peak_gflops_sane() {
-        let m = MachineModel::i7_9700k();
-        // 2 * 8 lanes * 2 FMA * 8 cores * 3.6 GHz = 921.6 GF/s
-        assert!((m.peak_gflops() - 921.6).abs() < 1e-6);
-        assert!((m.peak_gflops_per_core() - 115.2).abs() < 1e-6);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::SpecError;
+use crate::{Fnv1a, SpecError};
 
 /// The seven loop indices of the conv2d loop nest.
 ///
@@ -490,9 +490,7 @@ impl ConvShape {
     /// Two shapes with different `dilation` or `groups` never share a
     /// fingerprint even when their seven extents agree.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut hash = FNV_OFFSET;
+        let mut hash = Fnv1a::new();
         for v in [
             self.n,
             self.k,
@@ -505,12 +503,9 @@ impl ConvShape {
             self.dilation,
             self.groups,
         ] {
-            for b in (v as u64).to_le_bytes() {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+            hash.u64(v as u64);
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -647,31 +642,6 @@ impl Permutation {
         let mut rev = self.order;
         rev.reverse();
         rev
-    }
-
-    /// The innermost tile-loop index.
-    pub fn innermost(&self) -> LoopIndex {
-        self.order[6]
-    }
-
-    /// The outermost tile-loop index.
-    pub fn outermost(&self) -> LoopIndex {
-        self.order[0]
-    }
-
-    /// Position of `idx` counted from the innermost loop, 1-based as in the
-    /// paper (innermost = 1, outermost = 7).
-    pub fn position_from_inner(&self, idx: LoopIndex) -> usize {
-        let pos_from_outer =
-            self.order.iter().position(|&x| x == idx).expect("permutation contains all indices");
-        7 - pos_from_outer
-    }
-
-    /// The indices strictly *outside* (surrounding) position `pos` counted
-    /// from the innermost loop. E.g. `surrounding_of_position(1)` returns the
-    /// six outer loops of the innermost loop.
-    pub fn indices_outside_position(&self, pos: usize) -> Vec<LoopIndex> {
-        self.order.iter().copied().filter(|&idx| self.position_from_inner(idx) > pos).collect()
     }
 
     /// Enumerate all 5040 permutations of the seven loop indices.
@@ -929,25 +899,12 @@ mod tests {
     #[test]
     fn permutation_parse_and_display() {
         let p = Permutation::parse("kcrsnhw").unwrap();
-        assert_eq!(p.innermost(), LoopIndex::W);
-        assert_eq!(p.outermost(), LoopIndex::K);
+        assert_eq!(p.outer_to_inner()[0], LoopIndex::K);
+        assert_eq!(p.inner_to_outer()[0], LoopIndex::W);
         assert_eq!(p.compact(), "kcrsnhw");
         assert!(Permutation::parse("kcrsnh").is_err());
         assert!(Permutation::parse("kcrsnhh").is_err());
         assert!(Permutation::parse("kcrsnhx").is_err());
-    }
-
-    #[test]
-    fn permutation_positions_are_one_based_from_inner() {
-        let p = Permutation::parse("kcrsnhw").unwrap();
-        assert_eq!(p.position_from_inner(LoopIndex::W), 1);
-        assert_eq!(p.position_from_inner(LoopIndex::H), 2);
-        assert_eq!(p.position_from_inner(LoopIndex::N), 3);
-        assert_eq!(p.position_from_inner(LoopIndex::K), 7);
-        let outside = p.indices_outside_position(3);
-        assert_eq!(outside.len(), 4);
-        assert!(outside.contains(&LoopIndex::K));
-        assert!(!outside.contains(&LoopIndex::N));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::shape::ConvShape;
-use crate::SpecError;
+use crate::{Fnv1a, SpecError};
 
 /// Element type of a problem's tensors.
 ///
@@ -49,14 +49,6 @@ pub enum DType {
 }
 
 impl DType {
-    /// Bytes per element.
-    pub fn width_bytes(self) -> usize {
-        match self {
-            DType::F32 => 4,
-            DType::I8 => 1,
-        }
-    }
-
     fn tag(self) -> u8 {
         match self {
             DType::F32 => 0,
@@ -231,42 +223,34 @@ impl Spec {
     /// to the same entries. The other variants fold a variant tag byte first
     /// so a matmul can never collide with the conv it embeds into.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut hash = Fnv1a::new();
         match *self {
             Spec::Conv(shape) => return shape.fingerprint(),
             Spec::Matmul { m, n, k, dtype } => {
-                eat(1);
-                eat(m as u64);
-                eat(n as u64);
-                eat(k as u64);
-                eat(dtype.tag() as u64);
+                hash.u64(1);
+                hash.u64(m as u64);
+                hash.u64(n as u64);
+                hash.u64(k as u64);
+                hash.u64(dtype.tag() as u64);
             }
             Spec::Pool { kind, n, channels, h, w, window, stride } => {
-                eat(2);
-                eat(kind.tag() as u64);
-                eat(n as u64);
-                eat(channels as u64);
-                eat(h as u64);
-                eat(w as u64);
-                eat(window as u64);
-                eat(stride as u64);
+                hash.u64(2);
+                hash.u64(kind.tag() as u64);
+                hash.u64(n as u64);
+                hash.u64(channels as u64);
+                hash.u64(h as u64);
+                hash.u64(w as u64);
+                hash.u64(window as u64);
+                hash.u64(stride as u64);
             }
             Spec::Elementwise { op, len, strided } => {
-                eat(3);
-                eat(op.tag() as u64);
-                eat(len as u64);
-                eat(strided as u64);
+                hash.u64(3);
+                hash.u64(op.tag() as u64);
+                hash.u64(len as u64);
+                hash.u64(strided as u64);
             }
         }
-        hash
+        hash.finish()
     }
 
     /// Total floating-point (or integer) operations.
@@ -282,24 +266,6 @@ impl Spec {
     /// Number of output elements.
     pub fn output_elems(&self) -> usize {
         self.embedded_conv_shape().output_elems()
-    }
-
-    /// The conv shape when this is a conv spec.
-    pub fn as_conv(&self) -> Option<&ConvShape> {
-        match self {
-            Spec::Conv(shape) => Some(shape),
-            _ => None,
-        }
-    }
-
-    /// Short problem-class name for stats and traces.
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            Spec::Conv(_) => "conv",
-            Spec::Matmul { .. } => "matmul",
-            Spec::Pool { .. } => "pool",
-            Spec::Elementwise { .. } => "elementwise",
-        }
     }
 
     /// A short human-readable description.

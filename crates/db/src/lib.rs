@@ -94,13 +94,10 @@ impl From<std::io::Error> for DbError {
     }
 }
 
-/// The FNV-1a hash used for page checksums (the same function — offset
-/// basis and prime — as the stable fingerprints in `conv_spec`).
+/// The FNV-1a hash used for page checksums: [`conv_spec::Fnv1a`] over one
+/// byte string, the function behind the stable fingerprints too.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = conv_spec::Fnv1a::new();
+    hash.bytes(bytes);
+    hash.finish()
 }

@@ -21,8 +21,8 @@
 //! is bit-identical to the direct model's prediction for that schedule.
 
 use conv_spec::{
-    canonicalize, canonicalize_spec, CanonicalSpec, ConvShape, LoopIndex, MachineModel, Spec,
-    SpecTransform, TileConfig, TileSizes, TilingLevel,
+    canonicalize_spec, CanonicalSpec, ConvShape, LoopIndex, MachineModel, Spec, SpecTransform,
+    TileConfig, TileSizes, TilingLevel,
 };
 use mopt_core::{pricing, OptimizeResult, OptimizedConfig, OptimizerOptions};
 use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
@@ -58,24 +58,11 @@ pub fn entries_from_result(
         .collect()
 }
 
-/// Convenience: canonicalize a raw shape and convert its solve result into
-/// storable entries in one call.
-pub fn entries_for_shape(
-    raw: &ConvShape,
-    machine: &MachineModel,
-    solved_threads: usize,
-    result: &OptimizeResult,
-) -> (CanonicalSpec, Vec<ScheduleEntry>) {
-    let (canonical, transform) = canonicalize(raw);
-    let entries = entries_from_result(&canonical, &transform, machine, solved_threads, result);
-    (canonical, entries)
-}
-
 /// Convenience: canonicalize a generalized [`Spec`] and convert its solve
-/// result into storable entries in one call. Unlike [`entries_for_shape`]
-/// this goes through [`conv_spec::canonicalize_spec`], so problem-level
-/// symmetries the embedded conv shape cannot see (the matmul `m ↔ n`
-/// transpose, recorded as [`SpecTransform::swap_kw`]) fold into one record.
+/// result into storable entries in one call. This goes through
+/// [`conv_spec::canonicalize_spec`], so problem-level symmetries the
+/// embedded conv shape cannot see (the matmul `m ↔ n` transpose, recorded as
+/// [`SpecTransform::swap_kw`]) fold into one record.
 pub fn entries_for_spec(
     spec: &Spec,
     machine: &MachineModel,
@@ -206,6 +193,7 @@ pub fn rerank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conv_spec::canonicalize;
     use mopt_core::MOptOptimizer;
     use mopt_model::cost::CostOptions;
 
@@ -225,7 +213,7 @@ mod tests {
     fn stored_entries_are_sequential_and_canonical() {
         let raw = ConvShape::new(1, 16, 8, 5, 3, 10, 12, 1).unwrap();
         let result = solve(&raw, 1);
-        let (canonical, entries) = entries_for_shape(&raw, &machine(), 1, &result);
+        let (canonical, _, entries) = entries_for_spec(&Spec::Conv(raw), &machine(), 1, &result);
         assert_eq!(entries.len(), result.ranked.len());
         for entry in &entries {
             assert_eq!(entry.config.total_parallelism(), 1);
@@ -339,7 +327,7 @@ mod tests {
         let a = ConvShape::new(1, 16, 8, 3, 5, 12, 10, 1).unwrap();
         let b = ConvShape::new(1, 16, 8, 5, 3, 10, 12, 1).unwrap();
         let result = solve(&a, 1);
-        let (canon_a, entries) = entries_for_shape(&a, &machine(), 1, &result);
+        let (canon_a, _, entries) = entries_for_spec(&Spec::Conv(a), &machine(), 1, &result);
         let (canon_b, transform_b) = canonicalize(&b);
         assert_eq!(canon_a.fingerprint(), canon_b.fingerprint());
         let served = rerank(&b, &transform_b, &entries, &machine(), &fast_options(1)).unwrap();

@@ -14,7 +14,7 @@
 //! [`conv_spec::Spec`] via [`Graph::node_spec`], so one optimizer and one
 //! schedule database serve the whole network.
 
-use conv_spec::{ConvShape, PoolKind, Spec, TensorLayout};
+use conv_spec::{ConvShape, Fnv1a, PoolKind, Spec, TensorLayout};
 use serde::{Deserialize, Serialize};
 
 use crate::GraphError;
@@ -423,64 +423,56 @@ impl Graph {
     /// [`ConvShape::fingerprint`] and `MachineModel::fingerprint`, so
     /// persisted graph-plan caches can key on it.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.nodes.len() as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.bytes(self.name.as_bytes());
+        h.u64(self.nodes.len() as u64);
         for node in &self.nodes {
-            eat(node.name.as_bytes());
+            h.bytes(node.name.as_bytes());
             match &node.op {
                 OpKind::Conv { shape } => {
-                    eat(&[0u8]);
-                    eat(&shape.fingerprint().to_le_bytes());
+                    h.bytes(&[0u8]);
+                    h.u64(shape.fingerprint());
                 }
-                OpKind::Relu => eat(&[1u8]),
-                OpKind::Add => eat(&[2u8]),
+                OpKind::Relu => h.bytes(&[1u8]),
+                OpKind::Add => h.bytes(&[2u8]),
                 &OpKind::MatMul { m, n, k } => {
-                    eat(&[3u8]);
+                    h.bytes(&[3u8]);
                     for v in [m, n, k] {
-                        eat(&(v as u64).to_le_bytes());
+                        h.u64(v as u64);
                     }
                 }
                 &OpKind::Pool { kind, window, stride } => {
-                    eat(&[4u8]);
-                    eat(&[match kind {
+                    h.bytes(&[4u8]);
+                    h.bytes(&[match kind {
                         PoolKind::Max => 0u8,
                         PoolKind::Avg => 1u8,
                     }]);
                     for v in [window, stride] {
-                        eat(&(v as u64).to_le_bytes());
+                        h.u64(v as u64);
                     }
                 }
             }
         }
-        eat(&(self.edges.len() as u64).to_le_bytes());
+        h.u64(self.edges.len() as u64);
         for e in &self.edges {
             for v in [e.from as u64, e.to as u64] {
-                eat(&v.to_le_bytes());
+                h.u64(v);
             }
             for d in e.tensor.dims {
-                eat(&(d as u64).to_le_bytes());
+                h.u64(d as u64);
             }
             // Tag bytes are append-only: pre-layout-axis graphs only ever
             // contain NCHW/NHWC edges, so their fingerprints are unchanged.
             match e.tensor.layout {
-                TensorLayout::Nchw => eat(&[0u8]),
-                TensorLayout::Nhwc => eat(&[1u8]),
+                TensorLayout::Nchw => h.bytes(&[0u8]),
+                TensorLayout::Nhwc => h.bytes(&[1u8]),
                 TensorLayout::Nchwc { c_block } => {
-                    eat(&[2u8]);
-                    eat(&(c_block as u64).to_le_bytes());
+                    h.bytes(&[2u8]);
+                    h.u64(c_block as u64);
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -19,7 +19,7 @@
 //! additional partial-reuse form when the innermost present iterator is one
 //! of `w, h, s, r` (sliding-window overlap).
 
-use conv_spec::{ConvShape, LoopIndex, Permutation, TileSizes, ALL_INDICES};
+use conv_spec::{ConvShape, LoopIndex, Permutation, TileSizes};
 use serde::{Deserialize, Serialize};
 
 /// Real-valued tile sizes (one per loop index, canonical order), as used by
@@ -355,31 +355,6 @@ pub fn single_level_volume_general(
     ArrayVolumes { input: in_vol, kernel: ker_vol, output: out_vol }
 }
 
-/// The capacity constraint of Eq. 4 as a `g(T) <= 0` value:
-/// `footprint(T) - capacity`.
-pub fn capacity_constraint(shape: &ConvShape, tiles: &RealTiles, capacity: f64) -> f64 {
-    total_footprint(shape, tiles) - capacity
-}
-
-/// Convenience: evaluate the single-level volume on integer tile sizes.
-pub fn single_level_volume_int(
-    shape: &ConvShape,
-    perm: &Permutation,
-    tiles: &TileSizes,
-    options: &CostOptions,
-) -> ArrayVolumes {
-    single_level_volume(shape, perm, &RealTiles::from(tiles), options)
-}
-
-/// Sum of `N_j / T_j` trip counts over all seven loops — used in tests and by
-/// the pruning analysis to reason about dominance.
-pub fn total_tiles(shape: &ConvShape, tiles: &RealTiles) -> f64 {
-    ALL_INDICES
-        .iter()
-        .map(|&idx| (shape.extent(idx) as f64 / tiles.get(idx).max(1e-12)).max(1.0))
-        .product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,14 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn capacity_constraint_matches_footprint() {
+    fn real_footprint_matches_the_integer_computation_in_conv_spec() {
         let s = shape();
         let t = tiles();
         let fp = total_footprint(&s, &t);
-        assert!(capacity_constraint(&s, &t, fp).abs() < 1e-9);
-        assert!(capacity_constraint(&s, &t, fp + 1.0) < 0.0);
-        assert!(capacity_constraint(&s, &t, fp - 1.0) > 0.0);
-        // Footprint matches the integer computation in conv-spec.
         let int_t = t.to_tile_sizes();
         assert_eq!(int_t.footprint(&s) as f64, fp);
     }
@@ -702,6 +673,5 @@ mod tests {
             .clamped(&[4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0]);
         assert_eq!(clamped.get(LoopIndex::N), 1.0);
         assert_eq!(clamped.get(LoopIndex::K), 4.0);
-        assert!(total_tiles(&shape(), &RealTiles::full(&shape())) == 1.0);
     }
 }

@@ -81,7 +81,33 @@ impl Default for OptimizerOptions {
     }
 }
 
+/// The largest `multistart` [`OptimizerOptions::validate`] accepts: 32× the
+/// default. Every restart is a full non-linear solve per pruned class, and
+/// the solver allocates its starting points up front.
+pub const MAX_MULTISTART: usize = 64;
+
 impl OptimizerOptions {
+    /// Check options that arrive from outside the program, before they reach
+    /// the search: `keep_top` of zero is the panic documented on
+    /// [`MOptOptimizer::optimize`], and an unbounded `multistart` is an
+    /// unbounded allocation. Every other value is one the search accepts.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field and its bound.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.keep_top == 0 {
+            return Err("keep_top must be at least 1".to_string());
+        }
+        if self.multistart > MAX_MULTISTART {
+            return Err(format!(
+                "multistart must be at most {MAX_MULTISTART}, got {}",
+                self.multistart
+            ));
+        }
+        Ok(())
+    }
+
     /// A fast configuration for unit tests and examples (fewer restarts).
     pub fn fast() -> Self {
         OptimizerOptions { multistart: 0, ..Self::default() }
@@ -239,24 +265,19 @@ impl MOptOptimizer {
         MOptOptimizer { shape, machine, options }
     }
 
-    /// Create an optimizer for a generalized [`Spec`] problem.
+    /// Optimize a generalized [`Spec`] problem in one call.
     ///
     /// The spec is lowered to its conv2d embedding
     /// ([`Spec::embedded_conv_shape`]) and the usual certify/prune pipeline
     /// runs on the embedded loop nest. The analytical model prices access
     /// patterns, not reduction operators, so matmul, pooling, and
     /// elementwise nests cost exactly like the conv nest they embed into.
-    pub fn for_spec(spec: &Spec, machine: MachineModel, options: OptimizerOptions) -> Self {
-        MOptOptimizer::new(spec.embedded_conv_shape(), machine, options)
-    }
-
-    /// Convenience: optimize a generalized [`Spec`] in one call.
     pub fn optimize_spec(
         spec: &Spec,
         machine: MachineModel,
         options: OptimizerOptions,
     ) -> OptimizeResult {
-        Self::for_spec(spec, machine, options).optimize()
+        MOptOptimizer::new(spec.embedded_conv_shape(), machine, options).optimize()
     }
 
     /// The default parallel specification (output-channel axis) used by
@@ -686,6 +707,21 @@ mod tests {
         let mut opts = OptimizerOptions::fast();
         opts.max_classes = 3;
         MOptOptimizer::new(shape, MachineModel::i7_9700k(), opts)
+    }
+
+    #[test]
+    fn validate_rejects_only_what_the_search_cannot_run_with() {
+        let defaults = OptimizerOptions::default();
+        assert_eq!(defaults.validate(), Ok(()));
+        assert!(defaults.multistart * 32 <= MAX_MULTISTART);
+        // Served today (the model clamps it), so it keeps validating.
+        assert_eq!(OptimizerOptions { threads: 0, ..defaults.clone() }.validate(), Ok(()));
+        let at_bound = OptimizerOptions { multistart: MAX_MULTISTART, ..defaults.clone() };
+        assert_eq!(at_bound.validate(), Ok(()));
+        let past_bound = OptimizerOptions { multistart: MAX_MULTISTART + 1, ..defaults.clone() };
+        assert!(past_bound.validate().unwrap_err().contains("multistart"));
+        let none_kept = OptimizerOptions { keep_top: 0, ..defaults };
+        assert!(none_kept.validate().unwrap_err().contains("keep_top"));
     }
 
     fn model_for(opt: &MOptOptimizer, permutation: Permutation) -> MultiLevelModel {

@@ -654,11 +654,6 @@ impl ServiceState {
         std::array::from_fn(|i| self.tier_hits[i].load(Ordering::Relaxed))
     }
 
-    /// The armed slow-request threshold in microseconds (0 = disarmed).
-    pub fn slow_threshold_micros(&self) -> u64 {
-        self.slow_micros.load(Ordering::Relaxed)
-    }
-
     /// Slow-request traces retained so far (monotonic; the ring keeps the
     /// newest [`SLOW_LOG_CAPACITY`]).
     pub fn slow_traces_recorded(&self) -> u64 {
@@ -843,7 +838,13 @@ impl ServiceState {
 
     fn dispatch(&self, request: &Request, ctx: &TraceContext) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        match request {
+        self.try_dispatch(request, ctx).unwrap_or_else(|message| Response::Error { message })
+    }
+
+    /// [`dispatch`](Self::dispatch), with `Err(message)` for a request that
+    /// is refused before its handler runs.
+    fn try_dispatch(&self, request: &Request, ctx: &TraceContext) -> Result<Response, String> {
+        let response = match request {
             Request::Ping => Response::Pong {
                 version: env!("CARGO_PKG_VERSION").to_string(),
                 uptime_seconds: Some(self.uptime_seconds()),
@@ -892,7 +893,7 @@ impl ServiceState {
                 // line.
                 if let Some(db) = &self.db {
                     if let Err(e) = db.flush() {
-                        return Response::Error { message: format!("database flush failed: {e}") };
+                        return Err(format!("database flush failed: {e}"));
                     }
                 }
                 match self.save() {
@@ -917,19 +918,16 @@ impl ServiceState {
                     })
                     .collect(),
             },
-            Request::Optimize { spec, op, shape, machine, options, threads, trace: _ } => self
-                .handle_optimize(
-                    Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape },
-                    machine,
-                    self.effective_options(options, *threads),
-                    ctx,
-                ),
-            Request::Explain { spec, op, shape, machine, options, threads } => self.handle_explain(
-                Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape },
-                machine,
-                self.effective_options(options, *threads),
-                ctx,
-            ),
+            Request::Optimize { spec, op, shape, machine, options, threads, trace: _ } => {
+                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let problem = Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape };
+                self.handle_optimize(problem, machine, options, ctx)
+            }
+            Request::Explain { spec, op, shape, machine, options, threads } => {
+                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let problem = Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape };
+                self.handle_explain(problem, machine, options, ctx)
+            }
             Request::PlanNetwork {
                 suite,
                 layers,
@@ -938,46 +936,59 @@ impl ServiceState {
                 threads,
                 workers,
                 trace: _,
-            } => self.handle_plan(
-                suite.as_deref(),
-                layers.as_deref(),
-                machine,
-                self.effective_options(options, *threads),
-                *workers,
-                ctx,
-            ),
-            Request::PlanGraph { block, graph, machine, options, threads, workers, trace: _ } => {
-                self.handle_plan_graph(
-                    block.as_deref(),
-                    graph.as_ref(),
+            } => {
+                let (machine, options) = self.request_target(machine, options, *threads)?;
+                self.handle_plan(
+                    suite.as_deref(),
+                    layers.as_deref(),
                     machine,
-                    self.effective_options(options, *threads),
+                    options,
                     *workers,
                     ctx,
                 )
             }
-        }
+            Request::PlanGraph { block, graph, machine, options, threads, workers, trace: _ } => {
+                let (machine, options) = self.request_target(machine, options, *threads)?;
+                self.handle_plan_graph(
+                    block.as_deref(),
+                    graph.as_ref(),
+                    machine,
+                    options,
+                    *workers,
+                    ctx,
+                )
+            }
+        };
+        Ok(response)
     }
 
-    /// The effective optimizer options of a request: the request's `options`
-    /// (or the defaults), with an explicit top-level `threads` field taking
-    /// precedence over `options.threads`, and the server's default layout
-    /// policy filled in when the request leaves it unset. The result
-    /// participates verbatim in both cache keys, so thread counts and layout
-    /// policies always distinguish entries.
-    fn effective_options(
+    /// What a planning request (`Optimize`, `Explain`, `PlanNetwork`,
+    /// `PlanGraph`) plans for: its machine model and its effective optimizer
+    /// options — the request's `options` (or the defaults), with an explicit
+    /// top-level `threads` field taking precedence over `options.threads`,
+    /// and the server's default layout policy filled in when the request
+    /// leaves it unset. The options participate verbatim in both cache keys,
+    /// so thread counts and layout policies always distinguish entries.
+    ///
+    /// Both come from outside the program and are checked here, before any
+    /// tier is touched: an invalid inline machine or an option the search
+    /// cannot run with is the request's `Error`, not a panicking worker.
+    fn request_target(
         &self,
+        machine: &MachineSpec,
         options: &Option<OptimizerOptions>,
         threads: Option<usize>,
-    ) -> OptimizerOptions {
+    ) -> Result<(MachineModel, OptimizerOptions), String> {
+        let machine = machine.resolve()?;
         let mut options = options.clone().unwrap_or_default();
+        options.validate().map_err(|e| format!("invalid options: {e}"))?;
         if let Some(threads) = threads {
             options.threads = threads.max(1);
         }
         if options.layout_policy.is_none() {
             options.layout_policy = self.default_layout_policy;
         }
-        options
+        Ok((machine, options))
     }
 
     /// Serve one [`Spec`] through the full tier stack — cache probe, then
@@ -1049,11 +1060,10 @@ impl ServiceState {
         &self,
         verb: &str,
         problem: Problem<'_>,
-        machine: &MachineSpec,
+        machine: MachineModel,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Result<ServedSchedule, String> {
-        let machine = machine.resolve()?;
         let spec = problem.resolve(verb)?;
         let (tier, result) = self.resolve_spec(&spec, &machine, &options, ctx)?;
         Ok(ServedSchedule { spec, machine, options, tier, result })
@@ -1062,7 +1072,7 @@ impl ServiceState {
     fn handle_optimize(
         &self,
         problem: Problem<'_>,
-        machine: &MachineSpec,
+        machine: MachineModel,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Response {
@@ -1084,7 +1094,7 @@ impl ServiceState {
     fn handle_explain(
         &self,
         problem: Problem<'_>,
-        machine: &MachineSpec,
+        machine: MachineModel,
         options: OptimizerOptions,
         ctx: &TraceContext,
     ) -> Response {
@@ -1141,15 +1151,11 @@ impl ServiceState {
         &self,
         suite: Option<&str>,
         layers: Option<&[NamedLayer]>,
-        machine: &MachineSpec,
+        machine: MachineModel,
         options: OptimizerOptions,
         workers: Option<usize>,
         ctx: &TraceContext,
     ) -> Response {
-        let machine = match machine.resolve() {
-            Ok(m) => m,
-            Err(message) => return Response::Error { message },
-        };
         let layer_list: Vec<NamedLayer> = match (suite, layers) {
             (Some(name), _) => match benchmarks::suite_by_name(name) {
                 Some(ops) => ops.iter().map(NamedLayer::from).collect(),
@@ -1183,15 +1189,11 @@ impl ServiceState {
         &self,
         block: Option<&str>,
         graph: Option<&Graph>,
-        machine: &MachineSpec,
+        machine: MachineModel,
         options: OptimizerOptions,
         workers: Option<usize>,
         ctx: &TraceContext,
     ) -> Response {
-        let machine = match machine.resolve() {
-            Ok(m) => m,
-            Err(message) => return Response::Error { message },
-        };
         let graph: Graph = match (block, graph) {
             (Some(name), _) => match builders::by_name(name) {
                 Ok(graph) => graph,

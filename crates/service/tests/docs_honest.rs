@@ -2,13 +2,19 @@
 //! request verb, every workspace crate, every flag `moptd` parses. The lists
 //! come from the code (the `Verb` table `Request` dispatches through, the
 //! workspace manifest, `moptd`'s argument parser), so adding or removing one
-//! without touching the docs fails here.
+//! without touching the docs fails here. The reverse holds too: a path,
+//! package, cargo target or `moptd` flag a document names must exist.
 
 use mopt_service::metrics::Verb;
 
+/// The repository root.
+fn root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Read a file named relative to the repository root.
 fn read(relative: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(relative);
+    let path = root().join(relative);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -85,4 +91,122 @@ fn docs_name_every_verb_crate_and_flag() {
     for flag in &flags {
         assert!(help.contains(flag.as_str()), "moptd --help does not mention {flag}");
     }
+}
+
+/// File stems under `<root>/<dir>` and `<root>/crates/*/<dir>`: the cargo
+/// targets of one kind (`src/bin`, `tests`, `examples`, `benches`).
+fn cargo_targets(dir: &str) -> Vec<String> {
+    let mut parents = vec![root()];
+    parents.extend(std::fs::read_dir(root().join("crates")).unwrap().map(|e| e.unwrap().path()));
+    parents
+        .iter()
+        .filter_map(|parent| std::fs::read_dir(parent.join(dir)).ok())
+        .flatten()
+        .filter_map(|entry| entry.unwrap().path().file_stem()?.to_str().map(str::to_string))
+        .collect()
+}
+
+/// Every repository path `line` names: a run of path characters starting at
+/// a top-level directory. A path is checked up to a `target` component (what
+/// lies below is build output) and up to a placeholder or glob character.
+fn named_paths(line: &str) -> Vec<&str> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut paths = Vec::new();
+    for top in ["crates/", "tests/", "examples/", "docs/", ".github/", ".claude/"] {
+        for (at, _) in line.match_indices(top) {
+            if line[..at].chars().next_back().is_some_and(path_char) {
+                continue; // the middle of a longer path, found from its start
+            }
+            let rest = &line[at..];
+            let path = &rest[..rest.find(|c| !path_char(c)).unwrap_or(rest.len())];
+            let path = path.split("/target/").next().unwrap();
+            paths.push(path.trim_end_matches(['.', '/']));
+        }
+    }
+    paths
+}
+
+/// The flags `line` passes to `moptd`: the `--flag [VALUE]` run after the
+/// binary's name (after the bare `--` when cargo is the one being invoked).
+fn flags_passed_to_moptd(line: &str) -> Vec<String> {
+    let mut flags = Vec::new();
+    for (at, _) in line.match_indices("moptd ") {
+        if line[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_') {
+            continue;
+        }
+        let mut tokens = line[at + "moptd ".len()..].split_whitespace();
+        if line[..at].ends_with("--bin ") {
+            // cargo's own arguments run up to the bare `--`.
+            while tokens.next().is_some_and(|token| token != "--") {}
+        }
+        let mut after_flag = false;
+        for token in tokens {
+            let token = token.trim_matches(|c: char| "[]`,.;:)(\"".contains(c));
+            if token.starts_with("--") {
+                flags.push(token.to_string());
+                after_flag = true;
+            } else if after_flag {
+                after_flag = false; // the flag's value
+            } else {
+                break;
+            }
+        }
+    }
+    flags
+}
+
+#[test]
+fn docs_name_nothing_the_workspace_lacks() {
+    let mut documents = vec!["README.md".to_string(), ".claude/skills/verify/SKILL.md".to_string()];
+    for entry in std::fs::read_dir(root().join("docs")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.ends_with(".md") {
+            documents.push(format!("docs/{name}"));
+        }
+    }
+    let crates = workspace_crates();
+    let mut flags = moptd_flags();
+    flags.push("--help".to_string());
+    let benches = cargo_targets("benches");
+    let targets = [
+        ("--bin", cargo_targets("src/bin")),
+        ("--test", cargo_targets("tests")),
+        ("--example", cargo_targets("examples")),
+        ("--bench", benches.clone()),
+    ];
+    let mut stale = Vec::new();
+    for document in &documents {
+        for (number, line) in read(document).lines().enumerate() {
+            let mut complain =
+                |what: &str| stale.push(format!("{document}:{}: {what}", number + 1));
+            for path in named_paths(line) {
+                if !root().join(path).exists() {
+                    complain(&format!("path `{path}` does not exist"));
+                }
+            }
+            let words: Vec<&str> = line
+                .split(|c: char| c.is_whitespace() || c == '`')
+                .filter(|word| !word.is_empty())
+                .collect();
+            for pair in words.windows(2) {
+                if pair[0] == "-p" && !crates.iter().any(|name| name == pair[1]) {
+                    complain(&format!("`-p {}` is not a workspace package", pair[1]));
+                }
+                for (option, names) in &targets {
+                    if pair[0] == *option && !names.iter().any(|name| name == pair[1]) {
+                        complain(&format!("`{option} {}` is not a cargo target", pair[1]));
+                    }
+                }
+            }
+            if line.contains("cargo bench") && benches.is_empty() {
+                complain("`cargo bench` but the workspace has no bench target");
+            }
+            for flag in flags_passed_to_moptd(line) {
+                if !flags.contains(&flag) {
+                    complain(&format!("`moptd {flag}` is not a flag moptd parses"));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "documents name things that do not exist:\n{}", stale.join("\n"));
 }

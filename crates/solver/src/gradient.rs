@@ -25,12 +25,6 @@ pub fn numerical_gradient(f: &dyn Fn(&[f64]) -> f64, x: &[f64]) -> Vec<f64> {
     grad
 }
 
-/// Directional derivative of `f` at `x` along (unnormalized) `dir`.
-pub fn directional_derivative(f: &dyn Fn(&[f64]) -> f64, x: &[f64], dir: &[f64]) -> f64 {
-    let g = numerical_gradient(f, x);
-    g.iter().zip(dir.iter()).map(|(a, b)| a * b).sum()
-}
-
 /// The relative finite-difference step for a coordinate value.
 pub fn step_for(value: f64) -> f64 {
     let scale = value.abs().max(1.0);
@@ -71,13 +65,6 @@ mod tests {
         let f = move |x: &[f64]| n / x[0];
         let g = numerical_gradient(&f, &[250.0]);
         assert!((g[0] + n / 250.0_f64.powi(2)).abs() / (n / 250.0_f64.powi(2)) < 1e-4);
-    }
-
-    #[test]
-    fn directional_derivative_matches_gradient_dot() {
-        let f = |x: &[f64]| x[0] * x[1];
-        let d = directional_derivative(&f, &[2.0, 3.0], &[1.0, -1.0]);
-        assert!((d - (3.0 - 2.0)).abs() < 1e-4);
     }
 
     #[test]

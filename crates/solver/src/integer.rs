@@ -100,34 +100,6 @@ pub fn floor_refine(
     (xi, best_obj)
 }
 
-/// Round `value` to the nearest divisor of `extent` (used to avoid ragged
-/// partial tiles when a dimension has many small divisors). Falls back to the
-/// clamped value when `extent` has no nearby divisor.
-pub fn snap_to_divisor(value: usize, extent: usize) -> usize {
-    if value == 0 {
-        return 1;
-    }
-    if extent == 0 {
-        return value;
-    }
-    let value = value.min(extent);
-    let mut best = value;
-    let mut best_dist = usize::MAX;
-    for d in 1..=extent {
-        if extent.is_multiple_of(d) {
-            let dist = d.abs_diff(value);
-            if dist < best_dist {
-                best_dist = dist;
-                best = d;
-            }
-        }
-        if d > value * 2 && best_dist != usize::MAX {
-            break;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,20 +138,5 @@ mod tests {
         let (xi, _) = floor_refine(&p, &[60.0, 60.0], &IntegerRefineOptions::default());
         assert!(p.max_violation(&xi) <= 1e-9, "still infeasible: {xi:?}");
         assert!(xi[0] * xi[1] <= 16.0 + 1e-9);
-    }
-
-    #[test]
-    fn snap_to_divisor_picks_nearest() {
-        assert_eq!(snap_to_divisor(5, 16), 4);
-        assert_eq!(snap_to_divisor(7, 14), 7);
-        assert_eq!(snap_to_divisor(3, 7), 1); // divisors of 7: 1, 7 → 1 closer? |3-1|=2, |3-7|=4
-        assert_eq!(snap_to_divisor(6, 7), 7);
-        assert_eq!(snap_to_divisor(100, 16), 16);
-        assert_eq!(snap_to_divisor(0, 16), 1);
-    }
-
-    #[test]
-    fn zero_extent_is_tolerated() {
-        assert_eq!(snap_to_divisor(5, 0), 5);
     }
 }
