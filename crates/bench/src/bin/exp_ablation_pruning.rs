@@ -4,30 +4,12 @@
 //!
 //! Usage: exp_ablation_pruning [--samples N] [--ops R12,M9,...]
 
-use mopt_bench::{ablation_pruning, format_table, ExperimentScale};
+use mopt_bench::{ablation_pruning, format_table, ExpArgs, ExperimentScale};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut samples = 6;
-    let mut ops: Vec<String> = vec!["R12".into(), "M9".into(), "Y19".into()];
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--samples" => {
-                samples = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(samples);
-                i += 1;
-            }
-            "--ops" => {
-                if let Some(v) = argv.get(i + 1) {
-                    ops = v.split(',').map(|s| s.to_string()).collect();
-                }
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let rows = ablation_pruning(ExperimentScale::Scaled { hw: 14, ch: 64 }, samples, &ops);
+    let args = ExpArgs::parse("--samples", 6);
+    let ops = args.ops_or(&["R12", "M9", "Y19"]);
+    let rows = ablation_pruning(ExperimentScale::Scaled { hw: 14, ch: 64 }, args.count, &ops);
     println!("== Ablation — 8 pruned permutation classes vs exhaustive 5040 permutations ==");
     let table: Vec<Vec<String>> = rows
         .iter()

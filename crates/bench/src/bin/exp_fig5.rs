@@ -9,15 +9,15 @@
 //! structure-preserving scaled shapes so the experiment finishes in minutes.
 
 use conv_spec::MachineModel;
-use mopt_bench::{fig5_model_loss, format_table, ExperimentScale};
+use mopt_bench::{fig5_model_loss, format_table, ExpArgs, ExperimentScale};
 
 fn main() {
-    let args = Args::parse();
+    let args = ExpArgs::parse("--samples", 40);
     let machine = MachineModel::i7_9700k();
-    let rows = fig5_model_loss(&machine, args.scale, args.samples, args.ops.as_deref());
+    let rows = fig5_model_loss(&machine, args.scale, args.count, args.ops.as_deref());
     println!(
         "== Figure 5 — model-prediction loss over {} sampled configurations ({}) ==",
-        args.samples,
+        args.count,
         match args.scale {
             ExperimentScale::Full => "full Table-1 shapes".to_string(),
             ExperimentScale::Scaled { hw, ch } => format!("scaled shapes hw<={hw} ch<={ch}"),
@@ -47,36 +47,4 @@ fn main() {
         worst_top5 * 100.0
     );
     println!("(paper: top-1 loss < 4.5% on all 32 operators, < 3% on 30 of 32)");
-}
-
-struct Args {
-    samples: usize,
-    scale: ExperimentScale,
-    ops: Option<Vec<String>>,
-}
-
-impl Args {
-    fn parse() -> Self {
-        let mut samples = 40;
-        let mut scale = ExperimentScale::quick();
-        let mut ops = None;
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--samples" => {
-                    samples = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(samples);
-                    i += 1;
-                }
-                "--full" => scale = ExperimentScale::Full,
-                "--ops" => {
-                    ops = argv.get(i + 1).map(|v| v.split(',').map(|s| s.to_string()).collect());
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        Args { samples, scale, ops }
-    }
 }

@@ -5,34 +5,13 @@
 //! Usage: exp_fig6 [--samples N] [--full] [--ops R9,M2,Y5]
 
 use conv_spec::MachineModel;
-use mopt_bench::{fig6_rank_correlation, format_table, ExperimentScale};
+use mopt_bench::{fig6_rank_correlation, format_table, ExpArgs};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut samples = 40;
-    let mut scale = ExperimentScale::quick();
-    let mut ops: Vec<String> = vec!["R9".into(), "M2".into(), "Y5".into()];
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--samples" => {
-                samples = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(samples);
-                i += 1;
-            }
-            "--full" => scale = ExperimentScale::Full,
-            "--ops" => {
-                if let Some(v) = argv.get(i + 1) {
-                    ops = v.split(',').map(|s| s.to_string()).collect();
-                }
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-
+    let args = ExpArgs::parse("--samples", 40);
+    let ops = args.ops_or(&["R9", "M2", "Y5"]);
     let machine = MachineModel::i7_9700k();
-    let reports = fig6_rank_correlation(&machine, scale, samples, &ops);
+    let reports = fig6_rank_correlation(&machine, args.scale, args.count, &ops);
     println!("== Figure 6 — rank ordering of model prediction vs measurement ==");
     let rows: Vec<Vec<String>> = reports
         .iter()

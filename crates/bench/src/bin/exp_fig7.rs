@@ -5,68 +5,19 @@
 //! Usage: exp_fig7 [--trials N] [--full] [--ops Y0,R9,...]
 
 use conv_spec::MachineModel;
-use mopt_bench::{fig7_performance_comparison, format_table, geomean, ExperimentScale, Fig7Row};
+use mopt_bench::{fig7_performance_comparison, print_fig7, ExpArgs};
 
 fn main() {
-    run(MachineModel::i7_9700k(), "Figure 7 — i7-9700K (8 threads)");
-}
-
-/// Shared driver used by both exp_fig7 and exp_fig8.
-pub fn run(machine: MachineModel, title: &str) {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut trials = 24;
-    let mut scale = ExperimentScale::quick();
-    let mut ops = None;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--trials" => {
-                trials = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(trials);
-                i += 1;
-            }
-            "--full" => scale = ExperimentScale::Full,
-            "--ops" => {
-                ops = argv
-                    .get(i + 1)
-                    .map(|v| v.split(',').map(|s| s.to_string()).collect::<Vec<_>>());
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let rows = fig7_performance_comparison(&machine, scale, trials, ops.as_deref());
-    print_rows(title, trials, &rows);
-}
-
-fn print_rows(title: &str, trials: usize, rows: &[Fig7Row]) {
-    println!("== {title} — performance relative to the AutoTVM-like tuner ({trials} trials) ==");
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.1}", r.tvm_like_gflops),
-                format!("{:.2}x", r.onednn_vs_tvm()),
-                format!("{:.2}x", r.mopt1_vs_tvm()),
-                format!("{:.2}x", r.mopt5_gflops / r.tvm_like_gflops.max(1e-12)),
-                format!("{:.1}", r.mopt1_gflops),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["Operator", "TVM-like GF", "oneDNN/TVM", "MOpt-1/TVM", "MOpt-5/TVM", "MOpt-1 GF"],
-            &table
-        )
+    let args = ExpArgs::parse("--trials", 24);
+    let machine = MachineModel::i7_9700k();
+    let rows = fig7_performance_comparison(&machine, args.scale, args.count, args.ops.as_deref());
+    print_fig7(
+        &format!(
+            "== Figure 7 — i7-9700K (8 threads) — performance relative to the AutoTVM-like tuner ({} trials) ==",
+            args.count
+        ),
+        &rows,
+        true,
+        "(paper, i7-9700K: MOpt vs TVM 1.40–1.73x, MOpt vs oneDNN 1.16–1.37x geomean)",
     );
-    let mopt_vs_tvm: Vec<f64> = rows.iter().map(|r| r.mopt1_vs_tvm()).collect();
-    let mopt_vs_dnn: Vec<f64> = rows.iter().map(|r| r.mopt1_vs_onednn()).collect();
-    let mopt5_vs_tvm: Vec<f64> =
-        rows.iter().map(|r| r.mopt5_gflops / r.tvm_like_gflops.max(1e-12)).collect();
-    println!("geomean MOpt-1 / TVM-like   : {:.2}x", geomean(&mopt_vs_tvm));
-    println!("geomean MOpt-5 / TVM-like   : {:.2}x", geomean(&mopt5_vs_tvm));
-    println!("geomean MOpt-1 / oneDNN-like: {:.2}x", geomean(&mopt_vs_dnn));
-    println!("(paper, i7-9700K: MOpt vs TVM 1.40–1.73x, MOpt vs oneDNN 1.16–1.37x geomean)");
 }

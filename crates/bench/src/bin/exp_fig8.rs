@@ -4,57 +4,16 @@
 //! Usage: exp_fig8 [--trials N] [--full] [--ops Y0,R9,...]
 
 use conv_spec::MachineModel;
-use mopt_bench::{fig7_performance_comparison, format_table, geomean, ExperimentScale};
+use mopt_bench::{fig7_performance_comparison, print_fig7, ExpArgs};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut trials = 24;
-    let mut scale = ExperimentScale::quick();
-    let mut ops: Option<Vec<String>> = None;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--trials" => {
-                trials = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(trials);
-                i += 1;
-            }
-            "--full" => scale = ExperimentScale::Full,
-            "--ops" => {
-                ops = argv.get(i + 1).map(|v| v.split(',').map(|s| s.to_string()).collect());
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let args = ExpArgs::parse("--trials", 24);
     let machine = MachineModel::i9_10980xe();
-    let rows = fig7_performance_comparison(&machine, scale, trials, ops.as_deref());
-    println!(
-        "== Figure 8 — i9-10980XE (16 threads) — performance relative to the AutoTVM-like tuner =="
+    let rows = fig7_performance_comparison(&machine, args.scale, args.count, args.ops.as_deref());
+    print_fig7(
+        "== Figure 8 — i9-10980XE (16 threads) — performance relative to the AutoTVM-like tuner ==",
+        &rows,
+        false,
+        "(paper, i9-10980XE: MOpt vs TVM 1.53–1.84x, MOpt vs oneDNN 1.08–1.26x geomean)",
     );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.1}", r.tvm_like_gflops),
-                format!("{:.2}x", r.onednn_vs_tvm()),
-                format!("{:.2}x", r.mopt1_vs_tvm()),
-                format!("{:.2}x", r.mopt5_gflops / r.tvm_like_gflops.max(1e-12)),
-                format!("{:.1}", r.mopt1_gflops),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["Operator", "TVM-like GF", "oneDNN/TVM", "MOpt-1/TVM", "MOpt-5/TVM", "MOpt-1 GF"],
-            &table
-        )
-    );
-    let mopt_vs_tvm: Vec<f64> = rows.iter().map(|r| r.mopt1_vs_tvm()).collect();
-    let mopt_vs_dnn: Vec<f64> = rows.iter().map(|r| r.mopt1_vs_onednn()).collect();
-    println!("geomean MOpt-1 / TVM-like   : {:.2}x", geomean(&mopt_vs_tvm));
-    println!("geomean MOpt-1 / oneDNN-like: {:.2}x", geomean(&mopt_vs_dnn));
-    println!("(paper, i9-10980XE: MOpt vs TVM 1.53–1.84x, MOpt vs oneDNN 1.08–1.26x geomean)");
 }

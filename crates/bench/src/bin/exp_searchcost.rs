@@ -6,33 +6,13 @@
 //! Usage: exp_searchcost [--trials N] [--full] [--ops Y0,Y23]
 
 use conv_spec::MachineModel;
-use mopt_bench::{format_table, searchcost_comparison, ExperimentScale};
+use mopt_bench::{format_table, searchcost_comparison, ExpArgs};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut trials = 16;
-    let mut scale = ExperimentScale::quick();
-    let mut ops: Vec<String> = vec!["Y0".into(), "Y23".into()];
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--trials" => {
-                trials = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(trials);
-                i += 1;
-            }
-            "--full" => scale = ExperimentScale::Full,
-            "--ops" => {
-                if let Some(v) = argv.get(i + 1) {
-                    ops = v.split(',').map(|s| s.to_string()).collect();
-                }
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let args = ExpArgs::parse("--trials", 16);
+    let ops = args.ops_or(&["Y0", "Y23"]);
     let machine = MachineModel::i7_9700k();
-    let rows = searchcost_comparison(&machine, scale, trials, &ops);
+    let rows = searchcost_comparison(&machine, args.scale, args.count, &ops);
     println!("== Sec. 12 — search cost: MOpt vs auto-tuning ==");
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -42,6 +42,53 @@ impl ExperimentScale {
     }
 }
 
+/// The command line the `exp_*` binaries share: one count (`--samples N` or
+/// `--trials N`, whichever the experiment calls it), `--full` for the
+/// unscaled Table-1 shapes, and `--ops A,B,...`. Anything else is ignored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExpArgs {
+    /// The value of the count flag, or the experiment's default.
+    pub count: usize,
+    /// `Full` under `--full`, otherwise [`ExperimentScale::quick`].
+    pub scale: ExperimentScale,
+    /// The `--ops` list, when given.
+    pub ops: Option<Vec<String>>,
+}
+
+impl ExpArgs {
+    /// Parse the process arguments; `count_flag` names the count
+    /// (`"--samples"` or `"--trials"`) and `count` is its default.
+    pub fn parse(count_flag: &str, count: usize) -> Self {
+        Self::from_argv(std::env::args().skip(1), count_flag, count)
+    }
+
+    fn from_argv(mut argv: impl Iterator<Item = String>, count_flag: &str, count: usize) -> Self {
+        let mut args = ExpArgs { count, scale: ExperimentScale::quick(), ops: None };
+        while let Some(arg) = argv.next() {
+            match arg.as_str() {
+                "--full" => args.scale = ExperimentScale::Full,
+                "--ops" => {
+                    if let Some(list) = argv.next() {
+                        args.ops = Some(list.split(',').map(str::to_string).collect());
+                    }
+                }
+                flag if flag == count_flag => {
+                    if let Some(n) = argv.next() {
+                        args.count = n.parse().unwrap_or(args.count);
+                    }
+                }
+                _ => {}
+            }
+        }
+        args
+    }
+
+    /// The `--ops` list, or the experiment's default operators.
+    pub fn ops_or(&self, default: &[&str]) -> Vec<String> {
+        self.ops.clone().unwrap_or_else(|| default.iter().map(|s| s.to_string()).collect())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5: model-prediction loss over a sampled configuration set
 // ---------------------------------------------------------------------------
@@ -449,6 +496,22 @@ mod tests {
     fn scale_preserves_operator_count() {
         assert_eq!(ExperimentScale::Full.operators().len(), 32);
         assert_eq!(tiny_scale().operators().len(), 32);
+    }
+
+    #[test]
+    fn exp_args_read_their_count_flag_and_ignore_the_rest() {
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let defaults = ExpArgs::from_argv(argv(&[]).into_iter(), "--trials", 24);
+        assert_eq!(defaults, ExpArgs { count: 24, scale: ExperimentScale::quick(), ops: None });
+        assert_eq!(defaults.ops_or(&["Y0", "Y23"]), ["Y0", "Y23"]);
+        // `--samples` is another experiment's flag here; a bad or missing
+        // count keeps the default.
+        let line = argv(&["--samples", "9", "--full", "--ops", "R9,M2", "--trials", "7", "--x"]);
+        let parsed = ExpArgs::from_argv(line.into_iter(), "--trials", 24);
+        assert_eq!((parsed.count, parsed.scale), (7, ExperimentScale::Full));
+        assert_eq!(parsed.ops_or(&["Y0"]), ["R9", "M2"]);
+        let bad = ExpArgs::from_argv(argv(&["--trials", "many"]).into_iter(), "--trials", 24);
+        assert_eq!(bad.count, 24);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod report;
 
 pub use experiments::{
     ablation_pruning, fig5_model_loss, fig6_rank_correlation, fig7_performance_comparison,
-    searchcost_comparison, AblationRow, ExperimentScale, Fig5Row, Fig6Report, Fig7Row,
+    searchcost_comparison, AblationRow, ExpArgs, ExperimentScale, Fig5Row, Fig6Report, Fig7Row,
     SearchCostRow,
 };
-pub use report::{format_table, geomean};
+pub use report::{format_table, geomean, print_fig7};

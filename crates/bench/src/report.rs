@@ -1,5 +1,7 @@
 //! Plain-text table formatting shared by the experiment binaries.
 
+use crate::experiments::Fig7Row;
+
 /// Geometric mean of positive values (0 for an empty slice).
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -40,6 +42,42 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Print a Fig. 7/8 comparison: the `heading` line, the per-operator table,
+/// the geomean lines (`mopt5` adds the MOpt-5 line Fig. 7 reports) and the
+/// paper's own figures in `paper`.
+pub fn print_fig7(heading: &str, rows: &[Fig7Row], mopt5: bool, paper: &str) {
+    let mopt5_vs_tvm: fn(&Fig7Row) -> f64 = |r| r.mopt5_gflops / r.tvm_like_gflops.max(1e-12);
+    println!("{heading}");
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.clone(),
+                format!("{:.1}", r.tvm_like_gflops),
+                format!("{:.2}x", r.onednn_vs_tvm()),
+                format!("{:.2}x", r.mopt1_vs_tvm()),
+                format!("{:.2}x", mopt5_vs_tvm(r)),
+                format!("{:.1}", r.mopt1_gflops),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        format_table(
+            &["Operator", "TVM-like GF", "oneDNN/TVM", "MOpt-1/TVM", "MOpt-5/TVM", "MOpt-1 GF"],
+            &table
+        )
+    );
+    let geomean_of =
+        |ratio: fn(&Fig7Row) -> f64| geomean(&rows.iter().map(ratio).collect::<Vec<_>>());
+    println!("geomean MOpt-1 / TVM-like   : {:.2}x", geomean_of(Fig7Row::mopt1_vs_tvm));
+    if mopt5 {
+        println!("geomean MOpt-5 / TVM-like   : {:.2}x", geomean_of(mopt5_vs_tvm));
+    }
+    println!("geomean MOpt-1 / oneDNN-like: {:.2}x", geomean_of(Fig7Row::mopt1_vs_onednn));
+    println!("{paper}");
 }
 
 /// Render a crude ASCII bar (used for the relative-performance figures).

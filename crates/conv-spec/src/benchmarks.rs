@@ -20,6 +20,8 @@
 //! All benchmarks use batch size 1; strides are 1 unless the layer is marked
 //! with `*` (stride 2).
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::shape::ConvShape;
@@ -259,40 +261,52 @@ pub fn all_operators() -> Vec<BenchmarkOp> {
     v
 }
 
+/// The whole catalog — every suite, then the deprecated aliases from
+/// `first_alias` on — built once, on first use: every `op`-named request
+/// searches it.
+struct Catalog {
+    ops: Vec<BenchmarkOp>,
+    first_alias: usize,
+}
+
+fn catalog() -> &'static Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        let mut ops = all_operators();
+        ops.extend(mobilenet_v2());
+        ops.extend(dilated_deeplab());
+        let first_alias = ops.len();
+        #[allow(deprecated)]
+        ops.extend(mobilenet_pointwise_form());
+        Catalog { ops, first_alias }
+    })
+}
+
+/// The first of `ops` labelled `name`; the trailing `*` and case are ignored.
+fn find<'a>(ops: &'a [BenchmarkOp], name: &str) -> Option<&'a BenchmarkOp> {
+    let norm = name.trim().trim_end_matches('*');
+    ops.iter().find(|op| op.name.trim_end_matches('*').eq_ignore_ascii_case(norm))
+}
+
 /// Every operator of every suite (Table 1 plus the MobileNetV2 depthwise and
 /// dilated suites), plus the deprecated MobileNet pointwise-form aliases.
 pub fn extended_operators() -> Vec<BenchmarkOp> {
-    let mut v = all_operators();
-    v.extend(mobilenet_v2());
-    v.extend(dilated_deeplab());
-    #[allow(deprecated)]
-    v.extend(mobilenet_pointwise_form());
-    v
+    catalog().ops.clone()
 }
 
 /// Look up a single operator by its label (e.g. `"Y5"`, `"R9"`, `"M2*"`,
 /// `"V3"`, `"D1"`, or the deprecated `"M2pw"` — the trailing `*` may be
 /// omitted). Searches every suite including the deprecated aliases.
 pub fn by_name(name: &str) -> Option<BenchmarkOp> {
-    let norm = name.trim().trim_end_matches('*').to_ascii_uppercase();
-    extended_operators()
-        .into_iter()
-        .find(|op| op.name.trim_end_matches('*').eq_ignore_ascii_case(&norm))
-}
-
-/// The deprecated `M1pw` ... `M9pw` dense stand-in aliases, without the
-/// deprecation warning at the call site.
-fn deprecated_aliases() -> Vec<BenchmarkOp> {
-    #[allow(deprecated)]
-    mobilenet_pointwise_form()
+    find(&catalog().ops, name).cloned()
 }
 
 /// Whether an operator label refers to one of the deprecated dense stand-in
 /// aliases (`M1pw` ... `M9pw`; trailing `*` and case are ignored, like
 /// [`by_name`]). Servers tag responses for these ops `"deprecated": true`.
 pub fn is_deprecated_alias(name: &str) -> bool {
-    let norm = name.trim().trim_end_matches('*').to_ascii_uppercase();
-    deprecated_aliases().iter().any(|op| op.name.trim_end_matches('*').eq_ignore_ascii_case(&norm))
+    let catalog = catalog();
+    find(&catalog.ops[catalog.first_alias..], name).is_some()
 }
 
 /// A suite's accepted names (the first is the one catalogs list) and its

@@ -24,9 +24,11 @@
 //! its `1/P` slice with its *private* L1/L2 intact, while the shared L3
 //! contributes only a `1/P` capacity share to each thread's capacity
 //! constraint and the DRAM-boundary traffic is *summed* across threads.
-//! Every parallel branch is gated on `threads > 1`, so at `threads == 1` the
-//! model is bit-identical to the sequential expressions (property-tested in
-//! `tests/multicore_parallel.rs`).
+//! The sequential model of Sec. 5 is this model at `P = 1`, exactly: the
+//! per-thread extents are the problem extents, and multiplying a volume by
+//! `1.0` is an identity (property-tested against an inline copy of the
+//! sequential expressions in `tests/multicore_parallel.rs`, and across every
+//! spelling of one thread in this crate's `tests/one_model.rs`).
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, MachineModel, ParallelAxis, Permutation, TensorKind,
@@ -66,9 +68,16 @@ impl MultiLevelTiles {
 
     /// Enforce the nesting invariant `Reg ≤ L1 ≤ L2 ≤ L3 ≤ N` element-wise.
     pub fn normalized(&self, shape: &ConvShape) -> Self {
+        self.nested_within(&RealTiles::full(shape).as_array())
+    }
+
+    /// The one clamp chain: the L3 tile is clamped into `outermost` (the
+    /// problem extents, or one thread's slice of them), every inner level
+    /// into the level outside it.
+    pub fn nested_within(&self, outermost: &[f64; 7]) -> Self {
         let mut out = *self;
-        let ext = RealTiles::full(shape).as_array();
-        out.levels[TilingLevel::L3.ordinal()] = out.levels[TilingLevel::L3.ordinal()].clamped(&ext);
+        out.levels[TilingLevel::L3.ordinal()] =
+            out.levels[TilingLevel::L3.ordinal()].clamped(outermost);
         for lvl in [TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
             let outer = out.levels[lvl.ordinal() + 1].as_array();
             out.levels[lvl.ordinal()] = out.levels[lvl.ordinal()].clamped(&outer);
@@ -372,31 +381,6 @@ impl MultiLevelModel {
         )
     }
 
-    /// Number of outer tiles enclosing tiles of `level` (the multiplier
-    /// `Π_j N_j / T_{l+1,j}`, continuous form).
-    fn outer_tile_count(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        match level.outer() {
-            None => 1.0,
-            Some(outer) => {
-                let t_outer = tiles.level(outer);
-                ALL_INDICES
-                    .iter()
-                    .map(|&idx| {
-                        (self.shape.extent(idx) as f64 / t_outer.get(idx).max(1e-12)).max(1.0)
-                    })
-                    .product()
-            }
-        }
-    }
-
-    /// Effective enclosing extents for tiles of `level` (sequential model).
-    fn enclosing_extents(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> RealTiles {
-        match level.outer() {
-            None => RealTiles::full(&self.shape),
-            Some(outer) => *tiles.level(outer),
-        }
-    }
-
     /// Per-thread problem extents under parallel execution: each parallelized
     /// dimension's extent shrinks by its factor (continuous form, floored at
     /// one iteration point). With one thread these are the problem extents.
@@ -413,51 +397,20 @@ impl MultiLevelModel {
         e
     }
 
-    /// Tiles re-nested into one thread's slice of the problem: the L3 tile is
-    /// clamped to the per-thread extents, the inner levels to their outers.
-    fn thread_tiles(&self, tiles: &MultiLevelTiles) -> MultiLevelTiles {
-        let mut out = tiles.normalized(&self.shape);
-        let ext = self.thread_extents().as_array();
-        out.levels[TilingLevel::L3.ordinal()] = out.levels[TilingLevel::L3.ordinal()].clamped(&ext);
-        for lvl in [TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
-            let outer = out.levels[lvl.ordinal() + 1].as_array();
-            out.levels[lvl.ordinal()] = out.levels[lvl.ordinal()].clamped(&outer);
-        }
-        out
-    }
-
     /// Model-predicted data volume (elements, whole chip) crossing the
     /// boundary that fills tiles of `level`.
     ///
-    /// Sequentially this is the Sec. 5 assembly. Under parallel execution
-    /// (Sec. 7, multicore adaptation) the `P` threads partition the problem
-    /// along the schedule's parallel axis: each thread runs the full tiling
-    /// on a `1/P` slice (with tiles clamped into its slice), and the chip
-    /// total — including the DRAM-boundary traffic — is the *sum* of the
-    /// per-thread volumes. At `threads == 1` the parallel path is never
-    /// taken, so the sequential expressions are reproduced bit for bit.
+    /// The `P` threads partition the problem along the schedule's parallel
+    /// axis (Sec. 7): each thread runs the Sec. 5 assembly on a `1/P` slice
+    /// (with tiles clamped into its slice), and the chip total — including
+    /// the DRAM-boundary traffic — is the *sum* of the per-thread volumes.
+    /// `P = 1` is the sequential model exactly, not a special case of the
+    /// code: the slice is the whole problem, so the clamp into it is the
+    /// plain nesting clamp, and `1.0 * x` is `x` bit for bit.
     pub fn level_volume(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        if self.parallel.threads <= 1 {
-            let tiles = tiles.normalized(&self.shape);
-            let extents = self.enclosing_extents(&tiles, level);
-            let inner = tiles.level(level);
-            let volumes = single_level_volume_general(
-                &self.shape,
-                &self.permutation,
-                inner,
-                &extents,
-                &self.options,
-            );
-            let per_outer = if self.layout.is_default() {
-                volumes.total()
-            } else {
-                self.layout_weighted_total(&volumes)
-            };
-            return self.outer_tile_count(&tiles, level) * per_outer;
-        }
-        let threads = self.parallel.threads as f64;
-        let tiles = self.thread_tiles(tiles);
+        let threads = self.parallel.threads.max(1) as f64;
         let ext = self.thread_extents();
+        let tiles = tiles.nested_within(&ext.as_array());
         let extents = match level.outer() {
             None => ext,
             Some(outer) => *tiles.level(outer),
@@ -494,7 +447,8 @@ impl MultiLevelModel {
         if self.parallel.threads <= 1 {
             return self.tile_footprint(tiles.level(level));
         }
-        self.tile_footprint(self.thread_tiles(tiles).level(level))
+        let slice = self.thread_extents().as_array();
+        self.tile_footprint(tiles.nested_within(&slice).level(level))
     }
 
     /// Tile footprint under the model's layout: the default path is the
@@ -528,7 +482,11 @@ impl MultiLevelModel {
     /// Bandwidth-scaled cost `DV_l / BW_l` (cycles) of a level, accounting for
     /// per-core bandwidth at private levels.
     pub fn scaled_cost(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        let volume = self.level_volume(tiles, level);
+        self.scale(self.level_volume(tiles, level), level)
+    }
+
+    /// `volume / BW_l`, with per-core bandwidth at the private levels.
+    fn scale(&self, volume: f64, level: TilingLevel) -> f64 {
         let bw = self.machine.fill_bandwidth(level);
         let threads = self.parallel.threads.max(1) as f64;
         match level {
@@ -543,8 +501,9 @@ impl MultiLevelModel {
         let mut volumes = [0.0; 4];
         let mut scaled = [0.0; 4];
         for &level in &TilingLevel::ALL {
-            volumes[level.ordinal()] = self.level_volume(tiles, level);
-            scaled[level.ordinal()] = self.scaled_cost(tiles, level);
+            let volume = self.level_volume(tiles, level);
+            volumes[level.ordinal()] = volume;
+            scaled[level.ordinal()] = self.scale(volume, level);
         }
         let (bottleneck, bottleneck_cost) = TilingLevel::ALL
             .iter()

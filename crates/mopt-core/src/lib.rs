@@ -51,6 +51,6 @@ pub mod validation;
 
 pub use optimizer::{
     CandidateSearch, LayoutPolicy, LevelHypothesis, MOptOptimizer, OptimizeResult, OptimizedConfig,
-    OptimizerOptions, SearchRound, SearchTrace, MAX_MULTISTART,
+    OptimizerOptions, SearchRound, SearchTrace, MAX_MULTISTART, MAX_THREADS,
 };
 pub use validation::{spearman_correlation, top_k_loss, ValidationPoint, ValidationReport};

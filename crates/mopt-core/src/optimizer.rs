@@ -18,7 +18,7 @@ use conv_spec::{
 use mopt_model::cost::RealTiles;
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, ParallelSpec};
 use mopt_model::prune::pruned_classes;
-use mopt_solver::{floor_refine, IntegerRefineOptions, MultiStart, NlpSolver, Problem};
+use mopt_solver::{floor_refine, MultiStart, NlpSolver, Problem};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,11 +86,17 @@ impl Default for OptimizerOptions {
 /// the solver allocates its starting points up front.
 pub const MAX_MULTISTART: usize = 64;
 
+/// Largest `threads` a request may ask for (64× the largest preset's 16):
+/// [`mopt_model::ParallelSpec::along_axis`] searches for each axis's factor
+/// in time linear in the thread count, once per candidate class.
+pub const MAX_THREADS: usize = 1024;
+
 impl OptimizerOptions {
     /// Check options that arrive from outside the program, before they reach
     /// the search: `keep_top` of zero is the panic documented on
-    /// [`MOptOptimizer::optimize`], and an unbounded `multistart` is an
-    /// unbounded allocation. Every other value is one the search accepts.
+    /// [`MOptOptimizer::optimize`], an unbounded `multistart` is an unbounded
+    /// allocation, and an unbounded `threads` is unbounded work per
+    /// candidate. Every other value is one the search accepts.
     ///
     /// # Errors
     ///
@@ -104,6 +110,9 @@ impl OptimizerOptions {
                 "multistart must be at most {MAX_MULTISTART}, got {}",
                 self.multistart
             ));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!("threads must be at most {MAX_THREADS}, got {}", self.threads));
         }
         Ok(())
     }
@@ -614,7 +623,7 @@ impl MOptOptimizer {
                     mopt_model::cost::total_footprint(&shape, &rt) - capacity
                 });
             let x: Vec<f64> = ALL_INDICES.iter().map(|&i| level_tiles.get(i)).collect();
-            let (xi, _) = floor_refine(&problem, &x, &IntegerRefineOptions::default());
+            let (xi, _) = floor_refine(&problem, &x);
             let mut t = TileSizes::ones();
             for (j, &idx) in ALL_INDICES.iter().enumerate() {
                 t.set(idx, xi[j].round().max(1.0) as usize);
@@ -720,8 +729,12 @@ mod tests {
         assert_eq!(at_bound.validate(), Ok(()));
         let past_bound = OptimizerOptions { multistart: MAX_MULTISTART + 1, ..defaults.clone() };
         assert!(past_bound.validate().unwrap_err().contains("multistart"));
-        let none_kept = OptimizerOptions { keep_top: 0, ..defaults };
+        let none_kept = OptimizerOptions { keep_top: 0, ..defaults.clone() };
         assert!(none_kept.validate().unwrap_err().contains("keep_top"));
+        let most_threads = OptimizerOptions { threads: MAX_THREADS, ..defaults.clone() };
+        assert_eq!(most_threads.validate(), Ok(()));
+        let too_many = OptimizerOptions { threads: MAX_THREADS + 1, ..defaults };
+        assert_eq!(too_many.validate().unwrap_err(), "threads must be at most 1024, got 1025");
     }
 
     fn model_for(opt: &MOptOptimizer, permutation: Permutation) -> MultiLevelModel {

@@ -22,8 +22,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, ScheduleCache};
 use crate::dbtier::DbTier;
-use crate::server::Tier;
 use crate::tiers::resolve_cold;
+use crate::wire::Tier;
 
 /// One layer to plan: a display name plus its problem spec.
 #[derive(Debug, Clone, PartialEq)]

@@ -487,7 +487,7 @@ fn flush_to(conn: &mut Connection<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::Response;
+    use crate::wire::Response;
     use std::io::{BufRead, BufReader};
 
     fn start(

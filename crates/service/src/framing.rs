@@ -1,7 +1,7 @@
 //! JSON-lines framing, shared by the TCP event loop and the blocking stdio
 //! server: bytes in, complete request lines and over-the-cap markers out.
 
-use crate::server::Response;
+use crate::wire::Response;
 
 /// Maximum accepted request-line length in bytes (16 MiB). Inline graphs and
 /// explicit layer lists fit comfortably; a line this long that still has no

@@ -25,11 +25,15 @@
 //!   in-flight gauges behind the `Metrics` verb,
 //! * [`prometheus`] — text-exposition rendering of those metrics for
 //!   `{"Metrics": {"format": "prometheus"}}`,
-//! * [`server`] — a JSON-lines request/response protocol (`Optimize`,
-//!   `Explain`, `PlanNetwork`, `PlanGraph`, `Suites`, `Stats`, `Save`, `Metrics`,
-//!   `Trace`, `Ping`) served over stdin/stdout by the `moptd` binary, with
-//!   opt-in end-to-end request tracing ([`mopt_trace`]) threaded through
-//!   every tier and a `--slow-ms` slow-request log,
+//! * [`wire`] — the types of the JSON-lines request/response protocol
+//!   (`Optimize`, `Explain`, `PlanNetwork`, `PlanGraph`, `Suites`, `Stats`,
+//!   `Save`, `Metrics`, `Trace`, `Ping`),
+//! * `planning` — the four planning verbs and the one walk through the tier
+//!   stack they share,
+//! * [`server`] — the shared state, the administrative verbs, and the one
+//!   path from a request line to its reply, served over stdin/stdout by the
+//!   `moptd` binary, with opt-in end-to-end request tracing ([`mopt_trace`])
+//!   threaded through every tier and a `--slow-ms` slow-request log,
 //! * [`eventloop`] — the TCP front end: a non-blocking readiness event
 //!   loop (epoll via the vendored [`miniepoll`] shim) that multiplexes
 //!   every connection on one thread, supports pipelined requests with
@@ -74,10 +78,12 @@ mod framing;
 pub mod graphs;
 pub mod metrics;
 pub mod persist;
+mod planning;
 pub mod prometheus;
 pub mod server;
 pub mod singleflight;
 mod tiers;
+pub mod wire;
 
 pub use batch::{NetworkPlan, NetworkPlanner, PlanStats, PlannedLayer};
 pub use cache::{CacheKey, CacheStats, ScheduleCache};
@@ -86,8 +92,6 @@ pub use eventloop::{EventLoopServer, ServerConfig, ShutdownHandle};
 pub use graphs::{GraphCacheKey, GraphPlanCache, GraphServiceStats};
 pub use metrics::{MetricsReport, ServiceMetrics};
 pub use persist::{load_snapshot, save_snapshot, PersistError, Snapshot};
-pub use server::{
-    MachineSpec, Request, Response, ServiceState, ServiceStats, SlowTrace, Tier, MAX_REQUEST_BYTES,
-    SLOW_LOG_CAPACITY,
-};
+pub use server::{ServiceState, MAX_REQUEST_BYTES, SLOW_LOG_CAPACITY};
 pub use singleflight::{FlightBreakdown, FlightStats, SingleFlight};
+pub use wire::{MachineSpec, Request, Response, ServiceStats, SlowTrace, Tier};

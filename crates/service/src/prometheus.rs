@@ -20,7 +20,8 @@ use std::fmt::Write as _;
 use mopt_trace::LatencySnapshot;
 
 use crate::metrics::Verb;
-use crate::server::{ServiceState, Tier};
+use crate::server::ServiceState;
+use crate::wire::Tier;
 
 /// Render the full metric family set for `state`.
 pub fn render(state: &ServiceState) -> String {
@@ -241,7 +242,8 @@ fn fmt_f64(value: f64) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{Response, ServiceState};
+    use crate::server::ServiceState;
+    use crate::wire::Response;
 
     /// Structural check mirroring the CI exposition-syntax gate: every line
     /// is a comment or `name{labels} value`.

@@ -42,6 +42,16 @@ pub enum Role {
     Coalesced,
 }
 
+impl Role {
+    /// The value of a trace's `role` tag.
+    pub fn label(self) -> &'static str {
+        match self {
+            Role::Led => "led",
+            Role::Coalesced => "waited",
+        }
+    }
+}
+
 /// Why a flight failed: the leader's closure panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightError {

@@ -11,7 +11,7 @@ use mopt_trace::TraceContext;
 
 use crate::cache::{CacheKey, ScheduleCache};
 use crate::dbtier::DbTier;
-use crate::server::Tier;
+use crate::wire::Tier;
 
 /// Run `work`, recording it in `ctx` as a completed stage — retroactively,
 /// not as an open span: batch workers share one context, and its open-span

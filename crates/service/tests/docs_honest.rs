@@ -3,7 +3,9 @@
 //! come from the code (the `Verb` table `Request` dispatches through, the
 //! workspace manifest, `moptd`'s argument parser), so adding or removing one
 //! without touching the docs fails here. The reverse holds too: a path,
-//! package, cargo target or `moptd` flag a document names must exist.
+//! package, cargo target or `moptd` flag a document names must exist. And the
+//! manifests are held to the same rule: a `[dependencies]` entry must be a
+//! name the crate's own sources use.
 
 use mopt_service::metrics::Verb;
 
@@ -30,6 +32,22 @@ fn moptd_flags() -> Vec<String> {
         .collect()
 }
 
+/// The directory of every non-vendored workspace member, plus `.` for the
+/// root umbrella package.
+fn workspace_member_dirs() -> Vec<String> {
+    let root = read("Cargo.toml");
+    let members = root.split("members = [").nth(1).and_then(|s| s.split(']').next()).unwrap();
+    let mut dirs: Vec<String> = members
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|member| !member.starts_with("crates/vendor/"))
+        .map(str::to_string)
+        .collect();
+    dirs.push(".".to_string());
+    dirs
+}
+
 /// `[package] name` of every non-vendored workspace member, plus the root
 /// umbrella package.
 fn workspace_crates() -> Vec<String> {
@@ -39,17 +57,7 @@ fn workspace_crates() -> Vec<String> {
         let line = package.lines().find(|l| l.starts_with("name")).expect("package name");
         line.split('"').nth(1).expect("quoted name").to_string()
     };
-    let root = read("Cargo.toml");
-    let members = root.split("members = [").nth(1).and_then(|s| s.split(']').next()).unwrap();
-    let mut crates: Vec<String> = members
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .filter(|member| !member.starts_with("crates/vendor/"))
-        .map(|member| package_name(&format!("{member}/Cargo.toml")))
-        .collect();
-    crates.push(package_name("Cargo.toml"));
-    crates
+    workspace_member_dirs().iter().map(|dir| package_name(&format!("{dir}/Cargo.toml"))).collect()
 }
 
 /// Whether `text` contains `name` as a whole word: not as part of a longer
@@ -209,4 +217,44 @@ fn docs_name_nothing_the_workspace_lacks() {
         }
     }
     assert!(stale.is_empty(), "documents name things that do not exist:\n{}", stale.join("\n"));
+}
+
+/// The text of every `.rs` file under `dir`, stopping at a directory with a
+/// manifest of its own (a nested package is not this crate's source).
+fn rust_sources(dir: &std::path::Path) -> String {
+    let mut text = String::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() && !path.join("Cargo.toml").exists() {
+            text.push_str(&rust_sources(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            text.push_str(&std::fs::read_to_string(&path).unwrap());
+        }
+    }
+    text
+}
+
+#[test]
+fn manifests_list_only_dependencies_the_sources_use() {
+    let mut unused = Vec::new();
+    for dir in workspace_member_dirs() {
+        let manifest = read(&format!("{dir}/Cargo.toml"));
+        let dependencies = manifest.split("\n[dependencies]\n").nth(1).unwrap_or("");
+        let dependencies = dependencies.split("\n[").next().unwrap();
+        let sources = rust_sources(&root().join(&dir).join("src"));
+        for line in dependencies.lines().filter(|line| !line.trim().is_empty()) {
+            let name = line.split(['.', ' ', '=']).next().unwrap();
+            // As a path root (`name::`) or a re-export (`use name;`): a
+            // comment that merely names the crate is not a use.
+            let used = sources.match_indices(name).any(|(at, _)| {
+                let rest = &sources[at + name.len()..];
+                !sources[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+                    && (rest.starts_with("::") || rest.starts_with(';'))
+            });
+            if !used {
+                unused.push(format!("{dir}/Cargo.toml: `{name}`"));
+            }
+        }
+    }
+    assert!(unused.is_empty(), "[dependencies] no source file names:\n{}", unused.join("\n"));
 }

@@ -8,23 +8,10 @@
 
 use crate::problem::Problem;
 
-/// Options controlling [`floor_refine`].
-#[derive(Debug, Clone)]
-pub struct IntegerRefineOptions {
-    /// Maximum number of full improvement sweeps over all coordinates.
-    pub max_sweeps: usize,
-    /// Also try doubling / halving moves (useful because tile-size objectives
-    /// are often flat in ±1 steps but responsive to scale changes).
-    pub scale_moves: bool,
-    /// Feasibility tolerance for accepting a move.
-    pub feas_tol: f64,
-}
-
-impl Default for IntegerRefineOptions {
-    fn default() -> Self {
-        IntegerRefineOptions { max_sweeps: 8, scale_moves: true, feas_tol: 1e-9 }
-    }
-}
+/// Maximum number of full improvement sweeps over all coordinates.
+const MAX_SWEEPS: usize = 8;
+/// Feasibility tolerance for accepting a move.
+const FEAS_TOL: f64 = 1e-9;
 
 /// Floor a continuous solution to integers (respecting the lower bounds) and
 /// greedily refine it without violating constraints.
@@ -33,11 +20,7 @@ impl Default for IntegerRefineOptions {
 /// infeasible, coordinates are reduced greedily until feasible (this always
 /// terminates at the all-lower-bound point, which the tile problems keep
 /// feasible by construction).
-pub fn floor_refine(
-    problem: &Problem,
-    x: &[f64],
-    options: &IntegerRefineOptions,
-) -> (Vec<f64>, f64) {
+pub fn floor_refine(problem: &Problem, x: &[f64]) -> (Vec<f64>, f64) {
     let dim = problem.dim();
     assert_eq!(x.len(), dim, "point dimension mismatch");
     let mut xi: Vec<f64> = (0..dim)
@@ -47,7 +30,7 @@ pub fn floor_refine(
     // Restore feasibility by shrinking coordinates (capacity-style
     // constraints are monotone increasing in each variable).
     let mut guard = 0;
-    while problem.max_violation(&xi) > options.feas_tol && guard < 10_000 {
+    while problem.max_violation(&xi) > FEAS_TOL && guard < 10_000 {
         guard += 1;
         // Shrink the coordinate with the largest value above its lower bound.
         if let Some((j, _)) = xi
@@ -63,15 +46,12 @@ pub fn floor_refine(
     }
 
     let mut best_obj = problem.objective(&xi);
-    for _sweep in 0..options.max_sweeps {
+    for _sweep in 0..MAX_SWEEPS {
         let mut improved = false;
         for j in 0..dim {
-            let mut moves = vec![1.0, -1.0];
-            if options.scale_moves {
-                moves.push(xi[j]); // double
-                moves.push(-(xi[j] / 2.0).floor()); // halve
-            }
-            for delta in moves {
+            // ±1, then double and halve: tile-size objectives are often flat
+            // in unit steps but responsive to scale changes.
+            for delta in [1.0, -1.0, xi[j], -(xi[j] / 2.0).floor()] {
                 if delta == 0.0 {
                     continue;
                 }
@@ -82,7 +62,7 @@ pub fn floor_refine(
                 if cand[j] == xi[j] {
                     continue;
                 }
-                if problem.max_violation(&cand) > options.feas_tol {
+                if problem.max_violation(&cand) > FEAS_TOL {
                     continue;
                 }
                 let obj = problem.objective(&cand);
@@ -110,7 +90,7 @@ mod tests {
             .with_bounds(vec![1.0, 1.0], vec![16.0, 16.0])
             .with_objective(|x| -(x[0] * x[1]))
             .with_constraint(|x| x[0] * x[1] - 64.0);
-        let (xi, obj) = floor_refine(&p, &[7.9, 8.2], &IntegerRefineOptions::default());
+        let (xi, obj) = floor_refine(&p, &[7.9, 8.2]);
         assert!(xi.iter().all(|v| v.fract() == 0.0));
         assert!(p.max_violation(&xi) <= 1e-9);
         assert!(obj <= -(49.0)); // at least as good as the plain floor (7*8)
@@ -124,7 +104,7 @@ mod tests {
             .with_bounds(vec![1.0], vec![100.0])
             .with_objective(|x| 1000.0 / x[0])
             .with_constraint(|x| x[0] - 12.0);
-        let (xi, _) = floor_refine(&p, &[11.2], &IntegerRefineOptions::default());
+        let (xi, _) = floor_refine(&p, &[11.2]);
         assert_eq!(xi[0], 12.0);
     }
 
@@ -135,7 +115,7 @@ mod tests {
             .with_objective(|x| 1.0 / (x[0] * x[1]))
             .with_constraint(|x| x[0] * x[1] - 16.0);
         // Start well outside the feasible set.
-        let (xi, _) = floor_refine(&p, &[60.0, 60.0], &IntegerRefineOptions::default());
+        let (xi, _) = floor_refine(&p, &[60.0, 60.0]);
         assert!(p.max_violation(&xi) <= 1e-9, "still infeasible: {xi:?}");
         assert!(xi[0] * xi[1] <= 16.0 + 1e-9);
     }

@@ -46,7 +46,7 @@ pub mod penalty;
 pub mod problem;
 
 pub use barrier::BarrierSolver;
-pub use integer::{floor_refine, IntegerRefineOptions};
+pub use integer::floor_refine;
 pub use multistart::MultiStart;
 pub use penalty::PenaltySolver;
 pub use problem::{NlpSolver, Problem, SolveResult};

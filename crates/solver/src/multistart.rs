@@ -16,8 +16,6 @@ use crate::problem::{NlpSolver, Problem, SolveResult};
 /// Which local solver the restarts use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaseSolver {
-    /// Log-barrier interior point (default).
-    Barrier,
     /// Quadratic penalty.
     Penalty,
     /// Run both and keep the better result of each start.
@@ -34,9 +32,6 @@ pub struct MultiStart {
     pub base: BaseSolver,
     /// RNG seed, for reproducible optimization runs.
     pub seed: u64,
-    /// Sample starting points log-uniformly between the bounds (appropriate
-    /// for tile sizes, which span orders of magnitude).
-    pub log_uniform: bool,
     /// The barrier-solver configuration used for each start.
     pub barrier: BarrierSolver,
     /// The penalty-solver configuration used for each start.
@@ -49,7 +44,6 @@ impl Default for MultiStart {
             random_starts: 6,
             base: BaseSolver::Both,
             seed: 0x5eed,
-            log_uniform: true,
             barrier: BarrierSolver::fast(),
             penalty: PenaltySolver::default(),
         }
@@ -92,7 +86,9 @@ impl MultiStart {
                 .map(|j| {
                     let lo = problem.lower()[j];
                     let hi = problem.upper()[j];
-                    if self.log_uniform && lo > 0.0 && hi > lo {
+                    // Log-uniform between the bounds (tile sizes span orders of
+                    // magnitude) wherever the logarithms exist.
+                    if lo > 0.0 && hi > lo {
                         let t: f64 = rng.gen();
                         (lo.ln() + t * (hi.ln() - lo.ln())).exp()
                     } else {
@@ -113,7 +109,6 @@ impl NlpSolver for MultiStart {
         let mut best: Option<SolveResult> = None;
         for start in self.starting_points(problem, x0) {
             let candidates: Vec<SolveResult> = match self.base {
-                BaseSolver::Barrier => vec![barrier.solve(problem, &start)],
                 BaseSolver::Penalty => vec![penalty.solve(problem, &start)],
                 BaseSolver::Both => {
                     vec![barrier.solve(problem, &start), penalty.solve(problem, &start)]
