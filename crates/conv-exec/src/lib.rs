@@ -12,11 +12,12 @@
 //!   used by the oneDNN-like baseline in `baselines`),
 //! * [`packing`] — the `[K,C,R,S] → [K/VecLen, C, R, S, VecLen]` kernel
 //!   packing transform,
-//! * [`microkernel`] — the register-tiled inner kernel (accumulators held in
-//!   a small stack block), generic over logical input/output views, with a
-//!   runtime-dispatched AVX2+FMA inner loop (`is_x86_feature_detected!`,
-//!   overridable via `MOPT_FORCE_SCALAR`) that is ULP-bounded against the
-//!   exact scalar reference path,
+//! * [`microkernel`] — the L1-tile kernel: an output block held in registers
+//!   across every `(c, r, s)` of the tile, visited in the order the schedule's
+//!   register tile and permutation give, over strided views of the feature
+//!   maps; one body instantiated as the exact scalar reference and, behind
+//!   runtime dispatch (`is_x86_feature_detected!`, overridable via
+//!   `MOPT_FORCE_SCALAR`), for AVX2+FMA, ULP-bounded against the reference,
 //! * [`tiled`] — the multi-level tiled executor driven by a
 //!   [`conv_spec::TileConfig`]; with `threads > 1` it partitions the output
 //!   along the schedule's certified parallel factors (or, without factors,
@@ -59,6 +60,8 @@ pub mod measure;
 pub mod microkernel;
 pub mod naive;
 pub mod nchwc;
+#[cfg(test)]
+mod order_oracle;
 pub mod packing;
 pub mod spec_exec;
 pub mod tensor;
@@ -67,8 +70,8 @@ pub mod tiled;
 pub use fused::{pointwise_consumer, FusedDwPw};
 pub use measure::{measure_gflops, MeasureOptions, Measurement};
 pub use microkernel::{
-    active_backend, detected_backend, force_scalar, run_microkernel_with_backend, InputView,
-    OutputView, SimdBackend,
+    active_backend, detected_backend, force_scalar, run_microkernel_with_backend, SimdBackend,
+    StridedView, StridedViewMut,
 };
 pub use nchwc::{BlockedTensor, NchwcConv};
 pub use packing::PackedKernel;

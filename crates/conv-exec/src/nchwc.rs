@@ -5,15 +5,15 @@
 //! index stays inside a contiguous `c_block`-element lane group, which is what
 //! the layout-aware cost model prices as a shorter-stride stream. The executor
 //! here blocks the input, runs the *same* generic tile walk and microkernel as
-//! [`crate::TiledConv`] over the blocked storage (the views only change how
-//! offsets are computed, never the arithmetic or its order), and unblocks the
-//! output — so its results are bit-for-bit identical to the scalar tiled
-//! executor, and the packing steps it performs are exactly the one-time moves
-//! the model's `move_cost` module charges for.
+//! [`crate::TiledConv`] over the blocked storage (the strided views only
+//! change the plane offsets and strides, never the arithmetic or its order),
+//! and unblocks the output — so its results are bit-for-bit identical to the
+//! tiled executor on the same backend, and the packing steps it performs are
+//! exactly the one-time moves the model's `move_cost` module charges for.
 
 use conv_spec::{ConvShape, LayoutConfig, TensorLayout, TileConfig};
 
-use crate::microkernel::{InputView, KernelRegion, OutputView};
+use crate::microkernel::{KernelRegion, StridedView, StridedViewMut};
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
 use crate::tiled::TiledConv;
@@ -22,8 +22,9 @@ use crate::ExecError;
 /// A dense 4-D feature map stored in blocked NCHWc order
 /// (`[N, C/c_block, H, W, c_block]`, channels padded up to whole blocks).
 ///
-/// Indexing is logical NCHW — the block decomposition is internal — so the
-/// same microkernel code runs over [`Tensor4`] and `BlockedTensor` unchanged.
+/// Indexing is logical NCHW — the block decomposition is internal — and both
+/// this and [`Tensor4`] are [`StridedView`]s, so the same microkernel code
+/// runs over either.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedTensor {
     dims: (usize, usize, usize, usize),
@@ -46,15 +47,19 @@ impl BlockedTensor {
     /// Pack a plain NCHW tensor into blocked storage. Channel padding lanes
     /// stay zero.
     pub fn from_nchw(src: &Tensor4, c_block: usize) -> Self {
-        let dims = src.dims();
-        let mut out = Self::zeros(dims, c_block);
-        let (dn, dc, dh, dw) = dims;
-        for n in 0..dn {
-            for c in 0..dc {
-                for h in 0..dh {
-                    for w in 0..dw {
-                        *out.at_mut(n, c, h, w) = src.at(n, c, h, w);
-                    }
+        let mut out = Self::zeros(src.dims(), c_block);
+        let (_, dc, dh, dw) = src.dims();
+        let (plane, blocks) = (dh * dw, dc.div_ceil(c_block));
+        // Blocked order: a (batch, channel block) slab holds `plane` pixels of
+        // `c_block` lanes each; lane `l` of it is one NCHW channel plane.
+        let (slabs, planes) = (out.data.chunks_exact_mut((plane * c_block).max(1)), src.as_slice());
+        for (slab_index, slab) in slabs.enumerate() {
+            let (n, block) = (slab_index / blocks, slab_index % blocks);
+            let lanes = c_block.min(dc - block * c_block);
+            let first = src.offset(n, block * c_block, 0, 0);
+            for (pixel, group) in slab.chunks_exact_mut(c_block).enumerate() {
+                for (lane, value) in group[..lanes].iter_mut().enumerate() {
+                    *value = planes[first + lane * plane + pixel];
                 }
             }
         }
@@ -65,13 +70,11 @@ impl BlockedTensor {
     pub fn to_nchw(&self) -> Tensor4 {
         let (dn, dc, dh, dw) = self.dims;
         let mut out = Tensor4::zeros(dn, dc, dh, dw);
-        for n in 0..dn {
-            for c in 0..dc {
-                for h in 0..dh {
-                    for w in 0..dw {
-                        *out.at_mut(n, c, h, w) = self.at(n, c, h, w);
-                    }
-                }
+        let (plane, c_block) = (dh * dw, self.c_block());
+        for (plane_index, values) in out.as_mut_slice().chunks_exact_mut(plane.max(1)).enumerate() {
+            let first = StridedView::plane(self, plane_index / dc, plane_index % dc);
+            for (pixel, value) in values.iter_mut().enumerate() {
+                *value = self.data[first + pixel * c_block];
             }
         }
         out
@@ -109,21 +112,21 @@ impl BlockedTensor {
     }
 }
 
-impl InputView for BlockedTensor {
-    #[inline(always)]
-    fn value(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.at(n, c, h, w)
+impl StridedView for BlockedTensor {
+    fn data(&self) -> &[f32] {
+        &self.data
+    }
+    fn plane(&self, n: usize, c: usize) -> usize {
+        self.layout.offset((n, c, 0, 0), self.dims)
+    }
+    fn strides(&self) -> (usize, usize) {
+        (self.dims.3 * self.c_block(), self.c_block())
     }
 }
 
-impl OutputView for BlockedTensor {
-    #[inline(always)]
-    fn value(&self, n: usize, k: usize, h: usize, w: usize) -> f32 {
-        self.at(n, k, h, w)
-    }
-    #[inline(always)]
-    fn value_mut(&mut self, n: usize, k: usize, h: usize, w: usize) -> &mut f32 {
-        self.at_mut(n, k, h, w)
+impl StridedViewMut for BlockedTensor {
+    fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 }
 
@@ -131,7 +134,7 @@ impl OutputView for BlockedTensor {
 ///
 /// The tile walk (permutation, tile chain, microkernel) is shared with
 /// [`TiledConv`]; only the storage of the input and output differs. Because
-/// the generic views preserve the exact arithmetic order, `NchwcConv` is
+/// the strided views preserve the exact arithmetic order, `NchwcConv` is
 /// bit-for-bit identical to the sequential `TiledConv` on every shape.
 #[derive(Debug, Clone)]
 pub struct NchwcConv {
@@ -158,6 +161,14 @@ impl NchwcConv {
         let layout = config.layout;
         let inner = TiledConv::new(shape, config, threads)?.with_vec_len(vec_len_of(&layout));
         Ok(NchwcConv { inner, layout })
+    }
+
+    /// Pin the microkernel backend: the order oracle compares the scalar
+    /// reference bit for bit.
+    #[cfg(test)]
+    pub(crate) fn with_backend(mut self, backend: crate::SimdBackend) -> Self {
+        self.inner = self.inner.with_backend(backend);
+        self
     }
 
     /// The problem shape.

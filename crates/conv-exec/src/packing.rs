@@ -38,12 +38,16 @@ impl PackedKernel {
         );
         let layout = PackedKernelLayout::new(shape, vec_len);
         let mut data = vec![0.0f32; layout.len()];
-        for k in 0..shape.k {
-            for c in 0..shape.reduction_c() {
-                for r in 0..shape.r {
-                    for s in 0..shape.s {
-                        data[layout.offset(k, c, r, s)] = kernel.at(k, c, r, s);
-                    }
+        // Packed order: a group holds one `vec_len`-lane vector per
+        // `(c, r, s)`; lane `l` of it is element `(c, r, s)` of output
+        // channel `group * vec_len + l`, whose `KCRS` elements are contiguous.
+        let (channels, per_channel) = (kernel.as_slice(), layout.c * layout.r * layout.s);
+        for (group, vectors) in data.chunks_exact_mut((per_channel * vec_len).max(1)).enumerate() {
+            let lanes = vec_len.min(shape.k - group * vec_len);
+            let first = group * vec_len * per_channel;
+            for (crs, vector) in vectors.chunks_exact_mut(vec_len).enumerate() {
+                for (lane, value) in vector[..lanes].iter_mut().enumerate() {
+                    *value = channels[first + lane * per_channel + crs];
                 }
             }
         }

@@ -2,15 +2,20 @@
 //!
 //! `TiledConv` realizes the loop structure the paper's code generator emits:
 //! L3-, L2- and L1-level tile loops (in the configuration's permutation
-//! order) around the register-tiled microkernel, with the kernel tensor
-//! packed up front.
+//! order, resolved once to a flat loop nest and walked without recursion)
+//! around the microkernel, which runs once per L1 tile
+//! ([`crate::microkernel`]), with the kernel tensor packed up front. The
+//! register level of the configuration reaches the kernel as the order in
+//! which it visits a tile's `(c, r, s)`.
 //!
-//! With `threads > 1` the output is partitioned across scoped worker threads
-//! (tensors are borrowed, never copied to the workers) and each worker runs
-//! the same tile walk over its slice. A configuration carrying certified
-//! parallel factors ([`conv_spec::TileConfig::parallel`]) is executed exactly
-//! as the multicore model priced it — the factors' cross-product grid of
-//! output slices; factor-less configurations split the executor's
+//! With `threads > 1` the output is partitioned across scoped threads
+//! (tensors are borrowed, never copied to the workers) and each runs the same
+//! tile walk over its slice: the calling thread straight into the output, the
+//! others into a scratch tensor whose owned rows are copied out. A
+//! configuration carrying certified parallel factors
+//! ([`conv_spec::TileConfig::parallel`]) is executed exactly as the multicore
+//! model priced it — the factors' cross-product grid of output slices;
+//! factor-less configurations split the executor's
 //! [`conv_spec::ParallelAxis`] (the `k` output channels or the `n·h` output
 //! rows) into contiguous per-thread chunks. Threads own disjoint output
 //! regions; the reduction dimensions (`c`, `r`, `s`) are never partitioned
@@ -18,17 +23,18 @@
 //!
 //! Correctness is exact, not approximate: a slice along a non-reduction
 //! dimension leaves every output element's accumulation sequence — the order
-//! in which the `c`/`r`/`s` tile loops and the microkernel's inner reduction
-//! visit its partial products — untouched, so the threaded result is
+//! in which the `c`/`r`/`s` tile loops and the microkernel's tap list visit
+//! its partial products — untouched, so the threaded result is
 //! **bit-for-bit equal** to the `threads = 1` run of the same configuration
 //! (`assert_eq!` on the raw `f32` buffers, no tolerance). Tests here (the
 //! `partiled` test module) and in `tests/multicore_parallel.rs` enforce
 //! this, including thread counts exceeding the partitioned extent.
 
-use conv_spec::{ConvShape, LoopIndex, ParallelAxis, TileConfig, TileSizes, TilingLevel};
+use conv_spec::layout::PackedKernelLayout;
+use conv_spec::{ConvShape, LoopIndex, ParallelAxis, TileConfig, TilingLevel};
 
 use crate::microkernel::{
-    run_microkernel, run_microkernel_with_backend, InputView, KernelRegion, OutputView, SimdBackend,
+    active_backend, KernelRegion, SimdBackend, StridedView, StridedViewMut, TileKernel,
 };
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
@@ -120,8 +126,25 @@ impl TiledConv {
     }
 
     /// Run the convolution with an already packed kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have the shape's input dimensions or
+    /// `packed` was not packed for this shape.
     pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
         let shape = self.shape;
+        // The kernel indexes raw buffers with offsets derived from the
+        // shape: operands of another shape must stop here, not there.
+        assert_eq!(
+            input.dims(),
+            shape.input_dims(),
+            "input tensor dimensions do not match the shape"
+        );
+        assert_eq!(
+            *packed.layout(),
+            PackedKernelLayout::new(&shape, packed.vec_len()),
+            "the packed kernel was packed for a different shape"
+        );
         let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
         let slices = self.partition();
         if slices.len() <= 1 {
@@ -129,14 +152,16 @@ impl TiledConv {
             self.execute_region(input, packed, &mut output, &KernelRegion::full(&shape));
             return output;
         }
-        // Each worker accumulates its regions into a private full-size
-        // scratch tensor (regions address absolute coordinates); the owned
-        // output points are merged afterwards. Regions are disjoint across
-        // workers, so the merge never overlaps. Transient memory is bounded
-        // by `workers × |output|` with workers capped at `threads` (and at
-        // the slice count), and the merge copies each output point once.
+        // The calling thread takes the first slice and walks straight into
+        // the output. Every other worker accumulates its regions into a
+        // private full-size scratch tensor (regions address absolute
+        // coordinates) and its owned output rows are copied out afterwards.
+        // Regions are disjoint across workers, so nothing is written twice.
+        // Transient memory is bounded by `(workers - 1) × |output|` with
+        // workers capped at `threads` (and at the slice count).
+        let (own, others) = slices.split_first().expect("more than one slice");
         let partials: Vec<Tensor4> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
+            let handles: Vec<_> = others
                 .iter()
                 .map(|regions| {
                     scope.spawn(move || {
@@ -148,9 +173,12 @@ impl TiledConv {
                     })
                 })
                 .collect();
+            for region in own {
+                self.execute_region(input, packed, &mut output, region);
+            }
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
-        for (regions, partial) in slices.iter().zip(&partials) {
+        for (regions, partial) in others.iter().zip(&partials) {
             for region in regions {
                 copy_region_output(partial, &mut output, region);
             }
@@ -226,14 +254,15 @@ impl TiledConv {
             if f <= 1 {
                 continue;
             }
-            let chunks = split_range(region_field(full, idx).1, f);
+            let dim = idx.canonical_position();
+            let chunks = split_range(full.ranges()[dim].1, f);
             regions = regions
                 .iter()
                 .flat_map(|region| {
                     chunks.iter().map(move |&chunk| {
-                        let mut r = *region;
-                        set_region_field(&mut r, idx, chunk);
-                        r
+                        let mut ranges = region.ranges();
+                        ranges[dim] = chunk;
+                        KernelRegion::from_ranges(ranges)
                     })
                 })
                 .collect();
@@ -241,117 +270,83 @@ impl TiledConv {
         regions
     }
 
-    /// Execute the multi-level tile loops over an arbitrary base region.
-    /// Worker threads each run it over their slice of the output, and
-    /// [`crate::NchwcConv`] runs it over blocked NCHWc views — the walk is
-    /// generic over logical views so every storage layout goes through the
-    /// identical arithmetic.
-    pub(crate) fn execute_region<I: InputView, O: OutputView>(
+    /// Execute the L3-, L2- and L1-level tile loops over an arbitrary base
+    /// region, handing every L1 tile to the microkernel. Worker threads each
+    /// run it over their slice of the output, and [`crate::NchwcConv`] runs
+    /// it over blocked NCHWc views — the walk is generic over strided views
+    /// so every storage layout goes through the identical arithmetic.
+    pub(crate) fn execute_region<I: StridedView, O: StridedViewMut>(
         &self,
         input: &I,
         packed: &PackedKernel,
         output: &mut O,
         base: &KernelRegion,
     ) {
-        // Levels from outermost to innermost: L3, L2, L1, Register.
-        let chain = [
-            *self.config.level(TilingLevel::L3),
-            *self.config.level(TilingLevel::L2),
-            *self.config.level(TilingLevel::L1),
-            *self.config.level(TilingLevel::Register),
-        ];
-        self.walk_level(&chain, input, packed, output, base);
-    }
+        let backend = self.backend.unwrap_or_else(active_backend);
+        let mut kernel = TileKernel::new(&self.shape, &self.config, input, packed, output, backend);
 
-    fn walk_level<I: InputView, O: OutputView>(
-        &self,
-        chain: &[TileSizes],
-        input: &I,
-        packed: &PackedKernel,
-        output: &mut O,
-        region: &KernelRegion,
-    ) {
-        match chain.split_first() {
-            None => match self.backend {
-                None => run_microkernel(&self.shape, input, packed, output, region),
-                Some(backend) => run_microkernel_with_backend(
-                    &self.shape,
-                    input,
-                    packed,
-                    output,
-                    region,
-                    backend,
-                ),
-            },
-            Some((tile, rest)) => {
-                self.walk_dims(tile, rest, 0, input, packed, output, region, &mut region.clone());
+        // The loop nest, outermost first, resolved once: per level the seven
+        // dimensions in permutation order. A loop whose tile is never
+        // smaller than the range it cuts takes one trip and is left out.
+        let order = self.config.permutation.outer_to_inner().map(LoopIndex::canonical_position);
+        let mut longest = base.ranges().map(|(_, len)| len);
+        let mut loops: Vec<(usize, usize)> = Vec::with_capacity(3 * order.len());
+        for level in [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1] {
+            let tiles = self.config.level(level).as_array();
+            for dim in order {
+                let tile = tiles[dim].max(1);
+                if tile < longest[dim] {
+                    loops.push((dim, tile));
+                    longest[dim] = tile;
+                }
+            }
+        }
+
+        // Walk it without recursion: `current` is the tile the loops
+        // entered so far have narrowed the base region to; loop `depth`
+        // remembers the range it cuts and how far into it it is.
+        let mut current = base.ranges();
+        let mut cut = vec![(0, 0); loops.len()];
+        let mut offset = vec![0; loops.len()];
+        let mut depth = 0;
+        loop {
+            while depth < loops.len() {
+                let (dim, tile) = loops[depth];
+                cut[depth] = current[dim];
+                offset[depth] = 0;
+                current[dim] = (cut[depth].0, tile.min(cut[depth].1));
+                depth += 1;
+            }
+            kernel.run(&KernelRegion::from_ranges(current));
+            // Advance the innermost loop that has a tile left.
+            loop {
+                if depth == 0 {
+                    return;
+                }
+                depth -= 1;
+                let (dim, tile) = loops[depth];
+                let (start, len) = cut[depth];
+                offset[depth] += tile;
+                if offset[depth] < len {
+                    current[dim] = (start + offset[depth], tile.min(len - offset[depth]));
+                    depth += 1;
+                    break;
+                }
+                current[dim] = cut[depth];
             }
         }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk_dims<I: InputView, O: OutputView>(
-        &self,
-        tile: &TileSizes,
-        rest: &[TileSizes],
-        dim: usize,
-        input: &I,
-        packed: &PackedKernel,
-        output: &mut O,
-        enclosing: &KernelRegion,
-        current: &mut KernelRegion,
-    ) {
-        if dim == 7 {
-            let sub = *current;
-            self.walk_level(rest, input, packed, output, &sub);
-            return;
-        }
-        let idx = self.config.permutation.outer_to_inner()[dim];
-        let (base, extent) = region_field(enclosing, idx);
-        let t = tile.get(idx).max(1);
-        let mut off = 0;
-        while off < extent {
-            let len = t.min(extent - off);
-            set_region_field(current, idx, (base + off, len));
-            self.walk_dims(tile, rest, dim + 1, input, packed, output, enclosing, current);
-            off += t;
-        }
-        set_region_field(current, idx, (base, extent));
-    }
 }
 
-fn region_field(r: &KernelRegion, idx: LoopIndex) -> (usize, usize) {
-    match idx {
-        LoopIndex::N => r.n,
-        LoopIndex::K => r.k,
-        LoopIndex::C => r.c,
-        LoopIndex::R => r.r,
-        LoopIndex::S => r.s,
-        LoopIndex::H => r.h,
-        LoopIndex::W => r.w,
-    }
-}
-
-fn set_region_field(r: &mut KernelRegion, idx: LoopIndex, value: (usize, usize)) {
-    match idx {
-        LoopIndex::N => r.n = value,
-        LoopIndex::K => r.k = value,
-        LoopIndex::C => r.c = value,
-        LoopIndex::R => r.r = value,
-        LoopIndex::S => r.s = value,
-        LoopIndex::H => r.h = value,
-        LoopIndex::W => r.w = value,
-    }
-}
-
-/// Copy the output points a region owns from `partial` into `output`.
+/// Copy the output rows a region owns from `partial` into `output`.
 fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
+    let (w0, nw) = region.w;
     for n in region.n.0..region.n.0 + region.n.1 {
         for k in region.k.0..region.k.0 + region.k.1 {
             for h in region.h.0..region.h.0 + region.h.1 {
-                for w in region.w.0..region.w.0 + region.w.1 {
-                    *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
-                }
+                let row = partial.offset(n, k, h, w0);
+                output.as_mut_slice()[row..row + nw]
+                    .copy_from_slice(&partial.as_slice()[row..row + nw]);
             }
         }
     }
@@ -379,7 +374,7 @@ pub(crate) fn split_range(extent: usize, parts: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::naive::conv2d_naive;
-    use conv_spec::Permutation;
+    use conv_spec::{Permutation, TileSizes};
 
     fn reference(shape: &ConvShape, seed: u64) -> (Tensor4, Tensor4, Tensor4) {
         let (ni, ci, hi, wi) = shape.input_dims();
@@ -650,6 +645,29 @@ mod tests {
             let got = conv.run(&input, &kernel);
             assert!(expected.allclose(&got, 1e-4), "vec_len {vl}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed for a different shape")]
+    fn run_packed_rejects_a_kernel_packed_for_another_shape() {
+        let shape = ConvShape::new(1, 8, 4, 3, 3, 6, 6, 1).unwrap();
+        let other = ConvShape::new(1, 8, 2, 3, 3, 6, 6, 1).unwrap();
+        let (input, _, _) = reference(&shape, 1300);
+        let (_, other_kernel, _) = reference(&other, 1300);
+        let packed = PackedKernel::pack(&other, &other_kernel, 8);
+        let conv = TiledConv::new(shape, TileConfig::untiled(&shape), 1).unwrap();
+        let _ = conv.run_packed(&input, &packed);
+    }
+
+    #[test]
+    #[should_panic(expected = "input tensor dimensions do not match the shape")]
+    fn run_packed_rejects_an_input_of_the_wrong_dimensions() {
+        let shape = ConvShape::new(1, 8, 4, 3, 3, 6, 6, 1).unwrap();
+        let (_, kernel, _) = reference(&shape, 1400);
+        let packed = PackedKernel::pack(&shape, &kernel, 8);
+        let conv = TiledConv::new(shape, TileConfig::untiled(&shape), 1).unwrap();
+        // One row and one column short of the 8×8 input the shape reads.
+        let _ = conv.run_packed(&Tensor4::zeros(1, 4, 7, 7), &packed);
     }
 
     #[test]
