@@ -223,38 +223,133 @@ fn input_footprint_lines(shape: &ConvShape, t: &RealTiles, line: usize) -> f64 {
     t.get(LoopIndex::N) * t.get(LoopIndex::C) * span * rows * lines(cols, line)
 }
 
-/// Innermost (1-based from the inner end) position in `perm` of a loop index
-/// that is *present* in the index expressions of the given tensor.
-fn reuse_position(perm: &Permutation, present: impl Fn(LoopIndex) -> bool) -> usize {
-    perm.inner_to_outer()
+/// Innermost (1-based from the inner end) position in `inner_to_outer` of a
+/// loop index that is *present* in the index expressions of the given tensor.
+fn reuse_position(inner_to_outer: &[LoopIndex; 7], present: impl Fn(LoopIndex) -> bool) -> usize {
+    inner_to_outer
         .iter()
-        .enumerate()
-        .find(|(_, idx)| present(**idx))
-        .map(|(i, _)| i + 1)
+        .position(|&idx| present(idx))
+        .map(|i| i + 1)
         .expect("every tensor has at least one present index")
 }
 
-/// Product of `N_j / T_j` over all tile loops at positions `>= from_pos`
-/// (counted from the innermost loop, 1-based).
-fn trip_product(
-    shape: &ConvShape,
-    perm: &Permutation,
-    tiles: &RealTiles,
-    extents: &RealTiles,
-    from_pos: usize,
-) -> f64 {
-    let inner = perm.inner_to_outer();
+/// Product of the per-loop trip counts `N_j / T_j` over all tile loops at
+/// positions `>= from_pos` (counted from the innermost loop, 1-based),
+/// multiplied innermost first.
+fn trip_product(trips: &[f64; 7], from_pos: usize) -> f64 {
     let mut prod = 1.0;
-    for (i, idx) in inner.iter().enumerate() {
-        let pos = i + 1;
-        if pos >= from_pos {
-            let n = extents.get(*idx);
-            let t = tiles.get(*idx).max(1e-12);
-            prod *= (n / t).max(1.0);
+    for trip in &trips[from_pos - 1..] {
+        prod *= trip;
+    }
+    prod
+}
+
+/// What a tile-loop permutation decides about the volume expressions before
+/// any tile size is known: the loop order seen from the innermost loop, and
+/// per tensor the position of the innermost loop whose iterator indexes it
+/// (the reuse point of Sec. 3.2). Searches evaluate one permutation at
+/// hundreds of thousands of tile sizes, so this is worked out once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReusePlan {
+    inner_to_outer: [LoopIndex; 7],
+    r_out: usize,
+    r_ker: usize,
+    r_in: usize,
+}
+
+impl ReusePlan {
+    /// The plan of one permutation.
+    pub fn new(perm: &Permutation) -> Self {
+        let inner_to_outer = perm.inner_to_outer();
+        ReusePlan {
+            inner_to_outer,
+            r_out: reuse_position(&inner_to_outer, |i| i.present_in_output()),
+            r_ker: reuse_position(&inner_to_outer, |i| i.present_in_kernel()),
+            r_in: reuse_position(&inner_to_outer, |i| i.present_in_input()),
         }
     }
-    let _ = shape;
-    prod
+
+    /// Data-movement volume of one tiled execution of `extents` by `tiles`
+    /// (clamped into the extents) under this plan's permutation.
+    ///
+    /// For single-level tiling the extents are the problem sizes `N_j`; for
+    /// multi-level tiling the extents of level `l` are the tile sizes of
+    /// level `l+1` (Sec. 5), and the caller multiplies by the number of outer
+    /// tiles.
+    pub fn volumes(
+        &self,
+        shape: &ConvShape,
+        tiles: &RealTiles,
+        extents: &RealTiles,
+        options: &CostOptions,
+    ) -> ArrayVolumes {
+        let line = options.line_elems;
+        let t = tiles.clamped(&extents.as_array());
+        let stride = shape.stride as f64;
+        let trips =
+            self.inner_to_outer.map(|idx| (extents.get(idx) / t.get(idx).max(1e-12)).max(1.0));
+
+        // ---- Output: always case 1 (no partial reuse possible). Factor 2 for
+        // read + write-back.
+        let out_vol = 2.0 * trip_product(&trips, self.r_out) * output_footprint_lines(&t, line);
+
+        // ---- Kernel: always case 1.
+        let ker_vol = trip_product(&trips, self.r_ker) * kernel_footprint_lines(&t, line);
+
+        // ---- Input: case 1 when the innermost present iterator is n or c,
+        // case 2 (partial sliding-window reuse) when it is w, h, s or r.
+        // Dilation widens the sliding window: stepping the s (or r) loop by one
+        // tile moves the input window by `dilation` columns (rows) per kernel
+        // tap, so the per-step "new data" term scales by the dilation; stepping
+        // the w (or h) loop still moves by `stride` per output position. Grouped
+        // convolution multiplies every input term by the number of channel
+        // groups the K tile spans (`group_span`, exactly 1.0 for dense shapes).
+        let dilation = shape.dilation as f64;
+        let r_in = self.r_in;
+        let outer_prod = trip_product(&trips, r_in + 1);
+        let tn = t.get(LoopIndex::N);
+        let tc = t.get(LoopIndex::C) * group_span(shape, t.get(LoopIndex::K));
+        let th = t.get(LoopIndex::H);
+        let tw = t.get(LoopIndex::W);
+        let tr = t.get(LoopIndex::R);
+        let ts = t.get(LoopIndex::S);
+        let nh = extents.get(LoopIndex::H);
+        let nw = extents.get(LoopIndex::W);
+        let nr = extents.get(LoopIndex::R);
+        let ns = extents.get(LoopIndex::S);
+        let rows_tile = dilated_window(th, tr, stride, dilation);
+        let cols_tile = dilated_window(tw, ts, stride, dilation);
+        let in_vol = match self.inner_to_outer[r_in - 1] {
+            LoopIndex::N | LoopIndex::C => {
+                trip_product(&trips, r_in) * input_footprint_lines(shape, &t, line)
+            }
+            LoopIndex::W => {
+                // Per full execution of the wt loop the new columns are
+                // stride*(Nw - Tw), plus the first tile's full window.
+                let partial = tn * tc * rows_tile * lines(stride * (nw - tw).max(0.0), line);
+                let first = tn * tc * rows_tile * lines(cols_tile, line);
+                outer_prod * (partial + first)
+            }
+            LoopIndex::S => {
+                let partial = tn * tc * rows_tile * lines(dilation * (ns - ts).max(0.0), line);
+                let first = tn * tc * rows_tile * lines(cols_tile, line);
+                outer_prod * (partial + first)
+            }
+            LoopIndex::H => {
+                let partial = tn * tc * (stride * (nh - th).max(0.0)) * lines(cols_tile, line);
+                let first = tn * tc * rows_tile * lines(cols_tile, line);
+                outer_prod * (partial + first)
+            }
+            LoopIndex::R => {
+                let partial = tn * tc * (dilation * (nr - tr).max(0.0)) * lines(cols_tile, line);
+                let first = tn * tc * rows_tile * lines(cols_tile, line);
+                outer_prod * (partial + first)
+            }
+            LoopIndex::K => unreachable!("k is never present in the input tensor"),
+        };
+
+        ArrayVolumes { input: in_vol, kernel: ker_vol, output: out_vol }
+    }
 }
 
 /// Data-movement volume of a single-level tiled execution for an arbitrary
@@ -269,15 +364,11 @@ pub fn single_level_volume(
     tiles: &RealTiles,
     options: &CostOptions,
 ) -> ArrayVolumes {
-    let extents = RealTiles::full(shape);
-    single_level_volume_general(shape, perm, tiles, &extents, options)
+    single_level_volume_general(shape, perm, tiles, &RealTiles::full(shape), options)
 }
 
-/// The same expression with an explicit vector of enclosing extents.
-///
-/// For single-level tiling the extents are the problem sizes `N_j`; for
-/// multi-level tiling the extents of level `l` are the tile sizes of level
-/// `l+1` (Sec. 5), and the caller multiplies by the number of outer tiles.
+/// The same expression with an explicit vector of enclosing extents (see
+/// [`ReusePlan::volumes`], which this is for one call).
 pub fn single_level_volume_general(
     shape: &ConvShape,
     perm: &Permutation,
@@ -285,74 +376,7 @@ pub fn single_level_volume_general(
     extents: &RealTiles,
     options: &CostOptions,
 ) -> ArrayVolumes {
-    let line = options.line_elems;
-    let t = tiles.clamped(&extents.as_array());
-    let stride = shape.stride as f64;
-
-    // ---- Output: always case 1 (no partial reuse possible). Factor 2 for
-    // read + write-back.
-    let r_out = reuse_position(perm, |i| i.present_in_output());
-    let out_vol =
-        2.0 * trip_product(shape, perm, &t, extents, r_out) * output_footprint_lines(&t, line);
-
-    // ---- Kernel: always case 1.
-    let r_ker = reuse_position(perm, |i| i.present_in_kernel());
-    let ker_vol = trip_product(shape, perm, &t, extents, r_ker) * kernel_footprint_lines(&t, line);
-
-    // ---- Input: case 1 when the innermost present iterator is n or c,
-    // case 2 (partial sliding-window reuse) when it is w, h, s or r.
-    // Dilation widens the sliding window: stepping the s (or r) loop by one
-    // tile moves the input window by `dilation` columns (rows) per kernel
-    // tap, so the per-step "new data" term scales by the dilation; stepping
-    // the w (or h) loop still moves by `stride` per output position. Grouped
-    // convolution multiplies every input term by the number of channel
-    // groups the K tile spans (`group_span`, exactly 1.0 for dense shapes).
-    let dilation = shape.dilation as f64;
-    let r_in = reuse_position(perm, |i| i.present_in_input());
-    let at_r_in = perm.inner_to_outer()[r_in - 1];
-    let outer_prod = trip_product(shape, perm, &t, extents, r_in + 1);
-    let tn = t.get(LoopIndex::N);
-    let tc = t.get(LoopIndex::C) * group_span(shape, t.get(LoopIndex::K));
-    let th = t.get(LoopIndex::H);
-    let tw = t.get(LoopIndex::W);
-    let tr = t.get(LoopIndex::R);
-    let ts = t.get(LoopIndex::S);
-    let nh = extents.get(LoopIndex::H);
-    let nw = extents.get(LoopIndex::W);
-    let nr = extents.get(LoopIndex::R);
-    let ns = extents.get(LoopIndex::S);
-    let rows_tile = dilated_window(th, tr, stride, dilation);
-    let cols_tile = dilated_window(tw, ts, stride, dilation);
-    let in_vol = match at_r_in {
-        LoopIndex::N | LoopIndex::C => {
-            trip_product(shape, perm, &t, extents, r_in) * input_footprint_lines(shape, &t, line)
-        }
-        LoopIndex::W => {
-            // Per full execution of the wt loop the new columns are
-            // stride*(Nw - Tw), plus the first tile's full window.
-            let partial = tn * tc * rows_tile * lines(stride * (nw - tw).max(0.0), line);
-            let first = tn * tc * rows_tile * lines(cols_tile, line);
-            outer_prod * (partial + first)
-        }
-        LoopIndex::S => {
-            let partial = tn * tc * rows_tile * lines(dilation * (ns - ts).max(0.0), line);
-            let first = tn * tc * rows_tile * lines(cols_tile, line);
-            outer_prod * (partial + first)
-        }
-        LoopIndex::H => {
-            let partial = tn * tc * (stride * (nh - th).max(0.0)) * lines(cols_tile, line);
-            let first = tn * tc * rows_tile * lines(cols_tile, line);
-            outer_prod * (partial + first)
-        }
-        LoopIndex::R => {
-            let partial = tn * tc * (dilation * (nr - tr).max(0.0)) * lines(cols_tile, line);
-            let first = tn * tc * rows_tile * lines(cols_tile, line);
-            outer_prod * (partial + first)
-        }
-        LoopIndex::K => unreachable!("k is never present in the input tensor"),
-    };
-
-    ArrayVolumes { input: in_vol, kernel: ker_vol, output: out_vol }
+    ReusePlan::new(perm).volumes(shape, tiles, extents, options)
 }
 
 #[cfg(test)]

@@ -16,6 +16,17 @@
 //! minimization per candidate bottleneck level with dominance constraints
 //! (implemented in `mopt-core`). This module only evaluates the expressions.
 //!
+//! # One level at a time
+//!
+//! After the clamp chain that nests the levels into each other
+//! ([`MultiLevelTiles::nested_within`]), `DV_l` depends on two tiles only —
+//! level `l`'s own and the one enclosing it — and level `l`'s footprint on
+//! its own alone. [`LevelPricer`] is the model with everything else worked
+//! out once (thread slice, capacities, bandwidths, the permutation's
+//! [`ReusePlan`]); [`MultiLevelModel`]'s per-call methods build one, nest
+//! once and ask it for the levels they need, and a search keeps one per
+//! solve so that it can re-price only the levels a step changed.
+//!
 //! # Multicore adaptation
 //!
 //! Under parallel execution `P` threads partition the problem along the
@@ -38,8 +49,8 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 use crate::cost::{
-    input_footprint, kernel_footprint, output_footprint, single_level_volume_general,
-    total_footprint, CostOptions, RealTiles,
+    input_footprint, kernel_footprint, output_footprint, total_footprint, CostOptions, RealTiles,
+    ReusePlan,
 };
 use crate::move_cost::{self, MoveCost};
 
@@ -397,47 +408,33 @@ impl MultiLevelModel {
         e
     }
 
-    /// Model-predicted data volume (elements, whole chip) crossing the
-    /// boundary that fills tiles of `level`.
-    ///
-    /// The `P` threads partition the problem along the schedule's parallel
-    /// axis (Sec. 7): each thread runs the Sec. 5 assembly on a `1/P` slice
-    /// (with tiles clamped into its slice), and the chip total — including
-    /// the DRAM-boundary traffic — is the *sum* of the per-thread volumes.
-    /// `P = 1` is the sequential model exactly, not a special case of the
-    /// code: the slice is the whole problem, so the clamp into it is the
-    /// plain nesting clamp, and `1.0 * x` is `x` bit for bit.
-    pub fn level_volume(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
+    /// This model with everything that does not depend on the tile sizes
+    /// worked out, ready to price levels one at a time.
+    pub fn pricer(&self) -> LevelPricer<'_> {
         let threads = self.parallel.threads.max(1) as f64;
-        let ext = self.thread_extents();
-        let tiles = tiles.nested_within(&ext.as_array());
-        let extents = match level.outer() {
-            None => ext,
-            Some(outer) => *tiles.level(outer),
-        };
-        let volumes = single_level_volume_general(
-            &self.shape,
-            &self.permutation,
-            tiles.level(level),
-            &extents,
-            &self.options,
-        );
-        let per_outer = if self.layout.is_default() {
-            volumes.total()
-        } else {
-            self.layout_weighted_total(&volumes)
-        };
-        let count: f64 = match level.outer() {
-            None => 1.0,
-            Some(outer) => {
-                let t_outer = tiles.level(outer);
-                ALL_INDICES
-                    .iter()
-                    .map(|&idx| (ext.get(idx) / t_outer.get(idx).max(1e-12)).max(1.0))
-                    .product()
-            }
-        };
-        threads * count * per_outer
+        LevelPricer {
+            model: self,
+            plan: ReusePlan::new(&self.permutation),
+            slice: self.thread_extents(),
+            threads,
+            default_layout: self.layout.is_default(),
+            capacity: TilingLevel::ALL
+                .map(|level| self.machine.capacity_per_thread(level, self.parallel.threads) as f64),
+            bandwidth: TilingLevel::ALL.map(|level| {
+                let bw = self.machine.fill_bandwidth(level);
+                match level {
+                    TilingLevel::L3 => bw,
+                    _ => bw * threads,
+                }
+            }),
+        }
+    }
+
+    /// Model-predicted data volume (elements, whole chip) crossing the
+    /// boundary that fills tiles of `level` (see [`LevelPricer::volume`]).
+    pub fn level_volume(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
+        let pricer = self.pricer();
+        pricer.volume_in(&pricer.nest(tiles), level)
     }
 
     /// Tile footprint at a level (elements) — the left-hand side of that
@@ -482,28 +479,21 @@ impl MultiLevelModel {
     /// Bandwidth-scaled cost `DV_l / BW_l` (cycles) of a level, accounting for
     /// per-core bandwidth at private levels.
     pub fn scaled_cost(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        self.scale(self.level_volume(tiles, level), level)
-    }
-
-    /// `volume / BW_l`, with per-core bandwidth at the private levels.
-    fn scale(&self, volume: f64, level: TilingLevel) -> f64 {
-        let bw = self.machine.fill_bandwidth(level);
-        let threads = self.parallel.threads.max(1) as f64;
-        match level {
-            TilingLevel::L3 => volume / bw,
-            _ => volume / (bw * threads),
-        }
+        let pricer = self.pricer();
+        pricer.scale(pricer.volume_in(&pricer.nest(tiles), level), level)
     }
 
     /// Evaluate the full prediction (volumes, scaled costs, bottleneck) for a
     /// continuous tile assignment.
     pub fn predict_tiles(&self, tiles: &MultiLevelTiles) -> ModelPrediction {
+        let pricer = self.pricer();
+        let nested = pricer.nest(tiles);
         let mut volumes = [0.0; 4];
         let mut scaled = [0.0; 4];
         for &level in &TilingLevel::ALL {
-            let volume = self.level_volume(tiles, level);
+            let volume = pricer.volume_in(&nested, level);
             volumes[level.ordinal()] = volume;
-            scaled[level.ordinal()] = self.scale(volume, level);
+            scaled[level.ordinal()] = pricer.scale(volume, level);
         }
         let (bottleneck, bottleneck_cost) = TilingLevel::ALL
             .iter()
@@ -599,6 +589,105 @@ impl MultiLevelModel {
             moves,
             move_total,
         }
+    }
+}
+
+/// A [`MultiLevelModel`] with everything that does not depend on the tile
+/// sizes worked out once ([`MultiLevelModel::pricer`]): one thread's slice of
+/// the problem, each level's capacity share and bandwidth, the permutation's
+/// [`ReusePlan`].
+///
+/// A level's volume is a function of two tiles only — its own and the one
+/// enclosing it, both taken from the *nested* assignment ([`nest`](Self::nest))
+/// — and its footprint of its own tile alone. The model's per-call methods
+/// ([`MultiLevelModel::scaled_cost`], [`MultiLevelModel::predict_tiles`], …)
+/// nest once and go through here; a search that prices many neighbouring
+/// points keeps one pricer per solve and re-prices only the levels whose two
+/// tiles changed.
+///
+/// # Multicore
+///
+/// The `P` threads partition the problem along the schedule's parallel axis
+/// (Sec. 7): each thread runs the Sec. 5 assembly on a `1/P` slice (with
+/// tiles clamped into its slice), and the chip total — including the
+/// DRAM-boundary traffic — is the *sum* of the per-thread volumes. `P = 1` is
+/// the sequential model exactly, not a special case of the code: the slice
+/// is the whole problem, so the clamp into it is the plain nesting clamp, and
+/// `1.0 * x` is `x` bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelPricer<'m> {
+    model: &'m MultiLevelModel,
+    plan: ReusePlan,
+    slice: RealTiles,
+    threads: f64,
+    default_layout: bool,
+    capacity: [f64; 4],
+    bandwidth: [f64; 4],
+}
+
+impl LevelPricer<'_> {
+    /// `tiles` clamped into one thread's slice and into each other, outermost
+    /// first: the assignment every level is priced on.
+    pub fn nest(&self, tiles: &MultiLevelTiles) -> MultiLevelTiles {
+        tiles.nested_within(&self.slice.as_array())
+    }
+
+    /// The tile whose execution `level`'s tiles partition: the next outer
+    /// level's, or the thread's slice around the L3 tile.
+    pub fn enclosing<'a>(
+        &'a self,
+        nested: &'a MultiLevelTiles,
+        level: TilingLevel,
+    ) -> &'a RealTiles {
+        match level.outer() {
+            None => &self.slice,
+            Some(outer) => nested.level(outer),
+        }
+    }
+
+    /// Data volume (elements, whole chip) crossing the boundary that fills
+    /// `level`, given the level's nested tile and its
+    /// [`enclosing`](Self::enclosing) tile: the single-level expression on
+    /// that pair, times the number of enclosing tiles in a slice, times the
+    /// thread count.
+    pub fn volume(&self, level: TilingLevel, tile: &RealTiles, enclosing: &RealTiles) -> f64 {
+        let model = self.model;
+        let volumes = self.plan.volumes(&model.shape, tile, enclosing, &model.options);
+        let per_outer = if self.default_layout {
+            volumes.total()
+        } else {
+            model.layout_weighted_total(&volumes)
+        };
+        let count: f64 = match level.outer() {
+            None => 1.0,
+            Some(_) => ALL_INDICES
+                .iter()
+                .map(|&idx| (self.slice.get(idx) / enclosing.get(idx).max(1e-12)).max(1.0))
+                .product(),
+        };
+        self.threads * count * per_outer
+    }
+
+    /// [`volume`](Self::volume) of `level` within an already nested assignment.
+    fn volume_in(&self, nested: &MultiLevelTiles, level: TilingLevel) -> f64 {
+        self.volume(level, nested.level(level), self.enclosing(nested, level))
+    }
+
+    /// `volume / BW_l`, with per-core bandwidth at the private levels.
+    fn scale(&self, volume: f64, level: TilingLevel) -> f64 {
+        volume / self.bandwidth[level.ordinal()]
+    }
+
+    /// Bandwidth-scaled cost (cycles) of `level`: its [`volume`](Self::volume)
+    /// over its bandwidth.
+    pub fn scaled_cost(&self, level: TilingLevel, tile: &RealTiles, enclosing: &RealTiles) -> f64 {
+        self.scale(self.volume(level, tile, enclosing), level)
+    }
+
+    /// Capacity constraint `footprint − capacity ≤ 0` of `level` for its
+    /// nested tile, against one thread's share of the level.
+    pub fn capacity_slack(&self, level: TilingLevel, tile: &RealTiles) -> f64 {
+        self.model.tile_footprint(tile) - self.capacity[level.ordinal()]
     }
 }
 

@@ -45,6 +45,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod evaluator;
 pub mod optimizer;
 pub mod pricing;
 pub mod validation;

@@ -10,6 +10,13 @@
 //! the smallest cost is fixed at the tile sizes the solver chose. After all
 //! levels are fixed, the continuous solution is floored to integers, refined,
 //! and load-balanced across threads.
+//!
+//! The solver visits ~600 000 points per operator, and at each one asks for
+//! the objective and up to seven constraints that are all arithmetic on the
+//! same four per-level costs: the private `evaluator` module prices a point
+//! once for all of them, and re-prices only the levels a step changed. A
+//! traced search ([`MOptOptimizer::optimize_traced`]) is the same search; the
+//! evaluator's tallies are simply kept.
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, MachineModel, Permutation, Spec, TileConfig, TileSizes,
@@ -20,9 +27,8 @@ use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, 
 use mopt_model::prune::pruned_classes;
 use mopt_solver::{floor_refine, MultiStart, NlpSolver, Problem};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
+use crate::evaluator::{SolveCounters, TileEvaluator, TILES_PER_LEVEL};
 use crate::pricing;
 
 /// Options controlling the optimizer.
@@ -248,14 +254,6 @@ pub struct SearchTrace {
     pub margin: Option<f64>,
 }
 
-/// Lock-free tallies threaded into the solver's objective closure when a
-/// search trace is being recorded (a `None` branch on the untraced path).
-#[derive(Debug, Default)]
-struct SolveCounters {
-    enumerated: AtomicU64,
-    capacity_pruned: AtomicU64,
-}
-
 /// Capacity-slack tolerance (in elements) below which a continuous solution
 /// counts as feasible for trace reporting.
 const SLACK_TOLERANCE: f64 = 1e-6;
@@ -418,7 +416,10 @@ impl MOptOptimizer {
         model: &MultiLevelModel,
         mut recorder: Option<&mut CandidateSearch>,
     ) -> MultiLevelTiles {
-        let counters = recorder.as_ref().map(|_| Arc::new(SolveCounters::default()));
+        // Tallied by every evaluation, recorder or not: the traced search is
+        // the untraced one, and only what is kept differs (a branch on
+        // `None` when recording is off, outside the solver's loop).
+        let mut counters = SolveCounters::default();
         let mut fixed: [Option<RealTiles>; NUM_TILING_LEVELS] = [None; NUM_TILING_LEVELS];
         let mut not_visited: Vec<TilingLevel> = TilingLevel::ALL.to_vec();
         while !not_visited.is_empty() {
@@ -426,7 +427,7 @@ impl MOptOptimizer {
             let mut hypotheses: Vec<LevelHypothesis> = Vec::new();
             for &obj_level in &not_visited {
                 let (cost, tiles) =
-                    self.arg_min_solve(model, obj_level, &fixed, &not_visited, counters.as_ref());
+                    self.arg_min_solve(model, obj_level, &fixed, &not_visited, &mut counters);
                 if recorder.is_some() {
                     let feasible = TilingLevel::ALL
                         .iter()
@@ -451,9 +452,9 @@ impl MOptOptimizer {
             fixed[min_level.ordinal()] = Some(*tiles.level(min_level));
             not_visited.retain(|&l| l != min_level);
         }
-        if let (Some(rec), Some(counters)) = (recorder, counters) {
-            rec.enumerated += counters.enumerated.load(Ordering::Relaxed);
-            rec.capacity_pruned += counters.capacity_pruned.load(Ordering::Relaxed);
+        if let Some(rec) = recorder {
+            rec.enumerated += counters.enumerated;
+            rec.capacity_pruned += counters.capacity_pruned;
         }
         MultiLevelTiles {
             levels: [
@@ -466,108 +467,34 @@ impl MOptOptimizer {
     }
 
     /// One `ArgMinSolve` call: minimize the bandwidth-scaled cost of
-    /// `obj_level` over the tile sizes of all not-yet-fixed levels.
+    /// `obj_level` over the tile sizes of all not-yet-fixed levels, subject to
+    /// their capacity constraints and to `obj_level` dominating every other
+    /// level (the functions are [`TileEvaluator`]'s). `counters` is advanced
+    /// by every point the solver prices.
     fn arg_min_solve(
         &self,
         model: &MultiLevelModel,
         obj_level: TilingLevel,
         fixed: &[Option<RealTiles>; NUM_TILING_LEVELS],
-        not_visited: &[TilingLevel],
-        counters: Option<&Arc<SolveCounters>>,
+        free_levels: &[TilingLevel],
+        counters: &mut SolveCounters,
     ) -> (f64, MultiLevelTiles) {
-        let free_levels: Vec<TilingLevel> = not_visited.to_vec();
-        let dim = free_levels.len() * 7;
-        let shape = self.shape;
-        let extents = shape.extents();
+        let dim = free_levels.len() * TILES_PER_LEVEL;
+        let extents = RealTiles::full(&self.shape).as_array();
 
-        // Variable layout: for each free level (in `free_levels` order), the
-        // seven tile sizes in canonical index order.
-        let assemble = {
-            let free_levels = free_levels.clone();
-            let fixed = *fixed;
-            move |x: &[f64]| -> MultiLevelTiles {
-                let mut tiles = MultiLevelTiles::full(&shape);
-                for (li, level) in free_levels.iter().enumerate() {
-                    let mut t = RealTiles::ones();
-                    for (j, &idx) in ALL_INDICES.iter().enumerate() {
-                        t.set(idx, x[li * 7 + j]);
-                    }
-                    *tiles.level_mut(*level) = t;
-                }
-                for (ord, f) in fixed.iter().enumerate() {
-                    if let Some(t) = f {
-                        tiles.levels[ord] = *t;
-                    }
-                }
-                tiles.normalized(&shape)
-            }
-        };
-
-        let lower = vec![1.0; dim];
+        // Every tile size ranges over `[1, extent]`. Starting point:
+        // proportional slices of each extent, smaller for inner levels.
         let mut upper = Vec::with_capacity(dim);
-        for _ in &free_levels {
-            for &idx in &ALL_INDICES {
-                upper.push(extents[idx.canonical_position()] as f64);
-            }
-        }
-
-        let model_obj = model.clone();
-        let assemble_obj = assemble.clone();
-        let counters_obj = counters.cloned();
-        let free_obj = free_levels.clone();
-        let mut problem = Problem::new(dim).with_bounds(lower, upper).with_objective(move |x| {
-            let tiles = assemble_obj(x);
-            // Trace-only tallies: a branch on `None` when recording is off,
-            // so the untraced hot path is unchanged.
-            if let Some(counters) = &counters_obj {
-                counters.enumerated.fetch_add(1, Ordering::Relaxed);
-                if free_obj.iter().any(|&l| model_obj.capacity_slack(&tiles, l) > 0.0) {
-                    counters.capacity_pruned.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            model_obj.scaled_cost(&tiles, obj_level)
-        });
-
-        // Capacity constraints for every level that is still free (fixed
-        // levels already satisfy theirs by construction).
-        for &level in &free_levels {
-            let model_c = model.clone();
-            let assemble_c = assemble.clone();
-            problem = problem.with_constraint(move |x| {
-                let tiles = assemble_c(x);
-                model_c.capacity_slack(&tiles, level)
-            });
-        }
-        // Dominance constraints: the hypothesized bottleneck level must cost
-        // at least as much as every other level (Sec. 5's min–max
-        // decomposition). Scaled by the objective magnitude implicitly via
-        // the solver's normalization.
-        for &other in TilingLevel::ALL.iter() {
-            if other == obj_level {
-                continue;
-            }
-            let model_d = model.clone();
-            let assemble_d = assemble.clone();
-            problem = problem.with_constraint(move |x| {
-                let tiles = assemble_d(x);
-                model_d.scaled_cost(&tiles, other) - model_d.scaled_cost(&tiles, obj_level)
-            });
-        }
-
-        // Starting point: proportional slices of each extent, smaller for
-        // inner levels.
         let mut x0 = Vec::with_capacity(dim);
-        for &level in &free_levels {
+        for &level in free_levels {
             let frac = match level {
                 TilingLevel::Register => 0.05,
                 TilingLevel::L1 => 0.15,
                 TilingLevel::L2 => 0.4,
                 TilingLevel::L3 => 0.8,
             };
-            for &idx in &ALL_INDICES {
-                let e = extents[idx.canonical_position()] as f64;
-                x0.push((e * frac).max(1.0));
-            }
+            upper.extend(extents);
+            x0.extend(extents.map(|e| (e * frac).max(1.0)));
         }
 
         let solver = if self.options.thorough {
@@ -575,8 +502,15 @@ impl MOptOptimizer {
         } else {
             MultiStart::cheap(self.options.multistart)
         };
-        let result = solver.solve(&problem, &x0);
-        let tiles = assemble(&result.x);
+        let mut evaluator = TileEvaluator::new(model, obj_level, fixed, free_levels, counters);
+        let result = {
+            let problem = Problem::joint(dim, evaluator.num_constraints(), |x, constraints| {
+                evaluator.evaluate(x, constraints)
+            })
+            .with_bounds(vec![1.0; dim], upper);
+            solver.solve(&problem, &x0)
+        };
+        let tiles = evaluator.tiles_at(&result.x).normalized(&self.shape);
         let cost = model.scaled_cost(&tiles, obj_level);
         (cost, tiles)
     }
@@ -599,7 +533,6 @@ impl MOptOptimizer {
             let shape = self.shape;
             let dim = 7;
             let level_tiles = *tiles.level(level);
-            let model_level = model.clone();
             let current = *tiles;
             let problem = Problem::new(dim)
                 .with_bounds(
@@ -613,7 +546,7 @@ impl MOptOptimizer {
                         rt.set(idx, x[j]);
                     }
                     *t.level_mut(level) = rt;
-                    model_level.scaled_cost(&t.normalized(&shape), level)
+                    model.scaled_cost(&t.normalized(&shape), level)
                 })
                 .with_constraint(move |x| {
                     let mut rt = RealTiles::ones();
@@ -703,6 +636,9 @@ pub fn heuristic_config(shape: &ConvShape, machine: &MachineModel) -> TileConfig
     )
     .normalized(shape)
 }
+
+#[cfg(test)]
+mod evaluation_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! search, then shrinks μ. If the starting point violates a constraint, a
 //! feasibility phase first minimizes the squared violation.
 
-use crate::gradient::{axpy, norm, numerical_gradient};
+use crate::gradient::{axpy, descent_direction, norm, numerical_gradient};
 use crate::problem::{NlpSolver, Problem, SolveResult};
 
 /// Log-barrier interior-point solver.
@@ -54,33 +54,38 @@ impl BarrierSolver {
     /// minimizing the squared constraint violation with projected gradient.
     fn restore_feasibility(&self, problem: &Problem, x: &mut Vec<f64>) {
         problem.project(x);
-        if problem.max_violation(x) <= 0.0 {
-            return;
-        }
-        let viol = |p: &Problem, y: &[f64]| -> f64 {
-            (0..p.num_constraints()).map(|i| p.constraint(i, y).max(0.0).powi(2)).sum::<f64>()
+        let mut constraints = problem.constraint_buffer();
+        // One evaluation gives both measures of a point: the smooth one the
+        // descent minimizes, and the largest violation (bounds included).
+        let mut measure = |y: &[f64]| -> (f64, f64) {
+            problem.evaluate(y, &mut constraints);
+            let squared = constraints.iter().map(|g| g.max(0.0).powi(2)).sum::<f64>();
+            (squared, problem.violation(y, &constraints))
         };
+        let (mut f0, mut worst) = measure(x);
         let mut step = 1.0;
+        let mut dir = vec![0.0; x.len()];
+        let mut cand = vec![0.0; x.len()];
         for _ in 0..self.inner_iters {
-            if problem.max_violation(x) <= 0.0 {
+            if worst <= 0.0 {
                 break;
             }
-            let f = |y: &[f64]| viol(problem, y);
-            let g = numerical_gradient(&f, x);
-            let gn = norm(&g);
+            numerical_gradient(|y| measure(y).0, x, &mut dir);
+            let gn = norm(&dir);
             if gn < self.tol {
                 break;
             }
-            let dir: Vec<f64> = g.iter().map(|v| -v / gn).collect();
+            descent_direction(&mut dir, gn);
             // Backtracking on the violation measure.
-            let f0 = viol(problem, x);
             let mut accepted = false;
             let mut s = step;
             for _ in 0..30 {
-                let mut cand = axpy(x, s, &dir);
+                axpy(&mut cand, x, s, &dir);
                 problem.project(&mut cand);
-                if viol(problem, &cand) < f0 {
-                    *x = cand;
+                let (fc, worst_c) = measure(&cand);
+                if fc < f0 {
+                    std::mem::swap(x, &mut cand);
+                    (f0, worst) = (fc, worst_c);
                     step = (s * 2.0).min(1e6);
                     accepted = true;
                     break;
@@ -92,18 +97,19 @@ impl BarrierSolver {
             }
         }
     }
+}
 
-    fn barrier_value(&self, problem: &Problem, mu: f64, x: &[f64]) -> f64 {
-        let mut phi = problem.objective(x);
-        for i in 0..problem.num_constraints() {
-            let g = problem.constraint(i, x);
-            if g >= 0.0 {
-                return f64::INFINITY;
-            }
-            phi -= mu * (-g).ln();
+/// `φ_μ` from one evaluation's values: infinite unless every constraint is
+/// strictly satisfied.
+fn barrier_value(objective: f64, constraints: &[f64], mu: f64) -> f64 {
+    let mut phi = objective;
+    for &g in constraints {
+        if g >= 0.0 {
+            return f64::INFINITY;
         }
-        phi
+        phi -= mu * (-g).ln();
     }
+    phi
 }
 
 impl NlpSolver for BarrierSolver {
@@ -115,42 +121,43 @@ impl NlpSolver for BarrierSolver {
         // If still infeasible, interior point cannot start; report the
         // best-effort point (callers typically fall back to PenaltySolver or
         // another start via MultiStart).
-        if problem.max_violation(&x) > 0.0 {
-            let violation = problem.max_violation(&x);
-            return SolveResult {
-                objective: problem.objective(&x),
-                feasible: violation <= self.feas_tol,
-                max_violation: violation,
-                iterations: 0,
-                x,
-            };
+        let restored = SolveResult::at(problem, x, 0, self.feas_tol);
+        if restored.max_violation > 0.0 {
+            return restored;
         }
+        let mut x = restored.x;
+        let mut constraints = problem.constraint_buffer();
 
         // Back off from active constraints slightly so logs are finite.
-        nudge_strictly_feasible(problem, &mut x);
+        nudge_strictly_feasible(problem, &mut x, &mut constraints);
 
-        let mut mu = self.mu0 * (1.0 + problem.objective(&x).abs());
+        let mut mu = self.mu0 * (1.0 + problem.evaluate(&x, &mut constraints).abs());
+        let mut phi = |mu: f64, y: &[f64]| -> f64 {
+            let objective = problem.evaluate(y, &mut constraints);
+            barrier_value(objective, &constraints, mu)
+        };
         let mut total_iters = 0usize;
+        let mut dir = vec![0.0; x.len()];
+        let mut cand = vec![0.0; x.len()];
         for _outer in 0..self.outer_iters {
             let mut step = 1.0;
             for _inner in 0..self.inner_iters {
                 total_iters += 1;
-                let phi = |y: &[f64]| self.barrier_value(problem, mu, y);
-                let f0 = phi(&x);
-                let g = numerical_gradient(&phi, &x);
-                let gn = norm(&g);
+                let f0 = phi(mu, &x);
+                numerical_gradient(|y| phi(mu, y), &mut x, &mut dir);
+                let gn = norm(&dir);
                 if !gn.is_finite() || gn < self.tol * (1.0 + f0.abs()) {
                     break;
                 }
-                let dir: Vec<f64> = g.iter().map(|v| -v / gn).collect();
+                descent_direction(&mut dir, gn);
                 let mut s = step;
                 let mut accepted = false;
                 for _ in 0..40 {
-                    let mut cand = axpy(&x, s, &dir);
+                    axpy(&mut cand, &x, s, &dir);
                     problem.project(&mut cand);
-                    let fc = phi(&cand);
+                    let fc = phi(mu, &cand);
                     if fc.is_finite() && fc < f0 - 1e-12 * f0.abs() {
-                        x = cand;
+                        std::mem::swap(&mut x, &mut cand);
                         step = (s * 2.0).min(1e9);
                         accepted = true;
                         break;
@@ -164,36 +171,29 @@ impl NlpSolver for BarrierSolver {
             mu *= self.mu_shrink;
         }
 
-        let violation = problem.max_violation(&x);
-        SolveResult {
-            objective: problem.objective(&x),
-            feasible: violation <= self.feas_tol,
-            max_violation: violation,
-            iterations: total_iters,
-            x,
-        }
+        SolveResult::at(problem, x, total_iters, self.feas_tol)
     }
 }
 
 /// Pull a feasible point slightly off active constraints and bounds so that
 /// `-g(x) > 0` and the barrier is finite.
-fn nudge_strictly_feasible(problem: &Problem, x: &mut [f64]) {
+fn nudge_strictly_feasible(problem: &Problem, x: &mut [f64], constraints: &mut [f64]) {
     for _ in 0..50 {
-        let active = (0..problem.num_constraints()).any(|i| problem.constraint(i, x) >= -1e-12);
-        if !active {
+        problem.evaluate(x, constraints);
+        if !constraints.iter().any(|&g| g >= -1e-12) {
             return;
         }
         // Move toward the box center, which for the capacity-style
         // constraints used here (monotonically increasing in every variable)
         // reduces the constraint values.
-        let center: Vec<f64> =
-            (0..problem.dim()).map(|j| 0.5 * (problem.lower()[j] + problem.upper()[j])).collect();
-        for (xj, &c) in x.iter_mut().zip(&center) {
+        for (j, xj) in x.iter_mut().enumerate() {
+            let c = 0.5 * (problem.lower()[j] + problem.upper()[j]);
             *xj = *xj + 0.05 * (c.min(*xj) - *xj) - 1e-9 * xj.abs();
         }
         problem.project(x);
         // Shrink toward lower bounds as a last resort.
-        if (0..problem.num_constraints()).any(|i| problem.constraint(i, x) >= 0.0) {
+        problem.evaluate(x, constraints);
+        if constraints.iter().any(|&g| g >= 0.0) {
             for (xj, &lo) in x.iter_mut().zip(problem.lower()) {
                 *xj = lo + 0.9 * (*xj - lo);
             }
@@ -253,6 +253,33 @@ mod tests {
         // Capacity should be essentially saturated at the optimum.
         let used = r.x[0] * r.x[2] + r.x[1] * r.x[2] + r.x[0] * r.x[1];
         assert!(used > 0.85 * cap, "capacity underused: {used}");
+    }
+
+    #[test]
+    fn barrier_is_infinite_when_any_constraint_is_active_wherever_it_sits() {
+        // The joint evaluation prices every constraint; the value must not
+        // depend on which one is violated or on the ones after it.
+        let mu = 0.5;
+        assert_eq!(barrier_value(3.0, &[], mu), 3.0);
+        assert_eq!(barrier_value(3.0, &[-1.0, -2.0], mu), 3.0 - mu * 1f64.ln() - mu * 2f64.ln());
+        for active in [0.0, 1e-300, 7.0, f64::INFINITY] {
+            for at in 0..3 {
+                let mut constraints = [-1.0, -2.0, -3.0];
+                constraints[at] = active;
+                assert_eq!(barrier_value(3.0, &constraints, mu), f64::INFINITY);
+                constraints[(at + 1) % 3] = f64::NAN;
+                assert_eq!(barrier_value(3.0, &constraints, mu), f64::INFINITY);
+            }
+        }
+        // Through a solve: a start on the constraint boundary still ends
+        // strictly inside.
+        let p = Problem::new(2)
+            .with_bounds(vec![0.5, 0.5], vec![100.0, 100.0])
+            .with_objective(|x| x[0] + 2.0 * x[1])
+            .with_constraint(|x| x[0] * x[1] - 50.0)
+            .with_constraint(|x| x[0] - 60.0);
+        let r = BarrierSolver::default().solve(&p, &[10.0, 5.0]);
+        assert!(r.feasible && r.x[0] * r.x[1] < 50.0);
     }
 
     #[test]

@@ -4,25 +4,25 @@
 //! closed forms are assembled programmatically from the cost model, so the
 //! solvers use central finite differences rather than hand-coded gradients.
 
-/// Central-difference gradient of `f` at `x`.
+/// Central-difference gradient of `f` at `x`, written to `grad`.
 ///
 /// The step is scaled relative to the magnitude of each coordinate so the
 /// approximation stays accurate for the wide dynamic range of tile sizes
-/// (1 to tens of thousands).
-pub fn numerical_gradient(f: &dyn Fn(&[f64]) -> f64, x: &[f64]) -> Vec<f64> {
-    let mut grad = vec![0.0; x.len()];
-    let mut xp = x.to_vec();
+/// (1 to tens of thousands). `x` is stepped in place, one coordinate at a
+/// time, and is back at its values when this returns — so every point `f`
+/// sees differs from `x` in one coordinate, which an `f` that remembers the
+/// last point it priced can exploit.
+pub fn numerical_gradient(mut f: impl FnMut(&[f64]) -> f64, x: &mut [f64], grad: &mut [f64]) {
     for j in 0..x.len() {
-        let h = step_for(x[j]);
-        let orig = xp[j];
-        xp[j] = orig + h;
-        let fp = f(&xp);
-        xp[j] = orig - h;
-        let fm = f(&xp);
-        xp[j] = orig;
+        let orig = x[j];
+        let h = step_for(orig);
+        x[j] = orig + h;
+        let fp = f(x);
+        x[j] = orig - h;
+        let fm = f(x);
+        x[j] = orig;
         grad[j] = (fp - fm) / (2.0 * h);
     }
-    grad
 }
 
 /// The relative finite-difference step for a coordinate value.
@@ -36,14 +36,18 @@ pub fn norm(v: &[f64]) -> f64 {
     v.iter().map(|a| a * a).sum::<f64>().sqrt()
 }
 
-/// `a - b` element-wise.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
+/// `out = a + s * d` element-wise.
+pub fn axpy(out: &mut [f64], a: &[f64], s: f64, d: &[f64]) {
+    for ((o, x), y) in out.iter_mut().zip(a).zip(d) {
+        *o = x + s * y;
+    }
 }
 
-/// `a + s * d` element-wise.
-pub fn axpy(a: &[f64], s: f64, d: &[f64]) -> Vec<f64> {
-    a.iter().zip(d.iter()).map(|(x, y)| x + s * y).collect()
+/// Turn a gradient of norm `norm` into the unit descent direction, in place.
+pub fn descent_direction(gradient: &mut [f64], norm: f64) {
+    for v in gradient {
+        *v = -*v / norm;
+    }
 }
 
 #[cfg(test)]
@@ -53,7 +57,10 @@ mod tests {
     #[test]
     fn gradient_of_quadratic() {
         let f = |x: &[f64]| x[0] * x[0] + 3.0 * x[1];
-        let g = numerical_gradient(&f, &[2.0, 5.0]);
+        let mut x = [2.0, 5.0];
+        let mut g = [0.0; 2];
+        numerical_gradient(f, &mut x, &mut g);
+        assert_eq!(x, [2.0, 5.0], "the point is restored exactly");
         assert!((g[0] - 4.0).abs() < 1e-4);
         assert!((g[1] - 3.0).abs() < 1e-4);
     }
@@ -63,15 +70,20 @@ mod tests {
         // d/dT (N/T) = -N/T^2 — typical term of the tile cost expressions.
         let n = 1.0e6;
         let f = move |x: &[f64]| n / x[0];
-        let g = numerical_gradient(&f, &[250.0]);
+        let mut g = [0.0];
+        numerical_gradient(f, &mut [250.0], &mut g);
         assert!((g[0] + n / 250.0_f64.powi(2)).abs() / (n / 250.0_f64.powi(2)) < 1e-4);
     }
 
     #[test]
     fn vector_helpers() {
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(sub(&[3.0, 4.0], &[1.0, 1.0]), vec![2.0, 3.0]);
-        assert_eq!(axpy(&[1.0, 2.0], 2.0, &[1.0, -1.0]), vec![3.0, 0.0]);
+        let mut out = [0.0; 2];
+        axpy(&mut out, &[1.0, 2.0], 2.0, &[1.0, -1.0]);
+        assert_eq!(out, [3.0, 0.0]);
+        let mut g = [3.0, -4.0];
+        descent_direction(&mut g, 5.0);
+        assert_eq!(g, [-0.6, 0.8]);
         assert!(step_for(0.0) > 0.0 && step_for(1e6) > step_for(1.0));
     }
 }

@@ -23,29 +23,36 @@ const FEAS_TOL: f64 = 1e-9;
 pub fn floor_refine(problem: &Problem, x: &[f64]) -> (Vec<f64>, f64) {
     let dim = problem.dim();
     assert_eq!(x.len(), dim, "point dimension mismatch");
-    let mut xi: Vec<f64> = (0..dim)
-        .map(|j| x[j].floor().max(problem.lower()[j].ceil()).min(problem.upper()[j].floor()))
-        .collect();
+    let lowest = |j: usize| problem.lower()[j].ceil();
+    let mut xi: Vec<f64> =
+        (0..dim).map(|j| x[j].floor().max(lowest(j)).min(problem.upper()[j].floor())).collect();
+    let mut constraints = problem.constraint_buffer();
+    // A point's objective and largest violation, from one evaluation.
+    let mut price = |y: &[f64]| -> (f64, f64) {
+        let objective = problem.evaluate(y, &mut constraints);
+        (objective, problem.violation(y, &constraints))
+    };
 
     // Restore feasibility by shrinking coordinates (capacity-style
     // constraints are monotone increasing in each variable).
+    let (mut best_obj, mut violation) = price(&xi);
     let mut guard = 0;
-    while problem.max_violation(&xi) > FEAS_TOL && guard < 10_000 {
+    while violation > FEAS_TOL && guard < 10_000 {
         guard += 1;
         // Shrink the coordinate with the largest value above its lower bound.
         if let Some((j, _)) = xi
             .iter()
             .enumerate()
-            .filter(|(j, v)| **v > problem.lower()[*j].ceil())
+            .filter(|(j, v)| **v > lowest(*j))
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         {
-            xi[j] = (xi[j] / 2.0).floor().max(problem.lower()[j].ceil());
+            xi[j] = (xi[j] / 2.0).floor().max(lowest(j));
         } else {
             break;
         }
+        (best_obj, violation) = price(&xi);
     }
 
-    let mut best_obj = problem.objective(&xi);
     for _sweep in 0..MAX_SWEEPS {
         let mut improved = false;
         for j in 0..dim {
@@ -55,21 +62,18 @@ pub fn floor_refine(problem: &Problem, x: &[f64]) -> (Vec<f64>, f64) {
                 if delta == 0.0 {
                     continue;
                 }
-                let mut cand = xi.clone();
-                cand[j] = (cand[j] + delta)
-                    .max(problem.lower()[j].ceil())
-                    .min(problem.upper()[j].floor());
-                if cand[j] == xi[j] {
+                let current = xi[j];
+                let moved = (current + delta).max(lowest(j)).min(problem.upper()[j].floor());
+                if moved == current {
                     continue;
                 }
-                if problem.max_violation(&cand) > FEAS_TOL {
-                    continue;
-                }
-                let obj = problem.objective(&cand);
-                if obj < best_obj - 1e-12 * best_obj.abs() {
-                    xi = cand;
+                xi[j] = moved;
+                let (obj, violation) = price(&xi);
+                if violation <= FEAS_TOL && obj < best_obj - 1e-12 * best_obj.abs() {
                     best_obj = obj;
                     improved = true;
+                } else {
+                    xi[j] = current;
                 }
             }
         }

@@ -11,6 +11,14 @@
 //!   ratios of the variables (posynomial-like),
 //! * simple box bounds `1 ≤ T_j ≤ N_j`.
 //!
+//! A [`Problem`] is a box and one function: [`Problem::evaluate`] prices the
+//! objective and every constraint at a point together, because for the tile
+//! problems they are all arithmetic on the same few per-level costs. Each
+//! solver makes exactly one evaluation per point it visits (the penalty
+//! merit, the barrier function, the feasibility measure and the integer
+//! refinement all read objective and constraints off the same evaluation),
+//! and the iteration loops allocate nothing.
+//!
 //! Provided solvers:
 //!
 //! * [`barrier::BarrierSolver`] — a log-barrier interior-point method with

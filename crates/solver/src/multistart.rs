@@ -104,28 +104,17 @@ impl MultiStart {
 
 impl NlpSolver for MultiStart {
     fn solve(&self, problem: &Problem, x0: &[f64]) -> SolveResult {
-        let barrier = self.barrier.clone();
-        let penalty = self.penalty.clone();
         let mut best: Option<SolveResult> = None;
-        for start in self.starting_points(problem, x0) {
-            let candidates: Vec<SolveResult> = match self.base {
-                BaseSolver::Penalty => vec![penalty.solve(problem, &start)],
-                BaseSolver::Both => {
-                    vec![barrier.solve(problem, &start), penalty.solve(problem, &start)]
-                }
-            };
-            for cand in candidates {
-                best = match best {
-                    None => Some(cand),
-                    Some(b) => {
-                        if cand.better_than(&b) {
-                            Some(cand)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
+        let mut keep_better = |cand: SolveResult| {
+            if best.as_ref().is_none_or(|b| cand.better_than(b)) {
+                best = Some(cand);
             }
+        };
+        for start in self.starting_points(problem, x0) {
+            if self.base == BaseSolver::Both {
+                keep_better(self.barrier.solve(problem, &start));
+            }
+            keep_better(self.penalty.solve(problem, &start));
         }
         best.expect("at least one starting point is always evaluated")
     }
@@ -137,7 +126,7 @@ mod tests {
 
     /// A deliberately multi-modal objective: two basins, the deeper one near
     /// the upper bound.
-    fn two_basin_problem() -> Problem {
+    fn two_basin_problem() -> Problem<'static> {
         Problem::new(1).with_bounds(vec![0.0], vec![10.0]).with_objective(|x| {
             let a = (x[0] - 2.0).powi(2); // local basin at 2 (depth 0 + 1)
             let b = (x[0] - 8.0).powi(2) - 5.0; // global basin at 8 (depth -5)
@@ -176,6 +165,11 @@ mod tests {
         assert!(r.feasible);
         // Optimum is x = y = 64 (symmetric, capacity saturated).
         assert!((r.x[0] - 64.0).abs() < 8.0 && (r.x[1] - 64.0).abs() < 8.0, "{:?}", r.x);
+        // The solve PR 18's per-function `Problem` produced, to the bit (both
+        // base solvers run; the penalty one's result is kept).
+        assert_eq!(r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), [0x404fffffc08218a4; 2]);
+        assert_eq!(r.objective.to_bits(), 0x40de84803c8ceeb0);
+        assert_eq!(r.iterations, 28);
     }
 
     #[test]

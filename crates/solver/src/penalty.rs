@@ -6,7 +6,7 @@
 //! infeasible starting points and constraint sets with an empty strict
 //! interior.
 
-use crate::gradient::{axpy, norm, numerical_gradient};
+use crate::gradient::{axpy, descent_direction, norm, numerical_gradient};
 use crate::problem::{NlpSolver, Problem, SolveResult};
 
 /// Quadratic-penalty solver.
@@ -39,46 +39,47 @@ impl Default for PenaltySolver {
     }
 }
 
-impl PenaltySolver {
-    fn merit(&self, problem: &Problem, rho: f64, x: &[f64]) -> f64 {
-        let mut m = problem.objective(x);
-        for i in 0..problem.num_constraints() {
-            let g = problem.constraint(i, x).max(0.0);
-            m += rho * g * g;
-        }
-        m
-    }
-}
-
 impl NlpSolver for PenaltySolver {
     fn solve(&self, problem: &Problem, x0: &[f64]) -> SolveResult {
         assert_eq!(x0.len(), problem.dim(), "starting point dimension mismatch");
         let mut x = x0.to_vec();
         problem.project(&mut x);
+        let mut constraints = problem.constraint_buffer();
         // Normalize the penalty scale to the objective magnitude so huge
         // data-volume objectives (1e9+) do not drown the penalty term.
-        let scale = 1.0 + problem.objective(&x).abs();
+        let scale = 1.0 + problem.evaluate(&x, &mut constraints).abs();
+        let mut merit = |rho: f64, y: &[f64]| -> f64 {
+            let mut m = problem.evaluate(y, &mut constraints);
+            for g in &constraints {
+                let g = g.max(0.0);
+                m += rho * g * g;
+            }
+            m
+        };
         let mut rho = self.rho0 * scale;
         let mut total_iters = 0;
+        // The gradient, then the descent direction; and the line search's
+        // candidate point.
+        let mut dir = vec![0.0; x.len()];
+        let mut cand = vec![0.0; x.len()];
         for _outer in 0..self.outer_iters {
             let mut step = 1.0;
             for _inner in 0..self.inner_iters {
                 total_iters += 1;
-                let merit = |y: &[f64]| self.merit(problem, rho, y);
-                let f0 = merit(&x);
-                let g = numerical_gradient(&merit, &x);
-                let gn = norm(&g);
+                let f0 = merit(rho, &x);
+                numerical_gradient(|y| merit(rho, y), &mut x, &mut dir);
+                let gn = norm(&dir);
                 if !gn.is_finite() || gn < self.tol * (1.0 + f0.abs()) {
                     break;
                 }
-                let dir: Vec<f64> = g.iter().map(|v| -v / gn).collect();
+                descent_direction(&mut dir, gn);
                 let mut s = step;
                 let mut accepted = false;
                 for _ in 0..40 {
-                    let mut cand = axpy(&x, s, &dir);
+                    axpy(&mut cand, &x, s, &dir);
                     problem.project(&mut cand);
-                    if merit(&cand) < f0 - 1e-14 * f0.abs() {
-                        x = cand;
+                    if merit(rho, &cand) < f0 - 1e-14 * f0.abs() {
+                        std::mem::swap(&mut x, &mut cand);
                         step = (s * 2.0).min(1e9);
                         accepted = true;
                         break;
@@ -91,20 +92,21 @@ impl NlpSolver for PenaltySolver {
             }
             rho *= self.rho_growth;
         }
-        let violation = problem.max_violation(&x);
-        SolveResult {
-            objective: problem.objective(&x),
-            feasible: violation <= self.feas_tol,
-            max_violation: violation,
-            iterations: total_iters,
-            x,
-        }
+        SolveResult::at(problem, x, total_iters, self.feas_tol)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The solve is the one the per-function `Problem` of PR 18 produced,
+    /// to the bit: same point, same objective, same iteration count.
+    fn assert_pinned(r: &SolveResult, x: &[u64], objective: u64, iterations: usize) {
+        assert_eq!(r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), x, "{:?}", r.x);
+        assert_eq!(r.objective.to_bits(), objective, "{}", r.objective);
+        assert_eq!(r.iterations, iterations);
+    }
 
     #[test]
     fn constrained_quadratic_projects_onto_constraint() {
@@ -116,6 +118,7 @@ mod tests {
         let r = PenaltySolver::default().solve(&p, &[8.0, 8.0]);
         assert!(r.feasible, "violation {}", r.max_violation);
         assert!((r.x[0] - 2.0).abs() < 0.1 && (r.x[1] - 3.0).abs() < 0.1, "{:?}", r.x);
+        assert_pinned(&r, &[0x4000c7f29ed44b05, 0x4007380ce4d7fbea], 0x4000270bd725e21a, 606);
     }
 
     #[test]
@@ -127,6 +130,7 @@ mod tests {
         let r = PenaltySolver::default().solve(&p, &[90.0, 90.0]);
         assert!(r.feasible);
         assert!((r.x[0] - 5.0).abs() < 0.3 && (r.x[1] - 5.0).abs() < 0.3, "{:?}", r.x);
+        assert_pinned(&r, &[0x4013ffffe6da4c26, 0x4013ffffe6da4c26], 0x3fd99999b9c9dc21, 61);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Problem definition and solver interface.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
 
-/// A scalar function of a point, shared between solver components.
-pub type ScalarFn = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
+/// Objective and constraints priced together: the objective at `x` is
+/// returned, `g_i(x)` is written to `constraints[i]`.
+type JointFn<'a> = Box<dyn FnMut(&[f64], &mut [f64]) -> f64 + 'a>;
 
 /// A constrained non-linear minimization problem over a box:
 ///
@@ -14,36 +15,64 @@ pub type ScalarFn = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 ///            lower_j <= x_j <= upper_j
 /// ```
 ///
+/// The functions are one call, [`evaluate`](Self::evaluate): objective and
+/// every constraint at a point, together. The tile-size objective and its
+/// capacity and dominance constraints are all arithmetic on the same four
+/// per-level costs, so a problem that prices a point once ([`joint`](Self::joint))
+/// does an eighth of the work of one closure per function; the solvers make
+/// exactly one evaluation per point they visit. Problems built a function at
+/// a time ([`with_objective`](Self::with_objective),
+/// [`with_constraint`](Self::with_constraint)) are composed into the same
+/// call.
+///
 /// For the tile-size problems built by `mopt-core`, the box upper bounds are
 /// the shape's *loop-trip counts* (`conv_spec::ConvShape::extent`), not the
 /// raw tensor extents — for grouped convolutions the C-tile variable is
 /// therefore bounded by the per-group reduction extent `C/groups`, and the
 /// capacity constraints see the dilated input halo and group-span factor
 /// through the model's footprint expressions.
-#[derive(Clone)]
-pub struct Problem {
+pub struct Problem<'a> {
     dim: usize,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    objective: ScalarFn,
-    constraints: Vec<ScalarFn>,
+    num_constraints: usize,
+    /// `FnMut` behind a `RefCell` so an evaluator may keep plain state
+    /// (tallies, the values of its last point) while solvers share the
+    /// problem by `&`; an evaluation never evaluates the problem again, so
+    /// the cell is never borrowed twice.
+    functions: RefCell<JointFn<'a>>,
 }
 
-impl Problem {
-    /// A problem of dimension `dim` with default bounds `[1, 1e9]` and a zero
-    /// objective. Use the builder methods to fill it in.
+impl<'a> Problem<'a> {
+    /// A problem of dimension `dim` with default bounds `[1, 1e9]`, a zero
+    /// objective and no constraints. Use the builder methods to fill it in.
     ///
     /// # Panics
     ///
     /// Panics if `dim` is zero.
     pub fn new(dim: usize) -> Self {
+        Self::joint(dim, 0, |_, _| 0.0)
+    }
+
+    /// A problem whose objective and `num_constraints` constraints are priced
+    /// by one call: `functions(x, g)` returns `f(x)` and fills
+    /// `g[..num_constraints]`. Default bounds `[1, 1e9]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is zero.
+    pub fn joint(
+        dim: usize,
+        num_constraints: usize,
+        functions: impl FnMut(&[f64], &mut [f64]) -> f64 + 'a,
+    ) -> Self {
         assert!(dim > 0, "problem dimension must be positive");
         Problem {
             dim,
             lower: vec![1.0; dim],
             upper: vec![1e9; dim],
-            objective: Arc::new(|_| 0.0),
-            constraints: Vec::new(),
+            num_constraints,
+            functions: RefCell::new(Box::new(functions)),
         }
     }
 
@@ -64,15 +93,26 @@ impl Problem {
         self
     }
 
-    /// Set the objective function.
-    pub fn with_objective(mut self, f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static) -> Self {
-        self.objective = Arc::new(f);
+    /// Set the objective function, keeping the constraints.
+    pub fn with_objective(mut self, f: impl Fn(&[f64]) -> f64 + 'a) -> Self {
+        let mut rest = self.functions.into_inner();
+        self.functions = RefCell::new(Box::new(move |x, g| {
+            rest(x, g);
+            f(x)
+        }));
         self
     }
 
-    /// Add an inequality constraint `g(x) <= 0`.
-    pub fn with_constraint(mut self, g: impl Fn(&[f64]) -> f64 + Send + Sync + 'static) -> Self {
-        self.constraints.push(Arc::new(g));
+    /// Add an inequality constraint `g(x) <= 0`, after those already there.
+    pub fn with_constraint(mut self, g: impl Fn(&[f64]) -> f64 + 'a) -> Self {
+        let index = self.num_constraints;
+        let mut rest = self.functions.into_inner();
+        self.functions = RefCell::new(Box::new(move |x, values| {
+            let objective = rest(x, values);
+            values[index] = g(x);
+            objective
+        }));
+        self.num_constraints += 1;
         self
     }
 
@@ -93,36 +133,59 @@ impl Problem {
 
     /// Number of inequality constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.num_constraints
     }
 
-    /// Evaluate the objective.
+    /// Price the point `x`: returns the objective and writes constraint `i`
+    /// to `constraints[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `constraints` is not [`num_constraints`](Self::num_constraints)
+    /// long.
+    pub fn evaluate(&self, x: &[f64], constraints: &mut [f64]) -> f64 {
+        assert_eq!(constraints.len(), self.num_constraints, "constraint buffer length mismatch");
+        (self.functions.borrow_mut())(x, constraints)
+    }
+
+    /// A buffer [`evaluate`](Self::evaluate) can fill.
+    pub fn constraint_buffer(&self) -> Vec<f64> {
+        vec![0.0; self.num_constraints]
+    }
+
+    /// Evaluate the objective alone (one whole evaluation).
     pub fn objective(&self, x: &[f64]) -> f64 {
-        (self.objective)(x)
+        self.evaluate(x, &mut self.constraint_buffer())
     }
 
-    /// Evaluate constraint `i`.
+    /// Evaluate constraint `i` alone (one whole evaluation).
     pub fn constraint(&self, i: usize, x: &[f64]) -> f64 {
-        (self.constraints[i])(x)
+        let mut constraints = self.constraint_buffer();
+        self.evaluate(x, &mut constraints);
+        constraints[i]
     }
 
-    /// Evaluate all constraints.
-    pub fn constraints(&self, x: &[f64]) -> Vec<f64> {
-        self.constraints.iter().map(|g| g(x)).collect()
-    }
-
-    /// The largest constraint violation at `x` (0 when feasible), also
-    /// counting box-bound violations.
-    pub fn max_violation(&self, x: &[f64]) -> f64 {
+    /// The largest violation at `x` (0 when feasible) given the constraint
+    /// values [`evaluate`](Self::evaluate) produced there, also counting
+    /// box-bound violations.
+    pub fn violation(&self, x: &[f64], constraints: &[f64]) -> f64 {
         let mut v: f64 = 0.0;
-        for g in &self.constraints {
-            v = v.max(g(x));
+        for &g in constraints {
+            v = v.max(g);
         }
         for (j, &xj) in x.iter().enumerate().take(self.dim) {
             v = v.max(self.lower[j] - xj);
             v = v.max(xj - self.upper[j]);
         }
         v.max(0.0)
+    }
+
+    /// The largest constraint violation at `x` (one whole evaluation; see
+    /// [`violation`](Self::violation)).
+    pub fn max_violation(&self, x: &[f64]) -> f64 {
+        let mut constraints = self.constraint_buffer();
+        self.evaluate(x, &mut constraints);
+        self.violation(x, &constraints)
     }
 
     /// Clamp a point into the box bounds.
@@ -138,11 +201,11 @@ impl Problem {
     }
 }
 
-impl fmt::Debug for Problem {
+impl fmt::Debug for Problem<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Problem")
             .field("dim", &self.dim)
-            .field("constraints", &self.constraints.len())
+            .field("constraints", &self.num_constraints)
             .field("lower", &self.lower)
             .field("upper", &self.upper)
             .finish()
@@ -165,6 +228,15 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// What a solver that ended at `x` after `iterations` reports: objective
+    /// and violation from one evaluation there, feasible within `feas_tol`.
+    pub(crate) fn at(problem: &Problem, x: Vec<f64>, iterations: usize, feas_tol: f64) -> Self {
+        let mut constraints = problem.constraint_buffer();
+        let objective = problem.evaluate(&x, &mut constraints);
+        let max_violation = problem.violation(&x, &constraints);
+        SolveResult { objective, feasible: max_violation <= feas_tol, max_violation, iterations, x }
+    }
+
     /// Order results: feasible beats infeasible; among feasible, lower
     /// objective wins; among infeasible, lower violation wins.
     pub fn better_than(&self, other: &SolveResult) -> bool {
@@ -187,7 +259,7 @@ pub trait NlpSolver {
 mod tests {
     use super::*;
 
-    fn sample_problem() -> Problem {
+    fn sample_problem<'a>() -> Problem<'a> {
         Problem::new(2)
             .with_bounds(vec![0.0, 0.0], vec![10.0, 10.0])
             .with_objective(|x| (x[0] - 3.0).powi(2) + (x[1] - 4.0).powi(2))
@@ -201,9 +273,70 @@ mod tests {
         assert_eq!(p.num_constraints(), 1);
         assert_eq!(p.objective(&[3.0, 4.0]), 0.0);
         assert_eq!(p.constraint(0, &[2.0, 2.0]), -1.0);
-        assert_eq!(p.constraints(&[2.0, 2.0]), vec![-1.0]);
+        let mut constraints = p.constraint_buffer();
+        assert_eq!(p.evaluate(&[2.0, 2.0], &mut constraints), 5.0);
+        assert_eq!(constraints, vec![-1.0]);
         assert_eq!(p.lower(), &[0.0, 0.0]);
         assert_eq!(p.upper(), &[10.0, 10.0]);
+    }
+
+    #[test]
+    fn joint_call_and_per_function_accessors_agree_bit_for_bit() {
+        // Built a function at a time, in either order, or as one call: the
+        // same values land at the same indices.
+        let f = |x: &[f64]| 1.0 / x[0] + x[1].sqrt() * 0.1;
+        let g: [fn(&[f64]) -> f64; 3] =
+            [|x| x[0] * x[1] - 7.3, |x| x[0] / 3.0 - x[1], |x| (x[0] - x[1]).powi(3)];
+        let objective_first =
+            g.iter().fold(Problem::new(2).with_objective(f), |p, &gi| p.with_constraint(gi));
+        let objective_last =
+            g.iter().fold(Problem::new(2), |p, &gi| p.with_constraint(gi)).with_objective(f);
+        let joint = Problem::joint(2, 3, |x, out| {
+            for (o, gi) in out.iter_mut().zip(&g) {
+                *o = gi(x);
+            }
+            f(x)
+        });
+        for problem in [&sample_problem(), &objective_first, &objective_last, &joint] {
+            let mut constraints = problem.constraint_buffer();
+            for x in [[2.0, 2.0], [0.3, 9.7], [1e-3, 1e4], [-1.5, 2.25]] {
+                let objective = problem.evaluate(&x, &mut constraints);
+                assert_eq!(problem.objective(&x).to_bits(), objective.to_bits());
+                for (i, value) in constraints.iter().enumerate() {
+                    assert_eq!(problem.constraint(i, &x).to_bits(), value.to_bits());
+                }
+                assert_eq!(
+                    problem.max_violation(&x).to_bits(),
+                    problem.violation(&x, &constraints).to_bits()
+                );
+                if problem.num_constraints() == 3 {
+                    assert_eq!(objective.to_bits(), f(&x).to_bits());
+                    for (value, gi) in constraints.iter().zip(&g) {
+                        assert_eq!(value.to_bits(), gi(&x).to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_joint_problem_may_keep_state_between_evaluations() {
+        let mut evaluations = 0u32;
+        let problem = Problem::joint(1, 1, |x, g| {
+            evaluations += 1;
+            g[0] = x[0] - 2.0;
+            x[0] * x[0]
+        });
+        assert_eq!(problem.objective(&[3.0]), 9.0);
+        assert_eq!(problem.max_violation(&[3.0]), 1.0);
+        drop(problem);
+        assert_eq!(evaluations, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint buffer length mismatch")]
+    fn a_short_constraint_buffer_panics() {
+        sample_problem().evaluate(&[1.0, 1.0], &mut []);
     }
 
     #[test]
