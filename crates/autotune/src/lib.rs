@@ -10,8 +10,8 @@
 //! * [`space::SearchSpace`] — a template-constrained configuration space over
 //!   tile sizes (factor-based, like TVM's `split` knobs) and a small set of
 //!   loop-order templates,
-//! * [`tuner`] — three search strategies with a trial budget: pure random
-//!   search, simulated annealing, and an ε-greedy model-guided tuner with an
+//! * [`tuner`] — two search strategies with a trial budget: pure random
+//!   search and an ε-greedy model-guided tuner with an
 //!   incrementally (re)trained linear cost model over log-tile features
 //!   ([`cost_model::OnlineCostModel`]) standing in for the XGBoost ranker,
 //! * an `Evaluator` callback so the caller decides what "measuring a
@@ -42,4 +42,4 @@ pub mod tuner;
 
 pub use cost_model::OnlineCostModel;
 pub use space::SearchSpace;
-pub use tuner::{AnnealingTuner, ModelGuidedTuner, RandomTuner, TuneResult, Tuner};
+pub use tuner::{ModelGuidedTuner, RandomTuner, TuneResult, Tuner};

@@ -83,22 +83,6 @@ impl SearchSpace {
         (0..count).map(|_| self.sample(&mut rng)).collect()
     }
 
-    /// A random neighbour of `config`: one knob (a tile size at one level, or
-    /// the permutation) is re-sampled.
-    pub fn neighbour(&self, config: &TileConfig, rng: &mut StdRng) -> TileConfig {
-        let mut next = config.clone();
-        if rng.gen_ratio(1, 8) {
-            next.permutation = self.permutations[rng.gen_range(0..self.permutations.len())].clone();
-        } else {
-            let level = TilingLevel::ALL[rng.gen_range(0..NUM_TILING_LEVELS)];
-            let idx = ALL_INDICES[rng.gen_range(0..7)];
-            let c = self.candidates_for(idx);
-            let value = c[rng.gen_range(0..c.len())];
-            next.level_mut(level).set(idx, value);
-        }
-        next.normalized(&self.shape)
-    }
-
     /// Feature vector of a configuration for the learned cost model:
     /// log2 of every tile size at every level plus a one-hot permutation id.
     pub fn features(&self, config: &TileConfig) -> Vec<f64> {
@@ -174,22 +158,6 @@ mod tests {
         let s = space();
         assert_eq!(s.sample_many(10, 1), s.sample_many(10, 1));
         assert_ne!(s.sample_many(10, 1), s.sample_many(10, 2));
-    }
-
-    #[test]
-    fn neighbours_stay_valid_and_usually_differ() {
-        let s = space();
-        let mut rng = StdRng::seed_from_u64(5);
-        let base = s.sample(&mut rng);
-        let mut changed = 0;
-        for _ in 0..20 {
-            let n = s.neighbour(&base, &mut rng);
-            assert!(n.validate(s.shape()).is_ok());
-            if n != base {
-                changed += 1;
-            }
-        }
-        assert!(changed > 5, "neighbour sampling never changes the configuration");
     }
 
     #[test]

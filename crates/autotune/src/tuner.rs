@@ -46,19 +46,6 @@ impl TuneResult {
     pub fn best(&self) -> &Trial {
         &self.trials[self.best_index]
     }
-
-    /// Best cost observed after each trial (a monotone non-increasing curve,
-    /// useful for search-efficiency plots).
-    pub fn convergence_curve(&self) -> Vec<f64> {
-        let mut best = f64::INFINITY;
-        self.trials
-            .iter()
-            .map(|t| {
-                best = best.min(t.cost);
-                best
-            })
-            .collect()
-    }
 }
 
 /// A search strategy with a measurement budget.
@@ -100,54 +87,6 @@ impl Tuner for RandomTuner {
                 Trial { config, cost }
             })
             .collect();
-        TuneResult::from_trials(trials)
-    }
-}
-
-/// Simulated annealing over the neighbour relation of the search space.
-#[derive(Debug, Clone)]
-pub struct AnnealingTuner {
-    seed: u64,
-    /// Initial acceptance temperature, relative to the first measured cost.
-    pub initial_temperature: f64,
-    /// Multiplicative cooling factor per trial.
-    pub cooling: f64,
-}
-
-impl AnnealingTuner {
-    /// An annealing tuner with a seed and default temperature schedule.
-    pub fn new(seed: u64) -> Self {
-        AnnealingTuner { seed, initial_temperature: 0.5, cooling: 0.97 }
-    }
-}
-
-impl Tuner for AnnealingTuner {
-    fn tune(
-        &mut self,
-        space: &SearchSpace,
-        evaluate: &mut Evaluator<'_>,
-        budget: usize,
-    ) -> TuneResult {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut trials = Vec::with_capacity(budget.max(1));
-        let mut current = space.sample(&mut rng);
-        let mut current_cost = evaluate(&current);
-        trials.push(Trial { config: current.clone(), cost: current_cost });
-        let mut temperature = self.initial_temperature * current_cost.abs().max(1e-12);
-        for _ in 1..budget.max(1) {
-            let candidate = space.neighbour(&current, &mut rng);
-            let cost = evaluate(&candidate);
-            trials.push(Trial { config: candidate.clone(), cost });
-            let accept = cost < current_cost || {
-                let delta = cost - current_cost;
-                rng.gen::<f64>() < (-delta / temperature.max(1e-30)).exp()
-            };
-            if accept {
-                current = candidate;
-                current_cost = cost;
-            }
-            temperature *= self.cooling;
-        }
         TuneResult::from_trials(trials)
     }
 }
@@ -239,19 +178,7 @@ mod tests {
         let res = t.tune(&s, &mut |c| synthetic_cost(c), 60);
         assert_eq!(res.trials.len(), 60);
         assert!(res.best().cost < 30.0, "best {}", res.best().cost);
-        let curve = res.convergence_curve();
-        assert!(curve.windows(2).all(|w| w[1] <= w[0]));
-    }
-
-    #[test]
-    fn annealing_tuner_improves_over_time() {
-        let s = space();
-        let mut t = AnnealingTuner::new(3);
-        let res = t.tune(&s, &mut |c| synthetic_cost(c), 80);
-        assert_eq!(res.trials.len(), 80);
-        let curve = res.convergence_curve();
-        assert!(curve.last().unwrap() <= &curve[0]);
-        assert!(res.best().cost <= curve[0]);
+        assert!(res.trials.iter().all(|t| t.cost >= res.best().cost));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl OneDnnLike {
             .with(LoopIndex::S, shape.s)
             .with(LoopIndex::H, hb)
             .with(LoopIndex::W, shape.w.min(28).max(wb));
-        shrink_to_capacity(&mut l1, shape, l1_cap);
+        l1.halve_to_fit(shape, l1_cap, SHRINK_ORDER);
 
         let l2_cap = self.machine.capacity(TilingLevel::L2) / 2;
         let mut l2 = TileSizes::ones()
@@ -101,7 +101,7 @@ impl OneDnnLike {
             .with(LoopIndex::S, shape.s)
             .with(LoopIndex::H, shape.h.min(4 * hb))
             .with(LoopIndex::W, shape.w);
-        shrink_to_capacity(&mut l2, shape, l2_cap);
+        l2.halve_to_fit(shape, l2_cap, SHRINK_ORDER);
 
         let l3 = TileSizes::full(shape);
         let config = TileConfig::new(
@@ -149,6 +149,10 @@ impl OneDnnLike {
     }
 }
 
+/// Which blocks a level over its capacity budget gives up first: the largest
+/// of the channel/spatial ones, reduction channels before output channels.
+const SHRINK_ORDER: [LoopIndex; 4] = [LoopIndex::C, LoopIndex::K, LoopIndex::H, LoopIndex::W];
+
 /// Pick a block size for an extent: the largest power of two `<= max` that
 /// divides or fits the extent, at least `min`.
 fn pick_block(extent: usize, min: usize, max: usize) -> usize {
@@ -157,27 +161,6 @@ fn pick_block(extent: usize, min: usize, max: usize) -> usize {
         b *= 2;
     }
     b.max(min).min(extent.max(1))
-}
-
-/// Halve tile sizes (largest contributor first) until the footprint fits.
-fn shrink_to_capacity(tiles: &mut TileSizes, shape: &ConvShape, capacity: usize) {
-    let mut guard = 0;
-    while tiles.footprint(shape) > capacity && guard < 64 {
-        guard += 1;
-        // Shrink the largest of the channel/spatial dims.
-        let mut best = LoopIndex::C;
-        let mut best_val = 0;
-        for idx in [LoopIndex::C, LoopIndex::K, LoopIndex::H, LoopIndex::W] {
-            if tiles.get(idx) > best_val {
-                best_val = tiles.get(idx);
-                best = idx;
-            }
-        }
-        if best_val <= 1 {
-            break;
-        }
-        tiles.set(best, (best_val / 2).max(1));
-    }
 }
 
 #[cfg(test)]

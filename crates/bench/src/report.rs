@@ -80,12 +80,6 @@ pub fn print_fig7(heading: &str, rows: &[Fig7Row], mopt5: bool, paper: &str) {
     println!("{paper}");
 }
 
-/// Render a crude ASCII bar (used for the relative-performance figures).
-pub fn bar(value: f64, unit: f64, max_width: usize) -> String {
-    let n = ((value / unit).round() as usize).min(max_width);
-    "#".repeat(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,12 +104,5 @@ mod tests {
         assert!(t.contains("ResNet-R12"));
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn bar_is_bounded() {
-        assert_eq!(bar(5.0, 1.0, 3), "###");
-        assert_eq!(bar(2.0, 1.0, 10), "##");
-        assert_eq!(bar(0.0, 1.0, 10), "");
     }
 }

@@ -91,11 +91,6 @@ impl FullyAssocLru {
         self.stats
     }
 
-    /// Reset statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = LruStats::default();
-    }
-
     /// Whether the line containing `addr` is currently resident (does not
     /// update recency or statistics).
     pub fn contains(&self, addr: usize) -> bool {
@@ -264,16 +259,6 @@ mod tests {
     fn capacity_smaller_than_line_still_holds_one_line() {
         let c = FullyAssocLru::new(2, 8);
         assert_eq!(c.capacity_lines(), 1);
-    }
-
-    #[test]
-    fn reset_clears_the_counters() {
-        let mut c = FullyAssocLru::new(2, 1);
-        c.access(0, false);
-        c.access(0, false);
-        assert_eq!((c.stats().accesses, c.stats().misses), (2, 1));
-        c.reset_stats();
-        assert_eq!(c.stats().accesses, 0);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Reset statistics, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = LruStats::default();
-    }
-
     /// Whether the line containing `addr` is resident.
     pub fn contains(&self, addr: usize) -> bool {
         let line = addr / self.line_elems;

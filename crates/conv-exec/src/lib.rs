@@ -21,7 +21,7 @@
 //! * [`tiled`] — the multi-level tiled executor driven by a
 //!   [`conv_spec::TileConfig`]; with `threads > 1` it partitions the output
 //!   along the schedule's certified parallel factors (or, without factors,
-//!   `k` or the `n·h` output rows) across scoped worker threads, bit-for-bit
+//!   along `k`) across scoped worker threads, bit-for-bit
 //!   equal to its own one-thread walk ([`ParTiledConv`] is an alias of
 //!   [`TiledConv`], the name the multicore tests and the repo benchmark
 //!   import),
@@ -31,11 +31,12 @@
 //! * [`fused`] — a fused depthwise + pointwise executor that consumes the
 //!   intermediate tensor band-by-band in cache (bit-for-bit equal to the two
 //!   naive convolutions run sequentially),
-//! * [`measure`] — timing helpers (GFLOPS, repetitions, cache flushing),
-//! * [`spec_exec`] — executors for the generalized problem IR
-//!   ([`conv_spec::Spec`]): naive and tiled matmul (the tiled form shares the
-//!   im2col GEMM inner loop bit-for-bit), max/avg pooling, and elementwise
-//!   kernels.
+//! * [`measure`] — the geometric mean the speed-up summaries report.
+//!
+//! Matmul, pooling and elementwise problems ([`conv_spec::Spec`]) have no
+//! executors of their own: they run as the convolution they embed into
+//! ([`conv_spec::Spec::embedded_conv_shape`]; `tests/spec_embedding.rs` holds
+//! the embedding to a plain GEMM and a plain average pool).
 //!
 //! # Example
 //!
@@ -63,21 +64,16 @@ pub mod nchwc;
 #[cfg(test)]
 mod order_oracle;
 pub mod packing;
-pub mod spec_exec;
 pub mod tensor;
 pub mod tiled;
 
 pub use fused::{pointwise_consumer, FusedDwPw};
-pub use measure::{measure_gflops, MeasureOptions, Measurement};
 pub use microkernel::{
     active_backend, detected_backend, force_scalar, run_microkernel_with_backend, SimdBackend,
     StridedView, StridedViewMut,
 };
 pub use nchwc::{BlockedTensor, NchwcConv};
 pub use packing::PackedKernel;
-pub use spec_exec::{
-    elementwise_naive, elementwise_tiled, matmul_naive, matmul_tiled, pool2d_naive, pool2d_tiled,
-};
 pub use tensor::Tensor4;
 pub use tiled::{ParTiledConv, TiledConv};
 

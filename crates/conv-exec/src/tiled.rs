@@ -15,9 +15,8 @@
 //! configuration carrying certified parallel factors
 //! ([`conv_spec::TileConfig::parallel`]) is executed exactly as the multicore
 //! model priced it — the factors' cross-product grid of output slices;
-//! factor-less configurations split the executor's
-//! [`conv_spec::ParallelAxis`] (the `k` output channels or the `n·h` output
-//! rows) into contiguous per-thread chunks. Threads own disjoint output
+//! factor-less configurations split the `k` output channels into contiguous
+//! per-thread chunks. Threads own disjoint output
 //! regions; the reduction dimensions (`c`, `r`, `s`) are never partitioned
 //! (Sec. 7 restricts parallelism to non-reduction dimensions).
 //!
@@ -31,7 +30,7 @@
 //! this, including thread counts exceeding the partitioned extent.
 
 use conv_spec::layout::PackedKernelLayout;
-use conv_spec::{ConvShape, LoopIndex, ParallelAxis, TileConfig, TilingLevel};
+use conv_spec::{ConvShape, LoopIndex, TileConfig, TilingLevel};
 
 use crate::microkernel::{
     active_backend, KernelRegion, SimdBackend, StridedView, StridedViewMut, TileKernel,
@@ -50,35 +49,22 @@ pub struct TiledConv {
     shape: ConvShape,
     config: TileConfig,
     threads: usize,
-    axis: ParallelAxis,
     vec_len: usize,
     backend: Option<SimdBackend>,
 }
 
 impl TiledConv {
     /// Create an executor for `shape` with a tiling configuration and thread
-    /// count. The parallel axis defaults to the one the configuration's
-    /// per-dimension factors encode ([`TileConfig::parallel_axis`]); the
-    /// configuration is normalized (tile nesting repaired) first.
+    /// count. The configuration is normalized (tile nesting repaired) first.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::InvalidConfig`] if the normalized configuration
     /// still fails validation.
     pub fn new(shape: ConvShape, config: TileConfig, threads: usize) -> Result<Self, ExecError> {
-        let axis = config.parallel_axis();
         let config = config.normalized(&shape);
         config.validate(&shape).map_err(|e| ExecError::InvalidConfig(e.to_string()))?;
-        Ok(TiledConv { shape, config, threads: threads.max(1), axis, vec_len: 8, backend: None })
-    }
-
-    /// Override the parallel axis used by the factor-less fallback. A
-    /// configuration carrying certified parallel factors is always executed
-    /// along those factors (see [`Self::run_packed`]); the axis only decides
-    /// how configurations *without* factors are split across `threads`.
-    pub fn with_axis(mut self, axis: ParallelAxis) -> Self {
-        self.axis = axis;
-        self
+        Ok(TiledConv { shape, config, threads: threads.max(1), vec_len: 8, backend: None })
     }
 
     /// Set the SIMD vector length used for kernel packing (8 for AVX2-class,
@@ -99,21 +85,6 @@ impl TiledConv {
     /// The problem shape.
     pub fn shape(&self) -> &ConvShape {
         &self.shape
-    }
-
-    /// The (normalized) tiling configuration.
-    pub fn config(&self) -> &TileConfig {
-        &self.config
-    }
-
-    /// The axis a factor-less configuration is partitioned along.
-    pub fn axis(&self) -> ParallelAxis {
-        self.axis
-    }
-
-    /// The requested thread count (workers are capped at the slice count).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Run the convolution. The kernel is packed once, up front, and shared
@@ -194,10 +165,9 @@ impl TiledConv {
     /// exactly the decomposition the multicore cost model priced, including
     /// mixed-axis factor vectors like `K=2 · H=2` — and the grid cells are
     /// distributed round-robin over at most `threads` workers. Factor-less
-    /// configurations fall back to splitting the executor's [`ParallelAxis`]
-    /// into `threads` contiguous chunks. Either way workers are capped at
-    /// the number of slices, so `threads` larger than the output never
-    /// produces empty regions.
+    /// configurations fall back to splitting `k` into `threads` contiguous
+    /// chunks. Either way workers are capped at the number of slices, so
+    /// `threads` larger than the output never produces empty regions.
     fn partition(&self) -> Vec<Vec<KernelRegion>> {
         let shape = &self.shape;
         let full = KernelRegion::full(shape);
@@ -213,34 +183,10 @@ impl TiledConv {
             }
             return slices;
         }
-        match self.axis {
-            ParallelAxis::OutputChannels => split_range(shape.k, self.threads)
-                .into_iter()
-                .map(|k| vec![KernelRegion { k, ..full }])
-                .collect(),
-            ParallelAxis::OutputRows => {
-                // Flatten the n·h output rows, split them contiguously, and
-                // rebuild each chunk as per-batch rectangles (a chunk may
-                // straddle a batch boundary).
-                let rows = shape.n * shape.h;
-                split_range(rows, self.threads)
-                    .into_iter()
-                    .map(|(start, len)| {
-                        let mut regions = Vec::new();
-                        let mut row = start;
-                        let end = start + len;
-                        while row < end {
-                            let n = row / shape.h;
-                            let h_lo = row % shape.h;
-                            let h_len = (shape.h - h_lo).min(end - row);
-                            regions.push(KernelRegion { n: (n, 1), h: (h_lo, h_len), ..full });
-                            row += h_len;
-                        }
-                        regions
-                    })
-                    .collect()
-            }
-        }
+        split_range(shape.k, self.threads)
+            .into_iter()
+            .map(|k| vec![KernelRegion { k, ..full }])
+            .collect()
     }
 
     /// The cross-product slice grid of the configuration's parallel factors:
@@ -525,26 +471,18 @@ mod tests {
         let batched = ConvShape::new(3, 6, 4, 3, 3, 5, 7, 1).unwrap();
         let mut certified = tiles(&single);
         certified.parallel = TileSizes::ones().with(LoopIndex::K, 2).with(LoopIndex::H, 2);
-        // The axis only steers the factor-less configurations.
-        let cases = [
-            (single, certified, ParallelAxis::OutputChannels),
-            (single, tiles(&single), ParallelAxis::OutputChannels),
-            (single, tiles(&single), ParallelAxis::OutputRows),
-            (batched, tiles(&batched), ParallelAxis::OutputRows),
-        ];
-        for (shape, cfg, axis) in cases {
+        let cases = [(single, certified), (single, tiles(&single)), (batched, tiles(&batched))];
+        for (shape, cfg) in cases {
             let (input, kernel, _) = reference(&shape, 1200);
-            let run = |threads| {
-                let conv = TiledConv::new(shape, cfg.clone(), threads).unwrap().with_axis(axis);
-                conv.run(&input, &kernel)
-            };
+            let run =
+                |threads| TiledConv::new(shape, cfg.clone(), threads).unwrap().run(&input, &kernel);
             let expected = run(1);
-            // 64 exceeds every partitioned extent (k = 6, n·h ≤ 15, grid = 4).
+            // 64 exceeds every partitioned extent (k = 6, grid = 4).
             for threads in [2, 3, 4, 64] {
                 assert_eq!(
                     run(threads).as_slice(),
                     expected.as_slice(),
-                    "n {} axis {axis} parallel {:?} threads {threads}",
+                    "n {} parallel {:?} threads {threads}",
                     shape.n,
                     cfg.parallel
                 );
@@ -685,16 +623,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn accessors_and_validation() {
-        let shape = ConvShape::new(1, 4, 2, 1, 1, 4, 4, 1).unwrap();
-        let conv = TiledConv::new(shape, TileConfig::untiled(&shape), 2).unwrap();
-        assert_eq!(conv.shape(), &shape);
-        assert!(conv.config().validate(&shape).is_ok());
-        assert_eq!(conv.threads(), 2);
-        assert_eq!(conv.axis(), ParallelAxis::OutputChannels);
-    }
-
     /// The exactness contract of the threaded walk, pinned through the
     /// `ParTiledConv` name (`cargo test -p conv_exec partiled` selects these).
     mod partiled {
@@ -702,7 +630,7 @@ mod tests {
         use crate::microkernel::KernelRegion;
         use crate::naive::conv2d_naive;
         use crate::tensor::Tensor4;
-        use conv_spec::{ConvShape, LoopIndex, ParallelAxis, Permutation, TileConfig, TileSizes};
+        use conv_spec::{ConvShape, LoopIndex, Permutation, TileConfig, TileSizes};
 
         fn config(shape: &ConvShape) -> TileConfig {
             TileConfig::new(
@@ -729,36 +657,27 @@ mod tests {
         }
 
         #[test]
-        fn both_axes_are_bit_identical_to_the_sequential_walk() {
+        fn factorless_schedules_split_k_and_are_bit_identical_to_one_thread() {
+            // The schedule carries no parallel factors, so the executor cuts
+            // `k` into per-thread chunks (the path the benchmark's
+            // `exec.partiled2_gflops` row takes): 3 does not divide k = 8,
+            // 64 exceeds it.
             let shape = ConvShape::new(2, 8, 6, 3, 3, 9, 11, 1).unwrap();
+            assert_eq!(config(&shape).total_parallelism(), 1);
             let (input, kernel, expected) = sequential_reference(&shape, 42);
-            for axis in ParallelAxis::ALL {
-                for threads in [1, 2, 3, 5, 64] {
-                    let par =
-                        ParTiledConv::new(shape, config(&shape), threads).unwrap().with_axis(axis);
-                    let got = par.run(&input, &kernel);
-                    assert_eq!(
-                        got.as_slice(),
-                        expected.as_slice(),
-                        "axis {axis}, threads {threads}"
-                    );
-                }
+            let bits = |t: &Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for threads in [2, 3, 8, 64] {
+                let par = ParTiledConv::new(shape, config(&shape), threads).unwrap();
+                assert_eq!(bits(&par.run(&input, &kernel)), bits(&expected), "threads {threads}");
             }
         }
 
         #[test]
-        fn threads_beyond_the_axis_extent_are_capped() {
-            // k = 2 with 8 threads on the channel axis; n·h = 9 rows with 64.
+        fn threads_beyond_the_k_extent_are_capped() {
             let shape = ConvShape::new(1, 2, 3, 3, 3, 9, 9, 1).unwrap();
             let (input, kernel, expected) = sequential_reference(&shape, 7);
-            for (axis, threads) in
-                [(ParallelAxis::OutputChannels, 8), (ParallelAxis::OutputRows, 64)]
-            {
-                let par =
-                    ParTiledConv::new(shape, config(&shape), threads).unwrap().with_axis(axis);
-                let got = par.run(&input, &kernel);
-                assert_eq!(got.as_slice(), expected.as_slice(), "axis {axis}");
-            }
+            let par = ParTiledConv::new(shape, config(&shape), 8).unwrap();
+            assert_eq!(par.run(&input, &kernel).as_slice(), expected.as_slice());
         }
 
         #[test]
@@ -789,24 +708,12 @@ mod tests {
         }
 
         #[test]
-        fn row_chunks_straddling_batches_stay_exact() {
-            // 3 batches × 5 rows split across 4 threads: chunks cross n bounds.
-            let shape = ConvShape::new(3, 4, 3, 3, 3, 5, 6, 1).unwrap();
-            let (input, kernel, expected) = sequential_reference(&shape, 99);
-            let par = ParTiledConv::new(shape, config(&shape), 4)
-                .unwrap()
-                .with_axis(ParallelAxis::OutputRows);
-            assert_eq!(par.run(&input, &kernel).as_slice(), expected.as_slice());
-        }
-
-        #[test]
-        fn axis_defaults_to_the_configs_parallel_factors() {
+        fn row_factors_execute_as_certified() {
             let shape = ConvShape::new(1, 8, 4, 3, 3, 8, 8, 1).unwrap();
             let mut cfg = config(&shape);
             cfg.parallel = TileSizes::ones().with(LoopIndex::H, 4);
             let par = ParTiledConv::new(shape, cfg, 4).unwrap();
-            assert_eq!(par.axis(), ParallelAxis::OutputRows);
-            assert_eq!(par.threads(), 4);
+            assert_eq!(par.factor_grid(&KernelRegion::full(&shape)).len(), 4);
             let (input, kernel, expected) = sequential_reference(&shape, 11);
             assert_eq!(par.run(&input, &kernel).as_slice(), expected.as_slice());
         }

@@ -4,6 +4,23 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Fnv1a, SpecError};
 
+/// The product of `factors`, or the [`SpecError::InvalidShape`] saying that
+/// `what` — the product `names`, `·`-separated — overflows `usize`, and at
+/// which factor.
+pub(crate) fn checked_product(
+    what: &str,
+    names: &str,
+    factors: &[usize],
+) -> Result<usize, SpecError> {
+    let mut product = 1usize;
+    for (&value, name) in factors.iter().zip(names.split('·')) {
+        product = product.checked_mul(value).ok_or_else(|| {
+            SpecError::InvalidShape(format!("{what} {names} overflows at {name} = {value}"))
+        })?;
+    }
+    Ok(product)
+}
+
 /// The seven loop indices of the conv2d loop nest.
 ///
 /// The order of the enum discriminants matches the canonical loop order used
@@ -181,8 +198,10 @@ impl ConvShape {
     /// # Errors
     ///
     /// Returns [`SpecError::InvalidShape`] if any extent, the stride, the
-    /// dilation, or the group count is zero, or if `groups` does not divide
-    /// both `c` and `k`.
+    /// dilation, or the group count is zero, if `groups` does not divide
+    /// both `c` and `k`, or if the flops, an input extent or the tensors'
+    /// element counts do not fit `usize` (naming the extent at which the
+    /// product overflowed).
     #[allow(clippy::too_many_arguments)]
     pub fn new_general(
         n: usize,
@@ -216,7 +235,38 @@ impl ConvShape {
                 "groups {groups} must divide both c {c} and k {k}"
             )));
         }
+        shape.check_sizes()?;
         Ok(shape)
+    }
+
+    /// Every size the workspace computes from the extents in `usize` —
+    /// [`flops`](Self::flops), the input extents, and the three tensors'
+    /// element counts, alone and summed (a full tile's footprint) — must fit.
+    /// The kernel and output counts are each at most the multiply-add count.
+    fn check_sizes(&self) -> Result<(), SpecError> {
+        let ConvShape { n, k, c, r, s, h, w, stride, dilation, .. } = *self;
+        let flops = [2, n, k, self.reduction_c(), r, s, h, w];
+        checked_product("flops", "2·n·k·c/groups·r·s·h·w", &flops)?;
+        let input_extent = |name: &str, out: usize, kernel: usize| {
+            (out - 1)
+                .checked_mul(stride)
+                .zip((kernel - 1).checked_mul(dilation))
+                .and_then(|(rows, window)| rows.checked_add(window)?.checked_add(1))
+                .ok_or_else(|| {
+                    SpecError::InvalidShape(format!(
+                        "input extent overflows at {name} = {out} (stride {stride}, dilation {dilation})"
+                    ))
+                })
+        };
+        let input = [n, c, input_extent("h", h, r)?, input_extent("w", w, s)?];
+        let input = checked_product("input elements", "n·c·input_h·input_w", &input)?;
+        let (kernel, output) = (self.kernel_elems(), self.output_elems());
+        match input.checked_add(kernel).and_then(|sum| sum.checked_add(output)) {
+            Some(_) => Ok(()),
+            None => Err(SpecError::InvalidShape(format!(
+                "tensor elements overflow: input {input} + kernel {kernel} + output {output}"
+            ))),
+        }
     }
 
     /// Builder-style copy with a different dilation.
@@ -378,12 +428,6 @@ impl ConvShape {
     /// The group an output channel belongs to.
     pub fn group_of_k(&self, k: usize) -> usize {
         k / self.k_per_group().max(1)
-    }
-
-    /// The absolute input channel addressed by output channel `k` and
-    /// group-relative reduction index `c_rel` (`0 <= c_rel < reduction_c()`).
-    pub fn input_channel(&self, k: usize, c_rel: usize) -> usize {
-        self.group_of_k(k) * self.reduction_c() + c_rel
     }
 
     /// The inclusive range of channel groups reached by a K range of
@@ -769,6 +813,37 @@ mod tests {
     }
 
     #[test]
+    fn sizes_that_overflow_usize_are_rejected_naming_the_extent() {
+        let big = 1usize << (usize::BITS / 2);
+        let message = |shape: Result<ConvShape, SpecError>| shape.unwrap_err().to_string();
+        // 2·n·k·c wraps to 0: the product the served `"flops":0.0` came from.
+        let flops = message(ConvShape::new(1, big, big, 3, 3, big, big, 1));
+        assert_eq!(
+            flops,
+            format!("invalid shape: flops 2·n·k·c/groups·r·s·h·w overflows at c/groups = {big}")
+        );
+        // The request the issue names: h = usize::MAX at stride 2.
+        let h = message(ConvShape::new(1, 1, 1, 1, 1, usize::MAX, 1, 2));
+        assert!(h.ends_with(&format!("overflows at h = {}", usize::MAX)), "{h}");
+        // 2·h fits; (h − 1)·stride does not.
+        let extent = message(ConvShape::new(1, 1, 1, 1, 1, usize::MAX / 2, 1, 4));
+        assert!(extent.contains("input extent overflows at h = "), "{extent}");
+        // The flops fit; the strided input does not.
+        let input = message(ConvShape::new(1 << 20, 1, 1 << 20, 1, 1, 2, 2, big));
+        assert!(
+            input.contains("input elements n·c·input_h·input_w overflows at input_h = "),
+            "{input}"
+        );
+        // Input, kernel and output each fit; a full tile's footprint does not.
+        let sum = message(ConvShape::new(1, 1, 1, 1, 1, 1 << 31, (1 << 31) - 1, 2));
+        assert!(sum.contains("tensor elements overflow: input "), "{sum}");
+        // Below the line a problem is accepted, and its sizes do not wrap.
+        let fits = ConvShape::new(1, 1 << 20, 1 << 20, 1, 1, 1 << 20, 1, 1).unwrap();
+        assert_eq!(fits.flops(), 1 << 61);
+        assert!(fits.with_groups(1 << 20).is_ok());
+    }
+
+    #[test]
     fn grouped_shape_shrinks_reduction_kernel_and_flops() {
         let dense = ConvShape::new(1, 16, 8, 3, 3, 6, 6, 1).unwrap();
         let grouped = dense.with_groups(4).unwrap();
@@ -782,7 +857,6 @@ mod tests {
         assert_eq!(grouped.kernel_dims(), (16, 2, 3, 3));
         // Output channel 5 is in group 1, reading channels 2..4.
         assert_eq!(grouped.group_of_k(5), 1);
-        assert_eq!(grouped.input_channel(5, 1), 3);
         // K ranges map to inclusive group bands (k_per_group = 4).
         assert_eq!(grouped.groups_spanned(0, 4), 0..=0);
         assert_eq!(grouped.groups_spanned(3, 2), 0..=1);

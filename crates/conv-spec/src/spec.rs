@@ -31,7 +31,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::shape::ConvShape;
+use crate::shape::{checked_product, ConvShape};
 use crate::{Fnv1a, SpecError};
 
 /// Element type of a problem's tensors.
@@ -164,55 +164,63 @@ impl Spec {
         Spec::Matmul { m, n, k, dtype: DType::F32 }
     }
 
-    /// Validate the extents (every extent non-zero, stride non-zero).
+    /// Validate the extents: every extent and the stride non-zero, and the
+    /// flops and tensor sizes within `usize` (a matmul, pool or elementwise
+    /// problem is as large as the convolution it embeds into).
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::InvalidShape`] naming the zero field.
+    /// Returns [`SpecError::InvalidShape`] naming the zero field, or the
+    /// extent at which a size overflowed.
     pub fn validate(&self) -> Result<(), SpecError> {
         let bad = |what: &str| Err(SpecError::InvalidShape(format!("{what} must be non-zero")));
         match *self {
-            Spec::Conv(_) => Ok(()), // ConvShape constructors already validate.
+            Spec::Conv(_) => return Ok(()), // ConvShape constructors already validate.
             Spec::Matmul { m, n, k, .. } => {
                 if m == 0 || n == 0 || k == 0 {
-                    bad("matmul m/n/k")
-                } else {
-                    Ok(())
+                    return bad("matmul m/n/k");
                 }
+                checked_product("matmul flops", "2·m·n·k", &[2, m, n, k])?;
             }
             Spec::Pool { n, channels, h, w, window, stride, .. } => {
                 if n == 0 || channels == 0 || h == 0 || w == 0 || window == 0 || stride == 0 {
-                    bad("pool n/channels/h/w/window/stride")
-                } else {
-                    Ok(())
+                    return bad("pool n/channels/h/w/window/stride");
                 }
+                let factors = [2, n, channels, window, window, h, w];
+                checked_product("pool flops", "2·n·channels·window·window·h·w", &factors)?;
             }
             Spec::Elementwise { len, .. } => {
                 if len == 0 {
-                    bad("elementwise len")
-                } else {
-                    Ok(())
+                    return bad("elementwise len");
                 }
+                checked_product("elementwise flops", "2·len", &[2, len])?;
             }
+        }
+        // What the named checks above leave (input extents, tensor sizes) is
+        // the embedded shape's own validation, in its terms.
+        self.embed().map(|_| ())
+    }
+
+    fn embed(&self) -> Result<ConvShape, SpecError> {
+        match *self {
+            Spec::Conv(shape) => Ok(shape),
+            Spec::Matmul { m, n, k, .. } => ConvShape::new(1, m, k, 1, 1, 1, n, 1),
+            // Per-channel pooling is the depthwise grouping.
+            Spec::Pool { n, channels, h, w, window, stride, .. } => ConvShape::new_general(
+                n, channels, channels, window, window, h, w, stride, 1, channels,
+            ),
+            Spec::Elementwise { len, .. } => ConvShape::new(1, 1, 1, 1, 1, 1, len, 1),
         }
     }
 
     /// The conv2d loop nest this problem embeds into (see the module docs
     /// for why each mapping is access-pattern exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec does not [`validate`](Self::validate).
     pub fn embedded_conv_shape(&self) -> ConvShape {
-        match *self {
-            Spec::Conv(shape) => shape,
-            Spec::Matmul { m, n, k, .. } => ConvShape::new(1, m, k, 1, 1, 1, n, 1)
-                .expect("validated matmul extents embed into a valid conv shape"),
-            Spec::Pool { n, channels, h, w, window, stride, .. } => {
-                ConvShape::new(n, channels, channels, window, window, h, w, stride)
-                    .expect("validated pool extents embed into a valid conv shape")
-                    .with_groups(channels)
-                    .expect("per-channel pooling is a valid depthwise grouping")
-            }
-            Spec::Elementwise { len, .. } => ConvShape::new(1, 1, 1, 1, 1, 1, len, 1)
-                .expect("validated elementwise length embeds into a valid conv shape"),
-        }
+        self.embed().expect("a validated spec embeds into a valid conv shape")
     }
 
     /// Stable FNV-1a fingerprint.
@@ -436,6 +444,39 @@ mod tests {
     fn conv_spec_fingerprint_matches_the_bare_shape() {
         let shape = ConvShape::new(1, 32, 16, 3, 3, 56, 56, 1).unwrap();
         assert_eq!(Spec::Conv(shape).fingerprint(), shape.fingerprint());
+    }
+
+    #[test]
+    fn specs_too_large_for_usize_do_not_validate() {
+        let big = 1usize << (usize::BITS / 2);
+        let message = |spec: Spec| spec.validate().unwrap_err().to_string();
+        assert_eq!(
+            message(Spec::matmul(big, big, big)),
+            format!("invalid shape: matmul flops 2·m·n·k overflows at n = {big}")
+        );
+        let pool = |channels, h, w, stride| Spec::Pool {
+            kind: PoolKind::Avg,
+            n: 1,
+            channels,
+            h,
+            w,
+            window: 3,
+            stride,
+        };
+        assert_eq!(
+            message(pool(big, big, big, 1)),
+            format!(
+                "invalid shape: pool flops 2·n·channels·window·window·h·w overflows at h = {big}"
+            )
+        );
+        // The named flops fit; the embedded shape's input extent does not.
+        assert!(message(pool(1, usize::MAX / 32, 1, 64)).contains("input extent overflows at h = "));
+        let len = usize::MAX / 2 + 1;
+        assert_eq!(
+            message(Spec::Elementwise { op: EwOp::Relu, len, strided: false }),
+            format!("invalid shape: elementwise flops 2·len overflows at len = {len}")
+        );
+        assert!(Spec::matmul(1 << 20, 1 << 20, 1 << 20).validate().is_ok());
     }
 
     #[test]

@@ -172,17 +172,6 @@ impl TileSizes {
         Ok(())
     }
 
-    /// Clamp every tile size into `1..=enclosing`.
-    pub fn clamped(&self, enclosing: &[usize; 7]) -> TileSizes {
-        let mut out = *self;
-        for &idx in &ALL_INDICES {
-            let e = enclosing[idx.canonical_position()];
-            let t = out.get(idx).clamp(1, e.max(1));
-            out.set(idx, t);
-        }
-        out
-    }
-
     /// The data footprint (in elements) of one tile of the three tensors, as
     /// used in the paper's capacity constraint (Eq. 4):
     ///
@@ -194,6 +183,34 @@ impl TileSizes {
     /// slice covers one per-group channel band per spanned group.
     pub fn footprint(&self, shape: &ConvShape) -> usize {
         self.input_footprint(shape) + self.kernel_footprint() + self.output_footprint()
+    }
+
+    /// Halve the largest of the `order` tile sizes (ties go to the earliest
+    /// in `order`) until the [`footprint`](Self::footprint) is at most
+    /// `capacity`. Returns whether it is: `false` when every one of them is
+    /// down to 1, or after 64 halvings, with the footprint still above.
+    pub fn halve_to_fit(
+        &mut self,
+        shape: &ConvShape,
+        capacity: usize,
+        order: [LoopIndex; 4],
+    ) -> bool {
+        for _ in 0..64 {
+            if self.footprint(shape) <= capacity {
+                return true;
+            }
+            let mut largest = order[0];
+            for idx in order {
+                if self.get(idx) > self.get(largest) {
+                    largest = idx;
+                }
+            }
+            if self.get(largest) <= 1 {
+                return false;
+            }
+            self.set(largest, self.get(largest) / 2);
+        }
+        self.footprint(shape) <= capacity
     }
 
     /// Footprint of the input-tensor slice accessed by one tile.
@@ -451,6 +468,31 @@ mod tests {
     }
 
     #[test]
+    fn halve_to_fit_halves_the_largest_and_breaks_ties_by_order() {
+        let s = ConvShape::new(1, 16, 16, 3, 3, 16, 16, 1).unwrap();
+        let (kchw, ckhw) = (
+            [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W],
+            [LoopIndex::C, LoopIndex::K, LoopIndex::H, LoopIndex::W],
+        );
+        // Already fitting: untouched.
+        let mut t = TileSizes::full(&s);
+        assert!(t.halve_to_fit(&s, t.footprint(&s), kchw));
+        assert_eq!(t, TileSizes::full(&s));
+        // One halving suffices; K, C, H and W tie at 16 and the order decides.
+        let budget = TileSizes::full(&s).footprint(&s) - 1;
+        let mut k_first = TileSizes::full(&s);
+        assert!(k_first.halve_to_fit(&s, budget, kchw));
+        assert_eq!(k_first, TileSizes::full(&s).with(LoopIndex::K, 8));
+        let mut c_first = TileSizes::full(&s);
+        assert!(c_first.halve_to_fit(&s, budget, ckhw));
+        assert_eq!(c_first, TileSizes::full(&s).with(LoopIndex::C, 8));
+        // Nothing fits: every ordered size ends at 1, the others are kept.
+        let mut none = TileSizes::full(&s);
+        assert!(!none.halve_to_fit(&s, 0, kchw));
+        assert_eq!(none.as_array(), [1, 1, 1, 3, 3, 1, 1]);
+    }
+
+    #[test]
     fn footprint_with_stride_two() {
         let s = ConvShape::from_table1(1, 1, 9, 3, 2);
         let t = TileSizes::from_array([1, 1, 1, 3, 3, 4, 4]);
@@ -541,12 +583,5 @@ mod tests {
         assert_eq!(ParallelAxis::OutputRows.priority()[0], LoopIndex::H);
         assert_eq!(ParallelAxis::ALL.len(), 2);
         assert_eq!(format!("{}", ParallelAxis::OutputRows), "rows");
-    }
-
-    #[test]
-    fn clamped_and_min_with() {
-        let ext = [4, 4, 4, 4, 4, 4, 4];
-        let t = TileSizes::from_array([0, 9, 2, 4, 5, 1, 7]).clamped(&ext);
-        assert_eq!(t.as_array(), [1, 4, 2, 4, 4, 1, 4]);
     }
 }

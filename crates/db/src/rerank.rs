@@ -113,24 +113,8 @@ fn fit_to_envelope(
         l3 = l3.min_with(&slice.as_array());
     }
     let capacity = machine.capacity_per_thread(TilingLevel::L3, spec.threads);
-    let mut guard = 0;
-    while l3.footprint(shape) > capacity {
-        guard += 1;
-        if guard > 64 {
-            return None;
-        }
-        let mut largest = LoopIndex::K;
-        let mut val = 0;
-        for idx in [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W] {
-            if l3.get(idx) > val {
-                val = l3.get(idx);
-                largest = idx;
-            }
-        }
-        if val <= 1 {
-            return None;
-        }
-        l3 = l3.with(largest, (val / 2).max(1));
+    if !l3.halve_to_fit(shape, capacity, [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W]) {
+        return None;
     }
     *config.level_mut(TilingLevel::L3) = l3;
     Some(config.normalized(shape))

@@ -14,13 +14,14 @@
 //! The solver visits ~600 000 points per operator, and at each one asks for
 //! the objective and up to seven constraints that are all arithmetic on the
 //! same four per-level costs: the private `evaluator` module prices a point
-//! once for all of them, and re-prices only the levels a step changed. A
-//! traced search ([`MOptOptimizer::optimize_traced`]) is the same search; the
-//! evaluator's tallies are simply kept.
+//! once for all of them, and re-prices only the levels a step changed. There
+//! is one search, and it always records its [`SearchTrace`]
+//! ([`MOptOptimizer::optimize_traced`]): some forty hypothesis records per
+//! class beside the evaluator's tallies; [`MOptOptimizer::optimize`] drops it.
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, MachineModel, Permutation, Spec, TileConfig, TileSizes,
-    TilingLevel, ALL_INDICES, NUM_TILING_LEVELS,
+    TilingLevel, NUM_TILING_LEVELS,
 };
 use mopt_model::cost::RealTiles;
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, ParallelSpec};
@@ -48,10 +49,16 @@ pub struct OptimizerOptions {
     /// Restrict the search to this many pruned classes (8 = all). Lower
     /// values trade optimality for optimization speed; useful in tests.
     pub max_classes: usize,
-    /// Use the full-effort multi-start solver (barrier + penalty, many
-    /// iterations). The default low-effort profile (penalty method with few
-    /// iterations per start) is 10–50x faster and loses little on the
-    /// posynomial-like tile problems.
+    /// Use the full-effort multi-start solver (`MultiStart::with_starts`:
+    /// barrier and penalty solver from every start) instead of the default
+    /// low-effort profile (`MultiStart::cheap`: penalty method, few
+    /// iterations per start). Measured on `i7-9700k` at the default options
+    /// otherwise: thorough takes 17–23× the solve time (8–15× through
+    /// `moptd`) and its best model cost is 0.455 (R4), 0.578 (R2), 0.735
+    /// (R12), 0.758 (R6) of the default's at one thread, 0.742 (R6) at four,
+    /// and equal on R3, V3, M5 and D5. It is the barrier solver that finds
+    /// the difference; the extra penalty iterations alone do not
+    /// (docs/ARCHITECTURE.md, "Forks that stay").
     pub thorough: bool,
     /// How data layout is chosen: `None` and [`LayoutPolicy::Fixed`] keep
     /// the paper's fixed layouts (bit-identical to the pre-layout
@@ -287,12 +294,6 @@ impl MOptOptimizer {
         MOptOptimizer::new(spec.embedded_conv_shape(), machine, options).optimize()
     }
 
-    /// The default parallel specification (output-channel axis) used by
-    /// generated configurations when no axis search happens.
-    pub fn parallel_spec(&self) -> ParallelSpec {
-        ParallelSpec::default_for(&self.shape, self.options.threads)
-    }
-
     /// The parallel specifications the optimizer searches jointly with the
     /// tile sizes (see [`pricing::parallel_candidates`]).
     pub fn parallel_candidates(&self) -> Vec<ParallelSpec> {
@@ -312,41 +313,28 @@ impl MOptOptimizer {
     ///
     /// Panics if `keep_top` is zero.
     pub fn optimize(&self) -> OptimizeResult {
-        self.optimize_inner(None)
+        self.optimize_traced().0
     }
 
-    /// Run the exploration while recording a [`SearchTrace`]: hypotheses per
-    /// round, enumerated/pruned counts, winner and margin.
-    ///
-    /// The search itself is byte-identical to [`MOptOptimizer::optimize`]
-    /// (the solver is seeded, and recording only tallies on the side), so
-    /// the returned result matches an untraced run bit for bit — the
-    /// property the `Explain` verb relies on.
+    /// [`optimize`](Self::optimize), with the [`SearchTrace`] every search
+    /// records: hypotheses per round, enumerated/pruned counts, winner and
+    /// margin. There is one search; `optimize` drops the trace, the `Explain`
+    /// verb serves it.
     ///
     /// # Panics
     ///
     /// Panics if `keep_top` is zero.
     pub fn optimize_traced(&self) -> (OptimizeResult, SearchTrace) {
-        let mut trace = SearchTrace::default();
-        let result = self.optimize_inner(Some(&mut trace));
-        (result, trace)
-    }
-
-    fn optimize_inner(&self, mut trace: Option<&mut SearchTrace>) -> OptimizeResult {
         assert!(self.options.keep_top > 0, "keep_top must be at least 1");
         let start = std::time::Instant::now();
+        // 7! loop orders exist before pruning; the eight classes' members are
+        // cost-equivalent to their representative, everything else is
+        // dominated (Sec. 4).
+        let mut trace =
+            SearchTrace { permutations_total: (1..=7u64).product(), ..SearchTrace::default() };
         let mut candidates: Vec<OptimizedConfig> = Vec::new();
-        let classes = pruned_classes();
-        if let Some(trace) = trace.as_deref_mut() {
-            // 7! loop orders exist before pruning; the eight classes'
-            // members are cost-equivalent to their representative, everything
-            // else is dominated (Sec. 4).
-            trace.permutations_total = (1..=7u64).product();
-        }
-        for class in classes.into_iter().take(self.options.max_classes.max(1)) {
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.classes_searched += 1;
-            }
+        for class in pruned_classes().into_iter().take(self.options.max_classes.max(1)) {
+            trace.classes_searched += 1;
             for parallel in self.parallel_candidates() {
                 let model = pricing::pricing_model(
                     &self.shape,
@@ -355,30 +343,35 @@ impl MOptOptimizer {
                     class.representative.clone(),
                     parallel,
                 );
-                let mut recorder = trace.as_deref_mut().map(|_| CandidateSearch {
+                let (tiles, rounds, counters) = self.solve_class(&model);
+                let config = self.to_integer_config(&model, &tiles, &class.representative);
+                let (config, price) =
+                    pricing::price_cheapest_layout(&model, config, self.options.layout_policy);
+                let predicted_cost = price.total;
+                let dominance_pruned = rounds
+                    .iter()
+                    .flat_map(|round| {
+                        round
+                            .hypotheses
+                            .iter()
+                            .filter(move |h| h.feasible && h.level != round.fixed)
+                    })
+                    .count() as u64;
+                trace.enumerated += counters.enumerated;
+                trace.capacity_pruned += counters.capacity_pruned;
+                trace.dominance_pruned += dominance_pruned;
+                trace.candidates.push(CandidateSearch {
                     class_id: class.id,
                     permutation: class.representative.to_string(),
                     member_count: class.member_count,
                     threads: model.parallel.threads,
                     parallel_factors: model.parallel.factors.to_vec(),
-                    rounds: Vec::new(),
-                    enumerated: 0,
-                    capacity_pruned: 0,
-                    dominance_pruned: 0,
-                    predicted_cost: 0.0,
+                    rounds,
+                    enumerated: counters.enumerated,
+                    capacity_pruned: counters.capacity_pruned,
+                    dominance_pruned,
+                    predicted_cost,
                 });
-                let tiles = self.solve_class(&model, recorder.as_mut());
-                let config = self.to_integer_config(&model, &tiles, &class.representative);
-                let (config, price) =
-                    pricing::price_cheapest_layout(&model, config, self.options.layout_policy);
-                let predicted_cost = price.total;
-                if let (Some(trace), Some(mut rec)) = (trace.as_deref_mut(), recorder) {
-                    rec.predicted_cost = predicted_cost;
-                    trace.enumerated += rec.enumerated;
-                    trace.capacity_pruned += rec.capacity_pruned;
-                    trace.dominance_pruned += rec.dominance_pruned;
-                    trace.candidates.push(rec);
-                }
                 candidates.push(OptimizedConfig {
                     config,
                     class_id: class.id,
@@ -388,15 +381,14 @@ impl MOptOptimizer {
             }
         }
         let candidates = pricing::rank(candidates, self.options.keep_top);
-        if let Some(trace) = trace {
-            trace.permutations_pruned =
-                trace.permutations_total.saturating_sub(trace.classes_searched);
-            trace.winner_class = candidates[0].class_id;
-            trace.winner_cost = candidates[0].predicted_cost;
-            trace.runner_up_cost = candidates.get(1).map(|c| c.predicted_cost);
-            trace.margin = trace.runner_up_cost.map(|r| r - trace.winner_cost);
-        }
-        OptimizeResult { ranked: candidates, optimize_seconds: start.elapsed().as_secs_f64() }
+        trace.permutations_pruned = trace.permutations_total.saturating_sub(trace.classes_searched);
+        trace.winner_class = candidates[0].class_id;
+        trace.winner_cost = candidates[0].predicted_cost;
+        trace.runner_up_cost = candidates.get(1).map(|c| c.predicted_cost);
+        trace.margin = trace.runner_up_cost.map(|r| r - trace.winner_cost);
+        let result =
+            OptimizeResult { ranked: candidates, optimize_seconds: start.elapsed().as_secs_f64() };
+        (result, trace)
     }
 
     /// The layout assignments priced under this optimizer's policy (see
@@ -406,34 +398,27 @@ impl MOptOptimizer {
     }
 
     /// Multi-level tile-size selection for one permutation class
-    /// (the `while NotVisitedLvls ≠ ∅` loop of Algorithm 1).
-    ///
-    /// When `recorder` is set, every bottleneck hypothesis and the solver's
-    /// enumeration/pruning tallies are recorded into it; the solve itself is
-    /// unchanged.
+    /// (the `while NotVisitedLvls ≠ ∅` loop of Algorithm 1): the tiles, the
+    /// rounds that fixed them with every bottleneck hypothesis priced, and
+    /// the solver's enumeration tallies.
     fn solve_class(
         &self,
         model: &MultiLevelModel,
-        mut recorder: Option<&mut CandidateSearch>,
-    ) -> MultiLevelTiles {
-        // Tallied by every evaluation, recorder or not: the traced search is
-        // the untraced one, and only what is kept differs (a branch on
-        // `None` when recording is off, outside the solver's loop).
+    ) -> (MultiLevelTiles, Vec<SearchRound>, SolveCounters) {
         let mut counters = SolveCounters::default();
+        let mut rounds = Vec::with_capacity(NUM_TILING_LEVELS);
         let mut fixed: [Option<RealTiles>; NUM_TILING_LEVELS] = [None; NUM_TILING_LEVELS];
         let mut not_visited: Vec<TilingLevel> = TilingLevel::ALL.to_vec();
         while !not_visited.is_empty() {
             let mut best: Option<(TilingLevel, f64, MultiLevelTiles)> = None;
-            let mut hypotheses: Vec<LevelHypothesis> = Vec::new();
+            let mut hypotheses: Vec<LevelHypothesis> = Vec::with_capacity(not_visited.len());
             for &obj_level in &not_visited {
                 let (cost, tiles) =
                     self.arg_min_solve(model, obj_level, &fixed, &not_visited, &mut counters);
-                if recorder.is_some() {
-                    let feasible = TilingLevel::ALL
-                        .iter()
-                        .all(|&l| model.capacity_slack(&tiles, l) <= SLACK_TOLERANCE);
-                    hypotheses.push(LevelHypothesis { level: obj_level, cost, feasible });
-                }
+                let feasible = TilingLevel::ALL
+                    .iter()
+                    .all(|&l| model.capacity_slack(&tiles, l) <= SLACK_TOLERANCE);
+                hypotheses.push(LevelHypothesis { level: obj_level, cost, feasible });
                 let better = match &best {
                     None => true,
                     Some((_, c, _)) => cost < *c,
@@ -444,26 +429,19 @@ impl MOptOptimizer {
             }
             let (min_level, cost, tiles) =
                 best.expect("at least one unvisited level was evaluated");
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.dominance_pruned +=
-                    hypotheses.iter().filter(|h| h.feasible && h.level != min_level).count() as u64;
-                rec.rounds.push(SearchRound { fixed: min_level, fixed_cost: cost, hypotheses });
-            }
+            rounds.push(SearchRound { fixed: min_level, fixed_cost: cost, hypotheses });
             fixed[min_level.ordinal()] = Some(*tiles.level(min_level));
             not_visited.retain(|&l| l != min_level);
         }
-        if let Some(rec) = recorder {
-            rec.enumerated += counters.enumerated;
-            rec.capacity_pruned += counters.capacity_pruned;
-        }
-        MultiLevelTiles {
+        let tiles = MultiLevelTiles {
             levels: [
                 fixed[0].expect("register level fixed"),
                 fixed[1].expect("L1 level fixed"),
                 fixed[2].expect("L2 level fixed"),
                 fixed[3].expect("L3 level fixed"),
             ],
-        }
+        };
+        (tiles, rounds, counters)
     }
 
     /// One `ArgMinSolve` call: minimize the bandwidth-scaled cost of
@@ -531,36 +509,22 @@ impl MOptOptimizer {
         for level in [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
             let capacity = self.machine.capacity_per_thread(level, model.parallel.threads) as f64;
             let shape = self.shape;
-            let dim = 7;
-            let level_tiles = *tiles.level(level);
-            let current = *tiles;
-            let problem = Problem::new(dim)
-                .with_bounds(
-                    vec![1.0; dim],
-                    ALL_INDICES.iter().map(|&i| shape.extent(i) as f64).collect(),
-                )
-                .with_objective(move |x| {
-                    let mut t = current;
-                    let mut rt = RealTiles::ones();
-                    for (j, &idx) in ALL_INDICES.iter().enumerate() {
-                        rt.set(idx, x[j]);
-                    }
-                    *t.level_mut(level) = rt;
-                    model.scaled_cost(&t.normalized(&shape), level)
-                })
-                .with_constraint(move |x| {
-                    let mut rt = RealTiles::ones();
-                    for (j, &idx) in ALL_INDICES.iter().enumerate() {
-                        rt.set(idx, x[j]);
-                    }
-                    mopt_model::cost::total_footprint(&shape, &rt) - capacity
-                });
-            let x: Vec<f64> = ALL_INDICES.iter().map(|&i| level_tiles.get(i)).collect();
-            let (xi, _) = floor_refine(&problem, &x);
-            let mut t = TileSizes::ones();
-            for (j, &idx) in ALL_INDICES.iter().enumerate() {
-                t.set(idx, xi[j].round().max(1.0) as usize);
-            }
+            // Variables: the level's seven tile sizes, canonical order. The
+            // objective is the level's cost with the other levels as solved,
+            // the one constraint its footprint against the capacity.
+            let tile_at = |x: &[f64]| RealTiles::from_array(x.try_into().expect("seven tiles"));
+            let problem = Problem::joint(TILES_PER_LEVEL, 1, |x, footprint_slack| {
+                let tile = tile_at(x);
+                footprint_slack[0] = mopt_model::cost::total_footprint(&shape, &tile) - capacity;
+                let mut t = *tiles;
+                *t.level_mut(level) = tile;
+                model.scaled_cost(&t.normalized(&shape), level)
+            })
+            .with_bounds(vec![1.0; TILES_PER_LEVEL], RealTiles::full(&shape).as_array().to_vec());
+            let (xi, _) = floor_refine(&problem, &tiles.level(level).as_array());
+            let mut t = TileSizes::from_array(
+                tile_at(&xi).as_array().map(|size| size.round().max(1.0) as usize),
+            );
             // For grouped shapes, snap K tiles larger than one group down to
             // a whole number of groups. The solver's continuous group-span
             // relaxation (tk / k_per_group) and the integer footprint's
@@ -609,24 +573,13 @@ pub fn heuristic_config(shape: &ConvShape, machine: &MachineModel) -> TileConfig
         .with(LoopIndex::K, machine.simd_width.min(shape.k).max(1))
         .with(LoopIndex::W, 4.min(shape.w).max(1));
     for level in [TilingLevel::L1, TilingLevel::L2, TilingLevel::L3] {
-        let cap = machine.capacity(level) / 2;
         let mut t = TileSizes::full(shape);
-        let mut guard = 0;
-        while t.footprint(shape) > cap && guard < 64 {
-            guard += 1;
-            let mut largest = LoopIndex::K;
-            let mut val = 0;
-            for idx in [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W] {
-                if t.get(idx) > val {
-                    val = t.get(idx);
-                    largest = idx;
-                }
-            }
-            if val <= 1 {
-                break;
-            }
-            t.set(largest, (val / 2).max(1));
-        }
+        // Best effort: a level nothing fits keeps the smallest tile reached.
+        t.halve_to_fit(
+            shape,
+            machine.capacity(level) / 2,
+            [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W],
+        );
         levels[level.ordinal()] = t;
     }
     TileConfig::new(
@@ -679,7 +632,7 @@ mod tests {
             opt.machine(),
             opt.options(),
             permutation,
-            opt.parallel_spec(),
+            ParallelSpec::default_for(opt.shape(), opt.options().threads),
         )
     }
 
@@ -820,7 +773,7 @@ mod tests {
                 ..OptimizerOptions::fast()
             },
         );
-        assert!(opt.parallel_spec().is_valid());
+        assert!(ParallelSpec::default_for(&shape, machine.threads).is_valid());
         let result = opt.optimize();
         assert_eq!(result.best().config.total_parallelism(), machine.threads);
     }
@@ -877,8 +830,8 @@ mod tests {
         let opt = optimizer(shape);
         let plain = opt.optimize();
         let (traced, trace) = opt.optimize_traced();
-        // The recorder only tallies on the side: the ranked configurations
-        // (tiles, permutations, predictions) are byte-identical.
+        // One search, seeded: the ranked configurations (tiles, permutations,
+        // predictions) are byte-identical from run to run.
         assert_eq!(plain.ranked, traced.ranked);
         // The design space is fully accounted for.
         assert_eq!(trace.permutations_total, 5040, "7! loop orders before pruning");
@@ -905,6 +858,37 @@ mod tests {
         assert_eq!(trace.winner_cost, traced.ranked[0].predicted_cost);
         assert_eq!(trace.runner_up_cost, Some(traced.ranked[1].predicted_cost));
         assert!(trace.margin.unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn thorough_profile_finds_a_cheaper_r4_schedule_pinned_to_the_bit() {
+        // The evidence for keeping `thorough`: on R4 at one thread the
+        // barrier solver reaches a schedule the default profile does not
+        // (0.455 of its model cost). Config and price are the ones the solver
+        // with its three own descent loops produced.
+        let shape = conv_spec::benchmarks::by_name("R4").expect("a catalog op").shape;
+        let solve = |thorough| {
+            let options = OptimizerOptions { thorough, ..OptimizerOptions::default() };
+            MOptOptimizer::new(shape, MachineModel::i7_9700k(), options).optimize()
+        };
+        let (default, thorough) = (solve(false), solve(true));
+        assert_eq!(default.best().predicted_cost.to_bits(), 0x4134688000000000);
+        assert_eq!(thorough.best().predicted_cost.to_bits(), 0x412294b99999999b);
+        assert!(thorough.best().predicted_cost < default.best().predicted_cost);
+        let ratio = thorough.best().predicted_cost / default.best().predicted_cost;
+        assert_eq!((ratio * 1000.0).round(), 455.0);
+        let expected = TileConfig::new(
+            Permutation::parse("nkhwcsr").expect("a permutation"),
+            [
+                TileSizes::from_array([1, 8, 1, 1, 1, 12, 1]),
+                TileSizes::from_array([1, 21, 20, 3, 3, 13, 2]),
+                TileSizes::from_array([1, 35, 20, 3, 3, 25, 15]),
+                TileSizes::from_array([1, 128, 32, 3, 3, 27, 27]),
+            ],
+            TileSizes::ones(),
+        );
+        assert_eq!(thorough.best().config, expected);
+        assert_eq!(thorough.best().class_id, 4);
     }
 
     #[test]

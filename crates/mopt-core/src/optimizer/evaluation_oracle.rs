@@ -12,7 +12,7 @@
 //! solves to the values the closure-per-function optimizer produced.
 
 use conv_spec::benchmarks;
-use conv_spec::ParallelAxis;
+use conv_spec::{ParallelAxis, ALL_INDICES};
 use mopt_solver::gradient::step_for;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -324,7 +324,7 @@ fn whole_solves_match_solves_of_the_reference_problems() {
                     parallel,
                 );
                 let tiles = reference_solve_class(&opt, &model);
-                assert_eq!(tiles, opt.solve_class(&model, None), "{shape} class {}", class.id);
+                assert_eq!(tiles, opt.solve_class(&model).0, "{shape} class {}", class.id);
                 let config = opt.to_integer_config(&model, &tiles, &class.representative);
                 let (config, price) = pricing::price_cheapest_layout(&model, config, None);
                 expected.push(OptimizedConfig {

@@ -182,11 +182,6 @@ impl<'a> NetworkPlanner<'a> {
         self.plan_ops(&benchmarks::suite(suite))
     }
 
-    /// Plan all 32 Table-1 operators.
-    pub fn plan_table1(&self) -> NetworkPlan {
-        self.plan_ops(&benchmarks::all_operators())
-    }
-
     /// Plan a list of benchmark operators.
     pub fn plan_ops(&self, ops: &[BenchmarkOp]) -> NetworkPlan {
         let layers: Vec<NamedLayer> = ops.iter().map(NamedLayer::from).collect();

@@ -89,11 +89,6 @@ impl ShutdownHandle {
         self.flag.store(true, Ordering::Release);
         self.waker.wake();
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
 }
 
 /// One request dispatched to the worker pool.
@@ -566,10 +561,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(state.metrics().open_connections(), 2);
-        assert!(!handle.is_shutdown());
         handle.shutdown();
         join.join().unwrap();
-        assert!(handle.is_shutdown());
         assert_eq!(state.metrics().open_connections(), 0, "drain must close every connection");
         drop(a);
         drop(b);

@@ -179,11 +179,11 @@ impl ServiceState {
     ) -> Result<Response, String> {
         let spec = problem.resolve("Explain")?;
         let (tier, result) = self.resolve_spec(&spec, &machine, &options, ctx)?;
-        // The search trace is a deterministic re-run of the solver with
-        // recording on (the solver is seeded, so the re-run finds the same
-        // winner a fresh solve would), on the spec's embedded conv shape —
-        // exactly what the optimizer solves. The *served* schedule above can
-        // come from a warmer tier; `tier` says which one actually answered.
+        // The search trace is a re-run of the one search the solver tier
+        // runs (seeded, so it finds the winner a fresh solve would), on the
+        // spec's embedded conv shape — exactly what the optimizer solves. The
+        // *served* schedule above can come from a warmer tier; `tier` says
+        // which one actually answered.
         let shape = spec.embedded_conv_shape();
         let search = {
             let _span = ctx.span("search_trace");
@@ -265,6 +265,13 @@ impl ServiceState {
         // again as its own public contract; the graphs are tiny, so the
         // repeat is nanoseconds.)
         graph.validate().map_err(|e| format!("invalid graph: {e}"))?;
+        // Matmul and pool nodes become specs here, not at parse: a node too
+        // large to embed must not reach a worker either.
+        let layers = NamedLayer::of_graph(&graph).map_err(|e| format!("invalid graph: {e}"))?;
+        for layer in &layers {
+            let invalid = |e| format!("invalid graph: node `{}`: {e}", layer.name);
+            layer.spec.validate().map_err(invalid)?;
+        }
         let key = GraphCacheKey {
             graph_fingerprint: graph.fingerprint(),
             machine_fingerprint: machine.fingerprint(),
@@ -287,7 +294,6 @@ impl ServiceState {
             // convs) through the batch planner (dedupe + worker pool + the
             // shared tier stack), then run the fusion dynamic program over
             // the resolved schedules.
-            let layers = NamedLayer::of_graph(&graph).map_err(|e| format!("invalid graph: {e}"))?;
             let planner = self.planner(machine.clone(), options.clone(), workers, ctx);
             let resolved = {
                 let _resolve = ctx.span("resolve_layers");

@@ -5,7 +5,9 @@
 //! large enough to pin a worker for minutes) must be answered with an `Error`
 //! naming the field — on the stdio path and through the event loop, for
 //! every planning verb — and cost nothing: no tier touched, the connection
-//! still serving.
+//! still serving. So must a problem whose extents multiply past `usize`
+//! (flops that wrap to 0 in a release build and panic a worker in a checked
+//! one), as a conv shape, a matmul or a pool.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -100,6 +102,69 @@ fn service(tag: &str) -> (Arc<ServiceState>, std::path::PathBuf) {
     (Arc::new(ServiceState::new(64).with_db(dir.clone()).unwrap()), dir)
 }
 
+/// The four problems too large for `usize` — a conv shape whose flops wrap,
+/// its matmul and pool forms, and `h = usize::MAX` at stride 2 — each as all
+/// four planning verbs, with the extent the `Error` must name. Raw lines: no
+/// constructor builds these. Shapes and specs are rejected as the line is
+/// parsed; a graph's matmul and pool nodes (the pool's conv producer is
+/// itself valid) by `PlanGraph`, before it plans anything.
+fn overflow_lines() -> Vec<(String, &'static str)> {
+    const BIG: &str = "4294967296";
+    let conv = |k: &str, h: &str, stride: usize| {
+        format!(r#"{{"n":1,"k":{k},"c":{k},"r":3,"s":3,"h":{h},"w":{k},"stride":{stride}}}"#)
+    };
+    // A problem as a request's field, as a graph's nodes and edges, and the
+    // extent each of the two forms overflows at.
+    let shape = |shape: String, names: &'static str| {
+        let node = format!(r#"{{"name":"a","op":{{"Conv":{{"shape":{shape}}}}}}}"#);
+        (format!(r#""shape":{shape}"#), format!(r#""nodes":[{node}],"edges":[]"#), names, names)
+    };
+    let matmul = format!(r#"{{"m":{BIG},"n":{BIG},"k":{BIG}}}"#);
+    let pool_producer = r#"{"n":1,"k":16,"c":1,"r":1,"s":1,"h":65536,"w":65536,"stride":1}"#;
+    let problems = [
+        shape(conv(BIG, BIG, 1), "c/groups = 4294967296"),
+        (
+            format!(r#""spec":{{"Matmul":{matmul}}}"#),
+            format!(r#""nodes":[{{"name":"a","op":{{"MatMul":{matmul}}}}}],"edges":[]"#),
+            "n = 4294967296",
+            "n = 4294967296",
+        ),
+        (
+            format!(
+                r#""spec":{{"Pool":{{"kind":"Avg","n":1,"channels":{BIG},"h":{BIG},"w":{BIG},"window":3,"stride":1}}}}"#
+            ),
+            format!(
+                r#""nodes":[{{"name":"a","op":{{"Conv":{{"shape":{pool_producer}}}}}}},{{"name":"b","op":{{"Pool":{{"kind":"Avg","window":32768,"stride":1}}}}}}],"edges":[{{"from":0,"to":1,"tensor":{{"dims":[1,16,65536,65536],"layout":"Nchw"}}}}]"#
+            ),
+            "h = 4294967296",
+            "w = 32769",
+        ),
+        shape(conv("1", "18446744073709551615", 2), "h = 18446744073709551615"),
+    ];
+    let machine = r#""machine":{"Preset":"tiny"}"#;
+    let mut lines = Vec::new();
+    for (problem, graph, names, graph_names) in problems {
+        lines.extend([
+            (format!(r#"{{"Optimize":{{{problem},{machine}}}}}"#), names),
+            (format!(r#"{{"Explain":{{{problem},{machine}}}}}"#), names),
+            (
+                format!(r#"{{"PlanNetwork":{{"layers":[{{"name":"a",{problem}}}],{machine}}}}}"#),
+                names,
+            ),
+            (
+                format!(r#"{{"PlanGraph":{{"graph":{{"name":"g",{graph}}},{machine}}}}}"#),
+                graph_names,
+            ),
+        ]);
+    }
+    lines
+}
+
+/// Every hostile line, in the order the replies are checked.
+fn all_lines() -> Vec<String> {
+    hostile_lines().into_iter().chain(overflow_lines().into_iter().map(|(line, _)| line)).collect()
+}
+
 /// `replies`: one per hostile line, then the `Stats` and `Ping` that
 /// followed them on the same connection.
 fn assert_rejected_and_still_serving(replies: &[Response]) {
@@ -115,26 +180,47 @@ fn assert_rejected_and_still_serving(replies: &[Response]) {
             other => panic!("{} #{i}: expected Error, got {other:?}", VERBS[i % VERBS.len()]),
         }
     }
+    let overflows = overflow_lines();
+    let (errors, rest) = rest.split_at(overflows.len());
+    let mut by_verb = 0;
+    for (reply, (line, names)) in errors.iter().zip(&overflows) {
+        match reply {
+            Response::Error { message } => {
+                assert!(
+                    message.contains("overflows at") && message.contains(names),
+                    "{line}: {message}"
+                );
+                by_verb += u64::from(!message.starts_with("bad request: "));
+            }
+            other => panic!("{line}: expected Error, got {other:?}"),
+        }
+    }
     let [Response::Stats { stats }, Response::Pong { .. }] = rest else {
         panic!("expected Stats then Pong on the same connection, got {rest:?}");
     };
-    let ServiceStats { cache, db, flight, errors, .. } = stats;
+    let ServiceStats { cache, db, flight, errors, graph, .. } = stats;
     assert_eq!((cache.insertions, cache.entries), (0, 0));
     let db = db.as_ref().expect("a database is attached");
     assert_eq!((db.hits, db.misses, db.inserts, db.errors), (0, 0, 0, 0));
     let flight = flight.as_ref().expect("flight counters present");
     assert_eq!((flight.optimize.led, flight.graph.led), (0, 0));
+    assert_eq!((graph.hits, graph.misses), (0, 0));
     let errors = errors.as_ref().expect("error counters present");
+    // The graph's matmul and pool nodes are `PlanGraph`'s own errors; every
+    // other oversized problem never parsed into a request.
+    assert_eq!(by_verb, 2);
+    assert_eq!(errors.parse_errors, overflows.len() as u64 - by_verb);
     for verb in VERBS {
         let count = errors.verbs.iter().find(|v| v.verb == verb).map(|v| v.count);
-        assert_eq!(count, Some(FIELDS.len() as u64), "{verb} error counter");
+        let own = if verb == "PlanGraph" { by_verb } else { 0 };
+        assert_eq!(count, Some(FIELDS.len() as u64 + own), "{verb} error counter");
     }
 }
 
 #[test]
 fn hostile_options_are_an_error_reply_on_stdio() {
     let (state, dir) = service("stdio");
-    let mut input = hostile_lines().join("\n");
+    let mut input = all_lines().join("\n");
     input.push_str("\n\"Stats\"\n\"Ping\"\n");
     let output = within_bound(move || {
         let mut output = Vec::new();
@@ -174,7 +260,7 @@ fn hostile_options_are_an_error_reply_through_the_event_loop() {
             serde_json::from_str(reply.trim()).unwrap()
         };
         // One request outstanding at a time: `Stats` must see every error counted.
-        let mut replies: Vec<Response> = hostile_lines().iter().map(|line| ask(line)).collect();
+        let mut replies: Vec<Response> = all_lines().iter().map(|line| ask(line)).collect();
         replies.push(ask("\"Stats\""));
         replies.push(ask("\"Ping\""));
         replies

@@ -31,11 +31,11 @@ fn warm_table1_planning_is_10x_faster_than_cold() {
     let planner = NetworkPlanner::new(&cache, MachineModel::i7_9700k(), fast_options());
 
     let t_cold = Instant::now();
-    let cold = planner.plan_table1();
+    let cold = planner.plan_ops(&benchmarks::all_operators());
     let cold_seconds = t_cold.elapsed().as_secs_f64();
 
     let t_warm = Instant::now();
-    let warm = planner.plan_table1();
+    let warm = planner.plan_ops(&benchmarks::all_operators());
     let warm_seconds = t_warm.elapsed().as_secs_f64();
 
     assert_eq!(cold.stats.layers, 32);

@@ -11,89 +11,62 @@
 //! search, then shrinks μ. If the starting point violates a constraint, a
 //! feasibility phase first minimizes the squared violation.
 
-use crate::gradient::{axpy, descent_direction, norm, numerical_gradient};
+use crate::descent::{Descent, LineSearch};
 use crate::problem::{NlpSolver, Problem, SolveResult};
 
+/// Initial barrier weight (times the objective's magnitude at the start).
+const MU0: f64 = 1.0;
+/// Shrink factor applied to μ after each outer iteration.
+const MU_SHRINK: f64 = 0.2;
+/// Gradient tolerance: relative to `φ_μ` in the barrier iterations, absolute
+/// in the feasibility phase.
+const TOL: f64 = 1e-8;
+/// Feasibility tolerance for the reported result.
+const FEAS_TOL: f64 = 1e-6;
+const SEARCH: LineSearch = LineSearch { backtracks: 40, min_decrease: 1e-12, max_step: 1e9 };
+/// The feasibility phase accepts any decrease of the squared violation.
+const RESTORE_SEARCH: LineSearch = LineSearch { backtracks: 30, min_decrease: 0.0, max_step: 1e6 };
+
 /// Log-barrier interior-point solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarrierSolver {
-    /// Initial barrier weight.
-    pub mu0: f64,
-    /// Multiplicative shrink factor applied to μ after each outer iteration.
-    pub mu_shrink: f64,
     /// Number of outer (barrier) iterations.
     pub outer_iters: usize,
     /// Maximum inner projected-gradient iterations per outer iteration.
     pub inner_iters: usize,
-    /// Gradient-norm tolerance for early inner termination.
-    pub tol: f64,
-    /// Feasibility tolerance used for the final feasibility check.
-    pub feas_tol: f64,
 }
 
 impl Default for BarrierSolver {
     fn default() -> Self {
-        BarrierSolver {
-            mu0: 1.0,
-            mu_shrink: 0.2,
-            outer_iters: 12,
-            inner_iters: 200,
-            tol: 1e-8,
-            feas_tol: 1e-6,
-        }
+        BarrierSolver { outer_iters: 12, inner_iters: 200 }
     }
 }
 
 impl BarrierSolver {
     /// A cheaper configuration for use inside multi-start loops.
     pub fn fast() -> Self {
-        BarrierSolver { outer_iters: 8, inner_iters: 80, ..Self::default() }
+        BarrierSolver { outer_iters: 8, inner_iters: 80 }
     }
 
-    /// Move `x` strictly inside the feasible region if possible, by
-    /// minimizing the squared constraint violation with projected gradient.
-    fn restore_feasibility(&self, problem: &Problem, x: &mut Vec<f64>) {
+    /// Move `x` inside the feasible region if possible, by minimizing the
+    /// squared constraint violation: up to `inner_iters` descent steps, the
+    /// merit carried from one accepted step to the next, until none is left.
+    fn restore_feasibility(&self, problem: &Problem, descent: &mut Descent, x: &mut Vec<f64>) {
         problem.project(x);
         let mut constraints = problem.constraint_buffer();
-        // One evaluation gives both measures of a point: the smooth one the
-        // descent minimizes, and the largest violation (bounds included).
-        let mut measure = |y: &[f64]| -> (f64, f64) {
+        let mut squared_violation = |y: &[f64]| -> f64 {
             problem.evaluate(y, &mut constraints);
-            let squared = constraints.iter().map(|g| g.max(0.0).powi(2)).sum::<f64>();
-            (squared, problem.violation(y, &constraints))
+            constraints.iter().map(|g| g.max(0.0).powi(2)).sum()
         };
-        let (mut f0, mut worst) = measure(x);
+        let mut f0 = squared_violation(x);
         let mut step = 1.0;
-        let mut dir = vec![0.0; x.len()];
-        let mut cand = vec![0.0; x.len()];
         for _ in 0..self.inner_iters {
-            if worst <= 0.0 {
+            if f0 <= 0.0 {
                 break;
             }
-            numerical_gradient(|y| measure(y).0, x, &mut dir);
-            let gn = norm(&dir);
-            if gn < self.tol {
-                break;
-            }
-            descent_direction(&mut dir, gn);
-            // Backtracking on the violation measure.
-            let mut accepted = false;
-            let mut s = step;
-            for _ in 0..30 {
-                axpy(&mut cand, x, s, &dir);
-                problem.project(&mut cand);
-                let (fc, worst_c) = measure(&cand);
-                if fc < f0 {
-                    std::mem::swap(x, &mut cand);
-                    (f0, worst) = (fc, worst_c);
-                    step = (s * 2.0).min(1e6);
-                    accepted = true;
-                    break;
-                }
-                s *= 0.5;
-            }
-            if !accepted {
-                break;
+            match descent.step(&mut squared_violation, x, f0, TOL, &mut step, &RESTORE_SEARCH) {
+                Some(accepted) => f0 = accepted,
+                None => break,
             }
         }
     }
@@ -115,13 +88,14 @@ fn barrier_value(objective: f64, constraints: &[f64], mu: f64) -> f64 {
 impl NlpSolver for BarrierSolver {
     fn solve(&self, problem: &Problem, x0: &[f64]) -> SolveResult {
         assert_eq!(x0.len(), problem.dim(), "starting point dimension mismatch");
+        let mut descent = Descent::new(problem);
         let mut x = x0.to_vec();
-        self.restore_feasibility(problem, &mut x);
+        self.restore_feasibility(problem, &mut descent, &mut x);
 
         // If still infeasible, interior point cannot start; report the
         // best-effort point (callers typically fall back to PenaltySolver or
         // another start via MultiStart).
-        let restored = SolveResult::at(problem, x, 0, self.feas_tol);
+        let restored = SolveResult::at(problem, x, 0, FEAS_TOL);
         if restored.max_violation > 0.0 {
             return restored;
         }
@@ -131,47 +105,19 @@ impl NlpSolver for BarrierSolver {
         // Back off from active constraints slightly so logs are finite.
         nudge_strictly_feasible(problem, &mut x, &mut constraints);
 
-        let mut mu = self.mu0 * (1.0 + problem.evaluate(&x, &mut constraints).abs());
+        let mut mu = MU0 * (1.0 + problem.evaluate(&x, &mut constraints).abs());
+        // An infeasible candidate prices at +∞ and is never below a finite φ.
         let mut phi = |mu: f64, y: &[f64]| -> f64 {
             let objective = problem.evaluate(y, &mut constraints);
             barrier_value(objective, &constraints, mu)
         };
         let mut total_iters = 0usize;
-        let mut dir = vec![0.0; x.len()];
-        let mut cand = vec![0.0; x.len()];
         for _outer in 0..self.outer_iters {
-            let mut step = 1.0;
-            for _inner in 0..self.inner_iters {
-                total_iters += 1;
-                let f0 = phi(mu, &x);
-                numerical_gradient(|y| phi(mu, y), &mut x, &mut dir);
-                let gn = norm(&dir);
-                if !gn.is_finite() || gn < self.tol * (1.0 + f0.abs()) {
-                    break;
-                }
-                descent_direction(&mut dir, gn);
-                let mut s = step;
-                let mut accepted = false;
-                for _ in 0..40 {
-                    axpy(&mut cand, &x, s, &dir);
-                    problem.project(&mut cand);
-                    let fc = phi(mu, &cand);
-                    if fc.is_finite() && fc < f0 - 1e-12 * f0.abs() {
-                        std::mem::swap(&mut x, &mut cand);
-                        step = (s * 2.0).min(1e9);
-                        accepted = true;
-                        break;
-                    }
-                    s *= 0.5;
-                }
-                if !accepted {
-                    break;
-                }
-            }
-            mu *= self.mu_shrink;
+            total_iters += descent.descend(|y| phi(mu, y), &mut x, self.inner_iters, TOL, &SEARCH);
+            mu *= MU_SHRINK;
         }
 
-        SolveResult::at(problem, x, total_iters, self.feas_tol)
+        SolveResult::at(problem, x, total_iters, FEAS_TOL)
     }
 }
 
@@ -253,6 +199,40 @@ mod tests {
         // Capacity should be essentially saturated at the optimum.
         let used = r.x[0] * r.x[2] + r.x[1] * r.x[2] + r.x[0] * r.x[1];
         assert!(used > 0.85 * cap, "capacity underused: {used}");
+    }
+
+    #[test]
+    fn fast_profile_solves_are_pinned_to_the_bit() {
+        // The Sec. 2 problem again, through the profile `MultiStart` runs:
+        // from a feasible start, and from one the feasibility phase has to
+        // bring inside first. Point, objective and iteration count are the
+        // ones the solver with its own copies of the descent loop produced.
+        let (ni, nj, nk, cap) = (512.0, 512.0, 512.0, 1024.0);
+        let p = Problem::new(3)
+            .with_bounds(vec![1.0, 1.0, 1.0], vec![ni, nj, nk])
+            .with_objective(move |t| ni * nj * nk * (1.0 / t[0] + 1.0 / t[1]) + 2.0 * ni * nj)
+            .with_constraint(move |t| t[0] * t[2] + t[1] * t[2] + t[0] * t[1] - cap);
+        let pinned: [(&[f64], [u64; 3], u64, usize); 2] = [
+            (
+                &[8.0, 8.0, 8.0],
+                [0x403f039951fa6a3a, 0x403f039951fa6a3a, 0x3ff0000000000000],
+                0x4161823665312f44,
+                165,
+            ),
+            (
+                &[300.0, 200.0, 100.0],
+                [0x4063d31e1a64c2a4, 0x4015b0243a4d3ecb, 0x3ff0000000000000],
+                0x4178ea1f7238be03,
+                640,
+            ),
+        ];
+        for (start, x, objective, iterations) in pinned {
+            let r = BarrierSolver::fast().solve(&p, start);
+            assert!(r.feasible, "from {start:?}");
+            assert_eq!(r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), x, "{:?}", r.x);
+            assert_eq!(r.objective.to_bits(), objective, "{}", r.objective);
+            assert_eq!(r.iterations, iterations);
+        }
     }
 
     #[test]

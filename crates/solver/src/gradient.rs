@@ -31,25 +31,6 @@ pub fn step_for(value: f64) -> f64 {
     scale * 1e-6
 }
 
-/// Euclidean norm of a vector.
-pub fn norm(v: &[f64]) -> f64 {
-    v.iter().map(|a| a * a).sum::<f64>().sqrt()
-}
-
-/// `out = a + s * d` element-wise.
-pub fn axpy(out: &mut [f64], a: &[f64], s: f64, d: &[f64]) {
-    for ((o, x), y) in out.iter_mut().zip(a).zip(d) {
-        *o = x + s * y;
-    }
-}
-
-/// Turn a gradient of norm `norm` into the unit descent direction, in place.
-pub fn descent_direction(gradient: &mut [f64], norm: f64) {
-    for v in gradient {
-        *v = -*v / norm;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,17 +54,6 @@ mod tests {
         let mut g = [0.0];
         numerical_gradient(f, &mut [250.0], &mut g);
         assert!((g[0] + n / 250.0_f64.powi(2)).abs() / (n / 250.0_f64.powi(2)) < 1e-4);
-    }
-
-    #[test]
-    fn vector_helpers() {
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        let mut out = [0.0; 2];
-        axpy(&mut out, &[1.0, 2.0], 2.0, &[1.0, -1.0]);
-        assert_eq!(out, [3.0, 0.0]);
-        let mut g = [3.0, -4.0];
-        descent_direction(&mut g, 5.0);
-        assert_eq!(g, [-0.6, 0.8]);
         assert!(step_for(0.0) > 0.0 && step_for(1e6) > step_for(1.0));
     }
 }

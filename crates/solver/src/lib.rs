@@ -17,7 +17,10 @@
 //! solver makes exactly one evaluation per point it visits (the penalty
 //! merit, the barrier function, the feasibility measure and the integer
 //! refinement all read objective and constraints off the same evaluation),
-//! and the iteration loops allocate nothing.
+//! and the iteration loops allocate nothing. The penalty merit, the barrier
+//! function and the barrier solver's feasibility phase are all minimized by
+//! one projected-gradient step with a backtracking line search (the private
+//! `descent` module).
 //!
 //! Provided solvers:
 //!
@@ -27,7 +30,8 @@
 //!   fallback and for infeasible starts,
 //! * [`multistart::MultiStart`] — random-restart wrapper that makes the local
 //!   solvers robust on the non-convex instances produced by multi-level
-//!   tiling,
+//!   tiling, in the two effort profiles the optimizer selects
+//!   ([`MultiStart::cheap`], [`MultiStart::with_starts`]),
 //! * [`integer`] — flooring and local discrete refinement that converts the
 //!   continuous solution into integer tile sizes (Algorithm 1, line 23).
 //!
@@ -47,6 +51,7 @@
 //! ```
 
 pub mod barrier;
+mod descent;
 pub mod gradient;
 pub mod integer;
 pub mod multistart;

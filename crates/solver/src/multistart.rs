@@ -13,63 +13,51 @@ use crate::barrier::BarrierSolver;
 use crate::penalty::PenaltySolver;
 use crate::problem::{NlpSolver, Problem, SolveResult};
 
-/// Which local solver the restarts use.
+/// What each start runs: the two effort profiles of the optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaseSolver {
-    /// Quadratic penalty.
+    /// The quadratic-penalty solver alone, with few iterations.
     Penalty,
-    /// Run both and keep the better result of each start.
+    /// [`BarrierSolver::fast`] and [`PenaltySolver::default`], keeping the
+    /// better result of each start.
     Both,
 }
 
+/// RNG seed of the random starting points: solves are reproducible.
+const SEED: u64 = 0x5eed;
+
 /// Random-restart driver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiStart {
     /// Number of random starting points (in addition to the deterministic
     /// ones).
     pub random_starts: usize,
-    /// Which local solver(s) to run.
+    /// Which local solver(s) to run, at what effort.
     pub base: BaseSolver,
-    /// RNG seed, for reproducible optimization runs.
-    pub seed: u64,
-    /// The barrier-solver configuration used for each start.
-    pub barrier: BarrierSolver,
-    /// The penalty-solver configuration used for each start.
-    pub penalty: PenaltySolver,
 }
 
 impl Default for MultiStart {
     fn default() -> Self {
-        MultiStart {
-            random_starts: 6,
-            base: BaseSolver::Both,
-            seed: 0x5eed,
-            barrier: BarrierSolver::fast(),
-            penalty: PenaltySolver::default(),
-        }
+        MultiStart::with_starts(6)
     }
 }
 
 impl MultiStart {
-    /// A configuration with a given number of random starts.
+    /// The full-effort profile with a given number of random starts: barrier
+    /// and penalty solver from every start.
     pub fn with_starts(random_starts: usize) -> Self {
-        MultiStart { random_starts, ..Self::default() }
+        MultiStart { random_starts, base: BaseSolver::Both }
     }
 
     /// A low-effort configuration for use inside larger search loops (the
     /// MOpt optimizer calls the solver dozens of times per operator): penalty
     /// method only, few iterations, few restarts.
     pub fn cheap(random_starts: usize) -> Self {
-        MultiStart {
-            random_starts,
-            base: BaseSolver::Penalty,
-            penalty: PenaltySolver { outer_iters: 4, inner_iters: 40, ..PenaltySolver::default() },
-            ..Self::default()
-        }
+        MultiStart { random_starts, base: BaseSolver::Penalty }
     }
 
     fn starting_points(&self, problem: &Problem, x0: &[f64]) -> Vec<Vec<f64>> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let dim = problem.dim();
         let mut starts = Vec::with_capacity(self.random_starts + 3);
         starts.push(x0.to_vec());
@@ -110,11 +98,15 @@ impl NlpSolver for MultiStart {
                 best = Some(cand);
             }
         };
+        let (barrier, penalty) = match self.base {
+            BaseSolver::Penalty => (None, PenaltySolver::CHEAP),
+            BaseSolver::Both => (Some(BarrierSolver::fast()), PenaltySolver::default()),
+        };
         for start in self.starting_points(problem, x0) {
-            if self.base == BaseSolver::Both {
-                keep_better(self.barrier.solve(problem, &start));
+            if let Some(barrier) = barrier {
+                keep_better(barrier.solve(problem, &start));
             }
-            keep_better(self.penalty.solve(problem, &start));
+            keep_better(penalty.solve(problem, &start));
         }
         best.expect("at least one starting point is always evaluated")
     }
@@ -149,10 +141,6 @@ mod tests {
         let a = MultiStart::default().solve(&p, &[1.0]);
         let b = MultiStart::default().solve(&p, &[1.0]);
         assert_eq!(a.x, b.x);
-        let other = MultiStart { seed: 1234, ..Default::default() };
-        let c = other.solve(&p, &[1.0]);
-        // Different seed may or may not change the answer, but must stay valid.
-        assert!(c.feasible);
     }
 
     #[test]
@@ -177,8 +165,7 @@ mod tests {
         let p = Problem::new(1)
             .with_bounds(vec![0.0], vec![4.0])
             .with_objective(|x| (x[0] - 3.0).powi(2));
-        let ms = MultiStart { base: BaseSolver::Penalty, ..Default::default() };
-        let r = ms.solve(&p, &[0.0]);
+        let r = MultiStart::cheap(6).solve(&p, &[0.0]);
         assert!((r.x[0] - 3.0).abs() < 0.05);
     }
 }

@@ -6,37 +6,37 @@
 //! infeasible starting points and constraint sets with an empty strict
 //! interior.
 
-use crate::gradient::{axpy, descent_direction, norm, numerical_gradient};
+use crate::descent::{Descent, LineSearch};
 use crate::problem::{NlpSolver, Problem, SolveResult};
 
+/// Initial penalty weight (times the objective's magnitude at the start).
+const RHO0: f64 = 10.0;
+/// Growth of the penalty weight per outer iteration.
+const RHO_GROWTH: f64 = 10.0;
+/// Gradient tolerance, relative to the merit.
+const TOL: f64 = 1e-9;
+/// Feasibility tolerance for the reported result.
+const FEAS_TOL: f64 = 1e-4;
+const SEARCH: LineSearch = LineSearch { backtracks: 40, min_decrease: 1e-14, max_step: 1e9 };
+
 /// Quadratic-penalty solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PenaltySolver {
-    /// Initial penalty weight.
-    pub rho0: f64,
-    /// Multiplicative growth of the penalty weight per outer iteration.
-    pub rho_growth: f64,
     /// Outer iterations (penalty updates).
     pub outer_iters: usize,
     /// Inner projected-gradient iterations.
     pub inner_iters: usize,
-    /// Gradient tolerance.
-    pub tol: f64,
-    /// Feasibility tolerance for the reported result.
-    pub feas_tol: f64,
 }
 
 impl Default for PenaltySolver {
     fn default() -> Self {
-        PenaltySolver {
-            rho0: 10.0,
-            rho_growth: 10.0,
-            outer_iters: 8,
-            inner_iters: 150,
-            tol: 1e-9,
-            feas_tol: 1e-4,
-        }
+        PenaltySolver { outer_iters: 8, inner_iters: 150 }
     }
+}
+
+impl PenaltySolver {
+    /// The low-effort profile [`crate::MultiStart::cheap`] runs per start.
+    pub(crate) const CHEAP: PenaltySolver = PenaltySolver { outer_iters: 4, inner_iters: 40 };
 }
 
 impl NlpSolver for PenaltySolver {
@@ -56,43 +56,15 @@ impl NlpSolver for PenaltySolver {
             }
             m
         };
-        let mut rho = self.rho0 * scale;
+        let mut rho = RHO0 * scale;
         let mut total_iters = 0;
-        // The gradient, then the descent direction; and the line search's
-        // candidate point.
-        let mut dir = vec![0.0; x.len()];
-        let mut cand = vec![0.0; x.len()];
+        let mut descent = Descent::new(problem);
         for _outer in 0..self.outer_iters {
-            let mut step = 1.0;
-            for _inner in 0..self.inner_iters {
-                total_iters += 1;
-                let f0 = merit(rho, &x);
-                numerical_gradient(|y| merit(rho, y), &mut x, &mut dir);
-                let gn = norm(&dir);
-                if !gn.is_finite() || gn < self.tol * (1.0 + f0.abs()) {
-                    break;
-                }
-                descent_direction(&mut dir, gn);
-                let mut s = step;
-                let mut accepted = false;
-                for _ in 0..40 {
-                    axpy(&mut cand, &x, s, &dir);
-                    problem.project(&mut cand);
-                    if merit(rho, &cand) < f0 - 1e-14 * f0.abs() {
-                        std::mem::swap(&mut x, &mut cand);
-                        step = (s * 2.0).min(1e9);
-                        accepted = true;
-                        break;
-                    }
-                    s *= 0.5;
-                }
-                if !accepted {
-                    break;
-                }
-            }
-            rho *= self.rho_growth;
+            total_iters +=
+                descent.descend(|y| merit(rho, y), &mut x, self.inner_iters, TOL, &SEARCH);
+            rho *= RHO_GROWTH;
         }
-        SolveResult::at(problem, x, total_iters, self.feas_tol)
+        SolveResult::at(problem, x, total_iters, FEAS_TOL)
     }
 }
 

@@ -4,8 +4,8 @@
 use mopt_repro::baselines::OneDnnLike;
 use mopt_repro::cache_sim::{CacheKind, TileTrafficSimulator, TraceSimulator};
 use mopt_repro::conv_exec::naive::conv2d_naive;
-use mopt_repro::conv_exec::{measure_gflops, MeasureOptions, Tensor4, TiledConv};
-use mopt_repro::conv_spec::{benchmarks, ConvShape, MachineModel, TileConfig, TilingLevel};
+use mopt_repro::conv_exec::{Tensor4, TiledConv};
+use mopt_repro::conv_spec::{benchmarks, ConvShape, MachineModel, Spec, TileConfig, TilingLevel};
 use mopt_repro::mopt_core::optimizer::{heuristic_config, MOptOptimizer, OptimizerOptions};
 use mopt_repro::mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 
@@ -164,17 +164,18 @@ fn depthwise_and_dilated_operators_optimize_and_execute_end_to_end() {
 }
 
 #[test]
-fn measurement_harness_reports_consistent_gflops() {
-    let shape = ConvShape::new(1, 8, 8, 3, 3, 10, 10, 1).unwrap();
-    let machine = MachineModel::i7_9700k();
-    let input = Tensor4::random(shape.n, shape.c, shape.input_h(), shape.input_w(), 40);
-    let kernel = Tensor4::random(shape.k, shape.c, shape.r, shape.s, 41);
-    let conv = TiledConv::new(shape, heuristic_config(&shape, &machine), 1).unwrap();
-    let m = measure_gflops(shape.flops() as f64, &MeasureOptions::quick(), || {
-        std::hint::black_box(conv.run(&input, &kernel));
-    });
-    assert!(m.gflops > 0.0);
-    assert!(m.min_seconds <= m.mean_seconds && m.mean_seconds <= m.max_seconds);
+fn problems_too_large_for_usize_are_an_error_not_a_wrapped_schedule() {
+    // 2·k·c alone is 2^65: the flops wrapped to 0 and the request was served.
+    let big = 1usize << 32;
+    let shape = ConvShape::new(1, big, big, 3, 3, big, big, 1);
+    assert!(shape.unwrap_err().to_string().contains("overflows at c/groups = 4294967296"));
+    assert!(Spec::matmul(big, big, big).validate().is_err());
+    let service = mopt_repro::mopt_service::ServiceState::new(4);
+    let reply = service.handle_line(&format!(
+        r#"{{"Optimize":{{"shape":{{"n":1,"k":{big},"c":{big},"r":3,"s":3,"h":{big},"w":{big},"stride":1}},"machine":{{"Preset":"tiny"}}}}}}"#
+    ));
+    assert!(reply.starts_with(r#"{"Error":"#) && reply.contains("overflows at"), "{reply}");
+    assert!(service.handle_line("\"Ping\"").starts_with(r#"{"Pong":"#));
 }
 
 #[test]
