@@ -8,8 +8,8 @@
 //! from a small template list.
 
 use conv_spec::{
-    ConvShape, LoopIndex, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel,
-    ALL_INDICES, NUM_TILING_LEVELS,
+    ConvShape, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel, ALL_INDICES,
+    NUM_TILING_LEVELS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,11 +56,6 @@ impl SearchSpace {
         &self.permutations
     }
 
-    /// Candidate tile sizes for a loop index.
-    pub fn candidates_for(&self, idx: LoopIndex) -> &[usize] {
-        &self.candidates[idx.canonical_position()]
-    }
-
     /// Sample one random configuration.
     pub fn sample(&self, rng: &mut StdRng) -> TileConfig {
         let perm = self.permutations[rng.gen_range(0..self.permutations.len())].clone();
@@ -68,7 +63,7 @@ impl SearchSpace {
         for level in TilingLevel::ALL {
             let mut t = TileSizes::ones();
             for &idx in &ALL_INDICES {
-                let c = self.candidates_for(idx);
+                let c = &self.candidates[idx.canonical_position()];
                 t.set(idx, c[rng.gen_range(0..c.len())]);
             }
             levels[level.ordinal()] = t;

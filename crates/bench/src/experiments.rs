@@ -6,11 +6,12 @@ use conv_spec::{
     benchmarks, BenchmarkOp, ConvShape, MachineModel, Permutation, TileConfig, TilingLevel,
 };
 use mopt_core::optimizer::{MOptOptimizer, OptimizerOptions};
-use mopt_core::validation::{validate_operator, ValidationReport};
 use mopt_model::cost::{single_level_volume, CostOptions};
 use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 use mopt_model::prune::{pruned_classes, sample_tiles};
 use serde::{Deserialize, Serialize};
+
+use crate::validation::{validate_operator, ValidationReport};
 
 /// How large the benchmark operators used by an experiment are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -25,6 +25,7 @@
 
 pub mod experiments;
 pub mod report;
+pub mod validation;
 
 pub use experiments::{
     ablation_pruning, fig5_model_loss, fig6_rank_correlation, fig7_performance_comparison,
@@ -32,3 +33,4 @@ pub use experiments::{
     SearchCostRow,
 };
 pub use report::{format_table, geomean, print_fig7};
+pub use validation::{validate_operator, ValidationPoint, ValidationReport};

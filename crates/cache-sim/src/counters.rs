@@ -70,20 +70,11 @@ impl DataMovement {
         self.level(level).total()
     }
 
-    /// Bandwidth-scaled cost of a level: `DV_l / BW_l`, in cycles.
-    ///
-    /// For private levels (Register, L1, L2) the per-core bandwidth is used
-    /// and the volume is assumed to be per-chip, so the cost is divided by the
-    /// number of active threads (each core moves its share concurrently,
-    /// Sec. 7). The L3↔DRAM link is chip-wide and is not divided.
+    /// Bandwidth-scaled cost of a level: `DV_l / BW_l`, in cycles, at the
+    /// bandwidth `threads` active threads fill the level with
+    /// ([`MachineModel::fill_bandwidth_at`]); the volume is the whole chip's.
     pub fn scaled_cost(&self, level: TilingLevel, machine: &MachineModel, threads: usize) -> f64 {
-        let bw = machine.fill_bandwidth(level);
-        let volume = self.volume(level);
-        let effective_threads = threads.max(1) as f64;
-        match level {
-            TilingLevel::L3 => volume / bw,
-            _ => volume / (bw * effective_threads),
-        }
+        self.volume(level) / machine.fill_bandwidth_at(level, threads)
     }
 
     /// The bottleneck level and its bandwidth-scaled cost (cycles):
@@ -97,22 +88,15 @@ impl DataMovement {
     }
 
     /// Projected execution time in cycles: the larger of the bottleneck
-    /// data-movement time and the pure compute time at peak FMA throughput.
+    /// data-movement time and the pure compute time at peak FMA throughput
+    /// ([`MachineModel::roofline`]).
     pub fn projected_cycles(&self, machine: &MachineModel, threads: usize) -> f64 {
-        let (_, mem_cycles) = self.bottleneck(machine, threads);
-        let fmas_per_cycle_per_core = (machine.simd_width * machine.fma_units) as f64;
-        let compute_cycles = (self.flops / 2.0) / (fmas_per_cycle_per_core * threads.max(1) as f64);
-        mem_cycles.max(compute_cycles)
+        machine.roofline(self.flops, self.bottleneck(machine, threads).1, threads).0
     }
 
     /// Projected performance in GFLOPS for the whole operator.
     pub fn projected_gflops(&self, machine: &MachineModel, threads: usize) -> f64 {
-        let cycles = self.projected_cycles(machine, threads);
-        if cycles <= 0.0 {
-            return 0.0;
-        }
-        let seconds = cycles / (machine.clock_ghz * 1e9);
-        self.flops / seconds / 1e9
+        machine.roofline(self.flops, self.bottleneck(machine, threads).1, threads).1
     }
 }
 

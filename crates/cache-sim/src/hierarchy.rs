@@ -4,7 +4,6 @@ use conv_spec::{MachineModel, MemoryLevel, TilingLevel};
 
 use crate::counters::DataMovement;
 use crate::lru::{FullyAssocLru, LruStats};
-use crate::setassoc::SetAssocCache;
 
 /// Which cache organization the simulated hierarchy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,44 +12,6 @@ pub enum CacheKind {
     IdealFullyAssociative,
     /// Fully associative LRU with the machine's real line size.
     FullyAssociativeLines,
-    /// Set-associative LRU with the machine's line size and associativity —
-    /// exhibits conflict misses.
-    SetAssociative,
-}
-
-enum LevelCache {
-    Full(FullyAssocLru),
-    Set(SetAssocCache),
-}
-
-impl LevelCache {
-    fn access(&mut self, addr: usize, is_write: bool) -> bool {
-        match self {
-            LevelCache::Full(c) => c.access(addr, is_write),
-            LevelCache::Set(c) => c.access(addr, is_write),
-        }
-    }
-
-    fn stats(&self) -> LruStats {
-        match self {
-            LevelCache::Full(c) => c.stats(),
-            LevelCache::Set(c) => c.stats(),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            LevelCache::Full(c) => c.flush(),
-            LevelCache::Set(c) => c.flush(),
-        }
-    }
-
-    fn line_elems(&self) -> usize {
-        match self {
-            LevelCache::Full(c) => c.line_elems(),
-            LevelCache::Set(c) => c.line_elems(),
-        }
-    }
 }
 
 /// A simulated L1/L2/L3 hierarchy (inclusive, write-back, write-allocate).
@@ -61,7 +22,7 @@ impl LevelCache {
 /// because registers are explicitly managed by the microkernel rather than
 /// being a cache.
 pub struct MemoryHierarchy {
-    levels: Vec<(MemoryLevel, LevelCache)>,
+    levels: Vec<(MemoryLevel, FullyAssocLru)>,
     kind: CacheKind,
     /// Register-level traffic accumulated by the driver (loads, stores).
     register_loads: u64,
@@ -71,25 +32,17 @@ pub struct MemoryHierarchy {
 impl MemoryHierarchy {
     /// Build a hierarchy for a machine using the requested cache organization.
     pub fn new(machine: &MachineModel, kind: CacheKind) -> Self {
-        let mut levels = Vec::new();
-        for cache in &machine.caches {
-            let line = match kind {
-                CacheKind::IdealFullyAssociative => 1,
-                _ => cache.line_elems.max(1),
-            };
-            let level_cache = match kind {
-                CacheKind::SetAssociative => {
-                    let ways = if cache.associativity == 0 {
-                        (cache.capacity_elems / line).max(1)
-                    } else {
-                        cache.associativity
-                    };
-                    LevelCache::Set(SetAssocCache::new(cache.capacity_elems, line, ways))
-                }
-                _ => LevelCache::Full(FullyAssocLru::new(cache.capacity_elems, line)),
-            };
-            levels.push((cache.level, level_cache));
-        }
+        let levels = machine
+            .caches
+            .iter()
+            .map(|cache| {
+                let line = match kind {
+                    CacheKind::IdealFullyAssociative => 1,
+                    CacheKind::FullyAssociativeLines => cache.line_elems.max(1),
+                };
+                (cache.level, FullyAssocLru::new(cache.capacity_elems, line))
+            })
+            .collect();
         MemoryHierarchy { levels, kind, register_loads: 0, register_stores: 0 }
     }
 
@@ -206,25 +159,6 @@ mod tests {
         assert_eq!(dm.level(TilingLevel::Register).inbound_elems, 100.0);
         assert_eq!(dm.level(TilingLevel::Register).outbound_elems, 50.0);
         assert_eq!(dm.flops, 1000.0);
-    }
-
-    #[test]
-    fn set_associative_mode_can_have_more_misses_than_ideal() {
-        let m = machine();
-        let mut ideal = MemoryHierarchy::new(&m, CacheKind::IdealFullyAssociative);
-        let mut setassoc = MemoryHierarchy::new(&m, CacheKind::SetAssociative);
-        // A strided pattern that maps to few sets.
-        let stride = 64;
-        for rep in 0..4 {
-            let _ = rep;
-            for i in 0..32 {
-                ideal.access(i * stride, false);
-                setassoc.access(i * stride, false);
-            }
-        }
-        let mi = ideal.level_stats(MemoryLevel::L1).unwrap().misses;
-        let ms = setassoc.level_stats(MemoryLevel::L1).unwrap().misses;
-        assert!(ms >= mi, "set-associative should not outperform ideal LRU here");
     }
 
     #[test]

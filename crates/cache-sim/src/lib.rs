@@ -8,8 +8,6 @@
 //! * [`lru::FullyAssocLru`] — an exact fully-associative LRU cache (the
 //!   idealized cache the paper's model assumes), at element or line
 //!   granularity,
-//! * [`setassoc::SetAssocCache`] — a set-associative cache used to reproduce
-//!   the conflict-miss outliers discussed in Sec. 10 (Yolo9 / Yolo18),
 //! * [`hierarchy::MemoryHierarchy`] — a multi-level hierarchy assembled from a
 //!   [`conv_spec::MachineModel`], with per-level traffic counters,
 //! * [`trace`] — an element-granularity access-trace generator that walks the
@@ -39,13 +37,11 @@
 pub mod counters;
 pub mod hierarchy;
 pub mod lru;
-pub mod setassoc;
 pub mod tilesim;
 pub mod trace;
 
 pub use counters::{DataMovement, LevelTraffic};
 pub use hierarchy::{CacheKind, MemoryHierarchy};
 pub use lru::FullyAssocLru;
-pub use setassoc::SetAssocCache;
 pub use tilesim::{FusedPairTraffic, TileTrafficSimulator, TileTrafficStats};
 pub use trace::TraceSimulator;

@@ -69,8 +69,7 @@ pub mod tiled;
 
 pub use fused::{pointwise_consumer, FusedDwPw};
 pub use microkernel::{
-    active_backend, detected_backend, force_scalar, run_microkernel_with_backend, SimdBackend,
-    StridedView, StridedViewMut,
+    active_backend, detected_backend, force_scalar, SimdBackend, StridedView, StridedViewMut,
 };
 pub use nchwc::{BlockedTensor, NchwcConv};
 pub use packing::PackedKernel;

@@ -195,24 +195,6 @@ impl KernelRegion {
     }
 }
 
-/// Accumulate one region's contribution into `output` as a single L1 tile
-/// holding a single register tile: every output element meets the region's
-/// taps in `c`, `r`, `s` ascending order. [`crate::TiledConv`] drives the
-/// same kernel tile by tile with the schedule's register tile and
-/// permutation; this entry point exists for callers (and tests) that have
-/// no schedule.
-pub fn run_microkernel_with_backend<I: StridedView, O: StridedViewMut>(
-    shape: &ConvShape,
-    input: &I,
-    kernel: &PackedKernel,
-    output: &mut O,
-    region: &KernelRegion,
-    backend: SimdBackend,
-) {
-    let config = TileConfig::untiled(shape);
-    TileKernel::new(shape, &config, input, kernel, output, backend).run(region);
-}
-
 /// One reduction step of an output element: where its input pixel sits
 /// relative to the element's pixel offset, and where the packed kernel
 /// vector sits relative to the packed group.
@@ -646,6 +628,23 @@ mod tests {
         let kernel = Tensor4::random(kk, kc, kr, ks, 12);
         let packed = PackedKernel::pack(shape, &kernel, 8);
         (input, kernel, packed)
+    }
+
+    /// Accumulate one region's contribution into `output` as a single L1 tile
+    /// holding a single register tile: every output element meets the region's
+    /// taps in `c`, `r`, `s` ascending order. [`crate::TiledConv`] drives the
+    /// same kernel tile by tile with the schedule's register tile and
+    /// permutation.
+    fn run_microkernel_with_backend(
+        shape: &ConvShape,
+        input: &Tensor4,
+        kernel: &PackedKernel,
+        output: &mut Tensor4,
+        region: &KernelRegion,
+        backend: SimdBackend,
+    ) {
+        let config = TileConfig::untiled(shape);
+        TileKernel::new(shape, &config, input, kernel, output, backend).run(region);
     }
 
     /// The region under the backend the runtime dispatcher picked.

@@ -68,9 +68,10 @@ pub struct CacheLevel {
     /// bandwidth). Used to bandwidth-scale data volumes.
     pub fill_bandwidth: f64,
     /// Cache line size in elements (used by the spatial-locality extension
-    /// and by the set-associative simulator).
+    /// and by the line-granular simulator).
     pub line_elems: usize,
-    /// Associativity (ways); `0` denotes fully associative.
+    /// Associativity (ways); `0` denotes fully associative. Descriptive: the
+    /// model and the simulator both assume full associativity.
     pub associativity: usize,
 }
 
@@ -237,8 +238,12 @@ impl MachineModel {
         }
     }
 
-    /// A machine preset by name — `"i7-9700k"`, `"i9-10980xe"`, `"tiny"` or
-    /// one of their short forms, folded by [`crate::normalized_name`].
+    /// The canonical spelling of every [`preset`](Self::preset), in the order
+    /// an "unknown preset" message lists them.
+    pub const PRESET_NAMES: [&'static str; 3] = ["i7-9700k", "i9-10980xe", "tiny"];
+
+    /// A machine preset by name — one of [`PRESET_NAMES`](Self::PRESET_NAMES)
+    /// or a short form of one, folded by [`crate::normalized_name`].
     pub fn preset(name: &str) -> Option<Self> {
         match crate::normalized_name(name).as_str() {
             "i79700k" | "i7" | "coffeelake" => Some(Self::i7_9700k()),
@@ -348,6 +353,37 @@ impl MachineModel {
             TilingLevel::L2 => self.cache(MemoryLevel::L3).map_or(1.0, |c| c.fill_bandwidth),
             TilingLevel::L3 => self.dram_bandwidth,
         }
+    }
+
+    /// Bandwidth (elements / cycle, whole chip) at which `threads` active
+    /// threads fill a tiling level: every core fills its private levels at
+    /// once, so they scale with the thread count, while the L3-fill (DRAM)
+    /// boundary is one link for the chip and does not (Sec. 7). A volume
+    /// divided by this is that level's bandwidth-scaled cost `DV_l / BW_l`.
+    ///
+    /// With [`roofline`](Self::roofline) this is the only statement of how a
+    /// data volume becomes time; the model, the layout-transform prices and
+    /// the simulator's reports all divide by it.
+    pub fn fill_bandwidth_at(&self, level: TilingLevel, threads: usize) -> f64 {
+        let bw = self.fill_bandwidth(level);
+        match level {
+            TilingLevel::L3 => bw,
+            _ => bw * threads.max(1) as f64,
+        }
+    }
+
+    /// The roofline: `(cycles, GFLOP/s)` of `flops` floating-point operations
+    /// whose bottleneck boundary needs `memory_cycles` — the larger of that
+    /// and the compute time at peak FMA throughput on `threads` cores,
+    /// converted at the core clock. Zero work projects to `0.0` GFLOP/s.
+    pub fn roofline(&self, flops: f64, memory_cycles: f64, threads: usize) -> (f64, f64) {
+        let fmas_per_cycle = (self.simd_width * self.fma_units * threads.max(1)) as f64;
+        let compute_cycles = (flops / 2.0) / fmas_per_cycle;
+        let cycles = memory_cycles.max(compute_cycles);
+        if cycles <= 0.0 {
+            return (cycles, 0.0);
+        }
+        (cycles, flops / (cycles / (self.clock_ghz * 1e9)) / 1e9)
     }
 
     /// A stable 64-bit fingerprint of every model parameter that influences

@@ -112,7 +112,8 @@ pub struct DbStats {
     pub inserts: u64,
     /// Page files read (and parsed) from disk.
     pub pages_loaded: u64,
-    /// Resident pages evicted to stay within the LRU bound.
+    /// Evictions attempted to stay within the LRU bound (a dirty victim whose
+    /// write failed is counted and stays resident).
     pub page_evictions: u64,
 }
 
@@ -252,9 +253,12 @@ impl SpecDb {
     }
 
     /// Run `f` over the (resident or freshly loaded) records of a page,
-    /// marking the page dirty when `f` returns `true`. Evicts the least
-    /// recently used resident page — flushing it first if dirty — when the
-    /// residency bound is exceeded.
+    /// marking the page dirty when `f` returns `true`. A load that takes the
+    /// residency over its bound evicts least-recently-used pages back down to
+    /// it, writing a dirty victim first. A victim whose write fails stays
+    /// resident and dirty — its records are not lost, the requested page is
+    /// still served, and the next [`flush`](Self::flush) reports the error —
+    /// and the next victim in line is tried instead.
     fn with_page<T>(
         &self,
         page: usize,
@@ -267,17 +271,21 @@ impl SpecDb {
             let records = self.load_page(page)?;
             slot.insert(PageState { records, dirty: false, last_used: tick });
             if inner.resident.len() > RESIDENT_PAGES {
-                let victim = inner
+                let mut victims: Vec<(u64, usize)> = inner
                     .resident
                     .iter()
                     .filter(|(id, _)| **id != page)
-                    .min_by_key(|(_, state)| state.last_used)
-                    .map(|(id, _)| *id);
-                if let Some(victim) = victim {
-                    let state = inner.resident.remove(&victim).expect("victim is resident");
+                    .map(|(id, state)| (state.last_used, *id))
+                    .collect();
+                victims.sort_unstable();
+                for (_, victim) in victims {
+                    if inner.resident.len() <= RESIDENT_PAGES {
+                        break;
+                    }
                     self.page_evictions.fetch_add(1, Ordering::Relaxed);
-                    if state.dirty {
-                        self.write_page(victim, &state.records)?;
+                    let state = &inner.resident[&victim];
+                    if !state.dirty || self.write_page(victim, &state.records).is_ok() {
+                        inner.resident.remove(&victim);
                     }
                 }
             }
@@ -361,25 +369,24 @@ impl SpecDb {
     }
 
     /// Write every dirty resident page to disk. Returns the number of pages
-    /// written.
+    /// written, or the first error once every dirty page has been attempted;
+    /// a page whose write failed stays dirty, so a later flush retries it.
     pub fn flush(&self) -> Result<usize, DbError> {
-        let dirty: Vec<(usize, Vec<SpecRecord>)> = {
-            let mut inner = self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            inner
-                .resident
-                .iter_mut()
-                .filter(|(_, state)| state.dirty)
-                .map(|(&id, state)| {
+        let mut inner = self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut written = 0;
+        let mut first_error = None;
+        for (&page, state) in inner.resident.iter_mut().filter(|(_, state)| state.dirty) {
+            match self.write_page(page, &state.records) {
+                Ok(()) => {
                     state.dirty = false;
-                    (id, state.records.clone())
-                })
-                .collect()
-        };
-        let n = dirty.len();
-        for (page, records) in dirty {
-            self.write_page(page, &records)?;
+                    written += 1;
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
         }
-        Ok(n)
+        first_error.map_or(Ok(written), Err)
     }
 
     /// Snapshot of the database counters.
@@ -581,6 +588,61 @@ mod tests {
         for &(fp, _) in &fps {
             assert!(db.lookup(fp, 7).unwrap().is_some(), "record lost after eviction");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Put a directory where `page`'s file goes, so that writing the page
+    /// fails; returns the blocker's path.
+    fn block_page(dir: &Path, page: usize) -> PathBuf {
+        let blocker = dir.join(format!("page-{page:04}.json"));
+        std::fs::create_dir(&blocker).unwrap();
+        blocker
+    }
+
+    #[test]
+    fn failed_flush_keeps_the_page_dirty_for_the_next_one() {
+        let dir = temp_db("flush-retry");
+        let shape = canon_shape();
+        let fp = shape.fingerprint();
+        let db = SpecDb::open(&dir).unwrap();
+        db.merge(&shape, 7, vec![entry(&shape, 10.0)]).unwrap();
+        let blocker = block_page(&dir, db.page_of(fp));
+        assert!(matches!(db.flush(), Err(DbError::Io(_))));
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(db.flush().unwrap(), 1, "the failed page is still dirty");
+        assert_eq!(db.flush().unwrap(), 0);
+        drop(db);
+        let reopened = SpecDb::open(&dir).unwrap();
+        assert!(reopened.lookup(fp, 7).unwrap().is_some(), "record never reached the disk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_eviction_write_keeps_the_victim_and_serves_the_lookup() {
+        let dir = temp_db("evict-retry");
+        let shape = canon_shape();
+        let fp = shape.fingerprint();
+        let pages = 4 * RESIDENT_PAGES;
+        let db = SpecDb::open_with(&dir, pages, 8).unwrap();
+        db.merge(&shape, 7, vec![entry(&shape, 10.0)]).unwrap();
+        let dirty = db.page_of(fp);
+        let blocker = block_page(&dir, dirty);
+        // Load every other page: the dirty one is the eviction victim each
+        // time the bound is exceeded, its write fails, and each lookup is
+        // answered all the same (a clean miss — the pages are empty).
+        for other in (0..pages).filter(|&p| p != dirty) {
+            assert_eq!(db.lookup(other as u64, 7).unwrap(), None);
+        }
+        let stats = db.stats();
+        assert_eq!(stats.resident_pages, RESIDENT_PAGES, "clean pages went in its place");
+        assert!(stats.page_evictions as usize >= pages - 1 - RESIDENT_PAGES);
+        assert!(db.lookup(fp, 7).unwrap().is_some(), "the victim's records were dropped");
+        assert!(matches!(db.flush(), Err(DbError::Io(_))));
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(db.flush().unwrap(), 1);
+        drop(db);
+        let reopened = SpecDb::open_with(&dir, pages, 8).unwrap();
+        assert!(reopened.lookup(fp, 7).unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

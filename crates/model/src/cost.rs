@@ -89,13 +89,6 @@ impl From<&TileSizes> for RealTiles {
     }
 }
 
-impl RealTiles {
-    /// Convert to integer tile sizes by rounding, clamped to at least 1.
-    pub fn to_tile_sizes(&self) -> TileSizes {
-        TileSizes::from_array(self.sizes.map(|v| v.round().max(1.0) as usize))
-    }
-}
-
 /// Options for the cost expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostOptions {
@@ -383,6 +376,11 @@ pub fn single_level_volume_general(
 mod tests {
     use super::*;
 
+    /// Integer tile sizes by rounding, clamped to at least 1.
+    fn to_tile_sizes(t: &RealTiles) -> TileSizes {
+        TileSizes::from_array(t.as_array().map(|v| v.round().max(1.0) as usize))
+    }
+
     fn shape() -> ConvShape {
         ConvShape::new(2, 16, 8, 3, 3, 12, 12, 1).unwrap()
     }
@@ -563,7 +561,7 @@ mod tests {
         let s = shape();
         let t = tiles();
         let fp = total_footprint(&s, &t);
-        let int_t = t.to_tile_sizes();
+        let int_t = to_tile_sizes(&t);
         assert_eq!(int_t.footprint(&s) as f64, fp);
     }
 
@@ -692,7 +690,7 @@ mod tests {
         let t = TileSizes::from_array([1, 2, 3, 4, 5, 6, 7]);
         let r: RealTiles = (&t).into();
         assert_eq!(r.get(LoopIndex::W), 7.0);
-        assert_eq!(r.to_tile_sizes(), t);
+        assert_eq!(to_tile_sizes(&r), t);
         let clamped = RealTiles::from_array([0.0, 99.0, 3.0, 4.0, 5.0, 6.0, 7.0])
             .clamped(&[4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0]);
         assert_eq!(clamped.get(LoopIndex::N), 1.0);

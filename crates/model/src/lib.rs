@@ -20,10 +20,7 @@
 //! * [`mod@move_cost`] — Morello-style pricing of layout transforms (lines
 //!   touched, non-contiguity penalty, prefetch discount) and per-tensor
 //!   traffic/footprint factors, composing the one-time packing cost into the
-//!   same bottleneck objective (exactly zero at the paper-default layouts),
-//! * [`mod@spec_footprint`] — closed-form per-level footprints for the
-//!   generalized problem IR (matmul `Tm·Tk + Tk·Tn + Tm·Tn`, pooling slabs,
-//!   elementwise streams), pinned equal to the embedded conv footprints.
+//!   same bottleneck objective (exactly zero at the paper-default layouts).
 //!
 //! The expressions are evaluated on real-valued tile sizes so that they can be
 //! used directly as objectives/constraints of the non-linear solver, and on
@@ -74,7 +71,6 @@ pub mod fused;
 pub mod move_cost;
 pub mod multilevel;
 pub mod prune;
-pub mod spec_footprint;
 
 pub use cost::{single_level_volume, ArrayVolumes, CostOptions, RealTiles};
 pub use fused::{
@@ -86,4 +82,3 @@ pub use move_cost::{
 };
 pub use multilevel::{CostBreakdown, LevelCost, MultiLevelModel, ParallelSpec, Price};
 pub use prune::{pruned_classes, PermutationClass};
-pub use spec_footprint::{elementwise_footprint, matmul_footprint, pool_footprint, spec_footprint};

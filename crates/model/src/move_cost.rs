@@ -96,19 +96,6 @@ pub fn transform_level(machine: &MachineModel, total_elems: f64) -> TilingLevel 
     }
 }
 
-/// Convert penalty-weighted element traffic into bandwidth-scaled cycles at
-/// `level`, matching `MultiLevelModel::scaled_cost`'s private/shared split:
-/// the DRAM boundary is shared (one bandwidth for the chip), private levels
-/// repack in parallel across threads.
-fn scale(machine: &MachineModel, level: TilingLevel, traffic: f64, threads: usize) -> f64 {
-    let bw = machine.fill_bandwidth(level);
-    let threads = threads.max(1) as f64;
-    match level {
-        TilingLevel::L3 => traffic / bw,
-        _ => traffic / (bw * threads),
-    }
-}
-
 /// Price the one-time transform of `tensor` from its paper-default layout
 /// into its layout under `layout`. Returns `None` when the tensor already
 /// is in its default layout (no transform, no cost).
@@ -168,7 +155,7 @@ pub fn tensor_move_cost(
         read_elems,
         write_elems,
         lines_touched: traffic,
-        cost: scale(machine, level, traffic, threads),
+        cost: traffic / machine.fill_bandwidth_at(level, threads),
     })
 }
 

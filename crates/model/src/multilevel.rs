@@ -220,13 +220,7 @@ impl ModelPrediction {
     /// Projected GFLOPS implied by the bottleneck cost (and the compute
     /// throughput ceiling) on a machine.
     pub fn projected_gflops(&self, machine: &MachineModel, threads: usize) -> f64 {
-        let fmas_per_cycle = (machine.simd_width * machine.fma_units * threads.max(1)) as f64;
-        let compute_cycles = (self.flops / 2.0) / fmas_per_cycle;
-        let cycles = self.bottleneck_cost.max(compute_cycles);
-        if cycles <= 0.0 {
-            return 0.0;
-        }
-        self.flops / (cycles / (machine.clock_ghz * 1e9)) / 1e9
+        machine.roofline(self.flops, self.bottleneck_cost, threads).1
     }
 }
 
@@ -420,13 +414,8 @@ impl MultiLevelModel {
             default_layout: self.layout.is_default(),
             capacity: TilingLevel::ALL
                 .map(|level| self.machine.capacity_per_thread(level, self.parallel.threads) as f64),
-            bandwidth: TilingLevel::ALL.map(|level| {
-                let bw = self.machine.fill_bandwidth(level);
-                match level {
-                    TilingLevel::L3 => bw,
-                    _ => bw * threads,
-                }
-            }),
+            bandwidth: TilingLevel::ALL
+                .map(|level| self.machine.fill_bandwidth_at(level, self.parallel.threads)),
         }
     }
 
@@ -438,12 +427,10 @@ impl MultiLevelModel {
     }
 
     /// Tile footprint at a level (elements) — the left-hand side of that
-    /// level's capacity constraint. Under parallel execution the tile is
-    /// first clamped into one thread's slice of the problem.
+    /// level's capacity constraint — of the tile as every level is priced:
+    /// nested into one thread's slice of the problem (the whole problem at one
+    /// thread, where a nested assignment passes through the clamp unchanged).
     pub fn footprint(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        if self.parallel.threads <= 1 {
-            return self.tile_footprint(tiles.level(level));
-        }
         let slice = self.thread_extents().as_array();
         self.tile_footprint(tiles.nested_within(&slice).level(level))
     }

@@ -29,7 +29,7 @@
 use conv_spec::{ConvShape, LoopIndex, Permutation};
 use serde::{Deserialize, Serialize};
 
-use crate::cost::{single_level_volume, CostOptions, RealTiles};
+use crate::cost::RealTiles;
 
 /// One of the eight pruned permutation classes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,22 +107,6 @@ pub fn classify(perm: &Permutation) -> Option<usize> {
     }
 }
 
-/// Numerically check whether two permutations have identical cost expressions
-/// by evaluating them on a set of sampled tile sizes for a shape.
-pub fn cost_equivalent(
-    shape: &ConvShape,
-    a: &Permutation,
-    b: &Permutation,
-    samples: &[RealTiles],
-) -> bool {
-    let opts = CostOptions::default();
-    samples.iter().all(|t| {
-        let va = single_level_volume(shape, a, t, &opts).total();
-        let vb = single_level_volume(shape, b, t, &opts).total();
-        (va - vb).abs() <= 1e-9 * va.abs().max(vb.abs()).max(1.0)
-    })
-}
-
 /// A small deterministic set of tile-size samples spanning the problem space,
 /// used by equivalence / dominance checks.
 pub fn sample_tiles(shape: &ConvShape, count: usize) -> Vec<RealTiles> {
@@ -141,29 +125,46 @@ pub fn sample_tiles(shape: &ConvShape, count: usize) -> Vec<RealTiles> {
     out
 }
 
-/// For a given shape, verify (numerically, over sampled tile sizes) that the
-/// minimum cost over the eight pruned representatives is no worse than the
-/// cost of `perm` at each sample — i.e. that considering only the pruned
-/// classes cannot lose the optimum. Returns the largest observed ratio
-/// `min_pruned / other` (≤ 1 + tolerance when pruning is sound).
-pub fn dominance_ratio(shape: &ConvShape, perm: &Permutation, samples: &[RealTiles]) -> f64 {
-    let opts = CostOptions::default();
-    let classes = pruned_classes();
-    let mut worst: f64 = 0.0;
-    for t in samples {
-        let other = single_level_volume(shape, perm, t, &opts).total();
-        let best_pruned = classes
-            .iter()
-            .map(|c| single_level_volume(shape, &c.representative, t, &opts).total())
-            .fold(f64::INFINITY, f64::min);
-        worst = worst.max(best_pruned / other);
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{single_level_volume, CostOptions};
+
+    /// Numerically check whether two permutations have identical cost expressions
+    /// by evaluating them on a set of sampled tile sizes for a shape.
+    fn cost_equivalent(
+        shape: &ConvShape,
+        a: &Permutation,
+        b: &Permutation,
+        samples: &[RealTiles],
+    ) -> bool {
+        let opts = CostOptions::default();
+        samples.iter().all(|t| {
+            let va = single_level_volume(shape, a, t, &opts).total();
+            let vb = single_level_volume(shape, b, t, &opts).total();
+            (va - vb).abs() <= 1e-9 * va.abs().max(vb.abs()).max(1.0)
+        })
+    }
+
+    /// For a given shape, verify (numerically, over sampled tile sizes) that the
+    /// minimum cost over the eight pruned representatives is no worse than the
+    /// cost of `perm` at each sample — i.e. that considering only the pruned
+    /// classes cannot lose the optimum. Returns the largest observed ratio
+    /// `min_pruned / other` (≤ 1 + tolerance when pruning is sound).
+    fn dominance_ratio(shape: &ConvShape, perm: &Permutation, samples: &[RealTiles]) -> f64 {
+        let opts = CostOptions::default();
+        let classes = pruned_classes();
+        let mut worst: f64 = 0.0;
+        for t in samples {
+            let other = single_level_volume(shape, perm, t, &opts).total();
+            let best_pruned = classes
+                .iter()
+                .map(|c| single_level_volume(shape, &c.representative, t, &opts).total())
+                .fold(f64::INFINITY, f64::min);
+            worst = worst.max(best_pruned / other);
+        }
+        worst
+    }
 
     fn shape() -> ConvShape {
         ConvShape::new(2, 16, 8, 3, 3, 14, 14, 1).unwrap()

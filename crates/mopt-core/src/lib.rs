@@ -1,8 +1,9 @@
 //! MOpt: model-driven design-space exploration and multi-level tile-size
 //! optimization for CNNs — the paper's primary contribution, assembled from
-//! the analytical model (`mopt-model`), the non-linear solver
-//! (`mopt-solver`), the memory-hierarchy simulator (`cache-sim`) and the
-//! tiled executor (`conv-exec`).
+//! the analytical model (`mopt-model`) and the non-linear solver
+//! (`mopt-solver`). The simulator that checks the model (`cache-sim`) and the
+//! executors that run its schedules (`conv-exec`) are not dependencies: the
+//! validation that pairs them with this crate lives in `mopt_bench`.
 //!
 //! * [`optimizer`] — Algorithm 1: for each of the eight pruned permutation
 //!   classes, find multi-level tile sizes by repeatedly solving one
@@ -10,10 +11,10 @@
 //!   the most constrained level first; floor to integers; load-balance; rank
 //!   the candidates. `MOpt-1` is the best-ranked configuration, `MOpt-5` the
 //!   best five (Sec. 10).
-//! * [`validation`] — the model-validation methodology of Sec. 9: rank
-//!   correlation between model predictions and measured performance / data
-//!   movement, and top-k loss-of-performance against the best of a sampled
-//!   configuration set (Figures 5 and 6).
+//! * [`validation`] — the two rank statistics of the model-validation
+//!   methodology of Sec. 9 (Figures 5 and 6): Spearman rank correlation, and
+//!   top-k loss-of-performance against the best of a sampled configuration
+//!   set.
 //!
 //! The optimizer accepts any [`conv_spec::ConvShape`], including dilated and
 //! grouped/depthwise ones: the solver's tile bounds come from the shape's
@@ -54,4 +55,4 @@ pub use optimizer::{
     CandidateSearch, LayoutPolicy, LevelHypothesis, MOptOptimizer, OptimizeResult, OptimizedConfig,
     OptimizerOptions, SearchRound, SearchTrace, MAX_MULTISTART, MAX_THREADS,
 };
-pub use validation::{spearman_correlation, top_k_loss, ValidationPoint, ValidationReport};
+pub use validation::{spearman_correlation, top_k_loss};

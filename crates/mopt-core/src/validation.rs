@@ -1,76 +1,13 @@
-//! Model validation utilities (Sec. 9, Figures 5 and 6).
+//! The two rank statistics of the model-validation methodology (Sec. 9,
+//! Figures 5 and 6): how well one metric orders what another measures.
 //!
-//! The paper validates the analytical model by sampling ~100 tile
-//! configurations per operator, ranking them by the model, and comparing the
-//! ranking with measured performance and with hardware counters for data
-//! movement at each level. This module provides:
-//!
-//! * [`ValidationPoint`] / [`ValidationReport`] — per-configuration records
-//!   pairing a model prediction with a measurement,
 //! * [`spearman_correlation`] — rank correlation between two metrics,
 //! * [`top_k_loss`] — the top-1/top-2/top-5 loss-of-performance score of
-//!   Fig. 5,
-//! * [`validate_operator`] — end-to-end: sample configurations, predict with
-//!   the model, measure with the tile-granularity simulator, and assemble a
-//!   report.
-
-use cache_sim::TileTrafficSimulator;
-use conv_spec::{ConvShape, MachineModel, TileConfig, TilingLevel};
-use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, ParallelSpec};
-use serde::{Deserialize, Serialize};
-
-/// One validated configuration: the model's view and the measured view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidationPoint {
-    /// The configuration.
-    pub config: TileConfig,
-    /// Model prediction.
-    pub predicted: ModelPrediction,
-    /// Measured (simulated) data volume per level, elements.
-    pub measured_volumes: [f64; 4],
-    /// Measured figure of merit: bandwidth-scaled bottleneck cost computed
-    /// from the measured volumes (lower is better).
-    pub measured_cost: f64,
-    /// Measured performance proxy in GFLOPS (from the measured cost and the
-    /// machine's compute ceiling).
-    pub measured_gflops: f64,
-}
-
-/// A per-operator validation report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidationReport {
-    /// Operator name (e.g. `"R9"`).
-    pub name: String,
-    /// All validated points.
-    pub points: Vec<ValidationPoint>,
-}
-
-impl ValidationReport {
-    /// Spearman rank correlation between the model's figure of merit and the
-    /// measured cost (positive and high when the model ranks well).
-    pub fn cost_rank_correlation(&self) -> f64 {
-        let predicted: Vec<f64> = self.points.iter().map(|p| p.predicted.bottleneck_cost).collect();
-        let measured: Vec<f64> = self.points.iter().map(|p| p.measured_cost).collect();
-        spearman_correlation(&predicted, &measured)
-    }
-
-    /// Spearman rank correlation between the model's figure of merit and the
-    /// measured data volume at one level (the per-counter rows of Fig. 6).
-    pub fn volume_rank_correlation(&self, level: TilingLevel) -> f64 {
-        let predicted: Vec<f64> = self.points.iter().map(|p| p.predicted.bottleneck_cost).collect();
-        let measured: Vec<f64> =
-            self.points.iter().map(|p| p.measured_volumes[level.ordinal()]).collect();
-        spearman_correlation(&predicted, &measured)
-    }
-
-    /// Top-k loss of performance (Fig. 5): how much slower the best of the
-    /// model's top-k picks is than the measured-best configuration.
-    pub fn top_k_loss(&self, k: usize) -> f64 {
-        let predicted: Vec<f64> = self.points.iter().map(|p| p.predicted.bottleneck_cost).collect();
-        let measured_perf: Vec<f64> = self.points.iter().map(|p| p.measured_gflops).collect();
-        top_k_loss(&predicted, &measured_perf, k)
-    }
-}
+//!   Fig. 5.
+//!
+//! The validation itself — sample configurations, predict with the model,
+//! measure with the traffic simulator — lives with the experiments that run
+//! it, in `mopt_bench`; the optimizer does not link its own validator.
 
 /// Spearman rank correlation coefficient between two equally long slices.
 /// Returns 0 for degenerate inputs (fewer than two points or zero variance).
@@ -145,101 +82,9 @@ pub fn top_k_loss(predicted_cost: &[f64], measured_perf: &[f64], k: usize) -> f6
     (1.0 - best_of_top_k / best_overall).max(0.0)
 }
 
-/// Compute the measured bandwidth-scaled bottleneck cost from per-level
-/// volumes (the same figure of merit the model uses, applied to measured
-/// volumes).
-pub fn measured_bottleneck_cost(volumes: &[f64; 4], machine: &MachineModel, threads: usize) -> f64 {
-    TilingLevel::ALL
-        .iter()
-        .map(|&l| {
-            let bw = machine.fill_bandwidth(l);
-            let t = threads.max(1) as f64;
-            match l {
-                TilingLevel::L3 => volumes[l.ordinal()] / bw,
-                _ => volumes[l.ordinal()] / (bw * t),
-            }
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Validate one operator: predict and "measure" (via the tile-granularity
-/// traffic simulator) every sampled configuration.
-pub fn validate_operator(
-    name: &str,
-    shape: &ConvShape,
-    machine: &MachineModel,
-    configs: &[TileConfig],
-    threads: usize,
-) -> ValidationReport {
-    // A modest per-level tile budget keeps the "measurement" of a full
-    // 32-operator sweep in the minutes range; the extrapolation error of the
-    // truncated walk is well under the differences being ranked.
-    let sim = TileTrafficSimulator::new(120_000);
-    let parallel = ParallelSpec::default_for(shape, threads);
-    let points = configs
-        .iter()
-        .map(|config| {
-            let model = MultiLevelModel::new(*shape, machine.clone(), config.permutation.clone())
-                .with_parallel(parallel);
-            let predicted = model.predict_config(config);
-            let dm = sim.simulate(shape, config);
-            let measured_volumes = [
-                dm.volume(TilingLevel::Register),
-                dm.volume(TilingLevel::L1),
-                dm.volume(TilingLevel::L2),
-                dm.volume(TilingLevel::L3),
-            ];
-            let measured_cost = measured_bottleneck_cost(&measured_volumes, machine, threads);
-            let fmas_per_cycle = (machine.simd_width * machine.fma_units * threads.max(1)) as f64;
-            let compute_cycles = (shape.flops() as f64 / 2.0) / fmas_per_cycle;
-            let cycles = measured_cost.max(compute_cycles);
-            let measured_gflops = shape.flops() as f64 / (cycles / (machine.clock_ghz * 1e9)) / 1e9;
-            ValidationPoint {
-                config: config.clone(),
-                predicted,
-                measured_volumes,
-                measured_cost,
-                measured_gflops,
-            }
-        })
-        .collect();
-    ValidationReport { name: name.to_string(), points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autotune_free_sampling::sample_configs;
-
-    /// Minimal local sampler so this crate does not depend on `autotune`:
-    /// power-of-two tile sizes at each level.
-    mod autotune_free_sampling {
-        use conv_spec::{ConvShape, Permutation, TileConfig, TileSizes, ALL_INDICES};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        pub fn sample_configs(shape: &ConvShape, count: usize, seed: u64) -> Vec<TileConfig> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let perms = ["kcrsnhw", "nkcrshw", "nkhwcrs"];
-            (0..count)
-                .map(|_| {
-                    let perm = Permutation::parse(perms[rng.gen_range(0..perms.len())]).unwrap();
-                    let mut levels = [TileSizes::ones(); 4];
-                    for level_tiles in levels.iter_mut() {
-                        let mut t = TileSizes::ones();
-                        for &idx in &ALL_INDICES {
-                            let e = shape.extent(idx);
-                            let max_pow = (e as f64).log2().floor() as u32;
-                            let p = rng.gen_range(0..=max_pow);
-                            t.set(idx, (1usize << p).min(e));
-                        }
-                        *level_tiles = t.min_with(&shape.extents());
-                    }
-                    TileConfig::new(perm, levels, TileSizes::ones()).normalized(shape)
-                })
-                .collect()
-        }
-    }
 
     #[test]
     fn spearman_perfect_and_inverse() {
@@ -276,34 +121,5 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn top_k_zero_panics() {
         let _ = top_k_loss(&[1.0], &[1.0], 0);
-    }
-
-    #[test]
-    fn validation_report_on_small_operator() {
-        let shape = ConvShape::new(1, 16, 16, 3, 3, 14, 14, 1).unwrap();
-        let machine = MachineModel::i7_9700k();
-        let configs = sample_configs(&shape, 24, 7);
-        let report = validate_operator("test-op", &shape, &machine, &configs, 1);
-        assert_eq!(report.points.len(), 24);
-        // The model should rank configurations broadly like the simulator.
-        let corr = report.cost_rank_correlation();
-        assert!(corr > 0.5, "rank correlation too weak: {corr}");
-        // Top-5 loss should not exceed top-1 loss.
-        assert!(report.top_k_loss(5) <= report.top_k_loss(1) + 1e-12);
-        // Losses are valid fractions.
-        for k in [1, 2, 5] {
-            let loss = report.top_k_loss(k);
-            assert!((0.0..=1.0).contains(&loss));
-        }
-    }
-
-    #[test]
-    fn measured_bottleneck_cost_uses_max() {
-        let machine = MachineModel::tiny_test_machine();
-        let volumes = [800.0, 400.0, 200.0, 100.0];
-        let c = measured_bottleneck_cost(&volumes, &machine, 1);
-        assert!((c - 800.0 / machine.fill_bandwidth(TilingLevel::Register)).abs() < 1e-9);
-        let c2 = measured_bottleneck_cost(&volumes, &machine, 2);
-        assert!(c2 <= c);
     }
 }

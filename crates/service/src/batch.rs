@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use conv_spec::{benchmarks, BenchmarkOp, BenchmarkSuite, ConvShape, MachineModel, Spec};
+use conv_spec::{BenchmarkOp, ConvShape, MachineModel, Spec};
 use mopt_core::{OptimizeResult, OptimizedConfig, OptimizerOptions};
 use mopt_graph::{Graph, GraphError};
 use mopt_trace::TraceContext;
@@ -177,11 +177,6 @@ impl<'a> NetworkPlanner<'a> {
         self
     }
 
-    /// Plan one of the paper's Table-1 suites.
-    pub fn plan_suite(&self, suite: BenchmarkSuite) -> NetworkPlan {
-        self.plan_ops(&benchmarks::suite(suite))
-    }
-
     /// Plan a list of benchmark operators.
     pub fn plan_ops(&self, ops: &[BenchmarkOp]) -> NetworkPlan {
         let layers: Vec<NamedLayer> = ops.iter().map(NamedLayer::from).collect();
@@ -283,6 +278,7 @@ impl<'a> NetworkPlanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conv_spec::{benchmarks, BenchmarkSuite};
     use mopt_core::MOptOptimizer;
 
     fn fast_options() -> OptimizerOptions {
@@ -437,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_suite_covers_every_layer() {
+    fn plan_ops_covers_every_layer() {
         let cache = ScheduleCache::new(64);
         // Scaled-down machine + fast options keep this a functional test.
         let mut options = fast_options();

@@ -28,7 +28,7 @@ use conv_spec::{benchmarks, canonicalize_spec, MachineModel, Spec};
 use mopt_core::{MOptOptimizer, OptimizerOptions};
 use mopt_graph::builders;
 use mopt_service::batch::NamedLayer;
-use mopt_service::DbTier;
+use mopt_service::{DbTier, MachineSpec};
 
 /// The graph-backed suites this tool adds to the benchmark catalog's: every
 /// conv, pooling, and matmul-head spec of a whole network, so `PlanGraph`
@@ -115,10 +115,11 @@ fn parse_args() -> Result<Args, String> {
                      USAGE:\n  mopt-plan-world --db DIR [--suite NAME]... [--preset NAME]...\n  \
                      \x20                [--threads N,N,...] [--classes N] [--multistart N] [--keep-top N]\n\n\
                      Suites: {} (extended includes the networks).\n\
-                     Presets: i7, i9, tiny. Defaults: --suite extended --preset i7 --preset i9 \
+                     Presets: {}. Defaults: --suite extended --preset i7 --preset i9 \
                      --threads 1,4,8.\n\
                      Serve the result with: moptd --stdio --db DIR",
-                    suite_names().join(", ")
+                    suite_names().join(", "),
+                    MachineModel::PRESET_NAMES.join(", ")
                 );
                 std::process::exit(0);
             }
@@ -159,11 +160,6 @@ fn suite_ops(name: &str) -> Result<Vec<Spec>, String> {
     Ok(ops)
 }
 
-fn preset(name: &str) -> Result<MachineModel, String> {
-    MachineModel::preset(name)
-        .ok_or_else(|| format!("unknown machine preset `{name}` (try \"i7\", \"i9\", \"tiny\")"))
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(args) => args,
@@ -182,7 +178,8 @@ fn main() {
             }
         }
     }
-    let presets: Vec<MachineModel> = match args.presets.iter().map(|p| preset(p)).collect() {
+    let resolved = args.presets.iter().map(|name| MachineSpec::Preset(name.clone()).resolve());
+    let presets: Vec<MachineModel> = match resolved.collect() {
         Ok(presets) => presets,
         Err(message) => {
             eprintln!("mopt-plan-world: {message}");

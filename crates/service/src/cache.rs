@@ -18,7 +18,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use conv_spec::{ConvShape, MachineModel, Spec};
+use conv_spec::{MachineModel, Spec};
 use mopt_core::{OptimizeResult, OptimizerOptions};
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The canonical cache key: everything the optimizer's output depends on.
 ///
 /// Since the spec-IR generalization the problem slot holds a [`Spec`] (conv,
-/// matmul, pooling, or elementwise), not just a [`ConvShape`]. The wire/disk
+/// matmul, pooling, or elementwise), not just a [`conv_spec::ConvShape`]. The wire/disk
 /// form stays backward compatible in both directions through
 /// [`Spec::to_field`] / [`Spec::from_fields`]: old snapshots load, and
 /// snapshots holding only conv entries are byte-identical to what the
@@ -54,19 +54,13 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The key for optimizing `spec` on `machine` with `options`. Accepts a
-    /// plain [`ConvShape`] too (via `From<ConvShape> for Spec`).
+    /// plain [`conv_spec::ConvShape`] too (via `From<ConvShape> for Spec`).
     pub fn new(spec: impl Into<Spec>, machine: &MachineModel, options: &OptimizerOptions) -> Self {
         CacheKey {
             spec: spec.into(),
             machine_fingerprint: machine.fingerprint(),
             options: options.clone(),
         }
-    }
-
-    /// The key's problem embedded as a conv shape (the identity for conv
-    /// keys) — what the optimizer actually solves.
-    pub fn embedded_shape(&self) -> ConvShape {
-        self.spec.embedded_conv_shape()
     }
 
     fn shard_index(&self, shards: usize) -> usize {
@@ -349,7 +343,7 @@ impl std::fmt::Debug for ScheduleCache {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use conv_spec::TileConfig;
+    use conv_spec::{ConvShape, TileConfig};
     use mopt_core::OptimizedConfig;
 
     pub(crate) fn dummy_result(shape: &ConvShape, cost: f64) -> OptimizeResult {
@@ -375,7 +369,7 @@ pub(crate) mod tests {
         let cache = ScheduleCache::new(64);
         let key = key_for(4);
         assert!(cache.get(&key).is_none());
-        let result = dummy_result(&key.embedded_shape(), 10.0);
+        let result = dummy_result(&key.spec.embedded_conv_shape(), 10.0);
         cache.insert(key.clone(), result.clone());
         assert_eq!(cache.get(&key), Some(result));
         let stats = cache.stats();
@@ -420,7 +414,7 @@ pub(crate) mod tests {
         // capacity and evictions hit the least recently used key.
         let keys: Vec<CacheKey> = (1..=64).map(key_for).collect();
         for key in &keys {
-            cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 1.0));
+            cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), 1.0));
         }
         assert!(cache.len() <= cache.capacity());
         assert!(cache.stats().evictions >= (64 - cache.capacity()) as u64);
@@ -434,13 +428,13 @@ pub(crate) mod tests {
                                            // same-shard eviction removes the older entry, never breaks lookup.
         let keys: Vec<CacheKey> = (1..=400).map(key_for).collect();
         let a = &keys[0];
-        cache.insert(a.clone(), dummy_result(&a.embedded_shape(), 1.0));
+        cache.insert(a.clone(), dummy_result(&a.spec.embedded_conv_shape(), 1.0));
         // Find a key sharing a's shard.
         let same_shard = keys[1..]
             .iter()
             .find(|k| k.shard_index(ScheduleCache::SHARDS) == a.shard_index(ScheduleCache::SHARDS))
             .expect("some key shares the shard");
-        cache.insert(same_shard.clone(), dummy_result(&same_shard.embedded_shape(), 2.0));
+        cache.insert(same_shard.clone(), dummy_result(&same_shard.spec.embedded_conv_shape(), 2.0));
         // Shard capacity is 1, so `a` was evicted.
         assert!(cache.get(a).is_none());
         assert_eq!(cache.get(same_shard).map(|r| r.best().predicted_cost), Some(2.0));
@@ -456,7 +450,7 @@ pub(crate) mod tests {
     fn shard_eviction_counts_sum_to_the_global_counter() {
         let cache = ScheduleCache::new(1);
         for key in (1..=64).map(key_for) {
-            cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 1.0));
+            cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), 1.0));
         }
         let stats = cache.stats();
         assert_eq!(stats.shard_evictions.iter().sum::<u64>(), stats.evictions);
@@ -474,8 +468,10 @@ pub(crate) mod tests {
                 scope.spawn(move || {
                     for (i, key) in keys.iter().enumerate() {
                         if (i + t) % 2 == 0 {
-                            cache
-                                .insert(key.clone(), dummy_result(&key.embedded_shape(), i as f64));
+                            cache.insert(
+                                key.clone(),
+                                dummy_result(&key.spec.embedded_conv_shape(), i as f64),
+                            );
                         } else {
                             let _ = cache.get(key);
                         }
@@ -493,7 +489,7 @@ pub(crate) mod tests {
     fn poisoned_shard_keeps_serving_after_a_caught_panic() {
         let cache = std::sync::Arc::new(ScheduleCache::new(64));
         let key = key_for(4);
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 1.0));
+        cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), 1.0));
 
         // Panic on another thread while holding the key's shard lock —
         // exactly what a panic mid-insert leaves behind. The panic is caught
@@ -511,7 +507,7 @@ pub(crate) mod tests {
 
         // Every operation touching the poisoned shard still works.
         assert_eq!(cache.get(&key).map(|r| r.best().predicted_cost), Some(1.0));
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 2.0));
+        cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), 2.0));
         assert_eq!(cache.get(&key).map(|r| r.best().predicted_cost), Some(2.0));
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
@@ -546,7 +542,7 @@ pub(crate) mod tests {
         let cache = ScheduleCache::new(64);
         let keys: Vec<CacheKey> = (1..=8).map(key_for).collect();
         for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), dummy_result(&key.embedded_shape(), i as f64));
+            cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), i as f64));
         }
         // Touch the first key so it becomes most recent.
         let _ = cache.get(&keys[0]);

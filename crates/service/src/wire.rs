@@ -44,7 +44,7 @@ use crate::singleflight::FlightBreakdown;
 /// How a request names the target machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MachineSpec {
-    /// A named preset: `"i7-9700k"`, `"i9-10980xe"`, or `"tiny"`.
+    /// A named preset: one of [`MachineModel::PRESET_NAMES`] or a short form.
     Preset(String),
     /// A full inline machine description.
     Custom(MachineModel),
@@ -57,9 +57,8 @@ impl MachineSpec {
         match self {
             MachineSpec::Custom(m) => m.validate().map(|()| m.clone()).map_err(|e| e.to_string()),
             MachineSpec::Preset(name) => MachineModel::preset(name).ok_or_else(|| {
-                format!(
-                    "unknown machine preset `{name}` (try \"i7-9700k\", \"i9-10980xe\", \"tiny\")"
-                )
+                let known = MachineModel::PRESET_NAMES.map(|known| format!("\"{known}\""));
+                format!("unknown machine preset `{name}` (try {})", known.join(", "))
             }),
         }
     }

@@ -365,8 +365,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_context_records_nothing_and_never_allocates() {
-        let before = span_allocations();
+    fn disabled_context_records_nothing() {
+        // That it also allocates nothing is asserted on the process-global
+        // counter, from a binary of its own: `tests/disabled_zero_alloc.rs`.
         let ctx = TraceContext::disabled();
         assert!(!ctx.is_enabled());
         {
@@ -376,7 +377,6 @@ mod tests {
             ctx.tag("key", "value");
         }
         assert_eq!(ctx.finish(), None);
-        assert_eq!(span_allocations(), before, "disabled path must not allocate");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! cargo run --release --example design_space_exploration
 //! ```
 
+use mopt_bench::validate_operator;
 use mopt_repro::autotune::SearchSpace;
 use mopt_repro::conv_spec::{ConvShape, MachineModel};
-use mopt_repro::mopt_core::validation::validate_operator;
 use mopt_repro::mopt_model::cost::{single_level_volume, CostOptions, RealTiles};
 use mopt_repro::mopt_model::prune::pruned_classes;
 

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example network_planning`.
 
-use mopt_repro::conv_spec::MachineModel;
+use mopt_repro::conv_spec::{benchmarks, BenchmarkSuite, MachineModel};
 use mopt_repro::mopt_core::OptimizerOptions;
 use mopt_repro::mopt_service::batch::NamedLayer;
 use mopt_repro::mopt_service::{load_snapshot, save_snapshot, NetworkPlanner, ScheduleCache};
@@ -15,8 +15,9 @@ fn main() {
     let cache = ScheduleCache::new(256);
     let planner = NetworkPlanner::new(&cache, machine, options);
 
+    let resnet18 = benchmarks::suite(BenchmarkSuite::ResNet18);
     println!("planning ResNet-18 (cold)...");
-    let cold = planner.plan_suite(mopt_repro::conv_spec::BenchmarkSuite::ResNet18);
+    let cold = planner.plan_ops(&resnet18);
     println!(
         "  {} layers, {} unique shapes, {} solves, {:.2}s wall ({:.2}s solver)",
         cold.stats.layers,
@@ -26,7 +27,7 @@ fn main() {
         cold.stats.solve_seconds,
     );
 
-    let warm = planner.plan_suite(mopt_repro::conv_spec::BenchmarkSuite::ResNet18);
+    let warm = planner.plan_ops(&resnet18);
     println!(
         "planning ResNet-18 (warm): {} cache hits, {:.4}s wall — {:.0}x faster",
         warm.stats.cache_hits,
