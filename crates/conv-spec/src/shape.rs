@@ -558,19 +558,19 @@ impl ConvShape {
 // produced before the generalization — requests, snapshots, cached plans —
 // still deserializes to the same dense shape.
 impl Serialize for ConvShape {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".to_string(), self.n.to_value()),
-            ("k".to_string(), self.k.to_value()),
-            ("c".to_string(), self.c.to_value()),
-            ("r".to_string(), self.r.to_value()),
-            ("s".to_string(), self.s.to_value()),
-            ("h".to_string(), self.h.to_value()),
-            ("w".to_string(), self.w.to_value()),
-            ("stride".to_string(), self.stride.to_value()),
-            ("dilation".to_string(), self.dilation.to_value()),
-            ("groups".to_string(), self.groups.to_value()),
-        ])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("n", &self.n);
+        sink.field("k", &self.k);
+        sink.field("c", &self.c);
+        sink.field("r", &self.r);
+        sink.field("s", &self.s);
+        sink.field("h", &self.h);
+        sink.field("w", &self.w);
+        sink.field("stride", &self.stride);
+        sink.field("dilation", &self.dilation);
+        sink.field("groups", &self.groups);
+        sink.end_object();
     }
 }
 
@@ -953,7 +953,7 @@ mod tests {
         assert_eq!(parsed, ConvShape::new(1, 8, 4, 3, 3, 10, 10, 1).unwrap());
         // Round trip preserves the general fields.
         let dw = ConvShape::depthwise(8, 10, 3, 1).with_dilation(2).unwrap();
-        let round = <ConvShape as serde::Deserialize>::from_value(&serde::Serialize::to_value(&dw));
+        let round = <ConvShape as serde::Deserialize>::from_value(&serde::to_value(&dw));
         assert_eq!(round.unwrap(), dw);
         // Invalid group structure is rejected at the serde boundary.
         let bad = serde::Value::Object(vec![

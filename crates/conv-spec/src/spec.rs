@@ -109,7 +109,7 @@ impl EwOp {
 /// Every variant embeds into the conv2d loop nest
 /// ([`Spec::embedded_conv_shape`]), so one optimizer, one cost model, and
 /// one schedule database serve all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Spec {
     /// A convolution (the original problem class).
     Conv(ConvShape),
@@ -296,11 +296,12 @@ impl Spec {
 /// field — byte-identical to pre-spec snapshots, db pages and requests —
 /// anything else is a tagged `"spec"` field, and parsing accepts either.
 impl Spec {
-    /// The `(field name, value)` pair this problem serializes as.
-    pub fn to_field(&self) -> (String, serde::Value) {
+    /// Write this problem as one field — name, then value — of the object
+    /// open on `sink`.
+    pub fn serialize_field<S: serde::Sink>(&self, sink: &mut S) {
         match self {
-            Spec::Conv(shape) => ("shape".to_string(), shape.to_value()),
-            other => ("spec".to_string(), other.to_value()),
+            Spec::Conv(shape) => sink.field("shape", shape),
+            other => sink.field("spec", other),
         }
     }
 
@@ -334,44 +335,6 @@ impl From<ConvShape> for Spec {
 impl std::fmt::Display for Spec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.describe())
-    }
-}
-
-impl Serialize for Spec {
-    fn to_value(&self) -> serde::Value {
-        let (tag, body) = match *self {
-            Spec::Conv(shape) => ("Conv", shape.to_value()),
-            Spec::Matmul { m, n, k, dtype } => (
-                "Matmul",
-                serde::Value::Object(vec![
-                    ("m".to_string(), m.to_value()),
-                    ("n".to_string(), n.to_value()),
-                    ("k".to_string(), k.to_value()),
-                    ("dtype".to_string(), dtype.to_value()),
-                ]),
-            ),
-            Spec::Pool { kind, n, channels, h, w, window, stride } => (
-                "Pool",
-                serde::Value::Object(vec![
-                    ("kind".to_string(), kind.to_value()),
-                    ("n".to_string(), n.to_value()),
-                    ("channels".to_string(), channels.to_value()),
-                    ("h".to_string(), h.to_value()),
-                    ("w".to_string(), w.to_value()),
-                    ("window".to_string(), window.to_value()),
-                    ("stride".to_string(), stride.to_value()),
-                ]),
-            ),
-            Spec::Elementwise { op, len, strided } => (
-                "Elementwise",
-                serde::Value::Object(vec![
-                    ("op".to_string(), op.to_value()),
-                    ("len".to_string(), len.to_value()),
-                    ("strided".to_string(), strided.to_value()),
-                ]),
-            ),
-        };
-        serde::Value::Object(vec![(tag.to_string(), body)])
     }
 }
 

@@ -320,20 +320,19 @@ pub struct TileConfig {
 }
 
 impl Serialize for TileConfig {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("permutation".to_string(), self.permutation.to_value()),
-            ("tiles".to_string(), self.tiles.to_value()),
-            ("parallel".to_string(), self.parallel.to_value()),
-        ];
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("permutation", &self.permutation);
+        sink.field("tiles", &self.tiles);
+        sink.field("parallel", &self.parallel);
         // The default layout is omitted, not written: database page
         // checksums cover the *re-serialized* record list, so a pre-layout
         // schedule must serialize byte-identically to its pre-layout form or
         // every legacy page would read back as corrupt.
         if !self.layout.is_default() {
-            pairs.push(("layout".to_string(), self.layout.to_value()));
+            sink.field("layout", &self.layout);
         }
-        Value::Object(pairs)
+        sink.end_object();
     }
 }
 

@@ -235,8 +235,7 @@ impl SpecDb {
     }
 
     fn records_checksum(records: &[SpecRecord]) -> Result<String, DbError> {
-        let text =
-            serde_json::to_string(&records.to_vec()).map_err(|e| DbError::Format(e.to_string()))?;
+        let text = serde_json::to_string(records).map_err(|e| DbError::Format(e.to_string()))?;
         Ok(format!("{:016x}", fnv1a(text.as_bytes())))
     }
 

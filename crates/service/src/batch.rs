@@ -61,11 +61,14 @@ impl From<&BenchmarkOp> for NamedLayer {
     }
 }
 
-// The problem field follows the one wire rule in `Spec::{to_field,
+// The problem field follows the one wire rule in `Spec::{serialize_field,
 // from_fields}`, as `CacheKey` does.
 impl Serialize for NamedLayer {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![("name".to_string(), self.name.to_value()), self.spec.to_field()])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("name", &self.name);
+        self.spec.serialize_field(sink);
+        sink.end_object();
     }
 }
 

@@ -13,7 +13,7 @@
 //! scans the (small, `capacity / SHARDS`-bounded) shard for the least
 //! recently used entry.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -39,7 +39,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Since the spec-IR generalization the problem slot holds a [`Spec`] (conv,
 /// matmul, pooling, or elementwise), not just a [`conv_spec::ConvShape`]. The wire/disk
 /// form stays backward compatible in both directions through
-/// [`Spec::to_field`] / [`Spec::from_fields`]: old snapshots load, and
+/// [`Spec::serialize_field`] / [`Spec::from_fields`]: old snapshots load, and
 /// snapshots holding only conv entries are byte-identical to what the
 /// pre-spec format wrote.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -71,12 +71,12 @@ impl CacheKey {
 }
 
 impl Serialize for CacheKey {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            self.spec.to_field(),
-            ("machine_fingerprint".to_string(), self.machine_fingerprint.to_value()),
-            ("options".to_string(), self.options.to_value()),
-        ])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
+        sink.begin_object();
+        self.spec.serialize_field(sink);
+        sink.field("machine_fingerprint", &self.machine_fingerprint);
+        sink.field("options", &self.options);
+        sink.end_object();
     }
 }
 
@@ -136,41 +136,55 @@ impl CacheStats {
 /// monotonic tick so callers can share one clock across several maps (the
 /// sharded schedule cache) or own a clock outright (the graph-plan cache).
 /// This is the single LRU implementation both caches in this crate build on.
+///
+/// The ticks a map is given must be distinct (both callers draw them from one
+/// `fetch_add` counter): `order` indexes every entry under its `last_used`
+/// tick, so the least recently used entry is the index's first and eviction
+/// never scans the map.
 pub(crate) struct LruMap<K, V> {
     entries: HashMap<K, (V, u64)>,
+    order: BTreeMap<u64, K>,
     evictions: u64,
 }
 
 impl<K: std::cmp::Eq + Hash + Clone, V> Default for LruMap<K, V> {
     fn default() -> Self {
-        LruMap { entries: HashMap::new(), evictions: 0 }
+        LruMap { entries: HashMap::new(), order: BTreeMap::new(), evictions: 0 }
     }
 }
 
 impl<K: std::cmp::Eq + Hash + Clone, V> LruMap<K, V> {
     /// Look up `key`, refreshing its recency to `tick` on a hit.
     pub fn get(&mut self, key: &K, tick: u64) -> Option<&V> {
-        self.entries.get_mut(key).map(|(value, last_used)| {
-            *last_used = tick;
-            &*value
-        })
+        let (value, last_used) = self.entries.get_mut(key)?;
+        let indexed = self.order.remove(last_used).expect("every entry is indexed by its tick");
+        self.order.insert(tick, indexed);
+        *last_used = tick;
+        Some(value)
     }
 
-    /// Insert (or refresh) an entry at recency `tick`, evicting the least
-    /// recently used entry first when the map is at `capacity` and the key
-    /// is new. Returns whether an eviction happened.
+    /// Insert (or refresh) an entry at recency `tick`; a new key that takes
+    /// the map over `capacity` evicts the least recently used of the entries
+    /// it found there. Returns whether an eviction happened.
     pub fn insert(&mut self, key: K, value: V, tick: u64, capacity: usize) -> bool {
+        let indexed = key.clone();
         let mut evicted = false;
-        if self.entries.len() >= capacity && !self.entries.contains_key(&key) {
-            if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-                evicted = true;
+        match self.entries.insert(key, (value, tick)) {
+            Some((_, last_used)) => {
+                self.order.remove(&last_used);
             }
+            // The new entry is not indexed yet, so the index's first is the
+            // oldest of the entries that were here before it.
+            None if self.entries.len() > capacity => {
+                if let Some((_, victim)) = self.order.pop_first() {
+                    self.entries.remove(&victim);
+                    self.evictions += 1;
+                    evicted = true;
+                }
+            }
+            None => {}
         }
-        self.entries.insert(key, (value, tick));
+        self.order.insert(tick, indexed);
         evicted
     }
 
@@ -187,6 +201,7 @@ impl<K: std::cmp::Eq + Hash + Clone, V> LruMap<K, V> {
     /// Drop every entry (the eviction counter is preserved).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
     }
 
     /// Every resident `(key, value, last_used)` triple, unordered.
@@ -418,6 +433,48 @@ pub(crate) mod tests {
         }
         assert!(cache.len() <= cache.capacity());
         assert!(cache.stats().evictions >= (64 - cache.capacity()) as u64);
+    }
+
+    /// The tick index evicts exactly what the scan it replaced would have:
+    /// the resident entry with the smallest `last_used`, under hits, refreshes
+    /// and ticks that arrive out of order (a tick is drawn before the shard
+    /// lock is taken).
+    #[test]
+    fn lru_map_evicts_the_entry_a_scan_for_the_oldest_tick_finds() {
+        const CAPACITY: usize = 5;
+        let mut map: LruMap<u32, u32> = LruMap::default();
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for step in 0..4000u64 {
+            // Distinct ticks, locally out of order: pairs of steps swap.
+            let tick = step ^ 1;
+            let key = next(12) as u32;
+            if next(3) == 0 {
+                assert_eq!(map.get(&key, tick).is_some(), model.contains_key(&key));
+                model.entry(key).and_modify(|used| *used = tick);
+            } else {
+                let victim = (model.len() >= CAPACITY && !model.contains_key(&key))
+                    .then(|| *model.iter().min_by_key(|(_, used)| **used).unwrap().0);
+                assert_eq!(map.insert(key, key, tick, CAPACITY), victim.is_some());
+                if let Some(victim) = victim {
+                    model.remove(&victim);
+                }
+                model.insert(key, tick);
+            }
+            let mut resident: Vec<(u32, u64)> = map.iter().map(|(k, _, used)| (*k, used)).collect();
+            let mut expected: Vec<(u32, u64)> = model.iter().map(|(k, used)| (*k, *used)).collect();
+            resident.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(resident, expected, "after step {step}");
+            assert_eq!(map.order.len(), map.len());
+        }
+        assert!(map.evictions() > 100);
+        map.clear();
+        assert_eq!((map.len(), map.order.len()), (0, 0));
     }
 
     #[test]

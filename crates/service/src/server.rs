@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use conv_spec::benchmarks;
 use mopt_core::{LayoutPolicy, OptimizeResult};
 use mopt_graph::GraphPlan;
-use mopt_trace::{TraceContext, TraceRing};
+use mopt_trace::{SpanNode, TraceContext, TraceRing};
 
 use crate::cache::{CacheKey, ScheduleCache};
 use crate::dbtier::DbTier;
@@ -257,10 +257,10 @@ impl ServiceState {
     }
 
     /// Close a request's span tree: keep it in the slow log when it crossed
-    /// the armed threshold, and attach it to the response when the request
-    /// asked for it. Returns whether the response now carries the tree.
-    fn finish_trace(&self, request: &Request, ctx: &TraceContext, response: &mut Response) -> bool {
-        let Some(root) = ctx.finish() else { return false };
+    /// the armed threshold, and return it when the request asked for it in
+    /// its reply.
+    fn finish_trace(&self, request: &Request, ctx: &TraceContext) -> Option<SpanNode> {
+        let root = ctx.finish()?;
         let threshold = self.slow_micros.load(Ordering::Relaxed);
         if threshold > 0 && root.duration_micros >= threshold {
             self.slow_log.push(SlowTrace {
@@ -269,11 +269,7 @@ impl ServiceState {
                 root: root.clone(),
             });
         }
-        let attach = request.trace_requested();
-        if attach {
-            response.attach_trace(root);
-        }
-        attach
+        request.trace_requested().then_some(root)
     }
 
     /// Answer one request, recording its latency under its verb and holding
@@ -282,7 +278,9 @@ impl ServiceState {
     /// land in the slow log).
     pub fn handle(&self, request: &Request) -> Response {
         let (mut response, ctx) = self.handle_prepared(request, Duration::ZERO, Duration::ZERO);
-        self.finish_trace(request, &ctx, &mut response);
+        if let Some(root) = self.finish_trace(request, &ctx) {
+            response.attach_trace(root);
+        }
         response
     }
 
@@ -425,15 +423,15 @@ impl ServiceState {
                 });
             }
         };
-        let (mut response, ctx) = self.handle_prepared(&request, parse_time, queue_wait);
+        let (response, ctx) = self.handle_prepared(&request, parse_time, queue_wait);
         // Serialize *before* finishing the tree so the serialize span
-        // measures real work; a trace-carrying response is then serialized
-        // again with the tree attached.
+        // measures the real encode; the finished tree then goes into the
+        // reply's empty trace slot, and the body is rendered once.
         let serialize_start = Instant::now();
-        let text = serialize_response(&response);
+        let mut text = serialize_response(&response);
         ctx.record("serialize", serialize_start.elapsed());
-        if self.finish_trace(&request, &ctx, &mut response) {
-            return serialize_response(&response);
+        if let Some(root) = self.finish_trace(&request, &ctx) {
+            Response::splice_trace(&mut text, &root);
         }
         text
     }
@@ -488,8 +486,7 @@ impl ServiceState {
 }
 
 fn serialize_response(response: &Response) -> String {
-    serde_json::to_string(response)
-        .unwrap_or_else(|e| format!("{{\"Error\":{{\"message\":\"serialize: {e}\"}}}}"))
+    serde_json::to_string(response).expect("writing JSON text has no failure path")
 }
 
 fn write_line<W: Write>(writer: &mut W, reply: &str) -> std::io::Result<()> {
@@ -702,6 +699,41 @@ mod tests {
         );
         let bare: Response = serde_json::from_str(&state.handle_line(&plain)).unwrap();
         assert!(matches!(bare, Response::Optimized { trace: None, .. }));
+    }
+
+    /// The traced reply is the untraced one with the tree in its trace slot,
+    /// and an `Error` reply to a traced request is left alone. (`PlanNetwork`
+    /// stamps a fresh wall clock on each reply; `serialize_identity.rs` holds
+    /// its traced reply to the attached form.)
+    #[test]
+    fn traced_reply_is_the_untraced_reply_plus_the_tree() {
+        let state = tiny_state();
+        let target =
+            format!("\"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}", fast_options_json());
+        let bodies = [
+            format!("{{\"Optimize\": {{\"op\": \"M9\", {target}"),
+            format!("{{\"PlanGraph\": {{\"block\": \"mbv2-block1\", {target}"),
+            format!("{{\"Optimize\": {{\"op\": \"no-such-op\", {target}"),
+        ];
+        for body in bodies {
+            let (plain, traced) = (format!("{body}}}}}"), format!("{body}, \"trace\": true}}}}"));
+            state.handle_line(&plain); // warm: both replies below are cache hits
+            let untraced = state.handle_line(&plain);
+            let reply = state.handle_line(&traced);
+            let root = match serde_json::from_str(&reply).unwrap() {
+                Response::Optimized { trace, .. } | Response::GraphPlanned { trace, .. } => {
+                    trace.expect("a traced reply")
+                }
+                Response::Error { .. } => {
+                    assert_eq!(reply, untraced);
+                    continue;
+                }
+                other => panic!("unexpected reply {other:?}"),
+            };
+            assert!(root.find("serialize").is_some(), "the encode is a child span: {root:?}");
+            let head = untraced.strip_suffix("null}}").expect("an empty trace slot, last");
+            assert_eq!(reply, format!("{head}{}}}}}", serde_json::to_string(&root).unwrap()));
+        }
     }
 
     #[test]

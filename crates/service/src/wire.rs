@@ -509,6 +509,23 @@ impl Response {
             _ => {}
         }
     }
+
+    /// [`attach_trace`](Self::attach_trace) on the wire form: put `root` into
+    /// the empty trace slot of `text`, a reply serialized with `trace: None`.
+    /// Each variant that carries a tree declares `trace` last, so the slot is
+    /// the `null` before the two closing braces, and the result is byte for
+    /// byte what serializing the reply with the tree attached gives. Any
+    /// other reply (an `Error`) is left as it is.
+    pub(crate) fn splice_trace(text: &mut String, root: &SpanNode) {
+        const EMPTY_SLOT: &str = "\"trace\":null}}";
+        if text.ends_with(EMPTY_SLOT) {
+            text.truncate(text.len() - "null}}".len());
+            text.push_str(
+                &serde_json::to_string(root).expect("writing JSON text has no failure path"),
+            );
+            text.push_str("}}");
+        }
+    }
 }
 
 /// One catalog entry in a `Suites` response.
