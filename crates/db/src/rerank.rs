@@ -100,17 +100,8 @@ fn fit_to_envelope(
 ) -> Option<TileConfig> {
     let mut config = config.clone();
     let mut l3 = *config.level(TilingLevel::L3);
-    // One thread's slice: each parallelized dimension's extent shrinks by
-    // its factor (contiguous slices, so the largest slice is the ceiling).
     if spec.threads > 1 {
-        let mut slice = TileSizes::full(shape);
-        for &idx in &conv_spec::ALL_INDICES {
-            let f = spec.factor(idx);
-            if f > 1 {
-                slice = slice.with(idx, shape.extent(idx).div_ceil(f).max(1));
-            }
-        }
-        l3 = l3.min_with(&slice.as_array());
+        l3 = l3.min_with(&spec.thread_slice(shape).as_array());
     }
     let capacity = machine.capacity_per_thread(TilingLevel::L3, spec.threads);
     if !l3.halve_to_fit(shape, capacity, [LoopIndex::K, LoopIndex::C, LoopIndex::H, LoopIndex::W]) {

@@ -43,7 +43,7 @@
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, MachineModel, ParallelAxis, Permutation, TensorKind,
-    TileConfig, TilingLevel, ALL_INDICES,
+    TileConfig, TileSizes, TilingLevel, ALL_INDICES,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -174,6 +174,19 @@ impl ParallelSpec {
     /// Parallelization factor for a dimension.
     pub fn factor(&self, idx: LoopIndex) -> usize {
         self.factors[idx.canonical_position()]
+    }
+
+    /// One thread's slice of each extent of `shape`, in whole iteration
+    /// points: a parallelized dimension is cut into `factor` contiguous
+    /// chunks and the largest is the ceiling. The integer envelope a
+    /// schedule's L3 tile lives in (the model itself prices the unrounded
+    /// [`MultiLevelModel::thread_extents`]).
+    pub fn thread_slice(&self, shape: &ConvShape) -> TileSizes {
+        let mut slice = TileSizes::full(shape);
+        for idx in ALL_INDICES {
+            slice.set(idx, shape.extent(idx).div_ceil(self.factor(idx).max(1)).max(1));
+        }
+        slice
     }
 
     /// Product of all factors (should equal `threads` for a valid spec).

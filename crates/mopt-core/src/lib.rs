@@ -47,6 +47,7 @@
 //! ```
 
 mod evaluator;
+mod integer;
 pub mod optimizer;
 pub mod pricing;
 pub mod validation;

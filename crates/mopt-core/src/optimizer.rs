@@ -26,10 +26,11 @@ use conv_spec::{
 use mopt_model::cost::RealTiles;
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, ParallelSpec};
 use mopt_model::prune::pruned_classes;
-use mopt_solver::{floor_refine, MultiStart, NlpSolver, Problem};
+use mopt_solver::{MultiStart, NlpSolver, Problem};
 use serde::{Deserialize, Serialize};
 
 use crate::evaluator::{SolveCounters, TileEvaluator, TILES_PER_LEVEL};
+use crate::integer::integer_config;
 use crate::pricing;
 
 /// Options controlling the optimizer.
@@ -54,11 +55,12 @@ pub struct OptimizerOptions {
     /// low-effort profile (`MultiStart::cheap`: penalty method, few
     /// iterations per start). Measured on `i7-9700k` at the default options
     /// otherwise: thorough takes 17–23× the solve time (8–15× through
-    /// `moptd`) and its best model cost is 0.455 (R4), 0.578 (R2), 0.735
-    /// (R12), 0.758 (R6) of the default's at one thread, 0.742 (R6) at four,
-    /// and equal on R3, V3, M5 and D5. It is the barrier solver that finds
-    /// the difference; the extra penalty iterations alone do not
-    /// (docs/ARCHITECTURE.md, "Forks that stay").
+    /// `moptd`) and its best model cost is 0.864 (R4), 0.909 (R2), 0.990
+    /// (R6) of the default's at one thread, and equal on R3, R12, V3, M5, D5
+    /// and on R6 at four threads (before the joint integer stage the gap was
+    /// 0.455–0.758 on R4, R2, R12 and R6: most of it was integer rounding).
+    /// It is the barrier solver that finds the difference; the extra penalty
+    /// iterations alone do not (docs/ARCHITECTURE.md, "Forks that stay").
     pub thorough: bool,
     /// How data layout is chosen: `None` and [`LayoutPolicy::Fixed`] keep
     /// the paper's fixed layouts (bit-identical to the pre-layout
@@ -344,7 +346,7 @@ impl MOptOptimizer {
                     parallel,
                 );
                 let (tiles, rounds, counters) = self.solve_class(&model);
-                let config = self.to_integer_config(&model, &tiles, &class.representative);
+                let config = integer_config(&model, &tiles, &class.representative);
                 let (config, price) =
                     pricing::price_cheapest_layout(&model, config, self.options.layout_policy);
                 let predicted_cost = price.total;
@@ -491,61 +493,6 @@ impl MOptOptimizer {
         let tiles = evaluator.tiles_at(&result.x).normalized(&self.shape);
         let cost = model.scaled_cost(&tiles, obj_level);
         (cost, tiles)
-    }
-
-    /// Floor the continuous solution to integer tile sizes (per level, with a
-    /// greedy feasibility-preserving refinement) and apply the load balancer.
-    fn to_integer_config(
-        &self,
-        model: &MultiLevelModel,
-        tiles: &MultiLevelTiles,
-        permutation: &Permutation,
-    ) -> TileConfig {
-        let mut int_levels = [TileSizes::ones(); NUM_TILING_LEVELS];
-        // Integerize outermost-first so inner levels can respect the outer
-        // integers when clamped by `normalized`. Capacity envelopes are the
-        // per-thread shares the continuous solves certified against (shared
-        // L3 divided among threads; identical to the whole cache at 1).
-        for level in [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
-            let capacity = self.machine.capacity_per_thread(level, model.parallel.threads) as f64;
-            let shape = self.shape;
-            // Variables: the level's seven tile sizes, canonical order. The
-            // objective is the level's cost with the other levels as solved,
-            // the one constraint its footprint against the capacity.
-            let tile_at = |x: &[f64]| RealTiles::from_array(x.try_into().expect("seven tiles"));
-            let problem = Problem::joint(TILES_PER_LEVEL, 1, |x, footprint_slack| {
-                let tile = tile_at(x);
-                footprint_slack[0] = mopt_model::cost::total_footprint(&shape, &tile) - capacity;
-                let mut t = *tiles;
-                *t.level_mut(level) = tile;
-                model.scaled_cost(&t.normalized(&shape), level)
-            })
-            .with_bounds(vec![1.0; TILES_PER_LEVEL], RealTiles::full(&shape).as_array().to_vec());
-            let (xi, _) = floor_refine(&problem, &tiles.level(level).as_array());
-            let mut t = TileSizes::from_array(
-                tile_at(&xi).as_array().map(|size| size.round().max(1.0) as usize),
-            );
-            // For grouped shapes, snap K tiles larger than one group down to
-            // a whole number of groups. The solver's continuous group-span
-            // relaxation (tk / k_per_group) and the integer footprint's
-            // conservative ceil agree exactly at group-aligned K tiles, so
-            // this keeps the integer configuration inside the capacity
-            // envelope the solver certified.
-            if self.shape.groups > 1 {
-                let k_per_group = self.shape.k_per_group().max(1);
-                let tk = t.get(LoopIndex::K);
-                if tk > k_per_group {
-                    t.set(LoopIndex::K, (tk / k_per_group) * k_per_group);
-                }
-            }
-            int_levels[level.ordinal()] = t;
-        }
-
-        // Load balancing (Algorithm 1, line 24): record the solved parallel
-        // specification's per-dimension factors (non-reduction dimensions
-        // only, product equal to the thread count) in the configuration.
-        let parallel = TileSizes::from_array(model.parallel.factors);
-        TileConfig::new(permutation.clone(), int_levels, parallel).normalized(&self.shape)
     }
 
     /// The operator shape.
@@ -864,26 +811,29 @@ mod tests {
     fn thorough_profile_finds_a_cheaper_r4_schedule_pinned_to_the_bit() {
         // The evidence for keeping `thorough`: on R4 at one thread the
         // barrier solver reaches a schedule the default profile does not
-        // (0.455 of its model cost). Config and price are the ones the solver
-        // with its three own descent loops produced.
+        // (0.864 of its model cost). Neither profile may serve a higher price
+        // than the per-level integer refinement did (PR 20's pins, kept as
+        // the bounds).
         let shape = conv_spec::benchmarks::by_name("R4").expect("a catalog op").shape;
         let solve = |thorough| {
             let options = OptimizerOptions { thorough, ..OptimizerOptions::default() };
             MOptOptimizer::new(shape, MachineModel::i7_9700k(), options).optimize()
         };
         let (default, thorough) = (solve(false), solve(true));
-        assert_eq!(default.best().predicted_cost.to_bits(), 0x4134688000000000);
-        assert_eq!(thorough.best().predicted_cost.to_bits(), 0x412294b99999999b);
+        assert_eq!(default.best().predicted_cost.to_bits(), 0x412573cccccccccc);
+        assert_eq!(thorough.best().predicted_cost.to_bits(), 0x41228b518c6318c6);
+        assert!(default.best().predicted_cost <= f64::from_bits(0x4134688000000000));
+        assert!(thorough.best().predicted_cost <= f64::from_bits(0x412294b99999999b));
         assert!(thorough.best().predicted_cost < default.best().predicted_cost);
         let ratio = thorough.best().predicted_cost / default.best().predicted_cost;
-        assert_eq!((ratio * 1000.0).round(), 455.0);
+        assert_eq!((ratio * 1000.0).round(), 864.0);
         let expected = TileConfig::new(
             Permutation::parse("nkhwcsr").expect("a permutation"),
             [
                 TileSizes::from_array([1, 8, 1, 1, 1, 12, 1]),
-                TileSizes::from_array([1, 21, 20, 3, 3, 13, 2]),
-                TileSizes::from_array([1, 35, 20, 3, 3, 25, 15]),
-                TileSizes::from_array([1, 128, 32, 3, 3, 27, 27]),
+                TileSizes::from_array([1, 24, 31, 3, 2, 12, 2]),
+                TileSizes::from_array([1, 64, 33, 3, 3, 15, 15]),
+                TileSizes::from_array([1, 128, 64, 3, 3, 27, 27]),
             ],
             TileSizes::ones(),
         );

@@ -86,9 +86,18 @@ pub fn cost_order(a: f64, b: f64) -> std::cmp::Ordering {
 }
 
 /// Order candidates cheapest first ([`cost_order`]) and keep the top
-/// `keep_top`.
+/// `keep_top`. Equal prices — several classes reaching the same compulsory
+/// traffic at the bottleneck level — are ordered by the sum of the four
+/// levels' costs, the integer stage's second key, and then by class (mirror
+/// classes of a square shape tie on both), so that every tier ranks them
+/// alike whatever order it met them in.
 pub fn rank(mut candidates: Vec<OptimizedConfig>, keep_top: usize) -> Vec<OptimizedConfig> {
-    candidates.sort_by(|a, b| cost_order(a.predicted_cost, b.predicted_cost));
+    let all_levels = |c: &OptimizedConfig| c.prediction.scaled_costs.iter().sum::<f64>();
+    candidates.sort_by(|a, b| {
+        cost_order(a.predicted_cost, b.predicted_cost)
+            .then_with(|| cost_order(all_levels(a), all_levels(b)))
+            .then_with(|| a.class_id.cmp(&b.class_id))
+    });
     candidates.truncate(keep_top);
     candidates
 }

@@ -792,6 +792,61 @@ mod tests {
     }
 
     #[test]
+    fn catalog_schedules_grown_by_the_integer_stage_agree_across_tiers() {
+        // The same three answers where the integer stage actually grew the
+        // tiles: catalog shapes on the i7 preset at the default options. The
+        // stage bounds its L3 tile by one thread's slice — the envelope the
+        // database re-rank clamps to — so the db tier serves the solver's
+        // schedule as the same value at four threads too, and the search
+        // `Explain` re-runs reproduces the served ranking to the bit.
+        for (op, threads) in [("R6", 4), ("R12", 1), ("D5", 1)] {
+            let dir = std::env::temp_dir()
+                .join(format!("moptd-grown-{op}-{threads}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let body = format!(
+                "{{\"op\": \"{op}\", \"machine\": {{\"Preset\": \"i7-9700k\"}}, \"threads\": {threads}}}"
+            );
+            let solver = ServiceState::new(64).with_db(dir.clone()).unwrap();
+            let reply = solver.handle_line(&format!("{{\"Optimize\": {body}}}"));
+            let solved = match serde_json::from_str(&reply).unwrap() {
+                Response::Optimized { tier: Some(Tier::Solver), result, .. } => result,
+                other => panic!("expected a solver-tier answer, got {other:?}"),
+            };
+            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries: 0 });
+            let cold = ServiceState::new(64).with_db(dir.clone()).unwrap();
+            let reply = cold.handle_line(&format!("{{\"Optimize\": {body}}}"));
+            match serde_json::from_str(&reply).unwrap() {
+                Response::Optimized { tier: Some(Tier::Db), result, .. } => {
+                    assert_eq!(result.best(), solved.best(), "{body}");
+                    assert_eq!(
+                        result.best().predicted_cost.to_bits(),
+                        solved.best().predicted_cost.to_bits()
+                    );
+                }
+                other => panic!("expected a db-tier answer, got {other:?}"),
+            }
+            let reply = solver.handle_line(&format!("{{\"Explain\": {body}}}"));
+            match serde_json::from_str(&reply).unwrap() {
+                Response::Explained { result, search, breakdown, .. } => {
+                    assert_eq!(result.ranked, solved.ranked, "{body}");
+                    let best = solved.best().predicted_cost;
+                    assert_eq!(breakdown.total_cost.to_bits(), best.to_bits(), "{body}");
+                    assert_eq!(search.winner_cost.to_bits(), best.to_bits(), "{body}");
+                    // Re-solved, every candidate the ranking kept has its
+                    // price among the search's candidates, bit for bit.
+                    let searched: Vec<u64> =
+                        search.candidates.iter().map(|c| c.predicted_cost.to_bits()).collect();
+                    for kept in &solved.ranked {
+                        assert!(searched.contains(&kept.predicted_cost.to_bits()), "{body}");
+                    }
+                }
+                other => panic!("expected Explained, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn cold_plan_graph_walks_the_tiers_once_per_unique_node() {
         let state = tiny_state();
         let graph = mopt_graph::builders::mobilenet_v2_block_from(

@@ -7,7 +7,8 @@
 //! every planning verb — and cost nothing: no tier touched, the connection
 //! still serving. So must a problem whose extents multiply past `usize`
 //! (flops that wrap to 0 in a release build and panic a worker in a checked
-//! one), as a conv shape, a matmul or a pool.
+//! one), as a conv shape, a matmul or a pool. A problem that is merely huge
+//! (extents of a million, nothing overflowing) is served, in bounded time.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -269,5 +270,26 @@ fn hostile_options_are_an_error_reply_through_the_event_loop() {
 
     shutdown.shutdown();
     join.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Extents of a million are a legitimate problem, not an overflow: the solve
+/// must answer it in the time of any other (about half a second; the integer
+/// stage after the continuous search grows tiles by doubling, so its work
+/// follows the cache sizes, not the extents) with a schedule valid for it.
+#[test]
+fn extents_of_a_million_are_served_like_any_other_shape() {
+    let (state, dir) = service("million");
+    let line = r#"{"Optimize":{"shape":{"n":1,"k":1000003,"c":4,"r":1,"s":1,"h":3,"w":1000003,"stride":1},"machine":{"Preset":"i7-9700k"}}}"#;
+    let reply = within_bound(move || state.handle_line(line));
+    match serde_json::from_str(&reply).unwrap() {
+        Response::Optimized { shape, result, .. } => {
+            assert_eq!((shape.k, shape.w), (1_000_003, 1_000_003));
+            let best = result.best();
+            assert!(best.config.validate(&shape).is_ok());
+            assert!(best.predicted_cost.is_finite() && best.predicted_cost > 0.0);
+        }
+        other => panic!("expected Optimized, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

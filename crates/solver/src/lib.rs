@@ -15,9 +15,9 @@
 //! objective and every constraint at a point together, because for the tile
 //! problems they are all arithmetic on the same few per-level costs. Each
 //! solver makes exactly one evaluation per point it visits (the penalty
-//! merit, the barrier function, the feasibility measure and the integer
-//! refinement all read objective and constraints off the same evaluation),
-//! and the iteration loops allocate nothing. The penalty merit, the barrier
+//! merit, the barrier function and the feasibility measure all read
+//! objective and constraints off the same evaluation), and the iteration
+//! loops allocate nothing. The penalty merit, the barrier
 //! function and the barrier solver's feasibility phase are all minimized by
 //! one projected-gradient step with a backtracking line search (the private
 //! `descent` module).
@@ -31,9 +31,11 @@
 //! * [`multistart::MultiStart`] — random-restart wrapper that makes the local
 //!   solvers robust on the non-convex instances produced by multi-level
 //!   tiling, in the two effort profiles the optimizer selects
-//!   ([`MultiStart::cheap`], [`MultiStart::with_starts`]),
-//! * [`integer`] — flooring and local discrete refinement that converts the
-//!   continuous solution into integer tile sizes (Algorithm 1, line 23).
+//!   ([`MultiStart::cheap`], [`MultiStart::with_starts`]).
+//!
+//! Converting a continuous solution into integer tile sizes (Algorithm 1,
+//! line 23) needs the whole assembled schedule and the model that prices it,
+//! so it lives with the optimizer (`mopt_core`'s integer stage), not here.
 //!
 //! # Example
 //!
@@ -53,13 +55,11 @@
 pub mod barrier;
 mod descent;
 pub mod gradient;
-pub mod integer;
 pub mod multistart;
 pub mod penalty;
 pub mod problem;
 
 pub use barrier::BarrierSolver;
-pub use integer::floor_refine;
 pub use multistart::MultiStart;
 pub use penalty::PenaltySolver;
 pub use problem::{NlpSolver, Problem, SolveResult};
