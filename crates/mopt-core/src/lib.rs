@@ -1,9 +1,10 @@
 //! MOpt: model-driven design-space exploration and multi-level tile-size
 //! optimization for CNNs — the paper's primary contribution, assembled from
-//! the analytical model (`mopt-model`) and the non-linear solver
-//! (`mopt-solver`). The simulator that checks the model (`cache-sim`) and the
-//! executors that run its schedules (`conv-exec`) are not dependencies: the
-//! validation that pairs them with this crate lives in `mopt_bench`.
+//! the analytical model (`mopt-model`) and a constrained non-linear solve of
+//! its own ([`solver`]). The simulator that checks the model (`cache-sim`)
+//! and the executors that run its schedules (`conv-exec`) are not
+//! dependencies: the validation that pairs them with this crate lives in
+//! `mopt_bench`.
 //!
 //! * [`optimizer`] — Algorithm 1: for each of the eight pruned permutation
 //!   classes, find multi-level tile sizes by repeatedly solving one
@@ -11,6 +12,10 @@
 //!   the most constrained level first; floor to integers; load-balance; rank
 //!   the candidates. `MOpt-1` is the best-ranked configuration, `MOpt-5` the
 //!   best five (Sec. 10).
+//! * [`solver`] — the penalty multistart every `ArgMinSolve` runs, over a
+//!   [`solver::Problem`] that prices objective and constraints in one call
+//!   (the paper uses AMPL + Ipopt). Public only so property tests outside
+//!   the crate can hold it to its contract; the optimizer is its one caller.
 //! * [`validation`] — the two rank statistics of the model-validation
 //!   methodology of Sec. 9 (Figures 5 and 6): Spearman rank correlation, and
 //!   top-k loss-of-performance against the best of a sampled configuration
@@ -50,6 +55,7 @@ mod evaluator;
 mod integer;
 pub mod optimizer;
 pub mod pricing;
+pub mod solver;
 pub mod validation;
 
 pub use optimizer::{

@@ -26,22 +26,27 @@ use conv_spec::{
 use mopt_model::cost::RealTiles;
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, ParallelSpec};
 use mopt_model::prune::pruned_classes;
-use mopt_solver::{MultiStart, NlpSolver, Problem};
 use serde::{Deserialize, Serialize};
 
 use crate::evaluator::{SolveCounters, TileEvaluator, TILES_PER_LEVEL};
 use crate::integer::integer_config;
 use crate::pricing;
+use crate::solver::{solve, Problem};
 
 /// Options controlling the optimizer.
 ///
-/// Every field is integral or boolean, so the options participate directly
-/// in hash-keyed schedule caches (`Eq` + `Hash`).
+/// Every field is integral or a unit enum, so the options participate
+/// directly in hash-keyed schedule caches (`Eq` + `Hash`).
+///
+/// There is one solve profile: every `ArgMinSolve` is the penalty multistart
+/// [`solve`], `multistart` random starts beside three fixed ones. The retired
+/// `thorough` key (a barrier-and-penalty profile at 16–17× the solve time) is
+/// still accepted on the wire, like any unknown key, and selects nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OptimizerOptions {
     /// Number of threads the generated configuration targets.
     pub threads: usize,
-    /// Number of random restarts per non-linear solve.
+    /// Number of random starting points per non-linear solve.
     pub multistart: usize,
     /// Cache-line size for the spatial-locality cost extension (1 = off).
     pub line_elems: usize,
@@ -50,18 +55,6 @@ pub struct OptimizerOptions {
     /// Restrict the search to this many pruned classes (8 = all). Lower
     /// values trade optimality for optimization speed; useful in tests.
     pub max_classes: usize,
-    /// Use the full-effort multi-start solver (`MultiStart::with_starts`:
-    /// barrier and penalty solver from every start) instead of the default
-    /// low-effort profile (`MultiStart::cheap`: penalty method, few
-    /// iterations per start). Measured on `i7-9700k` at the default options
-    /// otherwise: thorough takes 17–23× the solve time (8–15× through
-    /// `moptd`) and its best model cost is 0.864 (R4), 0.909 (R2), 0.990
-    /// (R6) of the default's at one thread, and equal on R3, R12, V3, M5, D5
-    /// and on R6 at four threads (before the joint integer stage the gap was
-    /// 0.455–0.758 on R4, R2, R12 and R6: most of it was integer rounding).
-    /// It is the barrier solver that finds the difference; the extra penalty
-    /// iterations alone do not (docs/ARCHITECTURE.md, "Forks that stay").
-    pub thorough: bool,
     /// How data layout is chosen: `None` and [`LayoutPolicy::Fixed`] keep
     /// the paper's fixed layouts (bit-identical to the pre-layout
     /// optimizer); [`LayoutPolicy::Search`] prices each solved tiling under
@@ -90,7 +83,6 @@ impl Default for OptimizerOptions {
             line_elems: 1,
             keep_top: 5,
             max_classes: 8,
-            thorough: false,
             layout_policy: None,
         }
     }
@@ -477,18 +469,13 @@ impl MOptOptimizer {
             x0.extend(extents.map(|e| (e * frac).max(1.0)));
         }
 
-        let solver = if self.options.thorough {
-            MultiStart::with_starts(self.options.multistart)
-        } else {
-            MultiStart::cheap(self.options.multistart)
-        };
         let mut evaluator = TileEvaluator::new(model, obj_level, fixed, free_levels, counters);
         let result = {
             let problem = Problem::joint(dim, evaluator.num_constraints(), |x, constraints| {
                 evaluator.evaluate(x, constraints)
             })
             .with_bounds(vec![1.0; dim], upper);
-            solver.solve(&problem, &x0)
+            solve(&problem, &x0, self.options.multistart)
         };
         let tiles = evaluator.tiles_at(&result.x).normalized(&self.shape);
         let cost = model.scaled_cost(&tiles, obj_level);
@@ -805,40 +792,6 @@ mod tests {
         assert_eq!(trace.winner_cost, traced.ranked[0].predicted_cost);
         assert_eq!(trace.runner_up_cost, Some(traced.ranked[1].predicted_cost));
         assert!(trace.margin.unwrap() >= 0.0);
-    }
-
-    #[test]
-    fn thorough_profile_finds_a_cheaper_r4_schedule_pinned_to_the_bit() {
-        // The evidence for keeping `thorough`: on R4 at one thread the
-        // barrier solver reaches a schedule the default profile does not
-        // (0.864 of its model cost). Neither profile may serve a higher price
-        // than the per-level integer refinement did (PR 20's pins, kept as
-        // the bounds).
-        let shape = conv_spec::benchmarks::by_name("R4").expect("a catalog op").shape;
-        let solve = |thorough| {
-            let options = OptimizerOptions { thorough, ..OptimizerOptions::default() };
-            MOptOptimizer::new(shape, MachineModel::i7_9700k(), options).optimize()
-        };
-        let (default, thorough) = (solve(false), solve(true));
-        assert_eq!(default.best().predicted_cost.to_bits(), 0x412573cccccccccc);
-        assert_eq!(thorough.best().predicted_cost.to_bits(), 0x41228b518c6318c6);
-        assert!(default.best().predicted_cost <= f64::from_bits(0x4134688000000000));
-        assert!(thorough.best().predicted_cost <= f64::from_bits(0x412294b99999999b));
-        assert!(thorough.best().predicted_cost < default.best().predicted_cost);
-        let ratio = thorough.best().predicted_cost / default.best().predicted_cost;
-        assert_eq!((ratio * 1000.0).round(), 864.0);
-        let expected = TileConfig::new(
-            Permutation::parse("nkhwcsr").expect("a permutation"),
-            [
-                TileSizes::from_array([1, 8, 1, 1, 1, 12, 1]),
-                TileSizes::from_array([1, 24, 31, 3, 2, 12, 2]),
-                TileSizes::from_array([1, 64, 33, 3, 3, 15, 15]),
-                TileSizes::from_array([1, 128, 64, 3, 3, 27, 27]),
-            ],
-            TileSizes::ones(),
-        );
-        assert_eq!(thorough.best().config, expected);
-        assert_eq!(thorough.best().class_id, 4);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 
 use conv_spec::benchmarks;
 use conv_spec::{ParallelAxis, ALL_INDICES};
-use mopt_solver::gradient::step_for;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::*;
+use crate::solver::step_for;
 
 type Fixed = [Option<RealTiles>; NUM_TILING_LEVELS];
 type Function<'a> = Box<dyn Fn(&[f64]) -> f64 + 'a>;
@@ -289,7 +289,7 @@ fn reference_solve_class(opt: &MOptOptimizer, model: &MultiLevelModel) -> MultiL
                 };
                 x0.extend(extents.iter().map(|&e| (e as f64 * frac).max(1.0)));
             }
-            let result = MultiStart::cheap(opt.options.multistart).solve(&reference.problem(), &x0);
+            let result = solve(&reference.problem(), &x0, opt.options.multistart);
             let tiles = reference.assemble(&result.x);
             let cost = model.scaled_cost(&tiles, obj_level);
             if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {

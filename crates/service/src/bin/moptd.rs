@@ -23,11 +23,6 @@
 //! through, and dirty pages are flushed wherever the snapshot is saved.
 //! Pre-populate the database offline with `mopt-plan-world`.
 //!
-//! `--layout-policy search` makes the optimizer search data layouts (NCHWc
-//! blocking, packed kernels) alongside tile sizes for requests that leave
-//! `layout_policy` unset; the default `fixed` keeps the pre-layout behavior
-//! and wire format bit-for-bit.
-//!
 //! ```text
 //! moptd --stdio [--snapshot cache.json] [--db specs.db]
 //! moptd --listen 127.0.0.1:7077 [--workers N] [--snapshot cache.json] [--db specs.db]
@@ -49,7 +44,6 @@
 
 use std::sync::Arc;
 
-use mopt_core::LayoutPolicy;
 use mopt_service::{EventLoopServer, ServerConfig, ServiceState};
 
 struct Args {
@@ -60,7 +54,6 @@ struct Args {
     capacity: usize,
     workers: usize,
     slow_ms: u64,
-    layout_policy: Option<LayoutPolicy>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -72,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
         capacity: 4096,
         workers: 0,
         slow_ms: 0,
-        layout_policy: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -108,20 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --slow-ms: {e}"))?;
             }
-            "--layout-policy" => {
-                let value = it.next().ok_or("--layout-policy needs `fixed` or `search`")?;
-                args.layout_policy = match value.as_str() {
-                    // `fixed` is the wire default: leave requests untouched so
-                    // every pre-layout fingerprint and cache key is preserved.
-                    "fixed" => None,
-                    "search" => Some(LayoutPolicy::Search),
-                    other => {
-                        return Err(format!(
-                            "bad --layout-policy `{other}` (expected `fixed` or `search`)"
-                        ))
-                    }
-                };
-            }
             "--help" | "-h" => {
                 println!(
                     "moptd — MOpt schedule server\n\n\
@@ -132,10 +110,7 @@ fn parse_args() -> Result<Args, String> {
                      --db DIR             persistent schedule database (see mopt-plan-world)\n  \
                      --capacity N         schedule cache capacity (default 4096)\n  \
                      --workers N          TCP request workers (default: CPU count, max 8)\n  \
-                     --slow-ms MS         keep traces of requests slower than MS ms (Trace verb)\n  \
-                     --layout-policy P    default layout policy for requests that leave it\n  \
-                     \x20                    unset: `fixed` (default, pre-layout behavior) or\n  \
-                     \x20                    `search` (optimizer also searches data layouts)\n\n\
+                     --slow-ms MS         keep traces of requests slower than MS ms (Trace verb)\n\n\
                      One JSON request per input line, one JSON response per output line;\n\
                      TCP connections may pipeline requests. SIGINT/SIGTERM drain gracefully.\n\
                      Requests: Optimize, Explain, PlanNetwork, PlanGraph, Suites, Stats,\n\
@@ -193,10 +168,6 @@ fn main() {
     }
     if args.slow_ms > 0 {
         state = state.with_slow_ms(args.slow_ms);
-    }
-    if args.layout_policy.is_some() {
-        state = state.with_layout_policy(args.layout_policy);
-        eprintln!("moptd: layout policy defaulting to `search`");
     }
     let state = Arc::new(state);
 

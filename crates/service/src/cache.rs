@@ -397,15 +397,15 @@ pub(crate) mod tests {
         let shape = ConvShape::new(1, 4, 3, 3, 3, 8, 8, 1).unwrap();
         let machine = MachineModel::tiny_test_machine();
         let fast = CacheKey::new(shape, &machine, &OptimizerOptions::fast());
-        let thorough = CacheKey::new(
+        let more_starts = CacheKey::new(
             shape,
             &machine,
-            &OptimizerOptions { thorough: true, ..OptimizerOptions::fast() },
+            &OptimizerOptions { multistart: 1, ..OptimizerOptions::fast() },
         );
-        assert_ne!(fast, thorough);
+        assert_ne!(fast, more_starts);
         let cache = ScheduleCache::new(8);
         cache.insert(fast.clone(), dummy_result(&shape, 1.0));
-        assert!(cache.get(&thorough).is_none());
+        assert!(cache.get(&more_starts).is_none());
         assert!(cache.get(&fast).is_some());
     }
 

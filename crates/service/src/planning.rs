@@ -51,36 +51,31 @@ impl Problem<'_> {
     }
 }
 
-impl ServiceState {
-    /// What a planning request (`Optimize`, `Explain`, `PlanNetwork`,
-    /// `PlanGraph`) plans for: its machine model and its effective optimizer
-    /// options — the request's `options` (or the defaults), with an explicit
-    /// top-level `threads` field taking precedence over `options.threads`,
-    /// and the server's default layout policy filled in when the request
-    /// leaves it unset. The options participate verbatim in both cache keys,
-    /// so thread counts and layout policies always distinguish entries.
-    ///
-    /// Both come from outside the program and are checked here, before any
-    /// tier is touched: an invalid inline machine or an option the search
-    /// cannot run with is the request's `Error`, not a panicking worker.
-    pub(crate) fn request_target(
-        &self,
-        machine: &MachineSpec,
-        options: &Option<OptimizerOptions>,
-        threads: Option<usize>,
-    ) -> Result<(MachineModel, OptimizerOptions), String> {
-        let machine = machine.resolve()?;
-        let mut options = options.clone().unwrap_or_default();
-        if let Some(threads) = threads {
-            options.threads = threads.max(1);
-        }
-        options.validate().map_err(|e| format!("invalid options: {e}"))?;
-        if options.layout_policy.is_none() {
-            options.layout_policy = self.default_layout_policy;
-        }
-        Ok((machine, options))
+/// What a planning request (`Optimize`, `Explain`, `PlanNetwork`,
+/// `PlanGraph`) plans for: its machine model and its effective optimizer
+/// options — the request's `options` (or the defaults), with an explicit
+/// top-level `threads` field taking precedence over `options.threads`.
+/// The options participate verbatim in both cache keys, so thread counts
+/// and layout policies always distinguish entries.
+///
+/// Both come from outside the program and are checked here, before any
+/// tier is touched: an invalid inline machine or an option the search
+/// cannot run with is the request's `Error`, not a panicking worker.
+pub(crate) fn request_target(
+    machine: &MachineSpec,
+    options: &Option<OptimizerOptions>,
+    threads: Option<usize>,
+) -> Result<(MachineModel, OptimizerOptions), String> {
+    let machine = machine.resolve()?;
+    let mut options = options.clone().unwrap_or_default();
+    if let Some(threads) = threads {
+        options.threads = threads.max(1);
     }
+    options.validate().map_err(|e| format!("invalid options: {e}"))?;
+    Ok((machine, options))
+}
 
+impl ServiceState {
     /// The batch planner behind `PlanNetwork` and `PlanGraph`: this state's
     /// cache and database, the request's trace, and its worker count when it
     /// names one.

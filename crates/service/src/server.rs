@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use conv_spec::benchmarks;
-use mopt_core::{LayoutPolicy, OptimizeResult};
+use mopt_core::OptimizeResult;
 use mopt_graph::GraphPlan;
 use mopt_trace::{SpanNode, TraceContext, TraceRing};
 
@@ -25,7 +25,7 @@ pub use crate::framing::MAX_REQUEST_BYTES;
 use crate::framing::{is_disconnect, oversized_reply, Frame, LineFramer};
 use crate::graphs::{GraphCacheKey, GraphPlanCache};
 use crate::metrics::ServiceMetrics;
-use crate::planning::Problem;
+use crate::planning::{request_target, Problem};
 use crate::singleflight::{FlightBreakdown, SingleFlight};
 use crate::wire::{Request, Response, ServiceStats, SlowTrace, SuiteOp, Tier};
 
@@ -64,11 +64,6 @@ pub struct ServiceState {
     slow_log: TraceRing<SlowTrace>,
     /// Worker threads the transport configured (0 until a transport binds).
     configured_workers: AtomicU64,
-    /// Layout policy applied to requests that leave `options.layout_policy`
-    /// unset (`moptd --layout-policy search`). `None` — the default — leaves
-    /// requests untouched, so cache keys and serving are bit-identical to the
-    /// pre-layout server.
-    pub(crate) default_layout_policy: Option<LayoutPolicy>,
 }
 
 impl ServiceState {
@@ -93,19 +88,7 @@ impl ServiceState {
             slow_micros: AtomicU64::new(0),
             slow_log: TraceRing::new(SLOW_LOG_CAPACITY),
             configured_workers: AtomicU64::new(0),
-            default_layout_policy: None,
         }
-    }
-
-    /// Set the layout policy applied to requests whose options leave
-    /// `layout_policy` unset. `Some(Search)` makes the optimizer price data
-    /// layouts jointly with tile sizes by default; `None` (and
-    /// `Some(Fixed)`, which requests can always pass explicitly) keeps the
-    /// pre-layout behavior. The effective policy participates in cache keys,
-    /// so fixed- and search-policy schedules never collide.
-    pub fn with_layout_policy(mut self, policy: Option<LayoutPolicy>) -> Self {
-        self.default_layout_policy = policy;
-        self
     }
 
     /// Arm the slow-request log: every request is traced server-side, and
@@ -342,12 +325,12 @@ impl ServiceState {
                     .collect(),
             }),
             Request::Optimize { spec, op, shape, machine, options, threads, trace: _ } => {
-                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let (machine, options) = request_target(machine, options, *threads)?;
                 let problem = Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape };
                 self.handle_optimize(problem, machine, options, ctx)
             }
             Request::Explain { spec, op, shape, machine, options, threads } => {
-                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let (machine, options) = request_target(machine, options, *threads)?;
                 let problem = Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape };
                 self.handle_explain(problem, machine, options, ctx)
             }
@@ -360,7 +343,7 @@ impl ServiceState {
                 workers,
                 trace: _,
             } => {
-                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let (machine, options) = request_target(machine, options, *threads)?;
                 self.handle_plan(
                     suite.as_deref(),
                     layers.as_deref(),
@@ -371,7 +354,7 @@ impl ServiceState {
                 )
             }
             Request::PlanGraph { block, graph, machine, options, threads, workers, trace: _ } => {
-                let (machine, options) = self.request_target(machine, options, *threads)?;
+                let (machine, options) = request_target(machine, options, *threads)?;
                 self.handle_plan_graph(
                     block.as_deref(),
                     graph.as_ref(),

@@ -14,7 +14,7 @@ use std::time::Instant;
 use conv_exec::naive::conv2d_naive;
 use conv_exec::{NchwcConv, Tensor4, TiledConv};
 use conv_spec::{benchmarks, ConvShape, MachineModel, TileConfig};
-use mopt_core::{OptimizeResult, OptimizerOptions};
+use mopt_core::{LayoutPolicy, OptimizeResult, OptimizerOptions};
 use mopt_service::batch::NamedLayer;
 use mopt_service::{NetworkPlanner, Request, Response, ScheduleCache, ServiceState};
 use serde::Value;
@@ -813,55 +813,119 @@ fn explain_over_stdio_recertifies_bit_identically() {
     }
 }
 
-/// Acceptance: runtime SIMD dispatch must be invisible to planning. The same
-/// `Optimize` request served by a real `moptd --stdio --layout-policy search`
-/// process with `MOPT_FORCE_SCALAR=1` and by one with SIMD dispatch live must
-/// produce identical responses (volatile timing fields aside) — layout search
-/// included — and the schedule the forced-scalar server returns still
-/// computes the right convolution through the layout-aware executor.
-#[test]
-fn moptd_forced_scalar_serves_identical_schedules_as_simd() {
-    fn scrub(value: &Value) -> Value {
-        match value {
-            Value::Object(pairs) => Value::Object(
-                pairs
-                    .iter()
-                    .filter(|(key, _)| {
-                        !matches!(
-                            key.as_str(),
-                            "optimize_seconds"
-                                | "solve_seconds"
-                                | "wall_seconds"
-                                | "plan_seconds"
-                                | "uptime_seconds"
-                        )
-                    })
-                    .map(|(key, inner)| (key.clone(), scrub(inner)))
-                    .collect(),
-            ),
-            Value::Array(items) => Value::Array(items.iter().map(scrub).collect()),
-            other => other.clone(),
+/// `value` without the timing fields, which vary run to run.
+fn scrub(value: &Value) -> Value {
+    match value {
+        Value::Object(pairs) => Value::Object(
+            pairs
+                .iter()
+                .filter(|(key, _)| {
+                    !matches!(
+                        key.as_str(),
+                        "optimize_seconds"
+                            | "solve_seconds"
+                            | "wall_seconds"
+                            | "plan_seconds"
+                            | "uptime_seconds"
+                    )
+                })
+                .map(|(key, inner)| (key.clone(), scrub(inner)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.iter().map(scrub).collect()),
+        other => other.clone(),
+    }
+}
+
+/// Replies of a real `moptd --stdio` to `lines`, one per line.
+fn moptd_stdio(lines: &[String]) -> Vec<String> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_moptd"))
+        .arg("--stdio")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("moptd spawns");
+    {
+        let stdin = child.stdin.as_mut().expect("moptd stdin");
+        for line in lines {
+            stdin.write_all(line.as_bytes()).unwrap();
+            stdin.write_all(b"\n").unwrap();
         }
     }
+    child.stdin.take();
+    let stdout = BufReader::new(child.stdout.take().expect("moptd stdout"));
+    let replies: Vec<String> = stdout.lines().map(|l| l.unwrap()).collect();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(replies.len(), lines.len(), "one reply per request");
+    replies
+}
 
+/// The retired `thorough` option (one solve profile since PR 25) is still
+/// accepted and selects nothing: `true`, `false` and an `options` object
+/// without the key are one cache key, answered by one solve and two cache
+/// hits with the same bytes once timing is masked.
+#[test]
+fn moptd_accepts_the_retired_thorough_key_and_ignores_it() {
+    let request = |thorough: &str| {
+        format!(
+            r#"{{"Optimize": {{"op": "V5", "machine": {{"Preset": "tiny"}}, "options": {{"threads": 1, "multistart": 0, "line_elems": 1, "keep_top": 5, "max_classes": 1{thorough}}}}}}}"#
+        )
+    };
+    let lines = [
+        request(r#", "thorough": true"#),
+        request(r#", "thorough": false"#),
+        request(""),
+        r#""Stats""#.to_string(),
+    ];
+    let replies = moptd_stdio(&lines);
+    let masked: Vec<String> = replies[..3]
+        .iter()
+        .map(|line| serde_json::to_string(&scrub(&serde_json::parse_value(line).unwrap())).unwrap())
+        .collect();
+    assert!(masked[0].contains(r#""cached":false"#) && masked[0].contains(r#""tier":"Solver""#));
+    let as_cache_hit = masked[0]
+        .replace(r#""cached":false"#, r#""cached":true"#)
+        .replace(r#""tier":"Solver""#, r#""tier":"Cache""#);
+    assert_eq!(masked[1], as_cache_hit, "`thorough: false` is the solved key's cache hit");
+    assert_eq!(masked[2], as_cache_hit, "no `thorough` key is the solved key's cache hit");
+    match serde_json::from_str::<Response>(&replies[3]).unwrap() {
+        Response::Stats { stats } => {
+            assert_eq!((stats.cache.misses, stats.cache.hits, stats.cache.entries), (1, 2, 1));
+            assert_eq!(stats.flight.expect("flight counters").optimize.led, 1, "one solve");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// Acceptance: runtime SIMD dispatch must be invisible to planning. The same
+/// `Optimize` request with `"layout_policy": "Search"` served by a real
+/// `moptd --stdio` process with `MOPT_FORCE_SCALAR=1` and by one with SIMD
+/// dispatch live must produce identical responses (volatile timing fields
+/// aside) — layout search included — and the schedule the forced-scalar
+/// server returns still computes the right convolution through the
+/// layout-aware executor.
+#[test]
+fn moptd_forced_scalar_serves_identical_schedules_as_simd() {
     let shape = ConvShape::new(1, 16, 8, 3, 3, 12, 12, 1).unwrap();
     let request = serde_json::to_string(&Request::Optimize {
         spec: None,
         op: None,
         shape: Some(shape),
         machine: mopt_service::MachineSpec::Preset("tiny".into()),
-        options: Some(fast_options()),
+        options: Some(OptimizerOptions {
+            layout_policy: Some(LayoutPolicy::Search),
+            ..fast_options()
+        }),
         threads: None,
         trace: None,
     })
     .unwrap();
+    assert!(request.contains(r#""layout_policy":"Search""#), "{request}");
 
     let serve = |force_scalar: bool| -> String {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_moptd"));
-        cmd.args(["--stdio", "--layout-policy", "search"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
+        cmd.arg("--stdio").stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::null());
         if force_scalar {
             cmd.env("MOPT_FORCE_SCALAR", "1");
         } else {

@@ -15,4 +15,3 @@ pub use conv_spec;
 pub use mopt_core;
 pub use mopt_model;
 pub use mopt_service;
-pub use mopt_solver;

@@ -8,9 +8,9 @@ use mopt_repro::conv_exec::{Tensor4, TiledConv};
 use mopt_repro::conv_spec::{
     ConvShape, LoopIndex, Permutation, TileConfig, TileSizes, ALL_INDICES,
 };
+use mopt_repro::mopt_core::solver::{solve, Problem};
 use mopt_repro::mopt_model::cost::{single_level_volume, total_footprint, CostOptions, RealTiles};
 use mopt_repro::mopt_model::prune::{classify, pruned_classes};
-use mopt_repro::mopt_solver::{BarrierSolver, NlpSolver, PenaltySolver, Problem};
 
 /// Strategy: a small but non-degenerate conv shape.
 fn shape_strategy() -> impl Strategy<Value = ConvShape> {
@@ -164,20 +164,20 @@ proptest! {
         prop_assert!(reference.allclose(&out, 1e-3));
     }
 
-    /// Solver results are always feasible for capacity-style problems and at
-    /// least as good as the starting point.
+    /// The solve's results are always feasible for capacity-style problems
+    /// and at least as good as the starting point, with and without random
+    /// starts.
     #[test]
     fn solvers_return_feasible_improving_points(cap in 64.0f64..4096.0, n in 64.0f64..2048.0) {
-        let problem = Problem::new(2)
-            .with_bounds(vec![1.0, 1.0], vec![n, n])
-            .with_objective(move |x| n * n * (1.0 / x[0] + 1.0 / x[1]))
-            .with_constraint(move |x| x[0] * x[1] - cap);
+        let problem = Problem::joint(2, 1, |x, g| {
+            g[0] = x[0] * x[1] - cap;
+            n * n * (1.0 / x[0] + 1.0 / x[1])
+        })
+        .with_bounds(vec![1.0, 1.0], vec![n, n]);
         let x0 = [1.0, 1.0];
-        let f0 = problem.objective(&x0);
-        for result in [
-            BarrierSolver::fast().solve(&problem, &x0),
-            PenaltySolver::default().solve(&problem, &x0),
-        ] {
+        let f0 = problem.evaluate(&x0, &mut [0.0]);
+        for random_starts in [0, 2] {
+            let result = solve(&problem, &x0, random_starts);
             prop_assert!(result.feasible, "violation {}", result.max_violation);
             prop_assert!(result.objective <= f0 + 1e-9);
         }
