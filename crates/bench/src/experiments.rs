@@ -6,7 +6,7 @@ use conv_spec::{
     benchmarks, BenchmarkOp, ConvShape, MachineModel, Permutation, TileConfig, TilingLevel,
 };
 use mopt_core::optimizer::{MOptOptimizer, OptimizerOptions};
-use mopt_model::cost::{single_level_volume, CostOptions};
+use mopt_model::cost::single_level_volume;
 use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 use mopt_model::prune::{pruned_classes, sample_tiles};
 use serde::{Deserialize, Serialize};
@@ -433,7 +433,6 @@ pub fn ablation_pruning(
     operators: &[String],
 ) -> Vec<AblationRow> {
     let ops = filter_ops(scale.operators(), Some(operators));
-    let opts = CostOptions::default();
     let all_perms = Permutation::enumerate_all();
     ops.iter()
         .map(|op| {
@@ -443,9 +442,7 @@ pub fn ablation_pruning(
                 .flat_map(|c| {
                     tiles
                         .iter()
-                        .map(|t| {
-                            single_level_volume(&op.shape, &c.representative, t, &opts).total()
-                        })
+                        .map(|t| single_level_volume(&op.shape, &c.representative, t).total())
                         .collect::<Vec<_>>()
                 })
                 .fold(f64::INFINITY, f64::min);
@@ -454,7 +451,7 @@ pub fn ablation_pruning(
                 .flat_map(|p| {
                     tiles
                         .iter()
-                        .map(|t| single_level_volume(&op.shape, p, t, &opts).total())
+                        .map(|t| single_level_volume(&op.shape, p, t).total())
                         .collect::<Vec<_>>()
                 })
                 .fold(f64::INFINITY, f64::min);

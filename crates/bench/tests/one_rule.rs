@@ -10,7 +10,7 @@ use conv_spec::{
     ConvShape, LayoutConfig, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel,
 };
 use mopt_bench::validate_operator;
-use mopt_model::{layout_move_total, CostOptions, MultiLevelModel, ParallelSpec};
+use mopt_model::{layout_move_total, MultiLevelModel, ParallelSpec};
 
 fn shape() -> ConvShape {
     ConvShape::new(1, 64, 32, 3, 3, 28, 28, 1).unwrap()
@@ -45,13 +45,7 @@ fn priced(preset: &str, threads: usize) -> [u64; 12] {
     let (bottleneck, bottleneck_cost) = dm.bottleneck(&machine, threads);
     assert_eq!(bottleneck_cost, dm.scaled_cost(bottleneck, &machine, threads));
 
-    let moved = layout_move_total(
-        &shape,
-        &machine,
-        &LayoutConfig::blocked(8),
-        &CostOptions::default(),
-        threads,
-    );
+    let moved = layout_move_total(&shape, &machine, &LayoutConfig::blocked(8), threads);
 
     let mut bits = [0u64; 12];
     for level in TilingLevel::ALL {

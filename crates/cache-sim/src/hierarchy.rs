@@ -5,16 +5,9 @@ use conv_spec::{MachineModel, MemoryLevel, TilingLevel};
 use crate::counters::DataMovement;
 use crate::lru::{FullyAssocLru, LruStats};
 
-/// Which cache organization the simulated hierarchy uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheKind {
-    /// Fully associative LRU with unit line size — the paper's idealized model.
-    IdealFullyAssociative,
-    /// Fully associative LRU with the machine's real line size.
-    FullyAssociativeLines,
-}
-
-/// A simulated L1/L2/L3 hierarchy (inclusive, write-back, write-allocate).
+/// A simulated L1/L2/L3 hierarchy (inclusive, write-back, write-allocate) of
+/// fully associative LRU caches with unit line size — the paper's idealized
+/// model (Sec. 2.2).
 ///
 /// Each access probes L1; a miss probes L2; a further miss probes L3; a miss
 /// there goes to DRAM. Register-level traffic is not simulated here — it is
@@ -23,32 +16,20 @@ pub enum CacheKind {
 /// being a cache.
 pub struct MemoryHierarchy {
     levels: Vec<(MemoryLevel, FullyAssocLru)>,
-    kind: CacheKind,
     /// Register-level traffic accumulated by the driver (loads, stores).
     register_loads: u64,
     register_stores: u64,
 }
 
 impl MemoryHierarchy {
-    /// Build a hierarchy for a machine using the requested cache organization.
-    pub fn new(machine: &MachineModel, kind: CacheKind) -> Self {
+    /// Build a hierarchy for a machine.
+    pub fn new(machine: &MachineModel) -> Self {
         let levels = machine
             .caches
             .iter()
-            .map(|cache| {
-                let line = match kind {
-                    CacheKind::IdealFullyAssociative => 1,
-                    CacheKind::FullyAssociativeLines => cache.line_elems.max(1),
-                };
-                (cache.level, FullyAssocLru::new(cache.capacity_elems, line))
-            })
+            .map(|cache| (cache.level, FullyAssocLru::new(cache.capacity_elems)))
             .collect();
-        MemoryHierarchy { levels, kind, register_loads: 0, register_stores: 0 }
-    }
-
-    /// The cache organization in use.
-    pub fn kind(&self) -> CacheKind {
-        self.kind
+        MemoryHierarchy { levels, register_loads: 0, register_stores: 0 }
     }
 
     /// Perform one element access (load or store), propagating misses down the
@@ -85,8 +66,8 @@ impl MemoryHierarchy {
     /// Convert the accumulated statistics into a per-level [`DataMovement`]
     /// report. `flops` is the FLOP count of the simulated computation.
     ///
-    /// Traffic into a level is its miss count (times line size); traffic out
-    /// is its write-back count (times line size). Register traffic comes from
+    /// Traffic into a level is its miss count; traffic out is its write-back
+    /// count (elements both). Register traffic comes from
     /// [`add_register_traffic`](Self::add_register_traffic).
     pub fn data_movement(&self, flops: f64) -> DataMovement {
         let mut dm = DataMovement::zero(flops);
@@ -100,9 +81,8 @@ impl MemoryHierarchy {
                 _ => continue,
             };
             let stats = cache.stats();
-            let line = cache.line_elems() as f64;
-            dm.level_mut(tiling).inbound_elems = stats.misses as f64 * line;
-            dm.level_mut(tiling).outbound_elems = stats.writebacks as f64 * line;
+            dm.level_mut(tiling).inbound_elems = stats.misses as f64;
+            dm.level_mut(tiling).outbound_elems = stats.writebacks as f64;
         }
         dm
     }
@@ -118,7 +98,7 @@ mod tests {
 
     #[test]
     fn miss_propagates_and_fills_all_levels() {
-        let mut h = MemoryHierarchy::new(&machine(), CacheKind::IdealFullyAssociative);
+        let mut h = MemoryHierarchy::new(&machine());
         assert_eq!(h.access(42, false), None); // cold: misses everywhere
         assert_eq!(h.access(42, false), Some(MemoryLevel::L1)); // now in L1
         let l1 = h.level_stats(MemoryLevel::L1).unwrap();
@@ -131,7 +111,7 @@ mod tests {
     #[test]
     fn capacity_differences_between_levels_show_up() {
         let m = machine();
-        let mut h = MemoryHierarchy::new(&m, CacheKind::IdealFullyAssociative);
+        let mut h = MemoryHierarchy::new(&m);
         let l1_cap = m.capacity(TilingLevel::L1);
         // Touch more than L1 capacity but less than L2 capacity, twice.
         let n = l1_cap + 64;
@@ -149,7 +129,7 @@ mod tests {
 
     #[test]
     fn data_movement_report_reflects_misses_and_register_traffic() {
-        let mut h = MemoryHierarchy::new(&machine(), CacheKind::IdealFullyAssociative);
+        let mut h = MemoryHierarchy::new(&machine());
         for a in 0..10 {
             h.access(a, a % 2 == 0);
         }
@@ -163,11 +143,14 @@ mod tests {
 
     #[test]
     fn flush_clears_residency() {
-        let mut h = MemoryHierarchy::new(&machine(), CacheKind::FullyAssociativeLines);
+        let mut h = MemoryHierarchy::new(&machine());
         h.access(0, true);
         assert_eq!(h.access(0, false), Some(MemoryLevel::L1));
         h.flush();
         assert_eq!(h.access(0, false), None);
-        assert_eq!(h.kind(), CacheKind::FullyAssociativeLines);
+        // The flush wrote the dirty element back, once, at every level.
+        for level in [MemoryLevel::L1, MemoryLevel::L2, MemoryLevel::L3] {
+            assert_eq!(h.level_stats(level).unwrap().writebacks, 1, "{level}");
+        }
     }
 }

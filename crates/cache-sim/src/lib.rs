@@ -5,9 +5,8 @@
 //! CPUs. This crate is the reproduction's substitute for that hardware: it
 //! provides
 //!
-//! * [`lru::FullyAssocLru`] — an exact fully-associative LRU cache (the
-//!   idealized cache the paper's model assumes), at element or line
-//!   granularity,
+//! * [`lru::FullyAssocLru`] — an exact fully-associative LRU cache with unit
+//!   line size (the idealized cache the paper's model assumes),
 //! * [`hierarchy::MemoryHierarchy`] — a multi-level hierarchy assembled from a
 //!   [`conv_spec::MachineModel`], with per-level traffic counters,
 //! * [`trace`] — an element-granularity access-trace generator that walks the
@@ -26,7 +25,7 @@
 //! ```
 //! use cache_sim::lru::FullyAssocLru;
 //!
-//! let mut cache = FullyAssocLru::new(2, 1);
+//! let mut cache = FullyAssocLru::new(2);
 //! assert!(!cache.access(10, false)); // cold miss
 //! assert!(!cache.access(20, false));
 //! assert!(cache.access(10, false));  // hit
@@ -41,7 +40,7 @@ pub mod tilesim;
 pub mod trace;
 
 pub use counters::{DataMovement, LevelTraffic};
-pub use hierarchy::{CacheKind, MemoryHierarchy};
+pub use hierarchy::MemoryHierarchy;
 pub use lru::FullyAssocLru;
 pub use tilesim::{FusedPairTraffic, TileTrafficSimulator, TileTrafficStats};
 pub use trace::TraceSimulator;

@@ -17,7 +17,7 @@
 use conv_spec::{layout::AddressMap, ConvShape, LoopIndex, TileConfig, TilingLevel};
 
 use crate::counters::DataMovement;
-use crate::hierarchy::{CacheKind, MemoryHierarchy};
+use crate::hierarchy::MemoryHierarchy;
 use crate::tilesim::{TileRegion, TileWalker};
 
 /// Element-granularity simulator for one conv2d operator.
@@ -28,11 +28,10 @@ pub struct TraceSimulator {
 }
 
 impl TraceSimulator {
-    /// Create a simulator for a shape on a machine, choosing the cache
-    /// organization (element- or line-granular fully-associative LRU).
-    pub fn new(shape: &ConvShape, machine: &conv_spec::MachineModel, kind: CacheKind) -> Self {
+    /// Create a simulator for a shape on a machine.
+    pub fn new(shape: &ConvShape, machine: &conv_spec::MachineModel) -> Self {
         TraceSimulator {
-            hierarchy: MemoryHierarchy::new(machine, kind),
+            hierarchy: MemoryHierarchy::new(machine),
             addresses: AddressMap::new(shape),
             shape: *shape,
         }
@@ -224,7 +223,7 @@ mod tests {
         let s = shape();
         let m = MachineModel::tiny_test_machine();
         let cfg = TileConfig::untiled(&s);
-        let mut sim = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative);
+        let mut sim = TraceSimulator::new(&s, &m);
         let dm = sim.run(&cfg);
         // L3 inbound >= cold footprint of all three tensors.
         let cold = (s.input_elems() + s.kernel_elems() + s.output_elems()) as f64;
@@ -238,7 +237,7 @@ mod tests {
         let m = MachineModel::tiny_test_machine();
         // Register tile = whole problem: Out loaded+stored once, In/Ker once.
         let cfg = TileConfig::untiled(&s);
-        let mut sim = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative);
+        let mut sim = TraceSimulator::new(&s, &m);
         let dm = sim.run(&cfg);
         let reg = dm.level(TilingLevel::Register);
         assert_eq!(
@@ -266,8 +265,8 @@ mod tests {
             [1, 8, 4, 3, 3, 8, 8],
             "nkcrshw",
         );
-        let dm_big = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative).run(&big);
-        let dm_small = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative).run(&small);
+        let dm_big = TraceSimulator::new(&s, &m).run(&big);
+        let dm_small = TraceSimulator::new(&s, &m).run(&small);
         assert!(
             dm_small.volume(TilingLevel::Register) > dm_big.volume(TilingLevel::Register),
             "small tiles should move more data through registers"
@@ -284,8 +283,8 @@ mod tests {
         let reg = [1, 4, 1, 1, 1, 1, 4];
         let good = config(&s, reg, [1, 4, 2, 3, 3, 2, 4], [1, 8, 8, 3, 3, 6, 6], "kcrsnhw");
         let bad = config(&s, reg, s.extents(), s.extents(), "kcrsnhw");
-        let dm_good = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative).run(&good);
-        let dm_bad = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative).run(&bad);
+        let dm_good = TraceSimulator::new(&s, &m).run(&good);
+        let dm_bad = TraceSimulator::new(&s, &m).run(&bad);
         assert!(
             dm_good.volume(TilingLevel::L1) < dm_bad.volume(TilingLevel::L1),
             "blocked {} vs unblocked {}",
@@ -316,7 +315,7 @@ mod tests {
         let s = ConvShape::depthwise(4, 4, 1, 1);
         let m = MachineModel::tiny_test_machine();
         let cfg = TileConfig::untiled(&s);
-        let mut sim = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative);
+        let mut sim = TraceSimulator::new(&s, &m);
         let dm = sim.run(&cfg);
         let reg = dm.level(TilingLevel::Register);
         // Whole problem in one register tile: In + Ker + Out loads, Out store.
@@ -332,7 +331,7 @@ mod tests {
         let s = ConvShape::from_table1_dilated(4, 3, 12, 3, 1, 2);
         let m = MachineModel::tiny_test_machine();
         let cfg = TileConfig::untiled(&s);
-        let mut sim = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative);
+        let mut sim = TraceSimulator::new(&s, &m);
         let dm = sim.run(&cfg);
         // Every kernel and output element is touched; the dilated input
         // window touches every input pixel of the full (untiled) problem.
@@ -355,7 +354,7 @@ mod tests {
             [1, 8, 8, 3, 3, 6, 10],
             "kcrsnhw",
         );
-        let dm_trace = TraceSimulator::new(&s, &m, CacheKind::IdealFullyAssociative).run(&cfg);
+        let dm_trace = TraceSimulator::new(&s, &m).run(&cfg);
         let dm_tile = crate::tilesim::TileTrafficSimulator::default().simulate(&s, &cfg);
         let t = dm_trace.volume(TilingLevel::L3);
         let e = dm_tile.volume(TilingLevel::L3);

@@ -67,8 +67,9 @@ pub struct CacheLevel {
     /// feeds this level from the next slower level (e.g. for `L1`, the L2→L1
     /// bandwidth). Used to bandwidth-scale data volumes.
     pub fill_bandwidth: f64,
-    /// Cache line size in elements (used by the spatial-locality extension
-    /// and by the line-granular simulator).
+    /// Cache line size in elements. Descriptive: the model and the simulator
+    /// both count traffic in elements (the paper's unit line size). It stays
+    /// on the wire because it is part of [`MachineModel::fingerprint`].
     pub line_elems: usize,
     /// Associativity (ways); `0` denotes fully associative. Descriptive: the
     /// model and the simulator both assume full associativity.

@@ -119,7 +119,7 @@ fn fit_to_envelope(
 /// The returned result is shaped exactly like
 /// [`MOptOptimizer::optimize`](mopt_core::MOptOptimizer::optimize)'s:
 /// ranked by the model's bandwidth-scaled bottleneck cost under the query's
-/// thread count and cost options, truncated to `options.keep_top`.
+/// thread count and layout policy, truncated to `options.keep_top`.
 pub fn rerank(
     raw: &ConvShape,
     transform: &SpecTransform,
@@ -144,8 +144,7 @@ pub fn rerank(
             // Entries are stored layout-stripped; each is re-priced under
             // every layout the direct optimizer would consider for the
             // query's policy, and the cheapest is served.
-            let model =
-                pricing::pricing_model(raw, machine, options, config.permutation.clone(), *spec);
+            let model = pricing::pricing_model(raw, machine, config.permutation.clone(), *spec);
             let (config, price) =
                 pricing::price_cheapest_layout(&model, config, options.layout_policy);
             candidates.push(OptimizedConfig {
@@ -170,7 +169,6 @@ mod tests {
     use super::*;
     use conv_spec::canonicalize;
     use mopt_core::MOptOptimizer;
-    use mopt_model::cost::CostOptions;
 
     fn fast_options(threads: usize) -> OptimizerOptions {
         OptimizerOptions { threads, max_classes: 1, keep_top: 8, ..OptimizerOptions::fast() }
@@ -222,7 +220,6 @@ mod tests {
         let spec = ParallelSpec { threads: 8, factors: best.config.parallel.as_array() };
         assert!(spec.is_valid());
         let direct = MultiLevelModel::new(raw, machine(), best.config.permutation.clone())
-            .with_options(CostOptions { line_elems: options.line_elems })
             .with_parallel(spec)
             .predict_config(&best.config);
         assert_eq!(best.predicted_cost, direct.bottleneck_cost);

@@ -89,24 +89,7 @@ impl From<&TileSizes> for RealTiles {
     }
 }
 
-/// Options for the cost expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostOptions {
-    /// Cache-line (or DRAM-transaction) size in elements. `1` reproduces the
-    /// paper's element-granularity model; larger values enable the spatial-
-    /// locality extension of Sec. 12, which replaces the tile size along each
-    /// tensor's fastest-varying dimension by `ceil(T / line)` lines.
-    pub line_elems: usize,
-}
-
-impl Default for CostOptions {
-    fn default() -> Self {
-        CostOptions { line_elems: 1 }
-    }
-}
-
-/// Per-tensor data-movement volumes (in elements, or in lines when the
-/// spatial-locality extension is enabled).
+/// Per-tensor data-movement volumes, in elements.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ArrayVolumes {
     /// Volume for the input tensor.
@@ -181,41 +164,6 @@ pub fn total_footprint(shape: &ConvShape, t: &RealTiles) -> f64 {
     input_footprint(shape, t) + kernel_footprint(t) + output_footprint(t)
 }
 
-/// Spatial-locality scaling: number of cache lines spanned by a contiguous
-/// run of `elems` elements along the fastest-varying dimension.
-fn lines(elems: f64, line: usize) -> f64 {
-    if line <= 1 || elems <= 0.0 {
-        elems.max(0.0)
-    } else {
-        (elems / line as f64).ceil().max(1.0)
-    }
-}
-
-/// Footprint of a tensor measured in cache lines (spatial-locality extension):
-/// only the fastest-varying dimension is scaled by the line size.
-fn output_footprint_lines(t: &RealTiles, line: usize) -> f64 {
-    t.get(LoopIndex::N)
-        * t.get(LoopIndex::K)
-        * t.get(LoopIndex::H)
-        * lines(t.get(LoopIndex::W), line)
-}
-
-fn kernel_footprint_lines(t: &RealTiles, line: usize) -> f64 {
-    t.get(LoopIndex::K)
-        * t.get(LoopIndex::C)
-        * t.get(LoopIndex::R)
-        * lines(t.get(LoopIndex::S), line)
-}
-
-fn input_footprint_lines(shape: &ConvShape, t: &RealTiles, line: usize) -> f64 {
-    let stride = shape.stride as f64;
-    let dilation = shape.dilation as f64;
-    let rows = dilated_window(t.get(LoopIndex::H), t.get(LoopIndex::R), stride, dilation);
-    let cols = dilated_window(t.get(LoopIndex::W), t.get(LoopIndex::S), stride, dilation);
-    let span = group_span(shape, t.get(LoopIndex::K));
-    t.get(LoopIndex::N) * t.get(LoopIndex::C) * span * rows * lines(cols, line)
-}
-
 /// Innermost (1-based from the inner end) position in `inner_to_outer` of a
 /// loop index that is *present* in the index expressions of the given tensor.
 fn reuse_position(inner_to_outer: &[LoopIndex; 7], present: impl Fn(LoopIndex) -> bool) -> usize {
@@ -274,9 +222,7 @@ impl ReusePlan {
         shape: &ConvShape,
         tiles: &RealTiles,
         extents: &RealTiles,
-        options: &CostOptions,
     ) -> ArrayVolumes {
-        let line = options.line_elems;
         let t = tiles.clamped(&extents.as_array());
         let stride = shape.stride as f64;
         let trips =
@@ -284,10 +230,10 @@ impl ReusePlan {
 
         // ---- Output: always case 1 (no partial reuse possible). Factor 2 for
         // read + write-back.
-        let out_vol = 2.0 * trip_product(&trips, self.r_out) * output_footprint_lines(&t, line);
+        let out_vol = 2.0 * trip_product(&trips, self.r_out) * output_footprint(&t);
 
         // ---- Kernel: always case 1.
-        let ker_vol = trip_product(&trips, self.r_ker) * kernel_footprint_lines(&t, line);
+        let ker_vol = trip_product(&trips, self.r_ker) * kernel_footprint(&t);
 
         // ---- Input: case 1 when the innermost present iterator is n or c,
         // case 2 (partial sliding-window reuse) when it is w, h, s or r.
@@ -312,31 +258,22 @@ impl ReusePlan {
         let ns = extents.get(LoopIndex::S);
         let rows_tile = dilated_window(th, tr, stride, dilation);
         let cols_tile = dilated_window(tw, ts, stride, dilation);
+        // Per full execution of the partially reused loop: the first tile's
+        // whole window, plus the new rows (columns) every later step brings.
+        let first = tn * tc * rows_tile * cols_tile;
         let in_vol = match self.inner_to_outer[r_in - 1] {
-            LoopIndex::N | LoopIndex::C => {
-                trip_product(&trips, r_in) * input_footprint_lines(shape, &t, line)
-            }
+            LoopIndex::N | LoopIndex::C => trip_product(&trips, r_in) * input_footprint(shape, &t),
             LoopIndex::W => {
-                // Per full execution of the wt loop the new columns are
-                // stride*(Nw - Tw), plus the first tile's full window.
-                let partial = tn * tc * rows_tile * lines(stride * (nw - tw).max(0.0), line);
-                let first = tn * tc * rows_tile * lines(cols_tile, line);
-                outer_prod * (partial + first)
+                outer_prod * (tn * tc * rows_tile * (stride * (nw - tw).max(0.0)) + first)
             }
             LoopIndex::S => {
-                let partial = tn * tc * rows_tile * lines(dilation * (ns - ts).max(0.0), line);
-                let first = tn * tc * rows_tile * lines(cols_tile, line);
-                outer_prod * (partial + first)
+                outer_prod * (tn * tc * rows_tile * (dilation * (ns - ts).max(0.0)) + first)
             }
             LoopIndex::H => {
-                let partial = tn * tc * (stride * (nh - th).max(0.0)) * lines(cols_tile, line);
-                let first = tn * tc * rows_tile * lines(cols_tile, line);
-                outer_prod * (partial + first)
+                outer_prod * (tn * tc * (stride * (nh - th).max(0.0)) * cols_tile + first)
             }
             LoopIndex::R => {
-                let partial = tn * tc * (dilation * (nr - tr).max(0.0)) * lines(cols_tile, line);
-                let first = tn * tc * rows_tile * lines(cols_tile, line);
-                outer_prod * (partial + first)
+                outer_prod * (tn * tc * (dilation * (nr - tr).max(0.0)) * cols_tile + first)
             }
             LoopIndex::K => unreachable!("k is never present in the input tensor"),
         };
@@ -355,9 +292,8 @@ pub fn single_level_volume(
     shape: &ConvShape,
     perm: &Permutation,
     tiles: &RealTiles,
-    options: &CostOptions,
 ) -> ArrayVolumes {
-    single_level_volume_general(shape, perm, tiles, &RealTiles::full(shape), options)
+    single_level_volume_general(shape, perm, tiles, &RealTiles::full(shape))
 }
 
 /// The same expression with an explicit vector of enclosing extents (see
@@ -367,9 +303,8 @@ pub fn single_level_volume_general(
     perm: &Permutation,
     tiles: &RealTiles,
     extents: &RealTiles,
-    options: &CostOptions,
 ) -> ArrayVolumes {
-    ReusePlan::new(perm).volumes(shape, tiles, extents, options)
+    ReusePlan::new(perm).volumes(shape, tiles, extents)
 }
 
 #[cfg(test)]
@@ -418,7 +353,7 @@ mod tests {
         let s = shape();
         let t = tiles();
         let perm = Permutation::parse("kcrsnhw").unwrap();
-        let dv = single_level_volume(&s, &perm, &t, &CostOptions::default());
+        let dv = single_level_volume(&s, &perm, &t);
         let reference = eq5_reference(&s, &t);
         assert!(
             (dv.total() - reference).abs() / reference < 1e-12,
@@ -434,7 +369,7 @@ mod tests {
         let s = shape();
         let t = tiles();
         let perm = Permutation::parse("nkhwcrs").unwrap();
-        let dv = single_level_volume(&s, &perm, &t, &CostOptions::default());
+        let dv = single_level_volume(&s, &perm, &t);
         let (nn, nk, nc, nr, ns, nh, nw) =
             (s.n as f64, s.k as f64, s.c as f64, s.r as f64, s.s as f64, s.h as f64, s.w as f64);
         let (tn, tk, tc, tr, ts, th, tw) = (
@@ -471,7 +406,7 @@ mod tests {
         let s = shape();
         let t = tiles();
         let perm = Permutation::parse("nchrswk").unwrap();
-        let dv = single_level_volume(&s, &perm, &t, &CostOptions::default());
+        let dv = single_level_volume(&s, &perm, &t);
         let (nn, nk, nc, nr, ns, nh, nw) =
             (s.n as f64, s.k as f64, s.c as f64, s.r as f64, s.s as f64, s.h as f64, s.w as f64);
         let (tn, tk, tc, tr, ts, th, tw) = (
@@ -505,7 +440,7 @@ mod tests {
         let t = RealTiles::full(&s);
         for perm_text in ["nkcrshw", "kcrsnhw", "whsrcnk"] {
             let perm = Permutation::parse(perm_text).unwrap();
-            let dv = single_level_volume(&s, &perm, &t, &CostOptions::default());
+            let dv = single_level_volume(&s, &perm, &t);
             assert!((dv.kernel - s.kernel_elems() as f64).abs() < 1e-9);
             assert!((dv.output - 2.0 * s.output_elems() as f64).abs() < 1e-9);
             // Input footprint for the full problem equals the input size.
@@ -518,18 +453,13 @@ mod tests {
         // All 48 members of ⟨{kt,ct,rt,st},{nt,ht},wt⟩ share one cost expression.
         let s = shape();
         let t = tiles();
-        let reference = single_level_volume(
-            &s,
-            &Permutation::parse("kcrsnhw").unwrap(),
-            &t,
-            &CostOptions::default(),
-        )
-        .total();
+        let reference =
+            single_level_volume(&s, &Permutation::parse("kcrsnhw").unwrap(), &t).total();
         for outer in ["kcrs", "srck", "crsk", "rskc"] {
             for mid in ["nh", "hn"] {
                 let text: String = format!("{outer}{mid}w");
                 let p = Permutation::parse(&text).unwrap();
-                let dv = single_level_volume(&s, &p, &t, &CostOptions::default()).total();
+                let dv = single_level_volume(&s, &p, &t).total();
                 assert!(
                     (dv - reference).abs() / reference < 1e-12,
                     "permutation {text} deviates: {dv} vs {reference}"
@@ -542,7 +472,6 @@ mod tests {
     fn nt_above_kt_never_beats_wt_above_kt() {
         // Sec. 4: ⟨..., nt, kt⟩ is dominated by ⟨..., wt, kt⟩ for any tile sizes.
         let s = shape();
-        let opts = CostOptions::default();
         let wt_kt = Permutation::parse("nchrswk").unwrap();
         let nt_kt = Permutation::parse("wchrsnk").unwrap();
         for t in [
@@ -550,8 +479,8 @@ mod tests {
             RealTiles::from_array([1.0, 8.0, 4.0, 1.0, 3.0, 6.0, 2.0]),
             RealTiles::from_array([2.0, 2.0, 8.0, 3.0, 1.0, 12.0, 3.0]),
         ] {
-            let a = single_level_volume(&s, &wt_kt, &t, &opts).total();
-            let b = single_level_volume(&s, &nt_kt, &t, &opts).total();
+            let a = single_level_volume(&s, &wt_kt, &t).total();
+            let b = single_level_volume(&s, &nt_kt, &t).total();
             assert!(a <= b + 1e-9, "wt,kt {a} should dominate nt,kt {b}");
         }
     }
@@ -572,22 +501,9 @@ mod tests {
         let t = RealTiles::from_array([1.0, 4.0, 4.0, 3.0, 3.0, 5.0, 5.0]);
         assert!(input_footprint(&s2, &t) > input_footprint(&s1, &t));
         let perm = Permutation::parse("kcrsnhw").unwrap();
-        let v1 = single_level_volume(&s1, &perm, &t, &CostOptions::default()).input;
-        let v2 = single_level_volume(&s2, &perm, &t, &CostOptions::default()).input;
+        let v1 = single_level_volume(&s1, &perm, &t).input;
+        let v2 = single_level_volume(&s2, &perm, &t).input;
         assert!(v2 > v1);
-    }
-
-    #[test]
-    fn spatial_locality_extension_reduces_counted_volume() {
-        let s = shape();
-        let t = tiles();
-        let perm = Permutation::parse("kcrsnhw").unwrap();
-        let elems = single_level_volume(&s, &perm, &t, &CostOptions { line_elems: 1 }).total();
-        let lines = single_level_volume(&s, &perm, &t, &CostOptions { line_elems: 16 }).total();
-        assert!(
-            lines < elems,
-            "line-granular volume {lines} should be below element volume {elems}"
-        );
     }
 
     #[test]
@@ -596,8 +512,8 @@ mod tests {
         let perm = Permutation::parse("kcrsnhw").unwrap();
         let small = RealTiles::from_array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
         let large = RealTiles::from_array([1.0, 8.0, 4.0, 3.0, 3.0, 6.0, 6.0]);
-        let dv_small = single_level_volume(&s, &perm, &small, &CostOptions::default()).total();
-        let dv_large = single_level_volume(&s, &perm, &large, &CostOptions::default()).total();
+        let dv_small = single_level_volume(&s, &perm, &small).total();
+        let dv_large = single_level_volume(&s, &perm, &large).total();
         assert!(dv_large < dv_small);
     }
 
@@ -611,8 +527,8 @@ mod tests {
         assert_eq!(input_footprint(&dilated, &t), 1.0 * 4.0 * 9.0 * 9.0);
         for perm_text in ["kcrsnhw", "nkhwcrs", "nchrswk"] {
             let perm = Permutation::parse(perm_text).unwrap();
-            let dv_dense = single_level_volume(&dense, &perm, &t, &CostOptions::default());
-            let dv_dil = single_level_volume(&dilated, &perm, &t, &CostOptions::default());
+            let dv_dense = single_level_volume(&dense, &perm, &t);
+            let dv_dil = single_level_volume(&dilated, &perm, &t);
             assert!(
                 dv_dil.input >= dv_dense.input,
                 "{perm_text}: dilated input {} below dense {}",
@@ -636,7 +552,7 @@ mod tests {
             let t = RealTiles::full(&s);
             for perm_text in ["nkcrshw", "kcrsnhw", "whsrcnk"] {
                 let perm = Permutation::parse(perm_text).unwrap();
-                let dv = single_level_volume(&s, &perm, &t, &CostOptions::default());
+                let dv = single_level_volume(&s, &perm, &t);
                 assert!((dv.kernel - s.kernel_elems() as f64).abs() < 1e-9, "groups {groups}");
                 assert!((dv.input - s.input_elems() as f64).abs() < 1e-9, "groups {groups}");
                 assert!((dv.output - 2.0 * s.output_elems() as f64).abs() < 1e-9);
@@ -644,12 +560,7 @@ mod tests {
         }
         let dw = ConvShape::depthwise(16, 12, 3, 1);
         let t = RealTiles::full(&dw);
-        let dv = single_level_volume(
-            &dw,
-            &Permutation::parse("kcrsnhw").unwrap(),
-            &t,
-            &CostOptions::default(),
-        );
+        let dv = single_level_volume(&dw, &Permutation::parse("kcrsnhw").unwrap(), &t);
         assert!((dv.kernel - (16.0 * 9.0)).abs() < 1e-9);
         assert!((dv.input - dw.input_elems() as f64).abs() < 1e-9);
     }

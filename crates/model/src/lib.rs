@@ -17,10 +17,11 @@
 //!   consumer pair (the intermediate tensor's store + load at the DRAM
 //!   boundary is deleted when the joint working set fits the same certified
 //!   capacity envelope), used by `mopt_graph`'s fusion-aware planner,
-//! * [`mod@move_cost`] — Morello-style pricing of layout transforms (lines
-//!   touched, non-contiguity penalty, prefetch discount) and per-tensor
-//!   traffic/footprint factors, composing the one-time packing cost into the
-//!   same bottleneck objective (exactly zero at the paper-default layouts).
+//! * [`mod@move_cost`] — Morello-style pricing of layout transforms (elements
+//!   read and written at a prefetch discount) and per-tensor traffic and
+//!   footprint factors (padding against the non-contiguity penalty),
+//!   composing the one-time packing cost into the same bottleneck objective
+//!   (exactly zero at the paper-default layouts).
 //!
 //! The expressions are evaluated on real-valued tile sizes so that they can be
 //! used directly as objectives/constraints of the non-linear solver, and on
@@ -41,25 +42,25 @@
 //!
 //! ```
 //! use conv_spec::{ConvShape, Permutation};
-//! use mopt_model::cost::{single_level_volume, RealTiles, CostOptions};
+//! use mopt_model::cost::{single_level_volume, RealTiles};
 //!
 //! let shape = ConvShape::new(1, 64, 32, 3, 3, 56, 56, 1)?;
 //! let perm = Permutation::parse("kcrsnhw")?; // class 1 representative
 //! let tiles = RealTiles::from_array([1.0, 16.0, 8.0, 3.0, 3.0, 14.0, 28.0]);
-//! let dv = single_level_volume(&shape, &perm, &tiles, &CostOptions::default());
+//! let dv = single_level_volume(&shape, &perm, &tiles);
 //! assert!(dv.total() > 0.0);
 //!
 //! // A dilated variant of the same layer moves at least as much input data
 //! // (wider halo), while the kernel volume is unchanged.
 //! let dilated = shape.with_dilation(2)?;
-//! let dv2 = single_level_volume(&dilated, &perm, &tiles, &CostOptions::default());
+//! let dv2 = single_level_volume(&dilated, &perm, &tiles);
 //! assert!(dv2.input >= dv.input);
 //! assert_eq!(dv2.kernel, dv.kernel);
 //!
 //! // A depthwise shape's kernel footprint shrinks by 1/groups.
 //! let dw = ConvShape::depthwise(64, 56, 3, 1);
 //! let full = RealTiles::full(&dw);
-//! let dv_dw = single_level_volume(&dw, &perm, &full, &CostOptions::default());
+//! let dv_dw = single_level_volume(&dw, &perm, &full);
 //! assert_eq!(dv_dw.kernel, (64 * 9) as f64);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -72,13 +73,13 @@ pub mod move_cost;
 pub mod multilevel;
 pub mod prune;
 
-pub use cost::{single_level_volume, ArrayVolumes, CostOptions, RealTiles};
+pub use cost::{single_level_volume, ArrayVolumes, RealTiles};
 pub use fused::{
     evaluate_fusion, evaluate_fusion_for_threads, fusable_pair, FusabilityCheck, FusionEvaluation,
 };
 pub use move_cost::{
-    layout_move_costs, layout_move_total, stream_traffic, traffic_factor, transform_level,
-    MoveCost, NONCONTIG_PENALTY, PREFETCH_DISCOUNT,
+    layout_move_costs, layout_move_total, traffic_factor, transform_level, MoveCost,
+    NONCONTIG_PENALTY, PREFETCH_DISCOUNT,
 };
-pub use multilevel::{CostBreakdown, LevelCost, MultiLevelModel, ParallelSpec, Price};
+pub use multilevel::{CostBreakdown, CostOptions, LevelCost, MultiLevelModel, ParallelSpec, Price};
 pub use prune::{pruned_classes, PermutationClass};

@@ -3,15 +3,20 @@
 //! The paper's model assumes the kernel-packing pass (Sec. 6) and any
 //! feature-map blocking are free, so the optimizer cannot trade a one-time
 //! repack against cheaper loop-body traffic. This module closes that gap
-//! with the cost shape used by Morello's CPU target:
+//! with two terms of the cost shape used by Morello's CPU target:
 //!
-//! * **lines touched** — a transform streams whole cache lines, so each
-//!   contiguous run of `r` elements costs `max(r, line)` elements of
-//!   traffic (a strided gather pays a full line per element),
-//! * **non-contiguity penalty** — runs shorter than a line lose the
-//!   prefetcher and pay a ~10% latency surcharge ([`NONCONTIG_PENALTY`]),
-//! * **prefetch discount** — line-sized-or-longer streams are covered by
-//!   the hardware prefetcher and cost half ([`PREFETCH_DISCOUNT`]).
+//! * **the transform price** — a repack reads every source element once and
+//!   writes every destination element (padding included) once, each at the
+//!   streaming discount ([`PREFETCH_DISCOUNT`]): `read × 0.5 + write × 0.5`
+//!   elements, at the fill bandwidth of the boundary [`transform_level`]
+//!   picks,
+//! * **the loop-nest traffic factor** — a packed or channel-blocked tensor
+//!   makes its vectorized access stride-1 and drops the non-contiguity
+//!   surcharge ([`NONCONTIG_PENALTY`]) the default layout pays, at the price
+//!   of its padding ([`traffic_factor`]).
+//!
+//! Traffic is counted in elements, as everywhere in the model (Sec. 2.2's
+//! unit line size).
 //!
 //! A transform is priced **at the boundary it crosses**: the outermost
 //! memory boundary the two copies of the tensor do not fit inside
@@ -30,14 +35,13 @@ use conv_spec::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::cost::CostOptions;
-
-/// Latency surcharge for access runs shorter than a cache line (the
-/// prefetcher cannot cover them). Morello's CPU target uses the same ~10%.
+/// Surcharge on the loop-nest traffic of a tensor walked with a non-unit
+/// stride (the prefetcher cannot cover it), which a packed or blocked layout
+/// removes ([`traffic_factor`]). Morello's CPU target uses the same ~10%.
 pub const NONCONTIG_PENALTY: f64 = 1.1;
 
-/// Discount for line-sized-or-longer streaming runs the hardware prefetcher
-/// hides (Morello halves the cost of prefetched moves).
+/// Discount on a transform's streamed reads and writes, which the hardware
+/// prefetcher hides (Morello halves the cost of prefetched moves).
 pub const PREFETCH_DISCOUNT: f64 = 0.5;
 
 /// One layout transform's price: a row of the `Explain` cost breakdown.
@@ -54,30 +58,11 @@ pub struct MoveCost {
     pub read_elems: f64,
     /// Elements written to the destination layout (including padding).
     pub write_elems: f64,
-    /// Line-rounded, penalty-weighted element traffic (read + write).
+    /// Discounted element traffic, `(read + write) × `[`PREFETCH_DISCOUNT`]
+    /// (the wire keeps the name it had when traffic was line-rounded).
     pub lines_touched: f64,
     /// Bandwidth-scaled cost (cycles) — same unit as the loop bottleneck.
     pub cost: f64,
-}
-
-/// Line-size-aware traffic (in elements, penalty-weighted) for touching
-/// `elems` elements in contiguous runs of `run` elements each.
-///
-/// Each distinct run touches at least one full line, so the traffic is
-/// `max(elems, (elems / run) · line)`; runs shorter than a line pay
-/// [`NONCONTIG_PENALTY`], longer runs earn [`PREFETCH_DISCOUNT`]. The
-/// result is monotone non-increasing in `run` (more contiguity never costs
-/// more) — property-tested in `tests/move_cost_props.rs`.
-pub fn stream_traffic(elems: f64, run: f64, line_elems: usize) -> f64 {
-    if elems <= 0.0 {
-        return 0.0;
-    }
-    let line = line_elems.max(1) as f64;
-    let run = run.max(1.0).min(elems);
-    let runs = (elems / run).max(1.0);
-    let touched = (runs * line).max(elems);
-    let penalty = if run >= line { PREFETCH_DISCOUNT } else { NONCONTIG_PENALTY };
-    touched * penalty
 }
 
 /// The memory boundary a transform of `total_elems` working-set elements
@@ -104,49 +89,41 @@ pub fn tensor_move_cost(
     machine: &MachineModel,
     layout: &LayoutConfig,
     tensor: TensorKind,
-    options: &CostOptions,
     threads: usize,
 ) -> Option<MoveCost> {
-    let line = options.line_elems;
-    let (transform, read_elems, read_run, write_elems, write_run) = match tensor {
+    let (transform, read_elems, write_elems) = match tensor {
         TensorKind::Kernel => match layout.kernel {
             KernelLayout::Kcrs => return None,
             KernelLayout::Packed { vec_len } => {
-                // Gather k-strided rows of the KCRS kernel; each (k, c, r)
-                // row is an S-element contiguous run (tiny for 3x3 kernels,
-                // so the gather side pays the non-contiguity penalty).
-                // Writes stream the packed buffer front to back.
+                // Read the KCRS kernel, write the packed buffer (with its
+                // zero padding up to a multiple of the vector length).
                 let src = shape.kernel_elems() as f64;
                 let dst = PackedKernelLayout::new(shape, vec_len.max(1)).len() as f64;
-                (format!("kcrs->packed{vec_len}"), src, shape.s as f64, dst, dst)
+                (format!("kcrs->packed{vec_len}"), src, dst)
             }
         },
         TensorKind::Input => match layout.input {
             TensorLayout::Nchw => return None,
             other => {
-                // Blocking interleaves `c_block` channel planes: the reads
-                // advance `c_block` parallel row streams (run = one input
-                // row), the writes stream the blocked buffer sequentially.
                 let dims = (shape.n, shape.c, shape.input_h(), shape.input_w());
                 let src = shape.input_elems() as f64;
                 let dst = other.len(dims) as f64;
-                (format!("nchw->{}", feature_tag(other)), src, shape.input_w() as f64, dst, dst)
+                (format!("nchw->{}", feature_tag(other)), src, dst)
             }
         },
         TensorKind::Output => match layout.output {
             TensorLayout::Nchw => return None,
             other => {
                 // The blocked output is un-blocked back to NCHW once after
-                // the nest: same stream structure as the input transform.
+                // the nest.
                 let dims = (shape.n, shape.k, shape.h, shape.w);
                 let src = other.len(dims) as f64;
                 let dst = shape.output_elems() as f64;
-                (format!("{}->nchw", feature_tag(other)), src, shape.w as f64, dst, dst)
+                (format!("{}->nchw", feature_tag(other)), src, dst)
             }
         },
     };
-    let traffic =
-        stream_traffic(read_elems, read_run, line) + stream_traffic(write_elems, write_run, line);
+    let traffic = read_elems * PREFETCH_DISCOUNT + write_elems * PREFETCH_DISCOUNT;
     let level = transform_level(machine, read_elems + write_elems);
     Some(MoveCost {
         tensor,
@@ -164,7 +141,6 @@ pub fn layout_move_costs(
     shape: &ConvShape,
     machine: &MachineModel,
     layout: &LayoutConfig,
-    options: &CostOptions,
     threads: usize,
 ) -> Vec<MoveCost> {
     if layout.is_default() {
@@ -172,7 +148,7 @@ pub fn layout_move_costs(
     }
     TensorKind::ALL
         .iter()
-        .filter_map(|&t| tensor_move_cost(shape, machine, layout, t, options, threads))
+        .filter_map(|&t| tensor_move_cost(shape, machine, layout, t, threads))
         .collect()
 }
 
@@ -182,10 +158,9 @@ pub fn layout_move_total(
     shape: &ConvShape,
     machine: &MachineModel,
     layout: &LayoutConfig,
-    options: &CostOptions,
     threads: usize,
 ) -> f64 {
-    let costs = layout_move_costs(shape, machine, layout, options, threads);
+    let costs = layout_move_costs(shape, machine, layout, threads);
     // An empty f64 sum is `-0.0`; keep the default-layout total a literal
     // positive zero.
     if costs.is_empty() {
@@ -277,9 +252,8 @@ mod tests {
     #[test]
     fn default_layout_moves_nothing() {
         let layout = LayoutConfig::default();
-        let opts = CostOptions { line_elems: 16 };
-        assert!(layout_move_costs(&shape(), &machine(), &layout, &opts, 1).is_empty());
-        assert_eq!(layout_move_total(&shape(), &machine(), &layout, &opts, 1), 0.0);
+        assert!(layout_move_costs(&shape(), &machine(), &layout, 1).is_empty());
+        assert_eq!(layout_move_total(&shape(), &machine(), &layout, 1), 0.0);
         for t in TensorKind::ALL {
             assert_eq!(traffic_factor(&shape(), &layout, t), 1.0);
             assert_eq!(footprint_factor(&shape(), &layout, t), 1.0);
@@ -289,8 +263,7 @@ mod tests {
     #[test]
     fn packed_kernel_prices_one_transform() {
         let layout = LayoutConfig::packed_kernel(8);
-        let opts = CostOptions { line_elems: 16 };
-        let moves = layout_move_costs(&shape(), &machine(), &layout, &opts, 1);
+        let moves = layout_move_costs(&shape(), &machine(), &layout, 1);
         assert_eq!(moves.len(), 1);
         let m = &moves[0];
         assert_eq!(m.tensor, TensorKind::Kernel);
@@ -298,14 +271,13 @@ mod tests {
         assert_eq!(m.read_elems, shape().kernel_elems() as f64);
         assert_eq!(m.write_elems, PackedKernelLayout::new(&shape(), 8).len() as f64);
         assert!(m.cost > 0.0 && m.cost.is_finite());
-        assert_eq!(layout_move_total(&shape(), &machine(), &layout, &opts, 1), m.cost);
+        assert_eq!(layout_move_total(&shape(), &machine(), &layout, 1), m.cost);
     }
 
     #[test]
     fn blocked_layout_prices_all_three_tensors() {
         let layout = LayoutConfig::blocked(8);
-        let opts = CostOptions { line_elems: 16 };
-        let moves = layout_move_costs(&shape(), &machine(), &layout, &opts, 1);
+        let moves = layout_move_costs(&shape(), &machine(), &layout, 1);
         assert_eq!(moves.len(), 3);
         for m in &moves {
             assert!(m.cost > 0.0 && m.cost.is_finite(), "{m:?}");
@@ -316,25 +288,6 @@ mod tests {
         let input = moves.iter().find(|m| m.tensor == TensorKind::Input).unwrap();
         let kernel = moves.iter().find(|m| m.tensor == TensorKind::Kernel).unwrap();
         assert!(input.level >= kernel.level);
-    }
-
-    #[test]
-    fn stream_traffic_rewards_contiguity() {
-        let line = 16;
-        // Fully strided: one line per element, plus the penalty.
-        let strided = stream_traffic(1000.0, 1.0, line);
-        assert_eq!(strided, 1000.0 * 16.0 * NONCONTIG_PENALTY);
-        // Fully contiguous: the elements themselves, at the discount.
-        let streamed = stream_traffic(1000.0, 1000.0, line);
-        assert_eq!(streamed, 1000.0 * PREFETCH_DISCOUNT);
-        assert!(streamed < strided);
-        // Monotone non-increasing in the run length.
-        let mut prev = f64::INFINITY;
-        for run in 1..=64 {
-            let t = stream_traffic(4096.0, run as f64, line);
-            assert!(t <= prev + 1e-9, "run {run}: {t} > {prev}");
-            prev = t;
-        }
     }
 
     #[test]

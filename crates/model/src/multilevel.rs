@@ -49,8 +49,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 use crate::cost::{
-    input_footprint, kernel_footprint, output_footprint, total_footprint, CostOptions, RealTiles,
-    ReusePlan,
+    input_footprint, kernel_footprint, output_footprint, total_footprint, RealTiles, ReusePlan,
 };
 use crate::move_cost::{self, MoveCost};
 
@@ -313,6 +312,16 @@ impl CostBreakdown {
     }
 }
 
+/// The argument of [`MultiLevelModel::with_options`], kept only because the
+/// benchmark package (`mopt_benchmark`) still names it. The model prices
+/// traffic in elements (the paper's unit line size), so `line_elems` must
+/// be 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CostOptions {
+    /// Elements per cache line; only 1 is accepted.
+    pub line_elems: usize,
+}
+
 /// The multi-level analytical model for one operator on one machine.
 #[derive(Debug, Clone)]
 pub struct MultiLevelModel {
@@ -323,8 +332,6 @@ pub struct MultiLevelModel {
     /// The tile-loop permutation (one of the pruned representatives during
     /// optimization; arbitrary during validation).
     pub permutation: Permutation,
-    /// Cost options (spatial-locality line size).
-    pub options: CostOptions,
     /// Parallel execution specification.
     pub parallel: ParallelSpec,
     /// Per-tensor data layouts the schedule is priced under. At the default
@@ -334,13 +341,12 @@ pub struct MultiLevelModel {
 }
 
 impl MultiLevelModel {
-    /// A sequential model with default options.
+    /// A sequential model at the paper-default layouts.
     pub fn new(shape: ConvShape, machine: MachineModel, permutation: Permutation) -> Self {
         MultiLevelModel {
             shape,
             machine,
             permutation,
-            options: CostOptions::default(),
             parallel: ParallelSpec::sequential(),
             layout: LayoutConfig::default(),
         }
@@ -352,9 +358,15 @@ impl MultiLevelModel {
         self
     }
 
-    /// Builder-style: set cost options.
-    pub fn with_options(mut self, options: CostOptions) -> Self {
-        self.options = options;
+    /// Builder-style: the model unchanged. Kept only for the benchmark
+    /// package, which still spells out the element-granular line size; no
+    /// pricing path reads [`CostOptions`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `options.line_elems` is 1: the model prices elements only.
+    pub fn with_options(self, options: CostOptions) -> Self {
+        assert_eq!(options.line_elems, 1, "the model prices elements, not cache lines");
         self
     }
 
@@ -379,7 +391,6 @@ impl MultiLevelModel {
             &self.shape,
             &self.machine,
             &self.layout,
-            &self.options,
             self.parallel.threads,
         )
     }
@@ -394,7 +405,6 @@ impl MultiLevelModel {
             &self.shape,
             &self.machine,
             &self.layout,
-            &self.options,
             self.parallel.threads,
         )
     }
@@ -652,7 +662,7 @@ impl LevelPricer<'_> {
     /// thread count.
     pub fn volume(&self, level: TilingLevel, tile: &RealTiles, enclosing: &RealTiles) -> f64 {
         let model = self.model;
-        let volumes = self.plan.volumes(&model.shape, tile, enclosing, &model.options);
+        let volumes = self.plan.volumes(&model.shape, tile, enclosing);
         let per_outer = if self.default_layout {
             volumes.total()
         } else {
@@ -727,7 +737,6 @@ mod tests {
             &m.shape,
             &m.permutation,
             tiles.level(TilingLevel::L3),
-            &m.options,
         )
         .total();
         let got = m.level_volume(&tiles, TilingLevel::L3);

@@ -128,7 +128,7 @@ pub fn sample_tiles(shape: &ConvShape, count: usize) -> Vec<RealTiles> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{single_level_volume, CostOptions};
+    use crate::cost::single_level_volume;
 
     /// Numerically check whether two permutations have identical cost expressions
     /// by evaluating them on a set of sampled tile sizes for a shape.
@@ -138,10 +138,9 @@ mod tests {
         b: &Permutation,
         samples: &[RealTiles],
     ) -> bool {
-        let opts = CostOptions::default();
         samples.iter().all(|t| {
-            let va = single_level_volume(shape, a, t, &opts).total();
-            let vb = single_level_volume(shape, b, t, &opts).total();
+            let va = single_level_volume(shape, a, t).total();
+            let vb = single_level_volume(shape, b, t).total();
             (va - vb).abs() <= 1e-9 * va.abs().max(vb.abs()).max(1.0)
         })
     }
@@ -152,14 +151,13 @@ mod tests {
     /// classes cannot lose the optimum. Returns the largest observed ratio
     /// `min_pruned / other` (≤ 1 + tolerance when pruning is sound).
     fn dominance_ratio(shape: &ConvShape, perm: &Permutation, samples: &[RealTiles]) -> f64 {
-        let opts = CostOptions::default();
         let classes = pruned_classes();
         let mut worst: f64 = 0.0;
         for t in samples {
-            let other = single_level_volume(shape, perm, t, &opts).total();
+            let other = single_level_volume(shape, perm, t).total();
             let best_pruned = classes
                 .iter()
-                .map(|c| single_level_volume(shape, &c.representative, t, &opts).total())
+                .map(|c| single_level_volume(shape, &c.representative, t).total())
                 .fold(f64::INFINITY, f64::min);
             worst = worst.max(best_pruned / other);
         }

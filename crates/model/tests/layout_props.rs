@@ -1,39 +1,13 @@
 //! Property tests for the layout axis of the analytical model.
 //!
-//! Three families, per the layout-planning design:
-//!
-//! 1. **Bit-identity at default layouts** — a model whose layout is the paper
-//!    default must price every configuration exactly (bit-for-bit) as the
-//!    pre-layout model did: no move rows, a literal-zero move total, and a
-//!    breakdown total equal to the bottleneck cost.
-//! 2. **Monotonicity in non-contiguity** — `stream_traffic` must never get
-//!    cheaper when the contiguous run length shrinks.
-//! 3. **Cache-sim agreement** — the lines-touched term must match what an
-//!    exact LRU cache at line granularity observes for packed (contiguous)
-//!    versus strided kernel sweeps.
+//! **Bit-identity at default layouts** — a model whose layout is the paper
+//! default must price every configuration exactly (bit-for-bit) as the
+//! pre-layout model did: no move rows, a literal-zero move total, and a
+//! breakdown total equal to the bottleneck cost. A non-default layout only
+//! ever adds its one-time moves on top of the bottleneck.
 
-use cache_sim::FullyAssocLru;
 use conv_spec::{ConvShape, LayoutConfig, MachineModel, Permutation, TileConfig};
-use mopt_model::move_cost::{stream_traffic, NONCONTIG_PENALTY, PREFETCH_DISCOUNT};
 use mopt_model::multilevel::MultiLevelModel;
-
-/// Deterministic xorshift64* stream for the hand-rolled property grids.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 fn shapes() -> Vec<ConvShape> {
     vec![
@@ -97,74 +71,4 @@ fn non_default_layouts_price_moves_on_top_of_the_bottleneck() {
         // point of searching layouts jointly).
         assert!(move_total < bottleneck, "move total {move_total} vs bottleneck {bottleneck}");
     }
-}
-
-#[test]
-fn stream_traffic_is_monotone_in_contiguity() {
-    let mut rng = Rng(0x5eed_1234_abcd_ef01);
-    for _ in 0..500 {
-        let line = [8usize, 16, 32][rng.below(3) as usize];
-        let elems = (rng.below(1 << 16) + 1) as f64;
-        let run_a = (rng.below(256) + 1) as f64;
-        let run_b = (rng.below(256) + 1) as f64;
-        let (short, long) = if run_a <= run_b { (run_a, run_b) } else { (run_b, run_a) };
-        let costly = stream_traffic(elems, short, line);
-        let cheap = stream_traffic(elems, long, line);
-        assert!(
-            costly >= cheap,
-            "shorter runs must never be cheaper: elems {elems} line {line} \
-             run {short} -> {costly} vs run {long} -> {cheap}"
-        );
-        // Traffic is never below the payload and both factors are bounded.
-        assert!(cheap >= elems * PREFETCH_DISCOUNT);
-        assert!(
-            costly <= (elems / short).ceil().max(1.0) * line as f64 * NONCONTIG_PENALTY + elems
-        );
-    }
-}
-
-/// Walk `elems` element addresses arranged as contiguous runs of `run`
-/// elements whose starts are spread `gap` elements apart, through a small
-/// line-granularity LRU, and return lines missed.
-fn sweep_misses(elems: usize, run: usize, gap: usize, line: usize) -> u64 {
-    // Capacity of a few lines: large enough to hold one run's current line,
-    // too small to keep lines alive across strided revisits.
-    let mut cache = FullyAssocLru::new(4 * line, line);
-    let runs = elems.div_ceil(run);
-    for r in 0..runs {
-        let base = r * gap;
-        for e in 0..run.min(elems - r * run) {
-            cache.access(base + e, false);
-        }
-    }
-    cache.stats().misses
-}
-
-#[test]
-fn cache_sim_confirms_packed_versus_strided_kernel_traffic() {
-    // A 64×32×3×3 kernel: packed layout streams it contiguously; KCRS read
-    // in packed-iteration order touches runs of S = 3 elements scattered
-    // CRS = 288 apart.
-    let (elems, line) = (64 * 32 * 3 * 3usize, 16usize);
-
-    let packed_misses = sweep_misses(elems, elems, 1, line);
-    let strided_misses = sweep_misses(elems, 3, 288, line);
-
-    // Contiguous sweep: one miss per line — exactly the `elems` payload term
-    // the model uses (stream_traffic's pre-factor lines-touched term).
-    assert_eq!(packed_misses as usize, elems.div_ceil(line));
-    let packed_term = stream_traffic(elems as f64, elems as f64, line) / PREFETCH_DISCOUNT;
-    assert!((packed_misses as f64 * line as f64 - packed_term).abs() < line as f64);
-
-    // Strided sweep: every 3-element run pays a fresh line (sometimes two),
-    // i.e. (elems/run)·line elements of traffic — the model's strided term.
-    let strided_term = stream_traffic(elems as f64, 3.0, line) / NONCONTIG_PENALTY;
-    let simulated = strided_misses as f64 * line as f64;
-    assert!(
-        simulated >= strided_term && simulated <= strided_term * 2.0,
-        "simulated {simulated} vs modeled {strided_term}"
-    );
-
-    // And the headline ordering the planner relies on.
-    assert!(strided_misses > packed_misses * 4);
 }

@@ -349,13 +349,7 @@ mod tests {
             factors: candidate.config.parallel.as_array(),
         };
         assert!(parallel.is_valid());
-        pricing::pricing_model(
-            shape,
-            machine,
-            options,
-            candidate.config.permutation.clone(),
-            parallel,
-        )
+        pricing::pricing_model(shape, machine, candidate.config.permutation.clone(), parallel)
     }
 
     /// The lattice rule, stated apart from `snap`: may `level`'s `k` tile be
@@ -505,7 +499,6 @@ mod tests {
         let model = pricing::pricing_model(
             &shape,
             &machine,
-            &options,
             mopt_model::prune::pruned_classes()[0].representative.clone(),
             ParallelSpec::sequential(),
         );
@@ -528,7 +521,6 @@ mod tests {
     #[test]
     fn a_config_with_nowhere_to_go_is_returned_unchanged() {
         let machine = MachineModel::i7_9700k();
-        let options = OptimizerOptions::default();
         // Untiled on a shape whose every tensor fits the register file, and
         // a two-thread schedule already at its slice.
         let tiny = ConvShape::new(1, 4, 2, 1, 1, 2, 4, 1).unwrap();
@@ -542,13 +534,8 @@ mod tests {
                 [tile; NUM_TILING_LEVELS],
                 TileSizes::from_array(parallel.factors),
             );
-            let model = pricing::pricing_model(
-                &tiny,
-                &machine,
-                &options,
-                config.permutation.clone(),
-                parallel,
-            );
+            let model =
+                pricing::pricing_model(&tiny, &machine, config.permutation.clone(), parallel);
             let refined =
                 integer_config(&model, &MultiLevelTiles::from_config(&config), &config.permutation);
             assert_eq!(refined, config);

@@ -42,14 +42,17 @@ use crate::solver::{solve, Problem};
 /// [`solve`], `multistart` random starts beside three fixed ones. The retired
 /// `thorough` key (a barrier-and-penalty profile at 16–17× the solve time) is
 /// still accepted on the wire, like any unknown key, and selects nothing.
+///
+/// There is one cost model: traffic is priced in elements (the paper's unit
+/// line size). The retired `line_elems` key (a cache-line-granular variant
+/// whose schedules ran 28% fewer `exec_conv` layers per second) is accepted
+/// and ignored the same way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OptimizerOptions {
     /// Number of threads the generated configuration targets.
     pub threads: usize,
     /// Number of random starting points per non-linear solve.
     pub multistart: usize,
-    /// Cache-line size for the spatial-locality cost extension (1 = off).
-    pub line_elems: usize,
     /// Number of top configurations to keep (the paper uses 5 for MOpt-5).
     pub keep_top: usize,
     /// Restrict the search to this many pruned classes (8 = all). Lower
@@ -80,7 +83,6 @@ impl Default for OptimizerOptions {
         OptimizerOptions {
             threads: 1,
             multistart: 2,
-            line_elems: 1,
             keep_top: 5,
             max_classes: 8,
             layout_policy: None,
@@ -333,7 +335,6 @@ impl MOptOptimizer {
                 let model = pricing::pricing_model(
                     &self.shape,
                     &self.machine,
-                    &self.options,
                     class.representative.clone(),
                     parallel,
                 );
@@ -564,7 +565,6 @@ mod tests {
         pricing::pricing_model(
             opt.shape(),
             opt.machine(),
-            opt.options(),
             permutation,
             ParallelSpec::default_for(opt.shape(), opt.options().threads),
         )

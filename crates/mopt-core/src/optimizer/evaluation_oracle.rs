@@ -177,92 +177,88 @@ fn evaluator_matches_the_per_function_reference_bit_for_bit() {
     for shape in shapes() {
         for class in pruned_classes() {
             for parallel in parallel_specs(&shape) {
-                for line_elems in [1, 16] {
-                    let options = OptimizerOptions { line_elems, ..OptimizerOptions::default() };
-                    let model = pricing::pricing_model(
-                        &shape,
-                        &machine,
-                        &options,
-                        class.representative.clone(),
-                        parallel,
-                    );
-                    for (free_levels, obj_level) in round_states() {
-                        let mut fixed: Fixed = [None; NUM_TILING_LEVELS];
-                        for level in TilingLevel::ALL {
-                            if !free_levels.contains(&level) {
-                                fixed[level.ordinal()] = Some(random_tile(&mut rng, &shape));
-                            }
+                let model = pricing::pricing_model(
+                    &shape,
+                    &machine,
+                    class.representative.clone(),
+                    parallel,
+                );
+                for (free_levels, obj_level) in round_states() {
+                    let mut fixed: Fixed = [None; NUM_TILING_LEVELS];
+                    for level in TilingLevel::ALL {
+                        if !free_levels.contains(&level) {
+                            fixed[level.ordinal()] = Some(random_tile(&mut rng, &shape));
                         }
-                        let reference = Reference { model: &model, obj_level, fixed, free_levels };
-                        let functions = reference.constraints();
-                        let mut counters = SolveCounters::default();
-                        let mut remembering = TileEvaluator::new(
+                    }
+                    let reference = Reference { model: &model, obj_level, fixed, free_levels };
+                    let functions = reference.constraints();
+                    let mut counters = SolveCounters::default();
+                    let mut remembering = TileEvaluator::new(
+                        &model,
+                        obj_level,
+                        &reference.fixed,
+                        &reference.free_levels,
+                        &mut counters,
+                    );
+                    assert_eq!(remembering.num_constraints(), functions.len());
+                    let mut got = vec![0.0; functions.len()];
+                    let mut fresh_got = vec![0.0; functions.len()];
+                    let mut expected_pruned = 0;
+                    let points = points(&mut rng, &reference.upper());
+                    for x in &points {
+                        let objective = remembering.evaluate(x, &mut got);
+                        let context = || {
+                            format!(
+                                "{shape} class {} {parallel:?} free {:?} \
+                                 obj {obj_level} at {x:?}",
+                                class.id, reference.free_levels
+                            )
+                        };
+                        assert_eq!(
+                            objective.to_bits(),
+                            reference.objective(x).to_bits(),
+                            "objective, {}",
+                            context()
+                        );
+                        for (i, g) in functions.iter().enumerate() {
+                            assert_eq!(
+                                got[i].to_bits(),
+                                g(x).to_bits(),
+                                "constraint {i}, {}",
+                                context()
+                            );
+                        }
+                        compared += 1;
+
+                        // Nothing remembered: an evaluator that has seen
+                        // no other point gives the same values.
+                        let mut scratch = SolveCounters::default();
+                        let fresh = TileEvaluator::new(
                             &model,
                             obj_level,
                             &reference.fixed,
                             &reference.free_levels,
-                            &mut counters,
+                            &mut scratch,
+                        )
+                        .evaluate(x, &mut fresh_got);
+                        assert_eq!(fresh.to_bits(), objective.to_bits(), "{}", context());
+                        assert_eq!(
+                            fresh_got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "{}",
+                            context()
                         );
-                        assert_eq!(remembering.num_constraints(), functions.len());
-                        let mut got = vec![0.0; functions.len()];
-                        let mut fresh_got = vec![0.0; functions.len()];
-                        let mut expected_pruned = 0;
-                        let points = points(&mut rng, &reference.upper());
-                        for x in &points {
-                            let objective = remembering.evaluate(x, &mut got);
-                            let context = || {
-                                format!(
-                                    "{shape} class {} {parallel:?} line {line_elems} free {:?} \
-                                     obj {obj_level} at {x:?}",
-                                    class.id, reference.free_levels
-                                )
-                            };
-                            assert_eq!(
-                                objective.to_bits(),
-                                reference.objective(x).to_bits(),
-                                "objective, {}",
-                                context()
-                            );
-                            for (i, g) in functions.iter().enumerate() {
-                                assert_eq!(
-                                    got[i].to_bits(),
-                                    g(x).to_bits(),
-                                    "constraint {i}, {}",
-                                    context()
-                                );
-                            }
-                            compared += 1;
+                        reused_checks += 1;
 
-                            // Nothing remembered: an evaluator that has seen
-                            // no other point gives the same values.
-                            let mut scratch = SolveCounters::default();
-                            let fresh = TileEvaluator::new(
-                                &model,
-                                obj_level,
-                                &reference.fixed,
-                                &reference.free_levels,
-                                &mut scratch,
-                            )
-                            .evaluate(x, &mut fresh_got);
-                            assert_eq!(fresh.to_bits(), objective.to_bits(), "{}", context());
-                            assert_eq!(
-                                fresh_got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                "{}",
-                                context()
-                            );
-                            reused_checks += 1;
-
-                            let tiles = reference.assemble(x);
-                            let over = reference
-                                .free_levels
-                                .iter()
-                                .any(|&l| model.capacity_slack(&tiles, l) > 0.0);
-                            expected_pruned += u64::from(over);
-                        }
-                        assert_eq!(counters.enumerated, points.len() as u64);
-                        assert_eq!(counters.capacity_pruned, expected_pruned);
+                        let tiles = reference.assemble(x);
+                        let over = reference
+                            .free_levels
+                            .iter()
+                            .any(|&l| model.capacity_slack(&tiles, l) > 0.0);
+                        expected_pruned += u64::from(over);
                     }
+                    assert_eq!(counters.enumerated, points.len() as u64);
+                    assert_eq!(counters.capacity_pruned, expected_pruned);
                 }
             }
         }
@@ -319,7 +315,6 @@ fn whole_solves_match_solves_of_the_reference_problems() {
                 let model = pricing::pricing_model(
                     &shape,
                     &opt.machine,
-                    &opt.options,
                     class.representative.clone(),
                     parallel,
                 );

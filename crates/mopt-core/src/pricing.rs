@@ -5,9 +5,9 @@
 //! database's re-rank both go through here, so they cannot disagree.
 
 use conv_spec::{ConvShape, LayoutConfig, MachineModel, ParallelAxis, Permutation, TileConfig};
-use mopt_model::{CostOptions, MultiLevelModel, ParallelSpec, Price};
+use mopt_model::{MultiLevelModel, ParallelSpec, Price};
 
-use crate::optimizer::{LayoutPolicy, OptimizedConfig, OptimizerOptions};
+use crate::optimizer::{LayoutPolicy, OptimizedConfig};
 
 /// The parallel specifications searched jointly with the tile sizes:
 /// sequential runs have exactly one (no parallelism); runs with
@@ -42,18 +42,14 @@ pub fn layout_candidates(
 }
 
 /// The model schedules of `shape` are priced under: `permutation`'s loop
-/// order, `parallel`'s thread split, and the options' spatial-locality line
-/// size.
+/// order and `parallel`'s thread split.
 pub fn pricing_model(
     shape: &ConvShape,
     machine: &MachineModel,
-    options: &OptimizerOptions,
     permutation: Permutation,
     parallel: ParallelSpec,
 ) -> MultiLevelModel {
-    MultiLevelModel::new(*shape, machine.clone(), permutation)
-        .with_options(CostOptions { line_elems: options.line_elems })
-        .with_parallel(parallel)
+    MultiLevelModel::new(*shape, machine.clone(), permutation).with_parallel(parallel)
 }
 
 /// Joint layout selection: price one tiling under every layout `policy`

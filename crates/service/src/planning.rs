@@ -6,7 +6,7 @@
 use std::sync::atomic::Ordering;
 
 use conv_spec::{benchmarks, ConvShape, MachineModel, Spec};
-use mopt_core::{pricing, MOptOptimizer, OptimizeResult, OptimizerOptions};
+use mopt_core::{pricing, LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizerOptions};
 use mopt_graph::{builders, Graph, GraphPlanner};
 use mopt_model::ParallelSpec;
 use mopt_trace::TraceContext;
@@ -55,8 +55,9 @@ impl Problem<'_> {
 /// `PlanGraph`) plans for: its machine model and its effective optimizer
 /// options — the request's `options` (or the defaults), with an explicit
 /// top-level `threads` field taking precedence over `options.threads`.
-/// The options participate verbatim in both cache keys, so thread counts
-/// and layout policies always distinguish entries.
+/// The options are the cache, flight, graph-plan and db keys, so two
+/// spellings of one answer are made one here: `threads: 0` plans for one
+/// thread, and `layout_policy: "Fixed"` is the unset policy.
 ///
 /// Both come from outside the program and are checked here, before any
 /// tier is touched: an invalid inline machine or an option the search
@@ -68,8 +69,9 @@ pub(crate) fn request_target(
 ) -> Result<(MachineModel, OptimizerOptions), String> {
     let machine = machine.resolve()?;
     let mut options = options.clone().unwrap_or_default();
-    if let Some(threads) = threads {
-        options.threads = threads.max(1);
+    options.threads = threads.unwrap_or(options.threads).max(1);
+    if options.layout_policy == Some(LayoutPolicy::Fixed) {
+        options.layout_policy = None;
     }
     options.validate().map_err(|e| format!("invalid options: {e}"))?;
     Ok((machine, options))
@@ -192,14 +194,8 @@ impl ServiceState {
             let _span = ctx.span("cost_breakdown");
             let parallel =
                 ParallelSpec { threads: options.threads, factors: best.config.parallel.as_array() };
-            pricing::pricing_model(
-                &shape,
-                &machine,
-                &options,
-                best.config.permutation.clone(),
-                parallel,
-            )
-            .cost_breakdown(&best.config)
+            pricing::pricing_model(&shape, &machine, best.config.permutation.clone(), parallel)
+                .cost_breakdown(&best.config)
         };
         Ok(Response::Explained {
             op: problem.op.map(str::to_string),
@@ -314,7 +310,6 @@ impl ServiceState {
 mod tests {
     use super::*;
     use crate::wire::Request;
-    use mopt_core::LayoutPolicy;
 
     fn tiny_state() -> ServiceState {
         ServiceState::new(64)
@@ -681,6 +676,31 @@ mod tests {
             }
         };
         assert_eq!(explain(0), explain(1));
+    }
+
+    #[test]
+    fn spellings_of_one_answer_share_one_cache_entry() {
+        // `layout_policy: "Fixed"` is the unset policy and `threads: 0` is one
+        // thread: the second spelling of each pair is the first one's hit.
+        let base = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        assert_eq!((base.threads, base.layout_policy), (1, None));
+        let fixed = OptimizerOptions { layout_policy: Some(LayoutPolicy::Fixed), ..base.clone() };
+        let zero = OptimizerOptions { threads: 0, ..base.clone() };
+        for second in [fixed, zero] {
+            let state = tiny_state();
+            for options in [&base, &second] {
+                state.handle_line(&format!(
+                    "{{\"Optimize\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
+                    serde_json::to_string(options).unwrap(),
+                ));
+            }
+            match serde_json::from_str(&state.handle_line("\"Stats\"")).unwrap() {
+                Response::Stats { stats } => {
+                    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1), "{second:?}");
+                }
+                other => panic!("expected Stats, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -585,7 +585,6 @@ fn moptd_serves_multithreaded_plans_with_distinct_cache_keys() {
 #[test]
 fn plan_world_db_serves_cold_moptd_without_solving() {
     use conv_spec::TilingLevel;
-    use mopt_model::cost::CostOptions;
     use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
     use mopt_service::Tier;
 
@@ -682,7 +681,6 @@ fn plan_world_db_serves_cold_moptd_without_solving() {
     );
     let spec = ParallelSpec { threads: 8, factors: best.config.parallel.as_array() };
     let direct = MultiLevelModel::new(shape, machine, best.config.permutation.clone())
-        .with_options(CostOptions { line_elems: fast_options().line_elems })
         .with_parallel(spec)
         .predict_config(&best.config);
     assert_eq!(best.predicted_cost, direct.bottleneck_cost);
@@ -719,7 +717,6 @@ fn suite_plans_reuse_table1_cache_entries() {
 /// schedule itself is bit-identical to what a plain `Optimize` serves.
 #[test]
 fn explain_over_stdio_recertifies_bit_identically() {
-    use mopt_model::cost::CostOptions;
     use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 
     let explain = serde_json::to_string(&Request::Explain {
@@ -797,7 +794,6 @@ fn explain_over_stdio_recertifies_bit_identically() {
     let spec =
         ParallelSpec { threads: fast_options().threads, factors: best.config.parallel.as_array() };
     let direct = MultiLevelModel::new(shape, machine, best.config.permutation.clone())
-        .with_options(CostOptions { line_elems: fast_options().line_elems })
         .with_parallel(spec)
         .predict_config(&best.config);
     assert_eq!(best.predicted_cost, direct.bottleneck_cost);
@@ -861,25 +857,28 @@ fn moptd_stdio(lines: &[String]) -> Vec<String> {
     replies
 }
 
-/// The retired `thorough` option (one solve profile since PR 25) is still
-/// accepted and selects nothing: `true`, `false` and an `options` object
-/// without the key are one cache key, answered by one solve and two cache
-/// hits with the same bytes once timing is masked.
+/// The retired `thorough` and `line_elems` options (one solve profile, one
+/// element-priced model) are still accepted and select nothing: `thorough`
+/// true or false, `line_elems` 1 or 16, and an `options` object with neither
+/// key are one cache key, answered by one solve and four cache hits with the
+/// same bytes once timing is masked.
 #[test]
 fn moptd_accepts_the_retired_thorough_key_and_ignores_it() {
-    let request = |thorough: &str| {
+    let request = |retired: &str| {
         format!(
-            r#"{{"Optimize": {{"op": "V5", "machine": {{"Preset": "tiny"}}, "options": {{"threads": 1, "multistart": 0, "line_elems": 1, "keep_top": 5, "max_classes": 1{thorough}}}}}}}"#
+            r#"{{"Optimize": {{"op": "V5", "machine": {{"Preset": "tiny"}}, "options": {{"threads": 1, "multistart": 0, "keep_top": 5, "max_classes": 1{retired}}}}}}}"#
         )
     };
     let lines = [
-        request(r#", "thorough": true"#),
-        request(r#", "thorough": false"#),
+        request(r#", "line_elems": 1, "thorough": true"#),
+        request(r#", "line_elems": 1, "thorough": false"#),
+        request(r#", "line_elems": 1"#),
+        request(r#", "line_elems": 16"#),
         request(""),
         r#""Stats""#.to_string(),
     ];
     let replies = moptd_stdio(&lines);
-    let masked: Vec<String> = replies[..3]
+    let masked: Vec<String> = replies[..5]
         .iter()
         .map(|line| serde_json::to_string(&scrub(&serde_json::parse_value(line).unwrap())).unwrap())
         .collect();
@@ -887,11 +886,12 @@ fn moptd_accepts_the_retired_thorough_key_and_ignores_it() {
     let as_cache_hit = masked[0]
         .replace(r#""cached":false"#, r#""cached":true"#)
         .replace(r#""tier":"Solver""#, r#""tier":"Cache""#);
-    assert_eq!(masked[1], as_cache_hit, "`thorough: false` is the solved key's cache hit");
-    assert_eq!(masked[2], as_cache_hit, "no `thorough` key is the solved key's cache hit");
-    match serde_json::from_str::<Response>(&replies[3]).unwrap() {
+    for (masked, spelling) in masked[1..].iter().zip(&lines[1..5]) {
+        assert_eq!(masked, &as_cache_hit, "{spelling} is the solved key's cache hit");
+    }
+    match serde_json::from_str::<Response>(&replies[5]).unwrap() {
         Response::Stats { stats } => {
-            assert_eq!((stats.cache.misses, stats.cache.hits, stats.cache.entries), (1, 2, 1));
+            assert_eq!((stats.cache.misses, stats.cache.hits, stats.cache.entries), (1, 4, 1));
             assert_eq!(stats.flight.expect("flight counters").optimize.led, 1, "one solve");
         }
         other => panic!("expected Stats, got {other:?}"),

@@ -14,7 +14,7 @@
 use mopt_bench::validate_operator;
 use mopt_repro::autotune::SearchSpace;
 use mopt_repro::conv_spec::{ConvShape, MachineModel};
-use mopt_repro::mopt_model::cost::{single_level_volume, CostOptions, RealTiles};
+use mopt_repro::mopt_model::cost::{single_level_volume, RealTiles};
 use mopt_repro::mopt_model::prune::pruned_classes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RealTiles::from_array([1.0, 16.0, 16.0, 3.0, 3.0, 14.0, 14.0]),
         RealTiles::from_array([1.0, 64.0, 32.0, 3.0, 3.0, 28.0, 28.0]),
     ] {
-        let dv = single_level_volume(&shape, &perm, &tiles, &CostOptions::default());
+        let dv = single_level_volume(&shape, &perm, &tiles);
         println!(
             "  tiles {:?} -> In {:.3e}  Ker {:.3e}  Out {:.3e}  total {:.3e} elements",
             tiles.as_array(),

@@ -2,7 +2,7 @@
 //! executor → correctness, and model → simulator consistency.
 
 use mopt_repro::baselines::OneDnnLike;
-use mopt_repro::cache_sim::{CacheKind, TileTrafficSimulator, TraceSimulator};
+use mopt_repro::cache_sim::{TileTrafficSimulator, TraceSimulator};
 use mopt_repro::conv_exec::naive::conv2d_naive;
 use mopt_repro::conv_exec::{Tensor4, TiledConv};
 use mopt_repro::conv_spec::{benchmarks, ConvShape, MachineModel, Spec, TileConfig, TilingLevel};
@@ -71,9 +71,8 @@ fn model_and_trace_simulator_agree_on_ranking_small_operator() {
     let model_good = model.predict_config(&good);
     let model_bad = model.predict_config(&bad);
 
-    let sim_good =
-        TraceSimulator::new(&shape, &machine, CacheKind::IdealFullyAssociative).run(&good);
-    let sim_bad = TraceSimulator::new(&shape, &machine, CacheKind::IdealFullyAssociative).run(&bad);
+    let sim_good = TraceSimulator::new(&shape, &machine).run(&good);
+    let sim_bad = TraceSimulator::new(&shape, &machine).run(&bad);
 
     let model_says_good_better =
         model_good.volume(TilingLevel::Register) <= model_bad.volume(TilingLevel::Register);

@@ -24,34 +24,24 @@ use mopt_repro::conv_spec::{
     ConvShape, LoopIndex, Permutation, TileConfig, TileSizes, ALL_INDICES,
 };
 use mopt_repro::mopt_core::optimizer::{MOptOptimizer, OptimizerOptions};
-use mopt_repro::mopt_model::cost::{
-    single_level_volume, total_footprint, ArrayVolumes, CostOptions, RealTiles,
-};
+use mopt_repro::mopt_model::cost::{single_level_volume, total_footprint, ArrayVolumes, RealTiles};
 
 // ---------------------------------------------------------------------------
 // Inline copies of the pre-generalization implementations (the "pre-change
 // path"), used as exact references for dense shapes.
 // ---------------------------------------------------------------------------
 
-/// The seed's single-level volume expressions, verbatim (element granularity
-/// and spatial-locality extension, dense semantics only).
+/// The seed's single-level volume expressions at element granularity, verbatim
+/// (dense semantics only).
 fn legacy_single_level_volume(
     shape: &ConvShape,
     perm: &Permutation,
     tiles: &RealTiles,
-    line: usize,
 ) -> ArrayVolumes {
     let extents = RealTiles::from_array(shape.extents().map(|v| v as f64));
     let t = tiles.clamped(&extents.as_array());
     let stride = shape.stride as f64;
 
-    let lines = |elems: f64| -> f64 {
-        if line <= 1 || elems <= 0.0 {
-            elems.max(0.0)
-        } else {
-            (elems / line as f64).ceil().max(1.0)
-        }
-    };
     let reuse_position = |present: &dyn Fn(LoopIndex) -> bool| -> usize {
         perm.inner_to_outer()
             .iter()
@@ -74,17 +64,13 @@ fn legacy_single_level_volume(
     };
 
     let r_out = reuse_position(&|i: LoopIndex| i.present_in_output());
-    let out_fp = t.get(LoopIndex::N)
-        * t.get(LoopIndex::K)
-        * t.get(LoopIndex::H)
-        * lines(t.get(LoopIndex::W));
+    let out_fp =
+        t.get(LoopIndex::N) * t.get(LoopIndex::K) * t.get(LoopIndex::H) * t.get(LoopIndex::W);
     let out_vol = 2.0 * trip_product(r_out) * out_fp;
 
     let r_ker = reuse_position(&|i: LoopIndex| i.present_in_kernel());
-    let ker_fp = t.get(LoopIndex::K)
-        * t.get(LoopIndex::C)
-        * t.get(LoopIndex::R)
-        * lines(t.get(LoopIndex::S));
+    let ker_fp =
+        t.get(LoopIndex::K) * t.get(LoopIndex::C) * t.get(LoopIndex::R) * t.get(LoopIndex::S);
     let ker_vol = trip_product(r_ker) * ker_fp;
 
     let r_in = reuse_position(&|i: LoopIndex| i.present_in_input());
@@ -104,27 +90,27 @@ fn legacy_single_level_volume(
     let cols_tile = (tw - 1.0) * stride + ts;
     let in_vol = match at_r_in {
         LoopIndex::N | LoopIndex::C => {
-            let in_fp = tn * tc * rows_tile * lines(cols_tile);
+            let in_fp = tn * tc * rows_tile * cols_tile;
             trip_product(r_in) * in_fp
         }
         LoopIndex::W => {
-            let partial = tn * tc * rows_tile * lines(stride * (nw - tw).max(0.0));
-            let first = tn * tc * rows_tile * lines(cols_tile);
+            let partial = tn * tc * rows_tile * (stride * (nw - tw).max(0.0));
+            let first = tn * tc * rows_tile * cols_tile;
             outer_prod * (partial + first)
         }
         LoopIndex::S => {
-            let partial = tn * tc * rows_tile * lines((ns - ts).max(0.0));
-            let first = tn * tc * rows_tile * lines(cols_tile);
+            let partial = tn * tc * rows_tile * (ns - ts).max(0.0);
+            let first = tn * tc * rows_tile * cols_tile;
             outer_prod * (partial + first)
         }
         LoopIndex::H => {
-            let partial = tn * tc * (stride * (nh - th).max(0.0)) * lines(cols_tile);
-            let first = tn * tc * rows_tile * lines(cols_tile);
+            let partial = tn * tc * (stride * (nh - th).max(0.0)) * cols_tile;
+            let first = tn * tc * rows_tile * cols_tile;
             outer_prod * (partial + first)
         }
         LoopIndex::R => {
-            let partial = tn * tc * (nr - tr).max(0.0) * lines(cols_tile);
-            let first = tn * tc * rows_tile * lines(cols_tile);
+            let partial = tn * tc * (nr - tr).max(0.0) * cols_tile;
+            let first = tn * tc * rows_tile * cols_tile;
             outer_prod * (partial + first)
         }
         LoopIndex::K => unreachable!("k is never present in the input tensor"),
@@ -243,22 +229,20 @@ proptest! {
 
     /// Cost model, dense shapes: the generalized expressions equal the
     /// seed's expressions **exactly** (same floating-point values, not just
-    /// within tolerance), for every permutation, random tile sizes, and both
-    /// the element-granularity and spatial-locality variants.
+    /// within tolerance), for every permutation and random tile sizes.
     #[test]
     fn dense_cost_model_values_are_bit_identical(
         shape in dense_shape_strategy(),
         perm in permutation_strategy(),
         fracs in proptest::array::uniform7(0.0f64..1.0),
-        line in 1usize..=16,
     ) {
         let mut tiles = RealTiles::ones();
         for (j, &idx) in ALL_INDICES.iter().enumerate() {
             let e = shape.extent(idx) as f64;
             tiles.set(idx, 1.0 + fracs[j] * (e - 1.0));
         }
-        let general = single_level_volume(&shape, &perm, &tiles, &CostOptions { line_elems: line });
-        let legacy = legacy_single_level_volume(&shape, &perm, &tiles, line);
+        let general = single_level_volume(&shape, &perm, &tiles);
+        let legacy = legacy_single_level_volume(&shape, &perm, &tiles);
         prop_assert!(general.input == legacy.input,
             "input volume differs: {} vs legacy {}", general.input, legacy.input);
         prop_assert!(general.kernel == legacy.kernel,

@@ -9,7 +9,7 @@ use mopt_repro::conv_spec::{
     ConvShape, LoopIndex, Permutation, TileConfig, TileSizes, ALL_INDICES,
 };
 use mopt_repro::mopt_core::solver::{solve, Problem};
-use mopt_repro::mopt_model::cost::{single_level_volume, total_footprint, CostOptions, RealTiles};
+use mopt_repro::mopt_model::cost::{single_level_volume, total_footprint, RealTiles};
 use mopt_repro::mopt_model::prune::{classify, pruned_classes};
 
 /// Strategy: a small but non-degenerate conv shape.
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn single_level_volume_at_least_compulsory(shape in shape_strategy(), perm in permutation_strategy()) {
         let tiles = RealTiles::full(&shape);
-        let dv = single_level_volume(&shape, &perm, &tiles, &CostOptions::default());
+        let dv = single_level_volume(&shape, &perm, &tiles);
         let compulsory = (shape.input_elems() + shape.kernel_elems() + 2 * shape.output_elems()) as f64;
         prop_assert!(dv.total() >= compulsory - 1e-6);
     }
@@ -57,15 +57,14 @@ proptest! {
     fn volume_monotone_in_tile_sizes(shape in shape_strategy(), idx in 0usize..7) {
         prop_assume!(shape.stride == 1);
         let perm = pruned_classes()[0].representative.clone();
-        let opts = CostOptions::default();
         let full = RealTiles::full(&shape);
         let loop_idx = ALL_INDICES[idx];
         let extent = shape.extent(loop_idx) as f64;
         prop_assume!(extent >= 2.0);
         let mut smaller = full;
         smaller.set(loop_idx, (extent / 2.0).floor().max(1.0));
-        let v_full = single_level_volume(&shape, &perm, &full, &opts).total();
-        let v_small = single_level_volume(&shape, &perm, &smaller, &opts).total();
+        let v_full = single_level_volume(&shape, &perm, &full).total();
+        let v_small = single_level_volume(&shape, &perm, &smaller).total();
         prop_assert!(v_small + 1e-9 >= v_full,
             "shrinking {loop_idx} reduced volume: {v_small} < {v_full}");
     }
@@ -87,11 +86,10 @@ proptest! {
             let e = shape.extent(idx) as u64;
             tiles.set(idx, ((state >> 33) % e + 1) as f64);
         }
-        let opts = CostOptions::default();
-        let other = single_level_volume(&shape, &perm, &tiles, &opts).total();
+        let other = single_level_volume(&shape, &perm, &tiles).total();
         let best_pruned = pruned_classes()
             .iter()
-            .map(|c| single_level_volume(&shape, &c.representative, &tiles, &opts).total())
+            .map(|c| single_level_volume(&shape, &c.representative, &tiles).total())
             .fold(f64::INFINITY, f64::min);
         prop_assert!(best_pruned <= other * (1.0 + 1e-9),
             "pruned best {best_pruned} exceeds {other} for {perm}");
@@ -107,9 +105,8 @@ proptest! {
             let rep = &pruned_classes()[id - 1].representative;
             let tiles = RealTiles::from_array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0])
                 .clamped(&shape.extents().map(|v| v as f64));
-            let opts = CostOptions::default();
-            let a = single_level_volume(&shape, &perm, &tiles, &opts).total();
-            let b = single_level_volume(&shape, rep, &tiles, &opts).total();
+            let a = single_level_volume(&shape, &perm, &tiles).total();
+            let b = single_level_volume(&shape, rep, &tiles).total();
             prop_assert!((a - b).abs() <= 1e-9 * a.max(b).max(1.0));
         }
     }

@@ -23,7 +23,7 @@ use mopt_repro::conv_exec::{FusedDwPw, ParTiledConv, Tensor4, TiledConv};
 use mopt_repro::conv_spec::{
     ConvShape, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel, ALL_INDICES,
 };
-use mopt_repro::mopt_model::cost::{single_level_volume_general, total_footprint, CostOptions};
+use mopt_repro::mopt_model::cost::{single_level_volume_general, total_footprint};
 use mopt_repro::mopt_model::multilevel::{MultiLevelModel, MultiLevelTiles, ParallelSpec};
 
 // ---------------------------------------------------------------------------
@@ -38,15 +38,13 @@ fn legacy_level_volume(
     perm: &Permutation,
     tiles: &MultiLevelTiles,
     level: TilingLevel,
-    options: &CostOptions,
 ) -> f64 {
     let tiles = tiles.normalized(shape);
     let extents = match level.outer() {
         None => mopt_repro::mopt_model::cost::RealTiles::full(shape),
         Some(outer) => *tiles.level(outer),
     };
-    let per_outer =
-        single_level_volume_general(shape, perm, tiles.level(level), &extents, options).total();
+    let per_outer = single_level_volume_general(shape, perm, tiles.level(level), &extents).total();
     let count: f64 = match level.outer() {
         None => 1.0,
         Some(outer) => {
@@ -144,21 +142,18 @@ proptest! {
         shape in general_shape_strategy(),
         perm in permutation_strategy(),
         seed in 0u64..1_000_000,
-        line in 1usize..=16,
     ) {
         let machine = MachineModel::tiny_test_machine();
         let config = seeded_config(&shape, perm.clone(), seed);
         let tiles = MultiLevelTiles::from_config(&config);
-        let options = CostOptions { line_elems: line };
         for model in [
-            MultiLevelModel::new(shape, machine.clone(), perm.clone()).with_options(options),
+            MultiLevelModel::new(shape, machine.clone(), perm.clone()),
             // An explicit one-thread ParallelSpec must take the same path.
             MultiLevelModel::new(shape, machine.clone(), perm.clone())
-                .with_options(options)
                 .with_parallel(ParallelSpec::sequential()),
         ] {
             for level in TilingLevel::ALL {
-                let expected = legacy_level_volume(&shape, &perm, &tiles, level, &options);
+                let expected = legacy_level_volume(&shape, &perm, &tiles, level);
                 prop_assert_eq!(model.level_volume(&tiles, level), expected);
                 prop_assert_eq!(
                     model.capacity_slack(&tiles, level),
