@@ -5,20 +5,44 @@
 //! L2, L1 and register levels in the permutation's order, then `c`, `r`, `s`
 //! ascending inside a register tile. The `n`/`k`/`h`/`w` loops only decide
 //! *when* an element is worked on, never the order of its own sum. The oracle
-//! walks exactly those loops per output element and accumulates
-//! `acc += x * k`; it shares no code with the kernel, the tile walk or the
-//! packing. `SimdBackend::Scalar` must match it to the bit — which is also
-//! what "bit-identical to the executor this kernel replaced" means, since
-//! that executor accumulated in this order.
+//! walks exactly those loops per output element and accumulates with the
+//! multiply–accumulate it is given; it shares no code with the kernel, the
+//! tile walk or the packing. `SimdBackend::Scalar` must match it to the bit
+//! under `acc + x * k` — which is also what "bit-identical to the executor
+//! this kernel replaced" means, since that executor accumulated in this
+//! order — and `SimdBackend::Avx2Fma` under `f32::mul_add`, on every CPU
+//! that reports avx2+fma.
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, Permutation, TileConfig, TileSizes, TilingLevel,
 };
 use proptest::prelude::*;
 
-use crate::{NchwcConv, SimdBackend, Tensor4, TiledConv};
+use crate::{detected_backend, NchwcConv, SimdBackend, Tensor4, TiledConv};
 
 const REDUCTION: [LoopIndex; 3] = [LoopIndex::C, LoopIndex::R, LoopIndex::S];
+
+/// One multiply–accumulate step, `(acc, x, k) -> acc'`.
+type Mac = fn(f32, f32, f32) -> f32;
+
+/// `acc + x * k`: two roundings, what [`SimdBackend::Scalar`] computes.
+fn two_roundings(acc: f32, x: f32, k: f32) -> f32 {
+    acc + x * k
+}
+
+/// `fma(x, k, acc)`: one rounding, what [`SimdBackend::Avx2Fma`] computes.
+fn fused(acc: f32, x: f32, k: f32) -> f32 {
+    x.mul_add(k, acc)
+}
+
+/// The backends this CPU runs, each with the MAC that reproduces it.
+fn backends() -> Vec<(SimdBackend, Mac)> {
+    let mut all: Vec<(SimdBackend, Mac)> = vec![(SimdBackend::Scalar, two_roundings)];
+    if detected_backend() == SimdBackend::Avx2Fma {
+        all.push((SimdBackend::Avx2Fma, fused));
+    }
+    all
+}
 
 /// Append the `(c, r, s)` visits of `ranges` (indexed like [`REDUCTION`])
 /// under the tile loops of `levels`, outermost level first.
@@ -67,8 +91,15 @@ fn visits(
     }
 }
 
-/// The convolution with every output element summed in the schedule's order.
-fn oracle(shape: &ConvShape, config: &TileConfig, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
+/// The convolution with every output element summed in the schedule's order
+/// by `mac`.
+fn oracle(
+    shape: &ConvShape,
+    config: &TileConfig,
+    input: &Tensor4,
+    kernel: &Tensor4,
+    mac: Mac,
+) -> Tensor4 {
     let levels = [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register];
     let mut order = Vec::new();
     visits(config, &levels, [(0, shape.reduction_c()), (0, shape.r), (0, shape.s)], &mut order);
@@ -87,7 +118,7 @@ fn oracle(shape: &ConvShape, config: &TileConfig, input: &Tensor4, kernel: &Tens
                             h * shape.stride + r * shape.dilation,
                             w * shape.stride + s * shape.dilation,
                         );
-                        acc += x * kernel.at(k, c, r, s);
+                        acc = mac(acc, x, kernel.at(k, c, r, s));
                     }
                     *out.at_mut(n, k, h, w) = acc;
                 }
@@ -115,8 +146,9 @@ fn config(perm: &str, tiles: [[usize; 7]; 4]) -> TileConfig {
     )
 }
 
-/// `TiledConv` on the scalar backend — at each packing width and thread
-/// count given — against the oracle, bit for bit.
+/// `TiledConv` on every backend the CPU runs — at each packing width and
+/// thread count given — against the oracle with that backend's MAC, bit for
+/// bit.
 fn assert_matches_oracle(
     shape: ConvShape,
     cfg: TileConfig,
@@ -126,18 +158,20 @@ fn assert_matches_oracle(
 ) {
     let (input, kernel) = operands(&shape, 31);
     let cfg = cfg.normalized(&shape);
-    let expected = bits(&oracle(&shape, &cfg, &input, &kernel));
-    for &vec_len in vec_lens {
-        for &t in threads {
-            let conv = TiledConv::new(shape, cfg.clone(), t)
-                .unwrap()
-                .with_vec_len(vec_len)
-                .with_backend(SimdBackend::Scalar);
-            assert_eq!(
-                bits(&conv.run(&input, &kernel)),
-                expected,
-                "{what}: vec_len {vec_len}, threads {t}"
-            );
+    for (backend, mac) in backends() {
+        let expected = bits(&oracle(&shape, &cfg, &input, &kernel, mac));
+        for &vec_len in vec_lens {
+            for &t in threads {
+                let conv = TiledConv::new(shape, cfg.clone(), t)
+                    .unwrap()
+                    .with_vec_len(vec_len)
+                    .with_backend(backend);
+                assert_eq!(
+                    bits(&conv.run(&input, &kernel)),
+                    expected,
+                    "{what}: {backend}, vec_len {vec_len}, threads {t}"
+                );
+            }
         }
     }
 }
@@ -229,6 +263,53 @@ fn a_register_tile_of_more_than_1024_outputs_matches_the_oracle() {
 }
 
 #[test]
+fn the_fused_backend_matches_the_mul_add_oracle_on_every_block_shape() {
+    if detected_backend() != SimdBackend::Avx2Fma {
+        eprintln!("skipping: CPU does not report avx2+fma");
+        return;
+    }
+    let widths = [4, 8, 16];
+    // 40 and 2 × 20 output channels: K ranges holding two whole 8-lane
+    // chunks of one conv group, next to chunks cut by a group edge.
+    let dense = ConvShape::new(2, 40, 6, 3, 3, 5, 9, 1).unwrap();
+    let grouped = ConvShape::new_general(1, 40, 8, 3, 3, 4, 6, 1, 1, 2).unwrap();
+    let wide_k = [
+        [1, 8, 2, 2, 1, 2, 3],
+        [1, 24, 3, 2, 2, 3, 7],
+        [2, 40, 5, 3, 2, 5, 9],
+        [2, 40, 8, 3, 3, 5, 9],
+    ];
+    for (shape, what) in [(dense, "dense, k 40"), (grouped, "two groups of k 20")] {
+        for perm in ["kcrsnhw", "nkhwcsr"] {
+            assert_matches_oracle(shape, config(perm, wide_k), &widths, &[1, 2], what);
+        }
+    }
+    // `c` and `r` tile loops below the last output loop: the L1 tile's
+    // reduction is cut finer than the L2 tile's.
+    let shape = ConvShape::new(1, 32, 12, 3, 3, 6, 10, 1).unwrap();
+    let trailing = [
+        [1, 8, 2, 1, 3, 2, 3],
+        [1, 16, 3, 2, 3, 3, 10],
+        [1, 32, 8, 3, 3, 6, 10],
+        [1, 32, 12, 3, 3, 6, 10],
+    ];
+    assert_matches_oracle(shape, config("nkhwcrs", trailing), &widths, &[1, 2], "trailing c, r");
+    // Depthwise rows of 20, 27 and 40 pixels, dilated and not: two, three
+    // and five whole pixel vectors, then a partial one or none.
+    for (w, dilation) in [(20, 1), (27, 2), (27, 1), (40, 1)] {
+        let shape = ConvShape::new_general(1, 6, 6, 3, 3, 4, w, 1, dilation, 6).unwrap();
+        let rows = [
+            [1, 1, 1, 3, 3, 1, w],
+            [1, 2, 1, 3, 3, 2, w],
+            [1, 6, 1, 3, 3, 4, w],
+            [1, 6, 1, 3, 3, 4, w],
+        ];
+        let what = format!("depthwise rows of {w}, dilation {dilation}");
+        assert_matches_oracle(shape, config("nchrswk", rows), &widths, &[1, 2], &what);
+    }
+}
+
+#[test]
 fn nchwc_conv_matches_the_oracle() {
     for (groups, stride, dilation) in [(1, 1, 1), (3, 1, 1), (1, 2, 2), (9, 1, 1)] {
         let shape = ConvShape::new_general(2, 9, 9, 3, 3, 6, 7, stride, dilation, groups).unwrap();
@@ -241,7 +322,7 @@ fn nchwc_conv_matches_the_oracle() {
             let got = conv.with_backend(SimdBackend::Scalar).run(&input, &kernel);
             assert_eq!(
                 bits(&got),
-                bits(&oracle(&shape, &cfg, &input, &kernel)),
+                bits(&oracle(&shape, &cfg, &input, &kernel, two_roundings)),
                 "groups {groups} stride {stride} dilation {dilation} c_block {c_block}"
             );
         }
@@ -251,12 +332,14 @@ fn nchwc_conv_matches_the_oracle() {
 /// A small shape, a permutation and four levels of tiles, all unconstrained:
 /// `TileConfig::normalized` makes the tiles nest.
 fn schedule_strategy() -> impl Strategy<Value = (ConvShape, TileConfig)> {
+    // Up to 24 output channels per group (two whole 8-lane chunks) and rows
+    // of up to 20 pixels (several pixel vectors and a partial last one).
     let shape = (
-        (1usize..=2, 1usize..=4, 1usize..=4, 1usize..=3),
-        (1usize..=3, 1usize..=3, 1usize..=6, 1usize..=9),
+        (1usize..=2, 1usize..=24, 1usize..=4, 1usize..=3),
+        (1usize..=3, 1usize..=3, 1usize..=6, 1usize..=20),
         (1usize..=2, 1usize..=2),
     );
-    let tile = || prop::array::uniform7(1usize..=12);
+    let tile = || prop::array::uniform7(1usize..=24);
     (shape, 0usize..5040, (tile(), tile(), tile(), tile())).prop_map(
         |(((n, k_per, c_per, groups), (r, s, h, w), (stride, dilation)), perm, tiles)| {
             let shape = ConvShape::new_general(
@@ -293,10 +376,15 @@ proptest! {
     ) {
         let (shape, cfg) = schedule;
         let (input, kernel) = operands(&shape, 5);
-        let conv = TiledConv::new(shape, cfg.clone(), threads)
-            .unwrap()
-            .with_vec_len(4 << (vec_len - 1))
-            .with_backend(SimdBackend::Scalar);
-        prop_assert_eq!(bits(&conv.run(&input, &kernel)), bits(&oracle(&shape, &cfg, &input, &kernel)));
+        for (backend, mac) in backends() {
+            let conv = TiledConv::new(shape, cfg.clone(), threads)
+                .unwrap()
+                .with_vec_len(4 << (vec_len - 1))
+                .with_backend(backend);
+            prop_assert_eq!(
+                bits(&conv.run(&input, &kernel)),
+                bits(&oracle(&shape, &cfg, &input, &kernel, mac))
+            );
+        }
     }
 }
