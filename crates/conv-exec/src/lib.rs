@@ -12,12 +12,15 @@
 //!   used by the oneDNN-like baseline in `baselines`),
 //! * [`packing`] — the `[K,C,R,S] → [K/VecLen, C, R, S, VecLen]` kernel
 //!   packing transform,
-//! * [`microkernel`] — the L1-tile kernel: an output block held in registers
-//!   across every `(c, r, s)` of the tile, visited in the order the schedule's
+//! * [`microkernel`] — the tile kernel: an output block held in registers
+//!   across every `(c, r, s)` of every L1 tile the walk's trailing reduction
+//!   loops cut a tile into, visited in the order the schedule's loops,
 //!   register tile and permutation give, over strided views of the feature
 //!   maps; one body instantiated as the exact scalar reference and, behind
 //!   runtime dispatch (`is_x86_feature_detected!`, overridable via
-//!   `MOPT_FORCE_SCALAR`), for AVX2+FMA, ULP-bounded against the reference,
+//!   `MOPT_FORCE_SCALAR`), for AVX2+FMA, each bit-exact against a
+//!   per-element loop in the schedule's order with its own multiply–add
+//!   (`acc + x * k`; `f32::mul_add`),
 //! * [`tiled`] — the multi-level tiled executor driven by a
 //!   [`conv_spec::TileConfig`]; with `threads > 1` it partitions the output
 //!   along the schedule's certified parallel factors (or, without factors,

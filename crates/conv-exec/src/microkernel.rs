@@ -1,48 +1,62 @@
-//! The L1-tile microkernel.
+//! The tile microkernel.
 //!
 //! The paper's executor (Sec. 6) is a *fixed* register-tiled microkernel — an
 //! output block held in vector registers while input pixels are broadcast and
 //! packed kernel vectors stream through FMAs — under tile loops the model
-//! chooses. `TileKernel` is that kernel for one L1 tile:
+//! chooses. `TileKernel` is that kernel for the tiles of the output loops
+//! ([`crate::tiled`] hands it each one together with the trailing run of
+//! `c`/`r`/`s` tile loops below the last `n`/`k`/`h`/`w` loop):
 //!
 //! 1. It builds the tile's **tap list**: the `(input offset, packed-kernel
 //!    offset)` of every `(c, r, s)` of the tile, in the order the schedule
-//!    visits them — register-tile loops over `c`/`r`/`s` in the permutation's
-//!    relative order, then `c`, `r`, `s` ascending inside a register tile. The
-//!    schedule's register tile and permutation therefore still fix the
-//!    floating-point order of every output element; how the *outputs* are
-//!    blocked into registers is the kernel's own business.
+//!    visits them — the L1 tiles the trailing loops cut it into, in loop
+//!    order; inside each, register-tile loops over `c`/`r`/`s` in the
+//!    permutation's relative order, then `c`, `r`, `s` ascending inside a
+//!    register tile. The schedule therefore still fixes the floating-point
+//!    order of every output element; how the *outputs* are blocked into
+//!    registers is the kernel's own business.
 //! 2. It runs one output block at a time through all taps with the
-//!    accumulators in registers: up to [`LANES`] packed `k` lanes ×
-//!    [`PIXELS`] output pixels (K ranges are split at packed-vector and
+//!    accumulators in registers, and gathers and scatters the output once
+//!    per block — once per tile of the output loops, however many L1 tiles
+//!    of the reduction it spans. Dense blocks are [`LANES`] packed `k` lanes
+//!    × up to [`PIXELS`] pixels, or, on the AVX2 backend where the K range
+//!    holds two whole `LANES`-aligned chunks of one conv group, `2 × LANES`
+//!    lanes × up to 6 pixels (K ranges are split at packed-vector and
 //!    conv-group boundaries; lanes outside the range are computed and
-//!    dropped), or, for a single output channel (depthwise), [`LANES`]
-//!    consecutive pixels of an output row. The output is gathered and
-//!    scattered once per block.
+//!    dropped). A single output channel (depthwise) takes vectors of
+//!    [`LANES`] consecutive pixels of an output row: up to four per tap
+//!    where the row is contiguous and holds a whole vector, its partial last
+//!    vector computed as the whole one ending at the row's end with only the
+//!    uncovered lanes stored; strided and shorter rows go up to [`LANES`]
+//!    pixels at a time.
 //! 3. It addresses tensors through a [`StridedView`] — a flat buffer, a plane
 //!    offset per `(n, c)` and two strides — so [`Tensor4`] and
 //!    [`crate::BlockedTensor`] share the kernel, with every offset hoisted out
 //!    of the multiply–accumulate loop.
 //!
 //! The body is written once and instantiated twice: [`SimdBackend::Scalar`]
-//! accumulates `acc + x * k` (two roundings, the exact reference), and
-//! [`SimdBackend::Avx2Fma`] compiles the same body under
-//! `#[target_feature(enable = "avx2,fma")]` with fused multiply–adds on every
-//! block. Because the per-element order is the same, the two agree to a ULP
-//! bound that grows only with the reduction length.
+//! accumulates `acc + x * k` (two roundings, the exact reference) on
+//! `[f32; LANES]` arrays, and [`SimdBackend::Avx2Fma`] compiles the same body
+//! under `#[target_feature(enable = "avx2,fma")]` with `__m256` vectors and
+//! fused multiply–adds on every block. Each accumulates every output element
+//! in the schedule's order, so each is bit-identical to a per-element loop
+//! with its own multiply–accumulate (`acc + x * k`, `f32::mul_add`), and the
+//! two agree to a ULP bound that grows only with the reduction length.
 
 use std::sync::OnceLock;
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TilingLevel};
+use conv_spec::{ConvShape, TileConfig, TilingLevel};
 
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
+use crate::tiled::walk;
 
 /// Packed output-channel lanes per accumulator vector (one AVX2 register).
 pub const LANES: usize = 8;
 
-/// Output pixels per register block: `PIXELS × LANES` accumulators, the
-/// kernel vector and the broadcast pixel fit the sixteen AVX2 registers.
+/// Output pixels per one-vector register block: `PIXELS × LANES`
+/// accumulators, the kernel vector and the broadcast pixel fit the sixteen
+/// AVX2 registers.
 pub const PIXELS: usize = 8;
 
 /// A feature map the kernel can address with hoisted offsets: element
@@ -90,7 +104,8 @@ pub enum SimdBackend {
     Scalar,
     /// The same kernel body compiled for AVX2 + FMA: the same accumulation
     /// order per output element with fused multiply–adds (one rounding per
-    /// MAC), so results are ULP-bounded against [`SimdBackend::Scalar`].
+    /// MAC, as `f32::mul_add`), so results are ULP-bounded against
+    /// [`SimdBackend::Scalar`].
     Avx2Fma,
 }
 
@@ -174,7 +189,7 @@ impl KernelRegion {
     }
 
     /// The ranges in canonical `[n, k, c, r, s, h, w]` order
-    /// ([`LoopIndex::canonical_position`]).
+    /// ([`conv_spec::LoopIndex::canonical_position`]).
     pub fn ranges(&self) -> [(usize, usize); 7] {
         [self.n, self.k, self.c, self.r, self.s, self.h, self.w]
     }
@@ -208,9 +223,10 @@ struct Tap {
 /// relative `c = 0`: what a tap list is valid for.
 type TapKey = ([(usize, usize); 3], usize);
 
-/// The L1-tile kernel of one worker: the operands and schedule it is bound
-/// to, and the scratch (tap list, row offsets) it reuses from tile to tile.
-/// Scratch is sized by the L1 tile, never by a tensor.
+/// The tile kernel of one worker: the operands and schedule it is bound to,
+/// and the scratch (tap list, row offsets) it reuses from tile to tile. The
+/// tap list spans the reduction loops the kernel walks, at most `c·r·s` of
+/// one conv group; the row offsets span the tile's output rows.
 pub(crate) struct TileKernel<'a, I, O> {
     shape: ConvShape,
     input: &'a I,
@@ -221,11 +237,10 @@ pub(crate) struct TileKernel<'a, I, O> {
     k_per_group: usize,
     /// Elements per packed group: one `vec_len`-lane vector per `(c, r, s)`.
     group_len: usize,
-    /// Register-tile extents of `c`, `r`, `s`.
-    register: [usize; 3],
-    /// The permutation's relative order of `c`, `r`, `s` (as indices into
-    /// `[c, r, s]`), outermost first.
-    order: [usize; 3],
+    /// The `(dim, tile)` loops over `c`/`r`/`s` a tile's taps are visited
+    /// in, outermost first: the tile walk's trailing reduction loops, then
+    /// the register tile's, in permutation order.
+    reduction: Vec<(usize, usize)>,
     taps: Vec<Tap>,
     tap_key: Option<TapKey>,
     /// Per output row of the tile, in `n`, `h` order: the offsets of its
@@ -236,7 +251,9 @@ pub(crate) struct TileKernel<'a, I, O> {
 
 impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
     /// Bind the kernel to its operands and to the part of the schedule that
-    /// reaches below the L1 tile: the register tile and the permutation.
+    /// reaches inside the tiles it is handed: the `trailing` `(dim, tile)`
+    /// reduction loops of the tile walk, the register tile and the
+    /// permutation.
     ///
     /// # Panics
     ///
@@ -245,6 +262,7 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
     pub(crate) fn new(
         shape: &ConvShape,
         config: &TileConfig,
+        trailing: &[(usize, usize)],
         input: &'a I,
         packed: &'a PackedKernel,
         output: &'a mut O,
@@ -255,12 +273,16 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
             !fused || detected_backend() == SimdBackend::Avx2Fma,
             "the Avx2Fma backend was requested on a CPU without avx2+fma"
         );
-        let reduction = [LoopIndex::C, LoopIndex::R, LoopIndex::S];
         let register = config.level(TilingLevel::Register);
-        let mut order = [0, 1, 2];
-        order.sort_by_key(|&i| {
-            config.permutation.outer_to_inner().iter().position(|&idx| idx == reduction[i])
-        });
+        let mut reduction = trailing.to_vec();
+        reduction.extend(
+            config
+                .permutation
+                .outer_to_inner()
+                .iter()
+                .filter(|idx| idx.is_reduction())
+                .map(|&idx| (idx.canonical_position(), register.get(idx).max(1))),
+        );
         let layout = packed.layout();
         TileKernel {
             shape: *shape,
@@ -270,8 +292,7 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
             fused,
             k_per_group: shape.k_per_group().max(1),
             group_len: layout.c * layout.r * layout.s * layout.vec_len,
-            register: reduction.map(|idx| register.get(idx).max(1)),
-            order,
+            reduction,
             taps: Vec::new(),
             tap_key: None,
             rows: Vec::new(),
@@ -279,7 +300,8 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
         }
     }
 
-    /// Accumulate one L1 tile's contribution into the output.
+    /// Accumulate one tile's contribution into the output: every L1 tile the
+    /// trailing reduction loops cut it into, in their order.
     pub(crate) fn run(&mut self, tile: &KernelRegion) {
         if tile.macs() == 0 {
             return;
@@ -309,21 +331,23 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
     /// the tile's taps.
     #[inline(always)]
     fn run_with<M: Mac>(&mut self, tile: &KernelRegion) {
-        let vec_len = self.packed.vec_len();
         let k_end = tile.k.0 + tile.k.1;
         let mut k = tile.k.0;
         while k < k_end {
             // A block is the part of the K range inside one LANES-aligned
             // chunk of one packed vector and inside one conv group, so that
-            // one kernel load and one input pixel serve every lane of it.
-            let lane = k % vec_len;
-            let chunk = lane - lane % LANES;
-            let width = LANES.min(vec_len - chunk);
+            // one kernel load and one input pixel serve every lane of it —
+            // or, where the range holds two whole chunks of one group, both.
             let group = k / self.k_per_group;
-            let end = k_end.min((group + 1) * self.k_per_group).min(k - lane + chunk + width);
+            let group_end = k_end.min((group + 1) * self.k_per_group);
             self.place_taps(tile, group * self.packed.layout().c);
-            let kernel = (k / vec_len) * self.group_len + chunk;
-            let mut planes = [0; LANES];
+            let (kernel, first, width) = self.chunk(k);
+            let (second, second_first, second_width) = self.chunk(k + LANES);
+            let wide = M::WIDE
+                && k + 2 * LANES <= group_end
+                && (first, width, second_first, second_width) == (0, LANES, 0, LANES);
+            let end = if wide { k + 2 * LANES } else { group_end.min(k - first + width) };
+            let mut planes = [0; 2 * LANES];
             for (i, plane) in planes[..end - k].iter_mut().enumerate() {
                 *plane = self.output.plane(0, k + i);
             }
@@ -335,23 +359,32 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
                 row_len: tile.w.1,
                 steps: (self.shape.stride * self.input.strides().1, self.output.strides().1),
             };
-            if end - k == 1 {
-                operands.pixels::<M>(self.output.data_mut(), planes[0], kernel + lane - chunk);
+            let output = self.output.data_mut();
+            if wide {
+                operands.lanes::<M, 2>(output, &planes, 0, [kernel, second], LANES);
+            } else if end - k == 1 {
+                operands.pixels::<M>(output, planes[0], kernel + first);
             } else {
-                operands.lanes::<M>(
-                    self.output.data_mut(),
-                    &planes[..end - k],
-                    lane - chunk,
-                    kernel,
-                    width,
-                );
+                operands.lanes::<M, 1>(output, &planes[..end - k], first, [kernel], width);
             }
             k = end;
         }
     }
 
+    /// The LANES-aligned chunk of a packed vector that holds output channel
+    /// `k`: its offset in the packed buffer, the lane of `k` in it, and how
+    /// many packed lanes it has.
+    fn chunk(&self, k: usize) -> (usize, usize, usize) {
+        let vec_len = self.packed.vec_len();
+        let lane = k % vec_len;
+        let chunk = lane - lane % LANES;
+        ((k / vec_len) * self.group_len + chunk, lane - chunk, LANES.min(vec_len - chunk))
+    }
+
     /// Rebuild the tap list unless the previous tile left the one this tile
-    /// needs: same `c`/`r`/`s` ranges, same conv group.
+    /// needs: same `c`/`r`/`s` ranges, same conv group. The taps are those of
+    /// every tile the reduction loops cut it into, in loop order, with `c`,
+    /// `r`, `s` ascending inside each.
     fn place_taps(&mut self, tile: &KernelRegion, c_base: usize) {
         let ranges = [tile.c, tile.r, tile.s];
         if self.tap_key == Some((ranges, c_base)) {
@@ -361,29 +394,21 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
         self.taps.clear();
         let (h_stride, w_stride) = self.input.strides();
         let (row, col) = (self.shape.dilation * h_stride, self.shape.dilation * w_stride);
-        let layout = self.packed.layout();
-        let [outer, middle, inner] = self.order;
-        for a in tiles_of(ranges[outer], self.register[outer]) {
-            for b in tiles_of(ranges[middle], self.register[middle]) {
-                for d in tiles_of(ranges[inner], self.register[inner]) {
-                    let mut tile = ranges;
-                    tile[outer] = a;
-                    tile[middle] = b;
-                    tile[inner] = d;
-                    for c in span(tile[0]) {
-                        let plane = self.input.plane(0, c_base + c);
-                        for r in span(tile[1]) {
-                            for s in span(tile[2]) {
-                                self.taps.push(Tap {
-                                    input: plane + r * row + s * col,
-                                    kernel: layout.offset(0, c, r, s),
-                                });
-                            }
-                        }
+        let (input, layout, taps) = (self.input, self.packed.layout(), &mut self.taps);
+        walk(&self.reduction, tile.ranges(), |sub| {
+            let [_, _, cs, rs, ss, _, _] = *sub;
+            for c in span(cs) {
+                let plane = input.plane(0, c_base + c);
+                for r in span(rs) {
+                    for s in span(ss) {
+                        taps.push(Tap {
+                            input: plane + r * row + s * col,
+                            kernel: layout.offset(0, c, r, s),
+                        });
                     }
                 }
             }
-        }
+        });
     }
 
     /// Rebuild the row offsets unless the previous tile covered the same
@@ -415,40 +440,88 @@ fn span((start, len): (usize, usize)) -> std::ops::Range<usize> {
     start..start + len
 }
 
-/// The `(start, len)` sub-ranges a tile size cuts a range into.
-fn tiles_of((start, len): (usize, usize), tile: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..len).step_by(tile).map(move |off| (start + off, tile.min(len - off)))
-}
-
-/// One multiply–accumulate; the only thing the two backends differ in.
+/// One multiply–accumulate, on one lane and on a vector of [`LANES`] lanes:
+/// the only thing the two backends differ in.
 trait Mac {
+    /// [`LANES`] lanes, held the way the backend keeps them in a register.
+    type Lanes: Copy;
+    /// Whether dense blocks may take two lane vectors: 12 accumulators, two
+    /// kernel vectors and the broadcast pixel fit the sixteen registers only
+    /// as whole AVX2 vectors.
+    const WIDE: bool;
     fn mac(acc: f32, x: f32, k: f32) -> f32;
+    /// [`Mac::mac`] in every lane.
+    fn mac_lanes(acc: Self::Lanes, x: Self::Lanes, k: Self::Lanes) -> Self::Lanes;
+    fn load(lanes: &[f32; LANES]) -> Self::Lanes;
+    fn store(lanes: Self::Lanes) -> [f32; LANES];
+    #[inline(always)]
+    fn splat(x: f32) -> Self::Lanes {
+        Self::load(&[x; LANES])
+    }
 }
 
 /// `acc + x * k`: the product is rounded, then the sum.
 struct TwoRoundings;
 
 impl Mac for TwoRoundings {
+    type Lanes = [f32; LANES];
+    const WIDE: bool = false;
     #[inline(always)]
     fn mac(acc: f32, x: f32, k: f32) -> f32 {
         acc + x * k
     }
+    #[inline(always)]
+    fn mac_lanes(mut acc: Self::Lanes, x: Self::Lanes, k: Self::Lanes) -> Self::Lanes {
+        for l in 0..LANES {
+            acc[l] = Self::mac(acc[l], x[l], k[l]);
+        }
+        acc
+    }
+    #[inline(always)]
+    fn load(lanes: &[f32; LANES]) -> Self::Lanes {
+        *lanes
+    }
+    #[inline(always)]
+    fn store(lanes: Self::Lanes) -> [f32; LANES] {
+        lanes
+    }
 }
 
-/// `fma(x, k, acc)`: one rounding. Only instantiated where the `fma` target
-/// feature is enabled, so it compiles to the instruction, not a libm call.
+/// `fma(x, k, acc)`: one rounding, on `__m256` vectors. Only instantiated
+/// inside [`TileKernel::run_avx2`], which is only entered on a CPU that
+/// reports avx2 and fma, so every operation compiles to its AVX2 or FMA
+/// instruction, not a libm call.
 #[cfg(target_arch = "x86_64")]
 struct Fused;
 
 #[cfg(target_arch = "x86_64")]
 impl Mac for Fused {
+    type Lanes = std::arch::x86_64::__m256;
+    const WIDE: bool = true;
     #[inline(always)]
     fn mac(acc: f32, x: f32, k: f32) -> f32 {
         x.mul_add(k, acc)
     }
+    #[inline(always)]
+    fn mac_lanes(acc: Self::Lanes, x: Self::Lanes, k: Self::Lanes) -> Self::Lanes {
+        // SAFETY: `Fused` runs only on a CPU with fma (see the type).
+        unsafe { std::arch::x86_64::_mm256_fmadd_ps(x, k, acc) }
+    }
+    #[inline(always)]
+    fn load(lanes: &[f32; LANES]) -> Self::Lanes {
+        // SAFETY: avx, as above; the pointer addresses LANES readable floats.
+        unsafe { std::arch::x86_64::_mm256_loadu_ps(lanes.as_ptr()) }
+    }
+    #[inline(always)]
+    fn store(lanes: Self::Lanes) -> [f32; LANES] {
+        let mut out = [0.0; LANES];
+        // SAFETY: avx, as above; the pointer addresses LANES writable floats.
+        unsafe { std::arch::x86_64::_mm256_storeu_ps(out.as_mut_ptr(), lanes) };
+        out
+    }
 }
 
-/// What every block of one L1 tile reads.
+/// What every block of one tile reads.
 struct Operands<'a> {
     input: &'a [f32],
     packed: &'a [f32],
@@ -462,48 +535,46 @@ struct Operands<'a> {
 }
 
 impl Operands<'_> {
-    /// Up to [`LANES`] output channels of one packed-vector chunk × all
-    /// pixels of the tile. `planes` are the output plane offsets of the
-    /// block's channels, `first` the chunk lane of the first of them,
-    /// `kernel` the chunk's offset in the packed buffer and `width` the
-    /// packed lanes it holds.
+    /// `V` packed-vector chunks of output channels × all pixels of the tile.
+    /// `planes` are the output plane offsets of the block's channels, `first`
+    /// the chunk lane of the first of them, `kernels` the chunks' offsets in
+    /// the packed buffer and `width` the packed lanes each holds.
     #[inline(always)]
-    fn lanes<M: Mac>(
+    fn lanes<M: Mac, const V: usize>(
         &self,
         output: &mut [f32],
         planes: &[usize],
         first: usize,
-        kernel: usize,
+        kernels: [usize; V],
         width: usize,
     ) {
         let pixels = self.rows.len() * self.row_len;
+        let block = (planes, first, kernels, width);
         // The next pixel: (row, column).
         let mut next = (0, 0);
         let mut done = 0;
         while done < pixels {
             // Largest register block that fits what is left: no pixel is
-            // computed twice and none is padding.
+            // computed twice and none is padding. One vector takes up to
+            // PIXELS pixels, two take 6 (12 accumulators, two kernel vectors
+            // and the broadcast pixel fill fifteen of the sixteen registers).
             done += match pixels - done {
-                PIXELS.. => {
-                    self.lane_block::<M, PIXELS>(output, planes, first, kernel, width, &mut next)
-                }
-                4.. => self.lane_block::<M, 4>(output, planes, first, kernel, width, &mut next),
-                2.. => self.lane_block::<M, 2>(output, planes, first, kernel, width, &mut next),
-                _ => self.lane_block::<M, 1>(output, planes, first, kernel, width, &mut next),
+                PIXELS.. if V == 1 => self.lane_block::<M, V, PIXELS>(output, block, &mut next),
+                6.. if V == 2 => self.lane_block::<M, V, 6>(output, block, &mut next),
+                4.. => self.lane_block::<M, V, 4>(output, block, &mut next),
+                2.. => self.lane_block::<M, V, 2>(output, block, &mut next),
+                _ => self.lane_block::<M, V, 1>(output, block, &mut next),
             };
         }
     }
 
-    /// The `P` pixels from `next` on × [`LANES`] lanes, held in registers
-    /// across every tap. Advances `next` and returns `P`.
+    /// The `P` pixels from `next` on × `V` chunks of [`LANES`] lanes, held
+    /// in registers across every tap. Advances `next` and returns `P`.
     #[inline(always)]
-    fn lane_block<M: Mac, const P: usize>(
+    fn lane_block<M: Mac, const V: usize, const P: usize>(
         &self,
         output: &mut [f32],
-        planes: &[usize],
-        first: usize,
-        kernel: usize,
-        width: usize,
+        (planes, first, kernels, width): (&[usize], usize, [usize; V], usize),
         next: &mut (usize, usize),
     ) -> usize {
         let (mut pixel_in, mut pixel_out) = ([0; P], [0; P]);
@@ -517,23 +588,35 @@ impl Operands<'_> {
         // offset here, and only by constants in the accumulators below —
         // which is what lets the compiler keep those in registers from the
         // first tap to the last instead of storing them back after each.
-        let mut staged = [[0.0f32; LANES]; P];
+        let mut staged = [[0.0f32; 2 * LANES]; P];
         for (block, &pixel) in staged.iter_mut().zip(&pixel_out) {
             for (lane, &plane) in block[first..].iter_mut().zip(planes) {
                 *lane = output[plane + pixel];
             }
         }
-        let mut acc = staged;
+        let mut acc = [[M::splat(0.0); V]; P];
+        for (acc, block) in acc.iter_mut().zip(&staged) {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = M::load(vector(block, v * LANES));
+            }
+        }
         for tap in self.taps {
-            let lanes = load_lanes(self.packed, kernel + tap.kernel, width);
+            let mut lanes = [M::splat(0.0); V];
+            for (v, lanes) in lanes.iter_mut().enumerate() {
+                *lanes = M::load(&load_lanes(self.packed, kernels[v] + tap.kernel, width));
+            }
             for p in 0..P {
-                let x = self.input[pixel_in[p] + tap.input];
-                for l in 0..LANES {
-                    acc[p][l] = M::mac(acc[p][l], x, lanes[l]);
+                let x = M::splat(self.input[pixel_in[p] + tap.input]);
+                for v in 0..V {
+                    acc[p][v] = M::mac_lanes(acc[p][v], x, lanes[v]);
                 }
             }
         }
-        staged = acc;
+        for (acc, block) in acc.iter().zip(&mut staged) {
+            for (v, &acc) in acc.iter().enumerate() {
+                block[v * LANES..(v + 1) * LANES].copy_from_slice(&M::store(acc));
+            }
+        }
         for (block, &pixel) in staged.iter().zip(&pixel_out) {
             for (lane, &plane) in block[first..].iter().zip(planes) {
                 output[plane + pixel] = *lane;
@@ -544,24 +627,76 @@ impl Operands<'_> {
 
     /// One output channel (lane `kernel` of its packed vector, output plane
     /// `plane`): each output row of the tile in vectors of [`LANES`]
-    /// consecutive pixels.
+    /// consecutive pixels. Where both sides are contiguous and a row holds a
+    /// whole vector, up to four vectors share each tap, and a row's partial
+    /// last vector is computed as the whole vector that ends at the row's
+    /// end, of which only the lanes not yet covered are stored.
     #[inline(always)]
     fn pixels<M: Mac>(&self, output: &mut [f32], plane: usize, kernel: usize) {
         let (in_step, out_step) = self.steps;
+        let contiguous = in_step == 1 && out_step == 1 && self.row_len >= LANES;
         for &(row_in, row_out) in self.rows {
-            let mut at = 0;
+            let (row_out, mut at) = (plane + row_out, 0);
+            while contiguous && at < self.row_len {
+                let (input_at, output_at) = (row_in + at, row_out + at);
+                at += match (self.row_len - at) / LANES {
+                    4.. => self.vector_block::<M, 4>(output, input_at, output_at, kernel, 0),
+                    2.. => self.vector_block::<M, 2>(output, input_at, output_at, kernel, 0),
+                    1 => self.vector_block::<M, 1>(output, input_at, output_at, kernel, 0),
+                    _ => {
+                        // The partial last vector, moved back onto the row.
+                        let back = LANES - (self.row_len - at);
+                        self.vector_block::<M, 1>(
+                            output,
+                            input_at - back,
+                            output_at - back,
+                            kernel,
+                            back,
+                        )
+                    }
+                };
+            }
             while at < self.row_len {
                 let len = LANES.min(self.row_len - at);
-                let (input_at, output_at) =
-                    (row_in + at * in_step, plane + row_out + at * out_step);
+                let (input_at, output_at) = (row_in + at * in_step, row_out + at * out_step);
                 self.pixel_block::<M>(output, input_at, output_at, kernel, len);
                 at += len;
             }
         }
     }
 
-    /// `len <= LANES` consecutive pixels of one output row held in registers
-    /// across every tap.
+    /// `V` whole vectors of [`LANES`] consecutive pixels of one contiguous
+    /// output row, held in registers across every tap. The first `skip`
+    /// lanes are computed but not stored. Returns the pixels stored.
+    #[inline(always)]
+    fn vector_block<M: Mac, const V: usize>(
+        &self,
+        output: &mut [f32],
+        input_at: usize,
+        output_at: usize,
+        kernel: usize,
+        skip: usize,
+    ) -> usize {
+        let mut acc = [M::splat(0.0); V];
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = M::load(vector(output, output_at + v * LANES));
+        }
+        for tap in self.taps {
+            let k = M::splat(self.packed[kernel + tap.kernel]);
+            let at = input_at + tap.input;
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = M::mac_lanes(*acc, M::load(vector(self.input, at + v * LANES)), k);
+            }
+        }
+        for (v, &acc) in acc.iter().enumerate() {
+            let (at, from) = (output_at + v * LANES, if v == 0 { skip } else { 0 });
+            output[at + from..at + LANES].copy_from_slice(&M::store(acc)[from..]);
+        }
+        V * LANES - skip
+    }
+
+    /// `len <= LANES` pixels of one output row, at any stride, held in
+    /// registers across every tap.
     #[inline(always)]
     fn pixel_block<M: Mac>(
         &self,
@@ -572,22 +707,6 @@ impl Operands<'_> {
         len: usize,
     ) {
         let (in_step, out_step) = self.steps;
-        if len == LANES && in_step == 1 && out_step == 1 {
-            // Contiguous on both sides: whole vectors.
-            let mut acc: [f32; LANES] =
-                output[output_at..output_at + LANES].try_into().expect("LANES elements");
-            for tap in self.taps {
-                let k = self.packed[kernel + tap.kernel];
-                let at = input_at + tap.input;
-                let x: [f32; LANES] =
-                    self.input[at..at + LANES].try_into().expect("LANES elements");
-                for l in 0..LANES {
-                    acc[l] = M::mac(acc[l], x[l], k);
-                }
-            }
-            output[output_at..output_at + LANES].copy_from_slice(&acc);
-            return;
-        }
         let mut acc = [0.0f32; LANES];
         for (l, a) in acc[..len].iter_mut().enumerate() {
             *a = output[output_at + l * out_step];
@@ -605,11 +724,17 @@ impl Operands<'_> {
     }
 }
 
+/// The [`LANES`] elements of `data` from `at` on.
+#[inline(always)]
+fn vector(data: &[f32], at: usize) -> &[f32; LANES] {
+    data[at..at + LANES].try_into().expect("LANES elements")
+}
+
 /// The `width <= LANES` packed lanes at `at`, zero-padded to a full vector.
 #[inline(always)]
 fn load_lanes(packed: &[f32], at: usize, width: usize) -> [f32; LANES] {
     if width == LANES {
-        return packed[at..at + LANES].try_into().expect("LANES elements");
+        return *vector(packed, at);
     }
     let mut lanes = [0.0; LANES];
     lanes[..width].copy_from_slice(&packed[at..at + width]);
@@ -644,7 +769,7 @@ mod tests {
         backend: SimdBackend,
     ) {
         let config = TileConfig::untiled(shape);
-        TileKernel::new(shape, &config, input, kernel, output, backend).run(region);
+        TileKernel::new(shape, &config, &[], input, kernel, output, backend).run(region);
     }
 
     /// The region under the backend the runtime dispatcher picked.

@@ -3,10 +3,13 @@
 //! `TiledConv` realizes the loop structure the paper's code generator emits:
 //! L3-, L2- and L1-level tile loops (in the configuration's permutation
 //! order, resolved once to a flat loop nest and walked without recursion)
-//! around the microkernel, which runs once per L1 tile
-//! ([`crate::microkernel`]), with the kernel tensor packed up front. The
+//! around the microkernel ([`crate::microkernel`]), with the kernel tensor
+//! packed up front. The trailing run of `c`/`r`/`s` loops below the last
+//! `n`/`k`/`h`/`w` loop is not walked here: the kernel runs once per tile of
+//! the loops above it and walks that run inside its tap list, so an output
+//! block stays in registers across all the L1 tiles of its reduction. The
 //! register level of the configuration reaches the kernel as the order in
-//! which it visits a tile's `(c, r, s)`.
+//! which it visits each L1 tile's `(c, r, s)`.
 //!
 //! With `threads > 1` the output is partitioned across scoped threads
 //! (tensors are borrowed, never copied to the workers) and each runs the same
@@ -30,7 +33,7 @@
 //! this, including thread counts exceeding the partitioned extent.
 
 use conv_spec::layout::PackedKernelLayout;
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TilingLevel};
+use conv_spec::{ConvShape, LoopIndex, TileConfig, TilingLevel, ALL_INDICES};
 
 use crate::microkernel::{
     active_backend, KernelRegion, SimdBackend, StridedView, StridedViewMut, TileKernel,
@@ -217,10 +220,11 @@ impl TiledConv {
     }
 
     /// Execute the L3-, L2- and L1-level tile loops over an arbitrary base
-    /// region, handing every L1 tile to the microkernel. Worker threads each
-    /// run it over their slice of the output, and [`crate::NchwcConv`] runs
-    /// it over blocked NCHWc views — the walk is generic over strided views
-    /// so every storage layout goes through the identical arithmetic.
+    /// region, handing every tile of the output loops to the microkernel.
+    /// Worker threads each run it over their slice of the output, and
+    /// [`crate::NchwcConv`] runs it over blocked NCHWc views — the walk is
+    /// generic over strided views so every storage layout goes through the
+    /// identical arithmetic.
     pub(crate) fn execute_region<I: StridedView, O: StridedViewMut>(
         &self,
         input: &I,
@@ -228,9 +232,6 @@ impl TiledConv {
         output: &mut O,
         base: &KernelRegion,
     ) {
-        let backend = self.backend.unwrap_or_else(active_backend);
-        let mut kernel = TileKernel::new(&self.shape, &self.config, input, packed, output, backend);
-
         // The loop nest, outermost first, resolved once: per level the seven
         // dimensions in permutation order. A loop whose tile is never
         // smaller than the range it cuts takes one trip and is left out.
@@ -247,39 +248,59 @@ impl TiledConv {
                 }
             }
         }
+        // The trailing run of `c`/`r`/`s` loops is the kernel's: it walks
+        // them inside one tap list, so an output block stays in registers
+        // across all of them.
+        let split = loops
+            .iter()
+            .rposition(|&(dim, _)| !ALL_INDICES[dim].is_reduction())
+            .map_or(0, |last| last + 1);
+        let (outer, trailing) = loops.split_at(split);
+        let backend = self.backend.unwrap_or_else(active_backend);
+        let mut kernel =
+            TileKernel::new(&self.shape, &self.config, trailing, input, packed, output, backend);
+        walk(outer, base.ranges(), |tile| kernel.run(&KernelRegion::from_ranges(*tile)));
+    }
+}
 
-        // Walk it without recursion: `current` is the tile the loops
-        // entered so far have narrowed the base region to; loop `depth`
-        // remembers the range it cuts and how far into it it is.
-        let mut current = base.ranges();
-        let mut cut = vec![(0, 0); loops.len()];
-        let mut offset = vec![0; loops.len()];
-        let mut depth = 0;
+/// Visit every tile the `(dim, tile)` loops, outermost first, cut `base`
+/// into, in the order the loop nest reaches them. The nest is walked without
+/// recursion: `current` is the tile the loops entered so far have narrowed
+/// `base` to; loop `depth` remembers the range it cuts and how far into it
+/// it is.
+pub(crate) fn walk(
+    loops: &[(usize, usize)],
+    base: [(usize, usize); 7],
+    mut visit: impl FnMut(&[(usize, usize); 7]),
+) {
+    let mut current = base;
+    let mut cut = vec![(0, 0); loops.len()];
+    let mut offset = vec![0; loops.len()];
+    let mut depth = 0;
+    loop {
+        while depth < loops.len() {
+            let (dim, tile) = loops[depth];
+            cut[depth] = current[dim];
+            offset[depth] = 0;
+            current[dim] = (cut[depth].0, tile.min(cut[depth].1));
+            depth += 1;
+        }
+        visit(&current);
+        // Advance the innermost loop that has a tile left.
         loop {
-            while depth < loops.len() {
-                let (dim, tile) = loops[depth];
-                cut[depth] = current[dim];
-                offset[depth] = 0;
-                current[dim] = (cut[depth].0, tile.min(cut[depth].1));
+            if depth == 0 {
+                return;
+            }
+            depth -= 1;
+            let (dim, tile) = loops[depth];
+            let (start, len) = cut[depth];
+            offset[depth] += tile;
+            if offset[depth] < len {
+                current[dim] = (start + offset[depth], tile.min(len - offset[depth]));
                 depth += 1;
+                break;
             }
-            kernel.run(&KernelRegion::from_ranges(current));
-            // Advance the innermost loop that has a tile left.
-            loop {
-                if depth == 0 {
-                    return;
-                }
-                depth -= 1;
-                let (dim, tile) = loops[depth];
-                let (start, len) = cut[depth];
-                offset[depth] += tile;
-                if offset[depth] < len {
-                    current[dim] = (start + offset[depth], tile.min(len - offset[depth]));
-                    depth += 1;
-                    break;
-                }
-                current[dim] = cut[depth];
-            }
+            current[dim] = cut[depth];
         }
     }
 }
