@@ -16,7 +16,8 @@
 //!   ([`cost_model::OnlineCostModel`]) standing in for the XGBoost ranker,
 //! * an `Evaluator` callback so the caller decides what "measuring a
 //!   candidate" means: wall-clock execution of `conv-exec` (as TVM does) or a
-//!   simulated cost from `cache-sim` (for machine-independent experiments).
+//!   simulated cost from `mopt_bench::sim` (for machine-independent
+//!   experiments).
 //!
 //! # Example
 //!

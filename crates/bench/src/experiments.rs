@@ -11,6 +11,7 @@ use mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 use mopt_model::prune::{pruned_classes, sample_tiles};
 use serde::{Deserialize, Serialize};
 
+use crate::sim::TileTrafficSimulator;
 use crate::validation::{validate_operator, ValidationReport};
 
 /// How large the benchmark operators used by an experiment are.
@@ -45,7 +46,9 @@ impl ExperimentScale {
 
 /// The command line the `exp_*` binaries share: one count (`--samples N` or
 /// `--trials N`, whichever the experiment calls it), `--full` for the
-/// unscaled Table-1 shapes, and `--ops A,B,...`. Anything else is ignored.
+/// unscaled Table-1 shapes, and `--ops A,B,...`. Anything else is ignored,
+/// but a count of 0 and an `--ops` name that is not a Table-1 operator are
+/// rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpArgs {
     /// The value of the count flag, or the experiment's default.
@@ -58,12 +61,20 @@ pub struct ExpArgs {
 
 impl ExpArgs {
     /// Parse the process arguments; `count_flag` names the count
-    /// (`"--samples"` or `"--trials"`) and `count` is its default.
+    /// (`"--samples"` or `"--trials"`) and `count` is its default. Arguments
+    /// the experiment cannot run end the process with status 2.
     pub fn parse(count_flag: &str, count: usize) -> Self {
-        Self::from_argv(std::env::args().skip(1), count_flag, count)
+        Self::from_argv(std::env::args().skip(1), count_flag, count).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
     }
 
-    fn from_argv(mut argv: impl Iterator<Item = String>, count_flag: &str, count: usize) -> Self {
+    fn from_argv(
+        mut argv: impl Iterator<Item = String>,
+        count_flag: &str,
+        count: usize,
+    ) -> Result<Self, String> {
         let mut args = ExpArgs { count, scale: ExperimentScale::quick(), ops: None };
         while let Some(arg) = argv.next() {
             match arg.as_str() {
@@ -81,7 +92,26 @@ impl ExpArgs {
                 _ => {}
             }
         }
-        args
+        if args.count == 0 {
+            return Err(format!("{count_flag} must be at least 1"));
+        }
+        let table1 = benchmarks::all_operators();
+        let unknown: Vec<&str> = args
+            .ops
+            .iter()
+            .flatten()
+            .filter(|name| !table1.iter().any(|op| same_op(&op.name, name)))
+            .map(String::as_str)
+            .collect();
+        if !unknown.is_empty() {
+            let accepted: Vec<&str> = table1.iter().map(|op| op.name.as_str()).collect();
+            return Err(format!(
+                "--ops: unknown operator {}; accepted: {}",
+                unknown.join(", "),
+                accepted.join(", ")
+            ));
+        }
+        Ok(args)
     }
 
     /// The `--ops` list, or the experiment's default operators.
@@ -373,7 +403,7 @@ pub fn searchcost_comparison(
             let mopt = optimizer.optimize();
 
             let space = SearchSpace::new(&shape, machine);
-            let sim = cache_sim::TileTrafficSimulator::new(200_000);
+            let sim = TileTrafficSimulator::new(200_000);
             let start = std::time::Instant::now();
             let mut tuner = ModelGuidedTuner::new(7);
             let _ = tuner.tune(
@@ -471,15 +501,16 @@ fn filter_ops(ops: Vec<BenchmarkOp>, names: Option<&[String]>) -> Vec<BenchmarkO
     match names {
         None => ops,
         Some([]) => ops,
-        Some(list) => ops
-            .into_iter()
-            .filter(|op| {
-                list.iter().any(|n| {
-                    op.name.trim_end_matches('*').eq_ignore_ascii_case(n.trim_end_matches('*'))
-                })
-            })
-            .collect(),
+        Some(list) => {
+            ops.into_iter().filter(|op| list.iter().any(|n| same_op(&op.name, n))).collect()
+        }
     }
+}
+
+/// Whether `name` names the operator labelled `label`: case and the trailing
+/// stride-2 `*` are ignored.
+fn same_op(label: &str, name: &str) -> bool {
+    label.trim_end_matches('*').eq_ignore_ascii_case(name.trim_end_matches('*'))
 }
 
 #[cfg(test)]
@@ -498,18 +529,23 @@ mod tests {
 
     #[test]
     fn exp_args_read_their_count_flag_and_ignore_the_rest() {
-        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let defaults = ExpArgs::from_argv(argv(&[]).into_iter(), "--trials", 24);
+        let parse =
+            |args: &[&str]| ExpArgs::from_argv(args.iter().map(|s| s.to_string()), "--trials", 24);
+        let defaults = parse(&[]).unwrap();
         assert_eq!(defaults, ExpArgs { count: 24, scale: ExperimentScale::quick(), ops: None });
         assert_eq!(defaults.ops_or(&["Y0", "Y23"]), ["Y0", "Y23"]);
-        // `--samples` is another experiment's flag here; a bad or missing
-        // count keeps the default.
-        let line = argv(&["--samples", "9", "--full", "--ops", "R9,M2", "--trials", "7", "--x"]);
-        let parsed = ExpArgs::from_argv(line.into_iter(), "--trials", 24);
+        // `--samples` is another experiment's flag here, so its 0 is ignored;
+        // a bad or missing count keeps the default.
+        let line = ["--samples", "0", "--full", "--ops", "R9,M2", "--trials", "7", "--x"];
+        let parsed = parse(&line).unwrap();
         assert_eq!((parsed.count, parsed.scale), (7, ExperimentScale::Full));
         assert_eq!(parsed.ops_or(&["Y0"]), ["R9", "M2"]);
-        let bad = ExpArgs::from_argv(argv(&["--trials", "many"]).into_iter(), "--trials", 24);
-        assert_eq!(bad.count, 24);
+        assert_eq!(parse(&["--trials", "many"]).unwrap().count, 24);
+        // A count of 0 would run nothing and report on it.
+        assert_eq!(
+            parse(&["--ops", "R9", "--trials", "0"]).unwrap_err(),
+            "--trials must be at least 1"
+        );
     }
 
     #[test]
@@ -588,5 +624,14 @@ mod tests {
         assert_eq!(ops.len(), 2);
         let all = filter_ops(benchmarks::all_operators(), None);
         assert_eq!(all.len(), 32);
+        // `--ops` takes exactly the names this keeps: `V3` is in the catalog
+        // but not among the 32 operators the figures scale.
+        let parse = |ops: &str| {
+            ExpArgs::from_argv(["--ops", ops].map(str::to_string).into_iter(), "--samples", 4)
+        };
+        assert_eq!(parse("y0,R10*,m2").unwrap().ops_or(&[]), ["y0", "R10*", "m2"]);
+        let err = parse("R99,R9,V3").unwrap_err();
+        assert!(err.starts_with("--ops: unknown operator R99, V3; accepted: Y0, Y2,"), "{err}");
+        assert!(err.ends_with(", M8*, M9"), "{err}");
     }
 }

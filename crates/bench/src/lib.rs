@@ -25,6 +25,7 @@
 
 pub mod experiments;
 pub mod report;
+pub mod sim;
 pub mod validation;
 
 pub use experiments::{

@@ -1,49 +1,45 @@
-//! Fast tile-granularity traffic estimation for full-size operators.
+//! The tile-traffic simulator: the reproduction's stand-in for the hardware
+//! counters the paper validates its model against (Sec. 9).
 //!
-//! The element-level trace simulator ([`crate::trace`]) is exact but only
-//! practical for scaled-down problem sizes. This module walks the multi-level
-//! tiled loop nest at *tile* granularity: for each pair of consecutive tiles
-//! at a given level it computes the amount of new data that must be fetched,
-//! using the same "only the immediately preceding tile's data is still
-//! resident" reasoning as the paper's analytical model (Sec. 3), but evaluated
-//! numerically so partial tiles, strides and arbitrary permutations are
-//! handled exactly. It provides the "measured data movement" axis of the
-//! model-validation experiments for operators whose full traces would be too
-//! large to simulate element by element.
+//! [`TileTrafficSimulator`] walks the multi-level tiled loop nest at *tile*
+//! granularity: for each pair of consecutive tiles at a given level it
+//! computes the amount of new data that must be fetched, using the same "only
+//! the immediately preceding tile's data is still resident" reasoning as the
+//! paper's analytical model (Sec. 3), but evaluated numerically so partial
+//! tiles, strides and arbitrary permutations are handled exactly. Its
+//! [`DataMovement`] report — per-level volumes, bandwidth-scaled cost and the
+//! roofline projection — is the "measured" axis of Figs. 5 and 6 and the
+//! trial cost of the search-cost experiment; [`FusedPairTraffic`] estimates
+//! what fusing a producer → consumer pair saves at one boundary.
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel, ALL_INDICES};
+use conv_spec::{
+    ConvShape, LoopIndex, MachineModel, TileConfig, TileSizes, TilingLevel, ALL_INDICES,
+};
 use serde::{Deserialize, Serialize};
-
-use crate::counters::DataMovement;
 
 /// A hyper-rectangular region of the seven-dimensional iteration space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileRegion {
+struct TileRegion {
     /// Start offset per loop index (canonical order).
-    pub start: [usize; 7],
+    start: [usize; 7],
     /// Size per loop index (canonical order).
-    pub size: [usize; 7],
+    size: [usize; 7],
 }
 
 impl TileRegion {
     /// The full iteration space of a problem shape.
-    pub fn full(shape: &ConvShape) -> Self {
+    fn full(shape: &ConvShape) -> Self {
         TileRegion { start: [0; 7], size: shape.extents() }
     }
 
     /// Start offset for a loop index.
-    pub fn start_of(&self, idx: LoopIndex) -> usize {
+    fn start_of(&self, idx: LoopIndex) -> usize {
         self.start[idx.canonical_position()]
     }
 
     /// Size for a loop index.
-    pub fn size_of(&self, idx: LoopIndex) -> usize {
+    fn size_of(&self, idx: LoopIndex) -> usize {
         self.size[idx.canonical_position()]
-    }
-
-    /// Number of iteration points in the region.
-    pub fn points(&self) -> usize {
-        self.size.iter().product()
     }
 }
 
@@ -150,14 +146,14 @@ fn input_slice(region: &TileRegion, shape: &ConvShape) -> Slice4 {
 
 /// Walks the sequence of tiles of a target level, in execution order, for a
 /// multi-level tiling configuration.
-pub struct TileWalker<'a> {
+struct TileWalker<'a> {
     shape: &'a ConvShape,
     config: &'a TileConfig,
 }
 
 impl<'a> TileWalker<'a> {
     /// Create a walker for a shape and a (normalized) tiling configuration.
-    pub fn new(shape: &'a ConvShape, config: &'a TileConfig) -> Self {
+    fn new(shape: &'a ConvShape, config: &'a TileConfig) -> Self {
         TileWalker { shape, config }
     }
 
@@ -175,7 +171,7 @@ impl<'a> TileWalker<'a> {
     }
 
     /// Exact number of tiles of `target` level that the walk visits.
-    pub fn tile_count(&self, target: TilingLevel) -> u128 {
+    fn tile_count(&self, target: TilingLevel) -> u128 {
         let chain = self.level_chain(target);
         let mut total: u128 = 1;
         for &idx in &ALL_INDICES {
@@ -186,7 +182,7 @@ impl<'a> TileWalker<'a> {
 
     /// Visit tiles of `target` level in execution order. The callback returns
     /// `false` to stop early; the method returns the number of tiles visited.
-    pub fn walk(&self, target: TilingLevel, mut visit: impl FnMut(&TileRegion) -> bool) -> u64 {
+    fn walk(&self, target: TilingLevel, mut visit: impl FnMut(&TileRegion) -> bool) -> u64 {
         let chain = self.level_chain(target);
         let full = TileRegion::full(self.shape);
         let mut visited = 0u64;
@@ -370,8 +366,7 @@ impl TileTrafficSimulator {
     }
 
     /// Estimate traffic at every tiling level and assemble a
-    /// [`DataMovement`] report comparable to the analytical model's output and
-    /// to the trace simulator's counters.
+    /// [`DataMovement`] report comparable to the analytical model's output.
     pub fn simulate(&self, shape: &ConvShape, config: &TileConfig) -> DataMovement {
         let mut dm = DataMovement::zero(shape.flops() as f64);
         for &level in &TilingLevel::ALL {
@@ -456,9 +451,110 @@ impl TileTrafficSimulator {
     }
 }
 
-// Guard against the walker visiting an absurd number of tiles when the
-// caller forgot to budget: the simulator above always enforces
-// `max_tiles_per_level` by extrapolation when the exact walk would exceed it.
+/// Traffic observed at one boundary of the memory hierarchy.
+///
+/// The boundary for a [`TilingLevel`] `l` is the link that *fills* the
+/// storage holding the level-`l` tile: `Register` ↔ L1, `L1` ↔ L2,
+/// `L2` ↔ L3, `L3` ↔ DRAM. This matches the paper's `DV_l` quantities.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LevelTraffic {
+    /// The tiling level whose fill traffic this records.
+    pub level: TilingLevel,
+    /// Elements moved *into* the level (loads / fills).
+    pub inbound_elems: f64,
+    /// Elements moved *out of* the level (stores / write-backs toward the
+    /// slower side).
+    pub outbound_elems: f64,
+}
+
+impl LevelTraffic {
+    /// Total elements crossing the boundary in both directions.
+    pub fn total(&self) -> f64 {
+        self.inbound_elems + self.outbound_elems
+    }
+}
+
+/// A complete per-level data-movement report for one conv2d execution.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DataMovement {
+    /// Traffic per level, indexed by [`TilingLevel::ordinal`].
+    pub levels: [LevelTraffic; 4],
+    /// Total floating point operations of the computation (for converting the
+    /// bottleneck projection to GFLOPS).
+    pub flops: f64,
+}
+
+impl DataMovement {
+    /// A report with zero traffic everywhere.
+    pub fn zero(flops: f64) -> Self {
+        DataMovement {
+            levels: [
+                LevelTraffic {
+                    level: TilingLevel::Register,
+                    inbound_elems: 0.0,
+                    outbound_elems: 0.0,
+                },
+                LevelTraffic { level: TilingLevel::L1, inbound_elems: 0.0, outbound_elems: 0.0 },
+                LevelTraffic { level: TilingLevel::L2, inbound_elems: 0.0, outbound_elems: 0.0 },
+                LevelTraffic { level: TilingLevel::L3, inbound_elems: 0.0, outbound_elems: 0.0 },
+            ],
+            flops,
+        }
+    }
+
+    /// Traffic at a level.
+    pub fn level(&self, level: TilingLevel) -> &LevelTraffic {
+        &self.levels[level.ordinal()]
+    }
+
+    /// Mutable traffic at a level.
+    pub fn level_mut(&mut self, level: TilingLevel) -> &mut LevelTraffic {
+        &mut self.levels[level.ordinal()]
+    }
+
+    /// Total data volume (both directions) at a level, in elements — the
+    /// `DV_l` of the paper.
+    pub fn volume(&self, level: TilingLevel) -> f64 {
+        self.level(level).total()
+    }
+
+    /// Bandwidth-scaled cost of a level: `DV_l / BW_l`, in cycles, at the
+    /// bandwidth `threads` active threads fill the level with
+    /// ([`MachineModel::fill_bandwidth_at`]); the volume is the whole chip's.
+    pub fn scaled_cost(&self, level: TilingLevel, machine: &MachineModel, threads: usize) -> f64 {
+        self.volume(level) / machine.fill_bandwidth_at(level, threads)
+    }
+
+    /// The bottleneck level and its bandwidth-scaled cost (cycles):
+    /// `max_l DV_l / BW_l` (Sec. 5).
+    pub fn bottleneck(&self, machine: &MachineModel, threads: usize) -> (TilingLevel, f64) {
+        TilingLevel::ALL
+            .iter()
+            .map(|&l| (l, self.scaled_cost(l, machine, threads)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .expect("four levels always present")
+    }
+
+    /// Projected performance in GFLOPS for the whole operator, over the
+    /// larger of the bottleneck data-movement time and the pure compute time
+    /// at peak FMA throughput ([`MachineModel::roofline`]).
+    pub fn projected_gflops(&self, machine: &MachineModel, threads: usize) -> f64 {
+        machine.roofline(self.flops, self.bottleneck(machine, threads).1, threads).1
+    }
+}
+
+impl std::fmt::Display for DataMovement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "DV[Reg]={:.3e} DV[L1]={:.3e} DV[L2]={:.3e} DV[L3]={:.3e}",
+            self.volume(TilingLevel::Register),
+            self.volume(TilingLevel::L1),
+            self.volume(TilingLevel::L2),
+            self.volume(TilingLevel::L3),
+        )
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -504,7 +600,7 @@ mod tests {
         let walker = TileWalker::new(&shape, &cfg);
         let mut total_points = 0usize;
         walker.walk(TilingLevel::L3, |r| {
-            total_points += r.points();
+            total_points += r.size.iter().product::<usize>();
             true
         });
         assert_eq!(total_points, shape.macs());
@@ -724,5 +820,70 @@ mod tests {
         assert!(!exact.sampled());
         let rel = (sampled.total_volume() - exact.total_volume()).abs() / exact.total_volume();
         assert!(rel < 0.35, "extrapolation error too large: {rel}");
+    }
+
+    fn sample() -> DataMovement {
+        let mut dm = DataMovement::zero(1_000_000.0);
+        dm.level_mut(TilingLevel::Register).inbound_elems = 4e5;
+        dm.level_mut(TilingLevel::Register).outbound_elems = 1e5;
+        dm.level_mut(TilingLevel::L1).inbound_elems = 2e5;
+        dm.level_mut(TilingLevel::L2).inbound_elems = 1e5;
+        dm.level_mut(TilingLevel::L3).inbound_elems = 5e4;
+        dm
+    }
+
+    #[test]
+    fn volumes_sum_directions() {
+        let dm = sample();
+        assert_eq!(dm.volume(TilingLevel::Register), 5e5);
+        assert_eq!(dm.volume(TilingLevel::L1), 2e5);
+        assert_eq!(dm.level(TilingLevel::L3).total(), 5e4);
+    }
+
+    #[test]
+    fn bottleneck_picks_max_scaled_cost() {
+        let m = MachineModel::tiny_test_machine();
+        let dm = sample();
+        // single thread: Reg: 5e5/8, L1: 2e5/4, L2: 1e5/2, L3: 5e4/1
+        let (lvl, cost) = dm.bottleneck(&m, 1);
+        assert_eq!(lvl, TilingLevel::Register);
+        assert!((cost - 5e5 / 8.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn parallel_scaling_divides_private_levels_only() {
+        let m = MachineModel::tiny_test_machine();
+        let dm = sample();
+        let reg1 = dm.scaled_cost(TilingLevel::Register, &m, 1);
+        let reg2 = dm.scaled_cost(TilingLevel::Register, &m, 2);
+        assert!((reg1 / reg2 - 2.0).abs() < 1e-9);
+        let l3_1 = dm.scaled_cost(TilingLevel::L3, &m, 1);
+        let l3_2 = dm.scaled_cost(TilingLevel::L3, &m, 2);
+        assert!((l3_1 - l3_2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn projection_respects_compute_bound() {
+        let m = MachineModel::tiny_test_machine();
+        // Tiny data movement, large FLOPs: compute bound, at the tiny
+        // machine's peak of 4 FMAs (8 flops) per 1 GHz cycle.
+        let dm = DataMovement::zero(1e9);
+        assert_eq!(dm.projected_gflops(&m, 1), 8.0);
+    }
+
+    #[test]
+    fn projection_memory_bound_case() {
+        let m = MachineModel::tiny_test_machine();
+        let mut dm = DataMovement::zero(100.0);
+        dm.level_mut(TilingLevel::L3).inbound_elems = 1e6;
+        let (lvl, cost) = dm.bottleneck(&m, 2);
+        assert_eq!(lvl, TilingLevel::L3);
+        assert!(cost >= 1e6 / m.dram_bandwidth);
+        assert!(dm.projected_gflops(&m, 2) < dm.flops / cost * m.clock_ghz * (1.0 + 1e-12));
+    }
+
+    #[test]
+    fn display_is_nonempty() {
+        assert!(!format!("{}", sample()).is_empty());
     }
 }

@@ -1,17 +1,19 @@
 //! Model validation (Sec. 9, Figures 5 and 6): sample tile configurations,
 //! predict each with the analytical model, "measure" it with the
-//! tile-granularity traffic simulator, and compare the two rankings with
-//! `mopt_core::validation`'s rank statistics.
+//! tile-traffic simulator ([`crate::sim`]), and compare the two rankings
+//! with `mopt_core::validation`'s rank statistics.
 //!
-//! This lives beside the experiments that run it — [`crate::fig5_model_loss`],
-//! [`crate::fig6_rank_correlation`] — so that the optimizer and the serving
-//! stack do not link the simulator that checks them.
+//! This lives beside the simulator and the experiments that run it —
+//! [`crate::fig5_model_loss`], [`crate::fig6_rank_correlation`] — so that the
+//! optimizer and the serving stack do not link the simulator that checks
+//! them.
 
-use cache_sim::TileTrafficSimulator;
 use conv_spec::{ConvShape, MachineModel, TileConfig, TilingLevel};
 use mopt_core::validation::{spearman_correlation, top_k_loss};
 use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, ParallelSpec};
 use serde::{Deserialize, Serialize};
+
+use crate::sim::TileTrafficSimulator;
 
 /// One validated configuration: the model's view and the measured view.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

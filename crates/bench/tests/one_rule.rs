@@ -5,10 +5,10 @@
 //! unified rule moves a bit here.
 
 use autotune::SearchSpace;
-use cache_sim::DataMovement;
 use conv_spec::{
     ConvShape, LayoutConfig, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel,
 };
+use mopt_bench::sim::DataMovement;
 use mopt_bench::validate_operator;
 use mopt_model::{layout_move_total, MultiLevelModel, ParallelSpec};
 

@@ -5,7 +5,7 @@
 //! `[K/VecLen, C, R, S, VecLen]` layout before the convolution so that the
 //! output-channel dimension (which is vectorized) becomes stride-1 (Sec. 6,
 //! "Packing"). This module provides those layouts and the address arithmetic
-//! used by the executor and the cache simulator.
+//! the executor uses.
 
 use serde::{Deserialize, Serialize};
 
@@ -259,71 +259,6 @@ impl PackedKernelLayout {
     }
 }
 
-/// Global "virtual address space" used by the cache simulator: the three
-/// tensors are laid out back to back so every element has a unique address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AddressMap {
-    /// Base address (element index) of the input tensor.
-    pub input_base: usize,
-    /// Base address of the kernel tensor.
-    pub kernel_base: usize,
-    /// Base address of the output tensor.
-    pub output_base: usize,
-    /// One past the last address.
-    pub total: usize,
-    input_dims: (usize, usize, usize, usize),
-    output_dims: (usize, usize, usize, usize),
-    shape: ConvShape,
-}
-
-impl AddressMap {
-    /// Build the address map for a problem shape with NCHW/KCRS layouts.
-    pub fn new(shape: &ConvShape) -> Self {
-        let input_dims = (shape.n, shape.c, shape.input_h(), shape.input_w());
-        let output_dims = (shape.n, shape.k, shape.h, shape.w);
-        let input_len = shape.input_elems();
-        let kernel_len = shape.kernel_elems();
-        let output_len = shape.output_elems();
-        AddressMap {
-            input_base: 0,
-            kernel_base: input_len,
-            output_base: input_len + kernel_len,
-            total: input_len + kernel_len + output_len,
-            input_dims,
-            output_dims,
-            shape: *shape,
-        }
-    }
-
-    /// Address of `In[n][c][h_in][w_in]`.
-    pub fn input(&self, n: usize, c: usize, h_in: usize, w_in: usize) -> usize {
-        self.input_base + TensorLayout::Nchw.offset((n, c, h_in, w_in), self.input_dims)
-    }
-
-    /// Address of `Out[n][k][h][w]`.
-    pub fn output(&self, n: usize, k: usize, h: usize, w: usize) -> usize {
-        self.output_base + TensorLayout::Nchw.offset((n, k, h, w), self.output_dims)
-    }
-
-    /// Address of `Ker[k][c][r][s]`.
-    pub fn kernel(&self, k: usize, c: usize, r: usize, s: usize) -> usize {
-        self.kernel_base + KernelLayout::Kcrs.offset(&self.shape, k, c, r, s)
-    }
-
-    /// Which tensor an address belongs to.
-    pub fn classify(&self, addr: usize) -> Option<TensorKind> {
-        if addr < self.kernel_base {
-            Some(TensorKind::Input)
-        } else if addr < self.output_base {
-            Some(TensorKind::Kernel)
-        } else if addr < self.total {
-            Some(TensorKind::Output)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,36 +384,5 @@ mod tests {
         let v = serde_json::to_string(&LayoutConfig::blocked(16)).unwrap();
         let back: LayoutConfig = serde_json::from_str(&v).unwrap();
         assert_eq!(back, LayoutConfig::blocked(16));
-    }
-
-    #[test]
-    fn address_map_partitions_space() {
-        let shape = ConvShape::new(1, 4, 3, 3, 3, 6, 6, 1).unwrap();
-        let map = AddressMap::new(&shape);
-        assert_eq!(map.input_base, 0);
-        assert_eq!(map.kernel_base, shape.input_elems());
-        assert_eq!(map.output_base, shape.input_elems() + shape.kernel_elems());
-        assert_eq!(map.total, shape.input_elems() + shape.kernel_elems() + shape.output_elems());
-
-        assert_eq!(map.classify(map.input(0, 0, 0, 0)), Some(TensorKind::Input));
-        assert_eq!(map.classify(map.kernel(0, 0, 0, 0)), Some(TensorKind::Kernel));
-        assert_eq!(map.classify(map.output(0, 0, 0, 0)), Some(TensorKind::Output));
-        assert_eq!(map.classify(map.total), None);
-
-        // Last element of each tensor stays within its region.
-        let last_in = map.input(0, 2, shape.input_h() - 1, shape.input_w() - 1);
-        assert!(last_in < map.kernel_base);
-        let last_ker = map.kernel(3, 2, 2, 2);
-        assert!(last_ker < map.output_base);
-        let last_out = map.output(0, 3, 5, 5);
-        assert!(last_out < map.total);
-    }
-
-    #[test]
-    fn address_map_respects_stride() {
-        let shape = ConvShape::from_table1(4, 3, 9, 3, 2);
-        let map = AddressMap::new(&shape);
-        // input is 9x9 even though output is 4x4
-        assert_eq!(map.kernel_base, 3 * 9 * 9);
     }
 }

@@ -1,9 +1,9 @@
 //! MOpt: model-driven design-space exploration and multi-level tile-size
 //! optimization for CNNs — the paper's primary contribution, assembled from
 //! the analytical model (`mopt-model`) and a constrained non-linear solve of
-//! its own ([`solver`]). The simulator that checks the model (`cache-sim`)
-//! and the executors that run its schedules (`conv-exec`) are not
-//! dependencies: the validation that pairs them with this crate lives in
+//! its own ([`solver`]). The simulator that checks the model and the
+//! executors that run its schedules (`conv-exec`) are not dependencies: the
+//! simulator and the validation that pairs it with this crate live in
 //! `mopt_bench`.
 //!
 //! * [`optimizer`] — Algorithm 1: for each of the eight pruned permutation

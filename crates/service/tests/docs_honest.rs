@@ -87,7 +87,7 @@ fn docs_name_every_verb_crate_and_flag() {
     assert_all_named("verb", &verbs, &["README.md", "docs/PROTOCOL.md"]);
 
     let crates = workspace_crates();
-    assert_eq!(crates.len(), 13, "{crates:?}");
+    assert_eq!(crates.len(), 12, "{crates:?}");
     assert_all_named("crate", &crates, &["README.md", "docs/ARCHITECTURE.md"]);
 
     let flags = moptd_flags();
@@ -243,11 +243,14 @@ fn manifests_list_only_dependencies_the_sources_use() {
         let dependencies = dependencies.split("\n[").next().unwrap();
         let sources = rust_sources(&root().join(&dir).join("src"));
         // The optimizer and the serving stack do not link the simulator that
-        // validates them (`mopt_bench` owns that edge).
+        // validates them (`mopt_bench::sim`).
         let serving = ["mopt-core", "db", "graph", "service"].map(|name| format!("crates/{name}"));
         for line in dependencies.lines().filter(|line| !line.trim().is_empty()) {
             let name = line.split(['.', ' ', '=']).next().unwrap();
-            assert!(!(serving.contains(&dir) && name == "cache_sim"), "{dir} depends on cache_sim");
+            assert!(
+                !(serving.contains(&dir) && name == "mopt_bench"),
+                "{dir} depends on mopt_bench"
+            );
             // As a path root (`name::`) or a re-export (`use name;`): a
             // comment that merely names the crate is not a use.
             let used = sources.match_indices(name).any(|(at, _)| {

@@ -468,49 +468,6 @@ fn moptd_plan_graph_fused_schedule_executes_correctly() {
     assert!(e_ref.allclose(&e_tiled, 1e-3));
 }
 
-/// The fused plan also wins on the *measured* (tile-simulated) traffic axis:
-/// for the fused segment of a MobileNetV2 block, the `tilesim` estimate of
-/// the fused pair is strictly below the two stand-alone schedules.
-#[test]
-fn fused_plan_beats_unfused_in_tilesim_traffic() {
-    use cache_sim::TileTrafficSimulator;
-    use conv_spec::TilingLevel;
-
-    let state = ServiceState::new(64);
-    let graph = mopt_graph::builders::mobilenet_v2_block(5).unwrap();
-    let request = Request::PlanGraph {
-        block: None,
-        graph: Some(graph),
-        machine: mopt_service::MachineSpec::Preset("i7-9700k".into()),
-        options: Some(fast_options()),
-        threads: None,
-        trace: None,
-        workers: Some(4),
-    };
-    let plan = match state.handle(&request) {
-        Response::GraphPlanned { plan, .. } => plan,
-        other => panic!("expected GraphPlanned, got {other:?}"),
-    };
-    let seg = plan.executable_segments().next().expect("a fused dw→pw segment");
-    let (dw, pw) = (&seg.ops[0], &seg.ops[1]);
-    let sim = TileTrafficSimulator::default();
-    let est = sim.fused_pair_traffic(
-        &dw.shape,
-        &dw.best.config,
-        &pw.shape,
-        &pw.best.config,
-        TilingLevel::L3,
-    );
-    assert!(
-        est.fused_total < est.unfused_total,
-        "tilesim: fused {} must be strictly below unfused {}",
-        est.fused_total,
-        est.unfused_total
-    );
-    // The deleted traffic is at least the intermediate store + load.
-    assert!(est.saving() >= 2.0 * est.intermediate_elems);
-}
-
 /// Multicore serving: a multi-threaded plan request through the `moptd`
 /// binary returns parallel schedules (factors multiplying to the requested
 /// thread count), keyed separately from the sequential plan of the same

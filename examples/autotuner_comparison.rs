@@ -7,8 +7,8 @@
 //! cargo run --release --example autotuner_comparison
 //! ```
 
+use mopt_bench::sim::TileTrafficSimulator;
 use mopt_repro::autotune::{ModelGuidedTuner, RandomTuner, SearchSpace, Tuner};
-use mopt_repro::cache_sim::TileTrafficSimulator;
 use mopt_repro::conv_spec::{ConvShape, MachineModel};
 use mopt_repro::mopt_core::optimizer::{MOptOptimizer, OptimizerOptions};
 

@@ -7,8 +7,8 @@
 //! cargo run --release --example graph_planning
 //! ```
 
-use cache_sim::TileTrafficSimulator;
 use conv_spec::{MachineModel, TilingLevel};
+use mopt_bench::sim::TileTrafficSimulator;
 use mopt_core::OptimizerOptions;
 use mopt_graph::{builders, GraphPlanner};
 use mopt_service::batch::NamedLayer;

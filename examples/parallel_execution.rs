@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use mopt_repro::cache_sim::TileTrafficSimulator;
+use mopt_bench::sim::TileTrafficSimulator;
 use mopt_repro::conv_exec::{ParTiledConv, Tensor4, TiledConv};
 use mopt_repro::conv_spec::{ConvShape, LoopIndex, MachineModel, TilingLevel, ALL_INDICES};
 use mopt_repro::mopt_core::{MOptOptimizer, OptimizerOptions};

@@ -9,7 +9,6 @@
 
 pub use autotune;
 pub use baselines;
-pub use cache_sim;
 pub use conv_exec;
 pub use conv_spec;
 pub use mopt_core;

@@ -1,8 +1,8 @@
 //! Integration tests spanning the whole stack: optimizer → configuration →
 //! executor → correctness, and model → simulator consistency.
 
+use mopt_bench::sim::TileTrafficSimulator;
 use mopt_repro::baselines::OneDnnLike;
-use mopt_repro::cache_sim::{TileTrafficSimulator, TraceSimulator};
 use mopt_repro::conv_exec::naive::conv2d_naive;
 use mopt_repro::conv_exec::{Tensor4, TiledConv};
 use mopt_repro::conv_spec::{benchmarks, ConvShape, MachineModel, Spec, TileConfig, TilingLevel};
@@ -56,10 +56,9 @@ fn optimizer_beats_untiled_execution_in_simulated_traffic() {
 }
 
 #[test]
-fn model_and_trace_simulator_agree_on_ranking_small_operator() {
-    // On a small operator where exact LRU simulation is feasible, the
-    // analytical model and the exact simulator must agree on which of two
-    // clearly different configurations is better at the L2/L3 boundaries.
+fn model_and_tile_simulator_agree_on_ranking_small_operator() {
+    // The analytical model and the tile-traffic simulator must agree on which
+    // of two clearly different configurations moves less register traffic.
     let shape = ConvShape::new(1, 16, 16, 3, 3, 12, 12, 1).unwrap();
     let machine = MachineModel::tiny_test_machine();
     let good = heuristic_config(&shape, &machine);
@@ -71,8 +70,9 @@ fn model_and_trace_simulator_agree_on_ranking_small_operator() {
     let model_good = model.predict_config(&good);
     let model_bad = model.predict_config(&bad);
 
-    let sim_good = TraceSimulator::new(&shape, &machine).run(&good);
-    let sim_bad = TraceSimulator::new(&shape, &machine).run(&bad);
+    let sim = TileTrafficSimulator::default();
+    let sim_good = sim.simulate(&shape, &good);
+    let sim_bad = sim.simulate(&shape, &bad);
 
     let model_says_good_better =
         model_good.volume(TilingLevel::Register) <= model_bad.volume(TilingLevel::Register);
@@ -185,4 +185,46 @@ fn parallel_specs_from_machines_are_valid_for_all_benchmarks() {
             assert!(spec.is_valid(), "invalid parallel spec for {} on {}", op.name, machine.name);
         }
     }
+}
+
+/// The fused plan also wins on the *measured* (tile-simulated) traffic axis:
+/// for the fused segment of a MobileNetV2 block, the simulator's estimate of
+/// the fused pair is strictly below the two stand-alone schedules.
+#[test]
+fn fused_plan_beats_unfused_in_tilesim_traffic() {
+    use mopt_repro::mopt_service::{MachineSpec, Request, Response, ServiceState};
+
+    let state = ServiceState::new(64);
+    let graph = mopt_graph::builders::mobilenet_v2_block(5).unwrap();
+    let request = Request::PlanGraph {
+        block: None,
+        graph: Some(graph),
+        machine: MachineSpec::Preset("i7-9700k".into()),
+        options: Some(OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }),
+        threads: None,
+        trace: None,
+        workers: Some(4),
+    };
+    let plan = match state.handle(&request) {
+        Response::GraphPlanned { plan, .. } => plan,
+        other => panic!("expected GraphPlanned, got {other:?}"),
+    };
+    let seg = plan.executable_segments().next().expect("a fused dw→pw segment");
+    let (dw, pw) = (&seg.ops[0], &seg.ops[1]);
+    let sim = TileTrafficSimulator::default();
+    let est = sim.fused_pair_traffic(
+        &dw.shape,
+        &dw.best.config,
+        &pw.shape,
+        &pw.best.config,
+        TilingLevel::L3,
+    );
+    assert!(
+        est.fused_total < est.unfused_total,
+        "tilesim: fused {} must be strictly below unfused {}",
+        est.fused_total,
+        est.unfused_total
+    );
+    // The deleted traffic is at least the intermediate store + load.
+    assert!(est.saving() >= 2.0 * est.intermediate_elems);
 }
