@@ -5,10 +5,10 @@
 //! and worker pool); this module decides *where to cut*: a dynamic program
 //! over each producer → consumer chain of schedulable operators (conv,
 //! matmul, pool) chooses the segments whose interior intermediates are
-//! consumed in cache, pricing every candidate fusion with
-//! [`mopt_model::fused`] — the store + load of the intermediate tensor is
-//! deleted when the segment's joint working set fits the certified L3
-//! capacity envelope.
+//! consumed in cache, and prices them itself: the store + load of the
+//! intermediate tensor is deleted when the segment's joint working set fits
+//! the certified L3 capacity envelope. Only DRAM-boundary (L3-fill) traffic
+//! is credited; inner levels keep their per-operator volumes.
 //!
 //! An operator pair is *chainable* when the producer's output reaches the
 //! consumer through nothing but out-degree-1 elementwise nodes: if the
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use conv_spec::{ConvShape, MachineModel, Spec, TilingLevel};
 use mopt_core::{OptimizeResult, OptimizedConfig};
-use mopt_model::fused::{evaluate_fusion_for_threads, fusable_pair, FusabilityCheck};
+use mopt_model::fused::{fusable_pair, FusabilityCheck};
 use serde::{Deserialize, Serialize};
 
 use crate::ir::{Graph, NodeId, OpKind};
@@ -205,45 +205,22 @@ impl GraphPlanner {
                 .iter()
                 .map(|op| op.best.config.level(TilingLevel::L3).footprint(&op.shape) as f64)
                 .collect();
-            // Price every interior edge. Conv → conv pairs go through the
-            // fused-segment model (`mopt_model::fused`): the evaluation
-            // carries the structural verdict, the deleted store + load
-            // credit, and the pairwise capacity-envelope check the DP
-            // consumes below. Conv → pool pairs admit under the
-            // non-overlapping-window rule with the same store + load credit
-            // on the intermediate; everything else never fuses.
+            // Price every interior edge. A conv producer may fuse into a
+            // pointwise conv consumer ([`fusable_pair`]) or into a pool
+            // whose window does not overlap (`window == stride`); either
+            // way fusion deletes the store and the load of the intermediate
+            // tensor. Everything else never fuses.
             let m = ops.len();
             let mut structural = vec![false; m.saturating_sub(1)];
             let mut savings = vec![0.0f64; m.saturating_sub(1)];
             for i in 0..m.saturating_sub(1) {
-                match (&ops[i].spec, &ops[i + 1].spec) {
-                    (Spec::Conv(a), Spec::Conv(b)) => {
-                        structural[i] = fusable_pair(a, b) == FusabilityCheck::Fusable;
-                        let eval = evaluate_fusion_for_threads(
-                            a,
-                            b,
-                            ops[i].best.config.level(TilingLevel::L3),
-                            ops[i + 1].best.config.level(TilingLevel::L3),
-                            volumes[i],
-                            volumes[i + 1],
-                            &self.machine,
-                            self.threads,
-                        );
-                        savings[i] = 2.0 * eval.intermediate_elems;
-                        // The DP below re-derives pairwise admissibility from
-                        // the same two-term footprint sum; keep that
-                        // equivalent to the model's verdict so the envelope
-                        // has a single definition.
-                        debug_assert!(
-                            eval.feasible
-                                == (structural[i] && footprints[i] + footprints[i + 1] <= capacity)
-                        );
-                    }
-                    (Spec::Conv(a), &Spec::Pool { window, stride, .. }) => {
-                        structural[i] = window == stride;
-                        savings[i] = 2.0 * a.output_elems() as f64;
-                    }
-                    _ => {}
+                if let Spec::Conv(a) = &ops[i].spec {
+                    structural[i] = match ops[i + 1].spec {
+                        Spec::Conv(b) => fusable_pair(a, &b) == FusabilityCheck::Fusable,
+                        Spec::Pool { window, stride, .. } => window == stride,
+                        _ => false,
+                    };
+                    savings[i] = 2.0 * a.output_elems() as f64;
                 }
                 if structural[i] {
                     fusion_candidates += 1;
@@ -252,12 +229,10 @@ impl GraphPlanner {
 
             // Dynamic program over cut points: best[i] = cheapest plan of
             // ops[..i]. A segment is admissible when every interior pair is
-            // structurally fusable and the joint footprint of *all* members
-            // fits the L3 capacity — for a two-op segment this is exactly
-            // the envelope `evaluate_fusion` certified (its fused_footprint
-            // is the same two-term sum), extended additively for longer
-            // segments. Both sums are monotone leftward, so the first
-            // violation ends the scan.
+            // structurally fusable and the joint L3 footprint of *all*
+            // members (each op's certified L3 tile, the intermediate counted
+            // in both) fits one thread's share of the L3 capacity. Both sums
+            // are monotone leftward, so the first violation ends the scan.
             let mut best = vec![f64::INFINITY; m + 1];
             let mut cut = vec![0usize; m + 1];
             best[0] = 0.0;
@@ -488,6 +463,27 @@ mod tests {
         // Every op appears exactly once across segments.
         let total_ops: usize = plan.segments.iter().map(|s| s.ops.len()).sum();
         assert_eq!(total_ops, 3);
+        // A segment that fuses nothing (expand, cut off structurally) keeps
+        // its unfused volume.
+        for seg in plan.segments.iter().filter(|s| !s.fused) {
+            assert_eq!(seg.volume, seg.unfused_volume);
+        }
+
+        // The credit never drives a volume negative: under schedules whose
+        // DRAM-boundary volumes are below the deleted store + load, the
+        // fused segment moves nothing.
+        let mut solve = solve_with(&machine);
+        let starved = planner
+            .plan(&g, |spec| {
+                let mut result = solve(spec);
+                for candidate in &mut result.ranked {
+                    candidate.prediction.volumes[TilingLevel::L3.ordinal()] = 1.0;
+                }
+                result
+            })
+            .unwrap();
+        let fused: Vec<_> = starved.executable_segments().collect();
+        assert_eq!((fused.len(), fused[0].unfused_volume, fused[0].volume), (1, 2.0, 0.0));
     }
 
     #[test]

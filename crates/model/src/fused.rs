@@ -1,29 +1,18 @@
-//! Fusion-aware cross-layer cost extension.
+//! Which convolution pairs can fuse.
 //!
 //! The per-operator model (and Algorithm 1) optimizes each convolution in
 //! isolation, so the intermediate tensor between a producer and its consumer
 //! is always stored to memory by one schedule and re-loaded by the next —
 //! for MobileNet-style depthwise → pointwise pairs this round trip is the
-//! dominant avoidable traffic. This module prices *fusing* two adjacent
-//! operators: the producer's output tile is consumed in-cache by the
-//! consumer, deleting one store and one load of the intermediate tensor at
-//! the memory boundary, provided the *joint* working set still fits the same
-//! certified capacity envelope the per-operator solves used.
-//!
-//! The evaluation is deliberately conservative:
-//!
-//! * only the DRAM-boundary (L3-fill) traffic is credited — inner levels keep
-//!   their per-operator volumes,
-//! * the joint footprint charges the producer's and the consumer's L3 tile
-//!   footprints in full (the shared intermediate tile is double-counted), so
-//!   a fused plan is only accepted when both certified tiles co-reside with
-//!   slack,
-//! * structural feasibility ([`fusable_pair`]) requires the consumer to be a
-//!   dense stride-1, dilation-1 pointwise op whose input is exactly the
-//!   producer's output — the pattern whose in-cache consumption the fused
-//!   executor in `conv_exec` realizes.
+//! dominant avoidable traffic. *Fusing* the pair lets the consumer read the
+//! producer's output tile in cache. Structural feasibility ([`fusable_pair`])
+//! requires the consumer to be a dense stride-1, dilation-1 pointwise op
+//! whose input is exactly the producer's output — the pattern whose in-cache
+//! consumption the fused executor in `conv_exec` realizes. The graph planner
+//! (`mopt_graph`) owns the rest: the joint capacity envelope and the credit
+//! of one deleted store and load of the intermediate.
 
-use conv_spec::{ConvShape, MachineModel, TileSizes, TilingLevel};
+use conv_spec::ConvShape;
 use serde::{Deserialize, Serialize};
 
 /// Why a producer → consumer pair cannot be fused (or `Fusable`).
@@ -59,111 +48,6 @@ pub fn fusable_pair(producer: &ConvShape, consumer: &ConvShape) -> FusabilityChe
     FusabilityCheck::Fusable
 }
 
-/// The outcome of pricing one producer → consumer fusion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FusionEvaluation {
-    /// Elements of the intermediate tensor (producer output = consumer input).
-    pub intermediate_elems: f64,
-    /// DRAM-boundary volume of the two operators planned separately
-    /// (elements; the sum of the per-operator L3-fill volumes).
-    pub unfused_volume: f64,
-    /// DRAM-boundary volume when fused: the unfused volume minus the deleted
-    /// store + load of the intermediate tensor.
-    pub fused_volume: f64,
-    /// Joint L3 footprint of the two certified tile working sets (elements).
-    pub fused_footprint: f64,
-    /// The capacity envelope the joint footprint was checked against
-    /// (the machine's L3 capacity, the same envelope the per-operator
-    /// solves certified their tiles under).
-    pub capacity: f64,
-    /// Whether the fusion is structurally possible *and* fits the envelope.
-    pub feasible: bool,
-}
-
-impl FusionEvaluation {
-    /// Elements of DRAM traffic saved by fusing (0 when infeasible).
-    pub fn saving(&self) -> f64 {
-        if self.feasible {
-            self.unfused_volume - self.fused_volume
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Price the fusion of `producer` → `consumer` on `machine`.
-///
-/// `producer_l3_tiles` / `consumer_l3_tiles` are the L3-level tile sizes of
-/// each operator's chosen schedule (the tiles whose footprints the
-/// per-operator solves certified against the L3 capacity); their joint
-/// footprint must fit the same envelope for the intermediate to be consumed
-/// in-cache. `producer_l3_volume` / `consumer_l3_volume` are the model's
-/// DRAM-boundary (L3-fill) volumes of the two schedules.
-///
-/// The deleted traffic is `2 × intermediate` elements: the paper's DRAM cost
-/// charges the output tensor twice (write-back + re-read) and the consumer's
-/// load of the same tensor once more; fusion removes the producer-side round
-/// trip entirely while the consumer-side read stays (it happens in cache).
-/// Of the three movements (write, re-read as output, read as input) the two
-/// that cross the DRAM boundary for scheduling reasons alone — the store and
-/// the consumer's load — are credited.
-pub fn evaluate_fusion(
-    producer: &ConvShape,
-    consumer: &ConvShape,
-    producer_l3_tiles: &TileSizes,
-    consumer_l3_tiles: &TileSizes,
-    producer_l3_volume: f64,
-    consumer_l3_volume: f64,
-    machine: &MachineModel,
-) -> FusionEvaluation {
-    evaluate_fusion_for_threads(
-        producer,
-        consumer,
-        producer_l3_tiles,
-        consumer_l3_tiles,
-        producer_l3_volume,
-        consumer_l3_volume,
-        machine,
-        1,
-    )
-}
-
-/// [`evaluate_fusion`] against the *per-thread* L3 envelope: with `threads`
-/// active threads sharing the last-level cache, a fused segment's joint
-/// working set must fit one thread's `1/P` capacity share
-/// ([`MachineModel::capacity_per_thread`]) — co-running threads each keep
-/// their own in-cache intermediate band, so the whole-cache envelope would
-/// overstate what any one of them can hold. At `threads == 1` this is
-/// exactly [`evaluate_fusion`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_fusion_for_threads(
-    producer: &ConvShape,
-    consumer: &ConvShape,
-    producer_l3_tiles: &TileSizes,
-    consumer_l3_tiles: &TileSizes,
-    producer_l3_volume: f64,
-    consumer_l3_volume: f64,
-    machine: &MachineModel,
-    threads: usize,
-) -> FusionEvaluation {
-    let intermediate = producer.output_elems() as f64;
-    let unfused = producer_l3_volume + consumer_l3_volume;
-    let capacity = machine.capacity_per_thread(TilingLevel::L3, threads) as f64;
-    let footprint =
-        (producer_l3_tiles.footprint(producer) + consumer_l3_tiles.footprint(consumer)) as f64;
-    let structurally = fusable_pair(producer, consumer) == FusabilityCheck::Fusable;
-    let feasible = structurally && footprint <= capacity;
-    let fused = if feasible { (unfused - 2.0 * intermediate).max(0.0) } else { unfused };
-    FusionEvaluation {
-        intermediate_elems: intermediate,
-        unfused_volume: unfused,
-        fused_volume: fused,
-        fused_footprint: footprint,
-        capacity,
-        feasible,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,136 +73,5 @@ mod tests {
         // Strided and grouped pointwise consumers are rejected.
         let strided = ConvShape::new(1, 8, 16, 1, 1, dw.h / 2, dw.w / 2, 2).unwrap();
         assert_eq!(fusable_pair(&dw, &strided), FusabilityCheck::ConsumerNotPointwise);
-    }
-
-    #[test]
-    fn feasible_fusion_deletes_one_store_and_one_load() {
-        let (dw, pw) = dw_pw_pair();
-        let machine = MachineModel::i7_9700k();
-        // Untiled L3 tiles (both fit the 3M-element L3 easily at this size).
-        let eval = evaluate_fusion(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            10_000.0,
-            20_000.0,
-            &machine,
-        );
-        assert!(eval.feasible);
-        assert_eq!(eval.intermediate_elems, dw.output_elems() as f64);
-        assert_eq!(eval.unfused_volume, 30_000.0);
-        assert_eq!(eval.fused_volume, 30_000.0 - 2.0 * dw.output_elems() as f64);
-        assert_eq!(eval.saving(), 2.0 * dw.output_elems() as f64);
-    }
-
-    #[test]
-    fn capacity_envelope_rejects_oversized_joint_footprints() {
-        // A larger stage: the tiny machine's 16K-element L3 cannot co-host
-        // both working sets (the depthwise one alone exceeds it).
-        let dw = ConvShape::depthwise(32, 24, 3, 1);
-        let pw = ConvShape::new(1, 16, 32, 1, 1, dw.h, dw.w, 1).unwrap();
-        let machine = MachineModel::tiny_test_machine();
-        let eval = evaluate_fusion(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            10_000.0,
-            20_000.0,
-            &machine,
-        );
-        assert!(
-            !eval.feasible,
-            "joint footprint {} vs capacity {}",
-            eval.fused_footprint, eval.capacity
-        );
-        assert_eq!(eval.fused_volume, eval.unfused_volume);
-        assert_eq!(eval.saving(), 0.0);
-    }
-
-    #[test]
-    fn structural_rejection_keeps_unfused_volume() {
-        let (dw, _) = dw_pw_pair();
-        let conv3 = ConvShape::new(1, 8, 16, 3, 3, dw.h - 2, dw.w - 2, 1).unwrap();
-        let machine = MachineModel::i7_9700k();
-        let eval = evaluate_fusion(
-            &dw,
-            &conv3,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&conv3),
-            5.0,
-            7.0,
-            &machine,
-        );
-        assert!(!eval.feasible);
-        assert_eq!(eval.fused_volume, 12.0);
-    }
-
-    #[test]
-    fn per_thread_envelope_rejects_what_the_whole_cache_would_admit() {
-        // A pair whose joint footprint fits the i7's whole 3M-element L3 but
-        // not a 1/8 share of it.
-        let dw = ConvShape::depthwise(64, 66, 3, 1); // out 64x64x64 = 256K
-        let pw = ConvShape::new(1, 32, 64, 1, 1, dw.h, dw.w, 1).unwrap();
-        let machine = MachineModel::i7_9700k();
-        let whole = evaluate_fusion(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            10_000.0,
-            20_000.0,
-            &machine,
-        );
-        assert!(
-            whole.feasible,
-            "joint footprint {} should fit {}",
-            whole.fused_footprint, whole.capacity
-        );
-        let shared = evaluate_fusion_for_threads(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            10_000.0,
-            20_000.0,
-            &machine,
-            8,
-        );
-        assert_eq!(shared.fused_footprint, whole.fused_footprint);
-        assert_eq!(shared.capacity, whole.capacity / 8.0);
-        assert!(!shared.feasible, "a 1/8 L3 share must reject the fusion");
-        assert_eq!(shared.saving(), 0.0);
-        // threads == 1 delegates exactly.
-        let one = evaluate_fusion_for_threads(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            10_000.0,
-            20_000.0,
-            &machine,
-            1,
-        );
-        assert_eq!(one, whole);
-    }
-
-    #[test]
-    fn saving_never_drives_volume_negative() {
-        let (dw, pw) = dw_pw_pair();
-        let machine = MachineModel::i7_9700k();
-        // Pathologically small per-op volumes: the credit is clamped at zero.
-        let eval = evaluate_fusion(
-            &dw,
-            &pw,
-            &TileSizes::full(&dw),
-            &TileSizes::full(&pw),
-            1.0,
-            1.0,
-            &machine,
-        );
-        assert!(eval.feasible);
-        assert_eq!(eval.fused_volume, 0.0);
     }
 }

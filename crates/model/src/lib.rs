@@ -13,10 +13,9 @@
 //! * [`multilevel`] — assembly of per-level cost expressions for multi-level
 //!   tiling (Sec. 5), including the parallel adaptation of Sec. 7 and the
 //!   bandwidth-scaled min–max objective,
-//! * [`fused`] — a cross-layer extension pricing the fusion of a producer →
-//!   consumer pair (the intermediate tensor's store + load at the DRAM
-//!   boundary is deleted when the joint working set fits the same certified
-//!   capacity envelope), used by `mopt_graph`'s fusion-aware planner,
+//! * [`fused`] — which producer → consumer pairs can fuse (the consumer
+//!   reads the intermediate tensor position-wise), the structural rule
+//!   `mopt_graph`'s fusion-aware planner prices segments under,
 //! * [`mod@move_cost`] — Morello-style pricing of layout transforms (elements
 //!   read and written at a prefetch discount) and per-tensor traffic and
 //!   footprint factors (padding against the non-contiguity penalty),
@@ -74,9 +73,7 @@ pub mod multilevel;
 pub mod prune;
 
 pub use cost::{single_level_volume, ArrayVolumes, RealTiles};
-pub use fused::{
-    evaluate_fusion, evaluate_fusion_for_threads, fusable_pair, FusabilityCheck, FusionEvaluation,
-};
+pub use fused::{fusable_pair, FusabilityCheck};
 pub use move_cost::{
     layout_move_costs, layout_move_total, traffic_factor, transform_level, MoveCost,
     NONCONTIG_PENALTY, PREFETCH_DISCOUNT,
