@@ -141,8 +141,7 @@ impl OneDnnLike {
             }
             LibraryAlgorithm::Direct => {
                 let conv = TiledConv::new(*shape, plan.config.clone(), plan.threads)
-                    .expect("library plan is always valid")
-                    .with_vec_len(self.machine.simd_width);
+                    .expect("library plan is always valid");
                 conv.run(input, kernel)
             }
         }

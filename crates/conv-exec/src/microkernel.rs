@@ -20,7 +20,7 @@
 //!    per block — once per tile of the output loops, however many L1 tiles
 //!    of the reduction it spans. Dense blocks are [`LANES`] packed `k` lanes
 //!    × up to [`PIXELS`] pixels, or, on the AVX2 backend where the K range
-//!    holds two whole `LANES`-aligned chunks of one conv group, `2 × LANES`
+//!    holds two whole packed vectors of one conv group, `2 × LANES`
 //!    lanes × up to 6 pixels (K ranges are split at packed-vector and
 //!    conv-group boundaries; lanes outside the range are computed and
 //!    dropped). A single output channel (depthwise) takes vectors of
@@ -235,7 +235,7 @@ pub(crate) struct TileKernel<'a, I, O> {
     fused: bool,
     /// Output channels per conv group.
     k_per_group: usize,
-    /// Elements per packed group: one `vec_len`-lane vector per `(c, r, s)`.
+    /// Elements per packed group: one [`LANES`]-lane vector per `(c, r, s)`.
     group_len: usize,
     /// The `(dim, tile)` loops over `c`/`r`/`s` a tile's taps are visited
     /// in, outermost first: the tile walk's trailing reduction loops, then
@@ -291,7 +291,7 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
             output,
             fused,
             k_per_group: shape.k_per_group().max(1),
-            group_len: layout.c * layout.r * layout.s * layout.vec_len,
+            group_len: layout.c * layout.r * layout.s * LANES,
             reduction,
             taps: Vec::new(),
             tap_key: None,
@@ -334,19 +334,18 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
         let k_end = tile.k.0 + tile.k.1;
         let mut k = tile.k.0;
         while k < k_end {
-            // A block is the part of the K range inside one LANES-aligned
-            // chunk of one packed vector and inside one conv group, so that
-            // one kernel load and one input pixel serve every lane of it —
-            // or, where the range holds two whole chunks of one group, both.
+            // A block is the part of the K range inside one packed vector
+            // and inside one conv group, so that one kernel load and one
+            // input pixel serve every lane of it — or, where the range holds
+            // two whole vectors of one group, both.
             let group = k / self.k_per_group;
             let group_end = k_end.min((group + 1) * self.k_per_group);
             self.place_taps(tile, group * self.packed.layout().c);
-            let (kernel, first, width) = self.chunk(k);
-            let (second, second_first, second_width) = self.chunk(k + LANES);
-            let wide = M::WIDE
-                && k + 2 * LANES <= group_end
-                && (first, width, second_first, second_width) == (0, LANES, 0, LANES);
-            let end = if wide { k + 2 * LANES } else { group_end.min(k - first + width) };
+            // The packed vector holding output channel `k`: its offset in the
+            // packed buffer, and the lane of `k` in it.
+            let (kernel, first) = ((k / LANES) * self.group_len, k % LANES);
+            let wide = M::WIDE && first == 0 && k + 2 * LANES <= group_end;
+            let end = if wide { k + 2 * LANES } else { group_end.min(k - first + LANES) };
             let mut planes = [0; 2 * LANES];
             for (i, plane) in planes[..end - k].iter_mut().enumerate() {
                 *plane = self.output.plane(0, k + i);
@@ -361,24 +360,14 @@ impl<'a, I: StridedView, O: StridedViewMut> TileKernel<'a, I, O> {
             };
             let output = self.output.data_mut();
             if wide {
-                operands.lanes::<M, 2>(output, &planes, 0, [kernel, second], LANES);
+                operands.lanes::<M, 2>(output, &planes, 0, [kernel, kernel + self.group_len]);
             } else if end - k == 1 {
                 operands.pixels::<M>(output, planes[0], kernel + first);
             } else {
-                operands.lanes::<M, 1>(output, &planes[..end - k], first, [kernel], width);
+                operands.lanes::<M, 1>(output, &planes[..end - k], first, [kernel]);
             }
             k = end;
         }
-    }
-
-    /// The LANES-aligned chunk of a packed vector that holds output channel
-    /// `k`: its offset in the packed buffer, the lane of `k` in it, and how
-    /// many packed lanes it has.
-    fn chunk(&self, k: usize) -> (usize, usize, usize) {
-        let vec_len = self.packed.vec_len();
-        let lane = k % vec_len;
-        let chunk = lane - lane % LANES;
-        ((k / vec_len) * self.group_len + chunk, lane - chunk, LANES.min(vec_len - chunk))
     }
 
     /// Rebuild the tap list unless the previous tile left the one this tile
@@ -535,10 +524,10 @@ struct Operands<'a> {
 }
 
 impl Operands<'_> {
-    /// `V` packed-vector chunks of output channels × all pixels of the tile.
+    /// `V` packed vectors of output channels × all pixels of the tile.
     /// `planes` are the output plane offsets of the block's channels, `first`
-    /// the chunk lane of the first of them, `kernels` the chunks' offsets in
-    /// the packed buffer and `width` the packed lanes each holds.
+    /// the lane of the first of them and `kernels` the vectors' offsets in
+    /// the packed buffer.
     #[inline(always)]
     fn lanes<M: Mac, const V: usize>(
         &self,
@@ -546,10 +535,9 @@ impl Operands<'_> {
         planes: &[usize],
         first: usize,
         kernels: [usize; V],
-        width: usize,
     ) {
         let pixels = self.rows.len() * self.row_len;
-        let block = (planes, first, kernels, width);
+        let block = (planes, first, kernels);
         // The next pixel: (row, column).
         let mut next = (0, 0);
         let mut done = 0;
@@ -568,13 +556,13 @@ impl Operands<'_> {
         }
     }
 
-    /// The `P` pixels from `next` on × `V` chunks of [`LANES`] lanes, held
+    /// The `P` pixels from `next` on × `V` packed vectors of [`LANES`] lanes, held
     /// in registers across every tap. Advances `next` and returns `P`.
     #[inline(always)]
     fn lane_block<M: Mac, const V: usize, const P: usize>(
         &self,
         output: &mut [f32],
-        (planes, first, kernels, width): (&[usize], usize, [usize; V], usize),
+        (planes, first, kernels): (&[usize], usize, [usize; V]),
         next: &mut (usize, usize),
     ) -> usize {
         let (mut pixel_in, mut pixel_out) = ([0; P], [0; P]);
@@ -603,7 +591,7 @@ impl Operands<'_> {
         for tap in self.taps {
             let mut lanes = [M::splat(0.0); V];
             for (v, lanes) in lanes.iter_mut().enumerate() {
-                *lanes = M::load(&load_lanes(self.packed, kernels[v] + tap.kernel, width));
+                *lanes = M::load(vector(self.packed, kernels[v] + tap.kernel));
             }
             for p in 0..P {
                 let x = M::splat(self.input[pixel_in[p] + tap.input]);
@@ -730,17 +718,6 @@ fn vector(data: &[f32], at: usize) -> &[f32; LANES] {
     data[at..at + LANES].try_into().expect("LANES elements")
 }
 
-/// The `width <= LANES` packed lanes at `at`, zero-padded to a full vector.
-#[inline(always)]
-fn load_lanes(packed: &[f32], at: usize, width: usize) -> [f32; LANES] {
-    if width == LANES {
-        return *vector(packed, at);
-    }
-    let mut lanes = [0.0; LANES];
-    lanes[..width].copy_from_slice(&packed[at..at + width]);
-    lanes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,7 +728,7 @@ mod tests {
         let (kk, kc, kr, ks) = shape.kernel_dims();
         let input = Tensor4::random(ni, ci, hi, wi, 11);
         let kernel = Tensor4::random(kk, kc, kr, ks, 12);
-        let packed = PackedKernel::pack(shape, &kernel, 8);
+        let packed = PackedKernel::pack(shape, &kernel, LANES);
         (input, kernel, packed)
     }
 
@@ -923,9 +900,8 @@ mod tests {
 
     /// Run `regions` under both backends and assert the outputs agree to the
     /// bound the reduction length gives.
-    fn assert_ulp_bounded(shape: &ConvShape, vec_len: usize, regions: &[KernelRegion]) {
-        let (input, kernel, _) = setup(shape);
-        let packed = PackedKernel::pack(shape, &kernel, vec_len);
+    fn assert_ulp_bounded(shape: &ConvShape, regions: &[KernelRegion]) {
+        let (input, _, packed) = setup(shape);
         let run = |backend| {
             let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
             for region in regions {
@@ -962,7 +938,7 @@ mod tests {
                 .step_by(8)
                 .map(|k0| KernelRegion { k: (k0, 8), ..KernelRegion::full(&shape) })
                 .collect();
-            assert_ulp_bounded(&shape, 8, &regions);
+            assert_ulp_bounded(&shape, &regions);
         }
     }
 
@@ -972,9 +948,8 @@ mod tests {
             eprintln!("skipping: CPU does not report avx2+fma");
             return;
         }
-        // K ranges that start inside a packed vector, end inside one, cover a
-        // single lane, and (vec_len 4) are narrower than a register: every
-        // one of them takes fused multiply–adds.
+        // K ranges that start inside a packed vector, end inside one, and
+        // cover a single lane: every one of them takes fused multiply–adds.
         let dense = ConvShape::new(1, 21, 6, 3, 3, 5, 7, 1).unwrap();
         let grouped = ConvShape::new_general(1, 18, 12, 3, 3, 5, 7, 1, 1, 3).unwrap();
         let depthwise = ConvShape::depthwise(10, 13, 3, 1);
@@ -984,9 +959,7 @@ mod tests {
                 .windows(2)
                 .map(|w| KernelRegion { k: (w[0], w[1] - w[0]), ..KernelRegion::full(&shape) })
                 .collect();
-            for vec_len in [4, 8, 16] {
-                assert_ulp_bounded(&shape, vec_len, &regions);
-            }
+            assert_ulp_bounded(&shape, &regions);
         }
     }
 

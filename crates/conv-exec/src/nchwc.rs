@@ -13,7 +13,7 @@
 
 use conv_spec::{ConvShape, LayoutConfig, TensorLayout, TileConfig};
 
-use crate::microkernel::{KernelRegion, StridedView, StridedViewMut};
+use crate::microkernel::{KernelRegion, StridedView, StridedViewMut, LANES};
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
 use crate::tiled::TiledConv;
@@ -143,10 +143,11 @@ pub struct NchwcConv {
 }
 
 impl NchwcConv {
-    /// Create an executor for `shape`. The channel block and kernel packing
-    /// width come from the configuration's layout axis; a configuration with
-    /// default (NCHW) tensor layouts still executes, blocked with the kernel
-    /// packing width.
+    /// Create an executor for `shape`. The channel block comes from the
+    /// configuration's layout axis; a configuration with default (NCHW)
+    /// tensor layouts still executes, blocked at the microkernel's
+    /// [`LANES`]. The kernel is packed at [`LANES`] whatever the layout's
+    /// packing width: it decides no output bit.
     ///
     /// `threads` does not parallelize: the blocked walk always runs on the
     /// calling thread (the threaded partition lives in [`TiledConv::run`],
@@ -159,8 +160,7 @@ impl NchwcConv {
     /// fails validation.
     pub fn new(shape: ConvShape, config: TileConfig, threads: usize) -> Result<Self, ExecError> {
         let layout = config.layout;
-        let inner = TiledConv::new(shape, config, threads)?.with_vec_len(vec_len_of(&layout));
-        Ok(NchwcConv { inner, layout })
+        Ok(NchwcConv { inner: TiledConv::new(shape, config, threads)?, layout })
     }
 
     /// Pin the microkernel backend: the order oracle compares the scalar
@@ -185,7 +185,7 @@ impl NchwcConv {
     pub fn c_block(&self) -> usize {
         match self.layout.input {
             TensorLayout::Nchwc { c_block } => c_block,
-            _ => vec_len_of(&self.layout),
+            _ => LANES,
         }
     }
 
@@ -197,7 +197,7 @@ impl NchwcConv {
         let shape = *self.shape();
         let c_block = self.c_block();
         let blocked_in = BlockedTensor::from_nchw(input, c_block);
-        let packed = PackedKernel::pack(&shape, kernel, vec_len_of(&self.layout));
+        let packed = PackedKernel::pack(&shape, kernel, LANES);
         let mut blocked_out = BlockedTensor::zeros((shape.n, shape.k, shape.h, shape.w), c_block);
         self.inner.execute_region(
             &blocked_in,
@@ -206,15 +206,6 @@ impl NchwcConv {
             &KernelRegion::full(&shape),
         );
         blocked_out.to_nchw()
-    }
-}
-
-/// Kernel packing width implied by a layout (the packed vector length, or the
-/// AVX2 default of 8 when the kernel layout is plain KCRS).
-fn vec_len_of(layout: &LayoutConfig) -> usize {
-    match layout.kernel {
-        conv_spec::KernelLayout::Packed { vec_len } => vec_len.max(1),
-        conv_spec::KernelLayout::Kcrs => 8,
     }
 }
 

@@ -146,32 +146,20 @@ fn config(perm: &str, tiles: [[usize; 7]; 4]) -> TileConfig {
     )
 }
 
-/// `TiledConv` on every backend the CPU runs — at each packing width and
-/// thread count given — against the oracle with that backend's MAC, bit for
-/// bit.
-fn assert_matches_oracle(
-    shape: ConvShape,
-    cfg: TileConfig,
-    vec_lens: &[usize],
-    threads: &[usize],
-    what: &str,
-) {
+/// `TiledConv` on every backend the CPU runs — at each thread count given —
+/// against the oracle with that backend's MAC, bit for bit.
+fn assert_matches_oracle(shape: ConvShape, cfg: TileConfig, threads: &[usize], what: &str) {
     let (input, kernel) = operands(&shape, 31);
     let cfg = cfg.normalized(&shape);
     for (backend, mac) in backends() {
         let expected = bits(&oracle(&shape, &cfg, &input, &kernel, mac));
-        for &vec_len in vec_lens {
-            for &t in threads {
-                let conv = TiledConv::new(shape, cfg.clone(), t)
-                    .unwrap()
-                    .with_vec_len(vec_len)
-                    .with_backend(backend);
-                assert_eq!(
-                    bits(&conv.run(&input, &kernel)),
-                    expected,
-                    "{what}: {backend}, vec_len {vec_len}, threads {t}"
-                );
-            }
+        for &t in threads {
+            let conv = TiledConv::new(shape, cfg.clone(), t).unwrap().with_backend(backend);
+            assert_eq!(
+                bits(&conv.run(&input, &kernel)),
+                expected,
+                "{what}: {backend}, threads {t}"
+            );
         }
     }
 }
@@ -189,7 +177,6 @@ fn strided_and_dilated_schedules_match_the_oracle() {
             assert_matches_oracle(
                 shape,
                 config(perm, RAGGED),
-                &[8],
                 &[1, 3],
                 &format!("stride {stride} dilation {dilation} perm {perm}"),
             );
@@ -210,7 +197,7 @@ fn k_ranges_straddling_conv_groups_and_packed_vectors_match_the_oracle() {
         [1, 18, 4, 3, 3, 6, 7],
     ];
     for perm in ["nkhwcsr", "crknshw"] {
-        assert_matches_oracle(shape, config(perm, tiles), &[4, 8, 16], &[1, 2], perm);
+        assert_matches_oracle(shape, config(perm, tiles), &[1, 2], perm);
     }
 }
 
@@ -235,7 +222,6 @@ fn depthwise_schedules_match_the_oracle() {
             assert_matches_oracle(
                 shape,
                 config("nchrswk", tiles),
-                &[8],
                 &[1, 2],
                 &format!("depthwise stride {stride}"),
             );
@@ -244,10 +230,10 @@ fn depthwise_schedules_match_the_oracle() {
 }
 
 #[test]
-fn non_dividing_tiles_at_every_level_match_the_oracle_at_every_packing_width() {
+fn non_dividing_tiles_at_every_level_match_the_oracle() {
     let shape = ConvShape::new(2, 13, 9, 3, 3, 9, 11, 1).unwrap();
     for perm in ["kcrsnhw", "nkhwcrs", "hcwrksn"] {
-        assert_matches_oracle(shape, config(perm, RAGGED), &[4, 8, 16], &[1, 2], perm);
+        assert_matches_oracle(shape, config(perm, RAGGED), &[1, 2], perm);
     }
 }
 
@@ -259,7 +245,7 @@ fn a_register_tile_of_more_than_1024_outputs_matches_the_oracle() {
     let cfg = config("kcrsnhw", [reg, reg, [1, 16, 4, 3, 2, 12, 12], [1, 16, 6, 3, 3, 12, 12]]);
     let outputs: usize = [0, 1, 5, 6].iter().map(|&d| reg[d]).product();
     assert!(outputs > 1024);
-    assert_matches_oracle(shape, cfg, &[8], &[1], "large register tile");
+    assert_matches_oracle(shape, cfg, &[1], "large register tile");
 }
 
 #[test]
@@ -268,7 +254,6 @@ fn the_fused_backend_matches_the_mul_add_oracle_on_every_block_shape() {
         eprintln!("skipping: CPU does not report avx2+fma");
         return;
     }
-    let widths = [4, 8, 16];
     // 40 and 2 × 20 output channels: K ranges holding two whole 8-lane
     // chunks of one conv group, next to chunks cut by a group edge.
     let dense = ConvShape::new(2, 40, 6, 3, 3, 5, 9, 1).unwrap();
@@ -281,7 +266,7 @@ fn the_fused_backend_matches_the_mul_add_oracle_on_every_block_shape() {
     ];
     for (shape, what) in [(dense, "dense, k 40"), (grouped, "two groups of k 20")] {
         for perm in ["kcrsnhw", "nkhwcsr"] {
-            assert_matches_oracle(shape, config(perm, wide_k), &widths, &[1, 2], what);
+            assert_matches_oracle(shape, config(perm, wide_k), &[1, 2], what);
         }
     }
     // `c` and `r` tile loops below the last output loop: the L1 tile's
@@ -293,7 +278,7 @@ fn the_fused_backend_matches_the_mul_add_oracle_on_every_block_shape() {
         [1, 32, 8, 3, 3, 6, 10],
         [1, 32, 12, 3, 3, 6, 10],
     ];
-    assert_matches_oracle(shape, config("nkhwcrs", trailing), &widths, &[1, 2], "trailing c, r");
+    assert_matches_oracle(shape, config("nkhwcrs", trailing), &[1, 2], "trailing c, r");
     // Depthwise rows of 20, 27 and 40 pixels, dilated and not: two, three
     // and five whole pixel vectors, then a partial one or none.
     for (w, dilation) in [(20, 1), (27, 2), (27, 1), (40, 1)] {
@@ -305,7 +290,7 @@ fn the_fused_backend_matches_the_mul_add_oracle_on_every_block_shape() {
             [1, 6, 1, 3, 3, 4, w],
         ];
         let what = format!("depthwise rows of {w}, dilation {dilation}");
-        assert_matches_oracle(shape, config("nchrswk", rows), &widths, &[1, 2], &what);
+        assert_matches_oracle(shape, config("nchrswk", rows), &[1, 2], &what);
     }
 }
 
@@ -371,16 +356,12 @@ proptest! {
     #[test]
     fn random_schedules_match_the_oracle(
         schedule in schedule_strategy(),
-        vec_len in 1usize..=3,
         threads in 1usize..=3,
     ) {
         let (shape, cfg) = schedule;
         let (input, kernel) = operands(&shape, 5);
         for (backend, mac) in backends() {
-            let conv = TiledConv::new(shape, cfg.clone(), threads)
-                .unwrap()
-                .with_vec_len(4 << (vec_len - 1))
-                .with_backend(backend);
+            let conv = TiledConv::new(shape, cfg.clone(), threads).unwrap().with_backend(backend);
             prop_assert_eq!(
                 bits(&conv.run(&input, &kernel)),
                 bits(&oracle(&shape, &cfg, &input, &kernel, mac))

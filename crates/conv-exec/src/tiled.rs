@@ -36,7 +36,7 @@ use conv_spec::layout::PackedKernelLayout;
 use conv_spec::{ConvShape, LoopIndex, TileConfig, TilingLevel, ALL_INDICES};
 
 use crate::microkernel::{
-    active_backend, KernelRegion, SimdBackend, StridedView, StridedViewMut, TileKernel,
+    active_backend, KernelRegion, SimdBackend, StridedView, StridedViewMut, TileKernel, LANES,
 };
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
@@ -52,7 +52,6 @@ pub struct TiledConv {
     shape: ConvShape,
     config: TileConfig,
     threads: usize,
-    vec_len: usize,
     backend: Option<SimdBackend>,
 }
 
@@ -67,14 +66,7 @@ impl TiledConv {
     pub fn new(shape: ConvShape, config: TileConfig, threads: usize) -> Result<Self, ExecError> {
         let config = config.normalized(&shape);
         config.validate(&shape).map_err(|e| ExecError::InvalidConfig(e.to_string()))?;
-        Ok(TiledConv { shape, config, threads: threads.max(1), vec_len: 8, backend: None })
-    }
-
-    /// Set the SIMD vector length used for kernel packing (8 for AVX2-class,
-    /// 16 for AVX-512-class machines).
-    pub fn with_vec_len(mut self, vec_len: usize) -> Self {
-        self.vec_len = vec_len.max(1);
-        self
+        Ok(TiledConv { shape, config, threads: threads.max(1), backend: None })
     }
 
     /// Pin the microkernel inner-loop backend instead of letting the runtime
@@ -90,12 +82,12 @@ impl TiledConv {
         &self.shape
     }
 
-    /// Run the convolution. The kernel is packed once, up front, and shared
-    /// read-only by all workers (packing time is part of the measured
-    /// execution, as in the paper).
+    /// Run the convolution. The kernel is packed once, up front, at the
+    /// microkernel's [`LANES`], and shared read-only by all workers (packing
+    /// time is part of the measured execution, as in the paper).
     pub fn run(&self, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
         crate::naive::check_dims(&self.shape, input, kernel);
-        let packed = PackedKernel::pack(&self.shape, kernel, self.vec_len);
+        let packed = PackedKernel::pack(&self.shape, kernel, LANES);
         self.run_packed(input, &packed)
     }
 
@@ -103,20 +95,27 @@ impl TiledConv {
     ///
     /// # Panics
     ///
-    /// Panics if `input` does not have the shape's input dimensions or
-    /// `packed` was not packed for this shape.
+    /// Panics if `input` does not have the shape's input dimensions, or
+    /// `packed` was not packed for this shape at the microkernel's
+    /// [`LANES`].
     pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
         let shape = self.shape;
         // The kernel indexes raw buffers with offsets derived from the
-        // shape: operands of another shape must stop here, not there.
+        // shape and from its lane count: operands of another shape or width
+        // must stop here, not there.
         assert_eq!(
             input.dims(),
             shape.input_dims(),
             "input tensor dimensions do not match the shape"
         );
         assert_eq!(
+            packed.vec_len(),
+            LANES,
+            "the kernel was packed at a width other than the microkernel's lanes"
+        );
+        assert_eq!(
             *packed.layout(),
-            PackedKernelLayout::new(&shape, packed.vec_len()),
+            PackedKernelLayout::new(&shape, LANES),
             "the packed kernel was packed for a different shape"
         );
         let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
@@ -588,22 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn vec_len_variants_are_equivalent() {
+    #[should_panic(expected = "packed at a width other than the microkernel's lanes")]
+    fn run_packed_rejects_a_kernel_packed_at_another_width() {
         let shape = ConvShape::new(1, 10, 4, 3, 3, 8, 8, 1).unwrap();
-        let (input, kernel, expected) = reference(&shape, 700);
-        let cfg = config(
-            &shape,
-            "kcrsnhw",
-            [1, 5, 1, 1, 1, 1, 4],
-            [1, 10, 2, 3, 3, 4, 4],
-            [1, 10, 4, 3, 3, 8, 8],
-            [1, 10, 4, 3, 3, 8, 8],
-        );
-        for vl in [4, 8, 16] {
-            let conv = TiledConv::new(shape, cfg.clone(), 1).unwrap().with_vec_len(vl);
-            let got = conv.run(&input, &kernel);
-            assert!(expected.allclose(&got, 1e-4), "vec_len {vl}");
-        }
+        let (input, kernel, _) = reference(&shape, 700);
+        let packed = PackedKernel::pack(&shape, &kernel, 16);
+        let conv = TiledConv::new(shape, TileConfig::untiled(&shape), 1).unwrap();
+        let _ = conv.run_packed(&input, &packed);
     }
 
     #[test]

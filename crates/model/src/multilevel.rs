@@ -12,9 +12,10 @@
 //! ```
 //!
 //! The optimization objective is the *bandwidth-scaled* bottleneck
-//! `max_l DV_l / BW_l`; the solver handles the min–max by solving one
-//! minimization per candidate bottleneck level with dominance constraints
-//! (implemented in `mopt-core`). This module only evaluates the expressions.
+//! `max_l DV_l / BW_l`, minimized by one constrained solve per permutation
+//! class in `mopt-core` (the paper reaches the same min–max through one
+//! minimization per candidate bottleneck level with dominance constraints).
+//! This module only evaluates the expressions.
 //!
 //! # One level at a time
 //!

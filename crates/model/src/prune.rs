@@ -53,6 +53,9 @@ impl std::fmt::Display for PermutationClass {
     }
 }
 
+/// How many classes [`pruned_classes`] returns.
+pub const NUM_CLASSES: usize = 8;
+
 /// The eight pruned permutation classes of Sec. 4, with representatives.
 pub fn pruned_classes() -> Vec<PermutationClass> {
     let mk =
@@ -171,7 +174,7 @@ mod tests {
     #[test]
     fn there_are_exactly_eight_classes() {
         let classes = pruned_classes();
-        assert_eq!(classes.len(), 8);
+        assert_eq!(classes.len(), NUM_CLASSES);
         let ids: Vec<usize> = classes.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         // Representatives are themselves classified into their own class.

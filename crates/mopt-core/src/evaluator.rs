@@ -1,12 +1,11 @@
-//! One evaluation of a tile-size problem: every function the solver asks
+//! One evaluation of the tile-size problem: every function the solver asks
 //! about a point, from one pricing of that point.
 //!
-//! An `ArgMinSolve` problem's objective (the hypothesized bottleneck level's
-//! scaled cost), its capacity constraints (one per free level) and its
-//! dominance constraints (every other level's cost minus the objective) are
-//! all arithmetic on four per-level costs and up to four footprints of one
-//! nested tile assignment. [`TileEvaluator`] assembles and nests the point
-//! once, prices each level once, and derives all of them from those values.
+//! The problem's objective (the largest of the four levels' scaled costs)
+//! and its four capacity constraints are all arithmetic on four per-level
+//! costs and four footprints of one nested tile assignment.
+//! [`TileEvaluator`] assembles and nests the point once, prices each level
+//! once, and derives all of them from those values.
 //!
 //! It also remembers, per level, the inputs and values of the last point it
 //! priced. A level's cost is a pure function of two nested tiles — its own
@@ -25,10 +24,13 @@ use mopt_model::multilevel::{LevelPricer, MultiLevelModel, MultiLevelTiles};
 
 /// Tile sizes per level in the solver's variable vector, canonical index
 /// order.
-pub(crate) const TILES_PER_LEVEL: usize = ALL_INDICES.len();
+const TILES_PER_LEVEL: usize = ALL_INDICES.len();
+
+/// Variables of the problem: seven tile sizes for each of the four levels.
+pub(crate) const NUM_VARIABLES: usize = NUM_TILING_LEVELS * TILES_PER_LEVEL;
 
 /// How many points a search priced, and how many of them broke a capacity
-/// constraint of a level still being solved for.
+/// constraint.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SolveCounters {
     pub enumerated: u64,
@@ -49,77 +51,44 @@ fn same_bits(a: &RealTiles, b: &RealTiles) -> bool {
     a.as_array().map(f64::to_bits) == b.as_array().map(f64::to_bits)
 }
 
-/// The joint evaluator of one `ArgMinSolve` problem (see the module docs).
+/// The tile assignment the variable vector `x` stands for, not yet nested:
+/// the seven tile sizes of each level, in [`TilingLevel::ALL`] order.
+pub(crate) fn tiles_at(x: &[f64]) -> MultiLevelTiles {
+    let mut levels = [RealTiles::ones(); NUM_TILING_LEVELS];
+    for (level, sizes) in levels.iter_mut().zip(x.chunks_exact(TILES_PER_LEVEL)) {
+        *level = RealTiles::from_array(sizes.try_into().expect("chunks_exact yields whole levels"));
+    }
+    MultiLevelTiles { levels }
+}
+
+/// The joint evaluator of the min–max problem (see the module docs).
 ///
-/// Variable layout: for each free level (in `free_levels` order), the seven
-/// tile sizes in canonical index order. Constraint layout: the free levels'
-/// capacity slacks in the same order, then `cost(other) − cost(obj_level)`
-/// for every other level in [`TilingLevel::ALL`] order.
+/// Variable layout: [`tiles_at`]. Constraint layout: the four levels'
+/// capacity slacks, in [`TilingLevel::ALL`] order.
 pub(crate) struct TileEvaluator<'a> {
     pricer: LevelPricer<'a>,
-    obj_level: TilingLevel,
-    fixed: &'a [Option<RealTiles>; NUM_TILING_LEVELS],
-    free_levels: &'a [TilingLevel],
     last: [Option<PricedLevel>; NUM_TILING_LEVELS],
     counters: &'a mut SolveCounters,
 }
 
 impl<'a> TileEvaluator<'a> {
-    /// The evaluator for minimizing `obj_level`'s cost over the tiles of
-    /// `free_levels`, every other level held at its `fixed` tile.
-    pub fn new(
-        model: &'a MultiLevelModel,
-        obj_level: TilingLevel,
-        fixed: &'a [Option<RealTiles>; NUM_TILING_LEVELS],
-        free_levels: &'a [TilingLevel],
-        counters: &'a mut SolveCounters,
-    ) -> Self {
-        TileEvaluator {
-            pricer: model.pricer(),
-            obj_level,
-            fixed,
-            free_levels,
-            last: [None; NUM_TILING_LEVELS],
-            counters,
-        }
-    }
-
-    /// Capacity constraints for every level that is still free (fixed levels
-    /// already satisfy theirs by construction), and dominance constraints:
-    /// the hypothesized bottleneck level must cost at least as much as every
-    /// other level (Sec. 5's min–max decomposition).
-    pub fn num_constraints(&self) -> usize {
-        self.free_levels.len() + NUM_TILING_LEVELS - 1
-    }
-
-    /// The tile assignment the variable vector `x` stands for, not yet
-    /// nested.
-    pub fn tiles_at(&self, x: &[f64]) -> MultiLevelTiles {
-        let mut levels = self.fixed.map(|tile| tile.unwrap_or_else(RealTiles::ones));
-        for (level, sizes) in self.free_levels.iter().zip(x.chunks_exact(TILES_PER_LEVEL)) {
-            let sizes: [f64; TILES_PER_LEVEL] =
-                sizes.try_into().expect("chunks_exact yields whole levels");
-            levels[level.ordinal()] = RealTiles::from_array(sizes);
-        }
-        MultiLevelTiles { levels }
+    /// The evaluator of `model`'s tile-size problem; `counters` is advanced
+    /// by every point it prices.
+    pub fn new(model: &'a MultiLevelModel, counters: &'a mut SolveCounters) -> Self {
+        TileEvaluator { pricer: model.pricer(), last: [None; NUM_TILING_LEVELS], counters }
     }
 
     /// Price the point `x`: returns the objective, fills `constraints`.
     pub fn evaluate(&mut self, x: &[f64], constraints: &mut [f64]) -> f64 {
-        let nested = self.pricer.nest(&self.tiles_at(x));
-        let mut costs = [0.0; NUM_TILING_LEVELS];
-        let mut over_capacity = false;
-        let mut next_constraint = 0;
+        let nested = self.pricer.nest(&tiles_at(x));
+        let mut objective = f64::NEG_INFINITY;
         for level in TilingLevel::ALL {
             let tile = nested.level(level);
             let enclosing = self.pricer.enclosing(&nested, level);
-            let free = self.free_levels.contains(&level);
             let same_tile = self.last[level.ordinal()].filter(|p| same_bits(&p.tile, tile));
-            // Only free levels have a capacity constraint to fill.
             let slack = match same_tile {
                 Some(priced) => priced.slack,
-                None if free => self.pricer.capacity_slack(level, tile),
-                None => 0.0,
+                None => self.pricer.capacity_slack(level, tile),
             };
             let cost = match same_tile.filter(|p| same_bits(&p.enclosing, enclosing)) {
                 Some(priced) => priced.cost,
@@ -127,23 +96,11 @@ impl<'a> TileEvaluator<'a> {
             };
             self.last[level.ordinal()] =
                 Some(PricedLevel { tile: *tile, enclosing: *enclosing, cost, slack });
-            costs[level.ordinal()] = cost;
-            if free {
-                over_capacity |= slack > 0.0;
-                constraints[next_constraint] = slack;
-                next_constraint += 1;
-            }
+            constraints[level.ordinal()] = slack;
+            objective = objective.max(cost);
         }
         self.counters.enumerated += 1;
-        self.counters.capacity_pruned += u64::from(over_capacity);
-
-        let objective = costs[self.obj_level.ordinal()];
-        for other in TilingLevel::ALL {
-            if other != self.obj_level {
-                constraints[next_constraint] = costs[other.ordinal()] - objective;
-                next_constraint += 1;
-            }
-        }
+        self.counters.capacity_pruned += u64::from(constraints.iter().any(|&slack| slack > 0.0));
         objective
     }
 }

@@ -1,8 +1,9 @@
 //! Algorithm 1's integer step: one stage over the assembled configuration.
 //!
-//! The continuous solve fixes the four levels in four rounds, each against
-//! the other levels as they stood in that round, so the tiles it returns are
-//! neither integral nor nested into each other. This stage floors them,
+//! The continuous solve minimizes the bottleneck level's cost only, so it
+//! leaves the other three levels wherever the solve stopped: the tiles it
+//! returns are neither integral, nor nested into each other, nor good for
+//! any level but the bottleneck. This stage floors them,
 //! nests them (each level into the one enclosing it, the L3 tile into one
 //! thread's slice of the problem), shrinks whatever no longer fits its
 //! level, and then coordinate-descends the *assembled* integer configuration

@@ -7,12 +7,13 @@
 //! `mopt_bench`.
 //!
 //! * [`optimizer`] — Algorithm 1: for each of the eight pruned permutation
-//!   classes, find multi-level tile sizes by repeatedly solving one
-//!   constrained non-linear problem per candidate bottleneck level, fixing
-//!   the most constrained level first; floor to integers; load-balance; rank
-//!   the candidates. `MOpt-1` is the best-ranked configuration, `MOpt-5` the
-//!   best five (Sec. 10).
-//! * [`solver`] — the penalty multistart every `ArgMinSolve` runs, over a
+//!   classes, find multi-level tile sizes by one constrained non-linear
+//!   solve that minimizes the largest bandwidth-scaled level cost (where the
+//!   paper fixes the most constrained level first, in four rounds of
+//!   bottleneck hypotheses); floor, nest and refine to integers;
+//!   load-balance; rank the candidates. `MOpt-1` is the best-ranked
+//!   configuration, `MOpt-5` the best five (Sec. 10).
+//! * [`solver`] — the penalty multistart each class's solve runs, over a
 //!   [`solver::Problem`] that prices objective and constraints in one call
 //!   (the paper uses AMPL + Ipopt). Public only so property tests outside
 //!   the crate can hold it to its contract; the optimizer is its one caller.
@@ -24,8 +25,8 @@
 //! The optimizer accepts any [`conv_spec::ConvShape`], including dilated and
 //! grouped/depthwise ones: the solver's tile bounds come from the shape's
 //! loop-trip counts (so the C tile is bounded by the per-group reduction
-//! extent) and the capacity/dominance constraints see the generalized
-//! footprints through the model crate.
+//! extent) and the capacity constraints see the generalized footprints
+//! through the model crate.
 //!
 //! # Example
 //!

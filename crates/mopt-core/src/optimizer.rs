@@ -1,23 +1,29 @@
 //! Algorithm 1: permutation and multi-level tile-size selection.
 //!
 //! For each pruned permutation class the optimizer solves the multi-level
-//! tile-size problem with the most-constrained-level-first strategy of the
-//! paper: in every round, each not-yet-fixed level is hypothesized to be the
-//! bottleneck, a constrained non-linear problem minimizing that level's
-//! bandwidth-scaled data volume (subject to every level's capacity
-//! constraint, the tile-nesting constraints, and the "this level dominates
-//! the others" constraints) is solved, and the level whose hypothesis yields
-//! the smallest cost is fixed at the tile sizes the solver chose. After all
-//! levels are fixed, the continuous solution is floored to integers, refined,
-//! and load-balanced across threads.
+//! tile-size problem as one constrained non-linear problem: minimize the
+//! largest of the four levels' bandwidth-scaled data volumes over all 28
+//! tile sizes, subject to every level's capacity constraint. The continuous
+//! solution is then floored, nested and refined by the integer stage, and
+//! load-balanced across threads.
 //!
-//! The solver visits ~600 000 points per operator, and at each one asks for
-//! the objective and up to seven constraints that are all arithmetic on the
-//! same four per-level costs: the private `evaluator` module prices a point
-//! once for all of them, and re-prices only the levels a step changed. There
-//! is one search, and it always records its [`SearchTrace`]
-//! ([`MOptOptimizer::optimize_traced`]): some forty hypothesis records per
-//! class beside the evaluator's tallies; [`MOptOptimizer::optimize`] drops it.
+//! This departs from the paper's Algorithm 1, which reaches the same
+//! min–max optimum through hypotheses: in each of four rounds every level
+//! not yet fixed is assumed to be the bottleneck and solved for under
+//! dominance constraints, and the cheapest hypothesis fixes its level. The
+//! first round already reaches the min–max optimum; rounds 2–4 only set the
+//! non-bottleneck levels, which the integer stage re-optimizes under its own
+//! key. One solve replaces the ten, and prices about a sixth of the points
+//! (`docs/ARCHITECTURE.md` has the measured comparison).
+//!
+//! The solver visits ~16 000 points per class (~130 000 per operator at one
+//! thread), and at each one asks for the objective and four capacity
+//! constraints that are all arithmetic on the
+//! same four per-level costs and footprints: the private `evaluator` module
+//! prices a point once for all of them, and re-prices only the levels a step
+//! changed. There is one search, and it always records its [`SearchTrace`]
+//! ([`MOptOptimizer::optimize_traced`]): one round per candidate beside the
+//! evaluator's tallies; [`MOptOptimizer::optimize`] drops it.
 
 use conv_spec::{
     ConvShape, LayoutConfig, LoopIndex, MachineModel, Permutation, Spec, TileConfig, TileSizes,
@@ -28,7 +34,7 @@ use mopt_model::multilevel::{ModelPrediction, MultiLevelModel, MultiLevelTiles, 
 use mopt_model::prune::pruned_classes;
 use serde::{Deserialize, Serialize};
 
-use crate::evaluator::{SolveCounters, TileEvaluator, TILES_PER_LEVEL};
+use crate::evaluator::{tiles_at, SolveCounters, TileEvaluator, NUM_VARIABLES};
 use crate::integer::integer_config;
 use crate::pricing;
 use crate::solver::{solve, Problem};
@@ -38,8 +44,8 @@ use crate::solver::{solve, Problem};
 /// Every field is integral or a unit enum, so the options participate
 /// directly in hash-keyed schedule caches (`Eq` + `Hash`).
 ///
-/// There is one solve profile: every `ArgMinSolve` is the penalty multistart
-/// [`solve`], `multistart` random starts beside three fixed ones. The retired
+/// There is one solve profile: each class's tile-size problem is the penalty
+/// multistart [`solve`], `multistart` random starts beside three fixed ones. The retired
 /// `thorough` key (a barrier-and-penalty profile at 16–17× the solve time) is
 /// still accepted on the wire, like any unknown key, and selects nothing.
 ///
@@ -51,7 +57,7 @@ use crate::solver::{solve, Problem};
 pub struct OptimizerOptions {
     /// Number of threads the generated configuration targets.
     pub threads: usize,
-    /// Number of random starting points per non-linear solve.
+    /// Number of random starting points of each class's non-linear solve.
     pub multistart: usize,
     /// Number of top configurations to keep (the paper uses 5 for MOpt-5).
     pub keep_top: usize,
@@ -176,27 +182,30 @@ impl OptimizeResult {
     }
 }
 
-/// One bottleneck hypothesis evaluated in a search round: `level` was
-/// hypothesized to dominate, the constrained solve reached `cost`.
+/// Where a search round's solve ended: `level` is the bottleneck of the
+/// continuous tiles it reached, at bandwidth-scaled `cost`. (The paper's
+/// Algorithm 1 priced one such hypothesis per unfixed level per round.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LevelHypothesis {
-    /// The memory level hypothesized as the bottleneck.
+    /// The bottleneck memory level of the solved tiles.
     pub level: TilingLevel,
-    /// The bandwidth-scaled cost the constrained solve reached.
+    /// Its bandwidth-scaled cost: the min–max objective the solve reached.
     pub cost: f64,
     /// Whether the solution satisfied every level's capacity constraint.
     pub feasible: bool,
 }
 
-/// One round of the most-constrained-level-first loop: every unfixed level
-/// was hypothesized as the bottleneck and the cheapest hypothesis was fixed.
+/// One round of the search: the one min–max solve of a candidate. The shape
+/// is the paper's most-constrained-level-first round, whose hypotheses each
+/// fixed a level; the single solve fixes all four at once and records the
+/// one hypothesis it reached.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchRound {
-    /// The level fixed this round.
+    /// The bottleneck level of the solved tiles.
     pub fixed: TilingLevel,
-    /// The winning hypothesis's cost.
+    /// Its bandwidth-scaled cost.
     pub fixed_cost: f64,
-    /// Every hypothesis evaluated this round (including the winner).
+    /// The one hypothesis the solve reached.
     pub hypotheses: Vec<LevelHypothesis>,
 }
 
@@ -214,14 +223,15 @@ pub struct CandidateSearch {
     pub threads: usize,
     /// Per-dimension parallel factors (canonical index order).
     pub parallel_factors: Vec<usize>,
-    /// The most-constrained-level-first rounds, in order.
+    /// The search rounds: one, the class's min–max solve.
     pub rounds: Vec<SearchRound>,
     /// Tile configurations enumerated by the non-linear solver.
     pub enumerated: u64,
     /// Enumerated configurations rejected by a capacity constraint.
     pub capacity_pruned: u64,
     /// Feasible bottleneck hypotheses discarded because another level's
-    /// hypothesis was cheaper (the min–max dominance choice).
+    /// hypothesis was cheaper: always 0, since one min–max solve makes no
+    /// hypotheses to discard (kept for the wire shape).
     pub dominance_pruned: u64,
     /// The candidate's final integer-configuration predicted cost.
     pub predicted_cost: f64,
@@ -243,7 +253,8 @@ pub struct SearchTrace {
     pub enumerated: u64,
     /// Enumerated configurations rejected by capacity constraints.
     pub capacity_pruned: u64,
-    /// Feasible hypotheses discarded by the dominance (min–max) choice.
+    /// Feasible hypotheses discarded by a dominance choice: always 0 (see
+    /// [`CandidateSearch::dominance_pruned`]).
     pub dominance_pruned: u64,
     /// Per-candidate search records, in evaluation order.
     pub candidates: Vec<CandidateSearch>,
@@ -313,7 +324,7 @@ impl MOptOptimizer {
     }
 
     /// [`optimize`](Self::optimize), with the [`SearchTrace`] every search
-    /// records: hypotheses per round, enumerated/pruned counts, winner and
+    /// records: each candidate's solve, enumerated/pruned counts, winner and
     /// margin. There is one search; `optimize` drops the trace, the `Explain`
     /// verb serves it.
     ///
@@ -338,33 +349,23 @@ impl MOptOptimizer {
                     class.representative.clone(),
                     parallel,
                 );
-                let (tiles, rounds, counters) = self.solve_class(&model);
+                let (tiles, round, counters) = self.solve_class(&model);
                 let config = integer_config(&model, &tiles, &class.representative);
                 let (config, price) =
                     pricing::price_cheapest_layout(&model, config, self.options.layout_policy);
                 let predicted_cost = price.total;
-                let dominance_pruned = rounds
-                    .iter()
-                    .flat_map(|round| {
-                        round
-                            .hypotheses
-                            .iter()
-                            .filter(move |h| h.feasible && h.level != round.fixed)
-                    })
-                    .count() as u64;
                 trace.enumerated += counters.enumerated;
                 trace.capacity_pruned += counters.capacity_pruned;
-                trace.dominance_pruned += dominance_pruned;
                 trace.candidates.push(CandidateSearch {
                     class_id: class.id,
                     permutation: class.representative.to_string(),
                     member_count: class.member_count,
                     threads: model.parallel.threads,
                     parallel_factors: model.parallel.factors.to_vec(),
-                    rounds,
+                    rounds: vec![round],
                     enumerated: counters.enumerated,
                     capacity_pruned: counters.capacity_pruned,
-                    dominance_pruned,
+                    dominance_pruned: 0,
                     predicted_cost,
                 });
                 candidates.push(OptimizedConfig {
@@ -392,95 +393,57 @@ impl MOptOptimizer {
         pricing::layout_candidates(&self.machine, self.options.layout_policy).collect()
     }
 
-    /// Multi-level tile-size selection for one permutation class
-    /// (the `while NotVisitedLvls ≠ ∅` loop of Algorithm 1): the tiles, the
-    /// rounds that fixed them with every bottleneck hypothesis priced, and
-    /// the solver's enumeration tallies.
+    /// Multi-level tile-size selection for one permutation class: one
+    /// solve of min over the 28 tile sizes of max over the four levels of
+    /// the bandwidth-scaled cost, subject to every level's capacity
+    /// constraint (the functions are [`TileEvaluator`]'s). Returns the
+    /// tiles, the round that records where the solve ended, and the solver's
+    /// enumeration tallies.
     fn solve_class(
         &self,
         model: &MultiLevelModel,
-    ) -> (MultiLevelTiles, Vec<SearchRound>, SolveCounters) {
-        let mut counters = SolveCounters::default();
-        let mut rounds = Vec::with_capacity(NUM_TILING_LEVELS);
-        let mut fixed: [Option<RealTiles>; NUM_TILING_LEVELS] = [None; NUM_TILING_LEVELS];
-        let mut not_visited: Vec<TilingLevel> = TilingLevel::ALL.to_vec();
-        while !not_visited.is_empty() {
-            let mut best: Option<(TilingLevel, f64, MultiLevelTiles)> = None;
-            let mut hypotheses: Vec<LevelHypothesis> = Vec::with_capacity(not_visited.len());
-            for &obj_level in &not_visited {
-                let (cost, tiles) =
-                    self.arg_min_solve(model, obj_level, &fixed, &not_visited, &mut counters);
-                let feasible = TilingLevel::ALL
-                    .iter()
-                    .all(|&l| model.capacity_slack(&tiles, l) <= SLACK_TOLERANCE);
-                hypotheses.push(LevelHypothesis { level: obj_level, cost, feasible });
-                let better = match &best {
-                    None => true,
-                    Some((_, c, _)) => cost < *c,
-                };
-                if better {
-                    best = Some((obj_level, cost, tiles));
-                }
-            }
-            let (min_level, cost, tiles) =
-                best.expect("at least one unvisited level was evaluated");
-            rounds.push(SearchRound { fixed: min_level, fixed_cost: cost, hypotheses });
-            fixed[min_level.ordinal()] = Some(*tiles.level(min_level));
-            not_visited.retain(|&l| l != min_level);
-        }
-        let tiles = MultiLevelTiles {
-            levels: [
-                fixed[0].expect("register level fixed"),
-                fixed[1].expect("L1 level fixed"),
-                fixed[2].expect("L2 level fixed"),
-                fixed[3].expect("L3 level fixed"),
-            ],
-        };
-        (tiles, rounds, counters)
-    }
-
-    /// One `ArgMinSolve` call: minimize the bandwidth-scaled cost of
-    /// `obj_level` over the tile sizes of all not-yet-fixed levels, subject to
-    /// their capacity constraints and to `obj_level` dominating every other
-    /// level (the functions are [`TileEvaluator`]'s). `counters` is advanced
-    /// by every point the solver prices.
-    fn arg_min_solve(
-        &self,
-        model: &MultiLevelModel,
-        obj_level: TilingLevel,
-        fixed: &[Option<RealTiles>; NUM_TILING_LEVELS],
-        free_levels: &[TilingLevel],
-        counters: &mut SolveCounters,
-    ) -> (f64, MultiLevelTiles) {
-        let dim = free_levels.len() * TILES_PER_LEVEL;
-        let extents = RealTiles::full(&self.shape).as_array();
-
+    ) -> (MultiLevelTiles, SearchRound, SolveCounters) {
         // Every tile size ranges over `[1, extent]`. Starting point:
         // proportional slices of each extent, smaller for inner levels.
-        let mut upper = Vec::with_capacity(dim);
-        let mut x0 = Vec::with_capacity(dim);
-        for &level in free_levels {
-            let frac = match level {
-                TilingLevel::Register => 0.05,
-                TilingLevel::L1 => 0.15,
-                TilingLevel::L2 => 0.4,
-                TilingLevel::L3 => 0.8,
-            };
-            upper.extend(extents);
-            x0.extend(extents.map(|e| (e * frac).max(1.0)));
-        }
+        let extents = RealTiles::full(&self.shape).as_array();
+        let upper = extents.repeat(NUM_TILING_LEVELS);
+        let x0: Vec<f64> = TilingLevel::ALL
+            .into_iter()
+            .flat_map(|level| {
+                let frac = match level {
+                    TilingLevel::Register => 0.05,
+                    TilingLevel::L1 => 0.15,
+                    TilingLevel::L2 => 0.4,
+                    TilingLevel::L3 => 0.8,
+                };
+                extents.map(|e| (e * frac).max(1.0))
+            })
+            .collect();
 
-        let mut evaluator = TileEvaluator::new(model, obj_level, fixed, free_levels, counters);
-        let result = {
-            let problem = Problem::joint(dim, evaluator.num_constraints(), |x, constraints| {
+        let mut counters = SolveCounters::default();
+        let x = {
+            let mut evaluator = TileEvaluator::new(model, &mut counters);
+            let problem = Problem::joint(NUM_VARIABLES, NUM_TILING_LEVELS, |x, constraints| {
                 evaluator.evaluate(x, constraints)
             })
-            .with_bounds(vec![1.0; dim], upper);
-            solve(&problem, &x0, self.options.multistart)
+            .with_bounds(vec![1.0; NUM_VARIABLES], upper);
+            solve(&problem, &x0, self.options.multistart).x
         };
-        let tiles = evaluator.tiles_at(&result.x).normalized(&self.shape);
-        let cost = model.scaled_cost(&tiles, obj_level);
-        (cost, tiles)
+        let tiles = tiles_at(&x).normalized(&self.shape);
+        let prediction = model.predict_tiles(&tiles);
+        let feasible =
+            TilingLevel::ALL.iter().all(|&l| model.capacity_slack(&tiles, l) <= SLACK_TOLERANCE);
+        let reached = LevelHypothesis {
+            level: prediction.bottleneck,
+            cost: prediction.bottleneck_cost,
+            feasible,
+        };
+        let round = SearchRound {
+            fixed: reached.level,
+            fixed_cost: reached.cost,
+            hypotheses: vec![reached],
+        };
+        (tiles, round, counters)
     }
 
     /// The operator shape.
@@ -775,15 +738,17 @@ mod tests {
         assert!(trace.enumerated > 0, "the solver enumerated configurations");
         assert!(trace.capacity_pruned > 0, "some enumerated configs violated capacity");
         assert!(trace.capacity_pruned <= trace.enumerated);
+        assert_eq!(trace.dominance_pruned, 0, "one min-max solve prunes no hypothesis");
         for candidate in &trace.candidates {
-            assert_eq!(candidate.rounds.len(), 4, "one round per memory level");
-            let mut remaining = 4;
-            for round in &candidate.rounds {
-                assert_eq!(round.hypotheses.len(), remaining);
-                remaining -= 1;
-                assert!(round.hypotheses.iter().any(|h| h.level == round.fixed));
-                assert!(round.fixed_cost.is_finite());
-            }
+            let [round] = &candidate.rounds[..] else {
+                panic!("one round per candidate, got {:?}", candidate.rounds);
+            };
+            let [reached] = &round.hypotheses[..] else {
+                panic!("one hypothesis per round, got {:?}", round.hypotheses);
+            };
+            assert_eq!((reached.level, reached.cost), (round.fixed, round.fixed_cost));
+            assert!(round.fixed_cost.is_finite() && round.fixed_cost > 0.0);
+            assert_eq!(candidate.dominance_pruned, 0);
             assert!(candidate.predicted_cost.is_finite() && candidate.predicted_cost > 0.0);
             assert!(candidate.permutation.len() > 2, "rendered representative");
         }

@@ -1,10 +1,11 @@
-//! The constrained non-linear solve behind every `ArgMinSolve`.
+//! The constrained non-linear solve behind each class's tile-size problem.
 //!
 //! The paper solves each tile-size problem with AMPL + Ipopt; this is the
 //! from-scratch replacement for the problem class that arises here: a few
-//! dozen variables (seven tile sizes per free level), smooth objectives and
-//! inequality constraints built from products and ratios of the variables,
-//! and box bounds `1 ≤ T_j ≤ N_j`.
+//! dozen variables (seven tile sizes per level), piecewise-smooth
+//! objectives (the largest of four level costs) and inequality constraints
+//! built from products and ratios of the variables, and box bounds
+//! `1 ≤ T_j ≤ N_j`.
 //!
 //! A [`Problem`] is a box and one function: [`Problem::evaluate`] prices the
 //! objective and every constraint at a point together, because for the tile

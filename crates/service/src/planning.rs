@@ -8,6 +8,7 @@ use std::sync::atomic::Ordering;
 use conv_spec::{benchmarks, ConvShape, MachineModel, Spec};
 use mopt_core::{pricing, LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizerOptions};
 use mopt_graph::{builders, Graph, GraphPlanner};
+use mopt_model::prune::NUM_CLASSES;
 use mopt_model::ParallelSpec;
 use mopt_trace::TraceContext;
 
@@ -57,7 +58,9 @@ impl Problem<'_> {
 /// top-level `threads` field taking precedence over `options.threads`.
 /// The options are the cache, flight, graph-plan and db keys, so two
 /// spellings of one answer are made one here: `threads: 0` plans for one
-/// thread, and `layout_policy: "Fixed"` is the unset policy.
+/// thread, `layout_policy: "Fixed"` is the unset policy, and `max_classes`
+/// is clamped to the classes there are (the search takes at least one, and
+/// there are [`NUM_CLASSES`]).
 ///
 /// Both come from outside the program and are checked here, before any
 /// tier is touched: an invalid inline machine or an option the search
@@ -73,6 +76,7 @@ pub(crate) fn request_target(
     if options.layout_policy == Some(LayoutPolicy::Fixed) {
         options.layout_policy = None;
     }
+    options.max_classes = options.max_classes.clamp(1, NUM_CLASSES);
     options.validate().map_err(|e| format!("invalid options: {e}"))?;
     Ok((machine, options))
 }
@@ -680,15 +684,21 @@ mod tests {
 
     #[test]
     fn spellings_of_one_answer_share_one_cache_entry() {
-        // `layout_policy: "Fixed"` is the unset policy and `threads: 0` is one
-        // thread: the second spelling of each pair is the first one's hit.
+        // `layout_policy: "Fixed"` is the unset policy, `threads: 0` is one
+        // thread, `max_classes: 0` searches one class and `max_classes: 9`
+        // all eight: the second spelling of each pair is the first one's hit.
         let base = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
         assert_eq!((base.threads, base.layout_policy), (1, None));
         let fixed = OptimizerOptions { layout_policy: Some(LayoutPolicy::Fixed), ..base.clone() };
         let zero = OptimizerOptions { threads: 0, ..base.clone() };
-        for second in [fixed, zero] {
+        let no_classes = OptimizerOptions { max_classes: 0, ..base.clone() };
+        let all_classes = OptimizerOptions { max_classes: 8, ..base.clone() };
+        let past_all = OptimizerOptions { max_classes: 9, ..base.clone() };
+        for (first, second) in
+            [(&base, fixed), (&base, zero), (&base, no_classes), (&all_classes, past_all)]
+        {
             let state = tiny_state();
-            for options in [&base, &second] {
+            for options in [first, &second] {
                 state.handle_line(&format!(
                     "{{\"Optimize\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
                     serde_json::to_string(options).unwrap(),

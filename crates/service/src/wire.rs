@@ -435,8 +435,8 @@ pub enum Response {
         /// `Optimize` of the same request returns.
         result: OptimizeResult,
         /// The optimizer's search trace: candidates enumerated and pruned
-        /// per permutation class, per-round hypotheses, winner, runner-up
-        /// and margin. Recorded by a deterministic re-run of the search.
+        /// per permutation class, where each class's solve ended, winner,
+        /// runner-up and margin. Recorded by a deterministic re-run of the search.
         search: SearchTrace,
         /// The winner's per-memory-level cost breakdown (footprints,
         /// traffic, slack); the attributed costs sum to the certified
