@@ -18,10 +18,9 @@
 //!
 //! The solver visits ~16 000 points per class (~130 000 per operator at one
 //! thread), and at each one asks for the objective and four capacity
-//! constraints that are all arithmetic on the
-//! same four per-level costs and footprints: the private `evaluator` module
-//! prices a point once for all of them, and re-prices only the levels a step
-//! changed. There is one search, and it always records its [`SearchTrace`]
+//! constraints that are all arithmetic on the same four per-level costs and
+//! footprints: the private `evaluator` module prices a point once for all of
+//! them, and re-prices only the levels a step changed. There is one search, and it always records its [`SearchTrace`]
 //! ([`MOptOptimizer::optimize_traced`]): one round per candidate beside the
 //! evaluator's tallies; [`MOptOptimizer::optimize`] drops it.
 
@@ -45,9 +44,10 @@ use crate::solver::{solve, Problem};
 /// directly in hash-keyed schedule caches (`Eq` + `Hash`).
 ///
 /// There is one solve profile: each class's tile-size problem is the penalty
-/// multistart [`solve`], `multistart` random starts beside three fixed ones. The retired
-/// `thorough` key (a barrier-and-penalty profile at 16–17× the solve time) is
-/// still accepted on the wire, like any unknown key, and selects nothing.
+/// multistart [`solve`], `multistart` random starts beside three fixed ones.
+/// The retired `thorough` key (a barrier-and-penalty profile at 16–17× the
+/// solve time) is still accepted on the wire, like any unknown key, and
+/// selects nothing.
 ///
 /// There is one cost model: traffic is priced in elements (the paper's unit
 /// line size). The retired `line_elems` key (a cache-line-granular variant
