@@ -331,9 +331,8 @@ pub fn fig7_performance_comparison(
             let onednn_like_gflops = score(&plan.config);
 
             // --- MOpt.
-            let mut opts = OptimizerOptions::parallel(machine);
-            opts.multistart = 1;
-            let optimizer = MOptOptimizer::new(shape, machine.clone(), opts);
+            let optimizer =
+                MOptOptimizer::new(shape, machine.clone(), OptimizerOptions::parallel(machine));
             let mopt = optimizer.optimize();
             let mopt1_gflops = score(&mopt.best().config);
             let mopt5_gflops =
@@ -397,9 +396,8 @@ pub fn searchcost_comparison(
     ops.iter()
         .map(|op| {
             let shape = op.shape;
-            let mut opts = OptimizerOptions::parallel(machine);
-            opts.multistart = 1;
-            let optimizer = MOptOptimizer::new(shape, machine.clone(), opts);
+            let optimizer =
+                MOptOptimizer::new(shape, machine.clone(), OptimizerOptions::parallel(machine));
             let mopt = optimizer.optimize();
 
             let space = SearchSpace::new(&shape, machine);

@@ -171,7 +171,7 @@ mod tests {
     use mopt_core::MOptOptimizer;
 
     fn fast_options(threads: usize) -> OptimizerOptions {
-        OptimizerOptions { threads, max_classes: 1, keep_top: 8, ..OptimizerOptions::fast() }
+        OptimizerOptions { threads, max_classes: 1, keep_top: 8, ..OptimizerOptions::default() }
     }
 
     fn machine() -> MachineModel {

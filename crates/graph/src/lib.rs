@@ -44,7 +44,7 @@
 //! block.validate()?;
 //!
 //! let machine = MachineModel::i7_9700k();
-//! let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+//! let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
 //! let planner = GraphPlanner::new(machine.clone());
 //! let plan = planner.plan(&block, |spec| {
 //!     MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())

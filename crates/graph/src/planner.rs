@@ -381,7 +381,7 @@ mod tests {
     use mopt_core::{MOptOptimizer, OptimizerOptions};
 
     fn fast_options() -> OptimizerOptions {
-        OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }
+        OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }
     }
 
     fn solve_with(machine: &MachineModel) -> impl FnMut(&Spec) -> OptimizeResult + '_ {

@@ -12,10 +12,10 @@
 //! ```
 //!
 //! The optimization objective is the *bandwidth-scaled* bottleneck
-//! `max_l DV_l / BW_l`, minimized by one constrained solve per permutation
-//! class in `mopt-core` (the paper reaches the same min–max through one
-//! minimization per candidate bottleneck level with dominance constraints).
-//! This module only evaluates the expressions.
+//! `max_l DV_l / BW_l`, which `mopt-core`'s integer search lowers per
+//! permutation class (the paper minimizes it with one non-linear solve per
+//! candidate bottleneck level under dominance constraints). This module only
+//! evaluates the expressions.
 //!
 //! # One level at a time
 //!
@@ -23,10 +23,10 @@
 //! ([`MultiLevelTiles::nested_within`]), `DV_l` depends on two tiles only —
 //! level `l`'s own and the one enclosing it — and level `l`'s footprint on
 //! its own alone. [`LevelPricer`] is the model with everything else worked
-//! out once (thread slice, capacities, bandwidths, the permutation's
+//! out once (thread slice, bandwidths, the permutation's
 //! [`ReusePlan`]); [`MultiLevelModel`]'s per-call methods build one, nest
 //! once and ask it for the levels they need, and a search keeps one per
-//! solve so that it can re-price only the levels a step changed.
+//! candidate so that it can re-price only the levels a move changed.
 //!
 //! # Multicore adaptation
 //!
@@ -436,8 +436,6 @@ impl MultiLevelModel {
             slice: self.thread_extents(),
             threads,
             default_layout: self.layout.is_default(),
-            capacity: TilingLevel::ALL
-                .map(|level| self.machine.capacity_per_thread(level, self.parallel.threads) as f64),
             bandwidth: TilingLevel::ALL
                 .map(|level| self.machine.fill_bandwidth_at(level, self.parallel.threads)),
         }
@@ -472,19 +470,6 @@ impl MultiLevelModel {
                 * move_cost::footprint_factor(&self.shape, &self.layout, TensorKind::Kernel)
             + output_footprint(t)
                 * move_cost::footprint_factor(&self.shape, &self.layout, TensorKind::Output)
-    }
-
-    /// Capacity constraint `footprint − capacity ≤ 0` for a level.
-    ///
-    /// Private levels (registers, L1, L2) belong to one core and keep their
-    /// whole capacity. The shared L3 is divided among the active threads
-    /// ([`MachineModel::capacity_per_thread`]): each thread's tile must fit
-    /// its `1/P` share, so co-running threads never evict each other's
-    /// certified working sets. At `threads == 1` both terms are exactly the
-    /// sequential ones.
-    pub fn capacity_slack(&self, tiles: &MultiLevelTiles, level: TilingLevel) -> f64 {
-        self.footprint(tiles, level)
-            - self.machine.capacity_per_thread(level, self.parallel.threads) as f64
     }
 
     /// Bandwidth-scaled cost `DV_l / BW_l` (cycles) of a level, accounting for
@@ -605,16 +590,15 @@ impl MultiLevelModel {
 
 /// A [`MultiLevelModel`] with everything that does not depend on the tile
 /// sizes worked out once ([`MultiLevelModel::pricer`]): one thread's slice of
-/// the problem, each level's capacity share and bandwidth, the permutation's
-/// [`ReusePlan`].
+/// the problem, each level's bandwidth, the permutation's [`ReusePlan`].
 ///
 /// A level's volume is a function of two tiles only — its own and the one
-/// enclosing it, both taken from the *nested* assignment ([`nest`](Self::nest))
-/// — and its footprint of its own tile alone. The model's per-call methods
-/// ([`MultiLevelModel::scaled_cost`], [`MultiLevelModel::predict_tiles`], …)
-/// nest once and go through here; a search that prices many neighbouring
-/// points keeps one pricer per solve and re-prices only the levels whose two
-/// tiles changed.
+/// enclosing it, both taken from the *nested* assignment (every level clamped
+/// into one thread's slice and into the level outside it). The model's
+/// per-call methods ([`MultiLevelModel::scaled_cost`],
+/// [`MultiLevelModel::predict_tiles`], …) nest once and go through here; a
+/// search that prices many neighbouring tiles keeps one pricer per candidate
+/// and re-prices only the levels whose two tiles changed.
 ///
 /// # Multicore
 ///
@@ -632,24 +616,19 @@ pub struct LevelPricer<'m> {
     slice: RealTiles,
     threads: f64,
     default_layout: bool,
-    capacity: [f64; 4],
     bandwidth: [f64; 4],
 }
 
 impl LevelPricer<'_> {
     /// `tiles` clamped into one thread's slice and into each other, outermost
     /// first: the assignment every level is priced on.
-    pub fn nest(&self, tiles: &MultiLevelTiles) -> MultiLevelTiles {
+    fn nest(&self, tiles: &MultiLevelTiles) -> MultiLevelTiles {
         tiles.nested_within(&self.slice.as_array())
     }
 
     /// The tile whose execution `level`'s tiles partition: the next outer
     /// level's, or the thread's slice around the L3 tile.
-    pub fn enclosing<'a>(
-        &'a self,
-        nested: &'a MultiLevelTiles,
-        level: TilingLevel,
-    ) -> &'a RealTiles {
+    fn enclosing<'a>(&'a self, nested: &'a MultiLevelTiles, level: TilingLevel) -> &'a RealTiles {
         match level.outer() {
             None => &self.slice,
             Some(outer) => nested.level(outer),
@@ -657,8 +636,8 @@ impl LevelPricer<'_> {
     }
 
     /// Data volume (elements, whole chip) crossing the boundary that fills
-    /// `level`, given the level's nested tile and its
-    /// [`enclosing`](Self::enclosing) tile: the single-level expression on
+    /// `level`, given the level's nested tile and the tile enclosing it (the
+    /// next outer level's, or the thread's slice): the single-level expression on
     /// that pair, times the number of enclosing tiles in a slice, times the
     /// thread count.
     pub fn volume(&self, level: TilingLevel, tile: &RealTiles, enclosing: &RealTiles) -> f64 {
@@ -693,12 +672,6 @@ impl LevelPricer<'_> {
     /// over its bandwidth.
     pub fn scaled_cost(&self, level: TilingLevel, tile: &RealTiles, enclosing: &RealTiles) -> f64 {
         self.scale(self.volume(level, tile, enclosing), level)
-    }
-
-    /// Capacity constraint `footprint − capacity ≤ 0` of `level` for its
-    /// nested tile, against one thread's share of the level.
-    pub fn capacity_slack(&self, level: TilingLevel, tile: &RealTiles) -> f64 {
-        self.model.tile_footprint(tile) - self.capacity[level.ordinal()]
     }
 }
 
@@ -765,15 +738,17 @@ mod tests {
     }
 
     #[test]
-    fn capacity_slack_signs() {
+    fn footprints_against_capacities() {
         let m = model();
         let tiles = nested_tiles();
-        // Register tile (4x4 out + ...) small: should fit the 32-element file? footprint:
-        // In 1*1*1*4 + Ker 4*1*1*1 + Out 1*4*1*4 = 4 + 4 + 16 = 24 <= 32.
-        assert!(m.capacity_slack(&tiles, TilingLevel::Register) <= 0.0);
-        // The L3 tile is the whole problem; it exceeds the tiny 16K L3? Its
-        // footprint is ~ 14K + 4.6K + 25K > 16384, so slack is positive.
-        assert!(m.capacity_slack(&tiles, TilingLevel::L3) > 0.0);
+        let capacity = |level| m.machine.capacity(level) as f64;
+        // The register tile fits the 32-element file: In 1*1*1*4 + Ker
+        // 4*1*1*1 + Out 1*4*1*4 = 4 + 4 + 16 = 24.
+        assert_eq!(m.footprint(&tiles, TilingLevel::Register), 24.0);
+        assert!(m.footprint(&tiles, TilingLevel::Register) <= capacity(TilingLevel::Register));
+        // The L3 tile is the whole problem: ~ 14K + 4.6K + 25K exceeds the
+        // tiny machine's 16K L3.
+        assert!(m.footprint(&tiles, TilingLevel::L3) > capacity(TilingLevel::L3));
     }
 
     #[test]
@@ -822,23 +797,17 @@ mod tests {
         let tiles = nested_tiles();
         let seq = model();
         let par = model().with_parallel(ParallelSpec::default_for(&shape(), 2));
+        let machine = &seq.machine;
         // Private levels keep their whole capacity (the tiny machine's L1/L2
         // are private; the nested tiles fit their slices unclamped).
         for level in [TilingLevel::Register, TilingLevel::L1] {
-            assert_eq!(seq.capacity_slack(&tiles, level), par.capacity_slack(&tiles, level));
+            assert_eq!(seq.footprint(&tiles, level), par.footprint(&tiles, level));
+            assert_eq!(machine.capacity_per_thread(level, 2), machine.capacity(level));
         }
         // The shared L3 is charged against a per-thread share of the cache.
-        let cap = seq.machine.capacity(TilingLevel::L3) as f64;
-        let share = seq.machine.capacity_per_thread(TilingLevel::L3, 2) as f64;
-        assert!(share < cap);
-        assert_eq!(
-            seq.capacity_slack(&tiles, TilingLevel::L3),
-            seq.footprint(&tiles, TilingLevel::L3) - cap
-        );
-        assert_eq!(
-            par.capacity_slack(&tiles, TilingLevel::L3),
-            par.footprint(&tiles, TilingLevel::L3) - share
-        );
+        let cap = machine.capacity(TilingLevel::L3);
+        assert!(machine.capacity_per_thread(TilingLevel::L3, 2) < cap);
+        assert_eq!(machine.capacity_per_thread(TilingLevel::L3, 1), cap);
     }
 
     #[test]
@@ -881,8 +850,8 @@ mod tests {
             assert_eq!(row.volume_elems, prediction.volume(row.level));
             assert_eq!(row.slack_elems, row.footprint_elems - row.capacity_elems);
             assert_eq!(
-                row.footprint_elems - row.capacity_elems,
-                m.capacity_slack(&MultiLevelTiles::from_config(&cfg), row.level)
+                row.footprint_elems,
+                m.footprint(&MultiLevelTiles::from_config(&cfg), row.level)
             );
         }
         // The attribution sums to the certified price exactly: the

@@ -1,17 +1,15 @@
 //! Algorithm 1's integer step: one stage over the assembled configuration.
 //!
-//! The continuous solve minimizes the bottleneck level's cost only, so it
-//! leaves the other three levels wherever the solve stopped: the tiles it
-//! returns are neither integral, nor nested into each other, nor good for
-//! any level but the bottleneck. This stage floors them,
-//! nests them (each level into the one enclosing it, the L3 tile into one
-//! thread's slice of the problem), shrinks whatever no longer fits its
-//! level, and then coordinate-descends the *assembled* integer configuration
-//! under the model that prices the served schedule.
+//! The stage starts from a seed — real tile sizes for the four levels, from
+//! anywhere (the optimizer passes four fixed ones) — and serves an integer
+//! configuration at a local optimum of the served price. It floors the seed,
+//! nests it (each level into the one enclosing it, the L3 tile into one
+//! thread's slice of the problem), shrinks whatever does not fit its level,
+//! and then coordinate-descends the *assembled* integer configuration under
+//! the model that prices the served schedule.
 //!
 //! A move changes one tile size of one level. It is acceptable only when the
-//! level's footprint still fits one thread's share of the level (the
-//! footprint and the share the continuous solve certified against) and the
+//! level's footprint still fits one thread's share of the level and the
 //! key — the bottleneck level's cost, then the sum of the four levels'
 //! costs, each compared up to rounding — does not rise; a move that shrinks a
 //! tile must lower it. Ties therefore go to the larger tile: the model is
@@ -54,17 +52,29 @@ use mopt_model::multilevel::{LevelPricer, MultiLevelModel, MultiLevelTiles};
 /// settle within 65 sweeps (most within 25), extents of a million within 23.
 const MAX_SWEEPS: usize = 256;
 
-/// The integer configuration served for the continuous solution `tiles` of
-/// one permutation class under `model` (see the module docs). Deterministic:
-/// the same tiles and model give the same configuration.
-pub fn integer_config(
+/// How many tiles the stage priced, and how many of those did not fit their
+/// level (the search trace's `enumerated` and `capacity_pruned`).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StageCounts {
+    pub enumerated: u64,
+    pub capacity_pruned: u64,
+}
+
+/// The integer configuration the stage serves from `seed` for one
+/// permutation class under `model` (see the module docs); the tiles it
+/// priced are added to `counts`. Deterministic: the same seed and model give
+/// the same configuration.
+pub(crate) fn integer_config(
     model: &MultiLevelModel,
-    tiles: &MultiLevelTiles,
+    seed: &MultiLevelTiles,
     permutation: &Permutation,
+    counts: &mut StageCounts,
 ) -> TileConfig {
-    let mut stage = IntegerStage::seeded(model, tiles);
+    let mut stage = IntegerStage::seeded(model, seed);
     stage.descend();
-    // Load balancing (Algorithm 1, line 24): the solved parallel
+    counts.enumerated += stage.counts.enumerated;
+    counts.capacity_pruned += stage.counts.capacity_pruned;
+    // Load balancing (Algorithm 1, line 24): the candidate's parallel
     // specification's per-dimension factors ride along in the configuration.
     let parallel = TileSizes::from_array(model.parallel.factors);
     TileConfig::new(permutation.clone(), stage.tiles, parallel)
@@ -104,6 +114,7 @@ struct IntegerStage<'m> {
     capacity: [f64; NUM_TILING_LEVELS],
     tiles: [TileSizes; NUM_TILING_LEVELS],
     costs: Costs,
+    counts: StageCounts,
 }
 
 impl<'m> IntegerStage<'m> {
@@ -120,6 +131,7 @@ impl<'m> IntegerStage<'m> {
                 .map(|level| model.machine.capacity_per_thread(level, threads) as f64),
             tiles: [slice; NUM_TILING_LEVELS],
             costs: [0.0; NUM_TILING_LEVELS],
+            counts: StageCounts::default(),
         };
         // Outermost first: a level is nested into the tile enclosing it.
         for level in TilingLevel::ALL.into_iter().rev() {
@@ -206,9 +218,11 @@ impl<'m> IntegerStage<'m> {
     }
 
     /// The four costs with `tile` in place of `level`'s own, or `None` when
-    /// `tile` does not fit the level.
-    fn price(&self, level: TilingLevel, tile: TileSizes) -> Option<Costs> {
+    /// `tile` does not fit the level. Counted either way.
+    fn price(&mut self, level: TilingLevel, tile: TileSizes) -> Option<Costs> {
+        self.counts.enumerated += 1;
         if !self.fits(level, &tile) {
+            self.counts.capacity_pruned += 1;
             return None;
         }
         let l = level.ordinal();
@@ -261,7 +275,7 @@ impl<'m> IntegerStage<'m> {
     /// compares to the current one as `wanted` or better it is acceptable,
     /// and replaces `best` when its key is lower than `best`'s.
     fn offer(
-        &self,
+        &mut self,
         level: TilingLevel,
         moved: TileSizes,
         wanted: Ordering,
@@ -467,7 +481,7 @@ mod tests {
         for machine in [MachineModel::i7_9700k(), MachineModel::tiny_test_machine()] {
             for threads in [1, 3] {
                 let options =
-                    OptimizerOptions { threads, max_classes: 2, ..OptimizerOptions::fast() };
+                    OptimizerOptions { threads, max_classes: 2, ..OptimizerOptions::default() };
                 let result = MOptOptimizer::new(shape, machine.clone(), options.clone()).optimize();
                 for candidate in &result.ranked {
                     check_candidate(&shape, &machine, &options, candidate);
@@ -477,13 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn two_solves_serve_the_same_ranking_to_the_bit() {
+    fn two_searches_serve_the_same_ranking_to_the_bit() {
         let shape = benchmarks::by_name("R6").expect("a catalog op").shape;
         let options =
             OptimizerOptions { threads: 4, max_classes: 2, ..OptimizerOptions::default() };
-        let solve =
+        let search =
             || MOptOptimizer::new(shape, MachineModel::i7_9700k(), options.clone()).optimize();
-        let (first, second) = (solve(), solve());
+        let (first, second) = (search(), search());
         assert_eq!(first.ranked, second.ranked);
         for (a, b) in first.ranked.iter().zip(&second.ranked) {
             assert_eq!(a.predicted_cost.to_bits(), b.predicted_cost.to_bits());
@@ -496,7 +510,7 @@ mod tests {
         // shrinking steps) moves here, so the sweep count bounds the work.
         let shape = ConvShape::new(1, 1_000_003, 4, 1, 1, 3, 1_000_003, 1).unwrap();
         let machine = MachineModel::i7_9700k();
-        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
         let model = pricing::pricing_model(
             &shape,
             &machine,
@@ -537,9 +551,12 @@ mod tests {
             );
             let model =
                 pricing::pricing_model(&tiny, &machine, config.permutation.clone(), parallel);
-            let refined =
-                integer_config(&model, &MultiLevelTiles::from_config(&config), &config.permutation);
+            let seed = MultiLevelTiles::from_config(&config);
+            let mut counts = StageCounts::default();
+            let refined = integer_config(&model, &seed, &config.permutation, &mut counts);
             assert_eq!(refined, config);
+            // The shrinking steps were priced, and refused.
+            assert!(counts.enumerated > 0 && counts.capacity_pruned <= counts.enumerated);
         }
     }
 }

@@ -12,7 +12,7 @@ use conv_spec::{benchmarks, LayoutConfig, MachineModel};
 use mopt_core::{LayoutPolicy, MOptOptimizer, OptimizerOptions};
 
 fn options() -> OptimizerOptions {
-    OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() }
+    OptimizerOptions { max_classes: 2, ..OptimizerOptions::default() }
 }
 
 #[test]

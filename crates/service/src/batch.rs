@@ -285,7 +285,7 @@ mod tests {
     use mopt_core::MOptOptimizer;
 
     fn fast_options() -> OptimizerOptions {
-        OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() }
+        OptimizerOptions { max_classes: 2, ..OptimizerOptions::default() }
     }
 
     fn tiny_layers() -> Vec<NamedLayer> {

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! mopt-plan-world --db specs.db [--suite table1]... [--preset i7]... \
-//!                 [--threads 1,4,8] [--classes N] [--multistart N] [--keep-top N]
+//!                 [--threads 1,4,8] [--classes N] [--keep-top N]
 //! ```
 //!
 //! Defaults: every suite (`extended`), presets `i7` and `i9`, threads
@@ -57,7 +57,6 @@ struct Args {
     presets: Vec<String>,
     threads: Vec<usize>,
     classes: Option<usize>,
-    multistart: Option<usize>,
     keep_top: Option<usize>,
 }
 
@@ -69,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
         presets: Vec::new(),
         threads: Vec::new(),
         classes: None,
-        multistart: None,
         keep_top: None,
     };
     let mut it = std::env::args().skip(1);
@@ -93,14 +91,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --classes: {e}"))?,
                 );
             }
-            "--multistart" => {
-                args.multistart = Some(
-                    it.next()
-                        .ok_or("--multistart needs a number")?
-                        .parse()
-                        .map_err(|e| format!("bad --multistart: {e}"))?,
-                );
-            }
             "--keep-top" => {
                 args.keep_top = Some(
                     it.next()
@@ -113,7 +103,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "mopt-plan-world — pre-populate the MOpt schedule database\n\n\
                      USAGE:\n  mopt-plan-world --db DIR [--suite NAME]... [--preset NAME]...\n  \
-                     \x20                [--threads N,N,...] [--classes N] [--multistart N] [--keep-top N]\n\n\
+                     \x20                [--threads N,N,...] [--classes N] [--keep-top N]\n\n\
                      Suites: {} (extended includes the networks).\n\
                      Presets: {}. Defaults: --suite extended --preset i7 --preset i9 \
                      --threads 1,4,8.\n\
@@ -209,9 +199,6 @@ fn main() {
             let mut options = OptimizerOptions { threads, ..OptimizerOptions::default() };
             if let Some(classes) = args.classes {
                 options.max_classes = classes.max(1);
-            }
-            if let Some(multistart) = args.multistart {
-                options.multistart = multistart;
             }
             if let Some(keep_top) = args.keep_top {
                 options.keep_top = keep_top.max(1);

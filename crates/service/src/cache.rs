@@ -376,7 +376,7 @@ pub(crate) mod tests {
 
     fn key_for(k: usize) -> CacheKey {
         let shape = ConvShape::new(1, k, 3, 3, 3, 8, 8, 1).unwrap();
-        CacheKey::new(shape, &MachineModel::tiny_test_machine(), &OptimizerOptions::fast())
+        CacheKey::new(shape, &MachineModel::tiny_test_machine(), &OptimizerOptions::default())
     }
 
     #[test]
@@ -396,23 +396,23 @@ pub(crate) mod tests {
     fn distinct_options_are_distinct_keys() {
         let shape = ConvShape::new(1, 4, 3, 3, 3, 8, 8, 1).unwrap();
         let machine = MachineModel::tiny_test_machine();
-        let fast = CacheKey::new(shape, &machine, &OptimizerOptions::fast());
-        let more_starts = CacheKey::new(
+        let defaults = CacheKey::new(shape, &machine, &OptimizerOptions::default());
+        let fewer_kept = CacheKey::new(
             shape,
             &machine,
-            &OptimizerOptions { multistart: 1, ..OptimizerOptions::fast() },
+            &OptimizerOptions { keep_top: 1, ..OptimizerOptions::default() },
         );
-        assert_ne!(fast, more_starts);
+        assert_ne!(defaults, fewer_kept);
         let cache = ScheduleCache::new(8);
-        cache.insert(fast.clone(), dummy_result(&shape, 1.0));
-        assert!(cache.get(&more_starts).is_none());
-        assert!(cache.get(&fast).is_some());
+        cache.insert(defaults.clone(), dummy_result(&shape, 1.0));
+        assert!(cache.get(&fewer_kept).is_none());
+        assert!(cache.get(&defaults).is_some());
     }
 
     #[test]
     fn distinct_machines_are_distinct_keys() {
         let shape = ConvShape::new(1, 4, 3, 3, 3, 8, 8, 1).unwrap();
-        let opts = OptimizerOptions::fast();
+        let opts = OptimizerOptions::default();
         let tiny = CacheKey::new(shape, &MachineModel::tiny_test_machine(), &opts);
         let i7 = CacheKey::new(shape, &MachineModel::i7_9700k(), &opts);
         assert_ne!(tiny, i7);

@@ -162,7 +162,7 @@ mod tests {
     }
 
     fn fast_options(threads: usize) -> OptimizerOptions {
-        OptimizerOptions { threads, max_classes: 1, ..OptimizerOptions::fast() }
+        OptimizerOptions { threads, max_classes: 1, ..OptimizerOptions::default() }
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
     use mopt_graph::{builders, GraphPlanner};
 
     fn fast_options() -> OptimizerOptions {
-        OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }
+        OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }
     }
 
     fn small_plan(machine: &MachineModel) -> GraphPlan {

@@ -56,7 +56,7 @@
 //! use mopt_service::batch::NamedLayer;
 //!
 //! let cache = ScheduleCache::new(128);
-//! let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+//! let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
 //! let planner = NetworkPlanner::new(&cache, MachineModel::tiny_test_machine(), options);
 //! let layers = vec![
 //!     NamedLayer::conv("conv1", ConvShape::new(1, 8, 4, 3, 3, 10, 10, 1)?),

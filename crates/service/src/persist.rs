@@ -152,8 +152,11 @@ mod tests {
         let cache = ScheduleCache::new(64);
         for k in 1..=n {
             let shape = ConvShape::new(1, k, 3, 3, 3, 8, 8, 1).unwrap();
-            let key =
-                CacheKey::new(shape, &MachineModel::tiny_test_machine(), &OptimizerOptions::fast());
+            let key = CacheKey::new(
+                shape,
+                &MachineModel::tiny_test_machine(),
+                &OptimizerOptions::default(),
+            );
             cache.insert(key.clone(), crate::cache::tests::dummy_result(&shape, k as f64));
         }
         cache

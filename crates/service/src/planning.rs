@@ -320,7 +320,7 @@ mod tests {
     }
 
     fn fast_options_json() -> String {
-        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
         serde_json::to_string(&options).unwrap()
     }
 
@@ -669,7 +669,8 @@ mod tests {
         // `threads: 0` ParallelSpec: one model, so the one-thread breakdown.
         let state = tiny_state();
         let explain = |threads: usize| {
-            let options = OptimizerOptions { max_classes: 1, threads, ..OptimizerOptions::fast() };
+            let options =
+                OptimizerOptions { max_classes: 1, threads, ..OptimizerOptions::default() };
             let line = format!(
                 "{{\"Explain\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
                 serde_json::to_string(&options).unwrap(),
@@ -687,7 +688,7 @@ mod tests {
         // `layout_policy: "Fixed"` is the unset policy, `threads: 0` is one
         // thread, `max_classes: 0` searches one class and `max_classes: 9`
         // all eight: the second spelling of each pair is the first one's hit.
-        let base = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        let base = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
         assert_eq!((base.threads, base.layout_policy), (1, None));
         let fixed = OptimizerOptions { layout_policy: Some(LayoutPolicy::Fixed), ..base.clone() };
         let zero = OptimizerOptions { threads: 0, ..base.clone() };
@@ -746,7 +747,7 @@ mod tests {
         let options = OptimizerOptions {
             max_classes: 1,
             layout_policy: Some(LayoutPolicy::Search),
-            ..OptimizerOptions::fast()
+            ..OptimizerOptions::default()
         };
         let options = serde_json::to_string(&options).unwrap();
         let shapes = [

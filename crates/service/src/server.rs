@@ -489,7 +489,7 @@ mod tests {
     }
 
     fn fast_options_json() -> String {
-        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
         serde_json::to_string(&options).unwrap()
     }
 

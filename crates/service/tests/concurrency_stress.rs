@@ -28,7 +28,7 @@ use mopt_service::{
 };
 
 fn fast_options() -> OptimizerOptions {
-    OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }
+    OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }
 }
 
 fn test_shape() -> ConvShape {

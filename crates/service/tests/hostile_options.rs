@@ -1,9 +1,8 @@
 //! Optimizer options come from outside the program: a request whose
 //! `options` the search cannot run with (`keep_top: 0`, which the optimizer
-//! documents as a panic, a `multistart` large enough to exhaust memory, or a
-//! `threads` — in `options` or as the top-level field that overrides it —
-//! large enough to pin a worker for minutes) must be answered with an `Error`
-//! naming the field — on the stdio path and through the event loop, for
+//! documents as a panic, or a `threads` — in `options` or as the top-level
+//! field that overrides it — large enough to pin a worker for minutes) must
+//! be answered with an `Error` naming the field — on the stdio path and through the event loop, for
 //! every planning verb — and cost nothing: no tier touched, the connection
 //! still serving. So must a problem whose extents multiply past `usize`
 //! (flops that wrap to 0 in a release build and panic a worker in a checked
@@ -25,7 +24,7 @@ use mopt_service::{
 const VERBS: [&str; 4] = ["Optimize", "Explain", "PlanNetwork", "PlanGraph"];
 
 /// The field each hostile set's `Error` must name, in `hostile_lines` order.
-const FIELDS: [&str; 4] = ["keep_top", "multistart", "threads", "threads"];
+const FIELDS: [&str; 3] = ["keep_top", "threads", "threads"];
 
 /// Rejecting every hostile line is microseconds of work; served, the
 /// `threads` ones alone run for minutes.
@@ -40,13 +39,12 @@ fn within_bound<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) ->
     finished.recv_timeout(BOUND).expect("hostile lines must be rejected within the bound")
 }
 
-/// The four hostile option sets — the last a valid `options` under a hostile
-/// top-level `threads` — each as all four planning verbs.
+/// The three hostile option sets — the last a valid `options` under a
+/// hostile top-level `threads` — each as all four planning verbs.
 fn hostile_lines() -> Vec<String> {
-    let fast = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+    let fast = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
     let hostile = [
         (OptimizerOptions { keep_top: 0, ..fast.clone() }, None),
-        (OptimizerOptions { multistart: 1_000_000_000, ..fast.clone() }, None),
         (OptimizerOptions { threads: 1_000_000_007, ..fast.clone() }, None),
         (fast, Some(usize::MAX)),
     ];
@@ -273,10 +271,10 @@ fn hostile_options_are_an_error_reply_through_the_event_loop() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Extents of a million are a legitimate problem, not an overflow: the solve
-/// must answer it in the time of any other (about half a second; the integer
-/// stage after the continuous search grows tiles by doubling, so its work
-/// follows the cache sizes, not the extents) with a schedule valid for it.
+/// Extents of a million are a legitimate problem, not an overflow: the search
+/// must answer it in the time of any other (the integer stage grows tiles by
+/// doubling, so its work follows the cache sizes, not the extents) with a
+/// schedule valid for it.
 #[test]
 fn extents_of_a_million_are_served_like_any_other_shape() {
     let (state, dir) = service("million");

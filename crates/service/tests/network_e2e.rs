@@ -23,7 +23,7 @@ fn resnet50_plans_whole_through_moptd_from_the_db_tier() {
         .arg("--db")
         .arg(&db)
         .args(["--suite", "resnet50", "--preset", "tiny", "--threads", "1"])
-        .args(["--classes", "1", "--multistart", "0", "--keep-top", "3"])
+        .args(["--classes", "1", "--keep-top", "3"])
         .output()
         .expect("mopt-plan-world runs");
     assert!(
@@ -44,7 +44,7 @@ fn resnet50_plans_whole_through_moptd_from_the_db_tier() {
         "the fc head plans as a first-class matmul spec"
     );
 
-    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
     let request = format!(
         "{{\"PlanGraph\": {{\"graph\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}, \"workers\": 4}}}}",
         serde_json::to_string(&graph).unwrap(),

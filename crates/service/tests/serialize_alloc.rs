@@ -67,7 +67,7 @@ fn an_optimized_reply_allocates_only_its_output() {
         .collect();
     assert_eq!(replies.len(), 4);
     let state = ServiceState::new(64);
-    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
     let line = format!(
         "{{\"Optimize\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
         serde_json::to_string(&options).unwrap(),
@@ -163,7 +163,7 @@ fn hand_written_impls_agree_with_their_trees() {
 
     // `CacheKey` (and `NamedLayer`, in the `Planned` fixture reply) embed the
     // problem by `Spec::serialize_field`: a conv is the flat legacy `shape`.
-    let options = OptimizerOptions::fast();
+    let options = OptimizerOptions::default();
     let machine = conv_spec::MachineModel::tiny_test_machine();
     for spec in [Spec::Conv(shape), matmul] {
         let key = CacheKey::new(spec, &machine, &options);

@@ -67,7 +67,7 @@ fn legacy_requests_and_responses_stream_like_their_trees() {
 #[test]
 fn live_replies_of_every_verb_stream_like_their_trees() {
     let state = ServiceState::new(64).with_slow_ms(1);
-    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
     let target = format!(
         "\"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}",
         serde_json::to_string(&options).unwrap()

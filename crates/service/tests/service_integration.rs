@@ -20,7 +20,7 @@ use mopt_service::{NetworkPlanner, Request, Response, ScheduleCache, ServiceStat
 use serde::Value;
 
 fn fast_options() -> OptimizerOptions {
-    OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }
+    OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }
 }
 
 /// Acceptance: planning all 32 Table-1 operators a second time (cache
@@ -561,8 +561,6 @@ fn plan_world_db_serves_cold_moptd_without_solving() {
             "1",
             "--classes",
             "1",
-            "--multistart",
-            "0",
         ])
         .output()
         .expect("mopt-plan-world runs");
@@ -849,6 +847,32 @@ fn moptd_accepts_the_retired_thorough_key_and_ignores_it() {
     match serde_json::from_str::<Response>(&replies[5]).unwrap() {
         Response::Stats { stats } => {
             assert_eq!((stats.cache.misses, stats.cache.hits, stats.cache.entries), (1, 4, 1));
+            assert_eq!(stats.flight.expect("flight counters").optimize.led, 1, "one solve");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// The retired `multistart` option (random starts of the former non-linear
+/// solve) is accepted at any value and selects nothing: 0, 2, 64 and 65 —
+/// once past the bound validation used to reject — are one cache key,
+/// answered by one solve and three cache hits.
+#[test]
+fn moptd_accepts_the_retired_multistart_key_and_ignores_it() {
+    let request = |multistart: usize| {
+        format!(
+            r#"{{"Optimize": {{"op": "V5", "machine": {{"Preset": "tiny"}}, "options": {{"threads": 1, "multistart": {multistart}, "keep_top": 5, "max_classes": 1}}}}}}"#
+        )
+    };
+    let mut lines: Vec<String> = [0, 2, 64, 65].map(request).into();
+    lines.push(r#""Stats""#.to_string());
+    let replies = moptd_stdio(&lines);
+    for (reply, tier) in replies[..4].iter().zip(["Solver", "Cache", "Cache", "Cache"]) {
+        assert!(reply.contains(&format!(r#""tier":"{tier}""#)), "{reply}");
+    }
+    match serde_json::from_str::<Response>(&replies[4]).unwrap() {
+        Response::Stats { stats } => {
+            assert_eq!((stats.cache.misses, stats.cache.hits, stats.cache.entries), (1, 3, 1));
             assert_eq!(stats.flight.expect("flight counters").optimize.led, 1, "one solve");
         }
         other => panic!("expected Stats, got {other:?}"),

@@ -14,7 +14,7 @@ use mopt_service::{Response, ServiceState};
 #[test]
 fn warm_hits_without_tracing_allocate_no_spans() {
     let state = ServiceState::new(64);
-    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
     let line = format!(
         "{{\"Optimize\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
         serde_json::to_string(&options).unwrap(),

@@ -16,7 +16,7 @@ use mopt_service::{NetworkPlanner, ScheduleCache};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineModel::i7_9700k();
-    let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::default() };
     let cache = ScheduleCache::new(64);
     // Per-operator schedules come through the serving stack's batch planner:
     // deduplicated, solved on a worker pool, memoized in the schedule cache.

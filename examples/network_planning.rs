@@ -11,7 +11,7 @@ use mopt_repro::mopt_service::{load_snapshot, save_snapshot, NetworkPlanner, Sch
 
 fn main() {
     let machine = MachineModel::i7_9700k();
-    let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::fast() };
+    let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::default() };
     let cache = ScheduleCache::new(256);
     let planner = NetworkPlanner::new(&cache, machine, options);
 

@@ -34,8 +34,7 @@ fn main() {
     );
     let mut sequential_ms = 0.0;
     for threads in [1usize, 2, 4, 8] {
-        let options =
-            OptimizerOptions { threads, max_classes: 3, multistart: 0, ..Default::default() };
+        let options = OptimizerOptions { threads, max_classes: 3, ..Default::default() };
         let result = MOptOptimizer::new(shape, machine.clone(), options).optimize();
         let best = result.best();
         let config = best.config.clone();

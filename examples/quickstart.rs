@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("machine  : {machine}");
 
     // 1. Run the model-driven design-space exploration (Algorithm 1).
-    let optimizer = MOptOptimizer::new(shape, machine.clone(), OptimizerOptions::fast());
+    let optimizer = MOptOptimizer::new(shape, machine.clone(), OptimizerOptions::default());
     let result = optimizer.optimize();
     println!("\nMOpt explored the 8 pruned permutation classes in {:.2}s", result.optimize_seconds);
     for (i, cand) in result.ranked.iter().enumerate() {

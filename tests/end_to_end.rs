@@ -10,7 +10,7 @@ use mopt_repro::mopt_core::optimizer::{heuristic_config, MOptOptimizer, Optimize
 use mopt_repro::mopt_model::multilevel::{MultiLevelModel, ParallelSpec};
 
 fn fast_optimizer(shape: ConvShape, machine: &MachineModel, classes: usize) -> MOptOptimizer {
-    let opts = OptimizerOptions { max_classes: classes, multistart: 0, ..OptimizerOptions::fast() };
+    let opts = OptimizerOptions { max_classes: classes, ..OptimizerOptions::default() };
     MOptOptimizer::new(shape, machine.clone(), opts)
 }
 
@@ -200,7 +200,7 @@ fn fused_plan_beats_unfused_in_tilesim_traffic() {
         block: None,
         graph: Some(graph),
         machine: MachineSpec::Preset("i7-9700k".into()),
-        options: Some(OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() }),
+        options: Some(OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }),
         threads: None,
         trace: None,
         workers: Some(4),

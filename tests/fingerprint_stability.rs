@@ -131,7 +131,7 @@ mod canonical_roundtrip {
             seed in 0u64..1000,
         ) {
             let machine = MachineModel::tiny_test_machine();
-            let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+            let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
             let direct =
                 MOptOptimizer::new(shape, machine.clone(), options.clone()).optimize().best().config.clone();
 

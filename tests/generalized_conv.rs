@@ -295,7 +295,7 @@ proptest! {
         );
         let parsed: ConvShape = serde_json::from_str(&legacy_json).expect("legacy JSON parses");
         prop_assert_eq!(parsed, shape);
-        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
+        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
         let machine = MachineModel::tiny_test_machine();
         let a = MOptOptimizer::new(shape, machine.clone(), options.clone()).optimize();
         let b = MOptOptimizer::new(parsed, machine, options).optimize();

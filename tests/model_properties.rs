@@ -1,5 +1,5 @@
 //! Property-based tests on the core invariants of the analytical model, the
-//! pruning theorem, the solver, and the executor, using proptest.
+//! pruning theorem, and the executor, using proptest.
 
 use proptest::prelude::*;
 
@@ -8,7 +8,6 @@ use mopt_repro::conv_exec::{Tensor4, TiledConv};
 use mopt_repro::conv_spec::{
     ConvShape, LoopIndex, Permutation, TileConfig, TileSizes, ALL_INDICES,
 };
-use mopt_repro::mopt_core::solver::{solve, Problem};
 use mopt_repro::mopt_model::cost::{single_level_volume, total_footprint, RealTiles};
 use mopt_repro::mopt_model::prune::{classify, pruned_classes};
 
@@ -159,25 +158,6 @@ proptest! {
         let reference = conv2d_naive(&shape, &input, &kernel);
         let out = TiledConv::new(shape, config, 1).unwrap().run(&input, &kernel);
         prop_assert!(reference.allclose(&out, 1e-3));
-    }
-
-    /// The solve's results are always feasible for capacity-style problems
-    /// and at least as good as the starting point, with and without random
-    /// starts.
-    #[test]
-    fn solvers_return_feasible_improving_points(cap in 64.0f64..4096.0, n in 64.0f64..2048.0) {
-        let problem = Problem::joint(2, 1, |x, g| {
-            g[0] = x[0] * x[1] - cap;
-            n * n * (1.0 / x[0] + 1.0 / x[1])
-        })
-        .with_bounds(vec![1.0, 1.0], vec![n, n]);
-        let x0 = [1.0, 1.0];
-        let f0 = problem.evaluate(&x0, &mut [0.0]);
-        for random_starts in [0, 2] {
-            let result = solve(&problem, &x0, random_starts);
-            prop_assert!(result.feasible, "violation {}", result.max_violation);
-            prop_assert!(result.objective <= f0 + 1e-9);
-        }
     }
 
     /// The loop-index algebra: every index is present in exactly two tensors,

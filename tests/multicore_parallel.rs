@@ -156,7 +156,8 @@ proptest! {
                 let expected = legacy_level_volume(&shape, &perm, &tiles, level);
                 prop_assert_eq!(model.level_volume(&tiles, level), expected);
                 prop_assert_eq!(
-                    model.capacity_slack(&tiles, level),
+                    model.footprint(&tiles, level)
+                        - machine.capacity_per_thread(level, model.parallel.threads) as f64,
                     legacy_capacity_slack(&shape, &machine, &tiles, level)
                 );
                 let bw = machine.fill_bandwidth(level);
