@@ -253,19 +253,20 @@ impl ScheduleCache {
 
     /// Look up a cached result, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<OptimizeResult> {
-        let tick = self.tick();
-        let mut shard = self.lock_shard(key);
-        match shard.get(key, tick) {
-            Some(result) => {
-                let result = result.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let hit = self.get_resident(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
+    }
+
+    /// [`get`](Self::get) that counts a hit but not a miss: the event loop's
+    /// probe, whose miss is counted where the request goes cold instead.
+    pub fn get_resident(&self, key: &CacheKey) -> Option<OptimizeResult> {
+        let tick = self.tick();
+        let result = self.lock_shard(key).get(key, tick)?.clone();
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(result)
     }
 
     /// Insert (or refresh) a result, evicting the least recently used entry
@@ -390,6 +391,33 @@ pub(crate) mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
+    }
+
+    #[test]
+    fn get_resident_counts_a_hit_but_never_a_miss() {
+        let cache = ScheduleCache::new(1); // shard capacity 1
+        let keys: Vec<CacheKey> = (1..=400).map(key_for).collect();
+        let a = &keys[0];
+        assert!(cache.get_resident(a).is_none());
+        cache.insert(a.clone(), dummy_result(&a.spec.embedded_conv_shape(), 1.0));
+        assert_eq!(cache.get_resident(a).map(|r| r.best().predicted_cost), Some(1.0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 0));
+        // A hit refreshes recency like `get`: with room for two in a's
+        // shard, touching a makes the other key the eviction victim.
+        let cache = ScheduleCache::new(2 * ScheduleCache::SHARDS);
+        let shard = a.shard_index(ScheduleCache::SHARDS);
+        let mut same_shard =
+            keys[1..].iter().filter(|k| k.shard_index(ScheduleCache::SHARDS) == shard);
+        let (b, c) = (same_shard.next().unwrap(), same_shard.next().unwrap());
+        for key in [a, b] {
+            cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), 1.0));
+        }
+        assert!(cache.get_resident(a).is_some());
+        cache.insert(c.clone(), dummy_result(&c.spec.embedded_conv_shape(), 1.0));
+        assert!(cache.get_resident(a).is_some());
+        assert!(cache.get_resident(b).is_none());
+        assert_eq!(cache.stats().misses, 0);
     }
 
     #[test]

@@ -8,15 +8,24 @@
 //!
 //! * **one loop thread** owns every socket. All reads, writes, accepts, and
 //!   connection state live here; nothing else touches an fd.
-//! * **a small worker pool** executes requests. The loop never runs a solve:
-//!   parsed request lines are handed to workers over a channel, completed
-//!   responses come back over a completion queue, and a [`miniepoll::Waker`]
-//!   interrupts the blocked `wait` so replies flush promptly.
+//! * **cache hits answered on the loop.** The loop parses each request line
+//!   of up to 4 KiB and answers an `Optimize` whose key is resident in the
+//!   schedule cache itself: a cache read, a clone and a print, with the
+//!   counters, histograms and span tree a worker would have recorded. That
+//!   skips the channel send, the worker wake-up and the second loop
+//!   wake-up a hand-off costs.
+//! * **a small worker pool** executes everything else. The loop never runs
+//!   a solve, a database lookup or an admin verb: requests it does not
+//!   answer are handed to workers over a channel, already parsed (longer
+//!   lines raw), completed responses come back over a completion queue,
+//!   and a [`miniepoll::Waker`] interrupts the blocked `wait` so replies
+//!   flush promptly.
 //! * **pipelining with per-connection order.** A client may write many
-//!   request lines back-to-back; the loop parses them all, executes them
+//!   request lines back-to-back; the loop frames them all, executes them
 //!   one at a time per connection (concurrency comes from *other*
 //!   connections — which is exactly what the single-flight layer coalesces),
-//!   and responses always come back in request order.
+//!   and responses always come back in request order: a hit is answered
+//!   only when nothing earlier on its connection is outstanding.
 //! * **backpressure, both ways.** A request line larger than
 //!   [`MAX_REQUEST_BYTES`] switches the connection into a constant-memory
 //!   drain mode that discards bytes up to the next newline and answers with
@@ -45,7 +54,7 @@ use miniepoll::{Interest, Poller, Waker};
 
 use crate::cache::lock_recover;
 use crate::framing::{oversized_reply, Frame, LineFramer, MAX_REQUEST_BYTES};
-use crate::server::ServiceState;
+use crate::server::{ParsedLine, ServiceState};
 
 /// Event-loop tunables.
 #[derive(Debug, Clone)]
@@ -94,11 +103,34 @@ impl ShutdownHandle {
 /// One request dispatched to the worker pool.
 struct Job {
     token: u64,
-    line: String,
-    /// When the line left the connection's pipeline for the worker queue —
-    /// the queue wait up to the worker's dequeue is attributed to the
+    work: Work,
+    /// When the request left the connection's pipeline for the worker queue
+    /// — the queue wait up to the worker's dequeue is attributed to the
     /// request's trace.
     enqueued: Instant,
+}
+
+/// What a worker serves: a line the loop parsed, or one too long for the
+/// loop to parse.
+enum Work {
+    Parsed(ParsedLine),
+    Raw(String),
+}
+
+/// The reply to a request whose handler panicked.
+const PANIC_REPLY: &str = "{\"Error\":{\"message\":\"internal: request handler panicked\"}}";
+
+/// Serve `line` on the loop thread if a schedule-cache read answers it, or
+/// return the work a worker must do. Lines longer than [`LOOP_PARSE_BYTES`]
+/// are not parsed here. A panic becomes the workers' `Error` reply, never a
+/// dead loop.
+fn serve_on_loop(state: &ServiceState, line: String) -> Result<String, Work> {
+    if line.len() > LOOP_PARSE_BYTES {
+        return Err(Work::Raw(line));
+    }
+    catch_unwind(AssertUnwindSafe(|| state.serve_resident(ParsedLine::parse(&line))))
+        .unwrap_or_else(|_| Ok(PANIC_REPLY.to_string()))
+        .map_err(Work::Parsed)
 }
 
 /// A write buffer with a flush cursor (compacts when fully flushed).
@@ -156,6 +188,10 @@ struct Connection<'m> {
 const WRITE_HIGH_WATER: usize = MAX_REQUEST_BYTES;
 /// Cap on parsed-but-unexecuted pipelined requests per connection.
 const MAX_PIPELINED: usize = 1024;
+/// The longest request line the loop thread parses itself; longer lines go
+/// to a worker unparsed, so no line up to [`MAX_REQUEST_BYTES`] stalls the
+/// loop.
+const LOOP_PARSE_BYTES: usize = 4 * 1024;
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -253,12 +289,13 @@ impl EventLoopServer {
                         // bug degrades to an Error response, not a hung
                         // connection.
                         let reply = catch_unwind(AssertUnwindSafe(|| {
-                            state.serve_line(&job.line, job.enqueued.elapsed())
+                            let queue_wait = job.enqueued.elapsed();
+                            match job.work {
+                                Work::Parsed(parsed) => state.serve_parsed(parsed, queue_wait),
+                                Work::Raw(line) => state.serve_line(&line, queue_wait),
+                            }
                         }))
-                        .unwrap_or_else(|_| {
-                            "{\"Error\":{\"message\":\"internal: request handler panicked\"}}"
-                                .to_string()
-                        });
+                        .unwrap_or_else(|_| PANIC_REPLY.to_string());
                         lock_recover(&completions).push((job.token, reply));
                         waker.wake();
                     })
@@ -373,12 +410,16 @@ impl EventLoopServer {
             for (&token, conn) in conns.iter_mut() {
                 while !conn.dead && !conn.busy {
                     match conn.pipeline.pop_front() {
-                        Some(Frame::Line(line)) => {
-                            conn.busy = true;
-                            if job_tx.send(Job { token, line, enqueued: Instant::now() }).is_err() {
-                                conn.dead = true;
+                        Some(Frame::Line(line)) => match serve_on_loop(&state, line) {
+                            Ok(reply) => conn.write_buf.push_line(&reply),
+                            Err(work) => {
+                                conn.busy = true;
+                                let job = Job { token, work, enqueued: Instant::now() };
+                                if job_tx.send(job).is_err() {
+                                    conn.dead = true;
+                                }
                             }
-                        }
+                        },
                         Some(Frame::Oversized) => {
                             conn.write_buf.push_line(&oversized_reply());
                         }
@@ -482,7 +523,9 @@ fn flush_to(conn: &mut Connection<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Response;
+    use crate::wire::{MachineSpec, Request, Response, Tier};
+    use mopt_core::OptimizerOptions;
+    use mopt_trace::SpanNode;
     use std::io::{BufRead, BufReader};
 
     fn start(
@@ -504,6 +547,112 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line
+    }
+
+    /// A cheap `Optimize` on the tiny machine; `k` picks the key.
+    fn optimize_line(k: usize, trace: bool) -> String {
+        serde_json::to_string(&Request::Optimize {
+            spec: None,
+            op: None,
+            shape: Some(conv_spec::ConvShape::new(1, k, 4, 3, 3, 10, 10, 1).unwrap()),
+            machine: MachineSpec::Preset("tiny".into()),
+            options: Some(OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }),
+            threads: None,
+            trace: trace.then_some(true),
+        })
+        .unwrap()
+    }
+
+    fn traced_root(reply: &str) -> (Option<Tier>, SpanNode) {
+        match serde_json::from_str(reply.trim()).unwrap() {
+            Response::Optimized { tier, trace: Some(root), .. } => (tier, root),
+            other => panic!("expected a traced Optimized, got {other:?}"),
+        }
+    }
+
+    /// A cold `Optimize`, a resident one, a `Ping` and the resident one again
+    /// in one write: the replies keep request order, each hit is the bytes
+    /// `handle_line` gives, and the hit was answered on the loop (its span
+    /// tree has no queue wait) with every counter moved once.
+    #[test]
+    fn loop_answered_hits_keep_request_order_and_bytes() {
+        let state = Arc::new(ServiceState::new(64));
+        let (cold, resident) = (optimize_line(8, false), optimize_line(16, false));
+        state.handle_line(&resident);
+        let expected = state.handle_line(&resident);
+        let (addr, handle, join) = start(Arc::clone(&state));
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(format!("{cold}\n{resident}\n\"Ping\"\n{resident}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let first: Response = serde_json::from_str(recv_line(&mut reader).trim()).unwrap();
+        assert!(matches!(first, Response::Optimized { tier: Some(Tier::Solver), .. }));
+        assert_eq!(recv_line(&mut reader).trim_end(), expected);
+        let pong: Response = serde_json::from_str(recv_line(&mut reader).trim()).unwrap();
+        assert!(matches!(pong, Response::Pong { .. }));
+        assert_eq!(recv_line(&mut reader).trim_end(), expected);
+
+        stream.write_all(format!("{}\n", optimize_line(16, true)).as_bytes()).unwrap();
+        let (tier, root) = traced_root(&recv_line(&mut reader));
+        assert_eq!((tier, root.tag_value("tier")), (Some(Tier::Cache), Some("cache")));
+        for span in ["parse", "cache_probe", "serialize"] {
+            assert!(root.find(span).is_some(), "no {span} span: {root:?}");
+        }
+        assert!(root.find("queue_wait").is_none(), "a loop-answered hit never queues: {root:?}");
+        assert!(root.find("flight").is_none());
+
+        // Two direct requests (a miss, a hit) and five over the wire: a miss,
+        // three hits and a Ping.
+        let cache = state.cache.stats();
+        assert_eq!((cache.hits, cache.misses), (4, 2));
+        assert_eq!(state.tier_hits(), [4, 0, 2]);
+        assert_eq!(state.requests(), 7);
+        let report = state.metrics().report(state.flight_stats());
+        let optimize = report.verbs.iter().find(|v| v.verb == "Optimize").unwrap();
+        assert_eq!(optimize.latency.count, 6);
+        assert_eq!(report.in_flight_requests, 0);
+        drop(reader);
+        drop(stream);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// A valid `Optimize` padded past the loop's parse bound is served, in
+    /// order, by a worker; a malformed line gets one `Error` in its place and
+    /// one parse error.
+    #[test]
+    fn padded_and_malformed_lines_keep_their_place() {
+        let state = Arc::new(ServiceState::new(64));
+        let resident = optimize_line(16, false);
+        state.handle_line(&resident);
+        let expected = state.handle_line(&resident);
+        let padded = format!("{}{}", " ".repeat(LOOP_PARSE_BYTES), optimize_line(16, true));
+        let (addr, handle, join) = start(Arc::clone(&state));
+        let parse_errors = state.metrics().parse_errors();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let lines = format!("{resident}\n{padded}\n{{\"Optimize\": {{\"op\"\n{resident}\n");
+        stream.write_all(lines.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        assert_eq!(recv_line(&mut reader).trim_end(), expected);
+        let padded_reply = recv_line(&mut reader);
+        let (tier, root) = traced_root(&padded_reply);
+        assert_eq!(tier, Some(Tier::Cache));
+        assert!(root.find("queue_wait").is_some(), "a long line is a worker's: {root:?}");
+        match serde_json::from_str(recv_line(&mut reader).trim()).unwrap() {
+            Response::Error { message } => assert!(message.contains("bad request"), "{message}"),
+            other => panic!("expected the parse Error in its place, got {other:?}"),
+        }
+        assert_eq!(recv_line(&mut reader).trim_end(), expected);
+        assert_eq!(state.metrics().parse_errors(), parse_errors + 1);
+        // The padded hit served the schedule the plain one did.
+        let result = |reply: &str| match serde_json::from_str(reply.trim()).unwrap() {
+            Response::Optimized { result, .. } => result,
+            other => panic!("expected Optimized, got {other:?}"),
+        };
+        assert_eq!(result(&padded_reply), result(&expected));
+        drop(reader);
+        drop(stream);
+        handle.shutdown();
+        join.join().unwrap();
     }
 
     #[test]

@@ -13,11 +13,11 @@ use mopt_model::ParallelSpec;
 use mopt_trace::TraceContext;
 
 use crate::batch::{NamedLayer, NetworkPlanner};
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, ScheduleCache};
 use crate::graphs::GraphCacheKey;
 use crate::server::ServiceState;
 use crate::tiers::resolve_cold;
-use crate::wire::{MachineSpec, Response, Tier};
+use crate::wire::{MachineSpec, Request, Response, Tier};
 
 /// How an `Optimize` or `Explain` request names its problem: a tagged
 /// `spec`, a Table-1 `op` name, or a legacy flat `shape`, in that precedence
@@ -49,6 +49,21 @@ impl Problem<'_> {
     /// omitted — `null` — for everything else).
     fn deprecation(&self) -> Option<bool> {
         self.op.filter(|name| benchmarks::is_deprecated_alias(name)).map(|_| true)
+    }
+
+    /// The `Optimize` reply for this problem, resolved to `spec` and served
+    /// by `tier`.
+    fn optimized(&self, spec: Spec, tier: Tier, result: OptimizeResult) -> Response {
+        Response::Optimized {
+            op: self.op.map(str::to_string),
+            spec: Some(spec),
+            shape: spec.embedded_conv_shape(),
+            cached: tier == Tier::Cache,
+            tier: Some(tier),
+            deprecated: self.deprecation(),
+            result,
+            trace: None,
+        }
     }
 }
 
@@ -114,14 +129,7 @@ impl ServiceState {
         ctx: &TraceContext,
     ) -> Result<(Tier, OptimizeResult), String> {
         let key = CacheKey::new(*spec, machine, options);
-        // Tier 1: the in-process cache.
-        let cache_hit = {
-            let _probe = ctx.span("cache_probe");
-            self.cache.get(&key)
-        };
-        if let Some(result) = cache_hit {
-            self.tier_hits[Tier::Cache as usize].fetch_add(1, Ordering::Relaxed);
-            ctx.tag("tier", Tier::Cache.label());
+        if let Some(result) = self.cache_tier(&key, ScheduleCache::get, ctx) {
             return Ok((Tier::Cache, result));
         }
         // Cold path, under single-flight: concurrent misses on this key
@@ -159,16 +167,45 @@ impl ServiceState {
     ) -> Result<Response, String> {
         let spec = problem.resolve("Optimize")?;
         let (tier, result) = self.resolve_spec(&spec, &machine, &options, ctx)?;
-        Ok(Response::Optimized {
-            op: problem.op.map(str::to_string),
-            spec: Some(spec),
-            shape: spec.embedded_conv_shape(),
-            cached: tier == Tier::Cache,
-            tier: Some(tier),
-            deprecated: problem.deprecation(),
-            result,
-            trace: None,
-        })
+        Ok(problem.optimized(spec, tier, result))
+    }
+
+    /// The `Optimize` reply a cache read alone gives: `None`, with nothing
+    /// counted, when `request` is not a valid `Optimize` or its key is not
+    /// resident. The event loop answers with it; a request it declines goes
+    /// to the worker pool, which serves it in full.
+    pub(crate) fn optimize_resident(
+        &self,
+        request: &Request,
+        ctx: &TraceContext,
+    ) -> Option<Response> {
+        let Request::Optimize { spec, op, shape, machine, options, threads, trace: _ } = request
+        else {
+            return None;
+        };
+        let (machine, options) = request_target(machine, options, *threads).ok()?;
+        let problem = Problem { spec: spec.as_ref(), op: op.as_deref(), shape: *shape };
+        let spec = problem.resolve("Optimize").ok()?;
+        let key = CacheKey::new(spec, &machine, &options);
+        let result = self.cache_tier(&key, ScheduleCache::get_resident, ctx)?;
+        Some(problem.optimized(spec, Tier::Cache, result))
+    }
+
+    /// Tier 1, the in-process cache, probed with `lookup`: a hit is counted
+    /// and tagged as the cache tier's.
+    fn cache_tier(
+        &self,
+        key: &CacheKey,
+        lookup: fn(&ScheduleCache, &CacheKey) -> Option<OptimizeResult>,
+        ctx: &TraceContext,
+    ) -> Option<OptimizeResult> {
+        let hit = {
+            let _probe = ctx.span("cache_probe");
+            lookup(&self.cache, key)
+        }?;
+        self.tier_hits[Tier::Cache as usize].fetch_add(1, Ordering::Relaxed);
+        ctx.tag("tier", Tier::Cache.label());
+        Some(hit)
     }
 
     pub(crate) fn handle_explain(
@@ -313,7 +350,6 @@ impl ServiceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Request;
 
     fn tiny_state() -> ServiceState {
         ServiceState::new(64)

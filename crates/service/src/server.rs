@@ -206,10 +206,7 @@ impl ServiceState {
     /// Run one request under a trace context: count it, record its latency
     /// under its verb, hold the in-flight gauge, count an `Error` reply.
     /// Returns the un-finished context so the line path can add serialize
-    /// time before [`finish_trace`](Self::finish_trace) closes the tree. The
-    /// context is enabled only when the request asked for a trace or the
-    /// slow log is armed — otherwise every span call is a no-op branch with
-    /// no allocation.
+    /// time before [`finish_trace`](Self::finish_trace) closes the tree.
     fn handle_prepared(
         &self,
         request: &Request,
@@ -217,17 +214,7 @@ impl ServiceState {
         queue_wait: Duration,
     ) -> (Response, TraceContext) {
         let verb = request.verb();
-        let ctx = if request.trace_requested() || self.slow_micros.load(Ordering::Relaxed) > 0 {
-            TraceContext::enabled(verb.name())
-        } else {
-            TraceContext::disabled()
-        };
-        if queue_wait > Duration::ZERO {
-            ctx.record("queue_wait", queue_wait);
-        }
-        if parse_time > Duration::ZERO {
-            ctx.record("parse", parse_time);
-        }
+        let ctx = self.trace_context(request, parse_time, queue_wait);
         let _in_flight = self.metrics.request_started();
         let start = Instant::now();
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -237,6 +224,30 @@ impl ServiceState {
             self.metrics.record_error(verb);
         }
         (outcome.unwrap_or_else(|message| Response::Error { message }), ctx)
+    }
+
+    /// A request's trace context, holding what happened to it before it was
+    /// dispatched. It is enabled only when the request asked for a trace or
+    /// the slow log is armed — otherwise every span call is a no-op branch
+    /// with no allocation.
+    fn trace_context(
+        &self,
+        request: &Request,
+        parse_time: Duration,
+        queue_wait: Duration,
+    ) -> TraceContext {
+        let ctx = if request.trace_requested() || self.slow_micros.load(Ordering::Relaxed) > 0 {
+            TraceContext::enabled(request.verb().name())
+        } else {
+            TraceContext::disabled()
+        };
+        if queue_wait > Duration::ZERO {
+            ctx.record("queue_wait", queue_wait);
+        }
+        if parse_time > Duration::ZERO {
+            ctx.record("parse", parse_time);
+        }
+        ctx
     }
 
     /// Close a request's span tree: keep it in the slow log when it crossed
@@ -394,26 +405,55 @@ impl ServiceState {
     /// tree covers the whole answer path: accept → parse → dispatch tiers →
     /// serialize.
     pub fn serve_line(&self, line: &str, queue_wait: Duration) -> String {
-        let parse_start = Instant::now();
-        let parsed = serde_json::from_str::<Request>(line);
-        let parse_time = parse_start.elapsed();
-        let request = match parsed {
+        self.serve_parsed(ParsedLine::parse(line), queue_wait)
+    }
+
+    /// [`serve_line`](Self::serve_line) for a line parsed already;
+    /// `queue_wait` is the time the parsed request spent queued.
+    pub(crate) fn serve_parsed(&self, parsed: ParsedLine, queue_wait: Duration) -> String {
+        let request = match parsed.request {
             Ok(request) => request,
-            Err(e) => {
+            Err(message) => {
                 self.metrics.record_parse_error();
-                return serialize_response(&Response::Error {
-                    message: format!("bad request: {e}"),
-                });
+                return serialize_response(&Response::Error { message });
             }
         };
-        let (response, ctx) = self.handle_prepared(&request, parse_time, queue_wait);
-        // Serialize *before* finishing the tree so the serialize span
-        // measures the real encode; the finished tree then goes into the
-        // reply's empty trace slot, and the body is rendered once.
+        let (response, ctx) = self.handle_prepared(&request, parsed.parse_time, queue_wait);
+        self.render(&request, &response, &ctx)
+    }
+
+    /// Answer `parsed` on the calling thread when a schedule-cache read alone
+    /// answers it — an `Optimize` whose key is resident — with the reply, the
+    /// counters and the span tree [`serve_parsed`](Self::serve_parsed) would
+    /// give it. Anything else comes back as `Err`, untouched and uncounted,
+    /// for a caller that may block on colder tiers.
+    pub(crate) fn serve_resident(&self, parsed: ParsedLine) -> Result<String, ParsedLine> {
+        let request = match parsed.request.as_deref() {
+            Ok(request @ Request::Optimize { .. }) => request,
+            _ => return Err(parsed),
+        };
+        let ctx = self.trace_context(request, parsed.parse_time, Duration::ZERO);
+        let start = Instant::now();
+        let Some(response) = self.optimize_resident(request, &ctx) else {
+            return Err(parsed);
+        };
+        {
+            let _in_flight = self.metrics.request_started();
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            self.metrics.record(request.verb(), start.elapsed());
+        }
+        Ok(self.render(request, &response, &ctx))
+    }
+
+    /// A dispatched request's reply text: serialized *before* the span tree
+    /// is finished so the serialize span measures the real encode; the
+    /// finished tree then goes into the reply's empty trace slot, and the
+    /// body is rendered once.
+    fn render(&self, request: &Request, response: &Response, ctx: &TraceContext) -> String {
         let serialize_start = Instant::now();
-        let mut text = serialize_response(&response);
+        let mut text = serialize_response(response);
         ctx.record("serialize", serialize_start.elapsed());
-        if let Some(root) = self.finish_trace(&request, &ctx) {
+        if let Some(root) = self.finish_trace(request, ctx) {
             Response::splice_trace(&mut text, &root);
         }
         text
@@ -465,6 +505,27 @@ impl ServiceState {
                 return Ok(());
             }
         }
+    }
+}
+
+/// One request line, parsed: the request, or the message of the `Error` a
+/// line that is not one is answered with. [`ServiceState::serve_parsed`]
+/// serves it on any thread. The request is boxed so the line moves between
+/// threads as a few words.
+#[derive(Debug)]
+pub(crate) struct ParsedLine {
+    request: Result<Box<Request>, String>,
+    parse_time: Duration,
+}
+
+impl ParsedLine {
+    /// Parse one request line, timing the parse.
+    pub(crate) fn parse(line: &str) -> Self {
+        let start = Instant::now();
+        let parsed = serde_json::from_str::<Request>(line);
+        let parse_time = start.elapsed();
+        let request = parsed.map(Box::new).map_err(|e| format!("bad request: {e}"));
+        ParsedLine { request, parse_time }
     }
 }
 

@@ -180,6 +180,78 @@ fn thundering_herd_of_32_cold_clients_coalesces_onto_one_solve() {
     assert_eq!(state.metrics().open_connections(), 0, "no leaked connections");
 }
 
+/// Hits answered on the loop and misses solved on the pool, at once: four
+/// clients pipeline resident keys while a fifth forces cold solves of other
+/// keys. Every cache and tier counter, the request count and the `Optimize`
+/// histogram end equal to what the clients saw, each request counted once.
+#[test]
+fn counters_stay_exact_while_hits_and_cold_solves_interleave() {
+    const HOT_CLIENTS: usize = 4;
+    const HOT_REQUESTS: usize = 400;
+    const DEPTH: usize = 16;
+    let state = Arc::new(ServiceState::new(256));
+    let (addr, handle, join) = start(Arc::clone(&state), 2);
+    let line = |k: usize| optimize_line(ConvShape::new(1, k, 4, 3, 3, 10, 10, 1).unwrap());
+    let hot: Vec<String> = (1..=4).map(line).collect();
+    let cold: Vec<String> = (5..=16).map(line).collect();
+    for request in &hot {
+        state.handle_line(request);
+    }
+
+    // One client, keeping up to DEPTH requests in flight: its replies as
+    // (cache hits, solver answers). Any other reply fails the test.
+    let run = |requests: Vec<&String>| {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut hits, mut solved) = (0u64, 0u64);
+        let mut receive = || match recv_response(&mut reader) {
+            Response::Optimized { tier: Some(Tier::Cache), .. } => hits += 1,
+            Response::Optimized { tier: Some(Tier::Solver), .. } => solved += 1,
+            other => panic!("expected a cache or solver answer, got {other:?}"),
+        };
+        for (sent, request) in requests.iter().enumerate() {
+            (&stream).write_all(format!("{request}\n").as_bytes()).unwrap();
+            if sent >= DEPTH {
+                receive();
+            }
+        }
+        for _ in 0..requests.len().min(DEPTH) {
+            receive();
+        }
+        (hits, solved)
+    };
+    let (hot, cold) = (&hot, &cold);
+    let tallies: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let mut clients: Vec<_> = (0..HOT_CLIENTS)
+            .map(|c| {
+                scope.spawn(move || run((0..HOT_REQUESTS).map(|i| &hot[(i + c) % 4]).collect()))
+            })
+            .collect();
+        clients.push(scope.spawn(move || run(cold.iter().collect())));
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let hits: u64 = tallies.iter().map(|t| t.0).sum();
+    let solved: u64 = tallies.iter().map(|t| t.1).sum();
+    assert_eq!(hits, (HOT_CLIENTS * HOT_REQUESTS) as u64);
+    assert_eq!(solved, cold.len() as u64);
+
+    // The warm-up's four misses and four solves are on the server's books.
+    let warmed = hot.len() as u64;
+    let cache = state.cache.stats();
+    assert_eq!((cache.hits, cache.misses), (hits, solved + warmed));
+    assert_eq!(state.tier_hits(), [hits, 0, solved + warmed]);
+    assert_eq!(state.requests(), hits + solved + warmed);
+    let report = state.metrics().report(state.flight_stats());
+    let optimize = report.verbs.iter().find(|v| v.verb == "Optimize").expect("Optimize served");
+    assert_eq!(optimize.latency.count, hits + solved + warmed);
+    assert_eq!(state.metrics().error_counts().total, 0);
+    assert_eq!(state.flight_stats().optimize.led, solved + warmed, "one solve per cold key");
+
+    handle.shutdown();
+    join.join().unwrap();
+    assert_eq!(state.metrics().open_connections(), 0);
+}
+
 /// Fault injection: a client that sends a full request and vanishes before
 /// its response, and a client that hangs up mid-line, cost the server
 /// nothing — other connections keep being served and every connection slot
