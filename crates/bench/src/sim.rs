@@ -9,8 +9,7 @@
 //! tiles, strides and arbitrary permutations are handled exactly. Its
 //! [`DataMovement`] report — per-level volumes, bandwidth-scaled cost and the
 //! roofline projection — is the "measured" axis of Figs. 5 and 6 and the
-//! trial cost of the search-cost experiment; [`FusedPairTraffic`] estimates
-//! what fusing a producer → consumer pair saves at one boundary.
+//! trial cost of the search-cost experiment.
 
 use conv_spec::{
     ConvShape, LoopIndex, MachineModel, TileConfig, TileSizes, TilingLevel, ALL_INDICES,
@@ -379,78 +378,6 @@ impl TileTrafficSimulator {
     }
 }
 
-/// Tile-granularity traffic estimate for a fused producer → consumer pair at
-/// one boundary level, compared against running the two schedules separately.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FusedPairTraffic {
-    /// Producer traffic when run stand-alone.
-    pub producer: TileTrafficStats,
-    /// Consumer traffic when run stand-alone.
-    pub consumer: TileTrafficStats,
-    /// Elements of the intermediate tensor (producer output = consumer
-    /// input).
-    pub intermediate_elems: f64,
-    /// Total boundary traffic of the two stand-alone schedules
-    /// (`producer.total_volume() + consumer.total_volume()`).
-    pub unfused_total: f64,
-    /// Total boundary traffic when fused: the producer's output store (and
-    /// write-back read) and the consumer's input load never cross the
-    /// boundary — the intermediate is consumed in cache.
-    pub fused_total: f64,
-}
-
-impl FusedPairTraffic {
-    /// Elements of traffic the fusion deletes at this boundary.
-    pub fn saving(&self) -> f64 {
-        self.unfused_total - self.fused_total
-    }
-}
-
-impl TileTrafficSimulator {
-    /// Estimate the traffic of a fused producer → consumer pair at `level`.
-    ///
-    /// Each schedule is walked stand-alone with [`Self::level_traffic`]; the
-    /// fused total then removes the terms fusion deletes: the producer's
-    /// output volume (counted twice stand-alone, for write-back + re-read)
-    /// and the consumer's input volume (its loads of the intermediate,
-    /// including any refetches its tiling would have caused — in the fused
-    /// execution those reads hit the cache-resident band). Everything else —
-    /// the producer's input and both kernels — keeps its measured volume.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the consumer's input tensor is exactly the producer's
-    /// output tensor.
-    pub fn fused_pair_traffic(
-        &self,
-        producer_shape: &ConvShape,
-        producer_config: &TileConfig,
-        consumer_shape: &ConvShape,
-        consumer_config: &TileConfig,
-        level: TilingLevel,
-    ) -> FusedPairTraffic {
-        assert_eq!(
-            consumer_shape.input_dims(),
-            producer_shape.output_dims(),
-            "consumer input is not the producer output"
-        );
-        let producer = self.level_traffic(producer_shape, producer_config, level);
-        let consumer = self.level_traffic(consumer_shape, consumer_config, level);
-        let unfused = producer.total_volume() + consumer.total_volume();
-        let fused = producer.input_elems
-            + producer.kernel_elems
-            + consumer.kernel_elems
-            + 2.0 * consumer.output_elems;
-        FusedPairTraffic {
-            producer,
-            consumer,
-            intermediate_elems: producer_shape.output_elems() as f64,
-            unfused_total: unfused,
-            fused_total: fused,
-        }
-    }
-}
-
 /// Traffic observed at one boundary of the memory hierarchy.
 ///
 /// The boundary for a [`TilingLevel`] `l` is the link that *fills* the
@@ -754,47 +681,6 @@ mod tests {
         assert!(
             l3 >= (shape.input_elems() + shape.kernel_elems() + 2 * shape.output_elems()) as f64
                 - 1.0
-        );
-    }
-
-    #[test]
-    fn fused_pair_deletes_the_intermediate_round_trip() {
-        // Depthwise producer, pointwise consumer, both untiled: stand-alone
-        // traffic is exact tensor sizes, and fusing removes 2x the producer
-        // output plus the consumer input (= 3x the intermediate here).
-        let dw = ConvShape::depthwise(8, 12, 3, 1);
-        let pw = ConvShape::new(1, 4, 8, 1, 1, dw.h, dw.w, 1).unwrap();
-        let sim = TileTrafficSimulator::default();
-        let est = sim.fused_pair_traffic(
-            &dw,
-            &TileConfig::untiled(&dw),
-            &pw,
-            &TileConfig::untiled(&pw),
-            TilingLevel::L3,
-        );
-        let inter = dw.output_elems() as f64;
-        assert_eq!(est.intermediate_elems, inter);
-        assert_eq!(
-            est.unfused_total,
-            (dw.input_elems() + dw.kernel_elems() + 2 * dw.output_elems()) as f64
-                + (pw.input_elems() + pw.kernel_elems() + 2 * pw.output_elems()) as f64
-        );
-        assert_eq!(est.saving(), 3.0 * inter);
-        assert!(est.fused_total < est.unfused_total);
-    }
-
-    #[test]
-    #[should_panic(expected = "consumer input is not the producer output")]
-    fn fused_pair_rejects_mismatched_chains() {
-        let dw = ConvShape::depthwise(8, 12, 3, 1);
-        let wrong = ConvShape::new(1, 4, 8, 1, 1, dw.h - 1, dw.w, 1).unwrap();
-        let sim = TileTrafficSimulator::default();
-        let _ = sim.fused_pair_traffic(
-            &dw,
-            &TileConfig::untiled(&dw),
-            &wrong,
-            &TileConfig::untiled(&wrong),
-            TilingLevel::L3,
         );
     }
 

@@ -31,9 +31,6 @@
 //! * [`nchwc`] — the blocked-NCHWc executor: the same tile walk over
 //!   `[N, C/c_block, H, W, c_block]` storage, bit-for-bit equal to the
 //!   sequential [`tiled`] walk (single-threaded),
-//! * [`fused`] — a fused depthwise + pointwise executor that consumes the
-//!   intermediate tensor band-by-band in cache (bit-for-bit equal to the two
-//!   naive convolutions run sequentially),
 //! * [`measure`] — the geometric mean the speed-up summaries report.
 //!
 //! Matmul, pooling and elementwise problems ([`conv_spec::Spec`]) have no
@@ -58,7 +55,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod fused;
 pub mod im2col;
 pub mod measure;
 pub mod microkernel;
@@ -70,7 +66,6 @@ pub mod packing;
 pub mod tensor;
 pub mod tiled;
 
-pub use fused::{pointwise_consumer, FusedDwPw};
 pub use microkernel::{
     active_backend, detected_backend, force_scalar, SimdBackend, StridedView, StridedViewMut,
 };

@@ -10,8 +10,7 @@
 //! * [`mobilenet_v2_block`] — the inverted-residual block around one of the
 //!   MobileNetV2 depthwise stages `V1` ... `V9`: a pointwise expansion, the
 //!   depthwise stage itself, and a pointwise (linear) projection, with ReLUs
-//!   after the expansion and the depthwise stage. The depthwise → pointwise
-//!   tail is exactly the pattern the fused executor in `conv_exec` runs.
+//!   after the expansion and the depthwise stage.
 //! * [`resnet_residual_block`] — a ResNet-style residual block around one of
 //!   the stride-1 ResNet-18 layers: two 3x3 convolutions on the main path
 //!   and a projection convolution on the skip path, joined by an elementwise

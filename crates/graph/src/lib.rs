@@ -1,10 +1,8 @@
-//! `mopt_graph`: a dataflow IR for CNN graphs and a fusion-aware
-//! cross-layer planner on top of the per-operator MOpt optimizer.
+//! `mopt_graph`: a dataflow IR for CNN graphs and a cross-layer planner on
+//! top of the per-operator MOpt optimizer.
 //!
 //! The paper's analytical model (and `mopt_core`'s Algorithm 1) optimizes
-//! each convolution in isolation, so the intermediate tensor between a
-//! MobileNet depthwise stage and its pointwise successor is always spilled
-//! to memory and re-read. This crate reasons *across* operators:
+//! each convolution in isolation. This crate plans whole graphs of them:
 //!
 //! * [`ir`] — a small JSON-(de)serializable dataflow IR: nodes are
 //!   convolutions, matrix multiplications, and poolings (everything that
@@ -17,17 +15,11 @@
 //!   `R2`/`R6`/...), plus whole-network [`builders::resnet50`] and
 //!   [`builders::mobilenet_v2_full`] graphs with pooling and
 //!   fully-connected (matmul) heads,
-//! * [`planner`] — a dynamic program over each producer → consumer chain
-//!   that picks fusion cut-points: per-operator schedules come from
-//!   `MOptOptimizer` (through a caller-supplied provider, so the service
-//!   layer interposes its cache and worker pool), and each candidate fusion
-//!   is priced with `mopt_model::fused` — the intermediate's store + load at
-//!   the DRAM boundary is deleted when the segment's joint working set fits
-//!   the certified L3 capacity envelope.
-//!
-//! The fused depthwise → pointwise segments a plan selects are executable by
-//! `conv_exec::FusedDwPw`, which consumes the intermediate band-by-band in
-//! cache, bit-for-bit equal to the two convolutions run sequentially.
+//! * [`planner`] — decomposes the schedulable nodes into producer →
+//!   consumer chains and serves one segment per node in chain order, each
+//!   with its per-operator schedule from `MOptOptimizer` (through a
+//!   caller-supplied provider, so the service layer interposes its cache
+//!   and worker pool) and its modeled DRAM-boundary volume.
 //!
 //! # Example
 //!
@@ -50,10 +42,11 @@
 //!     MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())
 //! })?;
 //!
-//! // The depthwise → pointwise tail fuses: the plan moves strictly less
-//! // modeled DRAM traffic than planning every layer in isolation.
-//! assert!(plan.fusions_taken >= 1);
-//! assert!(plan.fused_volume < plan.unfused_volume);
+//! // One segment per operator, producer first: expand, dw, project.
+//! let names: Vec<_> = plan.segments.iter().map(|s| s.ops[0].name.as_str()).collect();
+//! assert_eq!(names, ["expand", "dw", "project"]);
+//! assert_eq!(plan.fusions_taken, 0);
+//! assert_eq!(plan.fused_volume, plan.unfused_volume);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

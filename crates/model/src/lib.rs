@@ -13,9 +13,6 @@
 //! * [`multilevel`] — assembly of per-level cost expressions for multi-level
 //!   tiling (Sec. 5), including the parallel adaptation of Sec. 7 and the
 //!   bandwidth-scaled min–max objective,
-//! * [`fused`] — which producer → consumer pairs can fuse (the consumer
-//!   reads the intermediate tensor position-wise), the structural rule
-//!   `mopt_graph`'s fusion-aware planner prices segments under,
 //! * [`mod@move_cost`] — Morello-style pricing of layout transforms (elements
 //!   read and written at a prefetch discount) and per-tensor traffic and
 //!   footprint factors (padding against the non-contiguity penalty),
@@ -67,13 +64,11 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod fused;
 pub mod move_cost;
 pub mod multilevel;
 pub mod prune;
 
 pub use cost::{single_level_volume, ArrayVolumes, RealTiles};
-pub use fused::{fusable_pair, FusabilityCheck};
 pub use move_cost::{
     layout_move_costs, layout_move_total, traffic_factor, transform_level, MoveCost,
     NONCONTIG_PENALTY, PREFETCH_DISCOUNT,

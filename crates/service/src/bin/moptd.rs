@@ -31,7 +31,7 @@
 //! ```
 //!
 //! Verbs: `Optimize`, `Explain` (schedule plus the optimizer's search trace
-//! and cost breakdown), `PlanNetwork`, `PlanGraph` (fusion-aware graph
+//! and cost breakdown), `PlanNetwork`, `PlanGraph` (per-operator graph
 //! planning), `Suites` (the benchmark suites and operators the server knows
 //! by name), `Stats`, `Save`, `Metrics` (per-verb latency histograms,
 //! error counters and in-flight gauges; `{"format": "prometheus"}` for

@@ -2,10 +2,10 @@
 //! aggregate counters reported in the `Stats` reply's `graph` section.
 //!
 //! Graph plans are cheap to store and expensive to make (one optimizer solve
-//! per distinct convolution plus the fusion dynamic program), so the service
-//! memoizes whole [`GraphPlan`]s keyed by everything that determines them:
-//! the graph's stable [`mopt_graph::Graph::fingerprint`], the machine
-//! fingerprint, and the optimizer options. The underlying per-operator
+//! per distinct schedulable node), so the service memoizes whole
+//! [`GraphPlan`]s keyed by everything that determines them: the graph's
+//! stable [`mopt_graph::Graph::fingerprint`], the machine fingerprint, and
+//! the optimizer options. The underlying per-operator
 //! schedules additionally land in the shared [`crate::ScheduleCache`], so
 //! even a *miss* here is mostly warm when the same layers were planned
 //! before (by `Optimize`, `PlanNetwork`, or another graph).
@@ -45,9 +45,9 @@ pub struct GraphServiceStats {
     pub misses: u64,
     /// Segments emitted by fresh plans (cumulative).
     pub segments_planned: u64,
-    /// Fusions taken by fresh plans (cumulative).
+    /// Always 0: plans fuse nothing.
     pub fusions_taken: u64,
-    /// Structurally fusable pairs fresh plans did not fuse (cumulative).
+    /// Always 0.
     pub fusions_rejected: u64,
 }
 
@@ -64,8 +64,6 @@ pub struct GraphPlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     segments_planned: AtomicU64,
-    fusions_taken: AtomicU64,
-    fusions_rejected: AtomicU64,
 }
 
 impl GraphPlanCache {
@@ -78,8 +76,6 @@ impl GraphPlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             segments_planned: AtomicU64::new(0),
-            fusions_taken: AtomicU64::new(0),
-            fusions_rejected: AtomicU64::new(0),
         }
     }
 
@@ -100,13 +96,11 @@ impl GraphPlanCache {
         }
     }
 
-    /// Insert a freshly computed plan, folding its segment and fusion counts
-    /// into the cumulative service counters and evicting the least recently
-    /// used plan when full.
+    /// Insert a freshly computed plan, folding its segment count into the
+    /// cumulative service counter and evicting the least recently used plan
+    /// when full.
     pub fn insert(&self, key: GraphCacheKey, plan: &GraphPlan) {
         self.segments_planned.fetch_add(plan.segments.len() as u64, Ordering::Relaxed);
-        self.fusions_taken.fetch_add(plan.fusions_taken as u64, Ordering::Relaxed);
-        self.fusions_rejected.fetch_add(plan.fusions_rejected as u64, Ordering::Relaxed);
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut entries = lock_recover(&self.entries);
         entries.insert(key, plan.clone(), tick, self.capacity);
@@ -137,8 +131,8 @@ impl GraphPlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             segments_planned: self.segments_planned.load(Ordering::Relaxed),
-            fusions_taken: self.fusions_taken.load(Ordering::Relaxed),
-            fusions_rejected: self.fusions_rejected.load(Ordering::Relaxed),
+            fusions_taken: 0,
+            fusions_rejected: 0,
         }
     }
 }
@@ -184,8 +178,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.capacity, 8);
         assert_eq!(stats.segments_planned, plan.segments.len() as u64);
-        assert_eq!(stats.fusions_taken, plan.fusions_taken as u64);
-        assert_eq!(stats.fusions_rejected, plan.fusions_rejected as u64);
+        assert_eq!((stats.fusions_taken, stats.fusions_rejected), (0, 0));
         // Different options are a different key.
         let other = GraphCacheKey { options: OptimizerOptions::default(), ..key };
         assert!(cache.get(&other).is_none());

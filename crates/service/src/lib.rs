@@ -14,7 +14,7 @@
 //!   re-solved,
 //! * [`batch`] — a whole-network planner that dedupes identical layer
 //!   shapes and fans the unique solves across a `std::thread` worker pool,
-//! * [`graphs`] — a fingerprint-keyed cache of fusion-aware
+//! * [`graphs`] — a fingerprint-keyed cache of
 //!   [`mopt_graph::GraphPlan`]s plus the `graph` section of the `Stats`
 //!   reply,
 //! * [`singleflight`] — per-key coalescing of duplicate in-flight solves:

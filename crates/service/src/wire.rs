@@ -119,10 +119,10 @@ pub enum Request {
         /// When `true`, the response carries the request's span tree.
         trace: Option<bool>,
     },
-    /// Plan a whole network *graph* with the fusion-aware cross-layer
-    /// planner: fusion cut-points are chosen by a dynamic program, fused
-    /// segments keep their intermediate tensors in cache, and the result is
-    /// memoized by the graph's stable fingerprint.
+    /// Plan a whole network *graph*: one segment per schedulable node, in
+    /// producer → consumer chain order, each with its per-operator
+    /// schedule; the result is memoized by the graph's stable fingerprint.
+    /// The plan's fusion fields are constants (nothing is fused).
     PlanGraph {
         /// Named block: `"mbv2-block1"` ... `"mbv2-block9"` (MobileNetV2
         /// inverted-residual stages) or `"resnet-r2"` etc. (residual blocks
@@ -134,10 +134,9 @@ pub enum Request {
         machine: MachineSpec,
         /// Optimizer options for the per-operator solves.
         options: Option<OptimizerOptions>,
-        /// Thread count the plan targets (overrides `options.threads`).
-        /// Joins both the per-operator schedule-cache key and the graph-plan
-        /// cache key, and tightens fusion admissibility to the per-thread L3
-        /// envelope.
+        /// Thread count the plan targets (overrides `options.threads`):
+        /// the per-operator schedules' thread count. Joins both the
+        /// per-operator schedule-cache key and the graph-plan cache key.
         threads: Option<usize>,
         /// Worker threads for the fresh per-operator solves (default: host
         /// parallelism).
@@ -311,8 +310,8 @@ pub struct ServiceStats {
     /// (`moptd --db`); `None` otherwise. Absent in pre-database stats
     /// documents, which still parse.
     pub db: Option<DbTierStats>,
-    /// Graph-planning counters (plan cache plus cumulative segment and
-    /// fusion counts).
+    /// Graph-planning counters (plan cache plus cumulative segment
+    /// count; the fusion counts are always 0).
     pub graph: GraphServiceStats,
     /// Requests served (any type).
     pub requests: u64,
@@ -411,7 +410,7 @@ pub enum Response {
     GraphPlanned {
         /// Whether the plan came from the graph-plan cache.
         cached: bool,
-        /// The fusion-aware graph plan.
+        /// The per-operator graph plan.
         plan: GraphPlan,
         /// The request's span tree, when the request set `trace: true`.
         trace: Option<SpanNode>,

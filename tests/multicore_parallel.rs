@@ -13,13 +13,11 @@
 //! 2. **Parallel execution exactness** — across a randomized shape × stride
 //!    × dilation × groups × thread-count grid (thread counts deliberately
 //!    exceeding the partitioned extents), [`ParTiledConv`] on both parallel
-//!    axes is bit-for-bit equal to the sequential [`TiledConv`] walk, and
-//!    the parallel fused depthwise → pointwise executor is bit-for-bit
-//!    equal to its sequential band loop.
+//!    axes is bit-for-bit equal to the sequential [`TiledConv`] walk.
 
 use proptest::prelude::*;
 
-use mopt_repro::conv_exec::{FusedDwPw, ParTiledConv, Tensor4, TiledConv};
+use mopt_repro::conv_exec::{ParTiledConv, Tensor4, TiledConv};
 use mopt_repro::conv_spec::{
     ConvShape, MachineModel, Permutation, TileConfig, TileSizes, TilingLevel, ALL_INDICES,
 };
@@ -184,44 +182,6 @@ proptest! {
         for threads in [threads, threads * 16] {
             let par = ParTiledConv::new(shape, config.clone(), threads).unwrap();
             let got = par.run(&input, &kernel);
-            prop_assert_eq!(got.as_slice(), expected.as_slice());
-        }
-    }
-
-    /// The parallel fused depthwise → pointwise executor is bit-for-bit
-    /// equal to the sequential fused run (which is itself pinned bit-for-bit
-    /// to the two naive convolutions) across bands, ReLU, strides,
-    /// dilations, and thread counts beyond the band count.
-    #[test]
-    fn parallel_fused_dw_pw_is_bit_identical(
-        channels in 2usize..=6,
-        hw in 6usize..=12,
-        k_out in 1usize..=5,
-        stride in 1usize..=2,
-        dilation in 1usize..=2,
-        band in 1usize..=5,
-        threads in 1usize..=9,
-        relu_bit in 0usize..=1,
-        seed in 0u64..1_000_000,
-    ) {
-        let rs = 3usize;
-        prop_assume!((rs - 1) * dilation < hw);
-        let mut dw = ConvShape::from_table1_dilated(channels, channels, hw, rs, stride, dilation);
-        dw.groups = channels;
-        let pw = ConvShape::new(1, k_out, channels, 1, 1, dw.h, dw.w, 1).unwrap();
-        let fused = FusedDwPw::new(dw, pw)
-            .unwrap()
-            .with_band_rows(band)
-            .with_relu_intermediate(relu_bit == 1);
-        let (ni, ci, hi, wi) = dw.input_dims();
-        let input = Tensor4::random(ni, ci, hi, wi, seed);
-        let (dk, dc, dr, ds) = dw.kernel_dims();
-        let dwk = Tensor4::random(dk, dc, dr, ds, seed + 1);
-        let (pk, pc, pr, ps) = pw.kernel_dims();
-        let pwk = Tensor4::random(pk, pc, pr, ps, seed + 2);
-        let expected = fused.run(&input, &dwk, &pwk);
-        for threads in [threads, threads * 13] {
-            let got = fused.run_parallel(&input, &dwk, &pwk, threads);
             prop_assert_eq!(got.as_slice(), expected.as_slice());
         }
     }
