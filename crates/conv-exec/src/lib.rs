@@ -33,7 +33,7 @@
 //!   sequential [`tiled`] walk (single-threaded),
 //! * [`measure`] — the geometric mean the speed-up summaries report.
 //!
-//! Matmul, pooling and elementwise problems ([`conv_spec::Spec`]) have no
+//! Matmul and pooling problems ([`conv_spec::Spec`]) have no
 //! executors of their own: they run as the convolution they embed into
 //! ([`conv_spec::Spec::embedded_conv_shape`]; `tests/spec_embedding.rs` holds
 //! the embedding to a plain GEMM and a plain average pool).

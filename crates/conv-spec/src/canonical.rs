@@ -119,8 +119,7 @@ pub fn canonicalize(shape: &ConvShape) -> (CanonicalSpec, SpecTransform) {
 ///   one record), recording the swap as [`SpecTransform::swap_kw`], then
 ///   canonicalizes the oriented embedding (which pads `w = n` into the
 ///   divisor buckets, exactly like a conv's free spatial extent).
-/// * `Spec::Pool` and `Spec::Elementwise` canonicalize their embeddings
-///   directly.
+/// * `Spec::Pool` canonicalizes its embedding directly.
 ///
 /// The returned transform denormalizes canonical schedules back to the
 /// spec's *raw* embedded shape, so stored entries re-rank for either matmul
@@ -136,7 +135,7 @@ pub fn canonicalize_spec(spec: &Spec) -> (CanonicalSpec, SpecTransform) {
             debug_assert!(!inner.transposed, "h = 1 <= w never transposes");
             (canonical, SpecTransform { transposed: inner.transposed, swap_kw: m > n, raw })
         }
-        Spec::Pool { .. } | Spec::Elementwise { .. } => canonicalize(&spec.embedded_conv_shape()),
+        Spec::Pool { .. } => canonicalize(&spec.embedded_conv_shape()),
     }
 }
 
@@ -387,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_elementwise_canonicalize_through_their_embeddings() {
+    fn pool_canonicalizes_through_its_embedding() {
         let pool = Spec::Pool {
             kind: crate::spec::PoolKind::Max,
             n: 1,
@@ -402,9 +401,6 @@ mod tests {
         assert_eq!((canon.shape.h, canon.shape.w), (64, 64), "free extents pad");
         assert!(!transform.swap_kw);
         assert_eq!(transform.raw, pool.embedded_conv_shape());
-        let ew = Spec::Elementwise { op: crate::spec::EwOp::Relu, len: 100, strided: false };
-        let (canon, _) = canonicalize_spec(&ew);
-        assert_eq!(canon.shape.w, 104, "stream length pads into divisor buckets");
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!   ([`CanonicalSpec`]) with an invertible schedule rewrite
 //!   ([`SpecTransform`]), the key space of the persistent schedule
 //!   database (`mopt_db`),
-//! * [`spec`] — the generalized problem IR ([`Spec`]): conv, matmul,
-//!   pooling, and elementwise computations as one tagged type, each
+//! * [`spec`] — the generalized problem IR ([`Spec`]): conv, matmul and
+//!   pooling computations as one tagged type, each
 //!   embedding into the conv2d loop nest so one optimizer and one schedule
 //!   database serve all of them.
 //!
@@ -78,7 +78,7 @@ pub use canonical::{canonicalize, canonicalize_spec, CanonicalSpec, SpecTransfor
 pub use layout::{KernelLayout, LayoutConfig, PackedKernelLayout, TensorKind, TensorLayout};
 pub use machine::{CacheLevel, MachineModel, MemoryLevel};
 pub use shape::{ConvShape, LoopIndex, Permutation, ALL_INDICES};
-pub use spec::{DType, EwOp, PoolKind, Spec};
+pub use spec::{DType, PoolKind, Spec};
 pub use tiling::{ParallelAxis, TileConfig, TileSizes, TilingLevel, NUM_TILING_LEVELS};
 
 /// Fold a user-supplied machine-preset or suite name for table lookup:

@@ -1,5 +1,5 @@
-//! The generalized problem IR: conv, matmul, pooling, and elementwise
-//! computations as one tagged [`Spec`] type.
+//! The generalized problem IR: conv, matmul and pooling computations as one
+//! tagged [`Spec`] type.
 //!
 //! The optimizer's analytical machinery — per-level footprints, capacity and
 //! dominance pruning, certified bottleneck costs — is defined over the
@@ -18,8 +18,10 @@
 //!   expression) of max/average pooling is identical to a depthwise
 //!   convolution of the same geometry; only the reduction operator differs,
 //!   and the cost model never looks at the operator.
-//! * **Elementwise** maps over `len` elements are the degenerate nest
-//!   `N=K=C=R=S=H=1, W=len`: pure streaming traffic.
+//!
+//! The elementwise class and the `I8` element type are retired: no executor
+//! ran them and no tiling decision exists for them. A spec naming either
+//! fails to parse with an error that names it.
 //!
 //! [`Spec::embedded_conv_shape`] realizes the embedding;
 //! [`Spec::fingerprint`] keys caches and the persistent database, with
@@ -34,27 +36,14 @@ use serde::{Deserialize, Serialize};
 use crate::shape::{checked_product, ConvShape};
 use crate::{Fnv1a, SpecError};
 
-/// Element type of a problem's tensors.
-///
-/// The executors currently compute in `f32`; `I8` is carried through
-/// fingerprints and the wire format so quantized records are first-class
-/// keys before the int8 executors land.
+/// Element type of a problem's tensors: `f32`, the one type the executors
+/// compute in. It stays a field of [`Spec::Matmul`] so the wire form keeps
+/// its `"dtype":"F32"`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DType {
-    /// 32-bit IEEE-754 float (the default everywhere).
+    /// 32-bit IEEE-754 float.
     #[default]
     F32,
-    /// 8-bit signed integer (quantized serving).
-    I8,
-}
-
-impl DType {
-    fn tag(self) -> u8 {
-        match self {
-            DType::F32 => 0,
-            DType::I8 => 1,
-        }
-    }
 }
 
 /// The reduction operator of a pooling spec.
@@ -71,35 +60,6 @@ impl PoolKind {
         match self {
             PoolKind::Max => 0,
             PoolKind::Avg => 1,
-        }
-    }
-}
-
-/// The operator of an elementwise spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EwOp {
-    /// `max(x, 0)`.
-    Relu,
-    /// `x + y` (two inputs).
-    Add,
-    /// `x · y` (two inputs).
-    Mul,
-}
-
-impl EwOp {
-    fn tag(self) -> u8 {
-        match self {
-            EwOp::Relu => 0,
-            EwOp::Add => 1,
-            EwOp::Mul => 2,
-        }
-    }
-
-    /// Number of input tensors the operator reads.
-    pub fn arity(self) -> usize {
-        match self {
-            EwOp::Relu => 1,
-            EwOp::Add | EwOp::Mul => 2,
         }
     }
 }
@@ -141,16 +101,6 @@ pub enum Spec {
         /// Window stride.
         stride: usize,
     },
-    /// An elementwise map over `len` elements.
-    Elementwise {
-        /// The operator.
-        op: EwOp,
-        /// Number of output elements.
-        len: usize,
-        /// Whether the inputs are read with a non-unit stride (stride 2);
-        /// the traffic model treats strided streams as uncoalesced.
-        strided: bool,
-    },
 }
 
 impl Spec {
@@ -165,8 +115,8 @@ impl Spec {
     }
 
     /// Validate the extents: every extent and the stride non-zero, and the
-    /// flops and tensor sizes within `usize` (a matmul, pool or elementwise
-    /// problem is as large as the convolution it embeds into).
+    /// flops and tensor sizes within `usize` (a matmul or pool problem is as
+    /// large as the convolution it embeds into).
     ///
     /// # Errors
     ///
@@ -189,12 +139,6 @@ impl Spec {
                 let factors = [2, n, channels, window, window, h, w];
                 checked_product("pool flops", "2·n·channels·window·window·h·w", &factors)?;
             }
-            Spec::Elementwise { len, .. } => {
-                if len == 0 {
-                    return bad("elementwise len");
-                }
-                checked_product("elementwise flops", "2·len", &[2, len])?;
-            }
         }
         // What the named checks above leave (input extents, tensor sizes) is
         // the embedded shape's own validation, in its terms.
@@ -209,7 +153,6 @@ impl Spec {
             Spec::Pool { n, channels, h, w, window, stride, .. } => ConvShape::new_general(
                 n, channels, channels, window, window, h, w, stride, 1, channels,
             ),
-            Spec::Elementwise { len, .. } => ConvShape::new(1, 1, 1, 1, 1, 1, len, 1),
         }
     }
 
@@ -234,12 +177,12 @@ impl Spec {
         let mut hash = Fnv1a::new();
         match *self {
             Spec::Conv(shape) => return shape.fingerprint(),
-            Spec::Matmul { m, n, k, dtype } => {
+            Spec::Matmul { m, n, k, dtype: DType::F32 } => {
                 hash.u64(1);
                 hash.u64(m as u64);
                 hash.u64(n as u64);
                 hash.u64(k as u64);
-                hash.u64(dtype.tag() as u64);
+                hash.u64(0); // the F32 tag
             }
             Spec::Pool { kind, n, channels, h, w, window, stride } => {
                 hash.u64(2);
@@ -251,24 +194,14 @@ impl Spec {
                 hash.u64(window as u64);
                 hash.u64(stride as u64);
             }
-            Spec::Elementwise { op, len, strided } => {
-                hash.u64(3);
-                hash.u64(op.tag() as u64);
-                hash.u64(len as u64);
-                hash.u64(strided as u64);
-            }
         }
         hash.finish()
     }
 
-    /// Total floating-point (or integer) operations.
+    /// Total floating-point operations: matmul and pool inherit the
+    /// embedded nest's arithmetic count.
     pub fn flops(&self) -> usize {
-        match *self {
-            Spec::Conv(shape) => shape.flops(),
-            // Matmul and pool inherit the embedded nest's arithmetic count.
-            Spec::Matmul { .. } | Spec::Pool { .. } => self.embedded_conv_shape().flops(),
-            Spec::Elementwise { op, len, .. } => op.arity() * len,
-        }
+        self.embedded_conv_shape().flops()
     }
 
     /// Number of output elements.
@@ -283,9 +216,6 @@ impl Spec {
             Spec::Matmul { m, n, k, dtype } => format!("matmul {m}x{k} * {k}x{n} ({dtype:?})"),
             Spec::Pool { kind, n, channels, h, w, window, stride } => {
                 format!("{kind:?}pool N{n} C{channels} HW{h}x{w} win{window} s{stride}")
-            }
-            Spec::Elementwise { op, len, strided } => {
-                format!("{op:?} len {len}{}", if strided { " strided" } else { "" })
             }
         }
     }
@@ -338,6 +268,11 @@ impl std::fmt::Display for Spec {
     }
 }
 
+/// The parse error of a retired problem class or element type.
+fn retired(what: &str) -> serde::DeError {
+    serde::DeError::custom(format!("{what} is retired: no executor runs it"))
+}
+
 impl Deserialize for Spec {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = v.as_object().ok_or_else(|| serde::DeError::expected("object", "Spec"))?;
@@ -351,6 +286,9 @@ impl Deserialize for Spec {
                         .ok_or_else(|| serde::DeError::expected("object", "Spec::Matmul"))?;
                     let dtype = match fields.iter().find(|(key, _)| key == "dtype") {
                         None | Some((_, serde::Value::Null)) => DType::F32,
+                        Some((_, value)) if value.as_str() == Some("I8") => {
+                            return Err(retired("the I8 dtype"));
+                        }
                         Some((_, value)) => DType::from_value(value)?,
                     };
                     Some(Spec::Matmul {
@@ -374,16 +312,7 @@ impl Deserialize for Spec {
                         stride: serde::de_field(fields, "stride", "Spec::Pool")?,
                     })
                 }
-                "Elementwise" => {
-                    let fields = body
-                        .as_object()
-                        .ok_or_else(|| serde::DeError::expected("object", "Spec::Elementwise"))?;
-                    Some(Spec::Elementwise {
-                        op: serde::de_field(fields, "op", "Spec::Elementwise")?,
-                        len: serde::de_field(fields, "len", "Spec::Elementwise")?,
-                        strided: serde::de_field(fields, "strided", "Spec::Elementwise")?,
-                    })
-                }
+                "Elementwise" => return Err(retired("the Elementwise spec class")),
                 _ => None,
             };
             if let Some(spec) = spec {
@@ -434,11 +363,6 @@ mod tests {
         );
         // The named flops fit; the embedded shape's input extent does not.
         assert!(message(pool(1, usize::MAX / 32, 1, 64)).contains("input extent overflows at h = "));
-        let len = usize::MAX / 2 + 1;
-        assert_eq!(
-            message(Spec::Elementwise { op: EwOp::Relu, len, strided: false }),
-            format!("invalid shape: elementwise flops 2·len overflows at len = {len}")
-        );
         assert!(Spec::matmul(1 << 20, 1 << 20, 1 << 20).validate().is_ok());
     }
 
@@ -472,33 +396,17 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_embeds_as_a_stream() {
-        let spec = Spec::Elementwise { op: EwOp::Add, len: 4096, strided: false };
-        let conv = spec.embedded_conv_shape();
-        assert_eq!(conv.output_elems(), 4096);
-        assert_eq!(spec.flops(), 2 * 4096);
-    }
-
-    #[test]
     fn fingerprints_distinguish_classes_and_fields() {
         let mm = Spec::matmul(64, 196, 512);
         // The embedded conv of a matmul is a *different* key from the matmul
         // itself: the class tag separates them.
         assert_ne!(mm.fingerprint(), Spec::Conv(mm.embedded_conv_shape()).fingerprint());
         assert_ne!(mm.fingerprint(), Spec::matmul(196, 64, 512).fingerprint());
-        assert_ne!(
-            mm.fingerprint(),
-            Spec::Matmul { m: 64, n: 196, k: 512, dtype: DType::I8 }.fingerprint()
-        );
         let pool =
             Spec::Pool { kind: PoolKind::Max, n: 1, channels: 8, h: 8, w: 8, window: 2, stride: 2 };
         let avg =
             Spec::Pool { kind: PoolKind::Avg, n: 1, channels: 8, h: 8, w: 8, window: 2, stride: 2 };
         assert_ne!(pool.fingerprint(), avg.fingerprint());
-        assert_ne!(
-            Spec::Elementwise { op: EwOp::Relu, len: 64, strided: false }.fingerprint(),
-            Spec::Elementwise { op: EwOp::Relu, len: 64, strided: true }.fingerprint(),
-        );
     }
 
     #[test]
@@ -506,7 +414,6 @@ mod tests {
         let specs = [
             Spec::Conv(ConvShape::new(2, 8, 4, 3, 3, 10, 10, 1).unwrap()),
             Spec::matmul(1000, 1, 2048),
-            Spec::Matmul { m: 3, n: 5, k: 7, dtype: DType::I8 },
             Spec::Pool {
                 kind: PoolKind::Avg,
                 n: 1,
@@ -516,7 +423,6 @@ mod tests {
                 window: 7,
                 stride: 1,
             },
-            Spec::Elementwise { op: EwOp::Mul, len: 100, strided: true },
         ];
         for spec in specs {
             let text = serde_json::to_string(&spec).unwrap();
@@ -544,11 +450,30 @@ mod tests {
         for text in [
             "{\"Matmul\":{\"m\":0,\"n\":5,\"k\":6}}",
             "{\"Pool\":{\"kind\":\"Max\",\"n\":1,\"channels\":0,\"h\":1,\"w\":1,\"window\":1,\"stride\":1}}",
-            "{\"Elementwise\":{\"op\":\"Relu\",\"len\":0,\"strided\":false}}",
             "{\"Unknown\":{}}",
             "42",
         ] {
             assert!(serde_json::from_str::<Spec>(text).is_err(), "{text} must not parse");
         }
+    }
+
+    #[test]
+    fn retired_classes_fail_to_parse_naming_the_class() {
+        for (text, named) in [
+            ("{\"Elementwise\":{\"op\":\"Relu\",\"len\":64,\"strided\":false}}", "Elementwise"),
+            ("{\"Matmul\":{\"m\":4,\"n\":5,\"k\":6,\"dtype\":\"I8\"}}", "I8"),
+        ] {
+            let message = serde_json::from_str::<Spec>(text).unwrap_err().to_string();
+            assert!(message.contains(named) && message.contains("retired"), "{text}: {message}");
+        }
+        // F32 stays on the wire.
+        let spec: Spec =
+            serde_json::from_str("{\"Matmul\":{\"m\":4,\"n\":5,\"k\":6,\"dtype\":\"F32\"}}")
+                .unwrap();
+        assert_eq!(spec, Spec::matmul(4, 5, 6));
+        assert_eq!(
+            serde_json::to_string(&spec).unwrap(),
+            "{\"Matmul\":{\"m\":4,\"n\":5,\"k\":6,\"dtype\":\"F32\"}}"
+        );
     }
 }

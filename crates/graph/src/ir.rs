@@ -420,8 +420,8 @@ impl Graph {
 
     /// A stable 64-bit fingerprint of the whole graph — node names, ops,
     /// shapes, edges, and tensors — using the same process-stable FNV-1a as
-    /// [`ConvShape::fingerprint`] and `MachineModel::fingerprint`, so
-    /// persisted graph-plan caches can key on it.
+    /// [`ConvShape::fingerprint`] and `MachineModel::fingerprint`; a
+    /// graph plan carries it to name the graph it lays out.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.bytes(self.name.as_bytes());

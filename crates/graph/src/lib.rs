@@ -8,25 +8,24 @@
 //!   convolutions, matrix multiplications, and poolings (everything that
 //!   lowers to a `conv_spec::Spec`) plus elementwise ReLU / residual add,
 //!   edges carry the intermediate tensors (dimensions + layout), with full
-//!   structural validation and a stable [`Graph::fingerprint`] for plan
-//!   caching,
+//!   structural validation and a stable [`Graph::fingerprint`],
 //! * [`builders`] — MobileNetV2 inverted-residual and ResNet-style residual
 //!   blocks assembled from the existing benchmark suites (`V1` ... `V9`,
 //!   `R2`/`R6`/...), plus whole-network [`builders::resnet50`] and
 //!   [`builders::mobilenet_v2_full`] graphs with pooling and
 //!   fully-connected (matmul) heads,
 //! * [`planner`] — decomposes the schedulable nodes into producer →
-//!   consumer chains and serves one segment per node in chain order, each
-//!   with its per-operator schedule from `MOptOptimizer` (through a
-//!   caller-supplied provider, so the service layer interposes its cache
-//!   and worker pool) and its modeled DRAM-boundary volume.
+//!   consumer chains and lays one segment per node out in chain order
+//!   ([`render_plan`]), each with its per-operator schedule (resolved by the
+//!   caller — the service through its tiers) and its modeled DRAM-boundary
+//!   volume.
 //!
 //! # Example
 //!
 //! ```
 //! use conv_spec::{ConvShape, MachineModel};
 //! use mopt_core::{MOptOptimizer, OptimizerOptions};
-//! use mopt_graph::{builders, GraphPlanner};
+//! use mopt_graph::{builders, render_plan};
 //!
 //! // A scaled-down MobileNetV2 inverted-residual block.
 //! let block = builders::mobilenet_v2_block_from(
@@ -35,12 +34,20 @@
 //! );
 //! block.validate()?;
 //!
+//! // One schedule per schedulable node's spec.
 //! let machine = MachineModel::i7_9700k();
 //! let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
-//! let planner = GraphPlanner::new(machine.clone());
-//! let plan = planner.plan(&block, |spec| {
-//!     MOptOptimizer::optimize_spec(spec, machine.clone(), options.clone())
-//! })?;
+//! let dims = block.node_output_dims()?;
+//! let best = block
+//!     .schedulable_nodes()
+//!     .into_iter()
+//!     .filter_map(|node| block.node_spec(node, &dims))
+//!     .map(|spec| {
+//!         let result = MOptOptimizer::optimize_spec(&spec, machine.clone(), options.clone());
+//!         (spec, result.best().clone())
+//!     })
+//!     .collect();
+//! let plan = render_plan(&block, machine.fingerprint(), &best)?;
 //!
 //! // One segment per operator, producer first: expand, dw, project.
 //! let names: Vec<_> = plan.segments.iter().map(|s| s.ops[0].name.as_str()).collect();
@@ -57,7 +64,7 @@ pub mod ir;
 pub mod planner;
 
 pub use ir::{Edge, Graph, Node, NodeId, OpKind, TensorInfo};
-pub use planner::{GraphPlan, GraphPlanner, PlannedSegment, SegmentOp};
+pub use planner::{render_plan, GraphPlan, PlannedSegment, SegmentOp};
 
 /// Errors produced by graph construction, validation, and planning.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,11 +1,11 @@
-//! The cross-layer planner: one schedule per operator, in dataflow order.
+//! A graph's plan: one schedule per operator, in dataflow order.
 //!
-//! Per-operator schedules come from `MOptOptimizer` (through a caller-
-//! supplied provider, so the service layer can interpose its schedule cache
-//! and worker pool); this module orders them. The graph's schedulable
-//! operators (conv, matmul, pool) are decomposed into producer → consumer
-//! chains, and every operator becomes a segment of its own, chain by chain,
-//! whose volume is its schedule's modeled DRAM-boundary (L3-fill) traffic.
+//! The schedules come from outside this crate (the service resolves them
+//! through its tiers, as it does a network's layers); this module orders
+//! them. The graph's schedulable operators (conv, matmul, pool) are
+//! decomposed into producer → consumer chains, and every operator becomes a
+//! segment of its own, chain by chain, whose volume is its schedule's
+//! modeled DRAM-boundary (L3-fill) traffic.
 //!
 //! An operator pair is *chained* when the producer's output reaches the
 //! consumer through nothing but out-degree-1 elementwise nodes. The chains
@@ -13,10 +13,11 @@
 //! fused: no executor runs a fused segment faster than its operators one
 //! after another.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
-use conv_spec::{ConvShape, MachineModel, Spec, TilingLevel};
-use mopt_core::{OptimizeResult, OptimizedConfig};
+use conv_spec::{ConvShape, Spec, TilingLevel};
+use mopt_core::OptimizedConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::ir::{Graph, NodeId, OpKind};
@@ -84,87 +85,73 @@ pub struct GraphPlan {
     pub unfused_volume: f64,
     /// Equal to [`GraphPlan::unfused_volume`].
     pub fused_volume: f64,
-    /// Wall-clock seconds spent planning (excluding provider solve time the
-    /// caller may have amortized elsewhere).
+    /// Wall-clock seconds spent laying the resolved schedules out (their
+    /// resolution excluded).
     pub plan_seconds: f64,
 }
 
-/// Plans whole graphs against one machine model.
-#[derive(Debug, Clone)]
-pub struct GraphPlanner {
-    machine: MachineModel,
-}
+/// Lay `graph`'s per-operator schedules out as its plan: one segment per
+/// schedulable node (conv, matmul, pool) in chain order, each with the
+/// schedule `best` holds for the node's spec, the segments' volumes summed
+/// in that order. `machine_fingerprint` names the machine the schedules
+/// were planned for.
+///
+/// # Errors
+///
+/// Returns the error of a graph whose tensor dimensions do not propagate;
+/// a graph that validates has none.
+///
+/// # Panics
+///
+/// Panics if `best` holds no schedule for a schedulable node's spec.
+pub fn render_plan(
+    graph: &Graph,
+    machine_fingerprint: u64,
+    best: &HashMap<Spec, OptimizedConfig>,
+) -> Result<GraphPlan, GraphError> {
+    let started = Instant::now();
+    let dims = graph.node_output_dims()?;
+    let chains = spec_chains(graph);
 
-impl GraphPlanner {
-    /// A planner for `machine`.
-    pub fn new(machine: MachineModel) -> Self {
-        GraphPlanner { machine }
+    let mut segments = Vec::new();
+    let mut total = 0.0;
+    for &node in chains.iter().flatten() {
+        let spec = graph.node_spec(node, &dims).expect("chain node is schedulable");
+        let best = best[&spec].clone();
+        let volume = best.prediction.volume(TilingLevel::L3);
+        total += volume;
+        let op = SegmentOp {
+            node,
+            name: graph.nodes[node].name.clone(),
+            spec,
+            shape: spec.embedded_conv_shape(),
+            best,
+        };
+        segments.push(PlannedSegment {
+            ops: vec![op],
+            relu_between: Vec::new(),
+            fused: false,
+            executable_dw_pw: false,
+            unfused_volume: volume,
+            volume,
+        });
     }
 
-    /// The machine model.
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
-    }
-
-    /// Plan `graph`: validate it, obtain a per-operator schedule for every
-    /// schedulable node (conv, matmul, pool) from `schedule` (typically a
-    /// cache-backed `MOptOptimizer` call on the spec's conv embedding), and
-    /// emit one segment per node in chain order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the graph's first validation error; planning itself cannot
-    /// fail on a valid graph.
-    pub fn plan<F: FnMut(&Spec) -> OptimizeResult>(
-        &self,
-        graph: &Graph,
-        mut schedule: F,
-    ) -> Result<GraphPlan, GraphError> {
-        graph.validate()?;
-        let started = Instant::now();
-        let dims = graph.node_output_dims()?;
-        let chains = spec_chains(graph);
-
-        let mut segments = Vec::new();
-        let mut total = 0.0;
-        for &node in chains.iter().flatten() {
-            let spec = graph.node_spec(node, &dims).expect("chain node is schedulable");
-            let best = schedule(&spec).best().clone();
-            let volume = best.prediction.volume(TilingLevel::L3);
-            total += volume;
-            let op = SegmentOp {
-                node,
-                name: graph.nodes[node].name.clone(),
-                spec,
-                shape: spec.embedded_conv_shape(),
-                best,
-            };
-            segments.push(PlannedSegment {
-                ops: vec![op],
-                relu_between: Vec::new(),
-                fused: false,
-                executable_dw_pw: false,
-                unfused_volume: volume,
-                volume,
-            });
-        }
-
-        let elementwise_ops = graph.nodes.iter().filter(|n| !n.op.is_schedulable()).count();
-        Ok(GraphPlan {
-            graph: graph.name.clone(),
-            fingerprint: graph.fingerprint(),
-            machine_fingerprint: self.machine.fingerprint(),
-            segments,
-            chains: chains.len(),
-            elementwise_ops,
-            fusion_candidates: 0,
-            fusions_taken: 0,
-            fusions_rejected: 0,
-            unfused_volume: total,
-            fused_volume: total,
-            plan_seconds: started.elapsed().as_secs_f64(),
-        })
-    }
+    let elementwise_ops = graph.nodes.iter().filter(|n| !n.op.is_schedulable()).count();
+    Ok(GraphPlan {
+        graph: graph.name.clone(),
+        fingerprint: graph.fingerprint(),
+        machine_fingerprint,
+        segments,
+        chains: chains.len(),
+        elementwise_ops,
+        fusion_candidates: 0,
+        fusions_taken: 0,
+        fusions_rejected: 0,
+        unfused_volume: total,
+        fused_volume: total,
+        plan_seconds: started.elapsed().as_secs_f64(),
+    })
 }
 
 /// Decompose the graph's schedulable nodes (conv, matmul, pool) into maximal
@@ -224,14 +211,23 @@ mod tests {
     use super::*;
     use crate::builders;
     use crate::ir::TensorInfo;
+    use conv_spec::MachineModel;
     use mopt_core::{MOptOptimizer, OptimizerOptions};
 
-    fn fast_options() -> OptimizerOptions {
-        OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() }
-    }
-
-    fn solve_with(machine: &MachineModel) -> impl FnMut(&Spec) -> OptimizeResult + '_ {
-        move |spec: &Spec| MOptOptimizer::optimize_spec(spec, machine.clone(), fast_options())
+    /// Solve every schedulable node of `graph` for `machine`, then render.
+    fn plan_for(graph: &Graph, machine: &MachineModel) -> GraphPlan {
+        let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::default() };
+        let dims = graph.node_output_dims().unwrap();
+        let best = graph
+            .schedulable_nodes()
+            .into_iter()
+            .filter_map(|node| graph.node_spec(node, &dims))
+            .map(|spec| {
+                let result = MOptOptimizer::optimize_spec(&spec, machine.clone(), options.clone());
+                (spec, result.best().clone())
+            })
+            .collect();
+        render_plan(graph, machine.fingerprint(), &best).unwrap()
     }
 
     fn small_block() -> Graph {
@@ -283,9 +279,9 @@ mod tests {
     fn plan_serves_one_segment_per_schedulable_node_in_chain_order() {
         let g = small_block();
         let machine = MachineModel::i7_9700k();
-        let planner = GraphPlanner::new(machine.clone());
-        let plan = planner.plan(&g, solve_with(&machine)).unwrap();
+        let plan = plan_for(&g, &machine);
         assert_eq!(plan.fingerprint, g.fingerprint());
+        assert_eq!(plan.machine_fingerprint, machine.fingerprint());
         assert_eq!(plan.chains, 1);
         assert_eq!(plan.elementwise_ops, 2);
         let chain_order: Vec<NodeId> = spec_chains(&g).into_iter().flatten().collect();
@@ -304,21 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_graphs_are_rejected_before_planning() {
-        let machine = MachineModel::tiny_test_machine();
-        let planner = GraphPlanner::new(machine.clone());
-        let mut g = small_block();
-        g.edges[0].tensor = TensorInfo::nchw((9, 9, 9, 9));
-        let mut calls = 0;
-        let err = planner.plan(&g, |spec| {
-            calls += 1;
-            MOptOptimizer::optimize_spec(spec, machine.clone(), fast_options())
-        });
-        assert!(err.is_err());
-        assert_eq!(calls, 0, "no schedules must be solved for an invalid graph");
-    }
-
-    #[test]
     fn pool_after_conv_chains_through_relu() {
         // conv → relu → pool(2x2 s2): chainable through the relu.
         let conv = ConvShape::new(1, 8, 4, 3, 3, 10, 10, 1).unwrap();
@@ -332,7 +313,7 @@ mod tests {
         g.validate().unwrap();
 
         let machine = MachineModel::i7_9700k();
-        let plan = GraphPlanner::new(machine.clone()).plan(&g, solve_with(&machine)).unwrap();
+        let plan = plan_for(&g, &machine);
         assert_eq!(plan.chains, 1);
         assert_eq!(plan.segments.len(), 2);
         assert!(matches!(plan.segments[1].ops[0].spec, Spec::Pool { .. }));
@@ -342,7 +323,7 @@ mod tests {
         let c = g2.add_conv("conv", conv);
         let p = g2.add_pool("pool", conv_spec::PoolKind::Avg, 3, 1);
         g2.connect(c, p, out);
-        let plan2 = GraphPlanner::new(machine.clone()).plan(&g2, solve_with(&machine)).unwrap();
+        let plan2 = plan_for(&g2, &machine);
         assert_eq!(plan2.chains, 1);
         assert_eq!(plan2.segments.len(), 2);
     }
@@ -360,8 +341,7 @@ mod tests {
         g.connect(gp, fc, TensorInfo::nchw((1, 16, 1, 1)));
         g.validate().unwrap();
 
-        let machine = MachineModel::tiny_test_machine();
-        let plan = GraphPlanner::new(machine.clone()).plan(&g, solve_with(&machine)).unwrap();
+        let plan = plan_for(&g, &MachineModel::tiny_test_machine());
         let total_ops: usize = plan.segments.iter().map(|s| s.ops.len()).sum();
         assert_eq!(total_ops, 3);
         assert_eq!(plan.chains, 1);
@@ -377,10 +357,7 @@ mod tests {
 
     #[test]
     fn plan_round_trips_through_json() {
-        let g = small_block();
-        let machine = MachineModel::tiny_test_machine();
-        let planner = GraphPlanner::new(machine.clone());
-        let plan = planner.plan(&g, solve_with(&machine)).unwrap();
+        let plan = plan_for(&small_block(), &MachineModel::tiny_test_machine());
         let text = serde_json::to_string(&plan).unwrap();
         let back: GraphPlan = serde_json::from_str(&text).unwrap();
         assert_eq!(plan, back);

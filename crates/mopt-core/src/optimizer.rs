@@ -257,8 +257,8 @@ impl MOptOptimizer {
     /// The spec is lowered to its conv2d embedding
     /// ([`Spec::embedded_conv_shape`]) and the usual certify/prune pipeline
     /// runs on the embedded loop nest. The analytical model prices access
-    /// patterns, not reduction operators, so matmul, pooling, and
-    /// elementwise nests cost exactly like the conv nest they embed into.
+    /// patterns, not reduction operators, so matmul and pooling nests cost
+    /// exactly like the conv nest they embed into.
     pub fn optimize_spec(
         spec: &Spec,
         machine: MachineModel,

@@ -30,7 +30,7 @@ use crate::wire::Tier;
 pub struct NamedLayer {
     /// Display name (e.g. the paper's `"Y0"`, or `"conv3_2"`).
     pub name: String,
-    /// The optimization problem (conv, matmul, pooling, or elementwise).
+    /// The optimization problem (conv, matmul or pooling).
     pub spec: Spec,
 }
 
@@ -147,7 +147,11 @@ pub struct NetworkPlanner<'a> {
     db: Option<&'a DbTier>,
     machine: MachineModel,
     options: OptimizerOptions,
-    workers: usize,
+    /// `None` until overridden: the host's parallelism, looked up only when
+    /// there is a cold problem to solve. The lookup reads the cgroup quota,
+    /// ~30 µs on a 2-vCPU Xeon VM: a third of a warm `PlanGraph` of a
+    /// MobileNetV2 block.
+    workers: Option<usize>,
     ctx: TraceContext,
 }
 
@@ -155,8 +159,14 @@ impl<'a> NetworkPlanner<'a> {
     /// A planner for `machine` with `options`, using as many worker threads
     /// as the host exposes (capped at 8).
     pub fn new(cache: &'a ScheduleCache, machine: MachineModel, options: OptimizerOptions) -> Self {
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(8);
-        NetworkPlanner { cache, db: None, machine, options, workers, ctx: TraceContext::disabled() }
+        NetworkPlanner {
+            cache,
+            db: None,
+            machine,
+            options,
+            workers: None,
+            ctx: TraceContext::disabled(),
+        }
     }
 
     /// Attach (or detach) the persistent schedule database: cold layers
@@ -176,7 +186,7 @@ impl<'a> NetworkPlanner<'a> {
 
     /// Override the worker-pool size (values are clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -188,7 +198,11 @@ impl<'a> NetworkPlanner<'a> {
 
     /// Worker threads used for `cold` cache-missing problems.
     fn pool_size(&self, cold: usize) -> usize {
-        self.workers.min(cold).max(1)
+        if cold == 0 {
+            return 1;
+        }
+        let host = || std::thread::available_parallelism().map_or(4, |n| n.get()).min(8);
+        self.workers.unwrap_or_else(host).min(cold)
     }
 
     /// Resolve every unique problem among `layers` through the tier stack:

@@ -37,7 +37,7 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The canonical cache key: everything the optimizer's output depends on.
 ///
 /// Since the spec-IR generalization the problem slot holds a [`Spec`] (conv,
-/// matmul, pooling, or elementwise), not just a [`conv_spec::ConvShape`]. The wire/disk
+/// matmul or pooling), not just a [`conv_spec::ConvShape`]. The wire/disk
 /// form stays backward compatible in both directions through
 /// [`Spec::serialize_field`] / [`Spec::from_fields`]: old snapshots load, and
 /// snapshots holding only conv entries are byte-identical to what the
@@ -133,11 +133,9 @@ impl CacheStats {
 }
 
 /// A bounded map with least-recently-used eviction, driven by an *external*
-/// monotonic tick so callers can share one clock across several maps (the
-/// sharded schedule cache) or own a clock outright (the graph-plan cache).
-/// This is the single LRU implementation both caches in this crate build on.
+/// monotonic tick so the schedule cache's shards share one clock.
 ///
-/// The ticks a map is given must be distinct (both callers draw them from one
+/// The ticks a map is given must be distinct (the cache draws them from one
 /// `fetch_add` counter): `order` indexes every entry under its `last_used`
 /// tick, so the least recently used entry is the index's first and eviction
 /// never scans the map.

@@ -4,8 +4,8 @@
 //! → optimizer. The [`DbTier`] wraps a [`mopt_db::SpecDb`] with the
 //! canonicalize-lookup-rerank glue and serving counters:
 //!
-//! * **lookup** canonicalizes the raw [`Spec`] (conv, matmul, pooling, or
-//!   elementwise — all embed into conv coordinates), fetches the stored
+//! * **lookup** canonicalizes the raw [`Spec`] (conv, matmul or pooling —
+//!   all embed into conv coordinates), fetches the stored
 //!   top-k entries for `(canonical spec, machine)`, and re-prices them for
 //!   the request's `threads`/options via [`mopt_db::rerank_spec()`] — a db
 //!   *hit* serves a full [`OptimizeResult`] without running the optimizer.

@@ -14,10 +14,8 @@
 //!   re-solved,
 //! * [`batch`] — a whole-network planner that dedupes identical layer
 //!   shapes and fans the unique solves across a `std::thread` worker pool,
-//! * [`graphs`] — a fingerprint-keyed cache of
-//!   [`mopt_graph::GraphPlan`]s plus the `graph` section of the `Stats`
-//!   reply,
-//! * [`singleflight`] — per-key coalescing of duplicate in-flight solves:
+//! * [`singleflight`] — per-key coalescing of duplicate in-flight
+//!   `Optimize`/`Explain` solves:
 //!   N concurrent misses on one fingerprint key share exactly one
 //!   computation, and a leader panic releases (without poisoning) every
 //!   waiter,
@@ -75,7 +73,6 @@ pub mod cache;
 pub mod dbtier;
 pub mod eventloop;
 mod framing;
-pub mod graphs;
 pub mod metrics;
 pub mod persist;
 mod planning;
@@ -89,7 +86,6 @@ pub use batch::{NetworkPlan, NetworkPlanner, PlanStats, PlannedLayer};
 pub use cache::{CacheKey, CacheStats, ScheduleCache};
 pub use dbtier::{DbTier, DbTierStats};
 pub use eventloop::{EventLoopServer, ServerConfig, ShutdownHandle};
-pub use graphs::{GraphCacheKey, GraphPlanCache, GraphServiceStats};
 pub use metrics::{MetricsReport, ServiceMetrics};
 pub use persist::{load_snapshot, save_snapshot, PersistError, Snapshot};
 pub use server::{ServiceState, MAX_REQUEST_BYTES, SLOW_LOG_CAPACITY};

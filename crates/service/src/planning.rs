@@ -7,14 +7,13 @@ use std::sync::atomic::Ordering;
 
 use conv_spec::{benchmarks, ConvShape, MachineModel, Spec};
 use mopt_core::{pricing, LayoutPolicy, MOptOptimizer, OptimizeResult, OptimizerOptions};
-use mopt_graph::{builders, Graph, GraphPlanner};
+use mopt_graph::{builders, render_plan, Graph};
 use mopt_model::prune::NUM_CLASSES;
 use mopt_model::ParallelSpec;
 use mopt_trace::TraceContext;
 
 use crate::batch::{NamedLayer, NetworkPlanner};
 use crate::cache::{CacheKey, ScheduleCache};
-use crate::graphs::GraphCacheKey;
 use crate::server::ServiceState;
 use crate::tiers::resolve_cold;
 use crate::wire::{MachineSpec, Request, Response, Tier};
@@ -71,7 +70,7 @@ impl Problem<'_> {
 /// `PlanGraph`) plans for: its machine model and its effective optimizer
 /// options — the request's `options` (or the defaults), with an explicit
 /// top-level `threads` field taking precedence over `options.threads`.
-/// The options are the cache, flight, graph-plan and db keys, so two
+/// The options are the cache, flight and db keys, so two
 /// spellings of one answer are made one here: `threads: 0` plans for one
 /// thread, `layout_policy: "Fixed"` is the unset policy, and `max_classes`
 /// is clamped to the classes there are (the search takes at least one, and
@@ -293,9 +292,7 @@ impl ServiceState {
             (None, None) => return Err("PlanGraph needs either `block` or `graph`".into()),
         };
         // Gate before the worker pool below: an invalid graph must not cost
-        // a single optimizer solve. (GraphPlanner::plan validates
-        // again as its own public contract; the graphs are tiny, so the
-        // repeat is nanoseconds.)
+        // a single optimizer solve.
         graph.validate().map_err(|e| format!("invalid graph: {e}"))?;
         // Matmul and pool nodes become specs here, not at parse: a node too
         // large to embed must not reach a worker either.
@@ -304,45 +301,23 @@ impl ServiceState {
             let invalid = |e| format!("invalid graph: node `{}`: {e}", layer.name);
             layer.spec.validate().map_err(invalid)?;
         }
-        let key = GraphCacheKey {
-            graph_fingerprint: graph.fingerprint(),
-            machine_fingerprint: machine.fingerprint(),
-            options: options.clone(),
+        // The graph's ops resolve as a network's layers do: the schedule
+        // cache, then the cold tiers across the worker pool, outside
+        // single-flight. Two concurrent cold requests for one op may both
+        // solve it; they write the same schedule through.
+        let machine_fingerprint = machine.fingerprint();
+        let resolved = {
+            let _resolve = ctx.span("resolve_layers");
+            self.planner(machine, options, workers, ctx).resolve(&layers)
         };
-        let cache_hit = {
-            let _probe = ctx.span("graph_cache_probe");
-            self.graph_cache.get(&key)
-        };
-        if let Some(plan) = cache_hit {
-            return Ok(Response::GraphPlanned { cached: true, plan, trace: None });
-        }
-        // Cold path, under single-flight: concurrent misses on this plan key
-        // share one leader; waiters receive a clone of the leader's plan (or
-        // its planning error), bit-identical on the wire.
-        let _flight = ctx.span("flight");
-        let (role, outcome) = self.graph_flight.run(key.clone(), || {
-            self.test_solve_delay();
-            // Resolve every schedulable node (conv, matmul, pool — not just
-            // convs) through the batch planner (dedupe + worker pool + the
-            // shared tier stack), then lay the resolved schedules out as
-            // one segment per node.
-            let planner = self.planner(machine.clone(), options.clone(), workers, ctx);
-            let resolved = {
-                let _resolve = ctx.span("resolve_layers");
-                planner.resolve(&layers)
-            };
-            let _graph_plan = ctx.span("graph_plan");
-            let plan = GraphPlanner::new(machine.clone())
-                // The planner asks for exactly the schedulable nodes' specs,
-                // all resolved above.
-                .plan(&graph, |spec| resolved[spec].1.clone())
-                .map_err(|e| format!("graph planning failed: {e}"))?;
-            self.graph_cache.insert(key.clone(), &plan);
-            Ok(plan)
-        });
-        ctx.tag("role", role.label());
-        let plan = outcome.map_err(|e| format!("graph planning failed: {e}"))??;
-        Ok(Response::GraphPlanned { cached: false, plan, trace: None })
+        // A valid graph has a schedulable source, so `resolved` is never
+        // empty: `cached` says every op came from tier 1.
+        let cached = resolved.values().all(|(tier, _)| *tier == Tier::Cache);
+        let best = resolved.into_iter().map(|(spec, (_, result))| (spec, result.best().clone()));
+        let _graph_plan = ctx.span("graph_plan");
+        let plan = render_plan(&graph, machine_fingerprint, &best.collect())
+            .map_err(|e| format!("invalid graph: {e}"))?;
+        Ok(Response::GraphPlanned { cached, plan, trace: None })
     }
 }
 
@@ -458,8 +433,22 @@ mod tests {
         }
     }
 
+    /// `(cached, plan)` of a `GraphPlanned` reply.
+    fn graph_planned(reply: &str) -> (bool, mopt_graph::GraphPlan) {
+        match serde_json::from_str(reply).unwrap() {
+            Response::GraphPlanned { cached, plan, .. } => (cached, plan),
+            other => panic!("expected GraphPlanned, got {other:?}"),
+        }
+    }
+
+    /// `warm` is `cold` apart from the wall clock each render stamps.
+    fn assert_same_plan(warm: &mopt_graph::GraphPlan, cold: &mopt_graph::GraphPlan) {
+        let restamped = mopt_graph::GraphPlan { plan_seconds: cold.plan_seconds, ..warm.clone() };
+        assert_eq!(&restamped, cold);
+    }
+
     #[test]
-    fn plan_graph_by_inline_graph_plans_per_op_and_caches() {
+    fn plan_graph_by_inline_graph_plans_per_op_through_the_schedule_cache() {
         let state = tiny_state();
         // A scaled-down MobileNetV2 block: expand → dw → project.
         let graph = mopt_graph::builders::mobilenet_v2_block_from(
@@ -471,34 +460,47 @@ mod tests {
             serde_json::to_string(&graph).unwrap(),
             fast_options_json(),
         );
-        let first: Response = serde_json::from_str(&state.handle_line(&line)).unwrap();
-        let plan = match first {
-            Response::GraphPlanned { cached: false, plan, .. } => plan,
-            other => panic!("expected fresh GraphPlanned, got {other:?}"),
-        };
+        let (cached, plan) = graph_planned(&state.handle_line(&line));
+        assert!(!cached);
         assert_eq!(plan.fingerprint, graph.fingerprint());
         assert_eq!(plan.segments.len(), 3);
         assert_eq!(plan.fusions_taken, 0);
         assert_eq!(plan.fused_volume.to_bits(), plan.unfused_volume.to_bits());
-        // Second request: served from the graph-plan cache, identical plan.
-        let second: Response = serde_json::from_str(&state.handle_line(&line)).unwrap();
-        match second {
-            Response::GraphPlanned { cached: true, plan: warm, .. } => assert_eq!(warm, plan),
-            other => panic!("expected cached GraphPlanned, got {other:?}"),
-        }
-        // The per-operator solves landed in the shared schedule cache.
+        // The per-operator solves landed in the shared schedule cache, and
+        // the repeat is three hits on it.
         assert_eq!(state.cache.len(), 3);
-        // Stats report the graph section.
-        let stats: Response = serde_json::from_str(&state.handle_line("\"Stats\"")).unwrap();
-        match stats {
-            Response::Stats { stats } => {
-                assert_eq!(stats.graph.entries, 1);
-                assert_eq!((stats.graph.hits, stats.graph.misses), (1, 1));
-                assert_eq!(stats.graph.segments_planned, plan.segments.len() as u64);
-                assert_eq!(stats.graph.fusions_taken, 0);
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
+        let (cached, warm) = graph_planned(&state.handle_line(&line));
+        assert!(cached);
+        assert_same_plan(&warm, &plan);
+        let stats = state.cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (3, 3, 3));
+    }
+
+    /// The benchmark's order: a network plan warms the block's depthwise op
+    /// only, so the block is not `cached` until its pointwise ops are too.
+    #[test]
+    fn plan_graph_is_cached_only_when_every_op_is_a_schedule_cache_hit() {
+        let state = tiny_state();
+        let target = format!(
+            "\"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}, \"workers\": 2",
+            fast_options_json()
+        );
+        state
+            .handle_line(&format!("{{\"PlanNetwork\": {{\"suite\": \"mobilenetv2\", {target}}}}}"));
+        let before = state.cache.stats();
+        let line = format!("{{\"PlanGraph\": {{\"block\": \"mbv2-block5\", {target}}}}}");
+        let (cached, cold) = graph_planned(&state.handle_line(&line));
+        let after = state.cache.stats();
+        assert!(!cached, "two of the block's three ops were cold");
+        // One tier-1 op (the depthwise V5) and two solves (the pointwise ops).
+        assert_eq!(after.hits - before.hits, 1);
+        assert_eq!(after.insertions - before.insertions, 2);
+        let (cached, warm) = graph_planned(&state.handle_line(&line));
+        let repeat = state.cache.stats();
+        assert!(cached);
+        assert_eq!(repeat.hits - after.hits, 3);
+        assert_eq!((repeat.misses, repeat.insertions), (after.misses, after.insertions));
+        assert_same_plan(&warm, &cold);
     }
 
     #[test]
@@ -543,6 +545,7 @@ mod tests {
             Response::Error { message } => assert!(message.contains("invalid graph")),
             other => panic!("expected Error, got {other:?}"),
         }
+        assert_eq!(state.cache.stats().misses, 0, "no op of an invalid graph is resolved");
     }
 
     #[test]

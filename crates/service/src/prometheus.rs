@@ -115,19 +115,12 @@ pub fn render(state: &ServiceState) -> String {
         "counter",
         "Single-flight outcomes, by coalescing group and role.",
     );
-    for (group, stats) in [("optimize", &flight.optimize), ("graph", &flight.graph)] {
+    let stats = &flight.optimize;
+    for (outcome, count) in
+        [("led", stats.led), ("coalesced", stats.coalesced), ("error", stats.errors)]
+    {
         let _ =
-            writeln!(out, "moptd_flight_total{{group=\"{group}\",outcome=\"led\"}} {}", stats.led);
-        let _ = writeln!(
-            out,
-            "moptd_flight_total{{group=\"{group}\",outcome=\"coalesced\"}} {}",
-            stats.coalesced
-        );
-        let _ = writeln!(
-            out,
-            "moptd_flight_total{{group=\"{group}\",outcome=\"error\"}} {}",
-            stats.errors
-        );
+            writeln!(out, "moptd_flight_total{{group=\"optimize\",outcome=\"{outcome}\"}} {count}");
     }
 
     family(
@@ -136,9 +129,7 @@ pub fn render(state: &ServiceState) -> String {
         "gauge",
         "Keys with a computation currently in flight, by coalescing group.",
     );
-    for (group, stats) in [("optimize", &flight.optimize), ("graph", &flight.graph)] {
-        let _ = writeln!(out, "moptd_flight_in_flight{{group=\"{group}\"}} {}", stats.in_flight);
-    }
+    let _ = writeln!(out, "moptd_flight_in_flight{{group=\"optimize\"}} {}", stats.in_flight);
 
     family(
         &mut out,
@@ -146,12 +137,8 @@ pub fn render(state: &ServiceState) -> String {
         "histogram",
         "How long coalesced callers waited on a leader's result, by group.",
     );
-    for (group, stats) in [("optimize", &flight.optimize), ("graph", &flight.graph)] {
-        if let Some(waits) = &stats.waiter_wait {
-            if waits.count > 0 {
-                histogram(&mut out, "moptd_flight_wait_micros", &[("group", group)], waits);
-            }
-        }
+    if let Some(waits) = stats.waiter_wait.as_ref().filter(|waits| waits.count > 0) {
+        histogram(&mut out, "moptd_flight_wait_micros", &[("group", "optimize")], waits);
     }
 
     family(&mut out, "moptd_in_flight_requests", "gauge", "Requests currently inside a handler.");

@@ -16,14 +16,12 @@ use std::time::{Duration, Instant};
 
 use conv_spec::benchmarks;
 use mopt_core::OptimizeResult;
-use mopt_graph::GraphPlan;
 use mopt_trace::{SpanNode, TraceContext, TraceRing};
 
 use crate::cache::{CacheKey, ScheduleCache};
 use crate::dbtier::DbTier;
 pub use crate::framing::MAX_REQUEST_BYTES;
 use crate::framing::{is_disconnect, oversized_reply, Frame, LineFramer};
-use crate::graphs::{GraphCacheKey, GraphPlanCache};
 use crate::metrics::ServiceMetrics;
 use crate::planning::{request_target, Problem};
 use crate::singleflight::{FlightBreakdown, SingleFlight};
@@ -37,8 +35,6 @@ pub const SLOW_LOG_CAPACITY: usize = 64;
 pub struct ServiceState {
     /// The schedule cache.
     pub cache: ScheduleCache,
-    /// The graph-plan cache (fingerprint-keyed) plus its counters.
-    pub graph_cache: GraphPlanCache,
     db: Option<Arc<DbTier>>,
     snapshot_path: Option<std::path::PathBuf>,
     /// Coalesces concurrent cold `Optimize` misses on one cache key into a
@@ -46,10 +42,6 @@ pub struct ServiceState {
     /// produced, so every waiter's response is bit-identical to the
     /// leader's.
     pub(crate) flight: SingleFlight<CacheKey, (Tier, OptimizeResult)>,
-    /// Coalesces concurrent cold `PlanGraph` misses on one plan key. The
-    /// value carries planning failures as `Err(message)` so waiters see the
-    /// same error the leader did.
-    pub(crate) graph_flight: SingleFlight<GraphCacheKey, Result<GraphPlan, String>>,
     metrics: ServiceMetrics,
     solve_delay_micros: AtomicU64,
     requests: AtomicU64,
@@ -67,19 +59,13 @@ pub struct ServiceState {
 }
 
 impl ServiceState {
-    /// Fresh state with a schedule cache of `capacity` entries. The
-    /// graph-plan cache is bounded at a quarter of that (at least 16):
-    /// plans are per-graph rather than per-shape, so far fewer are live,
-    /// but each carries every member schedule and must not accumulate
-    /// unboundedly under arbitrary inline-graph traffic.
+    /// Fresh state with a schedule cache of `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         ServiceState {
             cache: ScheduleCache::new(capacity),
-            graph_cache: GraphPlanCache::new((capacity / 4).max(16)),
             db: None,
             snapshot_path: None,
             flight: SingleFlight::new(),
-            graph_flight: SingleFlight::new(),
             metrics: ServiceMetrics::default(),
             solve_delay_micros: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -172,9 +158,9 @@ impl ServiceState {
         &self.metrics
     }
 
-    /// Flight counters of both single-flight groups.
+    /// Flight counters of the single-flight group.
     pub fn flight_stats(&self) -> FlightBreakdown {
-        FlightBreakdown { optimize: self.flight.stats(), graph: self.graph_flight.stats() }
+        FlightBreakdown { optimize: self.flight.stats() }
     }
 
     /// Test/benchmark hook: stall every led solve by `delay` before it runs,
@@ -382,7 +368,6 @@ impl ServiceState {
         ServiceStats {
             cache: self.cache.stats(),
             db: self.db.as_ref().map(|db| db.stats()),
-            graph: self.graph_cache.stats(),
             requests: self.requests(),
             uptime_seconds: self.uptime_seconds(),
             flight: Some(self.flight_stats()),
@@ -571,7 +556,6 @@ mod tests {
                 assert_eq!(stats.requests, 2);
                 assert_eq!(stats.cache.entries, 0);
                 assert_eq!(stats.cache.shard_evictions.len(), ScheduleCache::SHARDS);
-                assert_eq!(stats.graph.entries, 0);
             }
             other => panic!("expected Stats, got {other:?}"),
         }
@@ -748,7 +732,8 @@ mod tests {
     /// The traced reply is the untraced one with the tree in its trace slot,
     /// and an `Error` reply to a traced request is left alone. (`PlanNetwork`
     /// stamps a fresh wall clock on each reply; `serialize_identity.rs` holds
-    /// its traced reply to the attached form.)
+    /// its traced reply to the attached form. `PlanGraph` stamps a fresh
+    /// `plan_seconds`, masked below.)
     #[test]
     fn traced_reply_is_the_untraced_reply_plus_the_tree() {
         let state = tiny_state();
@@ -776,7 +761,21 @@ mod tests {
             };
             assert!(root.find("serialize").is_some(), "the encode is a child span: {root:?}");
             let head = untraced.strip_suffix("null}}").expect("an empty trace slot, last");
-            assert_eq!(reply, format!("{head}{}}}}}", serde_json::to_string(&root).unwrap()));
+            let expected = format!("{head}{}}}}}", serde_json::to_string(&root).unwrap());
+            assert_eq!(mask_plan_seconds(&reply), mask_plan_seconds(&expected));
+        }
+    }
+
+    /// `reply` with the number after `"plan_seconds":` cut out.
+    fn mask_plan_seconds(reply: &str) -> String {
+        const FIELD: &str = "\"plan_seconds\":";
+        match reply.find(FIELD) {
+            Some(at) => {
+                let (head, tail) = reply.split_at(at + FIELD.len());
+                let end = tail.find([',', '}']).expect("a number ends the field");
+                format!("{head}{}", &tail[end..])
+            }
+            None => reply.to_string(),
         }
     }
 

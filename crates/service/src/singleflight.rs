@@ -86,16 +86,13 @@ pub struct FlightStats {
     pub waiter_wait: Option<LatencySnapshot>,
 }
 
-/// Flight counters of both coalescing layers, reported under `Stats.flight`
-/// and inside `Metrics`.
+/// Flight counters of the one coalescing group, reported under
+/// `Stats.flight` and inside `Metrics`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FlightBreakdown {
-    /// The single-flight group in front of the schedule cache (`Optimize`
-    /// cold misses).
+    /// The single-flight group in front of the cold tiers (`Optimize` and
+    /// `Explain` misses).
     pub optimize: FlightStats,
-    /// The single-flight group in front of the graph-plan cache
-    /// (`PlanGraph` cold misses).
-    pub graph: FlightStats,
 }
 
 enum SlotState<V> {

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Since the spec-IR generalization, `Optimize` and `Explain` take a tagged
-//! `"spec"` payload (conv, matmul, pooling, or elementwise) as the primary
+//! `"spec"` payload (conv, matmul or pooling) as the primary
 //! problem form; the legacy flat `"shape"` field and Table-1 `"op"` names
 //! keep parsing and resolve to the *same* cache and database fingerprints,
 //! so pre-spec clients see bit-identical answers.
@@ -37,7 +37,6 @@ use serde::{Deserialize, Serialize};
 use crate::batch::{NamedLayer, NetworkPlan};
 use crate::cache::CacheStats;
 use crate::dbtier::DbTierStats;
-use crate::graphs::GraphServiceStats;
 use crate::metrics::{ErrorCounts, MetricsReport, Verb};
 use crate::singleflight::FlightBreakdown;
 
@@ -77,7 +76,7 @@ pub enum Request {
     /// [`OptimizerOptions::default`].
     Optimize {
         /// The problem as a tagged [`Spec`] — `{"Conv": ...}`,
-        /// `{"Matmul": ...}`, `{"Pool": ...}`, or `{"Elementwise": ...}`.
+        /// `{"Matmul": ...}` or `{"Pool": ...}`.
         /// Takes precedence over `op` and `shape`.
         spec: Option<Spec>,
         /// Table-1 operator name (e.g. `"Y0"`, `"R4*"`).
@@ -121,8 +120,8 @@ pub enum Request {
     },
     /// Plan a whole network *graph*: one segment per schedulable node, in
     /// producer → consumer chain order, each with its per-operator
-    /// schedule; the result is memoized by the graph's stable fingerprint.
-    /// The plan's fusion fields are constants (nothing is fused).
+    /// schedule, resolved through the tiers as `PlanNetwork` resolves its
+    /// layers. The plan's fusion fields are constants (nothing is fused).
     PlanGraph {
         /// Named block: `"mbv2-block1"` ... `"mbv2-block9"` (MobileNetV2
         /// inverted-residual stages) or `"resnet-r2"` etc. (residual blocks
@@ -135,8 +134,8 @@ pub enum Request {
         /// Optimizer options for the per-operator solves.
         options: Option<OptimizerOptions>,
         /// Thread count the plan targets (overrides `options.threads`):
-        /// the per-operator schedules' thread count. Joins both the
-        /// per-operator schedule-cache key and the graph-plan cache key.
+        /// the per-operator schedules' thread count. Joins the per-operator
+        /// schedule-cache key.
         threads: Option<usize>,
         /// Worker threads for the fresh per-operator solves (default: host
         /// parallelism).
@@ -310,15 +309,12 @@ pub struct ServiceStats {
     /// (`moptd --db`); `None` otherwise. Absent in pre-database stats
     /// documents, which still parse.
     pub db: Option<DbTierStats>,
-    /// Graph-planning counters (plan cache plus cumulative segment
-    /// count; the fusion counts are always 0).
-    pub graph: GraphServiceStats,
     /// Requests served (any type).
     pub requests: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
-    /// Single-flight coalescing counters for the schedule and graph-plan
-    /// tiers. `led` counts solves actually run, `coalesced` counts requests
+    /// Single-flight coalescing counters of the cold `Optimize`/`Explain`
+    /// path. `led` counts solves actually run, `coalesced` counts requests
     /// that shared a concurrent leader's solve instead of running their own
     /// — the number a bare hit/miss ratio cannot express, because a
     /// coalesced request is neither a warm hit nor an extra solve. Absent
@@ -408,7 +404,8 @@ pub enum Response {
     },
     /// Result of a `PlanGraph` request.
     GraphPlanned {
-        /// Whether the plan came from the graph-plan cache.
+        /// Whether every op's schedule came from the schedule cache
+        /// (tier 1).
         cached: bool,
         /// The per-operator graph plan.
         plan: GraphPlan,

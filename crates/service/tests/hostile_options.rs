@@ -8,6 +8,8 @@
 //! (flops that wrap to 0 in a release build and panic a worker in a checked
 //! one), as a conv shape, a matmul or a pool. A problem that is merely huge
 //! (extents of a million, nothing overflowing) is served, in bounded time.
+//! A problem of a retired class — an elementwise spec, an `I8` matmul — is
+//! one `Error` naming the class.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -159,9 +161,33 @@ fn overflow_lines() -> Vec<(String, &'static str)> {
     lines
 }
 
+/// Problems of the retired classes, as an `Optimize` spec and a
+/// `PlanNetwork` layer, with the class the `Error` must name. They fail as
+/// the line is parsed.
+fn retired_lines() -> [(&'static str, &'static str); 3] {
+    [
+        (
+            r#"{"Optimize":{"spec":{"Elementwise":{"op":"Relu","len":64,"strided":false}},"machine":{"Preset":"tiny"}}}"#,
+            "Elementwise",
+        ),
+        (
+            r#"{"PlanNetwork":{"layers":[{"name":"a","spec":{"Elementwise":{"op":"Add","len":64,"strided":false}}}],"machine":{"Preset":"tiny"}}}"#,
+            "Elementwise",
+        ),
+        (
+            r#"{"Optimize":{"spec":{"Matmul":{"m":8,"n":4,"k":6,"dtype":"I8"}},"machine":{"Preset":"tiny"}}}"#,
+            "I8",
+        ),
+    ]
+}
+
 /// Every hostile line, in the order the replies are checked.
 fn all_lines() -> Vec<String> {
-    hostile_lines().into_iter().chain(overflow_lines().into_iter().map(|(line, _)| line)).collect()
+    hostile_lines()
+        .into_iter()
+        .chain(overflow_lines().into_iter().map(|(line, _)| line))
+        .chain(retired_lines().map(|(line, _)| line.to_string()))
+        .collect()
 }
 
 /// `replies`: one per hostile line, then the `Stats` and `Ping` that
@@ -194,21 +220,33 @@ fn assert_rejected_and_still_serving(replies: &[Response]) {
             other => panic!("{line}: expected Error, got {other:?}"),
         }
     }
+    let retired = retired_lines();
+    let (errors, rest) = rest.split_at(retired.len());
+    for (reply, (line, class)) in errors.iter().zip(retired) {
+        match reply {
+            Response::Error { message } => assert!(
+                message.starts_with("bad request: ")
+                    && message.contains(&format!("the {class} "))
+                    && message.contains("is retired"),
+                "{line}: {message}"
+            ),
+            other => panic!("{line}: expected Error, got {other:?}"),
+        }
+    }
     let [Response::Stats { stats }, Response::Pong { .. }] = rest else {
         panic!("expected Stats then Pong on the same connection, got {rest:?}");
     };
-    let ServiceStats { cache, db, flight, errors, graph, .. } = stats;
-    assert_eq!((cache.insertions, cache.entries), (0, 0));
+    let ServiceStats { cache, db, flight, errors, .. } = stats;
+    assert_eq!((cache.hits, cache.misses, cache.insertions, cache.entries), (0, 0, 0, 0));
     let db = db.as_ref().expect("a database is attached");
     assert_eq!((db.hits, db.misses, db.inserts, db.errors), (0, 0, 0, 0));
     let flight = flight.as_ref().expect("flight counters present");
-    assert_eq!((flight.optimize.led, flight.graph.led), (0, 0));
-    assert_eq!((graph.hits, graph.misses), (0, 0));
+    assert_eq!(flight.optimize.led, 0);
     let errors = errors.as_ref().expect("error counters present");
     // The graph's matmul and pool nodes are `PlanGraph`'s own errors; every
     // other oversized problem never parsed into a request.
     assert_eq!(by_verb, 2);
-    assert_eq!(errors.parse_errors, overflows.len() as u64 - by_verb);
+    assert_eq!(errors.parse_errors, (overflows.len() + retired.len()) as u64 - by_verb);
     for verb in VERBS {
         let count = errors.verbs.iter().find(|v| v.verb == verb).map(|v| v.count);
         let own = if verb == "PlanGraph" { by_verb } else { 0 };

@@ -371,7 +371,8 @@ fn serde_round_trips_are_exact() {
 /// A `PlanGraph` request for a real MobileNetV2 inverted-residual block,
 /// served end-to-end through the `moptd` binary over stdio, returns one
 /// segment per operator with nothing fused, and every served schedule
-/// executes on `TiledConv` to the naive reference's result.
+/// executes on `TiledConv` to the naive reference's result. The repeat is
+/// answered from the schedule cache alone: the same plan, `cached`.
 #[test]
 fn moptd_plan_graph_per_op_schedules_execute_correctly() {
     use mopt_graph::GraphPlan;
@@ -407,8 +408,8 @@ fn moptd_plan_graph_per_op_schedules_execute_correctly() {
     let (cold_cached, plan) = parse(&lines[0]);
     let (warm_cached, warm) = parse(&lines[1]);
     assert!(!cold_cached);
-    assert!(warm_cached, "second identical request must hit the graph-plan cache");
-    assert_eq!(plan, warm);
+    assert!(warm_cached, "every op of the repeat is a schedule-cache hit");
+    assert_eq!(GraphPlan { plan_seconds: plan.plan_seconds, ..warm }, plan);
 
     assert_eq!(plan.graph, "mbv2-block5");
     assert_eq!(plan.segments.len(), 3);
