@@ -6,7 +6,7 @@
 //! **true depthwise** convolutions of the network (`groups == c == k`)
 //! instead of the paper's regular-conv2d stand-ins; the stand-ins remain
 //! available as deprecated aliases (`M1pw` ... `M9pw`,
-//! [`mobilenet_pointwise_form`]) so existing snapshots and scripts that key
+//! [`mobilenet_pointwise_form`]) so existing database records and scripts that key
 //! on the dense shapes stay warm.
 //!
 //! Two further suites exercise the generalized convolution support:
@@ -199,7 +199,7 @@ pub fn mobilenet() -> Vec<BenchmarkOp> {
 /// Deprecated: the paper's regular-conv2d ("pointwise form") stand-ins for
 /// the MobileNet depthwise stages, under the alias names `M1pw` ... `M9pw`.
 ///
-/// Kept so that schedule-cache snapshots and scripts built against the dense
+/// Kept so that database records and scripts built against the dense
 /// shapes keep resolving (and staying warm); new work should use
 /// [`mobilenet`] (true depthwise) instead.
 #[deprecated(note = "use mobilenet() — the true depthwise shapes — instead")]

@@ -142,7 +142,7 @@ impl KernelLayout {
 /// The default (`In`/`Out` in NCHW, `Ker` in KCRS) reproduces the paper's
 /// fixed-layout model bit for bit; every serialized form omits nothing, but
 /// deserialization treats a missing `layout` field as this default so
-/// pre-layout snapshots, db pages, and wire fixtures keep parsing unchanged.
+/// pre-layout db pages and wire fixtures keep parsing unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayoutConfig {
     /// Layout of the input feature map.

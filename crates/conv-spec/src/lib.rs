@@ -91,7 +91,7 @@ pub fn normalized_name(name: &str) -> String {
 /// The one FNV-1a 64-bit hash behind every stable fingerprint and checksum
 /// of the workspace (shape, spec, machine and graph fingerprints, database
 /// page checksums). Not `std::hash`, whose SipHash keys are randomized per
-/// process: cache keys, snapshots and database pages persist these values.
+/// process: database pages persist these values.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 

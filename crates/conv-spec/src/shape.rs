@@ -555,7 +555,7 @@ impl ConvShape {
 
 // Serde is written by hand (the derive would make `dilation` and `groups`
 // required fields): both are optional on the wire and default to 1, so JSON
-// produced before the generalization — requests, snapshots, cached plans —
+// produced before the generalization — requests, db pages, cached plans —
 // still deserializes to the same dense shape.
 impl Serialize for ConvShape {
     fn serialize<S: serde::Sink>(&self, sink: &mut S) {

@@ -26,8 +26,8 @@
 //! [`Spec::embedded_conv_shape`] realizes the embedding;
 //! [`Spec::fingerprint`] keys caches and the persistent database, with
 //! `Spec::Conv` fingerprinting **bit-identically** to the bare
-//! [`ConvShape`] it wraps so every pre-existing cache entry, snapshot, and
-//! database page stays valid. On the wire a spec is a tagged single-key
+//! [`ConvShape`] it wraps so every pre-existing cache entry and database
+//! page stays valid. On the wire a spec is a tagged single-key
 //! object (`{"Conv": {...}}`, `{"Matmul": {...}}`, ...); a bare conv-shape
 //! object is accepted as a legacy alias for `Spec::Conv`.
 
@@ -169,8 +169,8 @@ impl Spec {
     /// Stable FNV-1a fingerprint.
     ///
     /// `Spec::Conv` hashes **exactly** like the bare [`ConvShape`]
-    /// (`shape.fingerprint()`, no variant tag), so cache keys, snapshots,
-    /// and database pages written before the spec IR existed keep resolving
+    /// (`shape.fingerprint()`, no variant tag), so cache keys and database
+    /// pages written before the spec IR existed keep resolving
     /// to the same entries. The other variants fold a variant tag byte first
     /// so a matmul can never collide with the conv it embeds into.
     pub fn fingerprint(&self) -> u64 {
@@ -222,8 +222,8 @@ impl Spec {
 }
 
 /// The one wire rule for a problem embedded as a field of a larger object
-/// (a cache key, a named layer): convolutions keep the legacy flat `"shape"`
-/// field — byte-identical to pre-spec snapshots, db pages and requests —
+/// (a named layer): convolutions keep the legacy flat `"shape"` field —
+/// byte-identical to pre-spec replies and requests —
 /// anything else is a tagged `"spec"` field, and parsing accepts either.
 impl Spec {
     /// Write this problem as one field — name, then value — of the object

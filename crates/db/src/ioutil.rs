@@ -1,9 +1,8 @@
 //! Atomic file replacement with temp-file hygiene.
 //!
-//! Shared by the database's page writer and the service's snapshot writer
-//! (`mopt_service::persist` delegates here): writes go to a uniquely named
-//! temporary sibling (`{stem}.tmp.{pid}.{seq}`) that is fsynced and renamed
-//! into place, so a crash mid-write never corrupts an existing file, racing
+//! The database's page writer: writes go to a uniquely named temporary
+//! sibling (`{stem}.tmp.{pid}.{seq}`) that is fsynced and renamed into
+//! place, so a crash mid-write never corrupts an existing file, racing
 //! writers never interleave into one file, and a failed write never leaks
 //! its temp.
 
@@ -81,6 +80,23 @@ mod tests {
         atomic_write(&path, "first").unwrap();
         atomic_write(&path, "second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_writes_leave_one_complete_file() {
+        let path = temp_path("concurrent");
+        let payloads: Vec<String> = (0..8).map(|i| format!("{i}").repeat(4096)).collect();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                scope.spawn(|| atomic_write(&path, payload).unwrap());
+            }
+        });
+        // Whichever write won the final rename, the file is one writer's
+        // complete payload, never an interleaving.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(payloads.contains(&text), "torn write of {} bytes", text.len());
+        assert_eq!(remove_stale_temps(&path).unwrap(), 0, "no write leaked its temp");
         std::fs::remove_file(&path).ok();
     }
 

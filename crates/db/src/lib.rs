@@ -17,9 +17,8 @@
 //!   [`conv_spec::SpecTransform`].
 //! * **Paged storage** ([`store`]): entries live in page files keyed by
 //!   `fingerprint % pages`, each with a versioned header and an FNV-1a
-//!   checksum, replaced atomically (temp file + rename — the same hygiene
-//!   as the service's snapshot writer, shared via [`ioutil`]). An in-memory
-//!   page LRU keeps hot lookups off disk.
+//!   checksum, replaced atomically (temp file + rename, via [`ioutil`]). An
+//!   in-memory page LRU keeps hot lookups off disk.
 //! * **Re-ranking** ([`mod@rerank`]): entries are stored stripped to their
 //!   sequential canonical form; a query at any `threads`/options setting is
 //!   answered by rewriting the candidates to the raw shape, repairing them

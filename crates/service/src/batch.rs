@@ -62,7 +62,7 @@ impl From<&BenchmarkOp> for NamedLayer {
 }
 
 // The problem field follows the one wire rule in `Spec::{serialize_field,
-// from_fields}`, as `CacheKey` does.
+// from_fields}`.
 impl Serialize for NamedLayer {
     fn serialize<S: serde::Sink>(&self, sink: &mut S) {
         sink.begin_object();

@@ -9,23 +9,19 @@
 //! `SIGINT`/`SIGTERM` the loop stops accepting, drains in-flight and
 //! pipelined work, flushes every response, persists state, and exits.
 //!
-//! Persistence: `--snapshot PATH` names a whole-file JSON snapshot of the
-//! cache. It is loaded at startup (if present) and saved on every `"Save"`
-//! request, at shutdown, at stdin EOF in `--stdio` mode, and by a
-//! background autosaver every 30 seconds while the cache is dirty.
-//! Incremental durable state is the schedule database's job (`--db`, whose
-//! flush rewrites only dirty pages).
-//!
-//! With `--db DIR` the persistent schedule database is attached as the warm
-//! tier between the cache and the optimizer: cache misses are answered from
-//! stored canonicalized top-k entries (re-ranked for the request's thread
-//! count) before the optimizer is ever invoked, fresh solves are written
-//! through, and dirty pages are flushed wherever the snapshot is saved.
-//! Pre-populate the database offline with `mopt-plan-world`.
+//! Persistence is the schedule database's alone (`--db DIR`). It is the
+//! warm tier between the cache and the optimizer: cache misses are answered
+//! from stored canonicalized top-k entries (re-ranked for the request's
+//! thread count) before the optimizer is ever invoked, and fresh solves are
+//! written through. Its dirty pages are flushed on every `"Save"` request, at
+//! shutdown, at stdin EOF in `--stdio` mode, and by a background autosaver
+//! every 30 seconds while solves keep landing. A restarted process answers
+//! what its predecessor solved from the database. Pre-populate it offline
+//! with `mopt-plan-world`.
 //!
 //! ```text
-//! moptd --stdio [--snapshot cache.json] [--db specs.db]
-//! moptd --listen 127.0.0.1:7077 [--workers N] [--snapshot cache.json] [--db specs.db]
+//! moptd --stdio [--db specs.db]
+//! moptd --listen 127.0.0.1:7077 [--workers N] [--db specs.db]
 //!
 //! echo '{"Optimize": {"op": "Y0", "machine": {"Preset": "i7-9700k"}}}' | moptd --stdio
 //! ```
@@ -49,7 +45,6 @@ use mopt_service::{EventLoopServer, ServerConfig, ServiceState};
 struct Args {
     stdio: bool,
     listen: Option<String>,
-    snapshot: Option<std::path::PathBuf>,
     db: Option<std::path::PathBuf>,
     capacity: usize,
     workers: usize,
@@ -57,24 +52,14 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        stdio: false,
-        listen: None,
-        snapshot: None,
-        db: None,
-        capacity: 4096,
-        workers: 0,
-        slow_ms: 0,
-    };
+    let mut args =
+        Args { stdio: false, listen: None, db: None, capacity: 4096, workers: 0, slow_ms: 0 };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--stdio" => args.stdio = true,
             "--listen" => {
                 args.listen = Some(it.next().ok_or("--listen needs an address")?);
-            }
-            "--snapshot" => {
-                args.snapshot = Some(it.next().ok_or("--snapshot needs a path")?.into());
             }
             "--db" => {
                 args.db = Some(it.next().ok_or("--db needs a directory path")?.into());
@@ -106,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
                      USAGE:\n  moptd --stdio [OPTIONS]\n  \
                      moptd --listen ADDR [--workers N] [OPTIONS]\n\n\
                      OPTIONS:\n  \
-                     --snapshot PATH      whole-file cache snapshot\n  \
                      --db DIR             persistent schedule database (see mopt-plan-world)\n  \
                      --capacity N         schedule cache capacity (default 4096)\n  \
                      --workers N          TCP request workers (default: CPU count, max 8)\n  \
@@ -138,22 +122,6 @@ fn main() {
     };
 
     let mut state = ServiceState::new(args.capacity);
-    if let Some(path) = &args.snapshot {
-        state = match state.with_snapshot(path.clone()) {
-            Ok(state) => {
-                eprintln!(
-                    "moptd: snapshot {} loaded ({} entries)",
-                    path.display(),
-                    state.cache.len()
-                );
-                state
-            }
-            Err(e) => {
-                eprintln!("moptd: cannot load snapshot {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-    }
     if let Some(path) = &args.db {
         state = match state.with_db(path.clone()) {
             Ok(state) => {
@@ -180,16 +148,16 @@ fn main() {
         let conn_guard = state.metrics().connection_opened();
         // Client disconnects (stdin EOF, broken pipe on stdout) come back as
         // Ok(()) from serve_connection; either way the shutdown is graceful:
-        // persist the cache and exit 0.
+        // flush the database and exit 0.
         match state.serve_connection(stdin.lock(), stdout.lock()) {
             Ok(()) => eprintln!("moptd: stdin closed, shutting down"),
             Err(e) => eprintln!("moptd: stdio loop failed: {e}"),
         }
         drop(conn_guard);
-        // A failed final persist is real data loss in one-shot stdio mode
+        // A failed final flush is real data loss in one-shot stdio mode
         // (there is no autosaver to retry): exit nonzero so pipelines see
         // the failure.
-        if !persist_cache(&state) {
+        if !flush_db(&state) {
             std::process::exit(1);
         }
         return;
@@ -208,18 +176,19 @@ fn main() {
     #[cfg(unix)]
     sig::install(server.shutdown_handle());
 
-    if args.snapshot.is_some() {
+    if state.db().is_some() {
         // The autosaver bounds data loss from an abrupt (`SIGKILL`) death;
-        // SIGINT/SIGTERM persist via the post-drain save below.
+        // SIGINT/SIGTERM flush via the post-drain flush below.
         let state = Arc::clone(&state);
         std::thread::spawn(move || {
-            let mut saved_insertions = state.cache.stats().insertions;
+            let inserts = || state.db().map_or(0, |db| db.stats().inserts);
+            let mut flushed_inserts = inserts();
             loop {
                 std::thread::sleep(std::time::Duration::from_secs(30));
-                let insertions = state.cache.stats().insertions;
-                if insertions != saved_insertions {
-                    saved_insertions = insertions;
-                    persist_cache(&state);
+                let now = inserts();
+                if now != flushed_inserts {
+                    flushed_inserts = now;
+                    flush_db(&state);
                 }
             }
         });
@@ -230,8 +199,8 @@ fn main() {
         Err(e) => eprintln!("moptd: event loop failed: {e}"),
     }
     // The loop has drained: every accepted request got its response flushed.
-    // A failed persist here is data loss, so surface it in the exit code.
-    if !persist_cache(&state) {
+    // A failed flush here is data loss, so surface it in the exit code.
+    if !flush_db(&state) {
         std::process::exit(1);
     }
 }
@@ -269,25 +238,18 @@ mod sig {
     }
 }
 
-fn persist_cache(state: &ServiceState) -> bool {
-    let mut ok = true;
-    match state.save() {
-        Ok(Some(entries)) => eprintln!("moptd: snapshot saved ({entries} entries)"),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("moptd: snapshot save failed: {e}");
-            ok = false;
+/// Flush the schedule database's dirty pages, if one is attached. Returns
+/// `false` when the flush failed.
+fn flush_db(state: &ServiceState) -> bool {
+    match state.db().map(|db| db.flush()) {
+        None | Some(Ok(0)) => true,
+        Some(Ok(pages)) => {
+            eprintln!("moptd: schedule database flushed ({pages} pages)");
+            true
+        }
+        Some(Err(e)) => {
+            eprintln!("moptd: schedule database flush failed: {e}");
+            false
         }
     }
-    if let Some(db) = state.db() {
-        match db.flush() {
-            Ok(0) => {}
-            Ok(pages) => eprintln!("moptd: schedule database flushed ({pages} pages)"),
-            Err(e) => {
-                eprintln!("moptd: schedule database flush failed: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
 }

@@ -37,11 +37,9 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The canonical cache key: everything the optimizer's output depends on.
 ///
 /// Since the spec-IR generalization the problem slot holds a [`Spec`] (conv,
-/// matmul or pooling), not just a [`conv_spec::ConvShape`]. The wire/disk
-/// form stays backward compatible in both directions through
-/// [`Spec::serialize_field`] / [`Spec::from_fields`]: old snapshots load, and
-/// snapshots holding only conv entries are byte-identical to what the
-/// pre-spec format wrote.
+/// matmul or pooling), not just a [`conv_spec::ConvShape`]. A key lives only
+/// in memory: what survives a restart is the schedule database's record of
+/// the canonical spec (see [`crate::dbtier`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The optimization problem.
@@ -67,28 +65,6 @@ impl CacheKey {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.hash(&mut hasher);
         (hasher.finish() as usize) % shards
-    }
-}
-
-impl Serialize for CacheKey {
-    fn serialize<S: serde::Sink>(&self, sink: &mut S) {
-        sink.begin_object();
-        self.spec.serialize_field(sink);
-        sink.field("machine_fingerprint", &self.machine_fingerprint);
-        sink.field("options", &self.options);
-        sink.end_object();
-    }
-}
-
-impl Deserialize for CacheKey {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let pairs =
-            v.as_object().ok_or_else(|| serde::DeError::expected("an object", "CacheKey"))?;
-        Ok(CacheKey {
-            spec: Spec::from_fields(pairs, "CacheKey")?,
-            machine_fingerprint: serde::de_field(pairs, "machine_fingerprint", "CacheKey")?,
-            options: serde::de_field(pairs, "options", "CacheKey")?,
-        })
     }
 }
 
@@ -200,11 +176,6 @@ impl<K: std::cmp::Eq + Hash + Clone, V> LruMap<K, V> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
-    }
-
-    /// Every resident `(key, value, last_used)` triple, unordered.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V, u64)> {
-        self.entries.iter().map(|(k, (v, used))| (k, v, *used))
     }
 }
 
@@ -324,18 +295,6 @@ impl ScheduleCache {
         }
     }
 
-    /// Every resident `(key, result)` pair, in recency order (least recently
-    /// used first) so that re-inserting in order preserves eviction order.
-    pub fn entries(&self) -> Vec<(CacheKey, OptimizeResult)> {
-        let mut all: Vec<(CacheKey, OptimizeResult, u64)> = Vec::new();
-        for shard in &self.shards {
-            let shard = lock_recover(shard);
-            all.extend(shard.iter().map(|(k, v, used)| (k.clone(), v.clone(), used)));
-        }
-        all.sort_by_key(|(_, _, used)| *used);
-        all.into_iter().map(|(k, r, _)| (k, r)).collect()
-    }
-
     fn lock_shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard> {
         lock_recover(&self.shards[key.shard_index(Self::SHARDS)])
     }
@@ -355,12 +314,12 @@ impl std::fmt::Debug for ScheduleCache {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use conv_spec::{ConvShape, TileConfig};
     use mopt_core::OptimizedConfig;
 
-    pub(crate) fn dummy_result(shape: &ConvShape, cost: f64) -> OptimizeResult {
+    fn dummy_result(shape: &ConvShape, cost: f64) -> OptimizeResult {
         use mopt_core::optimizer::heuristic_config;
         let machine = MachineModel::tiny_test_machine();
         let config: TileConfig = heuristic_config(shape, &machine);
@@ -491,7 +450,8 @@ pub(crate) mod tests {
                 }
                 model.insert(key, tick);
             }
-            let mut resident: Vec<(u32, u64)> = map.iter().map(|(k, _, used)| (*k, used)).collect();
+            let mut resident: Vec<(u32, u64)> =
+                map.entries.iter().map(|(k, (_, used))| (*k, *used)).collect();
             let mut expected: Vec<(u32, u64)> = model.iter().map(|(k, used)| (*k, *used)).collect();
             resident.sort_unstable();
             expected.sort_unstable();
@@ -596,7 +556,6 @@ pub(crate) mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.shard_evictions.len(), ScheduleCache::SHARDS);
-        assert_eq!(cache.entries().len(), 1);
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -618,21 +577,5 @@ pub(crate) mod tests {
         let odd = ScheduleCache::new(ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().requested_capacity, ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().capacity, 2 * ScheduleCache::SHARDS);
-    }
-
-    #[test]
-    fn entries_round_trip_in_recency_order() {
-        let cache = ScheduleCache::new(64);
-        let keys: Vec<CacheKey> = (1..=8).map(key_for).collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), dummy_result(&key.spec.embedded_conv_shape(), i as f64));
-        }
-        // Touch the first key so it becomes most recent.
-        let _ = cache.get(&keys[0]);
-        let entries = cache.entries();
-        assert_eq!(entries.len(), 8);
-        assert_eq!(entries.last().unwrap().0, keys[0]);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 }

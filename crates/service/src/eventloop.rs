@@ -37,9 +37,9 @@
 //! * **graceful drain.** [`ShutdownHandle::shutdown`] stops the accept loop
 //!   and all request reading, lets every in-flight and already-pipelined
 //!   request finish, flushes each connection's responses, then returns from
-//!   [`EventLoopServer::run`] so the caller can persist a final snapshot. A
-//!   connection that refuses to drain (a peer that never reads) is
-//!   force-closed after [`ServerConfig::drain_grace`].
+//!   [`EventLoopServer::run`] so the caller can flush the schedule database
+//!   one last time. A connection that refuses to drain (a peer that never
+//!   reads) is force-closed after [`ServerConfig::drain_grace`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};

@@ -6,12 +6,10 @@
 //! * [`cache`] — a sharded, thread-safe LRU cache of [`mopt_core::OptimizeResult`]s
 //!   keyed by `(shape, machine fingerprint, optimizer options)`, with
 //!   hit/miss/eviction counters,
-//! * [`persist`] — versioned JSON snapshots so a warm cache survives
-//!   process restarts,
-//! * [`dbtier`] — the warm tier between the cache and the optimizer: a
-//!   persistent, canonicalized top-k schedule database ([`mopt_db`]) whose
-//!   stored entries are re-ranked for the request's thread count instead of
-//!   re-solved,
+//! * [`dbtier`] — the warm tier between the cache and the optimizer and the
+//!   one durable store: a persistent, canonicalized top-k schedule database
+//!   ([`mopt_db`]) whose stored entries are re-ranked for the request's
+//!   thread count instead of re-solved, so a warm answer survives a restart,
 //! * [`batch`] — a whole-network planner that dedupes identical layer
 //!   shapes and fans the unique solves across a `std::thread` worker pool,
 //! * [`singleflight`] — per-key coalescing of duplicate in-flight
@@ -40,8 +38,8 @@
 //!
 //! Shapes on the wire carry optional `dilation` and `groups` fields
 //! (defaulting to 1), so the protocol serves depthwise and dilated
-//! convolutions while requests and snapshots written before the
-//! generalization keep parsing — and keep hitting the same cache entries.
+//! convolutions while requests and database pages written before the
+//! generalization keep parsing — and keep hitting the same entries.
 //! See `docs/PROTOCOL.md` at the repository root for the full JSON-lines
 //! protocol.
 //!
@@ -74,7 +72,6 @@ pub mod dbtier;
 pub mod eventloop;
 mod framing;
 pub mod metrics;
-pub mod persist;
 mod planning;
 pub mod prometheus;
 pub mod server;
@@ -87,7 +84,6 @@ pub use cache::{CacheKey, CacheStats, ScheduleCache};
 pub use dbtier::{DbTier, DbTierStats};
 pub use eventloop::{EventLoopServer, ServerConfig, ShutdownHandle};
 pub use metrics::{MetricsReport, ServiceMetrics};
-pub use persist::{load_snapshot, save_snapshot, PersistError, Snapshot};
 pub use server::{ServiceState, MAX_REQUEST_BYTES, SLOW_LOG_CAPACITY};
 pub use singleflight::{FlightBreakdown, FlightStats, SingleFlight};
 pub use wire::{MachineSpec, Request, Response, ServiceStats, SlowTrace, Tier};

@@ -568,10 +568,9 @@ mod tests {
             matches!(warm, Response::Optimized { tier: Some(Tier::Cache), cached: true, .. }),
             "repeat must be a cache hit, got {warm:?}"
         );
-        // Save flushes the dirty db pages (no snapshot configured: 0
-        // snapshot entries, but Saved rather than Error).
+        // Save flushes the dirty db pages and counts the one resident entry.
         let saved: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(saved, Response::Saved { entries: 0 });
+        assert_eq!(saved, Response::Saved { entries: 1 });
         // A cold process: empty cache, but the database answers without a
         // single optimizer run — and Stats shows the db-tier hit.
         let cold = ServiceState::new(64).with_db(dir.clone()).unwrap();
@@ -810,7 +809,8 @@ mod tests {
                     other => panic!("expected a solver-tier answer, got {other:?}"),
                 }
             }
-            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries: 0 });
+            let entries = shapes.len();
+            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries });
             let cold = ServiceState::new(64).with_db(dir.clone()).unwrap();
             for (body, best) in &solved {
                 let reply = cold.handle_line(&format!("{{\"Optimize\": {body}}}"));
@@ -874,7 +874,7 @@ mod tests {
                 Response::Optimized { tier: Some(Tier::Solver), result, .. } => result,
                 other => panic!("expected a solver-tier answer, got {other:?}"),
             };
-            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries: 0 });
+            assert_eq!(solver.handle(&Request::Save), Response::Saved { entries: 1 });
             let cold = ServiceState::new(64).with_db(dir.clone()).unwrap();
             let reply = cold.handle_line(&format!("{{\"Optimize\": {body}}}"));
             match serde_json::from_str(&reply).unwrap() {

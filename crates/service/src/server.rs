@@ -30,13 +30,13 @@ use crate::wire::{Request, Response, ServiceStats, SlowTrace, SuiteOp, Tier};
 /// How many slow-request traces the `Trace` verb retains (newest win).
 pub const SLOW_LOG_CAPACITY: usize = 64;
 
-/// Shared server state: the schedule cache plus counters and the snapshot
-/// location. Designed to sit in an `Arc` shared by connection threads.
+/// Shared server state: the schedule cache, the optional schedule database
+/// and the counters. Designed to sit in an `Arc` shared by connection
+/// threads.
 pub struct ServiceState {
     /// The schedule cache.
     pub cache: ScheduleCache,
     db: Option<Arc<DbTier>>,
-    snapshot_path: Option<std::path::PathBuf>,
     /// Coalesces concurrent cold `Optimize` misses on one cache key into a
     /// single solve. The value is the `(tier, result)` pair the leader
     /// produced, so every waiter's response is bit-identical to the
@@ -64,7 +64,6 @@ impl ServiceState {
         ServiceState {
             cache: ScheduleCache::new(capacity),
             db: None,
-            snapshot_path: None,
             flight: SingleFlight::new(),
             metrics: ServiceMetrics::default(),
             solve_delay_micros: AtomicU64::new(0),
@@ -129,24 +128,6 @@ impl ServiceState {
         self.db.as_deref()
     }
 
-    /// Attach a snapshot path: reaps temp files a killed predecessor left
-    /// next to it, loads any existing snapshot (ignoring a missing file),
-    /// and enables the `Save` request.
-    pub fn with_snapshot(
-        mut self,
-        path: std::path::PathBuf,
-    ) -> Result<Self, crate::persist::PersistError> {
-        mopt_db::ioutil::remove_stale_temps(&path).ok();
-        match crate::persist::load_snapshot(&self.cache, &path) {
-            Ok(_) => {}
-            Err(crate::persist::PersistError::Io(e))
-                if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        self.snapshot_path = Some(path);
-        Ok(self)
-    }
-
     /// Requests served so far.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
@@ -177,15 +158,6 @@ impl ServiceState {
         let micros = self.solve_delay_micros.load(Ordering::Relaxed);
         if micros > 0 {
             std::thread::sleep(std::time::Duration::from_micros(micros));
-        }
-    }
-
-    /// Persist the cache if a snapshot path is configured. Returns the number
-    /// of entries written, or `None` when unconfigured.
-    pub fn save(&self) -> Result<Option<usize>, crate::persist::PersistError> {
-        match &self.snapshot_path {
-            Some(path) => crate::persist::save_snapshot(&self.cache, path).map(Some),
-            None => Ok(None),
         }
     }
 
@@ -295,20 +267,14 @@ impl ServiceState {
                 })
             }
             Request::Save => {
-                // Flush dirty database pages first; a failure is a real
-                // durability loss and must surface as an Error, not a log
-                // line.
-                if let Some(db) = &self.db {
-                    db.flush().map_err(|e| format!("database flush failed: {e}"))?;
-                }
-                match self.save().map_err(|e| e.to_string())? {
-                    Some(entries) => Ok(Response::Saved { entries }),
-                    None if self.db.is_some() => Ok(Response::Saved { entries: 0 }),
-                    None => {
-                        Err("no snapshot path configured (start moptd with --snapshot or --db)"
-                            .into())
-                    }
-                }
+                // Every resident entry was answered by the database or
+                // written through to it (a failed write-through counts under
+                // `Stats.db.errors`), so flushing the dirty pages makes them
+                // durable. A failed flush is a real durability loss and must
+                // surface as an Error, not a log line.
+                let db = self.db.as_ref().ok_or("no schedule database (start moptd with --db)")?;
+                db.flush().map_err(|e| format!("database flush failed: {e}"))?;
+                Ok(Response::Saved { entries: self.cache.len() })
             }
             Request::Suites => Ok(Response::Suites {
                 suites: benchmarks::suite_names().map(str::to_string).collect(),
@@ -527,7 +493,6 @@ fn write_line<W: Write>(writer: &mut W, reply: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conv_spec::ConvShape;
     use mopt_core::OptimizerOptions;
 
     fn tiny_state() -> ServiceState {
@@ -623,26 +588,25 @@ mod tests {
     }
 
     #[test]
-    fn save_failure_reports_the_path_and_cause() {
-        // Snapshot path inside a directory that does not exist: startup is
-        // a clean NotFound, but the save itself fails — and the failure
-        // must come back as a JSON Error naming the path, not vanish into
-        // a server-side log line.
-        let missing = std::env::temp_dir()
-            .join(format!("moptd-no-such-dir-{}", std::process::id()))
-            .join("snap.json");
-        let state = ServiceState::new(16).with_snapshot(missing.clone()).unwrap();
-        let response: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        match response {
-            Response::Error { message } => {
-                assert!(
-                    message.contains("snap.json"),
-                    "the Error must name the failing path, got: {message}"
-                );
-                assert!(message.contains("snapshot I/O error"), "got: {message}");
-            }
+    fn save_without_a_database_or_with_a_failing_flush_is_an_error() {
+        let save = |state: &ServiceState| match serde_json::from_str(&state.handle_line("\"Save\""))
+        {
+            Ok(Response::Error { message }) => message,
             other => panic!("expected Error, got {other:?}"),
-        }
+        };
+        assert!(save(&tiny_state()).contains("--db"));
+        // A flush that cannot write its page comes back as a JSON Error with
+        // the cause, not a server-side log line.
+        let dir = std::env::temp_dir().join(format!("moptd-save-fails-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let state = ServiceState::new(16).with_db(dir.clone()).unwrap();
+        state.handle_line(&format!(
+            "{{\"Optimize\": {{\"op\": \"M9\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
+            fast_options_json(),
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let message = save(&state);
+        assert!(message.contains("database flush failed"), "got: {message}");
     }
 
     #[test]
@@ -668,28 +632,6 @@ mod tests {
             }
             other => panic!("expected Metrics, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn snapshot_save_via_request() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("moptd-save-req-{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let state = ServiceState::new(16).with_snapshot(path.clone()).unwrap();
-        let line = format!(
-            "{{\"Optimize\": {{\"shape\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
-            serde_json::to_string(&ConvShape::new(1, 4, 4, 3, 3, 8, 8, 1).unwrap()).unwrap(),
-            fast_options_json(),
-        );
-        state.handle_line(&line);
-        let response: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(response, Response::Saved { entries: 1 });
-        // A fresh state with the same path starts warm.
-        let rewarmed = ServiceState::new(16).with_snapshot(path.clone()).unwrap();
-        assert_eq!(rewarmed.cache.len(), 1);
-        let warm: Response = serde_json::from_str(&rewarmed.handle_line(&line)).unwrap();
-        assert!(matches!(warm, Response::Optimized { cached: true, .. }));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -183,7 +183,8 @@ pub enum Request {
     /// and every named operator, with deprecation flags (the `M1pw`–`M9pw`
     /// dense stand-ins are still served but deprecated).
     Suites,
-    /// Persist the cache to the server's snapshot path now.
+    /// Flush the schedule database's dirty pages now (an `Error` without
+    /// `--db`).
     Save,
     /// Liveness check.
     Ping,
@@ -473,9 +474,10 @@ pub enum Response {
         /// deprecated aliases), with its suite and deprecation flag.
         ops: Vec<SuiteOp>,
     },
-    /// Result of a `Save` request: entries persisted.
+    /// Result of a `Save` request: the schedule database is flushed.
     Saved {
-        /// Number of entries written.
+        /// Resident schedule-cache entries, each of them answered by the
+        /// database or written through to it.
         entries: usize,
     },
     /// Reply to `Ping`.

@@ -7,7 +7,8 @@
 //!   oversized lines hurt nobody but themselves,
 //! * shutdown while requests are in flight still answers them, closes
 //!   every connection, and — through the `moptd` binary under `SIGTERM` —
-//!   exits cleanly with a flushed snapshot and no leaked temp files.
+//!   exits cleanly with a flushed schedule database and no leaked temp
+//!   files.
 //!
 //! These tests bind real TCP sockets and count wall-clock-sensitive
 //! things (coalesced solves inside a widened solve window), so CI runs
@@ -400,13 +401,11 @@ fn shutdown_while_a_solve_is_in_flight_still_answers_it() {
 
 /// End to end through the `moptd` binary: `SIGTERM` while a request is in
 /// flight drains gracefully — the response still arrives, the process exits
-/// zero, and the snapshot is flushed with no leaked temp files.
+/// zero, and the schedule database is flushed with no leaked temp files.
 #[test]
-fn moptd_sigterm_drains_and_flushes_the_snapshot() {
+fn moptd_sigterm_drains_and_flushes_the_db() {
     let dir = std::env::temp_dir().join(format!("moptd-drain-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let snapshot = dir.join("cache.json");
 
     // Grab a free port, then hand it to the daemon (bind-then-drop is the
     // only portable way to learn one without parsing moptd's stderr).
@@ -416,7 +415,7 @@ fn moptd_sigterm_drains_and_flushes_the_snapshot() {
     };
     let addr = format!("127.0.0.1:{port}");
     let mut child = Command::new(env!("CARGO_BIN_EXE_moptd"))
-        .args(["--listen", &addr, "--workers", "2", "--snapshot", snapshot.to_str().unwrap()])
+        .args(["--listen", &addr, "--workers", "2", "--db", dir.to_str().unwrap()])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -456,17 +455,21 @@ fn moptd_sigterm_drains_and_flushes_the_snapshot() {
     let status = child.wait().unwrap();
     assert!(status.success(), "moptd must exit 0 after a graceful drain, got {status}");
 
-    // The post-drain save flushed the snapshot file, alone in its
-    // directory: no leftover temp sibling.
-    let entries: Vec<String> = std::fs::read_dir(&dir)
+    // The post-drain flush wrote the solve's page beside the manifest: no
+    // leftover temp sibling.
+    let files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    assert_eq!(entries, ["cache.json"], "one flushed snapshot, no `.tmp.` sibling");
+    assert!(files.iter().any(|name| name.starts_with("page-")), "no flushed page: {files:?}");
+    assert!(!files.iter().any(|name| name.contains(".tmp.")), "leaked temp: {files:?}");
 
-    // A fresh daemon-less load proves the flushed snapshot is warm.
-    let rewarmed = ServiceState::new(16).with_snapshot(snapshot).unwrap();
-    assert_eq!(rewarmed.cache.len(), 1, "the drained solve must be in the snapshot");
+    // A fresh daemon-less process answers the drained request from the db.
+    let rewarmed = ServiceState::new(16).with_db(dir.clone()).unwrap();
+    match serde_json::from_str(&rewarmed.handle_line(&optimize_line(test_shape()))).unwrap() {
+        Response::Optimized { tier: Some(Tier::Db), .. } => {}
+        other => panic!("the drained solve must be in the db, got {other:?}"),
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

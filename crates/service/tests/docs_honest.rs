@@ -91,7 +91,7 @@ fn docs_name_every_verb_crate_and_flag() {
     assert_all_named("crate", &crates, &["README.md", "docs/ARCHITECTURE.md"]);
 
     let flags = moptd_flags();
-    assert_eq!(flags.len(), 7, "{flags:?}");
+    assert_eq!(flags.len(), 6, "{flags:?}");
     assert_all_named("flag", &flags, &["README.md", "docs/PROTOCOL.md"]);
     // The parser and `--help` agree too.
     let moptd = read("crates/service/src/bin/moptd.rs");

@@ -14,7 +14,8 @@ use std::cell::Cell;
 
 use conv_spec::{ConvShape, DType, Spec};
 use mopt_core::OptimizerOptions;
-use mopt_service::{CacheKey, Request, Response, ServiceState};
+use mopt_service::batch::NamedLayer;
+use mopt_service::{Request, Response, ServiceState};
 use serde::{Deserialize, Serialize};
 
 thread_local! {
@@ -161,20 +162,19 @@ fn hand_written_impls_agree_with_their_trees() {
     let matmul = Spec::Matmul { m: 8, n: 4, k: 6, dtype: DType::F32 };
     assert_text(&matmul, "{\"Matmul\":{\"m\":8,\"n\":4,\"k\":6,\"dtype\":\"F32\"}}");
 
-    // `CacheKey` (and `NamedLayer`, in the `Planned` fixture reply) embed the
-    // problem by `Spec::serialize_field`: a conv is the flat legacy `shape`.
-    let options = OptimizerOptions::default();
-    let machine = conv_spec::MachineModel::tiny_test_machine();
+    // `NamedLayer` (also in the `Planned` fixture reply) embeds the problem
+    // by `Spec::serialize_field`: a conv is the flat legacy `shape`, anything
+    // else a tagged `spec`.
     for spec in [Spec::Conv(shape), matmul] {
-        let key = CacheKey::new(spec, &machine, &options);
-        let text = serde_json::to_string(&key).unwrap();
+        let layer = NamedLayer { name: "l".to_string(), spec };
+        let text = serde_json::to_string(&layer).unwrap();
         let field = match spec {
-            Spec::Conv(_) => format!("{{\"shape\":{conv},\"machine_fingerprint\":"),
-            _ => "{\"spec\":{\"Matmul\":{".to_string(),
+            Spec::Conv(_) => format!("{{\"name\":\"l\",\"shape\":{conv}}}"),
+            _ => "{\"name\":\"l\",\"spec\":{\"Matmul\":{".to_string(),
         };
         assert!(text.starts_with(&field), "{text}");
-        assert_text(&key, &text);
-        assert_eq!(serde_json::from_str::<CacheKey>(&text).unwrap(), key);
+        assert_text(&layer, &text);
+        assert_eq!(serde_json::from_str::<NamedLayer>(&text).unwrap(), layer);
     }
 
     // `TileConfig` omits its default layout; every schedule in the fixture

@@ -4,16 +4,16 @@
 //! `serde_json`'s own `write_oracle` holds the text writer to the old
 //! tree-then-print route over [`serde::Value`] trees. This test closes the
 //! loop for the types the server really prints: every fixture document is
-//! parsed into its typed form (`Request`, `Response`, `Snapshot`, db
-//! records), and streaming that value straight to text must give the bytes of
-//! the old route — build its tree with [`serde::to_value`], print the tree —
-//! compact and pretty.
+//! parsed into its typed form (`Request`, `Response`, db records), and
+//! streaming that value straight to text must give the bytes of the old
+//! route — build its tree with [`serde::to_value`], print the tree — compact
+//! and pretty.
 
 use std::path::{Path, PathBuf};
 
 use mopt_core::OptimizerOptions;
 use mopt_db::SpecRecord;
-use mopt_service::{Request, Response, ServiceState, Snapshot};
+use mopt_service::{Request, Response, ServiceState};
 use serde::{Deserialize, Serialize};
 
 fn fixture(name: &str) -> PathBuf {
@@ -95,11 +95,6 @@ fn live_replies_of_every_verb_stream_like_their_trees() {
         let typed: Response = serde_json::from_str(&reply).unwrap();
         assert_eq!(serde_json::to_string(&typed).unwrap(), reply, "{line}");
     }
-}
-
-#[test]
-fn legacy_snapshot_streams_like_its_tree() {
-    check_document::<Snapshot>(&read(&fixture("legacy_snapshot.json")));
 }
 
 /// A page's checksum is the FNV-1a of its re-serialized record list: the

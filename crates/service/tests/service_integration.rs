@@ -16,7 +16,7 @@ use conv_exec::{NchwcConv, Tensor4, TiledConv};
 use conv_spec::{benchmarks, ConvShape, MachineModel, TileConfig};
 use mopt_core::{LayoutPolicy, OptimizeResult, OptimizerOptions};
 use mopt_service::batch::NamedLayer;
-use mopt_service::{NetworkPlanner, Request, Response, ScheduleCache, ServiceState};
+use mopt_service::{NetworkPlanner, Request, Response, ScheduleCache, ServiceState, Tier};
 use serde::Value;
 
 fn fast_options() -> OptimizerOptions {
@@ -265,77 +265,117 @@ fn plan_network_serves_generalized_suites() {
     }
 }
 
-/// `moptd --snapshot`: a second process starts warm from the first's cache.
+/// Run `lines` through one `moptd --stdio --db <db>` process and parse its
+/// replies, one per line.
+fn replies_of_moptd_over_db(db: &std::path::Path, lines: &[String]) -> Vec<Response> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_moptd"))
+        .arg("--stdio")
+        .arg("--db")
+        .arg(db)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("moptd spawns");
+    let mut stdin = child.stdin.take().expect("moptd stdin");
+    for line in lines {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    drop(stdin);
+    let output = child.wait_with_output().expect("moptd runs");
+    assert!(output.status.success());
+    let text = String::from_utf8(output.stdout).unwrap();
+    text.lines().map(|line| serde_json::from_str(line).unwrap()).collect()
+}
+
+/// `moptd --db` is the one durable store: a second process over the first's
+/// database answers every line from it, solving nothing. Each `Optimize`
+/// serves the first process's winner, at no higher a cost at any rank; each
+/// graph op costs no more than the first process's.
 #[test]
-fn moptd_snapshot_warms_across_processes() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("moptd-itest-snapshot-{}.json", std::process::id()));
-    std::fs::remove_file(&path).ok();
-
-    let shape = ConvShape::new(1, 4, 4, 3, 3, 8, 8, 1).unwrap();
-    let request = serde_json::to_string(&Request::Optimize {
-        spec: None,
-        op: None,
-        shape: Some(shape),
-        machine: mopt_service::MachineSpec::Preset("tiny".into()),
-        options: Some(fast_options()),
-        threads: None,
-        trace: None,
-    })
-    .unwrap();
-
-    let run = |expect_cached: bool| {
-        let output = Command::new(env!("CARGO_BIN_EXE_moptd"))
-            .args(["--stdio", "--snapshot", path.to_str().unwrap()])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .and_then(|mut child| {
-                child
-                    .stdin
-                    .as_mut()
-                    .expect("stdin")
-                    .write_all(format!("{request}\n").as_bytes())?;
-                child.stdin.take();
-                child.wait_with_output()
-            })
-            .expect("moptd runs");
-        let line = String::from_utf8(output.stdout).unwrap();
-        let response: Response = serde_json::from_str(line.trim()).unwrap();
-        match response {
-            Response::Optimized { cached, result, .. } => {
-                assert_eq!(
-                    cached, expect_cached,
-                    "expected cached={expect_cached} from snapshot state"
-                );
-                result
-            }
-            other => panic!("expected Optimized, got {other:?}"),
-        }
+fn moptd_db_answers_a_restarted_process() {
+    let db = std::env::temp_dir().join(format!("moptd-itest-restart-{}", std::process::id()));
+    std::fs::remove_dir_all(&db).ok();
+    let fast = serde_json::to_string(&fast_options()).unwrap();
+    let optimize = |op: &str, threads: usize, options: &str| {
+        format!(
+            "{{\"Optimize\": {{\"op\": \"{op}\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {options}, \"threads\": {threads}}}}}"
+        )
     };
+    let mut lines = Vec::new();
+    // Half the ops are solved at 4 threads first, so the database also
+    // re-ranks a multi-threaded solve for one thread.
+    for (i, op) in ["R3", "Y5", "M2", "V3", "D1", "M9"].iter().enumerate() {
+        let threads = if i % 2 == 0 { [1, 4] } else { [4, 1] };
+        lines.extend(threads.map(|threads| optimize(op, threads, &fast)));
+    }
+    let variant = OptimizerOptions { keep_top: 3, max_classes: 2, ..OptimizerOptions::default() };
+    lines.push(optimize("Y0", 4, &serde_json::to_string(&variant).unwrap()));
+    lines.push(format!(
+        "{{\"PlanGraph\": {{\"block\": \"resnet-r12\", \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {fast}}}}}"
+    ));
+    let first = replies_of_moptd_over_db(&db, &lines);
+    lines.push("\"Stats\"".to_string());
+    let second = replies_of_moptd_over_db(&db, &lines);
+    std::fs::remove_dir_all(&db).ok();
+    assert_eq!((first.len(), second.len()), (lines.len() - 1, lines.len()));
 
-    let cold = run(false);
-    let warm = run(true);
-    assert_eq!(cold.ranked, warm.ranked, "snapshot must reproduce the exact result");
-    std::fs::remove_file(&path).ok();
+    for ((line, cold), warm) in lines.iter().zip(&first).zip(&second) {
+        match (cold, warm) {
+            (
+                Response::Optimized { result: cold, .. },
+                Response::Optimized { tier, result: warm, .. },
+            ) => {
+                assert_eq!(*tier, Some(Tier::Db), "{line}");
+                assert_eq!(warm.ranked[0], cold.ranked[0], "{line}");
+                // The database may hold more candidates than one solve
+                // ranked (it merges every solve of the canonical spec).
+                assert!(warm.ranked.len() >= cold.ranked.len(), "{line}");
+                for (rank, (w, c)) in warm.ranked.iter().zip(&cold.ranked).enumerate() {
+                    assert!(w.predicted_cost <= c.predicted_cost, "{line}: rank {rank}");
+                }
+            }
+            (
+                Response::GraphPlanned { plan: cold, .. },
+                Response::GraphPlanned { plan: warm, .. },
+            ) => {
+                assert_eq!(warm.segments.len(), cold.segments.len());
+                for (w, c) in warm.segments.iter().zip(&cold.segments) {
+                    let (w, c) = (&w.ops[0], &c.ops[0]);
+                    assert_eq!(w.name, c.name);
+                    assert!(w.best.predicted_cost <= c.best.predicted_cost, "{}", w.name);
+                }
+            }
+            other => panic!("{line}: expected two matching replies, got {other:?}"),
+        }
+    }
+    match second.last() {
+        Some(Response::Stats { stats }) => {
+            let db = stats.db.as_ref().expect("db stats");
+            assert_eq!((db.inserts, db.misses), (0, 0), "the restarted process solved something");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// The sharded and whole-file snapshot modes are gone: their flags are
+/// rejected like any other unknown argument instead of being silently
+/// ignored.
+#[test]
+fn moptd_rejects_the_removed_snapshot_dir_flag() {
+    for flag in ["--snapshot-dir", "--snapshot"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_moptd"))
+            .args([flag, "x"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("moptd runs");
+        assert_eq!(output.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("unknown argument `{flag}`")), "stderr: {stderr}");
+    }
 }
 
 /// Satellite: serde round trips are exact for the protocol's payload types.
-/// The sharded snapshot mode is gone: its flag is rejected like any other
-/// unknown argument instead of being silently ignored.
-#[test]
-fn moptd_rejects_the_removed_snapshot_dir_flag() {
-    let output = Command::new(env!("CARGO_BIN_EXE_moptd"))
-        .args(["--snapshot-dir", "x"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("moptd runs");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown argument `--snapshot-dir`"), "stderr: {stderr}");
-}
-
 #[test]
 fn serde_round_trips_are_exact() {
     let machine = MachineModel::tiny_test_machine();

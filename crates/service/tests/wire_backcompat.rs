@@ -1,5 +1,5 @@
-//! Wire back-compat gate: requests, snapshots, and database pages written
-//! before the spec generalization must keep working, bit-identically.
+//! Wire back-compat gate: requests and database pages written before the
+//! spec generalization must keep working, bit-identically.
 //!
 //! `tests/fixtures/` at the repository root holds artifacts captured from a
 //! pre-spec `moptd`:
@@ -10,8 +10,6 @@
 //!   schedule configs, certified costs) must come back unchanged. New
 //!   response fields (`spec`, `deprecated`) may appear; pinned ones may not
 //!   drift.
-//! * `legacy_snapshot.json` — a flat cache snapshot. Must load and serve
-//!   warm hits under the same cache keys.
 //! * `legacy_db/` — database pages keyed by pre-spec conv fingerprints.
 //!   Must serve a cold process from the db tier without a single solve.
 
@@ -24,7 +22,7 @@ use mopt_service::{Response, ServiceState, Tier};
 use serde::Value;
 
 /// The machine fingerprint every fixture was captured against. If
-/// `MachineModel::fingerprint()` drifts, old snapshots and db pages silently
+/// `MachineModel::fingerprint()` drifts, old db pages silently
 /// stop matching — pin it.
 const TINY_MACHINE_FINGERPRINT: u64 = 8713081057233441346;
 
@@ -82,19 +80,15 @@ fn legacy_requests_replay_bit_identically_through_moptd() {
     let pinned = fixture_lines("legacy_responses.jsonl");
     assert_eq!(requests.len(), pinned.len(), "fixture files out of sync");
 
-    // The capture ran with a snapshot path and an (initially empty) db
-    // attached — the write-through from request 0 makes request 3 a db-tier
-    // hit, and the final `"Save"` reports the cache entry count. Reproduce
-    // that stack with throwaway paths.
-    let snapshot =
-        std::env::temp_dir().join(format!("moptd-backcompat-snap-{}.json", std::process::id()));
+    // The capture ran with an (initially empty) db attached — the
+    // write-through from request 0 makes request 3 a db-tier hit, and the
+    // final `"Save"` reports the resident cache entry count. Reproduce that
+    // stack with a throwaway db.
     let db = std::env::temp_dir().join(format!("moptd-backcompat-db-{}", std::process::id()));
-    std::fs::remove_file(&snapshot).ok();
     std::fs::remove_dir_all(&db).ok();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_moptd"))
-        .args(["--stdio", "--snapshot"])
-        .arg(&snapshot)
+        .arg("--stdio")
         .arg("--db")
         .arg(&db)
         .stdin(Stdio::piped())
@@ -113,7 +107,6 @@ fn legacy_requests_replay_bit_identically_through_moptd() {
     let stdout = BufReader::new(child.stdout.take().expect("moptd stdout"));
     let replies: Vec<String> = stdout.lines().map(|l| l.unwrap()).collect();
     assert!(child.wait().unwrap().success());
-    std::fs::remove_file(&snapshot).ok();
     std::fs::remove_dir_all(&db).ok();
     assert_eq!(replies.len(), pinned.len(), "one reply per request");
 
@@ -126,37 +119,15 @@ fn legacy_requests_replay_bit_identically_through_moptd() {
     }
 }
 
-/// A pre-spec flat snapshot still loads, still counts, and still serves the
-/// legacy request that produced it as a warm cache hit.
-#[test]
-fn legacy_snapshot_restores_and_serves_warm() {
-    assert_eq!(
-        MachineModel::tiny_test_machine().fingerprint(),
-        TINY_MACHINE_FINGERPRINT,
-        "machine fingerprint drifted: every captured snapshot and db page would go cold"
-    );
-    let copy = std::env::temp_dir()
-        .join(format!("moptd-backcompat-legacy-snap-{}.json", std::process::id()));
-    std::fs::copy(fixture_dir().join("legacy_snapshot.json"), &copy).unwrap();
-    let state = ServiceState::new(64).with_snapshot(copy.clone()).unwrap();
-    assert_eq!(state.cache.len(), 7, "all pinned snapshot entries restored");
-    // The first legacy Optimize request is one of the snapshotted keys.
-    let request = &fixture_lines("legacy_requests.jsonl")[0];
-    let response: Response = serde_json::from_str(&state.handle_line(request)).unwrap();
-    match response {
-        Response::Optimized { cached, tier, .. } => {
-            assert!(cached, "snapshotted entry must serve warm");
-            assert_eq!(tier, Some(Tier::Cache));
-        }
-        other => panic!("expected Optimized, got {other:?}"),
-    }
-    std::fs::remove_file(&copy).ok();
-}
-
 /// Pre-spec database pages (conv-fingerprint keyed) serve a cold process
 /// from the db tier: same canonicalization, same fingerprints, no solve.
 #[test]
 fn legacy_db_pages_serve_a_cold_process() {
+    assert_eq!(
+        MachineModel::tiny_test_machine().fingerprint(),
+        TINY_MACHINE_FINGERPRINT,
+        "machine fingerprint drifted: every captured db page would go cold"
+    );
     let dir =
         std::env::temp_dir().join(format!("moptd-backcompat-legacy-db-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

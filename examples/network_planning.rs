@@ -1,19 +1,24 @@
 //! Whole-network planning through the serving layer: plan ResNet-18 cold,
-//! then again warm from the schedule cache, and persist the cache to disk
-//! the way `moptd --snapshot` does.
+//! then again warm from the schedule cache, and persist the schedules in the
+//! schedule database the way `moptd --db` does, so a fresh cache over the
+//! reopened database plans without a solve.
 //!
 //! Run with `cargo run --release --example network_planning`.
 
 use mopt_repro::conv_spec::{benchmarks, BenchmarkSuite, MachineModel};
 use mopt_repro::mopt_core::OptimizerOptions;
 use mopt_repro::mopt_service::batch::NamedLayer;
-use mopt_repro::mopt_service::{load_snapshot, save_snapshot, NetworkPlanner, ScheduleCache};
+use mopt_repro::mopt_service::{DbTier, NetworkPlanner, ScheduleCache};
 
 fn main() {
     let machine = MachineModel::i7_9700k();
     let options = OptimizerOptions { max_classes: 2, ..OptimizerOptions::default() };
+    let db_path = std::env::temp_dir().join(format!("mopt-example-db-{}", std::process::id()));
+    std::fs::remove_dir_all(&db_path).ok();
+    let db = DbTier::open(&db_path).expect("schedule database opens");
     let cache = ScheduleCache::new(256);
-    let planner = NetworkPlanner::new(&cache, machine, options);
+    // Every cold solve is written through to the database.
+    let planner = NetworkPlanner::new(&cache, machine.clone(), options.clone()).with_db(Some(&db));
 
     let resnet18 = benchmarks::suite(BenchmarkSuite::ResNet18);
     println!("planning ResNet-18 (cold)...");
@@ -50,21 +55,23 @@ fn main() {
         println!("\nprojected bottleneck layer: {}", bottleneck.name);
     }
 
-    // Persist the warm cache the way `moptd --snapshot` does on shutdown.
-    let mut path = std::env::temp_dir();
-    path.push("mopt-example-snapshot.json");
-    match save_snapshot(&cache, &path) {
-        Ok(n) => println!("snapshot: {n} entries saved to {}", path.display()),
-        Err(e) => println!("snapshot failed: {e}"),
+    // Flush the database the way `moptd --db` does on shutdown, then plan
+    // again the way a restarted process would: an empty cache over the
+    // reopened database, served from stored schedules without a solve.
+    match db.flush() {
+        Ok(pages) => {
+            println!("\nschedule database: {pages} pages flushed to {}", db_path.display())
+        }
+        Err(e) => println!("\nschedule database flush failed: {e}"),
     }
-
-    // And show that a fresh cache restored from it is warm.
-    let restored = ScheduleCache::new(256);
-    match load_snapshot(&restored, &path) {
-        Ok(n) => println!("restored {n} entries; cache len {}", restored.len()),
-        Err(e) => println!("restore failed: {e}"),
-    }
-    std::fs::remove_file(&path).ok();
+    let reopened = DbTier::open(&db_path).expect("schedule database reopens");
+    let fresh_cache = ScheduleCache::new(256);
+    let restarted = NetworkPlanner::new(&fresh_cache, machine, options).with_db(Some(&reopened));
+    let replanned = restarted.plan_ops(&resnet18);
+    println!(
+        "replanned from the database: {} db hits, {} solves",
+        replanned.stats.db_hits, replanned.stats.solves,
+    );
 
     // A layer list does not have to come from Table 1.
     let custom = vec![NamedLayer::conv(
@@ -77,4 +84,5 @@ fn main() {
         plan.layers[0].best.predicted_cost,
         if plan.layers[0].from_cache { "cached" } else { "solved" },
     );
+    std::fs::remove_dir_all(&db_path).ok();
 }

@@ -1,15 +1,15 @@
 //! Fingerprint-stability regression tests.
 //!
-//! Persisted schedule-cache snapshots, the graph-plan cache, and any
-//! external tooling key on `ConvShape::fingerprint`,
-//! `MachineModel::fingerprint`, and `Graph::fingerprint`. Those keys must
-//! never change silently across refactors — a drifted fingerprint turns
-//! every warm snapshot cold and disconnects old plans from their graphs.
-//! This test pins the *exact* values for representative Table-1 and V-suite
-//! shapes, the three machine presets, and two builder blocks. If one of
-//! these assertions fails, a fingerprinted input changed: either revert the
-//! change, or bump the snapshot format version (`SNAPSHOT_VERSION`) and
-//! update these constants deliberately.
+//! Schedule-database pages, graph plans, and any external tooling key on
+//! `ConvShape::fingerprint`, `MachineModel::fingerprint`, and
+//! `Graph::fingerprint`. Those keys must never change silently across
+//! refactors — a drifted fingerprint turns every stored schedule cold and
+//! disconnects old plans from their graphs. This test pins the *exact*
+//! values for representative Table-1 and V-suite shapes, the three machine
+//! presets, and two builder blocks. If one of these assertions fails, a
+//! fingerprinted input changed: either revert the change, or bump the
+//! database format version (`mopt_db::DB_VERSION`) and update these
+//! constants deliberately.
 
 use conv_spec::{benchmarks, canonicalize, ConvShape, MachineModel};
 use mopt_graph::builders;
